@@ -13,7 +13,7 @@ pub const DEFAULT_SEED: u64 = 1;
 /// Any change to what the simulator computes changes these.
 pub fn golden(workload: Workload) -> u128 {
     match workload {
-        Workload::LinaDrift => 0xedf6_1648_189e_d68e_f1c2_ef30_7910_578b,
+        Workload::LinaDrift => 0x2755_70be_2ca0_bdc6_08e8_cce9_86ee_74f6,
         Workload::ContendedBaseline => 0x2137_7814_1785_aa53_c89c_d76b_698c_c351,
         Workload::OverloadArmed => 0x2369_d5d5_10b1_d4a8_de9c_23a2_4d04_3be7,
         Workload::TrainStep => 0x398b_df7f_fd25_59c6_2d27_c1cf_fe67_c8c7,

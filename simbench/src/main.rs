@@ -1,8 +1,8 @@
-//! Wall-clock benchmark of the Lina simulator.
+//! Throughput benchmark of the Lina simulator.
 //!
 //! ```text
 //! cargo run --release --manifest-path simbench/Cargo.toml -- \
-//!     --workload lina_drift --seed 1 --seconds 20 --trace 0
+//!     --workload lina_drift --seed 1 --seconds 25 --trace 0
 //! ```
 //!
 //! One process runs one workload (see `README.md` in this directory).
@@ -16,6 +16,7 @@
 //! (iterations, and iterations that panicked or failed their output
 //! check) and `metrics`.
 
+mod calib;
 mod check;
 mod replay;
 mod run;

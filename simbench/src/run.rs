@@ -12,12 +12,12 @@ use crate::replay::Timings;
 use crate::workloads::Size;
 use crate::Args;
 
+/// The throughput metric: simulated requests (training sequences on
+/// `train_step`) per second of the reference core (see [`REF_S`]).
+pub const RATE: &str = "sim_req_per_ref_s";
+
 /// End-to-end metrics (`--trace 0`): name and unit.
-pub const END_TO_END: [(&str, &str); 3] = [
-    ("setup_s", "s"),
-    ("sim_req_per_wall_s", "1/s"),
-    ("peak_rss_mb", "MB"),
-];
+pub const END_TO_END: [(&str, &str); 3] = [("setup_s", "s"), (RATE, "1/s"), ("peak_rss_mb", "MB")];
 
 /// Per-layer metrics (`--trace 1`): name and unit. A workload reports
 /// zero for a layer it never runs.
@@ -117,18 +117,37 @@ impl Outcome {
     }
 }
 
-/// Quantile of a run's per-iteration wall times its throughput is
-/// computed from. Other tenants of a shared machine slow whole
-/// seconds-long stretches of a run by up to a third; the fast tail of
-/// the iterations is the program's own speed.
-const FAST_QUANTILE: f64 = 0.1;
-
-/// Work per wall-second of one iteration, at the run's fast-quantile
-/// iteration time (`walls` holds every iteration's wall seconds, each
-/// doing `work`).
-pub fn rate(work: f64, walls: &[f64]) -> f64 {
-    work / quantile(walls, FAST_QUANTILE)
+/// CPU seconds the calling thread has run (`CLOCK_THREAD_CPUTIME_ID`,
+/// nanosecond-resolved, unlike the tick-resolved `/proc` counters).
+fn thread_cpu_s() -> f64 {
+    #[repr(C)]
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
+    }
+    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    extern "C" {
+        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    }
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `ts` is a valid, writable timespec for the call.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_THREAD_CPUTIME_ID) failed");
+    ts.sec as f64 + ts.nsec as f64 * 1e-9
 }
+
+/// Runs `f` and returns its result with the CPU seconds it took.
+pub fn cpu_time<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = thread_cpu_s();
+    let out = f();
+    (out, thread_cpu_s() - t0)
+}
+
+/// CPU seconds the reference job takes on the core the benchmark was
+/// tuned on (a 2-vCPU shared x86-64 VM). Times are reported in seconds
+/// of that core: a sample's CPU time times `REF_S` over the reference
+/// job's CPU time measured beside it.
+const REF_S: f64 = 0.04;
 
 /// The median; 0 for no samples.
 fn median(v: &[f64]) -> f64 {
@@ -163,30 +182,49 @@ pub struct Repeated {
     pub attempted: usize,
     /// Iterations that panicked or failed their output check.
     pub failed: usize,
-    /// Median wall time of the set-ups.
+    /// Median set-up time, in reference seconds (see [`REF_S`]).
     pub setup_s: f64,
+    /// Median time of the measured part of a passing iteration, in
+    /// reference seconds.
+    pub iter_s: f64,
     /// Peak resident memory after the first `MIN_ITERS` iterations.
     pub peak_rss_mb: f64,
 }
 
 /// Repeats `iteration` until `seconds` have passed (at least
 /// `MIN_ITERS` times). An iteration returns whether its output check
-/// passed; a panic counts as a failed iteration. Before each iteration
-/// the set-up is built once more, untimed by the iteration, so the
-/// set-up samples spread over the whole run like the iterations do.
+/// passed and the CPU seconds of its measured part; a panic counts as a
+/// failed iteration. Before each iteration the set-up is built once
+/// more, untimed by the iteration, so the set-up samples spread over the
+/// whole run like the iterations do.
+///
+/// Other tenants of a shared host slow whole minutes of a run by up to
+/// a third, by taking the cores' time, caches and memory bandwidth. So
+/// every sample is timed in CPU seconds and scaled by the reference job
+/// ([`crate::calib::job`]), run before and after it: a slowdown that
+/// hits both cancels out.
 pub fn repeat<S>(
     seconds: f64,
     setup: impl Fn() -> S,
-    mut iteration: impl FnMut() -> bool,
+    mut iteration: impl FnMut() -> (bool, f64),
 ) -> Repeated {
     let deadline = Instant::now() + Duration::from_secs_f64(seconds);
-    let mut setups = Timings::default();
+    let reference = || cpu_time(crate::calib::job).1;
+    let mut before = reference();
+    let (mut setups, mut iters) = (Vec::new(), Vec::new());
     let (mut attempted, mut failed, mut peak_rss_mb) = (0, 0, 0.0);
     while attempted < MIN_ITERS || Instant::now() < deadline {
-        drop(setups.time(&setup));
+        let (built, setup_cpu) = cpu_time(&setup);
+        drop(built);
         attempted += 1;
-        if !catch_unwind(AssertUnwindSafe(&mut iteration)).unwrap_or(false) {
-            failed += 1;
+        let outcome = catch_unwind(AssertUnwindSafe(&mut iteration));
+        let after = reference();
+        let scale = REF_S / (0.5 * (before + after));
+        before = after;
+        setups.push(setup_cpu * scale);
+        match outcome {
+            Ok((true, cpu)) => iters.push(cpu * scale),
+            _ => failed += 1,
         }
         if attempted == MIN_ITERS {
             peak_rss_mb = self::peak_rss_mb();
@@ -195,7 +233,8 @@ pub fn repeat<S>(
     Repeated {
         attempted,
         failed,
-        setup_s: median(setups.samples()),
+        setup_s: median(&setups),
+        iter_s: median(&iters),
         peak_rss_mb,
     }
 }

@@ -8,7 +8,7 @@ use lina_serve::{ClusterConfig, ClusterEngine, ClusterOutcome};
 
 use crate::check;
 use crate::replay::{replay_serving, Timings};
-use crate::run::{rate, repeat, DigestCheck, Outcome, Traced};
+use crate::run::{cpu_time, repeat, DigestCheck, Outcome, Traced, RATE};
 use crate::workloads::{cluster_config, load, ServeWorld};
 use crate::Args;
 
@@ -45,22 +45,20 @@ impl ServeSetup {
 }
 
 /// End-to-end run: simulated requests reaching a terminal outcome per
-/// wall-second of `ClusterEngine::run` over the lazily streamed trace.
+/// reference second of `ClusterEngine::run` over the lazily streamed
+/// trace.
 pub fn untraced(args: &Args) -> Outcome {
     let setup = ServeSetup::new(args);
     let engine = setup.engine();
     let mut digests = DigestCheck::new(args);
-    let mut walls = Vec::new();
     let mut terminal = 0;
     let done = repeat(
         args.seconds,
         || ServeSetup::new(args),
         || {
-            let t0 = Instant::now();
-            let out = engine.run();
-            walls.push(t0.elapsed().as_secs_f64());
+            let (out, cpu) = cpu_time(|| engine.run());
             terminal = out.tracker.records().len() + out.tracker.failures().len();
-            setup.accepts(&out, &mut digests)
+            (setup.accepts(&out, &mut digests), cpu)
         },
     );
     digests.report();
@@ -69,7 +67,7 @@ pub fn untraced(args: &Args) -> Outcome {
         failed: done.failed,
         metrics: BTreeMap::from([
             ("setup_s", done.setup_s),
-            ("sim_req_per_wall_s", rate(terminal as f64, &walls)),
+            (RATE, terminal as f64 / done.iter_s),
             ("peak_rss_mb", done.peak_rss_mb),
         ]),
     }
@@ -141,7 +139,7 @@ pub fn traced(args: &Args) -> Outcome {
             if !same {
                 eprintln!("simbench: run_trace disagrees with run");
             }
-            setup.accepts(&out, &mut digests) && same
+            (setup.accepts(&out, &mut digests) && same, 0.0)
         },
     );
     digests.report();

@@ -12,7 +12,7 @@ use lina_runner::Fnv128;
 
 use crate::check;
 use crate::replay::{replay_train, Timings, TrainReplay};
-use crate::run::{rate, repeat, DigestCheck, Outcome, Traced};
+use crate::run::{cpu_time, repeat, DigestCheck, Outcome, Traced, RATE};
 use crate::workloads::TrainWorld;
 use crate::Args;
 
@@ -54,20 +54,17 @@ fn setup(args: &Args) -> TrainWorld {
 }
 
 /// End-to-end run: simulated training sequences (the step's batch, one
-/// step per scheme) per wall-second.
+/// step per scheme) per reference second.
 pub fn untraced(args: &Args) -> Outcome {
     let world = setup(args);
     let mut digests = DigestCheck::new(args);
     let seqs = (world.batch.seqs_per_device * world.topo.devices() * world.schemes.len()) as f64;
-    let mut walls = Vec::new();
     let done = repeat(
         args.seconds,
         || setup(args),
         || {
-            let t0 = Instant::now();
-            let (_, digest, sane) = steps(&world, args.seed);
-            walls.push(t0.elapsed().as_secs_f64());
-            digests.accepts(digest) && sane
+            let ((_, digest, sane), cpu) = cpu_time(|| steps(&world, args.seed));
+            (digests.accepts(digest) && sane, cpu)
         },
     );
     digests.report();
@@ -76,7 +73,7 @@ pub fn untraced(args: &Args) -> Outcome {
         failed: done.failed,
         metrics: BTreeMap::from([
             ("setup_s", done.setup_s),
-            ("sim_req_per_wall_s", rate(seqs, &walls)),
+            (RATE, seqs / done.iter_s),
             ("peak_rss_mb", done.peak_rss_mb),
         ]),
     }
@@ -120,7 +117,7 @@ pub fn traced(args: &Args) -> Outcome {
             if !same {
                 eprintln!("simbench: traced step disagrees with run_train_step");
             }
-            digests.accepts(digest) && sane && same
+            (digests.accepts(digest) && sane && same, 0.0)
         },
     );
     digests.report();

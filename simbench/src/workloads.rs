@@ -236,6 +236,14 @@ pub fn cluster_config(workload: Workload, seed: u64, size: Size, rate: f64) -> C
                 scheme: InferScheme::Lina,
                 drift_period: Some((n_requests / 6).max(1)),
                 reestimate_every: Some(4),
+                // Batches wait to fill: with the 2 ms wait, whether a
+                // seed's bursts built queues decided between ~80 and
+                // ~170 batches a run, and with them the re-estimations,
+                // so the work of a run swung by a third across seeds.
+                batcher: BatcherConfig {
+                    max_batch_requests: 8,
+                    max_wait: SimDuration::from_millis(40),
+                },
                 ..healthy.serve
             },
             replicas: 3,
