@@ -354,12 +354,6 @@ pub const REGISTRY: &[Scenario] = &[
         description: "gray-failure detection and hedged dispatch: gray intensity x {oracle, detector, detector+hedging}",
         run: scenarios::serve_gray::run,
     },
-    Scenario {
-        id: "perf_microbench",
-        paper_ref: "Simulator perf",
-        description: "simulator throughput: reference vs fast perf config on one trace",
-        run: scenarios::perf_microbench::run,
-    },
 ];
 
 /// Looks up a scenario by id.
@@ -400,14 +394,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_covers_all_32_experiments() {
-        assert_eq!(REGISTRY.len(), 32);
+    fn registry_covers_all_31_experiments() {
+        assert_eq!(REGISTRY.len(), 31);
         let mut ids: Vec<&str> = REGISTRY.iter().map(|s| s.id).collect();
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 32, "scenario ids must be unique");
+        assert_eq!(ids.len(), 31, "scenario ids must be unique");
         assert!(find("table1").is_some());
-        assert!(find("perf_microbench").is_some());
         assert!(find("serve_load_sweep").is_some());
         assert!(find("serve_autoscale").is_some());
         assert!(find("serve_cluster").is_some());

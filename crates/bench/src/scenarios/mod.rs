@@ -25,7 +25,6 @@ pub mod fig6_popularity;
 pub mod fig7_schedules;
 pub mod fig8_microops;
 pub mod fig9_pattern;
-pub mod perf_microbench;
 pub mod serve_affinity;
 pub mod serve_autoscale;
 pub mod serve_cluster;

@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use lina_netsim::{CollectiveDone, CollectiveEngine, Network, SoloTimer, Topology};
-use lina_simcore::{EventQueue, QueueKind, SimDuration, SimTime};
+use lina_simcore::{EventQueue, SimDuration, SimTime};
 
 use crate::inference::InferenceReport;
 use crate::plan::ExecutionPlan;
@@ -128,33 +128,28 @@ pub enum ReplicaExecutor {
 }
 
 impl ReplicaExecutor {
-    /// Builds an executor for a replica spanning `topo` on the default
-    /// event-queue backend.
+    /// Builds an executor for a replica spanning `topo`.
     pub fn new(mode: NetworkMode, topo: &Topology) -> Self {
-        ReplicaExecutor::new_shared(mode, Arc::new(topo.clone()), QueueKind::default())
+        ReplicaExecutor::new_shared(mode, Arc::new(topo.clone()))
     }
 
     /// Builds an executor over a shared topology handle — the cluster
     /// builds one `Arc<Topology>` per run and every replica shares it
-    /// instead of deep-cloning the topology per executor. `queue`
-    /// selects the contended executor's stage-timer backend (pop order
-    /// is identical across kinds).
-    pub fn new_shared(mode: NetworkMode, topo: Arc<Topology>, queue: QueueKind) -> Self {
+    /// instead of deep-cloning the topology per executor.
+    pub fn new_shared(mode: NetworkMode, topo: Arc<Topology>) -> Self {
         match mode {
             NetworkMode::Solo => ReplicaExecutor::Solo(Box::new(SoloReplica {
                 timer: SoloTimer::new_shared(topo),
                 inflight: Vec::new(),
                 last_completion: SimTime::ZERO,
-                memo: None,
             })),
             NetworkMode::Contended => ReplicaExecutor::Contended(Box::new(ContendedReplica {
                 engine: CollectiveEngine::new(Network::new_shared(topo.clone())),
                 estimator: SoloTimer::new_shared(topo),
-                queue: EventQueue::with_kind(queue),
+                queue: EventQueue::new(),
                 batches: BTreeMap::new(),
                 finished: Vec::new(),
                 last_completion: SimTime::ZERO,
-                memo: None,
             })),
         }
     }
@@ -259,15 +254,10 @@ impl ReplicaExecutor {
     /// collectives included.
     pub fn set_link_scale(&mut self, scale: f64) {
         match self {
-            ReplicaExecutor::Solo(s) => {
-                s.timer.set_capacity_scale(scale);
-                // Memoized solo reports were priced on the old links.
-                s.memo = None;
-            }
+            ReplicaExecutor::Solo(s) => s.timer.set_capacity_scale(scale),
             ReplicaExecutor::Contended(c) => {
                 c.engine.network_mut().set_capacity_scale(scale);
                 c.estimator.set_capacity_scale(scale);
-                c.memo = None;
             }
         }
     }
@@ -301,28 +291,11 @@ pub struct SoloReplica {
     timer: SoloTimer,
     inflight: Vec<FinishedBatch>,
     last_completion: SimTime,
-    /// Last (plan, report) pair priced. Solo pricing is pure in the
-    /// plan and the link scale, so resubmitting the *same* shared plan
-    /// (the plan cache upstream yields identical `Arc`s) skips the
-    /// per-layer collective pricing entirely. `Arc::ptr_eq` keying is
-    /// ABA-safe because the memo holds the plan alive.
-    memo: Option<(Arc<ExecutionPlan>, InferenceReport)>,
 }
 
 impl SoloReplica {
-    fn solo_report(&mut self, plan: &Arc<ExecutionPlan>) -> InferenceReport {
-        if let Some((p, r)) = &self.memo {
-            if Arc::ptr_eq(p, plan) {
-                return r.clone();
-            }
-        }
-        let r = execute_plan_solo(plan, &mut self.timer);
-        self.memo = Some((plan.clone(), r.clone()));
-        r
-    }
-
     fn submit(&mut self, id: u64, at: SimTime, plan: Arc<ExecutionPlan>) {
-        let report = self.solo_report(&plan);
+        let report = execute_plan_solo(&plan, &mut self.timer);
         let completed = at + report.total;
         self.inflight.push(FinishedBatch {
             id,
@@ -404,24 +377,9 @@ pub struct ContendedReplica {
     batches: BTreeMap<u64, ContendedBatch>,
     finished: Vec<FinishedBatch>,
     last_completion: SimTime,
-    /// Memoized solo estimate for the last submitted plan (see
-    /// [`SoloReplica::memo`]); keyed by `Arc` identity and link scale
-    /// (invalidated on [`ReplicaExecutor::set_link_scale`]).
-    memo: Option<(Arc<ExecutionPlan>, SimDuration)>,
 }
 
 impl ContendedReplica {
-    fn solo_total(&mut self, plan: &Arc<ExecutionPlan>) -> SimDuration {
-        if let Some((p, t)) = &self.memo {
-            if Arc::ptr_eq(p, plan) {
-                return *t;
-            }
-        }
-        let t = execute_plan_solo(plan, &mut self.estimator).total;
-        self.memo = Some((plan.clone(), t));
-        t
-    }
-
     fn submit(&mut self, id: u64, at: SimTime, plan: Arc<ExecutionPlan>) {
         // Process anything due before the dispatch instant, then pin the
         // network clock to it so collective launches are stamped at `at`.
@@ -429,7 +387,7 @@ impl ContendedReplica {
         for d in self.engine.advance_to(at) {
             self.on_collective_done(d);
         }
-        let solo_total = self.solo_total(&plan);
+        let solo_total = execute_plan_solo(&plan, &mut self.estimator).total;
         let n = plan.layers.len();
         let b = ContendedBatch {
             id,

@@ -12,27 +12,22 @@
 
 #![warn(missing_docs)]
 
+pub mod digest;
 pub mod engine;
 pub mod exec;
 pub mod inference;
 pub mod plan;
-pub mod plan_cache;
 pub mod session;
 pub mod sweep;
 pub mod train;
 
+pub use digest::Fnv128;
 pub use engine::{execute, ExecResult};
 pub use exec::{execute_plan_solo, FinishedBatch, NetworkMode, ReplicaExecutor};
 pub use inference::{
     run_inference_batch, run_inference_batches, InferenceConfig, InferenceReport, InferenceSummary,
 };
-pub use plan::{
-    plan_batch, plan_batch_layered, plan_batch_on, BasePlacement, ExecutionPlan, LayerPlan,
-    PlanSpec,
-};
-pub use plan_cache::{
-    hash_batch_content, hash_layered_placement, Fnv128, PlanCache, PlanCacheStats, PlanKey,
-};
+pub use plan::{plan_batch, plan_batch_layered, ExecutionPlan, LayerPlan};
 pub use session::{run_lina_session, SessionConfig, SessionReport};
 pub use sweep::{default_threads, parallel_map};
 pub use train::{

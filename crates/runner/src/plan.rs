@@ -190,7 +190,8 @@ pub(crate) fn transpose_counts(m: &[Vec<usize>]) -> Vec<Vec<usize>> {
 }
 
 /// Lowers one batch under the scheme; `scheduler` is required for the
-/// Lina schemes and ignored by Baseline/Ideal.
+/// Lina schemes and ignored by Baseline/Ideal. Plans against the
+/// canonical one-expert-per-device map without locality pricing.
 ///
 /// # Panics
 ///
@@ -202,50 +203,32 @@ pub fn plan_batch(
     scheduler: Option<&TwoPhaseScheduler>,
     batch: &TokenBatch,
 ) -> ExecutionPlan {
-    plan_batch_on(cost, topo, config, scheduler, batch, None)
+    plan_batch_layered(cost, topo, config, scheduler, batch, None, false)
 }
 
-/// [`plan_batch`] against an explicit base shard map: layers that
-/// would fall back to the static one-expert-per-device placement use
-/// `base` instead (the serving cluster's proactive re-sharding
-/// publishes its mutated shard map here, including devices hosting
-/// *replicated* experts — [`assign_replicas`] splits such an expert's
-/// tokens across its replicas). The Lina schemes' per-layer scheduled
-/// placements still take precedence. `base: None` is bit-identical to
+/// [`plan_batch`] against per-layer base placements: every layer that
+/// would fall back to the static one-expert-per-device placement uses
+/// its *own* entry of `base` instead (the serving cluster's proactive
+/// re-sharding publishes its mutated shard map here, including devices
+/// hosting *replicated* experts — [`assign_replicas`] splits such an
+/// expert's tokens across its replicas). The Lina schemes' per-layer
+/// scheduled placements still take precedence. `base: None` plans
+/// against the canonical map.
+///
+/// With `locality` on, a token whose layer-`l` expert lives on the
+/// device that computed its layer-`l-1` expert (or on its own
+/// attention shard) contributes **no dispatch bytes** for that hop:
+/// the activation is already resident, so the all-to-all is priced on
+/// the actually-crossing token counts. Both executors inherit this
+/// automatically — Solo and Contended price collectives from the
+/// [`CollectiveSpec`]s built here. `base: None, locality: false` is
 /// [`plan_batch`].
 ///
 /// # Panics
 ///
-/// Panics if a Lina scheme is requested without a scheduler, or if
-/// `base` leaves some expert hostless.
-pub fn plan_batch_on(
-    cost: &CostModel,
-    topo: &Topology,
-    config: &InferenceConfig,
-    scheduler: Option<&TwoPhaseScheduler>,
-    batch: &TokenBatch,
-    base: Option<&ExpertPlacement>,
-) -> ExecutionPlan {
-    let spec = PlanSpec {
-        base: base.map(BasePlacement::Single),
-        locality: false,
-    };
-    plan_batch_with(cost, topo, config, scheduler, batch, &spec)
-}
-
-/// [`plan_batch`] against per-layer base placements: every layer that
-/// would fall back to the static map uses its *own* entry of the
-/// [`LayeredPlacement`] instead. `spec.locality` additionally turns on
-/// locality-aware all-to-all pricing (see [`PlanSpec`]).
-/// `PlanSpec::default()` is bit-identical to [`plan_batch`], and a
-/// [`LayeredPlacement::uniform`] base is bit-identical to
-/// [`plan_batch_on`] with the same single map.
-///
-/// # Panics
-///
 /// Panics if a Lina scheme is requested without a scheduler, if a
-/// layered base disagrees with the model's layer or expert count, or
-/// if a base leaves some expert hostless.
+/// base disagrees with the model's layer or expert count, or if a base
+/// leaves some expert hostless.
 pub fn plan_batch_layered(
     cost: &CostModel,
     topo: &Topology,
@@ -254,51 +237,6 @@ pub fn plan_batch_layered(
     batch: &TokenBatch,
     base: Option<&LayeredPlacement>,
     locality: bool,
-) -> ExecutionPlan {
-    let spec = PlanSpec {
-        base: base.map(BasePlacement::Layered),
-        locality,
-    };
-    plan_batch_with(cost, topo, config, scheduler, batch, &spec)
-}
-
-/// The planner's base-placement source: the canonical static map, one
-/// map shared by every layer, or a first-class per-layer map.
-#[derive(Clone, Copy, Debug)]
-pub enum BasePlacement<'a> {
-    /// One map applied identically to every layer (the historical
-    /// shape; the serving re-sharder's single shard map).
-    Single(&'a ExpertPlacement),
-    /// A per-layer map (affinity-aware placement).
-    Layered(&'a LayeredPlacement),
-}
-
-/// Planner options beyond the scheme: the base placement and the
-/// locality-aware pricing toggle.
-///
-/// With `locality` on, a token whose layer-`l` expert lives on the
-/// device that computed its layer-`l-1` expert (or on its own
-/// attention shard) contributes **no dispatch bytes** for that hop:
-/// the activation is already resident, so the all-to-all is priced on
-/// the actually-crossing token counts. Both executors inherit this
-/// automatically — Solo and Contended price collectives from the
-/// [`CollectiveSpec`]s built here. The default (`locality: false`,
-/// `base: None`) reproduces the historical planner bit for bit.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PlanSpec<'a> {
-    /// Base placement for layers without a scheduled one.
-    pub base: Option<BasePlacement<'a>>,
-    /// Price all-to-alls on actually-crossing token counts.
-    pub locality: bool,
-}
-
-fn plan_batch_with(
-    cost: &CostModel,
-    topo: &Topology,
-    config: &InferenceConfig,
-    scheduler: Option<&TwoPhaseScheduler>,
-    batch: &TokenBatch,
-    spec: &PlanSpec<'_>,
 ) -> ExecutionPlan {
     let model = &cost.model;
     let devices = topo.devices();
@@ -318,7 +256,7 @@ fn plan_batch_with(
         config.scheme
     );
 
-    if let Some(BasePlacement::Layered(lp)) = spec.base {
+    if let Some(lp) = base {
         assert_eq!(
             lp.n_layers(),
             layers,
@@ -335,21 +273,19 @@ fn plan_batch_with(
     }
     // Built lazily only when no base was supplied; per-layer lookups
     // borrow instead of cloning a map per layer per batch.
-    let canonical = spec
-        .base
+    let canonical = base
         .is_none()
         .then(|| ExpertPlacement::one_per_device(model.experts, devices));
     let static_for = |layer: usize| -> &ExpertPlacement {
-        match spec.base {
-            Some(BasePlacement::Single(p)) => p,
-            Some(BasePlacement::Layered(lp)) => lp.layer(layer),
+        match base {
+            Some(lp) => lp.layer(layer),
             None => canonical.as_ref().expect("built when base is None"),
         }
     };
     // The Ideal scheme's balanced routing is synthetic — it does not
     // correspond to the batch's token paths, so there is no resident
     // copy to ride on.
-    let locality = spec.locality && config.scheme != InferScheme::Ideal;
+    let locality = locality && config.scheme != InferScheme::Ideal;
     let attention = cost.attention_fwd(tokens_per_device);
     let gate = cost.gate_fwd(tokens_per_device);
     let combine = cost.combine(tokens_per_device);

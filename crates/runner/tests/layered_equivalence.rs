@@ -1,12 +1,12 @@
 //! Zero-tolerance equivalence pins for the layered-placement planner
 //! entry point.
 //!
-//! [`plan_batch_layered`] generalizes [`plan_batch_on`] from one shard
-//! map shared by every layer to a first-class per-layer placement plus
+//! [`plan_batch_layered`] generalizes [`plan_batch`] from the canonical
+//! one-expert-per-device map to a first-class per-layer placement plus
 //! an optional locality-aware pricing mode. The contract: with
-//! locality off, a [`LayeredPlacement::uniform`] base must reproduce
-//! the single-map plan *exactly* — every duration, every collective
-//! spec, every flag — and `base: None` must reproduce [`plan_batch`].
+//! locality off, both `base: None` and a [`LayeredPlacement::uniform`]
+//! base of the canonical map must reproduce [`plan_batch`] *exactly* —
+//! every duration, every collective spec, every flag.
 //! The comparison hashes the full `Debug` rendering of the plan, so
 //! any field drift fails.
 
@@ -15,7 +15,7 @@ use lina_core::{PopularityEstimator, TwoPhaseConfig, TwoPhaseScheduler};
 use lina_model::{CostModel, DeviceSpec, ExpertPlacement, LayeredPlacement, MoeModelConfig};
 use lina_netsim::{ClusterSpec, Topology};
 use lina_runner::inference::InferenceConfig;
-use lina_runner::{plan_batch, plan_batch_layered, plan_batch_on, ExecutionPlan};
+use lina_runner::{plan_batch, plan_batch_layered, ExecutionPlan};
 use lina_workload::{Mode, TokenBatch, TokenSource, WorkloadSpec};
 
 fn fingerprint(plan: &ExecutionPlan) -> u64 {
@@ -70,41 +70,35 @@ fn layered_none_matches_plan_batch() {
     }
 }
 
-/// A uniform layered base with locality off is `plan_batch_on` with
-/// the same single map — including maps with replicated experts, the
-/// shape proactive re-sharding publishes.
+/// A uniform layered base of the canonical one-expert-per-device map
+/// with locality off is `plan_batch`, bit for bit, for every scheme.
 #[test]
 fn uniform_layered_matches_single_map() {
     for experts in [4usize, 8] {
         let (cost, topo, scheduler, batches) = world(experts);
-        let mut replicated = ExpertPlacement::one_per_device(experts, experts);
-        assert!(replicated.add_replica(0, experts, 2));
-        for map in [
+        let uniform = LayeredPlacement::uniform(
             ExpertPlacement::one_per_device(experts, experts),
-            replicated,
-        ] {
-            let uniform = LayeredPlacement::uniform(map.clone(), cost.model.layers);
-            for scheme in InferScheme::all() {
-                let config = InferenceConfig { scheme, top_k: 1 };
-                for batch in &batches {
-                    let single =
-                        plan_batch_on(&cost, &topo, &config, Some(&scheduler), batch, Some(&map));
-                    let layered = plan_batch_layered(
-                        &cost,
-                        &topo,
-                        &config,
-                        Some(&scheduler),
-                        batch,
-                        Some(&uniform),
-                        false,
-                    );
-                    assert_eq!(
-                        fingerprint(&single),
-                        fingerprint(&layered),
-                        "scheme {} experts {experts}: uniform layered diverged",
-                        scheme.name()
-                    );
-                }
+            cost.model.layers,
+        );
+        for scheme in InferScheme::all() {
+            let config = InferenceConfig { scheme, top_k: 1 };
+            for batch in &batches {
+                let plain = plan_batch(&cost, &topo, &config, Some(&scheduler), batch);
+                let layered = plan_batch_layered(
+                    &cost,
+                    &topo,
+                    &config,
+                    Some(&scheduler),
+                    batch,
+                    Some(&uniform),
+                    false,
+                );
+                assert_eq!(
+                    fingerprint(&plain),
+                    fingerprint(&layered),
+                    "scheme {} experts {experts}: uniform layered diverged",
+                    scheme.name()
+                );
             }
         }
     }

@@ -35,7 +35,7 @@
 //!    profiles its per-expert load monitor every `interval` and may
 //!    replicate, evict, or migrate expert replicas
 //!    ([`ReshardPolicy`](crate::ReshardPolicy)); actuation charges the
-//!    modeled PCIe transfer and bumps the plan-cache placement epoch;
+//!    modeled PCIe transfer;
 //! 6. **admissions** — a request (first arrival from the lazily
 //!    generated trace stream, or re-admission after a fault) is routed
 //!    by the balancer, which sees only routable replicas; an arrival
@@ -79,13 +79,11 @@
 //! [`ReestimationWindow`] machinery the online re-estimator uses) and
 //! may emit [`ReshardAction`]s. Applying any action charges every
 //! healthy replica the modeled PCIe transfer for the weights moved
-//! ([`provisioning::reshard_transfer`]), flushes every monitoring and
-//! re-estimation window (their samples predate the new map), and bumps
-//! the plan-cache placement epoch so no memoized plan computed against
-//! the old shard map can ever be served again. Dispatch then plans
-//! against the live shard map — a replicated expert's tokens split
-//! across its replicas inside
-//! [`plan_batch_on`](lina_runner::plan_batch_on).
+//! ([`provisioning::reshard_transfer`]) and flushes every monitoring and
+//! re-estimation window (their samples predate the new map). Dispatch
+//! then plans against the live shard map — a replicated expert's tokens
+//! split across its replicas inside
+//! [`plan_batch_layered`](lina_runner::plan_batch_layered).
 //!
 //! # Elastic autoscaling
 //!
@@ -139,14 +137,13 @@ use lina_model::{CostModel, ExpertPlacement, LayeredPlacement};
 use lina_netsim::{SoloTimer, Topology};
 use lina_runner::inference::InferenceConfig;
 use lina_runner::{
-    execute_plan_solo, hash_batch_content, hash_layered_placement, plan_batch_layered,
-    ExecutionPlan, FinishedBatch, PlanCache, PlanCacheStats, PlanKey, ReplicaExecutor,
+    execute_plan_solo, plan_batch_layered, ExecutionPlan, FinishedBatch, ReplicaExecutor,
 };
 use lina_simcore::{EventQueue, Rng, SimDuration, SimTime};
 use lina_workload::{TokenBatch, WorkloadSpec};
 
 use crate::autoscale::{AutoscaleConfig, AutoscalePolicy, ClusterObservation, ScaleDecision};
-use crate::balancer::{BalancerKind, LoadBalancer, ReplicaSnapshot, RoundRobin};
+use crate::balancer::{BalancerKind, LoadBalancer, ReplicaSnapshot};
 use crate::batcher::{Batcher, Dispatch};
 use crate::engine::{ReestimationWindow, ServeConfig, ServeEngine};
 use crate::faults::{DegradationPolicy, FaultEvent, FaultKind, FaultPlan, FaultSchedule};
@@ -289,7 +286,7 @@ pub struct ClusterOutcome {
     /// of the run). The currency of the cost-vs-SLO frontier.
     pub replica_seconds: f64,
     /// Instant of the last event the loop processed — the simulated
-    /// span of the run (throughput denominators, shard merging).
+    /// span of the run (throughput denominators).
     pub last_event: SimTime,
     /// Primary-expert hops across all planned batches that were priced
     /// as local handoffs under locality-aware pricing (zero with
@@ -298,7 +295,8 @@ pub struct ClusterOutcome {
     /// Primary-expert hops that paid the dispatch wire (zero with
     /// locality off — the planner only counts when it prices).
     pub routed_hops: u64,
-    /// Plan-cache counters (all zero when the cache is off).
+    /// Always zero: every batch is planned fresh (see
+    /// [`PlanCacheStats`]).
     pub plan_cache: PlanCacheStats,
     /// Hedges actually issued (a timer that fired and found an
     /// alternate replica); zero with hedging off.
@@ -350,6 +348,29 @@ impl ClusterOutcome {
     }
 }
 
+/// Plan-cache counters. The simulator plans every batch fresh, so both
+/// stay zero; the type remains so callers that read
+/// [`ClusterOutcome::plan_cache`] keep compiling.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PlanCacheStats {
+    /// Lookups that returned a cached plan.
+    pub hits: u64,
+    /// Lookups that missed.
+    pub misses: u64,
+}
+
+impl PlanCacheStats {
+    /// Hit fraction in [0, 1]; 0 when no lookups happened.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
 /// Where a replica is in its elastic lifecycle. Every replica of a
 /// fixed-pool run stays [`ReplicaRole::Active`] forever.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -392,11 +413,6 @@ struct Replica {
     /// This replica's scheduler (per-replica sharing; unused while the
     /// cluster runs a shared scheduler).
     scheduler: Option<TwoPhaseScheduler>,
-    /// Plan-cache epoch of `scheduler`: a run-global counter value
-    /// stamped at every rebuild, so two replicas share a cache entry
-    /// only while their scheduler state is provably identical (the
-    /// initial offline profile, epoch 0).
-    epoch: u64,
     /// This replica's re-profiling window (per-replica sharing).
     window: ReestimationWindow,
     /// Batches this replica has dispatched.
@@ -433,6 +449,40 @@ struct Replica {
 }
 
 impl Replica {
+    /// A healthy, active replica commissioned at `commissioned` whose
+    /// first dispatch waits until `ready_at` (the provisioning weight
+    /// reload; the initial pool is ready at time zero).
+    fn new(
+        executor: ReplicaExecutor,
+        scheduler: Option<TwoPhaseScheduler>,
+        window: usize,
+        commissioned: SimTime,
+        ready_at: SimTime,
+    ) -> Self {
+        Replica {
+            arrivals: Vec::new(),
+            queue: Vec::new(),
+            attempts: Vec::new(),
+            next: 0,
+            executor,
+            slot_free: ready_at,
+            queued_tokens: 0,
+            scheduler,
+            window: ReestimationWindow::new(window),
+            batches: 0,
+            healthy: true,
+            devices_lost: 0,
+            compute_slowdown: 1.0,
+            straggler: 1.0,
+            gray_compute: 1.0,
+            hedges_in_flight: 0,
+            role: ReplicaRole::Active,
+            ready_at,
+            commissioned,
+            retired_at: None,
+        }
+    }
+
     /// The balancer's view at a routing instant. The event loop fires
     /// every executor event at or before the routing instant first, so
     /// in-flight counts here never include batches that already
@@ -479,11 +529,24 @@ struct Admission {
     req: Request,
 }
 
+/// The event kinds of the unified loop. Declaration order is the
+/// tie-break order at one instant (see the module docs for why each
+/// kind sits where it does).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum EventClass {
+    Fault,
+    Executor,
+    Hedge,
+    Control,
+    Reshard,
+    Admit,
+    Dispatch,
+    Timeout,
+}
+
 /// The next step of the unified event loop, chosen in global
-/// `(time, priority)` order with faults < executor events < hedge
-/// deadlines < control ticks < re-shard ticks < admissions < dispatch
-/// commits < timeouts at one instant, and replica ties breaking
-/// toward the lowest index.
+/// `(time, EventClass)` order, with replica ties breaking toward the
+/// lowest index.
 enum Step {
     Fault,
     Executor(usize, SimTime),
@@ -574,48 +637,147 @@ impl<'a> ClusterEngine<'a> {
 
     /// Runs the full cluster simulation.
     pub fn run(&self) -> ClusterOutcome {
-        self.run_inner(None)
+        self.run_stream(Box::new(self.engine.request_stream()))
     }
 
     /// Runs the cluster over a pre-generated request trace instead of
     /// the engine's lazy arrival stream. The trace must be in
     /// `(arrival, id)` order — [`ServeEngine::generate_requests`]
     /// produces exactly that. Lets benchmarks time the event loop
-    /// without arrival-generation cost inside the measured region, and
-    /// replay one trace under several perf configurations. Takes the
-    /// trace by value so the sequential path moves requests into the
-    /// loop instead of deep-cloning their token paths.
+    /// without arrival-generation cost inside the measured region.
+    /// Takes the trace by value so the loop moves requests into its
+    /// queues instead of deep-cloning their token paths.
     pub fn run_trace(&self, trace: Vec<Request>) -> ClusterOutcome {
-        self.run_inner(Some(trace))
+        self.run_stream(Box::new(trace.into_iter()))
     }
 
-    fn run_inner(&self, trace: Option<Vec<Request>>) -> ClusterOutcome {
-        let mut balancer = self.balancer.build();
+    /// The K-server event loop over a stream of first arrivals in
+    /// `(arrival, id)` order.
+    fn run_stream<'e>(&'e self, stream: Box<dyn Iterator<Item = Request> + 'e>) -> ClusterOutcome {
+        let engine = &self.engine;
+        let config = &engine.config;
+        let seeds = config.seeds();
+        let offline = engine
+            .needs_scheduler()
+            .then(|| engine.offline_scheduler(seeds.profile));
+        let reload = provisioning::weight_reload(engine.cost, engine.topo, engine.spec.experts);
         // Only the capacity-aware consumers pay for the probe batch:
         // the least-expected-latency balancer and any armed autoscaler
         // (the predictive policy sizes the pool against it).
         let per_replica_capacity = if matches!(self.balancer, BalancerKind::LeastExpectedLatency)
             || self.autoscale.is_some()
         {
-            self.engine.capacity()
+            engine.capacity()
         } else {
             0.0
         };
-        run_cluster(
-            &self.engine,
-            self.replicas,
-            balancer.as_mut(),
-            self.sharing,
+        // One topology clone per run, shared by every executor.
+        let topo = Arc::new(engine.topo.clone());
+        let replicas: Vec<Replica> = (0..self.replicas)
+            .map(|_| {
+                Replica::new(
+                    ReplicaExecutor::new_shared(config.network, topo.clone()),
+                    offline.clone(),
+                    config.reestimate_window,
+                    SimTime::ZERO,
+                    SimTime::ZERO,
+                )
+            })
+            .collect();
+
+        // The phi detector needs a per-batch nominal expectation to
+        // compare completions against; the oracle never looks, so the
+        // pricer (and its per-dispatch solo pricing cost) only exists
+        // when armed.
+        let expect = (self.health.detector != DetectorKind::Oracle)
+            .then(|| SoloTimer::new_shared(topo.clone()));
+
+        let autoscale = self.autoscale.as_ref().map(|cfg| AutoscaleRuntime {
+            policy: cfg.policy.build(cfg.cooldown),
+            next_at: SimTime::ZERO + cfg.interval,
+            arrived_since_last: 0,
+            provision_time: reload,
+            config: cfg.clone(),
+        });
+
+        let resharding = self.resharding.as_ref().map(|cfg| ReshardRuntime {
+            policy: cfg.policy.build(),
+            next_at: SimTime::ZERO + cfg.interval,
+            window: ReestimationWindow::new(cfg.window),
+            shard_map: default_shard_map(
+                self.placement.as_ref(),
+                engine.spec.experts,
+                engine.topo.devices(),
+                engine.cost.model.layers,
+            ),
+            dirty: false,
+            replications: 0,
+            evictions: 0,
+            migrations: 0,
+            config: cfg.clone(),
+        });
+
+        let sim = ClusterSim {
+            engine,
+            topo,
+            balancer: self.balancer.build(),
+            schedule: &self.faults.schedule,
+            policy: self.faults.policy,
+            batcher: Batcher::new(config.batcher.clone()),
+            infer: InferenceConfig {
+                scheme: config.scheme,
+                top_k: config.top_k,
+            },
+            two_phase: engine.two_phase_config(),
+            sharing: self.sharing,
             per_replica_capacity,
-            &self.faults,
-            self.autoscale.as_ref(),
-            self.resharding.as_ref(),
-            self.health.clone(),
-            self.hedging.clone(),
-            self.placement.as_ref(),
-            self.locality,
-            trace,
-        )
+            reload,
+            // Shared-mode scheduler and window (used when sharing ==
+            // Shared or the scheme never re-estimates; per-replica mode
+            // uses the copies inside each Replica instead).
+            shared_scheduler: offline,
+            shared_window: ReestimationWindow::new(config.reestimate_window),
+            base_map: self.placement.as_ref(),
+            locality: self.locality,
+            local_hops: 0,
+            routed_hops: 0,
+            replicas,
+            // First arrivals stream lazily in `(arrival, id)` order;
+            // the retry queue holds only re-admissions.
+            stream: stream.peekable(),
+            admissions: EventQueue::new(),
+            snapshot_scratch: Vec::new(),
+            autoscale,
+            resharding,
+            monitor: HealthMonitor::new(self.health.clone(), self.replicas),
+            expect,
+            expected_service: BTreeMap::new(),
+            hedging: self.hedging.clone().map(HedgeRuntime::new),
+            retry: seeds.retry,
+            now: SimTime::ZERO,
+            next_fault: 0,
+            tracker: SloTracker::new(config.slo),
+            records: Vec::new(),
+            pending: BTreeMap::new(),
+            total_batches: 0,
+            reestimations: 0,
+            requests_per_replica: vec![0; self.replicas],
+            tokens_per_replica: vec![0; self.replicas],
+            aborted_batches: 0,
+            faults_injected: 0,
+            emergency_replacements: 0,
+            scale_ups: 0,
+            scale_downs: 0,
+            peak_replicas: self.replicas,
+            crashes: Vec::new(),
+            req_crash: BTreeMap::new(),
+            recovery_times: Vec::new(),
+            #[cfg(debug_assertions)]
+            terminal_ids: BTreeSet::new(),
+            #[cfg(debug_assertions)]
+            admitted_ids: BTreeSet::new(),
+        };
+        sim.run()
     }
 }
 
@@ -753,32 +915,6 @@ impl HedgeRuntime {
     }
 }
 
-/// Prices dispatched plans at nominal speed — no degradation, clean
-/// links, solo collectives — for the health detector's expected-latency
-/// estimate. The detector compares each completion against this
-/// expectation, so batch size and composition drop out of the signal
-/// entirely: a healthy solo replica observes exactly ratio 1.0.
-/// Memoized by plan identity (consecutive batches overwhelmingly share
-/// the cached plan `Arc`), and only constructed when a non-oracle
-/// detector is armed — the oracle path never prices an expectation.
-struct ExpectedPricer {
-    timer: SoloTimer,
-    memo: Option<(Arc<ExecutionPlan>, SimDuration)>,
-}
-
-impl ExpectedPricer {
-    fn total(&mut self, plan: &Arc<ExecutionPlan>) -> SimDuration {
-        if let Some((p, total)) = &self.memo {
-            if Arc::ptr_eq(p, plan) {
-                return *total;
-            }
-        }
-        let total = execute_plan_solo(plan, &mut self.timer).total;
-        self.memo = Some((plan.clone(), total));
-        total
-    }
-}
-
 /// The base per-layer map a run plans against while no re-shard
 /// action has diverged from it: the configured placement, or the
 /// canonical expert-per-device layout repeated at every layer.
@@ -803,7 +939,7 @@ struct ClusterSim<'e, 'a> {
     /// (initial pool and elastic scale-ups alike): one deep clone per
     /// run instead of one per replica.
     topo: Arc<Topology>,
-    balancer: &'e mut dyn LoadBalancer,
+    balancer: Box<dyn LoadBalancer>,
     schedule: &'e FaultSchedule,
     policy: DegradationPolicy,
     batcher: Batcher,
@@ -819,35 +955,21 @@ struct ClusterSim<'e, 'a> {
     reload: SimDuration,
     shared_scheduler: Option<TwoPhaseScheduler>,
     shared_window: ReestimationWindow,
-    /// Plan-cache epoch of the shared scheduler (see [`Replica::epoch`]).
-    shared_epoch: u64,
-    /// Run-global epoch allocator: every scheduler rebuild anywhere in
-    /// the cluster draws a fresh value, so no two distinct scheduler
-    /// states ever share a plan-cache key.
-    epoch_counter: u64,
-    /// Plan memoization across submissions ([`PerfConfig::plan_cache`](crate::PerfConfig)).
-    plan_cache: Option<PlanCache>,
     /// The configured per-layer base placement; `None` plans against
     /// the canonical expert-per-device map at every layer.
     base_map: Option<&'e LayeredPlacement>,
     /// Locality-aware all-to-all pricing toggle (see
     /// [`lina_runner::plan_batch_layered`]).
     locality: bool,
-    /// [`PlanKey::placement`] for this run, computed once: the base
-    /// placement and locality toggle never change mid-run, and every
-    /// dynamic shard-map change already bumps the plan-cache epoch, so
-    /// the digest never needs a refresh.
-    placement_digest: u128,
     /// Primary-expert hops priced as local handoffs, accumulated from
-    /// every planned batch (cache hits included — a memoized plan's
-    /// counters are as real as a fresh one's).
+    /// every planned batch.
     local_hops: u64,
     /// Primary-expert hops that paid the dispatch wire.
     routed_hops: u64,
     replicas: Vec<Replica>,
     /// First arrivals in `(arrival, id)` order: the lazily generated
-    /// trace stream, a shard's filtered view of it, or a pre-generated
-    /// trace under test. Memory stays bounded by the live backlog.
+    /// trace stream or a pre-generated trace. Memory stays bounded by
+    /// the live backlog.
     stream: std::iter::Peekable<Box<dyn Iterator<Item = Request> + 'e>>,
     /// Re-admissions only (first arrivals come from `stream`).
     admissions: EventQueue<Admission>,
@@ -863,9 +985,14 @@ struct ClusterSim<'e, 'a> {
     /// every commissioned replica, reproducing the historical boolean
     /// health bit exactly.
     monitor: HealthMonitor,
-    /// Nominal-latency pricer feeding the detector's expectations;
-    /// `None` under the oracle detector.
-    expect: Option<ExpectedPricer>,
+    /// Prices dispatched plans at nominal speed — no degradation, clean
+    /// links, solo collectives — for the health detector's
+    /// expected-latency estimate. The detector compares each
+    /// completion against this expectation, so batch size and
+    /// composition drop out of the signal entirely: a healthy solo
+    /// replica observes exactly ratio 1.0. `None` under the oracle
+    /// detector, which never prices an expectation.
+    expect: Option<SoloTimer>,
     /// Expected nominal totals of in-flight batches (primaries and
     /// hedges alike), consumed at completion to form the detector's
     /// actual-over-expected observation.
@@ -907,8 +1034,7 @@ struct ClusterSim<'e, 'a> {
     /// Conservation audit: ids that reached a terminal outcome.
     #[cfg(debug_assertions)]
     terminal_ids: BTreeSet<usize>,
-    /// Conservation audit: ids pulled from the trace stream (a shard's
-    /// stream sees only its slice of the trace).
+    /// Conservation audit: ids pulled from the trace stream.
     #[cfg(debug_assertions)]
     admitted_ids: BTreeSet<usize>,
 }
@@ -917,21 +1043,22 @@ impl ClusterSim<'_, '_> {
     /// Picks the next event in `(time, priority)` order; `None` when
     /// the run has drained.
     fn next_step(&mut self) -> Option<Step> {
-        fn consider(best: &mut Option<(SimTime, u8, Step)>, t: SimTime, prio: u8, step: Step) {
+        type Best = Option<(SimTime, EventClass, Step)>;
+        fn consider(best: &mut Best, t: SimTime, class: EventClass, step: Step) {
             if best
                 .as_ref()
-                .is_none_or(|(bt, bp, _)| (t, prio) < (*bt, *bp))
+                .is_none_or(|(bt, bc, _)| (t, class) < (*bt, *bc))
             {
-                *best = Some((t, prio, step));
+                *best = Some((t, class, step));
             }
         }
-        let mut best: Option<(SimTime, u8, Step)> = None;
+        let mut best: Best = None;
         if let Some(e) = self.schedule.events().get(self.next_fault) {
-            consider(&mut best, e.at, 0, Step::Fault);
+            consider(&mut best, e.at, EventClass::Fault, Step::Fault);
         }
         for (i, rep) in self.replicas.iter_mut().enumerate() {
             if let Some(t) = rep.executor.next_event() {
-                consider(&mut best, t, 1, Step::Executor(i, t));
+                consider(&mut best, t, EventClass::Executor, Step::Executor(i, t));
             }
         }
         // Hedge timers never drive the loop alone: one only exists
@@ -939,7 +1066,7 @@ impl ClusterSim<'_, '_> {
         // executor event pending too. No `best.is_some()` gate needed.
         if let Some(rt) = &self.hedging {
             if let Some((&(t, primary), ())) = rt.timers.iter().next() {
-                consider(&mut best, t, 2, Step::Hedge(t, primary));
+                consider(&mut best, t, EventClass::Hedge, Step::Hedge(t, primary));
             }
         }
         let next_arrival = self.stream.peek().map(|req| req.arrival);
@@ -948,7 +1075,7 @@ impl ClusterSim<'_, '_> {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         } {
-            consider(&mut best, at, 5, Step::Admit);
+            consider(&mut best, at, EventClass::Admit, Step::Admit);
         }
         let max_inflight = self.engine.config.max_inflight;
         for (i, rep) in self.replicas.iter().enumerate() {
@@ -964,14 +1091,19 @@ impl ClusterSim<'_, '_> {
                 .batcher
                 .next_dispatch(&rep.arrivals, rep.next, rep.slot_free)
             {
-                consider(&mut best, d.at, 6, Step::Dispatch(i, d));
+                consider(&mut best, d.at, EventClass::Dispatch, Step::Dispatch(i, d));
             }
         }
         if let Some(to) = self.policy.request_timeout {
             for rep in &self.replicas {
                 for r in &rep.queue[rep.next..] {
                     let deadline = r.arrival + to;
-                    consider(&mut best, deadline, 7, Step::Timeout(deadline));
+                    consider(
+                        &mut best,
+                        deadline,
+                        EventClass::Timeout,
+                        Step::Timeout(deadline),
+                    );
                 }
             }
         }
@@ -980,12 +1112,12 @@ impl ClusterSim<'_, '_> {
         // while some other event still gives the run work to do.
         if let Some(rt) = &self.autoscale {
             if best.is_some() {
-                consider(&mut best, rt.next_at, 3, Step::Control);
+                consider(&mut best, rt.next_at, EventClass::Control, Step::Control);
             }
         }
         if let Some(rt) = &self.resharding {
             if best.is_some() {
-                consider(&mut best, rt.next_at, 4, Step::Reshard);
+                consider(&mut best, rt.next_at, EventClass::Reshard, Step::Reshard);
             }
         }
         best.map(|(_, _, step)| step)
@@ -1256,17 +1388,6 @@ impl ClusterSim<'_, '_> {
         rep.compute_slowdown = devices as f64 / (devices - rep.devices_lost) as f64;
         rep.slot_free = rep.slot_free.max(at + reload);
         self.emergency_replacements += 1;
-        // The emergency re-placement rebuilt the expert layout, so
-        // every memoized plan was computed against a placement that no
-        // longer exists: bump the plan-cache epoch *unconditionally* —
-        // even for non-estimating schemes and empty windows — or a
-        // same-content batch after the loss would be served a stale
-        // cached plan.
-        self.epoch_counter += 1;
-        match self.sharing {
-            EstimatorSharing::Shared => self.shared_epoch = self.epoch_counter,
-            EstimatorSharing::PerReplica => self.replicas[i].epoch = self.epoch_counter,
-        }
         // Re-profile immediately from whatever the window holds — an
         // out-of-cycle rebuild (not counted as a periodic
         // re-estimation) so the next plan reflects current popularity
@@ -1423,37 +1544,17 @@ impl ClusterSim<'_, '_> {
             if pool >= max {
                 break;
             }
-            self.replicas.push(Replica {
-                arrivals: Vec::new(),
-                queue: Vec::new(),
-                attempts: Vec::new(),
-                next: 0,
-                executor: ReplicaExecutor::new_shared(
-                    engine.config.network,
-                    self.topo.clone(),
-                    engine.config.perf.queue,
-                ),
-                slot_free: ready_at,
-                queued_tokens: 0,
-                // Starts from the cluster's current shared profile
-                // (per-replica sharing never re-profiles the shared
-                // copy, so this is the offline profile there — the
-                // same starting point the initial pool had).
-                scheduler: self.shared_scheduler.clone(),
-                epoch: self.shared_epoch,
-                window: ReestimationWindow::new(engine.config.reestimate_window),
-                batches: 0,
-                healthy: true,
-                devices_lost: 0,
-                compute_slowdown: 1.0,
-                straggler: 1.0,
-                gray_compute: 1.0,
-                hedges_in_flight: 0,
-                role: ReplicaRole::Active,
+            // A new replica starts from the cluster's current shared
+            // profile (per-replica sharing never re-profiles the shared
+            // copy, so this is the offline profile there — the same
+            // starting point the initial pool had).
+            self.replicas.push(Replica::new(
+                ReplicaExecutor::new_shared(engine.config.network, self.topo.clone()),
+                self.shared_scheduler.clone(),
+                engine.config.reestimate_window,
+                at,
                 ready_at,
-                commissioned: at,
-                retired_at: None,
-            });
+            ));
             self.monitor.ensure(self.replicas.len());
             self.requests_per_replica.push(0);
             self.tokens_per_replica.push(0);
@@ -1517,10 +1618,8 @@ impl ClusterSim<'_, '_> {
     /// One proactive re-sharding tick: profile the monitoring window
     /// into per-expert load shares, ask the policy, apply its shard-map
     /// mutations deterministically, and — when anything changed —
-    /// charge the modeled PCIe transfer for the weights moved, flush
-    /// every monitoring and re-estimation window, and bump the
-    /// plan-cache placement epochs so no plan computed against the old
-    /// map survives.
+    /// charge the modeled PCIe transfer for the weights moved and flush
+    /// every monitoring and re-estimation window.
     fn reshard(&mut self) {
         let experts = self.engine.spec.experts;
         let devices = self.engine.topo.devices();
@@ -1624,14 +1723,10 @@ impl ClusterSim<'_, '_> {
                 }
             }
         }
-        // The placement changed: no memoized plan and no window sample
-        // gathered under the old map may survive it.
-        self.epoch_counter += 1;
-        self.shared_epoch = self.epoch_counter;
+        // The placement changed: no window sample gathered under the
+        // old map may survive it.
         self.shared_window.clear();
         for rep in &mut self.replicas {
-            self.epoch_counter += 1;
-            rep.epoch = self.epoch_counter;
             rep.window.clear();
         }
     }
@@ -1927,7 +2022,8 @@ impl ClusterSim<'_, '_> {
         let base = st.plan.clone();
         // The hedge's completion feeds the detector like any other, so
         // it needs the same nominal expectation as its primary.
-        if let Some(nominal) = self.expect.as_mut().map(|exp| exp.total(&base)) {
+        if let Some(timer) = &mut self.expect {
+            let nominal = execute_plan_solo(&base, timer).total;
             self.expected_service.insert(id, nominal);
         }
         let trep = &mut self.replicas[target];
@@ -1945,8 +2041,7 @@ impl ClusterSim<'_, '_> {
         trep.executor.submit(id, t, plan);
     }
 
-    /// Commits the replica's next batch: plan (or fetch the memoized
-    /// plan), degrade, submit.
+    /// Commits the replica's next batch: plan, degrade, submit.
     fn dispatch(&mut self, i: usize, d: Dispatch) {
         let rep = &self.replicas[i];
         let members = &rep.queue[rep.next..rep.next + d.count];
@@ -1955,77 +2050,37 @@ impl ClusterSim<'_, '_> {
         // see it.
         let slow = rep.compute_slowdown * rep.straggler * rep.gray_compute;
         let batch_tokens: usize = members.iter().map(|r| r.tokens.len()).sum();
-        // Key the cache on everything the planner reads: scheme/top_k,
-        // the scheduler-state epoch, and the batch-content digest
-        // (hashed straight off the queued requests — no intermediate
-        // token vector on the lookup path).
-        let key = self.plan_cache.is_some().then(|| PlanKey {
-            scheme: self.infer.scheme,
-            top_k: self.infer.top_k,
-            epoch: match self.sharing {
-                EstimatorSharing::Shared => self.shared_epoch,
-                EstimatorSharing::PerReplica => rep.epoch,
-            },
-            content: hash_batch_content(
-                self.infer.scheme,
-                batch_tokens,
-                members.iter().flat_map(|r| r.tokens.iter()),
-            ),
-            placement: self.placement_digest,
-        });
-        let cached = match (&key, &mut self.plan_cache) {
-            (Some(k), Some(cache)) => cache.get(k),
-            _ => None,
-        };
-        // The re-estimation and re-shard monitoring windows consume
-        // the materialized batch, so estimating and re-sharding runs
-        // always build it; otherwise a cache hit skips the token-path
-        // copy entirely.
-        let reestimates = self.engine.estimates() && self.engine.config.reestimate_every.is_some();
-        let needs_window = reestimates || self.resharding.is_some();
-        let rep = &self.replicas[i];
-        let members = &rep.queue[rep.next..rep.next + d.count];
-        let mut batch = (needs_window || cached.is_none()).then(|| TokenBatch {
+        let batch = TokenBatch {
             tokens: members
                 .iter()
                 .flat_map(|r| r.tokens.iter().cloned())
                 .collect(),
             devices: self.engine.topo.devices(),
             experts: self.engine.spec.experts,
-        });
-        let base_plan = match cached {
-            Some(plan) => plan,
-            None => {
-                let scheduler = match self.sharing {
-                    EstimatorSharing::Shared => self.shared_scheduler.as_ref(),
-                    EstimatorSharing::PerReplica => self.replicas[i].scheduler.as_ref(),
-                };
-                // A dirty shard map overrides the configured base
-                // placement; while at the base, planning sees exactly
-                // the configured map (or the canonical one when none
-                // was set) — an armed-but-inert re-sharder stays
-                // bit-identical.
-                let base = self
-                    .resharding
-                    .as_ref()
-                    .filter(|rt| rt.dirty)
-                    .map(|rt| &rt.shard_map)
-                    .or(self.base_map);
-                let plan = Arc::new(plan_batch_layered(
-                    self.engine.cost,
-                    self.engine.topo,
-                    &self.infer,
-                    scheduler,
-                    batch.as_ref().expect("a cache miss materializes the batch"),
-                    base,
-                    self.locality,
-                ));
-                if let (Some(k), Some(cache)) = (key, &mut self.plan_cache) {
-                    cache.insert(k, plan.clone());
-                }
-                plan
-            }
         };
+        let scheduler = match self.sharing {
+            EstimatorSharing::Shared => self.shared_scheduler.as_ref(),
+            EstimatorSharing::PerReplica => rep.scheduler.as_ref(),
+        };
+        // A dirty shard map overrides the configured base placement;
+        // while at the base, planning sees exactly the configured map
+        // (or the canonical one when none was set) — an
+        // armed-but-inert re-sharder stays bit-identical.
+        let base = self
+            .resharding
+            .as_ref()
+            .filter(|rt| rt.dirty)
+            .map(|rt| &rt.shard_map)
+            .or(self.base_map);
+        let base_plan = Arc::new(plan_batch_layered(
+            self.engine.cost,
+            self.engine.topo,
+            &self.infer,
+            scheduler,
+            &batch,
+            base,
+            self.locality,
+        ));
         self.local_hops += base_plan.local_hops;
         self.routed_hops += base_plan.routed_hops;
         // A hedge re-runs the pristine base plan on an alternate (its
@@ -2036,10 +2091,12 @@ impl ClusterSim<'_, '_> {
         // nominal replica speed, priced before degradation stretches a
         // copy. Whatever the replica silently adds on top of this is
         // exactly the gray signal.
-        let nominal = self.expect.as_mut().map(|exp| exp.total(&base_plan));
-        // Degraded replicas stretch a private copy — the pristine plan
-        // stays cached (and the executor's solo memo keys on the Arc,
-        // so a degraded copy never poisons it).
+        let nominal = self
+            .expect
+            .as_mut()
+            .map(|timer| execute_plan_solo(&base_plan, timer).total);
+        // Degraded replicas stretch a private copy; the pristine plan
+        // stays with the hedge state.
         let plan = if slow > 1.0 {
             let mut degraded = (*base_plan).clone();
             degraded.scale_compute(slow);
@@ -2107,49 +2164,45 @@ impl ClusterSim<'_, '_> {
         }
 
         // The re-shard load monitor samples every dispatched batch
-        // (sharing the materialized copy with the re-estimator when
-        // both are armed).
+        // (sharing the batch with the re-estimator when both are
+        // armed).
+        let reestimate_every = self
+            .engine
+            .config
+            .reestimate_every
+            .filter(|_| self.engine.estimates());
+        let mut batch = Some(batch);
         if let Some(rt) = &mut self.resharding {
-            let sample = if reestimates {
+            let sample = if reestimate_every.is_some() {
                 batch.clone()
             } else {
                 batch.take()
             };
-            rt.window
-                .push(sample.expect("armed re-sharding materializes the batch"));
+            rt.window.push(sample.expect("the batch is still here"));
         }
 
         // Online re-placement: pool observations cluster-wide (shared)
-        // or keep them replica-local (per-replica). Every rebuild
-        // stamps a fresh plan-cache epoch.
-        if reestimates {
-            if let Some(every) = self.engine.config.reestimate_every {
-                let path_length = self.engine.config.path_length;
-                let batch = batch.expect("estimating runs materialize the batch");
-                match self.sharing {
-                    EstimatorSharing::Shared => {
-                        self.shared_window.push(batch);
-                        if self.total_batches.is_multiple_of(every) {
-                            let estimator = self.shared_window.profile(path_length);
-                            self.shared_scheduler =
-                                Some(TwoPhaseScheduler::new(self.two_phase.clone(), estimator));
-                            self.reestimations += 1;
-                            self.epoch_counter += 1;
-                            self.shared_epoch = self.epoch_counter;
-                        }
+        // or keep them replica-local (per-replica).
+        if let (Some(every), Some(batch)) = (reestimate_every, batch) {
+            let path_length = self.engine.config.path_length;
+            match self.sharing {
+                EstimatorSharing::Shared => {
+                    self.shared_window.push(batch);
+                    if self.total_batches.is_multiple_of(every) {
+                        let estimator = self.shared_window.profile(path_length);
+                        self.shared_scheduler =
+                            Some(TwoPhaseScheduler::new(self.two_phase.clone(), estimator));
+                        self.reestimations += 1;
                     }
-                    EstimatorSharing::PerReplica => {
-                        self.epoch_counter += 1;
-                        let epoch = self.epoch_counter;
-                        let rep = &mut self.replicas[i];
-                        rep.window.push(batch);
-                        if rep.batches.is_multiple_of(every) {
-                            let estimator = rep.window.profile(path_length);
-                            rep.scheduler =
-                                Some(TwoPhaseScheduler::new(self.two_phase.clone(), estimator));
-                            self.reestimations += 1;
-                            rep.epoch = epoch;
-                        }
+                }
+                EstimatorSharing::PerReplica => {
+                    let rep = &mut self.replicas[i];
+                    rep.window.push(batch);
+                    if rep.batches.is_multiple_of(every) {
+                        let estimator = rep.window.profile(path_length);
+                        rep.scheduler =
+                            Some(TwoPhaseScheduler::new(self.two_phase.clone(), estimator));
+                        self.reestimations += 1;
                     }
                 }
             }
@@ -2295,468 +2348,9 @@ impl ClusterSim<'_, '_> {
             last_event: end,
             local_hops: self.local_hops,
             routed_hops: self.routed_hops,
-            plan_cache: self
-                .plan_cache
-                .as_ref()
-                .map(|c| c.stats())
-                .unwrap_or_default(),
+            plan_cache: PlanCacheStats::default(),
         }
     }
-}
-
-/// The K-server event loop. `ServeEngine::run` delegates here with one
-/// replica and no faults, so the single-server timeline *is* this loop
-/// at K = 1.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_on(
-    engine: &ServeEngine<'_>,
-    n_replicas: usize,
-    balancer: &mut dyn LoadBalancer,
-    sharing: EstimatorSharing,
-    per_replica_capacity: f64,
-    faults: &FaultPlan,
-    autoscale: Option<&AutoscaleConfig>,
-    resharding: Option<&ReshardConfig>,
-    health: HealthConfig,
-    hedging: Option<HedgeConfig>,
-) -> ClusterOutcome {
-    run_cluster(
-        engine,
-        n_replicas,
-        balancer,
-        sharing,
-        per_replica_capacity,
-        faults,
-        autoscale,
-        resharding,
-        health,
-        hedging,
-        None,
-        false,
-        None,
-    )
-}
-
-/// Dispatches between the sequential loop and the sharded fast path;
-/// `trace` substitutes a pre-generated request trace for the engine's
-/// lazy stream (the `perf_microbench` timed region).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_cluster<'x>(
-    engine: &'x ServeEngine<'_>,
-    n_replicas: usize,
-    balancer: &mut dyn LoadBalancer,
-    sharing: EstimatorSharing,
-    per_replica_capacity: f64,
-    faults: &FaultPlan,
-    autoscale: Option<&AutoscaleConfig>,
-    resharding: Option<&ReshardConfig>,
-    health: HealthConfig,
-    hedging: Option<HedgeConfig>,
-    placement: Option<&'x LayeredPlacement>,
-    locality: bool,
-    trace: Option<Vec<Request>>,
-) -> ClusterOutcome {
-    if shardable(
-        engine,
-        n_replicas,
-        balancer.name(),
-        sharing,
-        faults,
-        autoscale,
-        resharding,
-        &health,
-        hedging.as_ref(),
-    ) {
-        return run_sharded(
-            engine,
-            n_replicas,
-            sharing,
-            per_replica_capacity,
-            placement,
-            locality,
-            trace.as_deref(),
-        );
-    }
-    let stream: Box<dyn Iterator<Item = Request> + 'x> = match trace {
-        Some(t) => Box::new(t.into_iter()),
-        None => Box::new(engine.request_stream()),
-    };
-    run_stream(
-        engine,
-        n_replicas,
-        balancer,
-        sharing,
-        per_replica_capacity,
-        faults,
-        autoscale,
-        resharding,
-        health,
-        hedging,
-        placement,
-        locality,
-        stream,
-    )
-}
-
-/// True when the replicas are provably independent, so the run can be
-/// sharded one replica per thread and merged bit-identically:
-/// round-robin routing (request `i` goes to replica `i mod K`, load
-/// blind), no faults, no shedding or timeouts (no cross-replica
-/// displacement), no autoscaler, no re-sharder (a shard-map change is
-/// cluster-global), no phi-accrual detector and no hedging (both read
-/// cross-replica latency state), and no *shared* online re-estimation
-/// coupling the schedulers.
-#[allow(clippy::too_many_arguments)]
-fn shardable(
-    engine: &ServeEngine<'_>,
-    n_replicas: usize,
-    balancer_name: &str,
-    sharing: EstimatorSharing,
-    faults: &FaultPlan,
-    autoscale: Option<&AutoscaleConfig>,
-    resharding: Option<&ReshardConfig>,
-    health: &HealthConfig,
-    hedging: Option<&HedgeConfig>,
-) -> bool {
-    engine.config.perf.shard_threads > 1
-        && n_replicas > 1
-        && balancer_name == "round-robin"
-        && faults.schedule.events().is_empty()
-        && faults.policy.request_timeout.is_none()
-        && !faults.policy.sheds()
-        && autoscale.is_none()
-        && resharding.is_none()
-        && health.detector == DetectorKind::Oracle
-        && hedging.is_none()
-        && (sharing == EstimatorSharing::PerReplica
-            || !engine.estimates()
-            || engine.config.reestimate_every.is_none())
-}
-
-/// Runs each replica as an independent 1-replica simulation over its
-/// `id mod K` slice of the trace, shards spread across
-/// [`PerfConfig::shard_threads`](crate::PerfConfig) OS threads, then
-/// merges the per-shard outcomes into exactly the sequential result:
-/// global batch ids are re-derived from the `(dispatch instant,
-/// replica, local order)` order — the order the unified event loop
-/// commits batches in — and the records and depth timeline are rebuilt
-/// from it.
-fn run_sharded(
-    engine: &ServeEngine<'_>,
-    n_replicas: usize,
-    sharing: EstimatorSharing,
-    per_replica_capacity: f64,
-    placement: Option<&LayeredPlacement>,
-    locality: bool,
-    trace: Option<&[Request]>,
-) -> ClusterOutcome {
-    let threads = engine.config.perf.shard_threads.min(n_replicas);
-    let run_shard = |r: usize| -> ClusterOutcome {
-        let mut rr = RoundRobin::new();
-        let stream: Box<dyn Iterator<Item = Request> + '_> = match trace {
-            Some(t) => Box::new(
-                t.iter()
-                    .filter(move |req| req.id % n_replicas == r)
-                    .cloned(),
-            ),
-            None => Box::new(
-                engine
-                    .request_stream()
-                    .filter(move |req| req.id % n_replicas == r),
-            ),
-        };
-        run_stream(
-            engine,
-            1,
-            &mut rr,
-            sharing,
-            per_replica_capacity,
-            &FaultPlan::none(),
-            None,
-            None,
-            HealthConfig::oracle(),
-            None,
-            placement,
-            locality,
-            stream,
-        )
-    };
-    let mut shards: Vec<Option<ClusterOutcome>> = (0..n_replicas).map(|_| None).collect();
-    if threads <= 1 {
-        for (r, slot) in shards.iter_mut().enumerate() {
-            *slot = Some(run_shard(r));
-        }
-    } else {
-        let run_shard = &run_shard;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    scope.spawn(move || {
-                        (t..n_replicas)
-                            .step_by(threads)
-                            .map(|r| (r, run_shard(r)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (r, out) in handle.join().expect("shard thread panicked") {
-                    shards[r] = Some(out);
-                }
-            }
-        });
-    }
-    let shards: Vec<ClusterOutcome> = shards
-        .into_iter()
-        .map(|s| s.expect("every shard ran"))
-        .collect();
-    merge_shards(engine, shards)
-}
-
-/// Stitches per-shard outcomes back into the sequential result.
-fn merge_shards(engine: &ServeEngine<'_>, shards: Vec<ClusterOutcome>) -> ClusterOutcome {
-    let n_replicas = shards.len();
-    // Re-derive global batch ids. The unified loop commits same-instant
-    // dispatches lowest-replica-first, and a replica's own dispatches in
-    // local order — so sorting (instant, replica, local id) reproduces
-    // the sequential numbering exactly. Each shard's depth timeline has
-    // one sample per dispatch, in the same local order.
-    let mut batches: Vec<(SimTime, usize, usize)> = Vec::new();
-    for (r, shard) in shards.iter().enumerate() {
-        let mut seen = BTreeMap::new();
-        for rec in shard.tracker.records() {
-            seen.entry(rec.batch).or_insert(rec.dispatched);
-        }
-        batches.extend(seen.into_iter().map(|(local, at)| (at, r, local)));
-    }
-    batches.sort_unstable_by_key(|&(at, r, local)| (at, r, local));
-    let global_id: BTreeMap<(usize, usize), usize> = batches
-        .iter()
-        .enumerate()
-        .map(|(g, &(_, r, local))| ((r, local), g))
-        .collect();
-
-    let mut tracker = SloTracker::new(engine.config.slo);
-    for &(at, r, local) in &batches {
-        let depth = shards[r].tracker.depth_timeline()[local].1;
-        debug_assert_eq!(shards[r].tracker.depth_timeline()[local].0, at);
-        tracker.record_depth(at, depth);
-    }
-    let global_id = &global_id;
-    let mut records: Vec<RequestRecord> = shards
-        .iter()
-        .enumerate()
-        .flat_map(|(r, shard)| {
-            shard.tracker.records().iter().map(move |rec| {
-                let mut rec = rec.clone();
-                rec.batch = global_id[&(r, rec.batch)];
-                rec
-            })
-        })
-        .collect();
-    records.sort_by_key(|rec| (rec.batch, rec.id));
-    for rec in records {
-        tracker.record(rec);
-    }
-
-    // The sequential loop's clock ends at the last event anywhere; its
-    // replica_seconds is K repeated f64 additions of that instant.
-    let end = shards
-        .iter()
-        .map(|s| s.last_event)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    let replica_seconds: f64 = (0..n_replicas)
-        .map(|_| end.saturating_since(SimTime::ZERO).as_secs_f64())
-        .sum();
-    let plan_cache = shards
-        .iter()
-        .fold(PlanCacheStats::default(), |acc, s| PlanCacheStats {
-            hits: acc.hits + s.plan_cache.hits,
-            misses: acc.misses + s.plan_cache.misses,
-        });
-    ClusterOutcome {
-        tracker,
-        batches: batches.len(),
-        reestimations: shards.iter().map(|s| s.reestimations).sum(),
-        requests_per_replica: shards.iter().map(|s| s.requests_per_replica[0]).collect(),
-        tokens_per_replica: shards.iter().map(|s| s.tokens_per_replica[0]).collect(),
-        batches_per_replica: shards.iter().map(|s| s.batches_per_replica[0]).collect(),
-        aborted_batches: 0,
-        faults_injected: 0,
-        emergency_replacements: 0,
-        recovery_times: Vec::new(),
-        scale_ups: 0,
-        scale_downs: 0,
-        replications: 0,
-        evictions: 0,
-        migrations: 0,
-        peak_replicas: n_replicas,
-        hedges_issued: 0,
-        hedges_won: 0,
-        hedge_wasted_frac: 0.0,
-        replica_seconds,
-        last_event: end,
-        local_hops: shards.iter().map(|s| s.local_hops).sum(),
-        routed_hops: shards.iter().map(|s| s.routed_hops).sum(),
-        plan_cache,
-    }
-}
-
-/// The sequential K-server event loop over an explicit admission
-/// stream (the engine's lazy trace, one shard's filtered slice of it,
-/// or a pre-generated trace), in `(arrival, id)` order.
-#[allow(clippy::too_many_arguments)]
-fn run_stream<'x>(
-    engine: &'x ServeEngine<'_>,
-    n_replicas: usize,
-    balancer: &mut dyn LoadBalancer,
-    sharing: EstimatorSharing,
-    per_replica_capacity: f64,
-    faults: &FaultPlan,
-    autoscale: Option<&AutoscaleConfig>,
-    resharding: Option<&ReshardConfig>,
-    health: HealthConfig,
-    hedging: Option<HedgeConfig>,
-    placement: Option<&'x LayeredPlacement>,
-    locality: bool,
-    stream: Box<dyn Iterator<Item = Request> + 'x>,
-) -> ClusterOutcome {
-    let config = &engine.config;
-    let seeds = config.seeds();
-    let offline = engine
-        .needs_scheduler()
-        .then(|| engine.offline_scheduler(seeds.profile));
-    let reload = provisioning::weight_reload(engine.cost, engine.topo, engine.spec.experts);
-    // One topology clone per run, shared by every executor.
-    let topo = Arc::new(engine.topo.clone());
-
-    let replicas: Vec<Replica> = (0..n_replicas)
-        .map(|_| Replica {
-            arrivals: Vec::new(),
-            queue: Vec::new(),
-            attempts: Vec::new(),
-            next: 0,
-            executor: ReplicaExecutor::new_shared(config.network, topo.clone(), config.perf.queue),
-            slot_free: SimTime::ZERO,
-            queued_tokens: 0,
-            scheduler: offline.clone(),
-            epoch: 0,
-            window: ReestimationWindow::new(config.reestimate_window),
-            batches: 0,
-            healthy: true,
-            devices_lost: 0,
-            compute_slowdown: 1.0,
-            straggler: 1.0,
-            gray_compute: 1.0,
-            hedges_in_flight: 0,
-            role: ReplicaRole::Active,
-            ready_at: SimTime::ZERO,
-            commissioned: SimTime::ZERO,
-            retired_at: None,
-        })
-        .collect();
-
-    // The phi detector needs a per-batch nominal expectation to compare
-    // completions against; the oracle never looks, so the pricer (and
-    // its per-dispatch solo pricing cost) only exists when armed.
-    let expect = (health.detector != DetectorKind::Oracle).then(|| ExpectedPricer {
-        timer: SoloTimer::new_shared(topo.clone()),
-        memo: None,
-    });
-    let monitor = HealthMonitor::new(health, n_replicas);
-    let hedging = hedging.map(HedgeRuntime::new);
-
-    let autoscale = autoscale.map(|cfg| AutoscaleRuntime {
-        policy: cfg.policy.build(cfg.cooldown),
-        next_at: SimTime::ZERO + cfg.interval,
-        arrived_since_last: 0,
-        provision_time: reload,
-        config: cfg.clone(),
-    });
-
-    let resharding = resharding.map(|cfg| ReshardRuntime {
-        policy: cfg.policy.build(),
-        next_at: SimTime::ZERO + cfg.interval,
-        window: ReestimationWindow::new(cfg.window),
-        shard_map: default_shard_map(
-            placement,
-            engine.spec.experts,
-            engine.topo.devices(),
-            engine.cost.model.layers,
-        ),
-        dirty: false,
-        replications: 0,
-        evictions: 0,
-        migrations: 0,
-        config: cfg.clone(),
-    });
-
-    let sim = ClusterSim {
-        balancer,
-        schedule: &faults.schedule,
-        policy: faults.policy,
-        batcher: Batcher::new(config.batcher.clone()),
-        infer: InferenceConfig {
-            scheme: config.scheme,
-            top_k: config.top_k,
-        },
-        two_phase: engine.two_phase_config(),
-        sharing,
-        per_replica_capacity,
-        reload,
-        // Shared-mode scheduler and window (used when sharing == Shared
-        // or the scheme never re-estimates; per-replica mode uses the
-        // copies inside each Replica instead).
-        shared_scheduler: offline,
-        shared_window: ReestimationWindow::new(config.reestimate_window),
-        shared_epoch: 0,
-        epoch_counter: 0,
-        plan_cache: config.perf.plan_cache.then(PlanCache::new),
-        base_map: placement,
-        locality,
-        placement_digest: hash_layered_placement(placement, locality),
-        local_hops: 0,
-        routed_hops: 0,
-        replicas,
-        // First arrivals stream lazily in `(arrival, id)` order; the
-        // retry queue holds only re-admissions.
-        stream: stream.peekable(),
-        admissions: EventQueue::with_kind(config.perf.queue),
-        snapshot_scratch: Vec::new(),
-        autoscale,
-        resharding,
-        monitor,
-        expect,
-        expected_service: BTreeMap::new(),
-        hedging,
-        retry: seeds.retry,
-        now: SimTime::ZERO,
-        next_fault: 0,
-        tracker: SloTracker::new(config.slo),
-        records: Vec::new(),
-        pending: BTreeMap::new(),
-        total_batches: 0,
-        reestimations: 0,
-        requests_per_replica: vec![0; n_replicas],
-        tokens_per_replica: vec![0; n_replicas],
-        aborted_batches: 0,
-        faults_injected: 0,
-        emergency_replacements: 0,
-        scale_ups: 0,
-        scale_downs: 0,
-        peak_replicas: n_replicas,
-        crashes: Vec::new(),
-        req_crash: BTreeMap::new(),
-        recovery_times: Vec::new(),
-        #[cfg(debug_assertions)]
-        terminal_ids: BTreeSet::new(),
-        #[cfg(debug_assertions)]
-        admitted_ids: BTreeSet::new(),
-        engine,
-        topo,
-    };
-    sim.run()
 }
 
 /// Convenience wrapper: build a [`ClusterEngine`] and run it.
@@ -3458,45 +3052,6 @@ mod tests {
         assert_eq!(out.evictions, 0, "the last replica is never evicted");
         assert_eq!(fixed.tracker.records(), out.tracker.records());
         assert_eq!(fixed.report(), out.report());
-    }
-
-    /// Regression test for the placement-consistency bug: an emergency
-    /// device-loss re-placement (which also resets a dynamic shard map
-    /// to canonical) must bump the plan-cache epoch *unconditionally*,
-    /// or a post-loss batch whose content digest collides with a
-    /// pre-loss one is served a plan computed against the old map.
-    /// With the bump, memoized and unmemoized runs are bit-identical.
-    #[test]
-    fn device_loss_bumps_the_plan_cache_epoch() {
-        let (cost, topo, spec) = world();
-        // Ideal hashes batch content by token count only, so every
-        // full batch shares one cache key per epoch — maximal stale
-        // reuse if the loss fails to bump.
-        let mut c = config(InferScheme::Ideal, 2000.0, 1);
-        c.serve.reestimate_every = None;
-        c.resharding = Some(scripted_reshard(vec![vec![ReshardAction::Replicate(0)]], 1));
-        c.faults = FaultPlan {
-            schedule: FaultSchedule::from_script(vec![FaultEvent {
-                at: SimTime::from_millis(5),
-                replica: 0,
-                kind: FaultKind::DeviceLoss,
-            }]),
-            policy: DegradationPolicy::retry_failover(None),
-        };
-        let mut memoized = c.clone();
-        memoized.serve.perf.plan_cache = true;
-        let plain = serve_cluster(&cost, &topo, &spec, c);
-        let memo = serve_cluster(&cost, &topo, &spec, memoized);
-        assert!(
-            memo.plan_cache.hits > 0,
-            "the cache must actually be exercised"
-        );
-        assert_eq!(
-            plain.tracker.records(),
-            memo.tracker.records(),
-            "memoization must never change the timeline across a loss"
-        );
-        assert_eq!(plain.report(), memo.report());
     }
 
     #[test]

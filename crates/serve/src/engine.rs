@@ -33,7 +33,11 @@ use lina_simcore::{Rng, SimDuration};
 use lina_workload::{Mode, TokenBatch, TokenPath, TokenSource, WorkloadSpec};
 
 use crate::arrival::{ArrivalProcess, ArrivalStream};
+use crate::balancer::BalancerKind;
 use crate::batcher::BatcherConfig;
+use crate::cluster::{ClusterConfig, ClusterEngine, EstimatorSharing};
+use crate::faults::FaultPlan;
+use crate::health::HealthConfig;
 use crate::request::Request;
 use crate::slo::{SloReport, SloTracker};
 
@@ -103,10 +107,10 @@ pub struct ServeConfig {
     /// Master seed: arrivals, request tokens, and the offline profile
     /// all derive from it.
     pub seed: u64,
-    /// Simulator performance knobs ([`crate::PerfConfig`]). Purely an
-    /// implementation setting: any value must reproduce the default's
-    /// outcomes bit for bit.
-    pub perf: crate::PerfConfig,
+    /// No longer read. The simulator has one serving path, so there is
+    /// nothing left to tune; the unit field stays only so configs that
+    /// still write `perf: Default::default()` keep compiling.
+    pub perf: (),
 }
 
 /// The seed substreams every consumer of a [`ServeConfig`] derives
@@ -190,7 +194,6 @@ impl ServeConfig {
             );
         }
         assert!(self.max_inflight > 0, "serve: max_inflight must be > 0");
-        self.perf.validate();
     }
 }
 
@@ -418,23 +421,23 @@ impl<'a> ServeEngine<'a> {
 
     /// Runs the full serving simulation.
     ///
-    /// The single-server timeline is the K = 1 special case of the
-    /// cluster event loop ([`crate::cluster`]): one replica, trivially
-    /// routed, with its own executor and dispatch slot.
+    /// The single-server timeline is a one-replica [`ClusterEngine`]:
+    /// round-robin routing, no faults, no controllers.
     pub fn run(&self) -> ServeOutcome {
-        let mut solo = crate::balancer::RoundRobin::new();
-        let outcome = crate::cluster::run_on(
-            self,
-            1,
-            &mut solo,
-            crate::EstimatorSharing::Shared,
-            0.0,
-            &crate::FaultPlan::none(),
-            None,
-            None,
-            crate::HealthConfig::oracle(),
-            None,
-        );
+        let single = ClusterConfig {
+            serve: self.config.clone(),
+            replicas: 1,
+            balancer: BalancerKind::RoundRobin,
+            sharing: EstimatorSharing::Shared,
+            faults: FaultPlan::none(),
+            autoscale: None,
+            resharding: None,
+            placement: None,
+            locality: false,
+            health: HealthConfig::oracle(),
+            hedging: None,
+        };
+        let outcome = ClusterEngine::new(self.cost, self.topo, self.spec, single).run();
         ServeOutcome {
             tracker: outcome.tracker,
             batches: outcome.batches,
@@ -534,7 +537,7 @@ mod tests {
             network: NetworkMode::Solo,
             max_inflight: 1,
             seed: 0x5EED,
-            perf: crate::PerfConfig::default(),
+            perf: (),
         }
     }
 

@@ -54,8 +54,8 @@
 //!   online per-expert load monitor replicates hot experts, evicts
 //!   cold replicas, and migrates experts mid-serving
 //!   ([`resharding`]); actuation pays the modeled PCIe transfer
-//!   ([`provisioning::reshard_transfer`]) and bumps the plan-cache
-//!   placement epoch so executors re-plan against the new shard map;
+//!   ([`provisioning::reshard_transfer`]), and every later batch is
+//!   planned against the new shard map;
 //! * diurnal traffic — [`ArrivalProcess::Diurnal`] composes a
 //!   sinusoidal base rate with seeded flash-crowd overlays, and every
 //!   arrival process streams lazily
@@ -75,7 +75,6 @@ pub mod cluster;
 pub mod engine;
 pub mod faults;
 pub mod health;
-pub mod perf;
 pub mod provisioning;
 pub mod request;
 pub mod resharding;
@@ -91,15 +90,15 @@ pub use balancer::{
     RoundRobin,
 };
 pub use batcher::{Batcher, BatcherConfig};
-pub use cluster::{serve_cluster, ClusterConfig, ClusterEngine, ClusterOutcome, EstimatorSharing};
+pub use cluster::{
+    serve_cluster, ClusterConfig, ClusterEngine, ClusterOutcome, EstimatorSharing, PlanCacheStats,
+};
 pub use engine::{serve, ServeConfig, ServeEngine, ServeOutcome};
 pub use faults::{
     DegradationPolicy, FaultEvent, FaultKind, FaultPlan, FaultRateConfig, FaultSchedule, PolicyKind,
 };
 pub use health::{DetectorKind, HealthConfig, HealthMonitor, HedgeConfig};
 pub use lina_runner::NetworkMode;
-pub use lina_simcore::QueueKind;
-pub use perf::PerfConfig;
 pub use provisioning::{provision_time, reshard_transfer, weight_reload};
 pub use request::{Request, RequestRecord};
 pub use resharding::{

@@ -64,7 +64,7 @@ mod tests {
         let model = MoeModelConfig::transformer_xl(6, 8).for_inference();
         let topo = Topology::new(ClusterSpec::with_total_gpus(8));
         let cost = CostModel::new(DeviceSpec::a100_inference(), model);
-        // The exact expression `run_on` used before extraction; the
+        // The inline expression the cluster loop used before extraction; the
         // helper must reproduce it bit for bit (serve_faults metrics
         // pin the recovery timeline).
         let inline =

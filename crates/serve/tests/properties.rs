@@ -9,8 +9,8 @@ use lina_netsim::{ClusterSpec, Topology};
 use lina_serve::{
     serve, serve_cluster, ArrivalProcess, AutoscaleConfig, AutoscalePolicyKind, BalancerKind,
     Batcher, BatcherConfig, ClusterConfig, DegradationPolicy, EstimatorSharing, FaultPlan,
-    FaultRateConfig, FaultSchedule, HealthConfig, HedgeConfig, NetworkMode, PerfConfig, QueueKind,
-    ReshardAction, ReshardConfig, ReshardPolicyKind, ScaleDecision, ServeConfig, ServeEngine,
+    FaultRateConfig, FaultSchedule, HealthConfig, HedgeConfig, NetworkMode, ReshardAction,
+    ReshardConfig, ReshardPolicyKind, ScaleDecision, ServeConfig, ServeEngine,
 };
 use lina_simcore::{Rng, SimDuration, SimTime};
 use lina_workload::WorkloadSpec;
@@ -830,219 +830,14 @@ fn inert_resharder_is_bit_identical_to_fixed_cluster() {
     }
 }
 
-/// The perf knobs are implementation settings, not semantics: the
-/// calendar event queue and the plan cache must reproduce the
-/// reference run bit for bit — records, depth samples, routing, and
-/// report — including under fault schedules and both sharing modes.
-#[test]
-fn perf_knobs_are_bit_identical_to_reference() {
-    let (cost, topo, spec) = world();
-    let mut meta = Rng::new(0xFA57);
-    let variants = [
-        PerfConfig {
-            queue: QueueKind::Calendar,
-            ..PerfConfig::reference()
-        },
-        PerfConfig {
-            plan_cache: true,
-            ..PerfConfig::reference()
-        },
-        PerfConfig {
-            queue: QueueKind::Calendar,
-            plan_cache: true,
-            ..PerfConfig::reference()
-        },
-    ];
-    for round in 0..rounds(4) {
-        let scheme = match round % 3 {
-            0 => InferScheme::Lina,
-            1 => InferScheme::Ideal,
-            _ => InferScheme::Baseline,
-        };
-        let replicas = 2 + meta.index(3);
-        let faults = if meta.bernoulli(0.5) {
-            let rates = FaultRateConfig {
-                crash_rate: meta.uniform(5.0, 30.0),
-                mean_recovery: SimDuration::from_millis(meta.below(30) + 5),
-                device_loss_rate: meta.uniform(0.0, 4.0),
-                degrade_rate: meta.uniform(0.0, 4.0),
-                degrade_scale: meta.uniform(0.2, 1.0),
-                mean_degrade: SimDuration::from_millis(meta.below(20) + 5),
-                straggler_rate: meta.uniform(0.0, 4.0),
-                straggler_factor: meta.uniform(1.0, 3.0),
-                mean_straggle: SimDuration::from_millis(meta.below(20) + 5),
-                gray_rate: 0.0,
-                gray_compute: 1.0,
-                gray_nic: 1.0,
-                mean_gray: SimDuration::from_millis(10),
-                flap_rate: 0.0,
-                flap_nic: 1.0,
-                mean_flap: SimDuration::from_millis(2),
-            };
-            FaultPlan {
-                schedule: FaultSchedule::generate(
-                    &rates,
-                    replicas,
-                    SimDuration::from_secs_f64(1.0),
-                    meta.next_u64(),
-                ),
-                policy: arb_policy(&mut meta),
-            }
-        } else {
-            FaultPlan::none()
-        };
-        let config = ClusterConfig {
-            serve: arb_config(&mut meta, scheme),
-            replicas,
-            balancer: BalancerKind::JoinShortestQueue,
-            sharing: if meta.bernoulli(0.5) {
-                EstimatorSharing::Shared
-            } else {
-                EstimatorSharing::PerReplica
-            },
-            faults,
-            autoscale: None,
-            resharding: None,
-            placement: None,
-            locality: false,
-            health: HealthConfig::oracle(),
-            hedging: None,
-        };
-        let reference = serve_cluster(&cost, &topo, &spec, config.clone());
-        for perf in variants {
-            let mut tuned = config.clone();
-            tuned.serve.perf = perf;
-            let out = serve_cluster(&cost, &topo, &spec, tuned);
-            assert_eq!(
-                reference.tracker.records(),
-                out.tracker.records(),
-                "round {round}: records diverged under {perf:?}"
-            );
-            assert_eq!(reference.tracker.failures(), out.tracker.failures());
-            assert_eq!(
-                reference.tracker.depth_timeline(),
-                out.tracker.depth_timeline()
-            );
-            assert_eq!(reference.report(), out.report());
-            assert_eq!(reference.requests_per_replica, out.requests_per_replica);
-            assert_eq!(reference.tokens_per_replica, out.tokens_per_replica);
-            assert_eq!(reference.batches, out.batches);
-            assert_eq!(reference.reestimations, out.reestimations);
-            assert_eq!(reference.last_event, out.last_event);
-            if perf.plan_cache {
-                assert_eq!(
-                    out.plan_cache.hits + out.plan_cache.misses,
-                    reference.batches as u64,
-                    "round {round}: one cache lookup per dispatched batch"
-                );
-            }
-        }
-    }
-}
-
-/// Shard-per-replica parallelism must be invisible in the results: on
-/// a shardable scenario (round-robin, no faults, no autoscaler, no
-/// shared online re-estimation) the threaded run reproduces the
-/// sequential run bit for bit — global batch numbering, depth
-/// timeline, routing counts, pool cost, and report.
-#[test]
-fn sharded_execution_is_bit_identical_to_sequential() {
-    let (cost, topo, spec) = world();
-    let mut meta = Rng::new(0x54A2D);
-    for (scheme, sharing) in [
-        (InferScheme::Ideal, EstimatorSharing::Shared),
-        (InferScheme::Lina, EstimatorSharing::PerReplica),
-        (InferScheme::Baseline, EstimatorSharing::Shared),
-    ] {
-        let config = ClusterConfig {
-            serve: arb_config(&mut meta, scheme),
-            replicas: 2 + meta.index(3),
-            balancer: BalancerKind::RoundRobin,
-            sharing,
-            faults: FaultPlan::none(),
-            autoscale: None,
-            resharding: None,
-            placement: None,
-            locality: false,
-            health: HealthConfig::oracle(),
-            hedging: None,
-        };
-        let sequential = serve_cluster(&cost, &topo, &spec, config.clone());
-        for threads in [2, 5] {
-            let mut tuned = config.clone();
-            tuned.serve.perf = PerfConfig {
-                shard_threads: threads,
-                ..PerfConfig::reference()
-            };
-            let sharded = serve_cluster(&cost, &topo, &spec, tuned);
-            assert_eq!(
-                sequential.tracker.records(),
-                sharded.tracker.records(),
-                "{scheme:?}/{sharing:?} x{threads}: records diverged"
-            );
-            assert_eq!(
-                sequential.tracker.depth_timeline(),
-                sharded.tracker.depth_timeline()
-            );
-            assert_eq!(sequential.report(), sharded.report());
-            assert_eq!(
-                sequential.requests_per_replica,
-                sharded.requests_per_replica
-            );
-            assert_eq!(sequential.tokens_per_replica, sharded.tokens_per_replica);
-            assert_eq!(sequential.batches_per_replica, sharded.batches_per_replica);
-            assert_eq!(sequential.batches, sharded.batches);
-            assert_eq!(sequential.reestimations, sharded.reestimations);
-            assert_eq!(sequential.last_event, sharded.last_event);
-            assert_eq!(sequential.replica_seconds, sharded.replica_seconds);
-        }
-    }
-}
-
-/// A non-shardable scenario with shard threads armed must fall back to
-/// the sequential loop and still match it bit for bit: the JSQ
-/// balancer couples replicas, so the threads knob must be a no-op.
-#[test]
-fn unshardable_scenario_falls_back_to_sequential() {
-    let (cost, topo, spec) = world();
-    let mut meta = Rng::new(0xFBACC);
-    let config = ClusterConfig {
-        serve: arb_config(&mut meta, InferScheme::Lina),
-        replicas: 3,
-        balancer: BalancerKind::JoinShortestQueue,
-        sharing: EstimatorSharing::Shared,
-        faults: FaultPlan::none(),
-        autoscale: None,
-        resharding: None,
-        placement: None,
-        locality: false,
-        health: HealthConfig::oracle(),
-        hedging: None,
-    };
-    let sequential = serve_cluster(&cost, &topo, &spec, config.clone());
-    let mut tuned = config.clone();
-    tuned.serve.perf = PerfConfig {
-        shard_threads: 8,
-        ..PerfConfig::reference()
-    };
-    let out = serve_cluster(&cost, &topo, &spec, tuned);
-    assert_eq!(sequential.tracker.records(), out.tracker.records());
-    assert_eq!(
-        sequential.tracker.depth_timeline(),
-        out.tracker.depth_timeline()
-    );
-    assert_eq!(sequential.report(), out.report());
-    assert_eq!(sequential.requests_per_replica, out.requests_per_replica);
-}
-
 /// Arming an explicit base placement that *is* the canonical layout
 /// (uniform one-expert-per-device across every layer, locality off)
 /// must be invisible: per-request records, depth timeline, report,
 /// replica accounting, and pool cost all reproduce the plain run bit
 /// for bit, and no locality hops are counted. This pins the serving
-/// side of the layered-placement contract — the armed code path prices
-/// every batch through `plan_batch_layered` and a non-zero plan-cache
-/// placement digest, yet nothing observable may move.
+/// side of the layered-placement contract — the armed code path plans
+/// every batch against the explicit base, yet nothing observable may
+/// move.
 #[test]
 fn uniform_layered_base_is_bit_identical_to_plain() {
     let (cost, topo, spec) = world();
@@ -1117,9 +912,7 @@ fn uniform_layered_base_is_bit_identical_to_plain() {
 /// Under generated gray/flap fault schedules — optionally mixed with
 /// crashes — every combination of balancer, detector, and hedging
 /// still conserves requests and tokens, reports consistent hedge
-/// counters, stays bit-deterministic, and is invariant under the
-/// shard-threads knob (gray runs are unshardable, so the knob must
-/// fall back to the sequential loop bit for bit).
+/// counters, and stays bit-deterministic.
 #[test]
 fn gray_faults_with_hedging_conserve_and_stay_deterministic() {
     let (cost, topo, spec) = world();
@@ -1222,26 +1015,10 @@ fn gray_faults_with_hedging_conserve_and_stay_deterministic() {
         assert_eq!(report.hedge_wasted_frac, out.hedge_wasted_frac);
 
         // Bit-determinism.
-        let again = serve_cluster(&cost, &topo, &spec, config.clone());
+        let again = serve_cluster(&cost, &topo, &spec, config);
         assert_eq!(out.tracker.records(), again.tracker.records());
         assert_eq!(out.tracker.failures(), again.tracker.failures());
         assert_eq!(report, again.report(), "round {round}: determinism");
-
-        // Shard-threads invariance: gray schedules (and any non-oracle
-        // detector or armed hedging) are unshardable, so the knob must
-        // be an exact no-op.
-        let mut tuned = config;
-        tuned.serve.perf = PerfConfig {
-            shard_threads: 4,
-            ..PerfConfig::reference()
-        };
-        let sharded = serve_cluster(&cost, &topo, &spec, tuned);
-        assert_eq!(
-            out.tracker.records(),
-            sharded.tracker.records(),
-            "round {round}: shard-threads must not perturb gray runs"
-        );
-        assert_eq!(report, sharded.report());
     }
 }
 

@@ -1,57 +1,13 @@
-//! A deterministic discrete-event queue with pluggable backends.
+//! A deterministic discrete-event queue.
 //!
-//! Ties on time are broken by insertion order, so simulations that pop
-//! events and react to them are fully deterministic regardless of payload
-//! type — and regardless of which backend holds the events. Two backends
-//! are provided:
-//!
-//! * [`QueueKind::BinaryHeap`] (the default): a plain binary heap,
-//!   `O(log n)` per operation, minimal constant factor at small sizes.
-//! * [`QueueKind::Calendar`]: a bucketed calendar queue (Brown 1988).
-//!   Events hash into a ring of time buckets of equal width; when the
-//!   queue stays near its resize band the expected cost per operation is
-//!   `O(1)`. The width and bucket count adapt to the live event
-//!   population, so both dense serving traces and sparse control ticks
-//!   stay fast.
-//!
-//! Both backends pop in exactly the same order — (time, insertion seq) —
-//! which the `event_queue_backends_agree` property test pins down.
+//! A binary heap ordered by `(time, insertion seq)`: ties on time are
+//! broken by insertion order, so simulations that pop events and react
+//! to them are fully deterministic regardless of payload type.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// Which backend an [`EventQueue`] uses. Pop order is identical across
-/// kinds; only the cost profile differs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Binary-heap backend (`O(log n)` ops, the historical default).
-    #[default]
-    BinaryHeap,
-    /// Bucketed calendar-queue backend (amortized `O(1)` ops on
-    /// steady-state event populations).
-    Calendar,
-}
-
-impl QueueKind {
-    /// Parses `"heap"` / `"calendar"` (case-insensitive).
-    pub fn parse(s: &str) -> Option<QueueKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "heap" | "binary_heap" | "binaryheap" => Some(QueueKind::BinaryHeap),
-            "calendar" => Some(QueueKind::Calendar),
-            _ => None,
-        }
-    }
-
-    /// The kind's lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueKind::BinaryHeap => "heap",
-            QueueKind::Calendar => "calendar",
-        }
-    }
-}
 
 /// An entry in the queue: fires at `time`, carries `payload`.
 struct Entry<T> {
@@ -85,209 +41,24 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// Calendar-queue backend: a ring of `nbuckets` (power of two) buckets
-/// each covering `width` nanoseconds; an event at time `t` lives in
-/// bucket `(t / width) % nbuckets`. Dequeue scans buckets starting at
-/// the bucket holding the current lower bound `last`, accepting only
-/// events that fall inside the scanned bucket's current "year" window;
-/// equal times always hash to the same bucket, so a (time, seq) min-scan
-/// within one bucket reproduces the heap's tie-breaking exactly.
-struct Calendar<T> {
-    buckets: Vec<Vec<Entry<T>>>,
-    /// Bucket width in nanoseconds (>= 1).
-    width: u64,
-    /// Total live entries.
-    len: usize,
-    /// Lower bound on the minimum pending time; dequeue scans forward
-    /// from here.
-    last: u64,
-    /// Cached location of the minimum entry, kept warm by `push`/`pop`.
-    cached_min: Option<(usize, usize)>,
-}
-
-const CAL_MIN_BUCKETS: usize = 8;
-
-impl<T> Calendar<T> {
-    fn new() -> Self {
-        Calendar {
-            buckets: (0..CAL_MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width: 1024,
-            len: 0,
-            last: 0,
-            cached_min: None,
-        }
-    }
-
-    fn bucket_of(&self, time: u64) -> usize {
-        ((time / self.width) as usize) & (self.buckets.len() - 1)
-    }
-
-    fn push(&mut self, entry: Entry<T>) {
-        let t = entry.time.as_nanos();
-        if self.len == 0 || t < self.last {
-            self.last = t;
-        }
-        let b = self.bucket_of(t);
-        let better = match self.cached_min {
-            Some((cb, ci)) => {
-                let cur = &self.buckets[cb][ci];
-                (entry.time, entry.seq) < (cur.time, cur.seq)
-            }
-            None => self.len == 0,
-        };
-        self.buckets[b].push(entry);
-        if better {
-            self.cached_min = Some((b, self.buckets[b].len() - 1));
-        }
-        self.len += 1;
-        if self.len > 2 * self.buckets.len() {
-            self.resize(self.buckets.len() * 2);
-        }
-    }
-
-    /// Locates the minimum (time, seq) entry without removing it.
-    fn find_min(&self) -> Option<(usize, usize)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.cached_min.is_some() {
-            return self.cached_min;
-        }
-        let n = self.buckets.len();
-        let start_unit = self.last / self.width;
-        // One "year": scan each bucket once, accepting only entries
-        // inside the bucket's current window. The first hit is the
-        // global minimum because earlier windows were empty.
-        for k in 0..n as u64 {
-            let unit = start_unit + k;
-            let b = (unit as usize) & (n - 1);
-            let threshold = (unit as u128 + 1) * self.width as u128;
-            let mut best: Option<(usize, SimTime, u64)> = None;
-            for (i, e) in self.buckets[b].iter().enumerate() {
-                if (e.time.as_nanos() as u128) < threshold {
-                    let better = match best {
-                        Some((_, bt, bs)) => (e.time, e.seq) < (bt, bs),
-                        None => true,
-                    };
-                    if better {
-                        best = Some((i, e.time, e.seq));
-                    }
-                }
-            }
-            if let Some((i, _, _)) = best {
-                return Some((b, i));
-            }
-        }
-        // Every pending event is more than a year ahead of `last`:
-        // direct O(n) search for the global minimum.
-        let mut best: Option<(usize, usize, SimTime, u64)> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, e) in bucket.iter().enumerate() {
-                let better = match best {
-                    Some((_, _, bt, bs)) => (e.time, e.seq) < (bt, bs),
-                    None => true,
-                };
-                if better {
-                    best = Some((b, i, e.time, e.seq));
-                }
-            }
-        }
-        best.map(|(b, i, _, _)| (b, i))
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        let (b, i) = self.find_min()?;
-        Some(self.buckets[b][i].time)
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, T)> {
-        let (b, i) = self.find_min()?;
-        let entry = self.buckets[b].swap_remove(i);
-        self.len -= 1;
-        self.last = entry.time.as_nanos();
-        // swap_remove may have moved an entry into slot `i`; drop the
-        // cache rather than track it.
-        self.cached_min = None;
-        if self.buckets.len() > CAL_MIN_BUCKETS && self.len < self.buckets.len() / 2 {
-            self.resize(self.buckets.len() / 2);
-        }
-        Some((entry.time, entry.payload))
-    }
-
-    /// Rebuilds the ring with `nbuckets` buckets and a width matched to
-    /// the live event span (aiming for ~1 event per bucket).
-    fn resize(&mut self, nbuckets: usize) {
-        let entries: Vec<Entry<T>> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
-        let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for e in &entries {
-            lo = lo.min(e.time.as_nanos());
-            hi = hi.max(e.time.as_nanos());
-        }
-        if !entries.is_empty() {
-            self.width = ((hi - lo) / entries.len() as u64).max(1);
-            self.last = self.last.min(lo);
-        }
-        self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-        self.cached_min = None;
-        for e in entries {
-            let b = self.bucket_of(e.time.as_nanos());
-            self.buckets[b].push(e);
-        }
-    }
-
-    fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.len = 0;
-        self.last = 0;
-        self.cached_min = None;
-    }
-}
-
-enum Backend<T> {
-    Heap(BinaryHeap<Entry<T>>),
-    Calendar(Calendar<T>),
-}
-
 /// A time-ordered event queue with deterministic tie-breaking.
 pub struct EventQueue<T> {
-    backend: Backend<T>,
+    heap: BinaryHeap<Entry<T>>,
     next_seq: u64,
 }
 
 impl<T> Default for EventQueue<T> {
     fn default() -> Self {
-        EventQueue {
-            backend: Backend::Heap(BinaryHeap::new()),
-            next_seq: 0,
-        }
+        EventQueue::new()
     }
 }
 
 impl<T> EventQueue<T> {
-    /// Creates an empty queue on the default binary-heap backend.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty queue on the given backend.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        let backend = match kind {
-            QueueKind::BinaryHeap => Backend::Heap(BinaryHeap::new()),
-            QueueKind::Calendar => Backend::Calendar(Calendar::new()),
-        };
         EventQueue {
-            backend,
+            heap: BinaryHeap::new(),
             next_seq: 0,
-        }
-    }
-
-    /// The backend this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match self.backend {
-            Backend::Heap(_) => QueueKind::BinaryHeap,
-            Backend::Calendar(_) => QueueKind::Calendar,
         }
     }
 
@@ -295,26 +66,17 @@ impl<T> EventQueue<T> {
     pub fn push(&mut self, time: SimTime, payload: T) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(Entry { time, seq, payload }),
-            Backend::Calendar(c) => c.push(Entry { time, seq, payload }),
-        }
+        self.heap.push(Entry { time, seq, payload });
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map(|e| e.time),
-            Backend::Calendar(c) => c.peek_time(),
-        }
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        match &mut self.backend {
-            Backend::Heap(h) => h.pop().map(|e| (e.time, e.payload)),
-            Backend::Calendar(c) => c.pop(),
-        }
+        self.heap.pop().map(|e| (e.time, e.payload))
     }
 
     /// Pops the earliest event only if it fires at or before `time`.
@@ -328,44 +90,24 @@ impl<T> EventQueue<T> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Calendar(c) => c.len,
-        }
+        self.heap.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Removes all pending events.
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.clear(),
-            Backend::Calendar(c) => c.clear(),
-        }
+        self.heap.clear();
     }
 
     /// Drops every pending event whose payload fails the predicate.
     /// Surviving events keep their original insertion sequence, so pop
     /// order (including ties) is unchanged.
     pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.retain(|e| keep(&e.payload)),
-            Backend::Calendar(c) => {
-                let mut removed = 0;
-                for b in &mut c.buckets {
-                    let before = b.len();
-                    b.retain(|e| keep(&e.payload));
-                    removed += before - b.len();
-                }
-                if removed > 0 {
-                    c.len -= removed;
-                    c.cached_min = None;
-                }
-            }
-        }
+        self.heap.retain(|e| keep(&e.payload));
     }
 }
 
@@ -377,130 +119,63 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
-    fn kinds() -> [QueueKind; 2] {
-        [QueueKind::BinaryHeap, QueueKind::Calendar]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(t(3), "c");
-            q.push(t(1), "a");
-            q.push(t(2), "b");
-            assert_eq!(q.pop(), Some((t(1), "a")));
-            assert_eq!(q.pop(), Some((t(2), "b")));
-            assert_eq!(q.pop(), Some((t(3), "c")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.push(t(3), "c");
+        q.push(t(1), "a");
+        q.push(t(2), "b");
+        assert_eq!(q.pop(), Some((t(1), "a")));
+        assert_eq!(q.pop(), Some((t(2), "b")));
+        assert_eq!(q.pop(), Some((t(3), "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            for i in 0..100 {
-                q.push(t(5), i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((t(5), i)));
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push(t(5), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((t(5), i)));
         }
     }
 
     #[test]
     fn pop_due_respects_deadline() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(t(10), "late");
-            q.push(t(1), "early");
-            assert_eq!(q.pop_due(t(5)), Some((t(1), "early")));
-            assert_eq!(q.pop_due(t(5)), None);
-            assert_eq!(q.len(), 1);
-        }
+        let mut q = EventQueue::new();
+        q.push(t(10), "late");
+        q.push(t(1), "early");
+        assert_eq!(q.pop_due(t(5)), Some((t(1), "early")));
+        assert_eq!(q.pop_due(t(5)), None);
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn peek_and_clear() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            q.push(t(7), ());
-            assert_eq!(q.peek_time(), Some(t(7)));
-            q.clear();
-            assert!(q.is_empty());
-        }
-    }
-
-    #[test]
-    fn retain_preserves_order_of_survivors() {
-        for kind in kinds() {
-            let mut q = EventQueue::with_kind(kind);
-            for i in 0..10 {
-                q.push(t(5), i); // all tied on time: order is insertion seq
-            }
-            q.push(t(1), 100);
-            q.push(t(9), 101);
-            q.retain(|&p| p % 2 == 0);
-            let mut popped = Vec::new();
-            while let Some((_, p)) = q.pop() {
-                popped.push(p);
-            }
-            assert_eq!(popped, vec![100, 0, 2, 4, 6, 8], "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn default_kind_is_heap() {
-        assert_eq!(EventQueue::<()>::new().kind(), QueueKind::BinaryHeap);
-        assert_eq!(QueueKind::default(), QueueKind::BinaryHeap);
-    }
-
-    #[test]
-    fn kind_parsing() {
-        assert_eq!(QueueKind::parse("heap"), Some(QueueKind::BinaryHeap));
-        assert_eq!(QueueKind::parse("Calendar"), Some(QueueKind::Calendar));
-        assert_eq!(QueueKind::parse("fifo"), None);
-        assert_eq!(QueueKind::Calendar.name(), "calendar");
-    }
-
-    #[test]
-    fn calendar_survives_resize_cycles() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
-        // Grow far past several doublings, then drain fully.
-        for i in 0..1000u64 {
-            q.push(SimTime::from_nanos(i * 37 % 4096), i);
-        }
-        let mut last = None;
-        for _ in 0..1000 {
-            let (time, _) = q.pop().expect("queue must hold 1000 events");
-            if let Some(prev) = last {
-                assert!(time >= prev, "calendar popped out of order");
-            }
-            last = Some(time);
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.push(t(7), ());
+        assert_eq!(q.peek_time(), Some(t(7)));
+        q.clear();
         assert!(q.is_empty());
     }
 
     #[test]
-    fn calendar_handles_sparse_far_future_events() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
-        q.push(SimTime::from_nanos(5), "near");
-        q.push(SimTime::MAX, "sentinel");
-        q.push(SimTime::from_secs_f64(3600.0), "hour");
-        assert_eq!(q.pop().map(|(_, p)| p), Some("near"));
-        assert_eq!(q.pop().map(|(_, p)| p), Some("hour"));
-        assert_eq!(q.pop().map(|(_, p)| p), Some("sentinel"));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn calendar_accepts_pushes_earlier_than_last_pop() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
-        q.push(t(100), "late");
-        assert_eq!(q.pop().map(|(_, p)| p), Some("late"));
-        q.push(t(1), "rewind");
-        assert_eq!(q.pop(), Some((t(1), "rewind")));
+    fn retain_preserves_order_of_survivors() {
+        let mut q = EventQueue::new();
+        for i in 0..10 {
+            q.push(t(5), i); // all tied on time: order is insertion seq
+        }
+        q.push(t(1), 100);
+        q.push(t(9), 101);
+        q.retain(|&p| p % 2 == 0);
+        let mut popped = Vec::new();
+        while let Some((_, p)) = q.pop() {
+            popped.push(p);
+        }
+        assert_eq!(popped, vec![100, 0, 2, 4, 6, 8]);
     }
 }

@@ -20,7 +20,7 @@ pub mod table;
 pub mod time;
 pub mod timeline;
 
-pub use events::{EventQueue, QueueKind};
+pub use events::EventQueue;
 pub use json::Json;
 pub use report::{Metric, Report, Section};
 pub use rng::{AliasTable, Rng, Zipf};

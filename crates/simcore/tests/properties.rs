@@ -3,7 +3,7 @@
 //! property-testing framework, so each property sweeps many seeded
 //! cases explicitly).
 
-use lina_simcore::{AliasTable, EventQueue, QueueKind, Rng, Samples, SimDuration, SimTime, Zipf};
+use lina_simcore::{AliasTable, EventQueue, Rng, Samples, SimDuration, SimTime, Zipf};
 
 #[test]
 fn simtime_add_sub_roundtrip() {
@@ -74,55 +74,6 @@ fn event_queue_pops_sorted() {
             count += 1;
         }
         assert_eq!(count, times.len());
-    }
-}
-
-#[test]
-fn event_queue_backends_agree() {
-    // The calendar queue must pop the exact (time, payload) sequence the
-    // binary heap pops, on adversarial workloads: dense ties (many events
-    // at the same instant, where insertion order decides), far-future
-    // spikes that overflow the calendar "year", pushes earlier than the
-    // last pop, and interleaved push/pop phases that force the bucket
-    // ring through grow and shrink resizes.
-    let mut meta = Rng::new(0x0DDE7);
-    for case in 0..60 {
-        let seed = meta.next_u64();
-        let mut rng = Rng::new(seed);
-        let mut heap = EventQueue::with_kind(QueueKind::BinaryHeap);
-        let mut cal = EventQueue::with_kind(QueueKind::Calendar);
-        let ops = 50 + rng.index(400);
-        let mut next_payload = 0u64;
-        for _ in 0..ops {
-            if rng.bernoulli(0.6) || heap.is_empty() {
-                let burst = 1 + rng.index(8);
-                for _ in 0..burst {
-                    let t = match rng.index(10) {
-                        0 => SimTime::from_nanos(rng.below(4)), // heavy ties near zero
-                        1 => SimTime::from_secs_f64(1e6),       // far-future spike
-                        2 => SimTime::MAX,                      // sentinel deadline
-                        _ => SimTime::from_nanos(rng.below(1_000)), // dense ties
-                    };
-                    heap.push(t, next_payload);
-                    cal.push(t, next_payload);
-                    next_payload += 1;
-                }
-            } else {
-                let drain = 1 + rng.index(6);
-                for _ in 0..drain {
-                    assert_eq!(heap.pop(), cal.pop(), "case {case} (seed {seed:#x})");
-                }
-            }
-            assert_eq!(heap.len(), cal.len());
-            assert_eq!(heap.peek_time(), cal.peek_time());
-        }
-        loop {
-            let (h, c) = (heap.pop(), cal.pop());
-            assert_eq!(h, c, "case {case} (seed {seed:#x}) drain mismatch");
-            if h.is_none() {
-                break;
-            }
-        }
     }
 }
 
