@@ -8,7 +8,8 @@
 //! looked up; its top-k next-layer experts and their probabilities feed
 //! Eq. (1) to estimate per-expert device demand before the gate runs.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use lina_workload::{TokenBatch, TokenPath};
 
@@ -19,13 +20,83 @@ pub struct PopularityEstimator {
     path_length: usize,
     experts: usize,
     layers: usize,
-    /// `tables[len-1][i]` maps a path of primary experts for layers
+    /// `radix[len-1] = experts^len`: a length-`len` suffix's code is the
+    /// full path code modulo `radix[len-1]` (its low `len` digits).
+    radix: Vec<u64>,
+    /// `tables[len-1][i]` maps the path of primary experts for layers
     /// `i-len+1 ..= i` to the selection distribution at layer `i+1`.
     /// Lengths 1..=l are all profiled so lookups can back off from the
     /// full path to shorter suffixes when a path was never observed.
-    tables: Vec<Vec<BTreeMap<Vec<u16>, Vec<f64>>>>,
+    tables: Vec<Vec<PsiTable>>,
     /// Fallback per-layer marginal distribution for unseen paths.
     marginals: Vec<Vec<f64>>,
+}
+
+/// One `(len, layer)` `Ψ` table: packed path code → row of a flat,
+/// `experts`-wide row store. While profiling a row holds integer
+/// counts (exact in `f64`); [`PsiTable::normalize`] turns each into its
+/// distribution.
+#[derive(Clone, Debug, Default)]
+struct PsiTable {
+    rows: HashMap<u64, u32, BuildHasherDefault<PathHasher>>,
+    dists: Vec<f64>,
+}
+
+impl PsiTable {
+    fn count(&mut self, code: u64, next: usize, experts: usize) {
+        let fresh = u32::try_from(self.rows.len()).expect("profile: more than u32::MAX paths");
+        let row = *self.rows.entry(code).or_insert(fresh);
+        if row == fresh {
+            self.dists.resize(self.dists.len() + experts, 0.0);
+        }
+        self.dists[row as usize * experts + next] += 1.0;
+    }
+
+    fn normalize(&mut self, experts: usize) {
+        for row in self.dists.chunks_exact_mut(experts) {
+            normalize(row);
+        }
+    }
+
+    fn get(&self, code: u64, experts: usize) -> Option<&[f64]> {
+        let row = *self.rows.get(&code)? as usize;
+        Some(&self.dists[row * experts..(row + 1) * experts])
+    }
+}
+
+/// Divides counts by their total, summed in index order. Every partial
+/// sum of integer counts is exact, so the result depends only on the
+/// counts, not on how they were accumulated.
+fn normalize(dist: &mut [f64]) {
+    let total: f64 = dist.iter().sum();
+    if total > 0.0 {
+        for v in dist {
+            *v /= total;
+        }
+    }
+}
+
+/// Folded-multiply hash of a path code: the 128-bit product's halves
+/// XORed, so both the bucket (low) bits and the tag (high) bits depend
+/// on every digit of the code.
+#[derive(Clone, Copy, Debug, Default)]
+struct PathHasher(u64);
+
+impl Hasher for PathHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let m = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl PopularityEstimator {
@@ -33,74 +104,68 @@ impl PopularityEstimator {
     ///
     /// # Panics
     ///
-    /// Panics if `path_length` is zero, no batches are given, or the
-    /// batches are empty.
+    /// Panics if `path_length` is zero, no batches are given, the first
+    /// batch is empty, `experts^path_length` overflows a `u64` path
+    /// code, or a batch's expert count or a token's layer count differs
+    /// from the first batch's.
     pub fn profile(batches: &[TokenBatch], path_length: usize) -> Self {
         assert!(path_length > 0, "profile: zero path length");
         assert!(!batches.is_empty(), "profile: no batches");
-        let experts = batches[0].experts;
-        let layers = batches[0].tokens[0].selections.len();
-        let mut counts: Vec<Vec<BTreeMap<Vec<u16>, Vec<f64>>>> = (0..path_length)
-            .map(|_| {
-                (0..layers.saturating_sub(1))
-                    .map(|_| BTreeMap::new())
-                    .collect()
+        let first = &batches[0];
+        assert!(
+            !first.tokens.is_empty(),
+            "profile: first batch has no tokens"
+        );
+        let experts = first.experts;
+        let layers = first.tokens[0].selections.len();
+        let radix: Vec<u64> = (1..=path_length)
+            .map(|len| {
+                u32::try_from(len)
+                    .ok()
+                    .and_then(|len| (experts as u64).checked_pow(len))
+                    .unwrap_or_else(|| {
+                        panic!("profile: {experts}^{path_length} overflows a u64 path code")
+                    })
             })
             .collect();
-        let mut marginal_counts = vec![vec![0.0f64; experts]; layers];
+        let mut tables: Vec<Vec<PsiTable>> = (0..path_length)
+            .map(|_| vec![PsiTable::default(); layers.saturating_sub(1)])
+            .collect();
+        let mut marginals = vec![vec![0.0f64; experts]; layers];
         for batch in batches {
+            assert_eq!(
+                batch.experts, experts,
+                "profile: batch expert count differs from the first batch's"
+            );
             for tok in &batch.tokens {
+                assert_eq!(
+                    tok.selections.len(),
+                    layers,
+                    "profile: token layer count differs from the first batch's"
+                );
                 for layer in 0..layers {
-                    marginal_counts[layer][tok.primary(layer) as usize] += 1.0;
+                    marginals[layer][tok.primary(layer) as usize] += 1.0;
                     if layer + 1 < layers {
-                        for len in 1..=path_length {
-                            let key = tok.path_suffix(layer, len);
-                            let dist = counts[len - 1][layer]
-                                .entry(key)
-                                .or_insert_with(|| vec![0.0; experts]);
-                            dist[tok.primary(layer + 1) as usize] += 1.0;
+                        let next = tok.primary(layer + 1) as usize;
+                        let code = tok.path_code(layer, path_length, experts);
+                        for (per_layer, &radix) in tables.iter_mut().zip(&radix) {
+                            per_layer[layer].count(code % radix, next, experts);
                         }
                     }
                 }
             }
         }
-        let tables = counts
-            .into_iter()
-            .map(|per_layer| {
-                per_layer
-                    .into_iter()
-                    .map(|m| {
-                        m.into_iter()
-                            .map(|(k, mut dist)| {
-                                let total: f64 = dist.iter().sum();
-                                if total > 0.0 {
-                                    for v in &mut dist {
-                                        *v /= total;
-                                    }
-                                }
-                                (k, dist)
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        let marginals = marginal_counts
-            .into_iter()
-            .map(|mut dist| {
-                let total: f64 = dist.iter().sum();
-                if total > 0.0 {
-                    for v in &mut dist {
-                        *v /= total;
-                    }
-                }
-                dist
-            })
-            .collect();
+        for table in tables.iter_mut().flatten() {
+            table.normalize(experts);
+        }
+        for dist in &mut marginals {
+            normalize(dist);
+        }
         PopularityEstimator {
             path_length,
             experts,
             layers,
+            radix,
             tables,
             marginals,
         }
@@ -125,16 +190,19 @@ impl PopularityEstimator {
     pub fn paths_at(&self, layer: usize) -> usize {
         self.tables[self.path_length - 1]
             .get(layer)
-            .map_or(0, BTreeMap::len)
+            .map_or(0, |t| t.rows.len())
     }
 
     /// `Ψ_j^{layer+1}` for the token's observed path up to `layer`.
     /// Unseen full-length paths back off to progressively shorter
     /// suffixes, and finally to the layer marginal.
     pub fn next_layer_distribution(&self, token: &TokenPath, layer: usize) -> &[f64] {
+        let code = token.path_code(layer, self.path_length, self.experts);
         for len in (1..=self.path_length).rev() {
-            let key = token.path_suffix(layer, len);
-            if let Some(dist) = self.tables[len - 1].get(layer).and_then(|t| t.get(&key)) {
+            let dist = self.tables[len - 1]
+                .get(layer)
+                .and_then(|t| t.get(code % self.radix[len - 1], self.experts));
+            if let Some(dist) = dist {
                 return dist;
             }
         }
@@ -155,9 +223,11 @@ impl PopularityEstimator {
         if tokens.is_empty() {
             return agg;
         }
+        let mut top = Vec::with_capacity(top_k.min(self.experts));
         for tok in tokens {
             let dist = self.next_layer_distribution(tok, layer);
-            for &e in top_indices(dist, top_k).iter() {
+            top_indices_into(dist, top_k, &mut top);
+            for &e in &top {
                 agg[e] += dist[e];
             }
         }
@@ -216,16 +286,29 @@ impl PopularityEstimator {
 
 /// Indices of the `k` largest entries (ties broken by lower index),
 /// ordered by descending value.
+///
+/// # Panics
+///
+/// Panics if any value is NaN.
 pub fn top_indices(values: &[f64], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| {
-        values[b]
-            .partial_cmp(&values[a])
-            .expect("finite popularity")
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k);
-    idx
+    let mut top = Vec::with_capacity(k.min(values.len()));
+    top_indices_into(values, k, &mut top);
+    top
+}
+
+/// [`top_indices`] into a reused buffer: an O(n·k) insertion selection.
+/// Scanning in index order and inserting only ahead of strictly smaller
+/// values keeps equal values in index order.
+fn top_indices_into(values: &[f64], k: usize, top: &mut Vec<usize>) {
+    top.clear();
+    for (i, &v) in values.iter().enumerate() {
+        assert!(!v.is_nan(), "finite popularity");
+        let pos = top.iter().position(|&j| v > values[j]).unwrap_or(top.len());
+        if pos < k {
+            top.truncate(k - 1);
+            top.insert(pos, i);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -233,9 +316,21 @@ mod tests {
     use super::*;
     use lina_workload::{Mode, TokenSource, WorkloadSpec};
 
+    fn source() -> TokenSource {
+        TokenSource::new(&WorkloadSpec::enwik8(16, 12), 1, 7)
+    }
+
+    /// Two small training batches from [`source`].
+    fn two_batches() -> (TokenBatch, TokenBatch) {
+        let mut src = source();
+        (
+            src.sample_batch(16, 4, Mode::Train),
+            src.sample_batch(16, 4, Mode::Train),
+        )
+    }
+
     fn profiled(l: usize) -> (PopularityEstimator, TokenSource) {
-        let spec = WorkloadSpec::enwik8(16, 12);
-        let mut src = TokenSource::new(&spec, 1, 7);
+        let mut src = source();
         let batches: Vec<TokenBatch> = (0..8)
             .map(|_| src.sample_batch(16, 512, Mode::Train))
             .collect();
@@ -247,23 +342,68 @@ mod tests {
         assert_eq!(top_indices(&[0.1, 0.5, 0.3], 2), vec![1, 2]);
         assert_eq!(top_indices(&[0.5, 0.5], 1), vec![0]);
         assert_eq!(top_indices(&[1.0], 5), vec![0]);
+        assert_eq!(top_indices(&[0.2, 0.7, 0.2, 0.7], 3), vec![1, 3, 0]);
+        assert!(top_indices(&[0.3, 0.1], 0).is_empty());
     }
 
     #[test]
     fn distributions_are_normalized() {
         let (est, _) = profiled(3);
-        for per_layer in &est.tables {
-            for layer_tables in per_layer {
-                for dist in layer_tables.values() {
-                    let total: f64 = dist.iter().sum();
-                    assert!((total - 1.0).abs() < 1e-9, "sum {total}");
-                }
+        for table in est.tables.iter().flatten() {
+            assert_eq!(table.dists.len(), table.rows.len() * est.experts);
+            for dist in table.dists.chunks_exact(est.experts) {
+                let total: f64 = dist.iter().sum();
+                assert!((total - 1.0).abs() < 1e-9, "sum {total}");
             }
         }
         for m in &est.marginals {
             let total: f64 = m.iter().sum();
             assert!((total - 1.0).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows a u64 path code")]
+    fn overflowing_path_code_panics() {
+        let batch = TokenBatch {
+            tokens: vec![TokenPath {
+                class: 0,
+                selections: vec![vec![0]; 20],
+            }],
+            devices: 1,
+            experts: 1 << 16,
+        };
+        PopularityEstimator::profile(&[batch], 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "first batch has no tokens")]
+    fn empty_first_batch_panics() {
+        let (mut empty, full) = two_batches();
+        empty.tokens.clear();
+        PopularityEstimator::profile(&[empty, full], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch expert count differs")]
+    fn mismatched_expert_count_panics() {
+        let (first, mut other) = two_batches();
+        other.experts = 8;
+        PopularityEstimator::profile(&[first, other], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "token layer count differs")]
+    fn mismatched_layer_count_panics() {
+        let (first, mut other) = two_batches();
+        other.tokens[1].selections.pop();
+        PopularityEstimator::profile(&[first, other], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite popularity")]
+    fn top_indices_panics_on_nan() {
+        top_indices(&[0.2, f64::NAN, 0.1], 1);
     }
 
     #[test]

@@ -29,11 +29,23 @@ impl TokenPath {
         self.selections[layer][0]
     }
 
-    /// The expert-id path suffix `(layer - l + 1 ..= layer)` of primary
-    /// selections, used as the estimator's sample-path key.
-    pub fn path_suffix(&self, layer: usize, l: usize) -> Vec<u16> {
-        let start = (layer + 1).saturating_sub(l);
-        (start..=layer).map(|i| self.primary(i)).collect()
+    /// The estimator's sample-path key: the primary selections of layers
+    /// `layer - len + 1 ..= layer` (from layer 0 when `layer + 1 < len`)
+    /// packed as base-`experts` digits, oldest most significant, i.e.
+    /// `Σ primary(i) · experts^(layer - i)`. Codes of suffixes of equal
+    /// length are unique, and the code of a suffix of length `k < len` is
+    /// this code modulo `experts^k`. The caller keeps `experts^len` within
+    /// `u64`.
+    pub fn path_code(&self, layer: usize, len: usize, experts: usize) -> u64 {
+        let start = (layer + 1).saturating_sub(len);
+        (start..=layer).fold(0, |code, i| {
+            let e = self.primary(i);
+            debug_assert!(
+                usize::from(e) < experts,
+                "path_code: expert {e} >= {experts}"
+            );
+            code * experts as u64 + u64::from(e)
+        })
     }
 }
 
@@ -292,15 +304,21 @@ mod tests {
     }
 
     #[test]
-    fn paths_and_suffixes() {
+    fn paths_and_codes() {
         let tok = TokenPath {
             class: 0,
             selections: vec![vec![3], vec![7], vec![1], vec![4]],
         };
         assert_eq!(tok.primary(2), 1);
-        assert_eq!(tok.path_suffix(3, 2), vec![1, 4]);
-        assert_eq!(tok.path_suffix(3, 10), vec![3, 7, 1, 4]);
-        assert_eq!(tok.path_suffix(0, 3), vec![3]);
+        assert_eq!(tok.path_code(3, 2, 10), 14);
+        assert_eq!(tok.path_code(3, 2, 16), 16 + 4);
+        assert_eq!(tok.path_code(3, 4, 10), 3714);
+        // Suffixes reaching before layer 0 stop there.
+        assert_eq!(tok.path_code(3, 10, 10), 3714);
+        assert_eq!(tok.path_code(0, 3, 10), 3);
+        assert_eq!(tok.path_code(1, 3, 10), 37);
+        // A shorter suffix is the low digits of a longer one.
+        assert_eq!(tok.path_code(3, 4, 8) % 8u64.pow(3), tok.path_code(3, 3, 8));
     }
 
     #[test]
