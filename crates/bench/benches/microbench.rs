@@ -14,7 +14,9 @@ use lina_model::{
     assign_replicas, balanced_routing, build_train_step, BatchShape, CostModel, DeviceSpec,
     ExpertPlacement, LayerRouting, MoeModelConfig,
 };
-use lina_netsim::{max_min_rates, AllToAllAlgo, ClusterSpec, CollectiveSpec, FlowDemand, Topology};
+use lina_netsim::{
+    max_min_rates, AllToAllAlgo, ClusterSpec, CollectiveSpec, FlowDemand, SoloTimer, Topology,
+};
 use lina_runner::{execute, train::solo_collective_time};
 use lina_workload::{Mode, TokenBatch, TokenSource, WorkloadSpec};
 
@@ -68,6 +70,30 @@ fn bench_collectives() {
             solo_collective_time(&topo, &spec)
         });
     }
+    // The serving shape: a flat all-to-all over 2 nodes x 4 GPUs with
+    // skewed per-pair sizes, priced on one reused timer.
+    let topo = Topology::new(ClusterSpec::with_total_gpus(8));
+    let participants: Vec<_> = topo.device_ids().collect();
+    let sizes: Vec<Vec<f64>> = (0..8)
+        .map(|i| {
+            (0..8)
+                .map(|j| {
+                    if i == j {
+                        0.0
+                    } else {
+                        2e5 * (1 + (3 * i + 5 * j) % 7) as f64
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let spec = CollectiveSpec::AllToAll {
+        participants,
+        sizes,
+        algo: AllToAllAlgo::Flat,
+    };
+    let mut timer = SoloTimer::new(&topo);
+    bench("solo/a2a_8gpu_unequal", || timer.time(&spec));
 }
 
 fn bench_placement() {

@@ -477,7 +477,11 @@ impl CollectiveEngine {
         let mut done = Vec::new();
         while self.active() > 0 {
             let Some(next) = self.next_event() else { break };
-            // Step slightly past the event to process completions.
+            // Step slightly past the event to process completions. This
+            // gives every completion a 1 ns drain segment of its own on
+            // the network; that segment is part of the pinned arithmetic
+            // (solo prices and golden digests depend on it), so it must
+            // not be optimised away.
             done.extend(self.advance_to(next + SimDuration::from_nanos(1)));
         }
         done

@@ -12,13 +12,18 @@
 //! The owner drives the simulation with [`Network::next_event`] /
 //! [`Network::advance_to`]; completions are reported with the tag the
 //! flow was started with.
+//!
+//! Active flows live in one `Vec` in id order (ids only grow, so a new
+//! flow is pushed at the end and removal keeps the order). Rates come
+//! from a `FairShare` solver owned by the network whose buffers are
+//! reused across every recompute, and the answer of
+//! [`Network::next_event`] is cached until the next mutation.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use lina_simcore::{SimDuration, SimTime};
 
-use crate::fairshare::{max_min_rates, FlowDemand};
+use crate::fairshare::FairShare;
 use crate::topology::{DeviceId, Topology};
 
 /// Identifies an active flow.
@@ -51,6 +56,7 @@ enum Phase {
 
 #[derive(Clone, Debug)]
 struct ActiveFlow {
+    id: FlowId,
     links: Vec<u32>,
     weight: f64,
     phase: Phase,
@@ -85,13 +91,17 @@ pub struct NetStats {
 pub struct Network {
     topo: Arc<Topology>,
     now: SimTime,
-    flows: BTreeMap<FlowId, ActiveFlow>,
+    /// Active flows, in ascending id order.
+    flows: Vec<ActiveFlow>,
     next_id: u64,
     rates_valid: bool,
+    /// Memoized [`Network::next_event`] answer; `None` when stale.
+    next_event: Option<Option<SimTime>>,
     stats: NetStats,
     /// Multiplier applied to every link capacity (fault injection:
     /// 1.0 = healthy, < 1.0 = degraded NIC/NVLink bandwidth).
     capacity_scale: f64,
+    solver: FairShare,
 }
 
 impl Network {
@@ -107,11 +117,13 @@ impl Network {
         Network {
             topo,
             now: SimTime::ZERO,
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
             next_id: 0,
             rates_valid: true,
+            next_event: None,
             stats: NetStats::default(),
             capacity_scale: 1.0,
+            solver: FairShare::default(),
         }
     }
 
@@ -135,7 +147,7 @@ impl Network {
         );
         if scale != self.capacity_scale {
             self.capacity_scale = scale;
-            self.rates_valid = false;
+            self.invalidate();
         }
     }
 
@@ -144,7 +156,7 @@ impl Network {
     /// failed. Time does not advance.
     pub fn cancel_all_flows(&mut self) {
         self.flows.clear();
-        self.rates_valid = false;
+        self.invalidate();
     }
 
     /// Cancels every active flow carrying `tag` without completing it
@@ -153,10 +165,17 @@ impl Network {
     /// freed bandwidth from the current instant onward.
     pub fn cancel_flows_with_tag(&mut self, tag: u64) {
         let before = self.flows.len();
-        self.flows.retain(|_, f| f.tag != tag);
+        self.flows.retain(|f| f.tag != tag);
         if self.flows.len() != before {
-            self.rates_valid = false;
+            self.invalidate();
         }
+    }
+
+    /// Marks the rates and the next-event answer stale after a change
+    /// to the flow set or the capacities.
+    fn invalidate(&mut self) {
+        self.rates_valid = false;
+        self.next_event = None;
     }
 
     /// The topology.
@@ -201,21 +220,19 @@ impl Network {
         let latency = self.topo.latency(spec.src, spec.dst) + spec.extra_latency;
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        self.flows.insert(
+        self.flows.push(ActiveFlow {
             id,
-            ActiveFlow {
-                links,
-                weight: spec.weight,
-                phase: Phase::Latency { left: latency },
-                total: spec.bytes,
-                remaining: spec.bytes,
-                rate: 0.0,
-                tag: spec.tag,
-            },
-        );
+            links,
+            weight: spec.weight,
+            phase: Phase::Latency { left: latency },
+            total: spec.bytes,
+            remaining: spec.bytes,
+            rate: 0.0,
+            tag: spec.tag,
+        });
         // A flow in its latency phase does not change rates yet, but
         // handling it lazily keeps the logic uniform.
-        self.rates_valid = false;
+        self.invalidate();
         id
     }
 
@@ -223,35 +240,16 @@ impl Network {
         if self.rates_valid {
             return;
         }
-        let transferring: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| f.phase == Phase::Transfer)
-            .map(|(&id, _)| id)
-            .collect();
-        let demands: Vec<FlowDemand<'_>> = transferring
-            .iter()
-            .map(|id| {
-                let f = &self.flows[id];
-                FlowDemand {
-                    weight: f.weight,
-                    links: &f.links,
-                }
-            })
-            .collect();
-        let rates = if self.capacity_scale == 1.0 {
-            max_min_rates(self.topo.link_capacities(), &demands)
-        } else {
-            let scaled: Vec<f64> = self
-                .topo
-                .link_capacities()
-                .iter()
-                .map(|c| c * self.capacity_scale)
-                .collect();
-            max_min_rates(&scaled, &demands)
-        };
-        for (id, rate) in transferring.into_iter().zip(rates) {
-            self.flows.get_mut(&id).expect("flow exists").rate = rate;
+        let transferring = |f: &&mut ActiveFlow| f.phase == Phase::Transfer;
+        self.solver.clear();
+        for f in self.flows.iter_mut().filter(transferring) {
+            self.solver.push_flow(f.weight, &f.links);
+        }
+        let rates = self
+            .solver
+            .solve(self.topo.link_capacities(), self.capacity_scale);
+        for (f, &rate) in self.flows.iter_mut().filter(transferring).zip(rates) {
+            f.rate = rate;
         }
         self.rates_valid = true;
     }
@@ -260,9 +258,12 @@ impl Network {
     /// expires or a flow completes), or `None` if no active flow can make
     /// progress.
     pub fn next_event(&mut self) -> Option<SimTime> {
+        if let Some(cached) = self.next_event {
+            return cached;
+        }
         self.recompute_rates();
         let mut earliest: Option<SimTime> = None;
-        for f in self.flows.values() {
+        for f in &self.flows {
             let t = match &f.phase {
                 Phase::Latency { left } => self.now + *left,
                 Phase::Transfer => {
@@ -285,6 +286,7 @@ impl Network {
                 Some(e) => e.min(t),
             });
         }
+        self.next_event = Some(earliest);
         earliest
     }
 
@@ -299,7 +301,6 @@ impl Network {
         assert!(t >= self.now, "advance_to: time going backwards");
         let mut done = Vec::new();
         while self.now < t {
-            self.recompute_rates();
             let seg_end = match self.next_event() {
                 Some(e) if e < t => e,
                 _ => t,
@@ -307,18 +308,19 @@ impl Network {
             let dt = seg_end - self.now;
             let dt_secs = dt.as_secs_f64();
             let mut transitioned = false;
-            let mut completed: Vec<FlowId> = Vec::new();
-            for (&id, f) in self.flows.iter_mut() {
-                match &mut f.phase {
+            let stats = &mut self.stats;
+            // One pass in id order: drain every flow over the segment and
+            // drop the ones that finished, reporting them in id order.
+            self.flows.retain_mut(|f| {
+                let finished = match &mut f.phase {
                     Phase::Latency { left } => {
                         if *left <= dt {
                             f.phase = Phase::Transfer;
                             transitioned = true;
-                            if f.links.is_empty() || f.remaining <= 0.0 {
-                                completed.push(id);
-                            }
+                            f.links.is_empty() || f.remaining <= 0.0
                         } else {
                             *left -= dt;
+                            false
                         }
                     }
                     Phase::Transfer => {
@@ -330,28 +332,27 @@ impl Network {
                         // Tolerate sub-nanosecond rounding: anything the
                         // current rate would drain in 2ns counts as done.
                         let eps = f.rate * 2e-9 + 1e-9;
-                        if f.remaining <= eps {
-                            completed.push(id);
-                        }
+                        f.remaining <= eps
                     }
-                }
-            }
-            self.now = seg_end;
-            if !completed.is_empty() {
-                transitioned = true;
-                for id in completed {
-                    let f = self.flows.remove(&id).expect("completed flow exists");
-                    self.stats.flows_completed += 1;
+                };
+                if finished {
+                    transitioned = true;
+                    stats.flows_completed += 1;
                     // `remaining` may be a few bytes short of zero; count
                     // the full payload as delivered.
-                    self.stats.bytes_delivered += f.total;
+                    stats.bytes_delivered += f.total;
                     done.push(FlowDone {
-                        id,
+                        id: f.id,
                         tag: f.tag,
-                        at: self.now,
+                        at: seg_end,
                     });
                 }
-            }
+                !finished
+            });
+            self.now = seg_end;
+            // Every flow moved, so the cached next event is stale even
+            // when the flow set (and so the rates) did not change.
+            self.next_event = None;
             if transitioned {
                 self.rates_valid = false;
             }
@@ -377,9 +378,10 @@ impl Network {
     /// Current rate of a flow in bytes/s (0 during the latency phase).
     pub fn flow_rate(&mut self, id: FlowId) -> Option<f64> {
         self.recompute_rates();
-        self.flows.get(&id).map(|f| match f.phase {
+        let i = self.flows.binary_search_by_key(&id, |f| f.id).ok()?;
+        Some(match self.flows[i].phase {
             Phase::Latency { .. } => 0.0,
-            Phase::Transfer => f.rate,
+            Phase::Transfer => self.flows[i].rate,
         })
     }
 }

@@ -1,12 +1,16 @@
-//! Closed-form "solo" collective pricing.
+//! "Solo" collective pricing: one collective alone on an idle network.
 //!
 //! Many drivers want the duration a collective would take if it ran
 //! *alone* on the wire — the paper's inference model prices every
 //! all-to-all this way, and the training metrics use it as the
-//! no-contention baseline. Building a fresh [`Network`] (and cloning
-//! the [`Topology`] inside it) per query is wasteful in hot loops that
-//! price one collective per layer per batch, so [`SoloTimer`] clones
-//! the topology once and replays every query on the same engine.
+//! no-contention baseline. There is no closed form: [`SoloTimer`]
+//! replays the collective through the same fluid event loop
+//! ([`CollectiveEngine`] over [`Network`]) that prices contended runs,
+//! so solo and contended prices come from one engine. Building a fresh
+//! [`Network`] (and cloning the [`Topology`] inside it) per query is
+//! wasteful in hot loops that price one collective per layer per
+//! batch, so [`SoloTimer`] clones the topology once and replays every
+//! query on the same engine.
 //!
 //! Reuse is exact, not approximate: all flow arithmetic in
 //! [`Network`] is duration-based (segment lengths, byte drains, and
@@ -58,19 +62,24 @@ impl SoloTimer {
         self.engine.network_mut().set_capacity_scale(scale);
     }
 
-    /// Duration of `spec` run alone on the idle network (zero for a
-    /// collective that moves no bytes and has no participants).
+    /// Duration of `spec` run alone on the idle network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the collective can never finish (a flow on its path
+    /// crosses a zero-capacity link).
     pub fn time(&mut self, spec: &CollectiveSpec) -> SimDuration {
-        debug_assert_eq!(
+        assert_eq!(
             self.engine.active(),
             0,
             "SoloTimer: engine must be idle between queries"
         );
         self.engine.start(spec, 0);
         let done = self.engine.run_to_idle();
-        done.first()
-            .map(|d| d.at - d.started)
-            .unwrap_or(SimDuration::ZERO)
+        let Some(d) = done.first() else {
+            panic!("SoloTimer: collective never finishes (zero-capacity link on its path)")
+        };
+        d.at - d.started
     }
 }
 
@@ -127,6 +136,19 @@ mod tests {
                 assert_eq!(reused, once, "round {round}, spec {i}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "collective never finishes")]
+    fn stalled_collective_panics() {
+        let mut spec = ClusterSpec::paper_testbed();
+        spec.nic_bw = 0.0;
+        let mut timer = SoloTimer::new(&Topology::new(spec));
+        timer.time(&CollectiveSpec::Send {
+            src: DeviceId(0),
+            dst: DeviceId(4),
+            bytes: 1e6,
+        });
     }
 
     #[test]

@@ -1,0 +1,507 @@
+//! Differential test of the flow-level network against a reference.
+//!
+//! `oracle` below is a test-local copy of the textbook implementation:
+//! a `BTreeMap` flow table re-collected on every recompute and an
+//! allocating water-filling loop that scans every link for each
+//! bottleneck and every flow for each freeze. The production
+//! `Network` keeps a flat id-ordered flow table, a reused solver with a
+//! link -> flow index and a cached next event; these tests drive both
+//! through the same seeded scripts and require every observable to be
+//! the same bits.
+
+use lina::netsim::{
+    max_min_rates, ClusterSpec, DeviceId, FlowDemand, FlowDone, FlowId, FlowSpec, Network, Topology,
+};
+use lina::simcore::{Rng, SimDuration, SimTime};
+
+mod oracle {
+    use std::collections::BTreeMap;
+
+    use super::*;
+
+    pub fn max_min_rates(capacities: &[f64], flows: &[(f64, &[u32])]) -> Vec<f64> {
+        let n = flows.len();
+        let mut rates = vec![0.0f64; n];
+        let mut frozen = vec![false; n];
+        for (i, f) in flows.iter().enumerate() {
+            if f.1.is_empty() {
+                rates[i] = f64::INFINITY;
+                frozen[i] = true;
+            }
+        }
+        let mut remaining: Vec<f64> = capacities.to_vec();
+        let mut link_weight = vec![0.0f64; capacities.len()];
+        for (i, f) in flows.iter().enumerate() {
+            if !frozen[i] {
+                for &l in f.1 {
+                    link_weight[l as usize] += f.0;
+                }
+            }
+        }
+        loop {
+            let mut bottleneck: Option<(usize, f64)> = None;
+            for (l, &w) in link_weight.iter().enumerate() {
+                if w > 1e-12 {
+                    let level = remaining[l] / w;
+                    match bottleneck {
+                        Some((_, best)) if level >= best => {}
+                        _ => bottleneck = Some((l, level)),
+                    }
+                }
+            }
+            let Some((bl, level)) = bottleneck else { break };
+            let level = level.max(0.0);
+            for (i, f) in flows.iter().enumerate() {
+                if frozen[i] || !f.1.contains(&(bl as u32)) {
+                    continue;
+                }
+                let rate = f.0 * level;
+                rates[i] = rate;
+                frozen[i] = true;
+                for &l in f.1 {
+                    remaining[l as usize] = (remaining[l as usize] - rate).max(0.0);
+                    link_weight[l as usize] -= f.0;
+                }
+            }
+            link_weight[bl] = link_weight[bl].max(0.0);
+        }
+        rates
+    }
+
+    #[derive(Clone, Debug, PartialEq)]
+    enum Phase {
+        Latency { left: SimDuration },
+        Transfer,
+    }
+
+    struct ActiveFlow {
+        links: Vec<u32>,
+        weight: f64,
+        phase: Phase,
+        total: f64,
+        remaining: f64,
+        rate: f64,
+        tag: u64,
+    }
+
+    pub struct Network {
+        topo: Topology,
+        now: SimTime,
+        flows: BTreeMap<FlowId, ActiveFlow>,
+        next_id: u64,
+        rates_valid: bool,
+        pub flows_completed: u64,
+        pub bytes_delivered: f64,
+        capacity_scale: f64,
+    }
+
+    impl Network {
+        pub fn new(topo: Topology) -> Self {
+            Network {
+                topo,
+                now: SimTime::ZERO,
+                flows: BTreeMap::new(),
+                next_id: 0,
+                rates_valid: true,
+                flows_completed: 0,
+                bytes_delivered: 0.0,
+                capacity_scale: 1.0,
+            }
+        }
+
+        pub fn set_capacity_scale(&mut self, scale: f64) {
+            if scale != self.capacity_scale {
+                self.capacity_scale = scale;
+                self.rates_valid = false;
+            }
+        }
+
+        pub fn cancel_all_flows(&mut self) {
+            self.flows.clear();
+            self.rates_valid = false;
+        }
+
+        pub fn cancel_flows_with_tag(&mut self, tag: u64) {
+            let before = self.flows.len();
+            self.flows.retain(|_, f| f.tag != tag);
+            if self.flows.len() != before {
+                self.rates_valid = false;
+            }
+        }
+
+        pub fn now(&self) -> SimTime {
+            self.now
+        }
+
+        pub fn active_flows(&self) -> usize {
+            self.flows.len()
+        }
+
+        pub fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
+            let links: Vec<u32> = self
+                .topo
+                .path(spec.src, spec.dst)
+                .iter()
+                .map(|l| l.0)
+                .collect();
+            let latency = self.topo.latency(spec.src, spec.dst) + spec.extra_latency;
+            let id = FlowId(self.next_id);
+            self.next_id += 1;
+            self.flows.insert(
+                id,
+                ActiveFlow {
+                    links,
+                    weight: spec.weight,
+                    phase: Phase::Latency { left: latency },
+                    total: spec.bytes,
+                    remaining: spec.bytes,
+                    rate: 0.0,
+                    tag: spec.tag,
+                },
+            );
+            self.rates_valid = false;
+            id
+        }
+
+        fn recompute_rates(&mut self) {
+            if self.rates_valid {
+                return;
+            }
+            let transferring: Vec<FlowId> = self
+                .flows
+                .iter()
+                .filter(|(_, f)| f.phase == Phase::Transfer)
+                .map(|(&id, _)| id)
+                .collect();
+            let demands: Vec<(f64, &[u32])> = transferring
+                .iter()
+                .map(|id| {
+                    let f = &self.flows[id];
+                    (f.weight, f.links.as_slice())
+                })
+                .collect();
+            let rates = if self.capacity_scale == 1.0 {
+                max_min_rates(self.topo.link_capacities(), &demands)
+            } else {
+                let scaled: Vec<f64> = self
+                    .topo
+                    .link_capacities()
+                    .iter()
+                    .map(|c| c * self.capacity_scale)
+                    .collect();
+                max_min_rates(&scaled, &demands)
+            };
+            for (id, rate) in transferring.into_iter().zip(rates) {
+                self.flows.get_mut(&id).expect("flow exists").rate = rate;
+            }
+            self.rates_valid = true;
+        }
+
+        pub fn next_event(&mut self) -> Option<SimTime> {
+            self.recompute_rates();
+            let mut earliest: Option<SimTime> = None;
+            for f in self.flows.values() {
+                let t = match &f.phase {
+                    Phase::Latency { left } => self.now + *left,
+                    Phase::Transfer => {
+                        if f.remaining <= 0.0 || f.rate.is_infinite() {
+                            self.now
+                        } else if f.rate > 0.0 {
+                            self.now
+                                + SimDuration::from_secs_f64(f.remaining / f.rate)
+                                + SimDuration::from_nanos(1)
+                        } else {
+                            continue;
+                        }
+                    }
+                };
+                earliest = Some(match earliest {
+                    None => t,
+                    Some(e) => e.min(t),
+                });
+            }
+            earliest
+        }
+
+        pub fn advance_to(&mut self, t: SimTime) -> Vec<FlowDone> {
+            let mut done = Vec::new();
+            while self.now < t {
+                self.recompute_rates();
+                let seg_end = match self.next_event() {
+                    Some(e) if e < t => e,
+                    _ => t,
+                };
+                let dt = seg_end - self.now;
+                let dt_secs = dt.as_secs_f64();
+                let mut transitioned = false;
+                let mut completed: Vec<FlowId> = Vec::new();
+                for (&id, f) in self.flows.iter_mut() {
+                    match &mut f.phase {
+                        Phase::Latency { left } => {
+                            if *left <= dt {
+                                f.phase = Phase::Transfer;
+                                transitioned = true;
+                                if f.links.is_empty() || f.remaining <= 0.0 {
+                                    completed.push(id);
+                                }
+                            } else {
+                                *left -= dt;
+                            }
+                        }
+                        Phase::Transfer => {
+                            if f.rate.is_infinite() {
+                                f.remaining = 0.0;
+                            } else {
+                                f.remaining -= f.rate * dt_secs;
+                            }
+                            let eps = f.rate * 2e-9 + 1e-9;
+                            if f.remaining <= eps {
+                                completed.push(id);
+                            }
+                        }
+                    }
+                }
+                self.now = seg_end;
+                if !completed.is_empty() {
+                    transitioned = true;
+                    for id in completed {
+                        let f = self.flows.remove(&id).expect("completed flow exists");
+                        self.flows_completed += 1;
+                        self.bytes_delivered += f.total;
+                        done.push(FlowDone {
+                            id,
+                            tag: f.tag,
+                            at: self.now,
+                        });
+                    }
+                }
+                if transitioned {
+                    self.rates_valid = false;
+                }
+            }
+            done
+        }
+
+        pub fn flow_rate(&mut self, id: FlowId) -> Option<f64> {
+            self.recompute_rates();
+            self.flows.get(&id).map(|f| match f.phase {
+                Phase::Latency { .. } => 0.0,
+                Phase::Transfer => f.rate,
+            })
+        }
+    }
+}
+
+/// Both networks side by side, with every live flow id.
+struct Pair {
+    net: Network,
+    oracle: oracle::Network,
+    live: Vec<FlowId>,
+    devices: u32,
+}
+
+impl Pair {
+    fn new(spec: ClusterSpec) -> Self {
+        let devices = spec.total_devices() as u32;
+        Pair {
+            net: Network::new(Topology::new(spec.clone())),
+            oracle: oracle::Network::new(Topology::new(spec)),
+            live: Vec::new(),
+            devices,
+        }
+    }
+
+    /// Asserts every observable is the same bits on both sides.
+    fn check(&mut self, what: &str) {
+        assert_eq!(self.net.now(), self.oracle.now(), "{what}: now");
+        assert_eq!(
+            self.net.next_event(),
+            self.oracle.next_event(),
+            "{what}: next_event"
+        );
+        assert_eq!(
+            self.net.active_flows(),
+            self.oracle.active_flows(),
+            "{what}: active_flows"
+        );
+        for &id in &self.live {
+            let a = self.net.flow_rate(id).map(f64::to_bits);
+            let b = self.oracle.flow_rate(id).map(f64::to_bits);
+            assert_eq!(a, b, "{what}: flow_rate({id:?})");
+        }
+        let stats = self.net.stats();
+        assert_eq!(
+            stats.flows_completed, self.oracle.flows_completed,
+            "{what}: flows_completed"
+        );
+        assert_eq!(
+            stats.bytes_delivered.to_bits(),
+            self.oracle.bytes_delivered.to_bits(),
+            "{what}: bytes_delivered"
+        );
+    }
+
+    fn advance_to(&mut self, t: SimTime, what: &str) {
+        let a = self.net.advance_to(t);
+        let b = self.oracle.advance_to(t);
+        assert_eq!(a, b, "{what}: completions");
+        self.live.retain(|id| !a.iter().any(|d| d.id == *id));
+    }
+
+    fn random_flow(&mut self, rng: &mut Rng) {
+        let src = rng.below(self.devices as u64) as u32;
+        // One flow in eight is a loopback copy.
+        let dst = if rng.bernoulli(0.125) {
+            src
+        } else {
+            rng.below(self.devices as u64) as u32
+        };
+        let bytes = match rng.index(5) {
+            0 => 0.0,
+            1 => rng.uniform(1.0, 1e4),
+            _ => rng.uniform(1e5, 4e7),
+        };
+        let weight = *rng
+            .choose(&[1.0, 0.25, 1.0 / 3.0, 1.0 / 7.0, 2.5, 0.1])
+            .expect("non-empty");
+        let extra_latency = if rng.bernoulli(0.3) {
+            SimDuration::from_nanos(rng.range_inclusive(1, 50_000))
+        } else {
+            SimDuration::ZERO
+        };
+        let spec = FlowSpec {
+            src: DeviceId(src),
+            dst: DeviceId(dst),
+            bytes,
+            weight,
+            extra_latency,
+            tag: rng.below(6),
+        };
+        let a = self.net.start_flow(spec.clone());
+        let b = self.oracle.start_flow(spec);
+        assert_eq!(a, b, "flow ids");
+        self.live.push(a);
+    }
+}
+
+/// Runs one seeded script: staggered bursts of flows, partial and
+/// event-exact advances, capacity changes and cancellations, then a
+/// drain to idle.
+fn run_script(spec: ClusterSpec, seed: u64) {
+    let mut rng = Rng::new(seed);
+    let mut p = Pair::new(spec);
+    for step in 0..400 {
+        let what = format!("seed {seed} step {step}");
+        match rng.index(20) {
+            0..=6 => {
+                for _ in 0..1 + rng.index(12) {
+                    p.random_flow(&mut rng);
+                }
+            }
+            7..=10 => {
+                if let Some(t) = p.net.next_event() {
+                    p.advance_to(t, &what);
+                }
+            }
+            11..=13 => {
+                // Overshoot the next event by up to 1 ns, as the
+                // collective engine does, or stop well short of it.
+                if let Some(t) = p.net.next_event() {
+                    let t = t + SimDuration::from_nanos(rng.below(2));
+                    p.advance_to(t, &what);
+                }
+            }
+            14..=15 => {
+                let t = p.net.now() + SimDuration::from_nanos(rng.range_inclusive(0, 3_000_000));
+                p.advance_to(t, &what);
+            }
+            16 => {
+                let scale = *rng.choose(&[1.0, 0.5, 0.25, 0.8]).expect("non-empty");
+                p.net.set_capacity_scale(scale);
+                p.oracle.set_capacity_scale(scale);
+            }
+            17..=18 => {
+                let tag = rng.below(6);
+                p.net.cancel_flows_with_tag(tag);
+                p.oracle.cancel_flows_with_tag(tag);
+                // Cancelled flows are gone on both sides: flow_rate
+                // reports `None` for them, which the check compares.
+            }
+            _ => {
+                if rng.bernoulli(0.2) {
+                    p.net.cancel_all_flows();
+                    p.oracle.cancel_all_flows();
+                }
+            }
+        }
+        p.check(&what);
+    }
+    let mut drains = 0;
+    while let Some(t) = p.net.next_event() {
+        p.advance_to(t + SimDuration::from_nanos(1), "drain");
+        p.check("drain");
+        drains += 1;
+        assert!(drains < 100_000, "seed {seed}: drain does not terminate");
+    }
+    assert_eq!(p.oracle.next_event(), None);
+}
+
+#[test]
+fn network_matches_the_reference_on_eight_gpus() {
+    for seed in 0..12 {
+        run_script(ClusterSpec::with_total_gpus(8), seed);
+    }
+}
+
+#[test]
+fn network_matches_the_reference_on_the_paper_testbed() {
+    for seed in 100..112 {
+        run_script(ClusterSpec::paper_testbed(), seed);
+    }
+}
+
+#[test]
+fn max_min_rates_matches_the_reference() {
+    let mut rng = Rng::new(42);
+    for problem in 0..2000 {
+        let links = 1 + rng.index(24);
+        let caps: Vec<f64> = (0..links)
+            .map(|_| match rng.index(8) {
+                0 => 0.0,
+                1 => 12e9,
+                _ => rng.uniform(1e6, 2e11),
+            })
+            .collect();
+        // Paths may be empty and may repeat a link.
+        let paths: Vec<Vec<u32>> = (0..rng.index(64))
+            .map(|_| (0..rng.index(5)).map(|_| rng.index(links) as u32).collect())
+            .collect();
+        let weights: Vec<f64> = paths
+            .iter()
+            .map(|_| match rng.index(3) {
+                0 => 1.0,
+                1 => 1.0 / (1 + rng.index(16)) as f64,
+                _ => rng.uniform(0.01, 4.0),
+            })
+            .collect();
+        let demands: Vec<FlowDemand<'_>> = weights
+            .iter()
+            .zip(&paths)
+            .map(|(&weight, links)| FlowDemand { weight, links })
+            .collect();
+        let reference: Vec<(f64, &[u32])> = weights
+            .iter()
+            .zip(&paths)
+            .map(|(&w, p)| (w, p.as_slice()))
+            .collect();
+        let a: Vec<u64> = max_min_rates(&caps, &demands)
+            .into_iter()
+            .map(f64::to_bits)
+            .collect();
+        let b: Vec<u64> = oracle::max_min_rates(&caps, &reference)
+            .into_iter()
+            .map(f64::to_bits)
+            .collect();
+        assert_eq!(a, b, "problem {problem}");
+    }
+}
