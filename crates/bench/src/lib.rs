@@ -7,8 +7,7 @@
 //! [`lina_simcore::Report`] (plain-text tables plus named metrics).
 //! The `reproduce` binary drives the whole registry — `--list`,
 //! `--only <id>`, `--tier smoke|full`, `--threads N`, `--json <path>`
-//! — and every historical per-figure binary remains as a thin wrapper
-//! over its registry entry, printing the same stdout as always.
+//! — and `--only <id>` prints one scenario's banner and tables.
 //!
 //! Full-tier experiment sizes default to quick-but-representative
 //! settings and scale up via environment variables:
@@ -23,7 +22,7 @@
 pub mod scenario;
 pub mod scenarios;
 
-pub use scenario::{find, run_standalone, slug, Scenario, ScenarioCtx, Tier, REGISTRY};
+pub use scenario::{find, slug, Scenario, ScenarioCtx, Tier, REGISTRY};
 
 use lina_baselines::TrainScheme;
 use lina_core::{PopularityEstimator, TwoPhaseConfig, TwoPhaseScheduler};

@@ -20,7 +20,7 @@ pub enum Tier {
     /// CI and the `scenarios_smoke` integration test.
     Smoke,
     /// The historical full sizes (env-var scalable): every sweep point
-    /// the per-figure binaries have always run.
+    /// of the paper's figures. `reproduce`'s default.
     Full,
 }
 
@@ -359,20 +359,6 @@ pub const REGISTRY: &[Scenario] = &[
 /// Looks up a scenario by id.
 pub fn find(id: &str) -> Option<&'static Scenario> {
     REGISTRY.iter().find(|s| s.id == id)
-}
-
-/// Entry point for the thin per-figure wrapper binaries: runs the
-/// scenario at `Full` tier and reprints the historical stdout (banner,
-/// tables, notes).
-///
-/// # Panics
-///
-/// Panics if `id` is not registered.
-pub fn run_standalone(id: &str) {
-    let scenario = find(id).unwrap_or_else(|| panic!("unknown scenario id {id:?}"));
-    crate::banner(scenario.paper_ref, scenario.description);
-    let report = (scenario.run)(&ScenarioCtx::full());
-    print!("{}", report.render());
 }
 
 /// Lowercases a display name into a metric-friendly slug

@@ -146,6 +146,7 @@ struct PhasePlan {
     flows: Vec<(DeviceId, DeviceId, f64)>,
 }
 
+#[derive(Clone, Debug)]
 struct RunningCollective {
     phases: Vec<PhasePlan>,
     current: usize,
@@ -169,6 +170,7 @@ pub struct CollectiveDone {
 }
 
 /// Drives collectives over a [`Network`], handling phase transitions.
+#[derive(Clone, Debug)]
 pub struct CollectiveEngine {
     net: Network,
     running: BTreeMap<CollectiveId, RunningCollective>,

@@ -32,6 +32,7 @@ use crate::topology::Topology;
 /// The constructor clones the topology once; every
 /// [`SoloTimer::time`] call reuses the same engine, advancing its
 /// private clock past the finished collective.
+#[derive(Clone, Debug)]
 pub struct SoloTimer {
     engine: CollectiveEngine,
 }

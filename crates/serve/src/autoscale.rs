@@ -13,7 +13,11 @@
 //!   routable;
 //! * **scale-down** drains the least-loaded replica — it receives no
 //!   new requests but finishes its queued and in-flight work — and
-//!   decommissions it once idle.
+//!   decommissions it once idle; its cost stops accruing at the retire
+//!   instant ([`ClusterOutcome::replica_seconds`]).
+//!
+//! `max_replicas` is a hardware budget: draining and crashed replicas
+//! hold their slot until they retire.
 //!
 //! Two shipped policies bracket the design space, in the spirit of
 //! Lina's online popularity re-estimation (react to what you observe)
@@ -31,6 +35,8 @@
 //! is bit-reproducible like everything else in the crate — and an
 //! armed policy that never triggers leaves the event loop bit-identical
 //! to the fixed-replica engine.
+//!
+//! [`ClusterOutcome::replica_seconds`]: crate::ClusterOutcome::replica_seconds
 
 use std::collections::VecDeque;
 
@@ -433,6 +439,133 @@ impl AutoscaleConfig {
             min_replicas: replicas,
             max_replicas: replicas,
         }
+    }
+}
+
+/// One replica as a control tick sees it.
+pub(crate) enum PoolMember {
+    /// Up and taking admissions (still provisioning before
+    /// `ready_at`), with its undispatched requests and its queued plus
+    /// in-flight tokens.
+    Serving {
+        ready_at: SimTime,
+        queued_requests: usize,
+        outstanding_tokens: usize,
+    },
+    /// Draining toward decommission.
+    Draining,
+    /// Down or retired: outside the pool.
+    Out,
+}
+
+/// An armed autoscaler inside the cluster event loop: the policy, its
+/// tick clock, the arrival count it reads, and the actuation counters.
+/// The cluster commissions and drains replicas as the grants say.
+pub(crate) struct AutoscaleRuntime {
+    config: AutoscaleConfig,
+    policy: Box<dyn AutoscalePolicy>,
+    /// Next control tick.
+    pub(crate) next_at: SimTime,
+    /// First-arrival admissions since the previous tick.
+    arrived: usize,
+    provision_time: SimDuration,
+    batch_tokens: usize,
+    per_replica_capacity: f64,
+    pub(crate) scale_ups: usize,
+    pub(crate) scale_downs: usize,
+    /// Peak concurrently commissioned (not yet retired) replicas.
+    pub(crate) peak_replicas: usize,
+}
+
+impl AutoscaleRuntime {
+    pub(crate) fn new(
+        config: &AutoscaleConfig,
+        replicas: usize,
+        provision_time: SimDuration,
+        batch_tokens: usize,
+        per_replica_capacity: f64,
+    ) -> Self {
+        AutoscaleRuntime {
+            policy: config.policy.build(config.cooldown),
+            next_at: SimTime::ZERO + config.interval,
+            arrived: 0,
+            provision_time,
+            batch_tokens,
+            per_replica_capacity,
+            scale_ups: 0,
+            scale_downs: 0,
+            peak_replicas: replicas,
+            config: config.clone(),
+        }
+    }
+
+    /// Counts one first-arrival admission.
+    pub(crate) fn arrival(&mut self) {
+        self.arrived += 1;
+    }
+
+    /// One control tick over the pool: observe it, ask the policy.
+    /// Returns the tick instant and the decision. A draining replica's
+    /// leftover work is its own to finish, so only serving replicas'
+    /// backlog argues for more capacity.
+    pub(crate) fn tick(
+        &mut self,
+        pool: impl Iterator<Item = PoolMember>,
+    ) -> (SimTime, ScaleDecision) {
+        let at = self.next_at;
+        self.next_at = at + self.config.interval;
+        let mut obs = ClusterObservation {
+            now: at,
+            ready: 0,
+            provisioning: 0,
+            draining: 0,
+            queued_requests: 0,
+            outstanding_tokens: 0,
+            arrived_since_last: std::mem::take(&mut self.arrived),
+            interval: self.config.interval,
+            batch_tokens: self.batch_tokens,
+            per_replica_capacity: self.per_replica_capacity,
+            provision_time: self.provision_time,
+            min_replicas: self.config.min_replicas,
+            max_replicas: self.config.max_replicas,
+        };
+        for member in pool {
+            match member {
+                PoolMember::Serving {
+                    ready_at,
+                    queued_requests,
+                    outstanding_tokens,
+                } => {
+                    if at < ready_at {
+                        obs.provisioning += 1;
+                    } else {
+                        obs.ready += 1;
+                    }
+                    obs.queued_requests += queued_requests;
+                    obs.outstanding_tokens += outstanding_tokens;
+                }
+                PoolMember::Draining => obs.draining += 1,
+                PoolMember::Out => {}
+            }
+        }
+        (at, self.policy.decide(&obs))
+    }
+
+    /// How many of `n` requested replicas to commission with `live`
+    /// not yet retired, capped by `max_replicas`.
+    pub(crate) fn grant_up(&mut self, n: usize, live: usize) -> usize {
+        let k = n.min(self.config.max_replicas.saturating_sub(live));
+        self.scale_ups += k;
+        self.peak_replicas = self.peak_replicas.max(live + k);
+        k
+    }
+
+    /// How many of `n` requested replicas to drain with `serving` up
+    /// and taking work, stopping at `min_replicas`.
+    pub(crate) fn grant_down(&mut self, n: usize, serving: usize) -> usize {
+        let k = n.min(serving.saturating_sub(self.config.min_replicas));
+        self.scale_downs += k;
+        k
     }
 }
 

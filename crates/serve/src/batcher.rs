@@ -35,7 +35,7 @@ impl BatcherConfig {
 }
 
 /// One planned dispatch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Dispatch {
     /// The instant the batch leaves the queue.
     pub at: SimTime,

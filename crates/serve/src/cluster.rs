@@ -11,12 +11,20 @@
 //! `(time, priority)` order, so the run is deterministic down to the
 //! bit.
 //!
+//! The loop owns routing, dispatch, and completion. Each controller's
+//! runtime lives beside its config and the loop calls it directly
+//! while armed: faults and crash accounting in [`crate::faults`], the
+//! phi detector and hedged dispatch in [`crate::health`], elastic
+//! autoscaling in [`crate::autoscale`], and proactive re-sharding in
+//! [`crate::resharding`].
+//!
 //! Eight event kinds interleave, with the priority breaking ties at
 //! one instant:
 //!
 //! 1. **faults** — the next [`FaultEvent`] of the configured
-//!    [`FaultSchedule`]; a crash at the same instant as a completion
-//!    aborts the batch (the failure wins the race);
+//!    [`FaultSchedule`](crate::FaultSchedule); a crash at the same
+//!    instant as a completion aborts the batch (the failure wins the
+//!    race);
 //! 2. **executor events** — stage boundaries and batch completions
 //!    inside a replica's executor; a completion frees a dispatch slot
 //!    and materializes its members' records;
@@ -53,115 +61,42 @@
 //! no autoscaler, no re-sharder, and no hedging, only kinds 2, 6, and
 //! 7 ever fire, in exactly the pre-fault order — the healthy path is
 //! reproduced bit for bit.
-//!
-//! # Gray failures, suspicion, and hedging
-//!
-//! A [`FaultKind::GrayDegrade`] slows a replica *without telling the
-//! control plane*: the health bit stays up and the oracle detector
-//! keeps routing into the degraded replica at full weight. An armed
-//! phi-accrual detector ([`HealthConfig`], [`crate::HealthMonitor`])
-//! instead infers per-replica suspicion from observed batch completion
-//! latencies; balancers consume the continuous score through
-//! [`ReplicaSnapshot::routable`]. Hedged dispatch ([`HedgeConfig`])
-//! covers the residual tail: when an in-flight batch outlives a
-//! quantile-derived delay, the batch is speculatively re-submitted on
-//! the least-suspected alternate replica, the first completion wins,
-//! and the loser is cancelled (per-batch abort). Every request still
-//! reaches exactly one terminal outcome — the conservation audit runs
-//! with hedging armed — and the wasted-compute fraction of hedging is
-//! reported on [`ClusterOutcome`].
-//!
-//! # Proactive re-sharding
-//!
-//! An armed [`ReshardConfig`] turns the static expert placement
-//! dynamic. At every re-shard tick the policy sees each expert's share
-//! of the token-selections in a sliding monitoring window (the same
-//! [`ReestimationWindow`] machinery the online re-estimator uses) and
-//! may emit [`ReshardAction`]s. Applying any action charges every
-//! healthy replica the modeled PCIe transfer for the weights moved
-//! ([`provisioning::reshard_transfer`]) and flushes every monitoring and
-//! re-estimation window (their samples predate the new map). Dispatch
-//! then plans against the live shard map — a replicated expert's tokens
-//! split across its replicas inside
-//! [`plan_batch_layered`](lina_runner::plan_batch_layered).
-//!
-//! # Elastic autoscaling
-//!
-//! An armed [`AutoscaleConfig`] turns the fixed pool elastic. At every
-//! control tick the policy sees pool sizes and backlog
-//! ([`ClusterObservation`]) and returns a
-//! [`ScaleDecision`](crate::autoscale::ScaleDecision). **Scale-up**
-//! commissions fresh replicas that pay the shared provisioning weight
-//! reload ([`crate::provisioning::provision_time`] — the same modeled
-//! transfer crash recovery pays) before becoming routable.
-//! **Scale-down** *drains*: the victim stops receiving admissions but
-//! finishes every queued and in-flight request, then retires; its cost
-//! stops accruing at the retire instant. The run's integrated pool
-//! cost is reported as [`ClusterOutcome::replica_seconds`].
-//!
-//! # Failure semantics
-//!
-//! A **replica crash** aborts the replica's in-flight batches and
-//! displaces both their members and every queued request; the
-//! [`DegradationPolicy`] decides whether displaced work is dropped on
-//! the spot (fail-fast) or re-admitted through the balancer with
-//! capped exponential backoff and a retry budget. A **recovery**
-//! brings the replica back with fresh hardware after a modeled weight
-//! reload (PCIe transfer of its expert shard). A **device loss**
-//! keeps the replica up but blocks dispatching while the lost experts
-//! are re-replicated onto the survivors (an emergency re-placement
-//! that re-profiles the scheduler from the re-estimation window) and
-//! stretches later batches' expert compute by
-//! `devices / (devices - lost)`. **Link degradation** rescales the
-//! replica's network bandwidth; **stragglers** stretch expert
-//! compute. The shedding policy additionally drops *new* admissions
-//! whenever the healthy replicas' outstanding work exceeds the shed
-//! threshold, protecting the tail of the requests already admitted.
-//!
-//! Two re-estimation topologies compare the value of pooling
-//! observations under popularity drift ([`EstimatorSharing`]):
-//!
-//! * **Shared** — one popularity estimator re-profiled from a sliding
-//!   window of *all* replicas' recently served batches; every replica's
-//!   scheduler follows it. Every replica benefits from every
-//!   observation, so the estimator tracks drift at the cluster-wide
-//!   batch rate.
-//! * **Per-replica** — each replica re-profiles only from batches it
-//!   served itself, as K isolated single-server deployments would.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use lina_model::{CostModel, ExpertPlacement, LayeredPlacement};
-use lina_netsim::{SoloTimer, Topology};
+use lina_model::{CostModel, LayeredPlacement};
+use lina_netsim::Topology;
 use lina_runner::inference::InferenceConfig;
-use lina_runner::{
-    execute_plan_solo, plan_batch_layered, ExecutionPlan, FinishedBatch, ReplicaExecutor,
-};
+use lina_runner::{plan_batch_layered, ExecutionPlan, FinishedBatch, ReplicaExecutor};
 use lina_simcore::{EventQueue, Rng, SimDuration, SimTime};
 use lina_workload::{TokenBatch, WorkloadSpec};
 
-use crate::autoscale::{AutoscaleConfig, AutoscalePolicy, ClusterObservation, ScaleDecision};
+use crate::autoscale::{AutoscaleConfig, AutoscaleRuntime, PoolMember, ScaleDecision};
 use crate::balancer::{BalancerKind, LoadBalancer, ReplicaSnapshot};
 use crate::batcher::{Batcher, Dispatch};
 use crate::engine::{ReestimationWindow, ServeConfig, ServeEngine};
-use crate::faults::{DegradationPolicy, FaultEvent, FaultKind, FaultPlan, FaultSchedule};
-use crate::health::{DetectorKind, HealthConfig, HealthMonitor, HedgeConfig};
+use crate::faults::{FaultEvent, FaultKind, FaultPlan, RecoveryClock};
+use crate::health::{is_hedge, HealthConfig, HealthMonitor, HedgeConfig, HedgeRuntime};
 use crate::provisioning;
 use crate::request::{Request, RequestRecord};
-use crate::resharding::{ReshardAction, ReshardConfig, ReshardObservation, ReshardPolicy};
+use crate::resharding::{ReshardConfig, ReshardRuntime};
 use crate::slo::{FailureRecord, RequestOutcome, SloTracker};
 
-use lina_core::{TwoPhaseConfig, TwoPhaseScheduler};
+use lina_core::TwoPhaseScheduler;
 
-/// How the estimating schemes pool online observations across replicas.
+/// How the estimating schemes pool online observations across
+/// replicas: the two topologies compare the value of pooling under
+/// popularity drift.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EstimatorSharing {
     /// One estimator re-profiled from every replica's recent batches;
-    /// all replicas' schedulers follow it.
+    /// all replicas' schedulers follow it, so it tracks drift at the
+    /// cluster-wide batch rate.
     Shared,
-    /// Each replica re-profiles only from its own recent batches.
+    /// Each replica re-profiles only from its own recent batches, as K
+    /// isolated single-server deployments would.
     PerReplica,
 }
 
@@ -371,18 +306,59 @@ impl PlanCacheStats {
     }
 }
 
-/// Where a replica is in its elastic lifecycle. Every replica of a
-/// fixed-pool run stays [`ReplicaRole::Active`] forever.
+/// Where a replica is in its lifecycle. These are exactly the
+/// reachable states: a crash retires a draining replica on the spot,
+/// so a replica is never down and draining at once. Every replica of a
+/// fault-free fixed-pool run stays [`ReplicaState::Up`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ReplicaRole {
-    /// Serving normally (possibly still provisioning until `ready_at`).
-    Active,
+enum ReplicaState {
+    /// Serving (possibly still provisioning until `ready_at`).
+    Up,
     /// Scale-down victim: receives no new admissions, finishes its
     /// queued and in-flight work, then retires.
     Draining,
-    /// Decommissioned; invisible to every part of the loop and no
-    /// longer accruing cost.
-    Retired,
+    /// Crashed; invisible to the balancer until its recovery event.
+    Down,
+    /// Decommissioned at the carried instant: invisible to every part
+    /// of the loop and no longer accruing cost.
+    Retired(SimTime),
+}
+
+/// A popularity-estimator re-profiling window and the scheduler last
+/// built from it.
+struct Estimate {
+    window: ReestimationWindow,
+    scheduler: Option<TwoPhaseScheduler>,
+    /// Batches pushed into the window over the run.
+    observed: usize,
+}
+
+impl Estimate {
+    fn new(scheduler: Option<TwoPhaseScheduler>, window: usize) -> Self {
+        Estimate {
+            window: ReestimationWindow::new(window),
+            scheduler,
+            observed: 0,
+        }
+    }
+
+    /// Rebuilds the scheduler from the windowed batches.
+    fn reprofile(&mut self, engine: &ServeEngine) {
+        let estimator = self.window.profile(engine.config.path_length);
+        self.scheduler = Some(TwoPhaseScheduler::new(engine.two_phase_config(), estimator));
+    }
+
+    /// Windows a served batch and re-profiles every `every` batches;
+    /// true when it did.
+    fn observe(&mut self, batch: TokenBatch, every: usize, engine: &ServeEngine) -> bool {
+        self.window.push(batch);
+        self.observed += 1;
+        let due = self.observed.is_multiple_of(every);
+        if due {
+            self.reprofile(engine);
+        }
+        due
+    }
 }
 
 /// One replica's mutable state inside the event loop.
@@ -410,16 +386,16 @@ struct Replica {
     slot_free: SimTime,
     /// Tokens routed but not yet dispatched.
     queued_tokens: usize,
-    /// This replica's scheduler (per-replica sharing; unused while the
-    /// cluster runs a shared scheduler).
-    scheduler: Option<TwoPhaseScheduler>,
-    /// This replica's re-profiling window (per-replica sharing).
-    window: ReestimationWindow,
+    /// This replica's own estimator (per-replica sharing; unused while
+    /// the cluster runs a shared one).
+    estimate: Estimate,
+    /// Admissions routed here.
+    requests: usize,
+    /// Tokens routed here.
+    tokens: usize,
     /// Batches this replica has dispatched.
     batches: usize,
-    /// Up and dispatchable; a crashed replica is invisible to the
-    /// balancer until its recovery event.
-    healthy: bool,
+    state: ReplicaState,
     /// GPUs lost to [`FaultKind::DeviceLoss`] since the last recovery.
     devices_lost: usize,
     /// Expert-compute stretch from lost devices (survivors absorb the
@@ -436,26 +412,20 @@ struct Replica {
     /// from dispatch-slot accounting so a hedge never blocks the
     /// replica's own primary dispatches.
     hedges_in_flight: usize,
-    /// Elastic lifecycle state.
-    role: ReplicaRole,
     /// Instant the provisioning weight reload completes; balancers
     /// skip the replica before it. The initial pool is ready at time
     /// zero (its weights were loaded before the run).
     ready_at: SimTime,
     /// Instant this replica started accruing cost.
     commissioned: SimTime,
-    /// Instant it stopped (retired); `None` while commissioned.
-    retired_at: Option<SimTime>,
 }
 
 impl Replica {
-    /// A healthy, active replica commissioned at `commissioned` whose
-    /// first dispatch waits until `ready_at` (the provisioning weight
-    /// reload; the initial pool is ready at time zero).
+    /// An up replica commissioned at `commissioned` whose first
+    /// dispatch waits until `ready_at`.
     fn new(
         executor: ReplicaExecutor,
-        scheduler: Option<TwoPhaseScheduler>,
-        window: usize,
+        estimate: Estimate,
         commissioned: SimTime,
         ready_at: SimTime,
     ) -> Self {
@@ -467,19 +437,91 @@ impl Replica {
             executor,
             slot_free: ready_at,
             queued_tokens: 0,
-            scheduler,
-            window: ReestimationWindow::new(window),
+            estimate,
+            requests: 0,
+            tokens: 0,
             batches: 0,
-            healthy: true,
+            state: ReplicaState::Up,
             devices_lost: 0,
             compute_slowdown: 1.0,
             straggler: 1.0,
             gray_compute: 1.0,
             hedges_in_flight: 0,
-            role: ReplicaRole::Active,
             ready_at,
             commissioned,
-            retired_at: None,
+        }
+    }
+
+    /// Up and dispatching, draining included.
+    fn is_up(&self) -> bool {
+        matches!(self.state, ReplicaState::Up | ReplicaState::Draining)
+    }
+
+    /// Commissioned and not yet retired, down included.
+    fn is_live(&self) -> bool {
+        !matches!(self.state, ReplicaState::Retired(_))
+    }
+
+    /// Up and not draining: a candidate for new work.
+    fn accepts_work(&self) -> bool {
+        self.state == ReplicaState::Up
+    }
+
+    /// Queued plus in-flight tokens.
+    fn outstanding_tokens(&self) -> usize {
+        self.queued_tokens + self.executor.in_flight_tokens()
+    }
+
+    /// In-flight primary batches: hedges ride outside the slot budget.
+    fn primaries_in_flight(&self) -> usize {
+        self.executor.in_flight() - self.hedges_in_flight
+    }
+
+    /// Clears every slowdown a fault left behind (crash or recovery:
+    /// the hardware is gone or fresh).
+    fn reset_degradation(&mut self) {
+        self.devices_lost = 0;
+        self.compute_slowdown = 1.0;
+        self.straggler = 1.0;
+        self.gray_compute = 1.0;
+    }
+
+    /// `plan` as this replica runs it: expert compute stretched by
+    /// every slowdown it carries. Gray degradation stretches service
+    /// exactly like a visible slowdown; only the control plane cannot
+    /// see it.
+    fn stretch(&self, plan: Arc<ExecutionPlan>) -> Arc<ExecutionPlan> {
+        let slow = self.compute_slowdown * self.straggler * self.gray_compute;
+        if slow > 1.0 {
+            let mut degraded = (*plan).clone();
+            degraded.scale_compute(slow);
+            Arc::new(degraded)
+        } else {
+            plan
+        }
+    }
+
+    /// Retires a draining replica the moment it has nothing queued and
+    /// nothing in flight; cost accrual stops at `at`.
+    fn retire_if_idle(&mut self, at: SimTime) {
+        if self.state == ReplicaState::Draining
+            && self.next == self.queue.len()
+            && self.executor.in_flight() == 0
+        {
+            self.state = ReplicaState::Retired(at);
+        }
+    }
+
+    /// The autoscaler's view at a control tick.
+    fn pool_member(&self) -> PoolMember {
+        match self.state {
+            ReplicaState::Up => PoolMember::Serving {
+                ready_at: self.ready_at,
+                queued_requests: self.queue.len() - self.next,
+                outstanding_tokens: self.outstanding_tokens(),
+            },
+            ReplicaState::Draining => PoolMember::Draining,
+            ReplicaState::Down | ReplicaState::Retired(_) => PoolMember::Out,
         }
     }
 
@@ -487,22 +529,21 @@ impl Replica {
     /// every executor event at or before the routing instant first, so
     /// in-flight counts here never include batches that already
     /// completed. `suspicion` comes from the run's [`HealthMonitor`]:
-    /// crashed and retired replicas are reported as infinitely suspect
-    /// (the balancer contract for "unroutable"), everything else gets
-    /// the detector's continuous score. Note the advertised capacity
-    /// deliberately ignores `gray_compute`: the control plane never
-    /// sees a gray fault directly.
+    /// down and retired replicas are reported as infinitely suspect
+    /// (the balancer contract for "unroutable"). The advertised
+    /// capacity deliberately ignores `gray_compute`: the control plane
+    /// never sees a gray fault directly.
     fn snapshot(&self, id: usize, capacity: f64, now: SimTime, suspicion: f64) -> ReplicaSnapshot {
         let slow = self.compute_slowdown * self.straggler;
         ReplicaSnapshot {
             id,
-            suspicion: if self.healthy && self.role != ReplicaRole::Retired {
+            suspicion: if self.is_up() {
                 suspicion
             } else {
                 f64::INFINITY
             },
-            draining: self.role == ReplicaRole::Draining,
-            provisioning: self.healthy && now < self.ready_at,
+            draining: self.state == ReplicaState::Draining,
+            provisioning: self.is_up() && now < self.ready_at,
             queued_requests: self.queue.len() - self.next,
             queued_tokens: self.queued_tokens,
             in_flight_tokens: self.executor.in_flight_tokens(),
@@ -518,35 +559,19 @@ impl Replica {
 
 /// One admission: a request's first arrival (pulled lazily from the
 /// trace stream) or a re-admission waiting in the retry queue after
-/// displacement. The retry [`EventQueue`] orders by `(at, push order)`,
-/// and re-admissions are pushed in strictly increasing sequence — the
-/// same order the old explicit-sequence heap produced — while "stream
-/// head vs. retry head, stream wins ties" reproduces the merged order
-/// bit for bit.
+/// displacement. The retry [`EventQueue`] orders by `(at, push order)`;
+/// the stream wins ties against it.
 struct Admission {
     at: SimTime,
     attempts: u32,
     req: Request,
 }
 
-/// The event kinds of the unified loop. Declaration order is the
-/// tie-break order at one instant (see the module docs for why each
-/// kind sits where it does).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventClass {
-    Fault,
-    Executor,
-    Hedge,
-    Control,
-    Reshard,
-    Admit,
-    Dispatch,
-    Timeout,
-}
-
 /// The next step of the unified event loop, chosen in global
-/// `(time, EventClass)` order, with replica ties breaking toward the
-/// lowest index.
+/// `(time, step)` order. Declaration order is the tie-break order at
+/// one instant (see the module docs for why each kind sits where it
+/// does), and replica ties break toward the lowest index.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum Step {
     Fault,
     Executor(usize, SimTime),
@@ -562,20 +587,11 @@ enum Step {
 
 /// The multi-replica serving simulator. Holds a [`ServeEngine`] for
 /// the shared machinery (trace generation, offline profiling, seed
-/// derivation) plus the cluster shape and fault plan;
+/// derivation) plus the cluster config;
 /// [`ClusterEngine::run`] is deterministic in all of them.
 pub struct ClusterEngine<'a> {
     engine: ServeEngine<'a>,
-    replicas: usize,
-    balancer: BalancerKind,
-    sharing: EstimatorSharing,
-    faults: FaultPlan,
-    autoscale: Option<AutoscaleConfig>,
-    resharding: Option<ReshardConfig>,
-    placement: Option<LayeredPlacement>,
-    locality: bool,
-    health: HealthConfig,
-    hedging: Option<HedgeConfig>,
+    config: ClusterConfig,
 }
 
 impl<'a> ClusterEngine<'a> {
@@ -610,17 +626,8 @@ impl<'a> ClusterEngine<'a> {
             );
         }
         ClusterEngine {
-            engine: ServeEngine::new(cost, topo, spec, config.serve),
-            replicas: config.replicas,
-            balancer: config.balancer,
-            sharing: config.sharing,
-            faults: config.faults,
-            autoscale: config.autoscale,
-            resharding: config.resharding,
-            placement: config.placement,
-            locality: config.locality,
-            health: config.health,
-            hedging: config.hedging,
+            engine: ServeEngine::new(cost, topo, spec, config.serve.clone()),
+            config,
         }
     }
 
@@ -632,7 +639,7 @@ impl<'a> ClusterEngine<'a> {
     /// Upper bound on sustainable cluster throughput (requests/s):
     /// every replica serving full batches back to back.
     pub fn capacity(&self) -> f64 {
-        self.replicas as f64 * self.engine.capacity()
+        self.config.replicas as f64 * self.engine.capacity()
     }
 
     /// Runs the full cluster simulation.
@@ -654,7 +661,7 @@ impl<'a> ClusterEngine<'a> {
     /// The K-server event loop over a stream of first arrivals in
     /// `(arrival, id)` order.
     fn run_stream<'e>(&'e self, stream: Box<dyn Iterator<Item = Request> + 'e>) -> ClusterOutcome {
-        let engine = &self.engine;
+        let (engine, cluster) = (&self.engine, &self.config);
         let config = &engine.config;
         let seeds = config.seeds();
         let offline = engine
@@ -664,95 +671,60 @@ impl<'a> ClusterEngine<'a> {
         // Only the capacity-aware consumers pay for the probe batch:
         // the least-expected-latency balancer and any armed autoscaler
         // (the predictive policy sizes the pool against it).
-        let per_replica_capacity = if matches!(self.balancer, BalancerKind::LeastExpectedLatency)
-            || self.autoscale.is_some()
+        let per_replica_capacity = if matches!(cluster.balancer, BalancerKind::LeastExpectedLatency)
+            || cluster.autoscale.is_some()
         {
             engine.capacity()
         } else {
             0.0
         };
+        let batch_tokens = config.batcher.max_batch_requests * config.tokens_per_request;
         // One topology clone per run, shared by every executor.
         let topo = Arc::new(engine.topo.clone());
-        let replicas: Vec<Replica> = (0..self.replicas)
-            .map(|_| {
-                Replica::new(
-                    ReplicaExecutor::new_shared(config.network, topo.clone()),
-                    offline.clone(),
-                    config.reestimate_window,
-                    SimTime::ZERO,
-                    SimTime::ZERO,
-                )
-            })
-            .collect();
-
-        // The phi detector needs a per-batch nominal expectation to
-        // compare completions against; the oracle never looks, so the
-        // pricer (and its per-dispatch solo pricing cost) only exists
-        // when armed.
-        let expect = (self.health.detector != DetectorKind::Oracle)
-            .then(|| SoloTimer::new_shared(topo.clone()));
-
-        let autoscale = self.autoscale.as_ref().map(|cfg| AutoscaleRuntime {
-            policy: cfg.policy.build(cfg.cooldown),
-            next_at: SimTime::ZERO + cfg.interval,
-            arrived_since_last: 0,
-            provision_time: reload,
-            config: cfg.clone(),
-        });
-
-        let resharding = self.resharding.as_ref().map(|cfg| ReshardRuntime {
-            policy: cfg.policy.build(),
-            next_at: SimTime::ZERO + cfg.interval,
-            window: ReestimationWindow::new(cfg.window),
-            shard_map: default_shard_map(
-                self.placement.as_ref(),
-                engine.spec.experts,
-                engine.topo.devices(),
-                engine.cost.model.layers,
-            ),
-            dirty: false,
-            replications: 0,
-            evictions: 0,
-            migrations: 0,
-            config: cfg.clone(),
-        });
-
+        let n = cluster.replicas;
         let sim = ClusterSim {
             engine,
+            cluster,
+            replicas: (0..n)
+                .map(|_| {
+                    Replica::new(
+                        ReplicaExecutor::new_shared(config.network, topo.clone()),
+                        Estimate::new(offline.clone(), config.reestimate_window),
+                        SimTime::ZERO,
+                        SimTime::ZERO,
+                    )
+                })
+                .collect(),
+            monitor: HealthMonitor::for_cluster(cluster.health.clone(), n, topo.clone()),
             topo,
-            balancer: self.balancer.build(),
-            schedule: &self.faults.schedule,
-            policy: self.faults.policy,
+            balancer: cluster.balancer.build(),
             batcher: Batcher::new(config.batcher.clone()),
             infer: InferenceConfig {
                 scheme: config.scheme,
                 top_k: config.top_k,
             },
-            two_phase: engine.two_phase_config(),
-            sharing: self.sharing,
             per_replica_capacity,
+            batch_tokens,
             reload,
-            // Shared-mode scheduler and window (used when sharing ==
-            // Shared or the scheme never re-estimates; per-replica mode
-            // uses the copies inside each Replica instead).
-            shared_scheduler: offline,
-            shared_window: ReestimationWindow::new(config.reestimate_window),
-            base_map: self.placement.as_ref(),
-            locality: self.locality,
+            shared: Estimate::new(offline, config.reestimate_window),
             local_hops: 0,
             routed_hops: 0,
-            replicas,
-            // First arrivals stream lazily in `(arrival, id)` order;
-            // the retry queue holds only re-admissions.
             stream: stream.peekable(),
             admissions: EventQueue::new(),
             snapshot_scratch: Vec::new(),
-            autoscale,
-            resharding,
-            monitor: HealthMonitor::new(self.health.clone(), self.replicas),
-            expect,
-            expected_service: BTreeMap::new(),
-            hedging: self.hedging.clone().map(HedgeRuntime::new),
+            autoscale: cluster.autoscale.as_ref().map(|cfg| {
+                AutoscaleRuntime::new(cfg, n, reload, batch_tokens, per_replica_capacity)
+            }),
+            resharding: cluster.resharding.as_ref().map(|cfg| {
+                ReshardRuntime::new(
+                    cfg,
+                    cluster.placement.as_ref(),
+                    engine.spec.experts,
+                    engine.topo.devices(),
+                    engine.cost.model.layers,
+                )
+            }),
+            hedging: cluster.hedging.clone().map(HedgeRuntime::new),
             retry: seeds.retry,
             now: SimTime::ZERO,
             next_fault: 0,
@@ -761,206 +733,40 @@ impl<'a> ClusterEngine<'a> {
             pending: BTreeMap::new(),
             total_batches: 0,
             reestimations: 0,
-            requests_per_replica: vec![0; self.replicas],
-            tokens_per_replica: vec![0; self.replicas],
             aborted_batches: 0,
             faults_injected: 0,
             emergency_replacements: 0,
-            scale_ups: 0,
-            scale_downs: 0,
-            peak_replicas: self.replicas,
-            crashes: Vec::new(),
-            req_crash: BTreeMap::new(),
-            recovery_times: Vec::new(),
+            arrived: 0,
+            recovery: RecoveryClock::default(),
             #[cfg(debug_assertions)]
-            terminal_ids: BTreeSet::new(),
+            terminal_ids: Default::default(),
             #[cfg(debug_assertions)]
-            admitted_ids: BTreeSet::new(),
+            admitted_ids: Default::default(),
         };
         sim.run()
-    }
-}
-
-/// An armed autoscaler's runtime state inside the event loop.
-struct AutoscaleRuntime {
-    config: AutoscaleConfig,
-    policy: Box<dyn AutoscalePolicy>,
-    /// Next control tick.
-    next_at: SimTime,
-    /// First-arrival admissions since the previous tick (the
-    /// policies' arrival-rate signal).
-    arrived_since_last: usize,
-    /// What a scale-up pays before the new replica is routable.
-    provision_time: SimDuration,
-}
-
-/// An armed proactive re-sharder's runtime state inside the event loop.
-struct ReshardRuntime {
-    config: ReshardConfig,
-    policy: Box<dyn ReshardPolicy>,
-    /// Next re-shard tick.
-    next_at: SimTime,
-    /// The per-expert load monitor: a sliding window over recently
-    /// dispatched batches, flushed on every shard-map change so stale
-    /// pre-change samples never drive the next decision.
-    window: ReestimationWindow,
-    /// The live per-layer shard map every dispatch plans against once
-    /// `dirty`. Actuation mutates every layer in lockstep (see
-    /// [`ExpertPlacement::add_replica`] and friends), so a uniform
-    /// starting map stays uniform and the historical single-map counts
-    /// are reproduced exactly.
-    shard_map: LayeredPlacement,
-    /// True once the map diverges from the run's base layout (the
-    /// configured placement, or canonical expert-per-device); while
-    /// false, dispatch plans exactly as an unarmed run would, so an
-    /// inert policy is bit-identical off-path.
-    dirty: bool,
-    replications: usize,
-    evictions: usize,
-    migrations: usize,
-}
-
-/// Batch-id namespace for speculative hedge dispatches. Primary ids
-/// are dense counters from zero; hedge ids live in the top half of the
-/// `u64` space so the two streams can share one executor without
-/// collision and a hedge id is recognizable at a glance in a debugger.
-const HEDGE_BASE: u64 = 1 << 63;
-
-/// A speculative duplicate of one primary batch, in flight on an
-/// alternate replica.
-struct HedgeFlight {
-    /// The hedge's own batch id (`HEDGE_BASE + seq`).
-    id: u64,
-    /// Replica executing the hedge.
-    replica: usize,
-    /// Instant the hedge was dispatched.
-    dispatched: SimTime,
-}
-
-/// Per-primary hedge bookkeeping, from dispatch commit until both the
-/// primary and any hedge reach a terminal state.
-struct HedgeState {
-    /// Replica executing the primary.
-    primary_replica: usize,
-    /// Instant the primary was dispatched (latency sample base).
-    primary_dispatched: SimTime,
-    /// When the hedge timer fires if the primary is still running.
-    deadline: SimTime,
-    /// The primary's execution plan as planned against the *base*
-    /// shard map (cloned cheaply; a hedge re-runs the same plan on the
-    /// alternate replica).
-    plan: Arc<ExecutionPlan>,
-    /// Set when the primary's replica crashed with the hedge still
-    /// live; the hedge is then the batch's only path to completion.
-    primary_gone: bool,
-    /// The live hedge, if the timer already fired.
-    hedge: Option<HedgeFlight>,
-}
-
-/// An armed hedged-dispatch runtime: quantile-tracked completion
-/// latencies, per-primary timers, and waste accounting.
-struct HedgeRuntime {
-    config: HedgeConfig,
-    /// Observed primary batch service times, kept sorted for O(log n)
-    /// insertion and O(1) quantile lookup.
-    samples: Vec<SimDuration>,
-    /// Armed hedge timers keyed `(deadline, primary batch id)`.
-    timers: BTreeMap<(SimTime, u64), ()>,
-    /// Live hedge state per primary batch id.
-    live: BTreeMap<u64, HedgeState>,
-    /// Reverse index: hedge batch id → primary batch id.
-    by_hedge: BTreeMap<u64, u64>,
-    /// Allocator for hedge batch ids.
-    next_hedge_seq: u64,
-    issued: usize,
-    won: usize,
-    /// Executor time burned by hedges that lost (or primaries that
-    /// lost to their hedge) — the duplicated work.
-    wasted: SimDuration,
-    /// Executor time of winning flights — the useful work baseline for
-    /// the waste fraction.
-    useful: SimDuration,
-}
-
-impl HedgeRuntime {
-    fn new(config: HedgeConfig) -> Self {
-        HedgeRuntime {
-            config,
-            samples: Vec::new(),
-            timers: BTreeMap::new(),
-            live: BTreeMap::new(),
-            by_hedge: BTreeMap::new(),
-            next_hedge_seq: 0,
-            issued: 0,
-            won: 0,
-            wasted: SimDuration::ZERO,
-            useful: SimDuration::ZERO,
-        }
-    }
-
-    /// Records one observed primary service time (sorted insert).
-    fn observe(&mut self, service: SimDuration) {
-        let at = self.samples.partition_point(|&s| s <= service);
-        self.samples.insert(at, service);
-    }
-
-    /// The hedge delay once enough samples exist: the configured
-    /// quantile of observed service times, scaled by the multiplier.
-    fn delay(&self) -> Option<SimDuration> {
-        if self.samples.len() < self.config.min_samples {
-            return None;
-        }
-        let idx = (((self.samples.len() - 1) as f64) * self.config.quantile).round() as usize;
-        Some(self.samples[idx].mul_f64(self.config.multiplier))
-    }
-}
-
-/// The base per-layer map a run plans against while no re-shard
-/// action has diverged from it: the configured placement, or the
-/// canonical expert-per-device layout repeated at every layer.
-fn default_shard_map(
-    base: Option<&LayeredPlacement>,
-    experts: usize,
-    devices: usize,
-    layers: usize,
-) -> LayeredPlacement {
-    match base {
-        Some(p) => p.clone(),
-        None => {
-            LayeredPlacement::uniform(ExpertPlacement::one_per_device(experts, devices), layers)
-        }
     }
 }
 
 /// The unified cluster event loop's state.
 struct ClusterSim<'e, 'a> {
     engine: &'e ServeEngine<'a>,
+    cluster: &'e ClusterConfig,
     /// One shared topology handle for every executor the run creates
-    /// (initial pool and elastic scale-ups alike): one deep clone per
-    /// run instead of one per replica.
+    /// (initial pool and elastic scale-ups alike).
     topo: Arc<Topology>,
     balancer: Box<dyn LoadBalancer>,
-    schedule: &'e FaultSchedule,
-    policy: DegradationPolicy,
     batcher: Batcher,
     infer: InferenceConfig,
-    two_phase: TwoPhaseConfig,
-    sharing: EstimatorSharing,
     per_replica_capacity: f64,
-    /// Modeled PCIe transfer to (re)load one device's expert shard:
-    /// `expert_swap * ceil(experts / devices)`. Charged before the
-    /// first dispatch after a recovery (parallel per-device weight
-    /// reload) and after a device loss (re-replicating the lost shard
-    /// onto the survivors).
+    /// Tokens in one full batch.
+    batch_tokens: usize,
+    /// Modeled PCIe transfer to (re)load one device's expert shard,
+    /// charged before the first dispatch after a recovery, a device
+    /// loss, or an elastic scale-up.
     reload: SimDuration,
-    shared_scheduler: Option<TwoPhaseScheduler>,
-    shared_window: ReestimationWindow,
-    /// The configured per-layer base placement; `None` plans against
-    /// the canonical expert-per-device map at every layer.
-    base_map: Option<&'e LayeredPlacement>,
-    /// Locality-aware all-to-all pricing toggle (see
-    /// [`lina_runner::plan_batch_layered`]).
-    locality: bool,
+    /// The cluster-wide estimator (shared sharing, and the starting
+    /// profile of every elastic scale-up).
+    shared: Estimate,
     /// Primary-expert hops priced as local handoffs, accumulated from
     /// every planned batch.
     local_hops: u64,
@@ -976,28 +782,12 @@ struct ClusterSim<'e, 'a> {
     /// Reused balancer-snapshot buffer: `admit` is per-request hot, so
     /// it must not allocate in steady state.
     snapshot_scratch: Vec<ReplicaSnapshot>,
-    /// Armed autoscaler, if any.
     autoscale: Option<AutoscaleRuntime>,
-    /// Armed proactive re-sharder, if any.
     resharding: Option<ReshardRuntime>,
-    /// The health detector the balancer consults. An
-    /// [`DetectorKind::Oracle`] monitor reports zero suspicion for
-    /// every commissioned replica, reproducing the historical boolean
-    /// health bit exactly.
+    /// The health detector the balancer consults. An oracle monitor
+    /// reports zero suspicion for every replica, reproducing the
+    /// historical boolean health bit exactly.
     monitor: HealthMonitor,
-    /// Prices dispatched plans at nominal speed — no degradation, clean
-    /// links, solo collectives — for the health detector's
-    /// expected-latency estimate. The detector compares each
-    /// completion against this expectation, so batch size and
-    /// composition drop out of the signal entirely: a healthy solo
-    /// replica observes exactly ratio 1.0. `None` under the oracle
-    /// detector, which never prices an expectation.
-    expect: Option<SoloTimer>,
-    /// Expected nominal totals of in-flight batches (primaries and
-    /// hedges alike), consumed at completion to form the detector's
-    /// actual-over-expected observation.
-    expected_service: BTreeMap<u64, SimDuration>,
-    /// Armed hedged dispatch, if any.
     hedging: Option<HedgeRuntime>,
     /// Seed stream for per-request retry-backoff jitter (inert at
     /// `jitter == 0`).
@@ -1016,58 +806,43 @@ struct ClusterSim<'e, 'a> {
     pending: BTreeMap<u64, Vec<(Request, u32)>>,
     total_batches: usize,
     reestimations: usize,
-    requests_per_replica: Vec<usize>,
-    tokens_per_replica: Vec<usize>,
     aborted_batches: usize,
     faults_injected: usize,
     emergency_replacements: usize,
-    scale_ups: usize,
-    scale_downs: usize,
-    peak_replicas: usize,
-    /// Open crash groups: the crash instant and the displaced request
-    /// ids still lacking a terminal outcome.
-    crashes: Vec<(SimTime, BTreeSet<usize>)>,
-    /// Which open crash group a displaced request belongs to.
-    req_crash: BTreeMap<usize, usize>,
-    /// Closed crash groups' time-to-recover.
-    recovery_times: Vec<SimDuration>,
+    /// First arrivals pulled from the trace stream.
+    arrived: usize,
+    recovery: RecoveryClock,
     /// Conservation audit: ids that reached a terminal outcome.
     #[cfg(debug_assertions)]
-    terminal_ids: BTreeSet<usize>,
+    terminal_ids: std::collections::BTreeSet<usize>,
     /// Conservation audit: ids pulled from the trace stream.
     #[cfg(debug_assertions)]
-    admitted_ids: BTreeSet<usize>,
+    admitted_ids: std::collections::BTreeSet<usize>,
 }
 
 impl ClusterSim<'_, '_> {
     /// Picks the next event in `(time, priority)` order; `None` when
     /// the run has drained.
     fn next_step(&mut self) -> Option<Step> {
-        type Best = Option<(SimTime, EventClass, Step)>;
-        fn consider(best: &mut Best, t: SimTime, class: EventClass, step: Step) {
-            if best
-                .as_ref()
-                .is_none_or(|(bt, bc, _)| (t, class) < (*bt, *bc))
-            {
-                *best = Some((t, class, step));
+        fn consider(best: &mut Option<(SimTime, Step)>, t: SimTime, step: Step) {
+            if best.as_ref().is_none_or(|b| (t, &step) < (b.0, &b.1)) {
+                *best = Some((t, step));
             }
         }
-        let mut best: Best = None;
-        if let Some(e) = self.schedule.events().get(self.next_fault) {
-            consider(&mut best, e.at, EventClass::Fault, Step::Fault);
+        let mut best = None;
+        if let Some(e) = self.cluster.faults.schedule.events().get(self.next_fault) {
+            consider(&mut best, e.at, Step::Fault);
         }
         for (i, rep) in self.replicas.iter_mut().enumerate() {
             if let Some(t) = rep.executor.next_event() {
-                consider(&mut best, t, EventClass::Executor, Step::Executor(i, t));
+                consider(&mut best, t, Step::Executor(i, t));
             }
         }
         // Hedge timers never drive the loop alone: one only exists
         // while its primary batch is in flight, which keeps an
         // executor event pending too. No `best.is_some()` gate needed.
-        if let Some(rt) = &self.hedging {
-            if let Some((&(t, primary), ())) = rt.timers.iter().next() {
-                consider(&mut best, t, EventClass::Hedge, Step::Hedge(t, primary));
-            }
+        if let Some((t, primary)) = self.hedging.as_ref().and_then(HedgeRuntime::next_timer) {
+            consider(&mut best, t, Step::Hedge(t, primary));
         }
         let next_arrival = self.stream.peek().map(|req| req.arrival);
         let next_retry = self.admissions.peek_time();
@@ -1075,59 +850,47 @@ impl ClusterSim<'_, '_> {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         } {
-            consider(&mut best, at, EventClass::Admit, Step::Admit);
+            consider(&mut best, at, Step::Admit);
         }
         let max_inflight = self.engine.config.max_inflight;
         for (i, rep) in self.replicas.iter().enumerate() {
-            // Hedges ride along outside the slot budget: a replica's
-            // own dispatch pipeline only counts primary batches.
-            if !rep.healthy
-                || rep.role == ReplicaRole::Retired
-                || rep.executor.in_flight() - rep.hedges_in_flight >= max_inflight
-            {
+            if !rep.is_up() || rep.primaries_in_flight() >= max_inflight {
                 continue;
             }
             if let Some(d) = self
                 .batcher
                 .next_dispatch(&rep.arrivals, rep.next, rep.slot_free)
             {
-                consider(&mut best, d.at, EventClass::Dispatch, Step::Dispatch(i, d));
+                consider(&mut best, d.at, Step::Dispatch(i, d));
             }
         }
-        if let Some(to) = self.policy.request_timeout {
+        if let Some(to) = self.cluster.faults.policy.request_timeout {
             for rep in &self.replicas {
                 for r in &rep.queue[rep.next..] {
                     let deadline = r.arrival + to;
-                    consider(
-                        &mut best,
-                        deadline,
-                        EventClass::Timeout,
-                        Step::Timeout(deadline),
-                    );
+                    consider(&mut best, deadline, Step::Timeout(deadline));
                 }
             }
         }
         // Control and re-shard ticks recur forever, so one never
         // drives the loop on its own: the controllers only observe
         // while some other event still gives the run work to do.
-        if let Some(rt) = &self.autoscale {
-            if best.is_some() {
-                consider(&mut best, rt.next_at, EventClass::Control, Step::Control);
+        if best.is_some() {
+            if let Some(rt) = &self.autoscale {
+                consider(&mut best, rt.next_at, Step::Control);
+            }
+            if let Some(rt) = &self.resharding {
+                consider(&mut best, rt.next_at, Step::Reshard);
             }
         }
-        if let Some(rt) = &self.resharding {
-            if best.is_some() {
-                consider(&mut best, rt.next_at, EventClass::Reshard, Step::Reshard);
-            }
-        }
-        best.map(|(_, _, step)| step)
+        best.map(|(_, step)| step)
     }
 
     fn run(mut self) -> ClusterOutcome {
         while let Some(step) = self.next_step() {
             match step {
                 Step::Fault => {
-                    let e = self.schedule.events()[self.next_fault];
+                    let e = self.cluster.faults.schedule.events()[self.next_fault];
                     self.next_fault += 1;
                     self.now = e.at;
                     self.apply_fault(e);
@@ -1158,55 +921,31 @@ impl ClusterSim<'_, '_> {
 
     fn apply_fault(&mut self, e: FaultEvent) {
         self.faults_injected += 1;
+        let rep = &mut self.replicas[e.replica];
         match e.kind {
             FaultKind::ReplicaCrash => self.crash(e.replica, e.at),
             FaultKind::ReplicaRecover => self.recover(e.replica, e.at),
             FaultKind::DeviceLoss => self.device_loss(e.replica, e.at),
-            // Non-crash faults are no-ops on a down replica: recovery
-            // resets all degradation state anyway.
-            FaultKind::LinkDegrade { scale } => {
-                let rep = &mut self.replicas[e.replica];
-                if rep.healthy {
-                    rep.executor.set_link_scale(scale);
-                }
-            }
-            FaultKind::LinkRestore => {
-                let rep = &mut self.replicas[e.replica];
-                if rep.healthy {
-                    rep.executor.set_link_scale(1.0);
-                }
-            }
-            FaultKind::StragglerStart { factor } => {
-                let rep = &mut self.replicas[e.replica];
-                if rep.healthy {
-                    rep.straggler = factor;
-                }
-            }
-            FaultKind::StragglerEnd => {
-                let rep = &mut self.replicas[e.replica];
-                if rep.healthy {
-                    rep.straggler = 1.0;
-                }
-            }
-            // Gray faults degrade silently: service stretches but the
-            // health bit stays up, so only the detector (if armed with
-            // one that actually looks) can notice.
+            // The other faults degrade a replica that is up; down and
+            // retired replicas ignore them (recovery resets all
+            // degradation state anyway).
+            _ if !rep.is_up() => {}
+            FaultKind::LinkDegrade { scale } => rep.executor.set_link_scale(scale),
+            FaultKind::LinkRestore => rep.executor.set_link_scale(1.0),
+            FaultKind::StragglerStart { factor } => rep.straggler = factor,
+            FaultKind::StragglerEnd => rep.straggler = 1.0,
+            // Gray faults degrade silently: only a detector that looks
+            // can notice.
             FaultKind::GrayDegrade {
                 compute_scale,
                 nic_scale,
             } => {
-                let rep = &mut self.replicas[e.replica];
-                if rep.healthy {
-                    rep.gray_compute = compute_scale;
-                    rep.executor.set_link_scale(nic_scale);
-                }
+                rep.gray_compute = compute_scale;
+                rep.executor.set_link_scale(nic_scale);
             }
             FaultKind::GrayClear => {
-                let rep = &mut self.replicas[e.replica];
-                if rep.healthy {
-                    rep.gray_compute = 1.0;
-                    rep.executor.set_link_scale(1.0);
-                }
+                rep.gray_compute = 1.0;
+                rep.executor.set_link_scale(1.0);
             }
         }
     }
@@ -1216,63 +955,38 @@ impl ClusterSim<'_, '_> {
     /// the degradation policy.
     fn crash(&mut self, i: usize, at: SimTime) {
         let rep = &mut self.replicas[i];
-        if !rep.healthy {
+        if !rep.is_up() {
             return;
         }
-        rep.healthy = false;
-        rep.devices_lost = 0;
-        rep.compute_slowdown = 1.0;
-        rep.straggler = 1.0;
-        rep.gray_compute = 1.0;
+        // A crashed drain victim has nothing left to finish draining:
+        // it retires on the spot (a recovery would revive a replica
+        // the autoscaler already decided to shed).
+        rep.state = if rep.state == ReplicaState::Draining {
+            ReplicaState::Retired(at)
+        } else {
+            ReplicaState::Down
+        };
+        rep.reset_degradation();
         let aborted = rep.executor.abort_all();
         rep.hedges_in_flight = 0;
         self.monitor.reset(i);
         self.aborted_batches += aborted.len();
         let mut displaced: Vec<(Request, u32)> = Vec::new();
         for id in aborted {
-            // An aborted flight never completes, so its expectation is
-            // never consumed — drop it here.
-            self.expected_service.remove(&id);
-            if id >= HEDGE_BASE {
-                // A speculative hedge died with its host replica. The
-                // primary (elsewhere) usually still carries the batch;
-                // only if it had already crashed too do the members
-                // finally displace.
-                let rt = self.hedging.as_mut().expect("hedge id without a runtime");
-                let primary = rt.by_hedge.remove(&id).expect("hedge id was registered");
-                let st = rt.live.get_mut(&primary).expect("hedge had live state");
-                let hf = st.hedge.take().expect("hedge flight was recorded");
-                rt.wasted += at.saturating_since(hf.dispatched);
-                if st.primary_gone {
-                    rt.live.remove(&primary);
-                    displaced.extend(
-                        self.pending
-                            .remove(&primary)
-                            .expect("orphaned batch was committed"),
-                    );
-                }
-                continue;
+            self.monitor.forget(id);
+            // With a hedge racing it, a batch's members ride whichever
+            // flight survives instead of being displaced.
+            let batch = match &mut self.hedging {
+                Some(rt) => rt.aborted(id, at),
+                None => Some(id),
+            };
+            if let Some(batch) = batch {
+                displaced.extend(
+                    self.pending
+                        .remove(&batch)
+                        .expect("aborted batch was committed"),
+                );
             }
-            if let Some(rt) = self.hedging.as_mut() {
-                if let Some(st) = rt.live.get_mut(&id) {
-                    if st.hedge.is_some() {
-                        // A hedge is still racing this batch elsewhere:
-                        // the members ride the hedge instead of being
-                        // displaced, so the crash costs them nothing
-                        // beyond the head start they lose.
-                        st.primary_gone = true;
-                        continue;
-                    }
-                    // Timer armed but never fired: disarm it.
-                    rt.timers.remove(&(st.deadline, id));
-                    rt.live.remove(&id);
-                }
-            }
-            displaced.extend(
-                self.pending
-                    .remove(&id)
-                    .expect("aborted batch was committed"),
-            );
         }
         let rep = &mut self.replicas[i];
         // Drain the undispatched tail by move — a displaced request's
@@ -1284,62 +998,31 @@ impl ClusterSim<'_, '_> {
         );
         rep.arrivals.truncate(rep.next);
         rep.queued_tokens = 0;
-        // A crashed drain victim has nothing left to finish draining:
-        // retire it on the spot (a recovery would revive a replica the
-        // autoscaler already decided to shed).
-        if rep.role == ReplicaRole::Draining {
-            rep.role = ReplicaRole::Retired;
-            rep.retired_at = Some(at);
-        }
+        self.recovery.crash(at, displaced.iter().map(|(r, _)| r.id));
 
-        // Open a crash group for time-to-recover accounting; a request
-        // displaced a second time migrates to the newest group (its
-        // old group closes now if that emptied it).
-        if !displaced.is_empty() {
-            let ids: BTreeSet<usize> = displaced.iter().map(|(r, _)| r.id).collect();
-            for &id in &ids {
-                if let Some(ci) = self.req_crash.get(&id).copied() {
-                    self.crashes[ci].1.remove(&id);
-                    if self.crashes[ci].1.is_empty() {
-                        self.recovery_times
-                            .push(at.saturating_since(self.crashes[ci].0));
-                    }
-                }
-            }
-            let ci = self.crashes.len();
-            for &id in &ids {
-                self.req_crash.insert(id, ci);
-            }
-            self.crashes.push((at, ids));
-        }
-
+        let policy = self.cluster.faults.policy;
         for (req, attempts) in displaced {
-            if !self.policy.retries() {
-                self.fail(req, at, RequestOutcome::Dropped);
-                continue;
-            }
             let n = attempts + 1;
-            if n > self.policy.retry_budget {
+            if !policy.retries() || n > policy.retry_budget {
                 self.fail(req, at, RequestOutcome::Dropped);
                 continue;
             }
-            let retry_at = at + self.policy.backoff_jittered(n, req.id, &self.retry);
-            if let Some(to) = self.policy.request_timeout {
-                let deadline = req.arrival + to;
-                if retry_at > deadline {
-                    self.fail(req, deadline.max(at), RequestOutcome::TimedOut);
-                    continue;
-                }
-            }
-            self.admissions.push(
-                retry_at,
-                Admission {
-                    at: retry_at,
-                    attempts: n,
-                    req,
-                },
-            );
+            let retry_at = at + policy.backoff_jittered(n, req.id, &self.retry);
+            self.readmit(req, n, retry_at, at);
         }
+    }
+
+    /// Parks `req` for re-admission at `at` — unless that lands past
+    /// its timeout deadline, which ends it `TimedOut` instead.
+    fn readmit(&mut self, req: Request, attempts: u32, at: SimTime, now: SimTime) {
+        if let Some(to) = self.cluster.faults.policy.request_timeout {
+            let deadline = req.arrival + to;
+            if at > deadline {
+                self.fail(req, deadline.max(now), RequestOutcome::TimedOut);
+                return;
+            }
+        }
+        self.admissions.push(at, Admission { at, attempts, req });
     }
 
     /// Fresh hardware comes back: clear all degradation state and gate
@@ -1347,21 +1030,18 @@ impl ClusterSim<'_, '_> {
     fn recover(&mut self, i: usize, at: SimTime) {
         let reload = self.reload;
         let rep = &mut self.replicas[i];
-        if rep.healthy || rep.role == ReplicaRole::Retired {
+        if rep.state != ReplicaState::Down {
             return;
         }
-        rep.healthy = true;
-        rep.devices_lost = 0;
-        rep.compute_slowdown = 1.0;
-        rep.straggler = 1.0;
-        rep.gray_compute = 1.0;
+        rep.state = ReplicaState::Up;
+        rep.reset_degradation();
         rep.executor.set_link_scale(1.0);
         // The replica's own monitoring samples predate the crash:
         // flush them so a per-replica re-profile after recovery starts
         // from post-recovery observations only. (Under shared sharing
         // dispatch never fills the per-replica window, so this is a
         // no-op there — the pooled shared window survives untouched.)
-        rep.window.clear();
+        rep.estimate.window.clear();
         rep.slot_free = rep.slot_free.max(at + reload);
         // Post-recovery hardware is fresh: pre-crash latency history
         // (and any suspicion it earned) no longer describes it.
@@ -1374,7 +1054,7 @@ impl ClusterSim<'_, '_> {
     /// re-estimation window) and a permanent compute stretch until
     /// recovery. Losing the last device escalates to a crash.
     fn device_loss(&mut self, i: usize, at: SimTime) {
-        if !self.replicas[i].healthy {
+        if !self.replicas[i].is_up() {
             return;
         }
         let devices = self.engine.topo.devices();
@@ -1393,41 +1073,28 @@ impl ClusterSim<'_, '_> {
         // re-estimation) so the next plan reflects current popularity
         // — then flush the source window: its samples were gathered
         // under the pre-loss placement.
-        if self.engine.estimates() {
-            let path_length = self.engine.config.path_length;
-            match self.sharing {
-                EstimatorSharing::Shared => {
-                    if !self.shared_window.is_empty() {
-                        let estimator = self.shared_window.profile(path_length);
-                        self.shared_scheduler =
-                            Some(TwoPhaseScheduler::new(self.two_phase.clone(), estimator));
-                        self.shared_window.clear();
-                    }
-                }
-                EstimatorSharing::PerReplica => {
-                    let rep = &mut self.replicas[i];
-                    if !rep.window.is_empty() {
-                        let estimator = rep.window.profile(path_length);
-                        rep.scheduler =
-                            Some(TwoPhaseScheduler::new(self.two_phase.clone(), estimator));
-                        rep.window.clear();
-                    }
-                }
+        let engine = self.engine;
+        if engine.estimates() {
+            let est = self.estimate(i);
+            if !est.window.is_empty() {
+                est.reprofile(engine);
+                est.window.clear();
             }
         }
         // A dynamic shard map does not survive the loss either: the
         // emergency re-replication restores the run's base layout, and
         // the proactive controller restarts from scratch.
-        let base_map = self.base_map;
         if let Some(rt) = &mut self.resharding {
-            rt.shard_map = default_shard_map(
-                base_map,
-                self.engine.spec.experts,
-                self.engine.topo.devices(),
-                self.engine.cost.model.layers,
-            );
-            rt.dirty = false;
-            rt.window.clear();
+            rt.reset();
+        }
+    }
+
+    /// The estimator replica `i` plans with and feeds: the cluster-wide
+    /// one under shared sharing, its own otherwise.
+    fn estimate(&mut self, i: usize) -> &mut Estimate {
+        match self.cluster.sharing {
+            EstimatorSharing::Shared => &mut self.shared,
+            EstimatorSharing::PerReplica => &mut self.replicas[i].estimate,
         }
     }
 
@@ -1443,6 +1110,7 @@ impl ClusterSim<'_, '_> {
         };
         let adm = if take_stream {
             let req = self.stream.next().expect("peeked above");
+            self.arrived += 1;
             #[cfg(debug_assertions)]
             self.admitted_ids.insert(req.id);
             Admission {
@@ -1456,7 +1124,7 @@ impl ClusterSim<'_, '_> {
         self.now = adm.at;
         if let Some(rt) = &mut self.autoscale {
             if adm.attempts == 0 {
-                rt.arrived_since_last += 1;
+                rt.arrival();
             }
         }
         self.admit(adm);
@@ -1465,251 +1133,70 @@ impl ClusterSim<'_, '_> {
     /// One autoscaler control tick: observe the pool and the backlog,
     /// ask the policy, actuate its decision.
     fn control(&mut self) {
-        let batch_tokens =
-            self.engine.config.batcher.max_batch_requests * self.engine.config.tokens_per_request;
-        let per_replica_capacity = self.per_replica_capacity;
         let rt = self
             .autoscale
             .as_mut()
             .expect("control event without an autoscaler");
-        let at = rt.next_at;
-        rt.next_at = at + rt.config.interval;
+        let (at, decision) = rt.tick(self.replicas.iter().map(Replica::pool_member));
         self.now = at;
-        let (mut ready, mut provisioning, mut draining) = (0usize, 0usize, 0usize);
-        let (mut queued_requests, mut outstanding) = (0usize, 0usize);
-        for rep in &self.replicas {
-            if !rep.healthy || rep.role == ReplicaRole::Retired {
-                continue;
-            }
-            match rep.role {
-                ReplicaRole::Draining => draining += 1,
-                ReplicaRole::Active => {
-                    if at < rep.ready_at {
-                        provisioning += 1;
-                    } else {
-                        ready += 1;
-                    }
-                    // A draining replica's leftover work is its own to
-                    // finish; only active replicas' backlog argues for
-                    // more capacity.
-                    queued_requests += rep.queue.len() - rep.next;
-                    outstanding += rep.queued_tokens + rep.executor.in_flight_tokens();
-                }
-                ReplicaRole::Retired => unreachable!(),
-            }
-        }
-        let obs = ClusterObservation {
-            now: at,
-            ready,
-            provisioning,
-            draining,
-            queued_requests,
-            outstanding_tokens: outstanding,
-            arrived_since_last: rt.arrived_since_last,
-            interval: rt.config.interval,
-            batch_tokens,
-            per_replica_capacity,
-            provision_time: rt.provision_time,
-            min_replicas: rt.config.min_replicas,
-            max_replicas: rt.config.max_replicas,
-        };
-        rt.arrived_since_last = 0;
-        match rt.policy.decide(&obs) {
+        match decision {
             ScaleDecision::Hold => {}
-            ScaleDecision::ScaleUp(n) => self.scale_up(n, at),
-            ScaleDecision::ScaleDown(n) => self.scale_down(n, at),
-        }
-    }
-
-    /// Commissions up to `n` fresh replicas. `max_replicas` is a
-    /// hardware budget: it caps every not-yet-retired replica —
-    /// draining (and even crashed) replicas hold their slot until they
-    /// retire. Each new replica pays the provisioning weight reload
-    /// before its first dispatch and stays invisible to the balancers
-    /// until then.
-    fn scale_up(&mut self, n: usize, at: SimTime) {
-        let engine = self.engine;
-        let rt = self
-            .autoscale
-            .as_ref()
-            .expect("scale-up without an autoscaler");
-        let max = rt.config.max_replicas;
-        let ready_at = at + rt.provision_time;
-        for _ in 0..n {
-            let pool = self
-                .replicas
-                .iter()
-                .filter(|r| r.retired_at.is_none())
-                .count();
-            if pool >= max {
-                break;
+            ScaleDecision::ScaleUp(n) => {
+                let live = self.replicas.iter().filter(|r| r.is_live()).count();
+                for _ in 0..rt.grant_up(n, live) {
+                    // A new replica starts from the cluster's current
+                    // shared profile (the offline one under per-replica
+                    // sharing, which never re-profiles the shared copy)
+                    // and stays invisible to the balancers until its
+                    // weight reload completes.
+                    self.replicas.push(Replica::new(
+                        ReplicaExecutor::new_shared(self.engine.config.network, self.topo.clone()),
+                        Estimate::new(
+                            self.shared.scheduler.clone(),
+                            self.engine.config.reestimate_window,
+                        ),
+                        at,
+                        at + self.reload,
+                    ));
+                }
+                self.monitor.ensure(self.replicas.len());
             }
-            // A new replica starts from the cluster's current shared
-            // profile (per-replica sharing never re-profiles the shared
-            // copy, so this is the offline profile there — the same
-            // starting point the initial pool had).
-            self.replicas.push(Replica::new(
-                ReplicaExecutor::new_shared(engine.config.network, self.topo.clone()),
-                self.shared_scheduler.clone(),
-                engine.config.reestimate_window,
-                at,
-                ready_at,
-            ));
-            self.monitor.ensure(self.replicas.len());
-            self.requests_per_replica.push(0);
-            self.tokens_per_replica.push(0);
-            self.scale_ups += 1;
-            let live = self
-                .replicas
-                .iter()
-                .filter(|r| r.retired_at.is_none())
-                .count();
-            self.peak_replicas = self.peak_replicas.max(live);
-        }
-    }
-
-    /// Drains up to `n` replicas toward decommission (stopping at
-    /// `min_replicas`): the least-loaded active replica — ties toward
-    /// the newest, so a still-provisioning replica goes first — stops
-    /// receiving admissions and retires once idle.
-    fn scale_down(&mut self, n: usize, at: SimTime) {
-        let min = self
-            .autoscale
-            .as_ref()
-            .expect("scale-down without an autoscaler")
-            .config
-            .min_replicas;
-        for _ in 0..n {
-            let pool = self
-                .replicas
-                .iter()
-                .filter(|r| r.healthy && r.role == ReplicaRole::Active)
-                .count();
-            if pool <= min {
-                break;
+            ScaleDecision::ScaleDown(n) => {
+                let serving = self.replicas.iter().filter(|r| r.accepts_work()).count();
+                for _ in 0..rt.grant_down(n, serving) {
+                    // The least-loaded serving replica drains, ties
+                    // toward the newest so a still-provisioning replica
+                    // goes first.
+                    let victim = self
+                        .replicas
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, r)| r.accepts_work())
+                        .min_by_key(|(i, r)| (r.outstanding_tokens(), Reverse(*i)))
+                        .map(|(i, _)| i)
+                        .expect("pool above minimum has a drain candidate");
+                    let rep = &mut self.replicas[victim];
+                    rep.state = ReplicaState::Draining;
+                    rep.retire_if_idle(at);
+                }
             }
-            let victim = self
-                .replicas
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.healthy && r.role == ReplicaRole::Active)
-                .min_by_key(|(i, r)| (r.queued_tokens + r.executor.in_flight_tokens(), Reverse(*i)))
-                .map(|(i, _)| i)
-                .expect("pool above minimum has a drain candidate");
-            self.replicas[victim].role = ReplicaRole::Draining;
-            self.scale_downs += 1;
-            self.try_retire(victim, at);
         }
     }
 
-    /// Retires a draining replica the moment it has nothing queued and
-    /// nothing in flight; cost accrual stops at `at`.
-    fn try_retire(&mut self, i: usize, at: SimTime) {
-        let rep = &mut self.replicas[i];
-        if rep.role == ReplicaRole::Draining
-            && rep.next == rep.queue.len()
-            && rep.executor.in_flight() == 0
-        {
-            rep.role = ReplicaRole::Retired;
-            rep.retired_at = Some(at);
-        }
-    }
-
-    /// One proactive re-sharding tick: profile the monitoring window
-    /// into per-expert load shares, ask the policy, apply its shard-map
-    /// mutations deterministically, and — when anything changed —
-    /// charge the modeled PCIe transfer for the weights moved and flush
-    /// every monitoring and re-estimation window.
+    /// One proactive re-sharding tick; when the map changed, charge
+    /// the modeled PCIe transfer for the weights moved and flush every
+    /// monitoring and re-estimation window.
     fn reshard(&mut self) {
-        let experts = self.engine.spec.experts;
-        let devices = self.engine.topo.devices();
-        let layers = self.engine.cost.model.layers;
-        let base_map = self.base_map;
         let rt = self
             .resharding
             .as_mut()
             .expect("reshard event without a re-sharder");
-        let at = rt.next_at;
-        rt.next_at = at + rt.config.interval;
+        let (at, moved) = rt.tick();
         self.now = at;
-        let counts = rt.window.expert_token_counts(experts);
-        let total: u64 = counts.iter().sum();
-        let share: Vec<f64> = counts
-            .iter()
-            .map(|&c| {
-                if total == 0 {
-                    0.0
-                } else {
-                    c as f64 / total as f64
-                }
-            })
-            .collect();
-        // The policy sees one layer's replica counts: actuation keeps
-        // every layer in lockstep, so layer 0 speaks for the map.
-        let replicas_per_expert: Vec<usize> =
-            rt.shard_map.layer(0).hosts.iter().map(Vec::len).collect();
-        // Per-device capacity: the canonical density plus one slot of
-        // headroom, so replication always has somewhere to go without
-        // letting the map degenerate into every-expert-everywhere.
-        let cap = experts.div_ceil(devices) + 1;
-        let actions = rt.policy.decide(&ReshardObservation {
-            now: at,
-            expert_share: &share,
-            replicas: &replicas_per_expert,
-            devices,
-            max_experts_per_device: cap,
-        });
-        // Each action mutates every layer of the map in lockstep; a
-        // layer where the deterministic rule finds no eligible move is
-        // skipped, and the action counts once if any layer moved. On a
-        // uniform map every layer accepts or refuses identically, so
-        // the historical single-map counts are reproduced exactly.
-        let mut moved = 0usize;
-        let mut applied = false;
-        for action in actions {
-            match action {
-                ReshardAction::Replicate(e) => {
-                    let mut ok = false;
-                    for layer in rt.shard_map.layers_mut() {
-                        ok |= layer.add_replica(e, devices, cap);
-                    }
-                    if ok {
-                        rt.replications += 1;
-                        moved += 1;
-                        applied = true;
-                    }
-                }
-                ReshardAction::Evict(e) => {
-                    let mut ok = false;
-                    for layer in rt.shard_map.layers_mut() {
-                        ok |= layer.drop_replica(e, devices);
-                    }
-                    if ok {
-                        rt.evictions += 1;
-                        applied = true;
-                    }
-                }
-                ReshardAction::Migrate(e) => {
-                    let mut ok = false;
-                    for layer in rt.shard_map.layers_mut() {
-                        ok |= layer.migrate_replica(e, devices, cap);
-                    }
-                    if ok {
-                        rt.migrations += 1;
-                        moved += 1;
-                        applied = true;
-                    }
-                }
-            }
-        }
-        if !applied {
-            return;
-        }
-        rt.dirty = rt.shard_map != default_shard_map(base_map, experts, devices, layers);
-        rt.window.clear();
-        // Actuation: each healthy replica stalls behind the PCIe
-        // transfer for the replicas that moved (evictions are free),
-        // priced by the same primitive recovery reloads use.
+        let Some(moved) = moved else { return };
+        // Each up replica stalls behind the transfer for the replicas
+        // that moved (evictions are free), priced by the same
+        // primitive recovery reloads use.
         if moved > 0 {
             let charge = provisioning::reshard_transfer(
                 self.engine.cost,
@@ -1717,17 +1204,14 @@ impl ClusterSim<'_, '_> {
                 moved,
                 rt.config.transfer_cost,
             );
-            for rep in &mut self.replicas {
-                if rep.healthy && rep.role != ReplicaRole::Retired {
-                    rep.slot_free = rep.slot_free.max(at + charge);
-                }
+            for rep in self.replicas.iter_mut().filter(|r| r.is_up()) {
+                rep.slot_free = rep.slot_free.max(at + charge);
             }
         }
-        // The placement changed: no window sample gathered under the
-        // old map may survive it.
-        self.shared_window.clear();
+        // No window sample gathered under the old map may survive it.
+        self.shared.window.clear();
         for rep in &mut self.replicas {
-            rep.window.clear();
+            rep.estimate.window.clear();
         }
     }
 
@@ -1736,53 +1220,32 @@ impl ClusterSim<'_, '_> {
     /// shedding admission controller to first arrivals.
     fn admit(&mut self, adm: Admission) {
         let now = adm.at;
-        let n_alive = self
-            .replicas
-            .iter()
-            .filter(|r| r.healthy && r.role != ReplicaRole::Retired)
-            .count();
+        let policy = self.cluster.faults.policy;
+        let n_alive = self.replicas.iter().filter(|r| r.is_up()).count();
         if n_alive == 0 {
             // Total outage. Retry policies park the admission until
             // the next scheduled recovery (the recovery fault fires
-            // first at that instant, so a replica is healthy by then);
+            // first at that instant, so a replica is up by then);
             // fail-fast, or a cluster that never recovers, drops.
-            if self.policy.retries() {
-                if let Some(rec) = self.schedule.next_recovery_after(now) {
-                    if let Some(to) = self.policy.request_timeout {
-                        let deadline = adm.req.arrival + to;
-                        if rec > deadline {
-                            self.fail(adm.req, deadline.max(now), RequestOutcome::TimedOut);
-                            return;
-                        }
-                    }
-                    self.admissions.push(
-                        rec,
-                        Admission {
-                            at: rec,
-                            attempts: adm.attempts,
-                            req: adm.req,
-                        },
-                    );
-                    return;
-                }
+            let recovery = self.cluster.faults.schedule.next_recovery_after(now);
+            match recovery.filter(|_| policy.retries()) {
+                Some(rec) => self.readmit(adm.req, adm.attempts, rec, now),
+                None => self.fail(adm.req, now, RequestOutcome::Dropped),
             }
-            self.fail(adm.req, now, RequestOutcome::Dropped);
             return;
         }
 
         // Admission control: shed a *new* request when the surviving
         // capacity already has more than the threshold outstanding.
         // Re-admissions are exempt — shedding protects admitted work.
-        if adm.attempts == 0 && self.policy.sheds() {
+        if adm.attempts == 0 && policy.sheds() {
             let outstanding: usize = self
                 .replicas
                 .iter()
-                .filter(|r| r.healthy && r.role != ReplicaRole::Retired)
-                .map(|r| r.queued_tokens + r.executor.in_flight_tokens())
+                .filter(|r| r.is_up())
+                .map(Replica::outstanding_tokens)
                 .sum();
-            let batch_tokens = self.engine.config.batcher.max_batch_requests
-                * self.engine.config.tokens_per_request;
-            let cap = self.policy.shed_batches_per_replica * n_alive as f64 * batch_tokens as f64;
+            let cap = policy.shed_batches_per_replica * n_alive as f64 * self.batch_tokens as f64;
             if outstanding as f64 > cap {
                 self.fail(adm.req, now, RequestOutcome::Dropped);
                 return;
@@ -1804,7 +1267,7 @@ impl ClusterSim<'_, '_> {
             // the live ones for this pick: the request queues behind
             // the drain, the weight reload, or the suspect replica
             // (deterministic emergency fallback). Infinite suspicion
-            // means crashed/retired and stays out of bounds.
+            // means down/retired and stays out of bounds.
             for s in &mut snapshots {
                 if s.suspicion.is_finite() {
                     s.suspicion = 0.0;
@@ -1815,16 +1278,14 @@ impl ClusterSim<'_, '_> {
         }
         let target = self.balancer.pick(&snapshots, now);
         assert!(
-            target < self.replicas.len()
-                && self.replicas[target].healthy
-                && self.replicas[target].role != ReplicaRole::Retired,
+            self.replicas.get(target).is_some_and(Replica::is_up),
             "balancer {} picked unroutable or out-of-range replica {target}",
             self.balancer.name()
         );
         self.snapshot_scratch = snapshots;
-        self.requests_per_replica[target] += 1;
-        self.tokens_per_replica[target] += adm.req.tokens.len();
         let rep = &mut self.replicas[target];
+        rep.requests += 1;
+        rep.tokens += adm.req.tokens.len();
         rep.arrivals.push(now);
         rep.queued_tokens += adm.req.tokens.len();
         rep.attempts.push(adm.attempts);
@@ -1837,12 +1298,10 @@ impl ClusterSim<'_, '_> {
     fn complete_on(&mut self, i: usize, t: SimTime) {
         let max_inflight = self.engine.config.max_inflight;
         let rep = &mut self.replicas[i];
-        // Slot accounting counts primary batches only: hedges ride
-        // along outside the dispatch budget.
-        let mut inflight = rep.executor.in_flight() - rep.hedges_in_flight;
+        let mut inflight = rep.primaries_in_flight();
         let finished = rep.executor.advance_to(t);
         for fb in &finished {
-            if fb.id >= HEDGE_BASE {
+            if is_hedge(fb.id) {
                 rep.hedges_in_flight -= 1;
                 continue;
             }
@@ -1852,110 +1311,68 @@ impl ClusterSim<'_, '_> {
             }
         }
         for fb in finished {
-            // Every real completion on this replica is a latency
-            // observation for the detector, hedge duplicates included:
-            // actual service over the batch's nominal expectation. The
-            // map only ever holds entries when a non-oracle detector
-            // priced them at dispatch.
-            if let Some(nominal) = self.expected_service.remove(&fb.id) {
-                self.monitor
-                    .observe(i, nominal, fb.report.total, fb.completed);
-            }
-            if fb.id >= HEDGE_BASE {
-                self.hedge_finished(fb, t);
-                continue;
-            }
-            if let Some(rt) = self.hedging.as_mut() {
-                rt.observe(fb.report.total);
-                rt.useful += fb.report.total;
-                if let Some(st) = rt.live.remove(&fb.id) {
-                    rt.timers.remove(&(st.deadline, fb.id));
-                    if let Some(hf) = st.hedge {
-                        // The primary beat its hedge: cancel the
-                        // speculative copy and charge its burn.
-                        rt.by_hedge.remove(&hf.id);
-                        rt.wasted += t.saturating_since(hf.dispatched);
-                        self.expected_service.remove(&hf.id);
-                        let hrep = &mut self.replicas[hf.replica];
-                        let ok = hrep.executor.abort(hf.id);
-                        debug_assert!(ok, "live hedge was in flight");
-                        hrep.hedges_in_flight -= 1;
+            // Every completion here, hedge duplicates included, is a
+            // latency observation for the detector.
+            self.monitor
+                .completed(i, fb.id, fb.report.total, fb.completed);
+            let batch = if is_hedge(fb.id) {
+                let rt = self.hedging.as_mut().expect("hedge id without a runtime");
+                let (primary, racing) = rt.hedge_done(fb.id, fb.report.total, t);
+                if let Some(p) = racing {
+                    // The hedge beat a still-running primary: abort
+                    // the original and free its dispatch slot now.
+                    self.monitor.forget(primary);
+                    let prep = &mut self.replicas[p];
+                    let ok = prep.executor.abort(primary);
+                    debug_assert!(ok, "raced primary was in flight");
+                    if prep.primaries_in_flight() == max_inflight - 1 {
+                        prep.slot_free = t;
                     }
+                    prep.retire_if_idle(t);
                 }
-            }
-            let members = self
-                .pending
-                .remove(&fb.id)
-                .expect("finished batch was committed");
-            for (r, _) in members {
-                self.records.push(RequestRecord {
-                    id: r.id,
-                    // The original arrival: latency spans failed
-                    // attempts and backoff waits.
-                    arrival: r.arrival,
-                    dispatched: fb.dispatched,
-                    completed: fb.completed,
-                    tokens: r.tokens.len(),
-                    batch: fb.id as usize,
-                    service: fb.report.total,
-                });
-                self.on_terminal(r.id, fb.completed);
-            }
+                primary
+            } else {
+                let lost = self
+                    .hedging
+                    .as_mut()
+                    .and_then(|rt| rt.primary_done(fb.id, fb.report.total, t));
+                if let Some((hedge, h)) = lost {
+                    // The primary beat its hedge: cancel the copy.
+                    self.monitor.forget(hedge);
+                    let hrep = &mut self.replicas[h];
+                    let ok = hrep.executor.abort(hedge);
+                    debug_assert!(ok, "live hedge was in flight");
+                    hrep.hedges_in_flight -= 1;
+                }
+                fb.id
+            };
+            self.complete_batch(batch, &fb);
         }
         // A drain victim decommissions at its last completion.
-        self.try_retire(i, t);
+        self.replicas[i].retire_if_idle(t);
     }
 
-    /// A hedge batch completed: it wins whatever race is still open
-    /// (the executor's abort-wins-ties rule already purged it if the
-    /// primary resolved first this instant) and its members' records
-    /// materialize against the *primary* batch id.
-    fn hedge_finished(&mut self, fb: FinishedBatch, t: SimTime) {
-        let max_inflight = self.engine.config.max_inflight;
-        let rt = self.hedging.as_mut().expect("hedge id without a runtime");
-        let primary = rt
-            .by_hedge
-            .remove(&fb.id)
-            .expect("finished hedge was registered");
-        let st = rt
-            .live
-            .remove(&primary)
-            .expect("finished hedge had live state");
-        rt.won += 1;
-        rt.useful += fb.report.total;
-        if !st.primary_gone {
-            // The hedge beat a still-running primary: abort the
-            // original and free its dispatch slot now.
-            rt.wasted += t.saturating_since(st.primary_dispatched);
-            self.expected_service.remove(&primary);
-            let prep = &mut self.replicas[st.primary_replica];
-            let ok = prep.executor.abort(primary);
-            debug_assert!(ok, "raced primary was in flight");
-            if prep.executor.in_flight() - prep.hedges_in_flight == max_inflight - 1 {
-                prep.slot_free = t;
-            }
-        }
+    /// Materializes the records of primary batch `batch`'s members,
+    /// served by the flight `fb`: the primary itself or its winning
+    /// hedge, whose timeline the records then carry.
+    fn complete_batch(&mut self, batch: u64, fb: &FinishedBatch) {
         let members = self
             .pending
-            .remove(&primary)
-            .expect("hedged batch was committed");
+            .remove(&batch)
+            .expect("finished batch was committed");
         for (r, _) in members {
             self.records.push(RequestRecord {
                 id: r.id,
+                // The original arrival: latency spans failed attempts
+                // and backoff waits.
                 arrival: r.arrival,
-                // The winning flight's timeline: the batch completed
-                // via the hedge's dispatch.
                 dispatched: fb.dispatched,
                 completed: fb.completed,
                 tokens: r.tokens.len(),
-                batch: primary as usize,
+                batch: batch as usize,
                 service: fb.report.total,
             });
             self.on_terminal(r.id, fb.completed);
-        }
-        if !st.primary_gone {
-            // The abort may have emptied a drain victim.
-            self.try_retire(st.primary_replica, t);
         }
     }
 
@@ -1968,147 +1385,96 @@ impl ClusterSim<'_, '_> {
             .hedging
             .as_mut()
             .expect("hedge timer without a runtime");
-        rt.timers.remove(&(t, primary));
-        let primary_replica = rt
-            .live
-            .get(&primary)
-            .expect("hedge timer had live state")
-            .primary_replica;
-        // Candidate pool: commissioned, not the primary's host, with a
-        // genuinely free executor slot (the hedge consumes capacity
-        // even though it skips the dispatch budget). Least suspicion
-        // wins; ties break toward the lighter backlog, then the lower
-        // index — fully deterministic.
-        let monitor = &self.monitor;
-        let candidate = self
-            .replicas
-            .iter()
-            .enumerate()
-            .filter(|&(j, r)| {
-                j != primary_replica
-                    && r.healthy
-                    && r.role == ReplicaRole::Active
-                    && t >= r.ready_at
-                    && r.executor.in_flight() < max_inflight
-            })
-            .min_by(|&(a, ra), &(b, rb)| {
-                monitor
-                    .suspicion(a, t)
-                    .total_cmp(&monitor.suspicion(b, t))
-                    .then_with(|| {
-                        ra.executor
-                            .in_flight_tokens()
-                            .cmp(&rb.executor.in_flight_tokens())
-                    })
-                    .then_with(|| a.cmp(&b))
-            })
-            .map(|(j, _)| j);
-        let Some(target) = candidate else {
-            // Nowhere to hedge (single live replica, or everyone
-            // saturated): the primary keeps the batch alone.
+        let (replicas, monitor) = (&self.replicas, &self.monitor);
+        let hedge = rt.fire(t, primary, |host| {
+            // Candidates: up and taking work, past the weight reload,
+            // not the primary's host, with a genuinely free executor
+            // slot (the hedge consumes capacity even though it skips
+            // the dispatch budget). Least suspicion wins; ties break
+            // toward the lighter in-flight load, then the lower index.
+            // None (single live replica, or everyone saturated) leaves
+            // the primary alone with the batch.
+            replicas
+                .iter()
+                .enumerate()
+                .filter(|&(j, r)| {
+                    j != host
+                        && r.accepts_work()
+                        && t >= r.ready_at
+                        && r.executor.in_flight() < max_inflight
+                })
+                .min_by(|&(a, ra), &(b, rb)| {
+                    monitor
+                        .suspicion(a, t)
+                        .total_cmp(&monitor.suspicion(b, t))
+                        .then_with(|| {
+                            ra.executor
+                                .in_flight_tokens()
+                                .cmp(&rb.executor.in_flight_tokens())
+                        })
+                        .then_with(|| a.cmp(&b))
+                })
+                .map(|(j, _)| j)
+        });
+        let Some((id, target, plan)) = hedge else {
             return;
         };
-        let rt = self.hedging.as_mut().expect("checked above");
-        let id = HEDGE_BASE + rt.next_hedge_seq;
-        rt.next_hedge_seq += 1;
-        rt.issued += 1;
-        rt.by_hedge.insert(id, primary);
-        let st = rt.live.get_mut(&primary).expect("checked above");
-        st.hedge = Some(HedgeFlight {
-            id,
-            replica: target,
-            dispatched: t,
-        });
-        let base = st.plan.clone();
-        // The hedge's completion feeds the detector like any other, so
-        // it needs the same nominal expectation as its primary.
-        if let Some(timer) = &mut self.expect {
-            let nominal = execute_plan_solo(&base, timer).total;
-            self.expected_service.insert(id, nominal);
-        }
-        let trep = &mut self.replicas[target];
-        trep.hedges_in_flight += 1;
-        // The duplicate runs at the target's true speed — visible
-        // degradation and silent gray stretch alike.
-        let slow = trep.compute_slowdown * trep.straggler * trep.gray_compute;
-        let plan = if slow > 1.0 {
-            let mut degraded = (*base).clone();
-            degraded.scale_compute(slow);
-            Arc::new(degraded)
-        } else {
-            base
-        };
-        trep.executor.submit(id, t, plan);
+        // The hedge's completion feeds the detector like any other.
+        self.monitor.expect(id, &plan);
+        let rep = &mut self.replicas[target];
+        rep.hedges_in_flight += 1;
+        // The duplicate runs at the target's true speed.
+        let plan = rep.stretch(plan);
+        rep.executor.submit(id, t, plan);
     }
 
     /// Commits the replica's next batch: plan, degrade, submit.
     fn dispatch(&mut self, i: usize, d: Dispatch) {
+        let engine = self.engine;
         let rep = &self.replicas[i];
         let members = &rep.queue[rep.next..rep.next + d.count];
-        // Gray degradation stretches service exactly like a visible
-        // slowdown would — it is only the *control plane* that cannot
-        // see it.
-        let slow = rep.compute_slowdown * rep.straggler * rep.gray_compute;
         let batch_tokens: usize = members.iter().map(|r| r.tokens.len()).sum();
         let batch = TokenBatch {
             tokens: members
                 .iter()
                 .flat_map(|r| r.tokens.iter().cloned())
                 .collect(),
-            devices: self.engine.topo.devices(),
-            experts: self.engine.spec.experts,
+            devices: engine.topo.devices(),
+            experts: engine.spec.experts,
         };
-        let scheduler = match self.sharing {
-            EstimatorSharing::Shared => self.shared_scheduler.as_ref(),
-            EstimatorSharing::PerReplica => rep.scheduler.as_ref(),
+        let scheduler = match self.cluster.sharing {
+            EstimatorSharing::Shared => &self.shared,
+            EstimatorSharing::PerReplica => &rep.estimate,
         };
-        // A dirty shard map overrides the configured base placement;
-        // while at the base, planning sees exactly the configured map
-        // (or the canonical one when none was set) — an
-        // armed-but-inert re-sharder stays bit-identical.
-        let base = self
+        // A diverged shard map overrides the configured base placement;
+        // at the base, planning sees exactly the configured map (or the
+        // canonical one when none was set), so an armed-but-inert
+        // re-sharder stays bit-identical.
+        let map = self
             .resharding
             .as_ref()
-            .filter(|rt| rt.dirty)
-            .map(|rt| &rt.shard_map)
-            .or(self.base_map);
-        let base_plan = Arc::new(plan_batch_layered(
-            self.engine.cost,
-            self.engine.topo,
+            .and_then(ReshardRuntime::plan_map)
+            .or(self.cluster.placement.as_ref());
+        let plan = Arc::new(plan_batch_layered(
+            engine.cost,
+            engine.topo,
             &self.infer,
-            scheduler,
+            scheduler.scheduler.as_ref(),
             &batch,
-            base,
-            self.locality,
+            map,
+            self.cluster.locality,
         ));
-        self.local_hops += base_plan.local_hops;
-        self.routed_hops += base_plan.routed_hops;
-        // A hedge re-runs the pristine base plan on an alternate (its
-        // own degradation applied at issue time), so capture the Arc
-        // before the degraded-copy branch moves it.
-        let hedge_plan = self.hedging.is_some().then(|| base_plan.clone());
-        // The armed detector's expectation: the pristine plan at
-        // nominal replica speed, priced before degradation stretches a
-        // copy. Whatever the replica silently adds on top of this is
-        // exactly the gray signal.
-        let nominal = self
-            .expect
-            .as_mut()
-            .map(|timer| execute_plan_solo(&base_plan, timer).total);
-        // Degraded replicas stretch a private copy; the pristine plan
-        // stays with the hedge state.
-        let plan = if slow > 1.0 {
-            let mut degraded = (*base_plan).clone();
-            degraded.scale_compute(slow);
-            Arc::new(degraded)
-        } else {
-            base_plan
-        };
+        self.local_hops += plan.local_hops;
+        self.routed_hops += plan.routed_hops;
         let batch_id = self.total_batches as u64;
-        if let Some(nominal) = nominal {
-            self.expected_service.insert(batch_id, nominal);
+        // The detector's expectation and a hedge's re-run both use the
+        // pristine plan; the replica's own degradation stretches a copy.
+        self.monitor.expect(batch_id, &plan);
+        if let Some(rt) = &mut self.hedging {
+            rt.arm(batch_id, i, d.at, &plan);
         }
         let rep = &mut self.replicas[i];
+        let plan = rep.stretch(plan);
         rep.executor.submit(batch_id, d.at, plan);
         // Move the members into the pending map — taking each slot's
         // token paths rather than deep-cloning them (a crash can still
@@ -2119,14 +1485,8 @@ impl ClusterSim<'_, '_> {
             .iter_mut()
             .zip(rep.attempts[rep.next..rep.next + d.count].iter().copied())
             .map(|(slot, attempts)| {
-                (
-                    Request {
-                        id: slot.id,
-                        arrival: slot.arrival,
-                        tokens: std::mem::take(&mut slot.tokens),
-                    },
-                    attempts,
-                )
+                let tokens = std::mem::take(&mut slot.tokens);
+                (Request { tokens, ..*slot }, attempts)
             })
             .collect();
         self.pending.insert(batch_id, member_info);
@@ -2140,72 +1500,24 @@ impl ClusterSim<'_, '_> {
         rep.batches += 1;
         self.total_batches += 1;
 
-        // Arm the hedge timer: once enough service samples exist to
-        // estimate the delay quantile, any primary still running past
-        // it gets a speculative duplicate.
-        if let Some(rt) = &mut self.hedging {
-            if let Some(delay) = rt.delay() {
-                let deadline = d.at + delay;
-                rt.timers.insert((deadline, batch_id), ());
-                rt.live.insert(
-                    batch_id,
-                    HedgeState {
-                        primary_replica: i,
-                        primary_dispatched: d.at,
-                        deadline,
-                        plan: hedge_plan
-                            .clone()
-                            .expect("armed hedging captured the base plan"),
-                        primary_gone: false,
-                        hedge: None,
-                    },
-                );
-            }
-        }
-
-        // The re-shard load monitor samples every dispatched batch
-        // (sharing the batch with the re-estimator when both are
-        // armed).
-        let reestimate_every = self
-            .engine
+        // The re-shard load monitor samples every dispatched batch,
+        // sharing it with the re-estimator when both are armed; the
+        // re-estimator pools cluster-wide (shared) or replica-locally.
+        let every = engine
             .config
             .reestimate_every
-            .filter(|_| self.engine.estimates());
-        let mut batch = Some(batch);
-        if let Some(rt) = &mut self.resharding {
-            let sample = if reestimate_every.is_some() {
-                batch.clone()
-            } else {
-                batch.take()
-            };
-            rt.window.push(sample.expect("the batch is still here"));
-        }
-
-        // Online re-placement: pool observations cluster-wide (shared)
-        // or keep them replica-local (per-replica).
-        if let (Some(every), Some(batch)) = (reestimate_every, batch) {
-            let path_length = self.engine.config.path_length;
-            match self.sharing {
-                EstimatorSharing::Shared => {
-                    self.shared_window.push(batch);
-                    if self.total_batches.is_multiple_of(every) {
-                        let estimator = self.shared_window.profile(path_length);
-                        self.shared_scheduler =
-                            Some(TwoPhaseScheduler::new(self.two_phase.clone(), estimator));
-                        self.reestimations += 1;
-                    }
-                }
-                EstimatorSharing::PerReplica => {
-                    let rep = &mut self.replicas[i];
-                    rep.window.push(batch);
-                    if rep.batches.is_multiple_of(every) {
-                        let estimator = rep.window.profile(path_length);
-                        rep.scheduler =
-                            Some(TwoPhaseScheduler::new(self.two_phase.clone(), estimator));
-                        self.reestimations += 1;
-                    }
-                }
+            .filter(|_| engine.estimates());
+        let Some(every) = every else {
+            if let Some(rt) = &mut self.resharding {
+                rt.observe(batch);
             }
+            return;
+        };
+        if let Some(rt) = &mut self.resharding {
+            rt.observe(batch.clone());
+        }
+        if self.estimate(i).observe(batch, every, engine) {
+            self.reestimations += 1;
         }
     }
 
@@ -2214,6 +1526,8 @@ impl ClusterSim<'_, '_> {
     /// carry exactly their deadline as the end instant.
     fn expire(&mut self, now: SimTime) {
         let to = self
+            .cluster
+            .faults
             .policy
             .request_timeout
             .expect("timeout event without a timeout policy");
@@ -2251,21 +1565,15 @@ impl ClusterSim<'_, '_> {
         self.on_terminal(id, ended);
     }
 
-    /// Terminal-outcome bookkeeping: close the request's crash group
-    /// when it was the last displaced member, and audit conservation.
+    /// Terminal-outcome bookkeeping: time-to-recover accounting and
+    /// the conservation audit.
     fn on_terminal(&mut self, id: usize, at: SimTime) {
         #[cfg(debug_assertions)]
         assert!(
             self.terminal_ids.insert(id),
             "request {id} reached two terminal outcomes"
         );
-        if let Some(ci) = self.req_crash.remove(&id) {
-            self.crashes[ci].1.remove(&id);
-            if self.crashes[ci].1.is_empty() {
-                self.recovery_times
-                    .push(at.saturating_since(self.crashes[ci].0));
-            }
-        }
+        self.recovery.terminal(id, at);
     }
 
     fn finish(mut self) -> ClusterOutcome {
@@ -2273,12 +1581,14 @@ impl ClusterSim<'_, '_> {
             self.pending.is_empty(),
             "every committed batch must complete or abort"
         );
-        if let Some(rt) = &self.hedging {
-            assert!(
-                rt.live.is_empty() && rt.timers.is_empty() && rt.by_hedge.is_empty(),
-                "every hedge race must resolve by the end of the run"
-            );
-        }
+        // Conservation in every build: each first arrival pulled from
+        // the stream reached a terminal outcome. The debug id sets
+        // below also catch a request that reached two.
+        assert_eq!(
+            self.records.len() + self.tracker.failures().len(),
+            self.arrived,
+            "every admitted request must reach exactly one terminal outcome"
+        );
         #[cfg(debug_assertions)]
         {
             for rep in &self.replicas {
@@ -2296,19 +1606,10 @@ impl ClusterSim<'_, '_> {
         for r in std::mem::take(&mut self.records) {
             self.tracker.record(r);
         }
-        let (hedges_issued, hedges_won, hedge_wasted_frac) = match &self.hedging {
-            Some(rt) => {
-                let useful = rt.useful.as_secs_f64();
-                let wasted = rt.wasted.as_secs_f64();
-                let frac = if useful + wasted > 0.0 {
-                    wasted / (useful + wasted)
-                } else {
-                    0.0
-                };
-                (rt.issued, rt.won, frac)
-            }
-            None => (0, 0, 0.0),
-        };
+        let (hedges_issued, hedges_won, hedge_wasted_frac) = self
+            .hedging
+            .as_ref()
+            .map_or((0, 0, 0.0), HedgeRuntime::summary);
         self.tracker
             .record_hedges(hedges_issued, hedges_won, hedge_wasted_frac);
         // Pool cost: every replica accrues from commission until it
@@ -2318,29 +1619,40 @@ impl ClusterSim<'_, '_> {
             .replicas
             .iter()
             .map(|r| {
-                r.retired_at
-                    .unwrap_or(end)
-                    .saturating_since(r.commissioned)
-                    .as_secs_f64()
+                let until = match r.state {
+                    ReplicaState::Retired(at) => at,
+                    _ => end,
+                };
+                until.saturating_since(r.commissioned).as_secs_f64()
             })
             .sum();
+        let (scale_ups, scale_downs, peak_replicas) = self
+            .autoscale
+            .as_ref()
+            .map_or((0, 0, self.cluster.replicas), |rt| {
+                (rt.scale_ups, rt.scale_downs, rt.peak_replicas)
+            });
+        let (replications, evictions, migrations) =
+            self.resharding.as_ref().map_or((0, 0, 0), |rt| {
+                (rt.replications, rt.evictions, rt.migrations)
+            });
         ClusterOutcome {
             tracker: self.tracker,
             batches: self.total_batches,
             reestimations: self.reestimations,
-            requests_per_replica: self.requests_per_replica,
-            tokens_per_replica: self.tokens_per_replica,
+            requests_per_replica: self.replicas.iter().map(|r| r.requests).collect(),
+            tokens_per_replica: self.replicas.iter().map(|r| r.tokens).collect(),
             batches_per_replica: self.replicas.iter().map(|r| r.batches).collect(),
             aborted_batches: self.aborted_batches,
             faults_injected: self.faults_injected,
             emergency_replacements: self.emergency_replacements,
-            recovery_times: self.recovery_times,
-            scale_ups: self.scale_ups,
-            scale_downs: self.scale_downs,
-            replications: self.resharding.as_ref().map_or(0, |rt| rt.replications),
-            evictions: self.resharding.as_ref().map_or(0, |rt| rt.evictions),
-            migrations: self.resharding.as_ref().map_or(0, |rt| rt.migrations),
-            peak_replicas: self.peak_replicas,
+            recovery_times: self.recovery.times,
+            scale_ups,
+            scale_downs,
+            replications,
+            evictions,
+            migrations,
+            peak_replicas,
             hedges_issued,
             hedges_won,
             hedge_wasted_frac,
@@ -2368,6 +1680,7 @@ mod tests {
     use super::*;
     use crate::arrival::ArrivalProcess;
     use crate::batcher::BatcherConfig;
+    use crate::faults::{DegradationPolicy, FaultSchedule};
     use lina_baselines::InferScheme;
     use lina_model::{DeviceSpec, MoeModelConfig};
     use lina_netsim::ClusterSpec;
@@ -2944,6 +2257,31 @@ mod tests {
             "retries plus elasticity lose nothing"
         );
         assert!((out.report().availability - 1.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn device_loss_on_a_retired_replica_is_a_no_op() {
+        let (cost, topo, spec) = world();
+        let mut c = config(InferScheme::Lina, 2000.0, 3);
+        c.autoscale = Some(scripted(vec![ScaleDecision::ScaleDown(1)], 1, 3, 1));
+        let fault_free = serve_cluster(&cost, &topo, &spec, c.clone());
+        assert_eq!(
+            fault_free.requests_per_replica[2], 1,
+            "the drain victim retires after one request"
+        );
+        c.faults = FaultPlan {
+            schedule: FaultSchedule::from_script(vec![FaultEvent {
+                at: SimTime::from_micros(23_700),
+                replica: 2,
+                kind: FaultKind::DeviceLoss,
+            }]),
+            policy: DegradationPolicy::retry_failover(None),
+        };
+        let out = serve_cluster(&cost, &topo, &spec, c);
+        assert_eq!(out.faults_injected, 1);
+        assert_eq!(out.emergency_replacements, 0);
+        assert_eq!(out.tracker.records(), fault_free.tracker.records());
+        assert_eq!(out.reestimations, fault_free.reestimations);
     }
 
     #[test]

@@ -30,6 +30,20 @@
 //! An empty schedule with an inert policy ([`FaultPlan::none`])
 //! reproduces the healthy-path serving timeline bit for bit — the
 //! degeneracy the property tests pin.
+//!
+//! In the cluster loop a crash aborts the replica's in-flight batches
+//! and displaces them together with its queue; a recovery brings fresh
+//! hardware back behind a weight reload; a device loss blocks dispatch
+//! while the lost experts are re-replicated onto the survivors (the
+//! scheduler re-profiles from the re-estimation window) and stretches
+//! later expert compute by `devices / (devices - lost)`. A fault aimed
+//! at a replica that is down or retired is a no-op. Each crash that
+//! displaced work is timed until all of that work reached a terminal
+//! outcome ([`ClusterOutcome::recovery_times`]).
+//!
+//! [`ClusterOutcome::recovery_times`]: crate::ClusterOutcome::recovery_times
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use lina_simcore::{Rng, SimDuration, SimTime};
 
@@ -647,6 +661,52 @@ impl FaultPlan {
     pub fn validate(&self, replicas: usize) {
         self.schedule.validate(replicas);
         self.policy.validate();
+    }
+}
+
+/// Time-to-recover accounting: a crash that displaced work opens a
+/// group of the displaced request ids, and the group closes when its
+/// last member reaches a terminal outcome. A request displaced again
+/// moves to the newer group, which may close its old one.
+#[derive(Default)]
+pub(crate) struct RecoveryClock {
+    /// Crash instant and still-open member count per group.
+    groups: Vec<(SimTime, usize)>,
+    /// The group each open displaced request belongs to.
+    member_of: BTreeMap<usize, usize>,
+    /// Closed groups' time-to-recover, in closing order.
+    pub(crate) times: Vec<SimDuration>,
+}
+
+impl RecoveryClock {
+    /// A crash at `at` displaced the requests `ids`.
+    pub(crate) fn crash(&mut self, at: SimTime, ids: impl IntoIterator<Item = usize>) {
+        let ids: BTreeSet<usize> = ids.into_iter().collect();
+        if ids.is_empty() {
+            return;
+        }
+        let group = self.groups.len();
+        for &id in &ids {
+            if let Some(old) = self.member_of.insert(id, group) {
+                self.leave(old, at);
+            }
+        }
+        self.groups.push((at, ids.len()));
+    }
+
+    /// Request `id` reached a terminal outcome at `at`.
+    pub(crate) fn terminal(&mut self, id: usize, at: SimTime) {
+        if let Some(group) = self.member_of.remove(&id) {
+            self.leave(group, at);
+        }
+    }
+
+    fn leave(&mut self, group: usize, at: SimTime) {
+        let (opened, open) = &mut self.groups[group];
+        *open -= 1;
+        if *open == 0 {
+            self.times.push(at.saturating_since(*opened));
+        }
     }
 }
 

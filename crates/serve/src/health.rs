@@ -38,9 +38,22 @@
 //! observation sequence and the query instant, so the cluster loop's
 //! bit-reproducibility survives the detector being armed.
 //!
+//! Hedged dispatch ([`HedgeConfig`]) covers the residual tail: when an
+//! in-flight batch outlives a quantile-derived delay, the cluster
+//! re-submits it on the least-suspected alternate replica, the first
+//! completion wins, and the loser is cancelled. A hedge whose primary's
+//! replica crashes carries the batch alone. Every request still reaches
+//! exactly one terminal outcome, and the wasted-compute fraction is
+//! reported on [`ClusterOutcome`](crate::ClusterOutcome).
+//!
 //! [`FaultKind::GrayDegrade`]: crate::FaultKind::GrayDegrade
 //! [`ReplicaSnapshot::routable`]: crate::ReplicaSnapshot::routable
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+use lina_netsim::{SoloTimer, Topology};
+use lina_runner::{execute_plan_solo, ExecutionPlan};
 use lina_simcore::{SimDuration, SimTime};
 
 /// Which gray-failure detector the cluster runs.
@@ -179,6 +192,241 @@ impl HedgeConfig {
     }
 }
 
+/// Batch-id namespace for speculative hedge dispatches. Primary ids
+/// are dense counters from zero; hedge ids live in the top half of the
+/// `u64` space, so both streams share one executor without collision.
+const HEDGE_BASE: u64 = 1 << 63;
+
+/// Whether batch `id` is a speculative hedge rather than a primary.
+pub(crate) fn is_hedge(id: u64) -> bool {
+    id >= HEDGE_BASE
+}
+
+/// A speculative duplicate of one primary batch, in flight on an
+/// alternate replica.
+struct HedgeFlight {
+    id: u64,
+    replica: usize,
+    dispatched: SimTime,
+}
+
+/// Per-primary hedge bookkeeping, from dispatch commit until both the
+/// primary and any hedge reach a terminal state.
+struct HedgeState {
+    primary_replica: usize,
+    /// Instant the primary was dispatched (its waste when it loses).
+    primary_dispatched: SimTime,
+    /// When the timer fires if the primary is still running.
+    deadline: SimTime,
+    /// The primary's pristine plan; a hedge re-runs it elsewhere.
+    plan: Arc<ExecutionPlan>,
+    /// The primary's replica crashed with the hedge still live; the
+    /// hedge is then the batch's only path to completion.
+    primary_gone: bool,
+    /// The live hedge, once the timer fired.
+    hedge: Option<HedgeFlight>,
+}
+
+/// Armed hedged dispatch inside the cluster event loop: the delay
+/// estimate, per-primary timers and races, and waste accounting. The
+/// cluster owns the executors; every method here only decides and
+/// tells it which flight to start or cancel.
+pub(crate) struct HedgeRuntime {
+    config: HedgeConfig,
+    /// Observed primary service times, sorted.
+    samples: Vec<SimDuration>,
+    /// Armed timers as `(deadline, primary batch id)`.
+    timers: BTreeSet<(SimTime, u64)>,
+    live: BTreeMap<u64, HedgeState>,
+    /// Hedge batch id to its primary's id.
+    by_hedge: BTreeMap<u64, u64>,
+    next_hedge_seq: u64,
+    issued: usize,
+    won: usize,
+    /// Executor time of the losing flights: the duplicated work.
+    wasted: SimDuration,
+    /// Executor time of the winning flights.
+    useful: SimDuration,
+}
+
+impl HedgeRuntime {
+    pub(crate) fn new(config: HedgeConfig) -> Self {
+        HedgeRuntime {
+            config,
+            samples: Vec::new(),
+            timers: BTreeSet::new(),
+            live: BTreeMap::new(),
+            by_hedge: BTreeMap::new(),
+            next_hedge_seq: 0,
+            issued: 0,
+            won: 0,
+            wasted: SimDuration::ZERO,
+            useful: SimDuration::ZERO,
+        }
+    }
+
+    /// The configured quantile of observed service times, scaled by
+    /// the multiplier, once enough samples exist.
+    fn delay(&self) -> Option<SimDuration> {
+        if self.samples.len() < self.config.min_samples {
+            return None;
+        }
+        let idx = (((self.samples.len() - 1) as f64) * self.config.quantile).round() as usize;
+        Some(self.samples[idx].mul_f64(self.config.multiplier))
+    }
+
+    /// Primary batch `primary` was just dispatched on `replica` at
+    /// `at`: arm its timer once a delay can be estimated.
+    pub(crate) fn arm(
+        &mut self,
+        primary: u64,
+        replica: usize,
+        at: SimTime,
+        plan: &Arc<ExecutionPlan>,
+    ) {
+        let Some(delay) = self.delay() else { return };
+        let deadline = at + delay;
+        self.timers.insert((deadline, primary));
+        self.live.insert(
+            primary,
+            HedgeState {
+                primary_replica: replica,
+                primary_dispatched: at,
+                deadline,
+                plan: plan.clone(),
+                primary_gone: false,
+                hedge: None,
+            },
+        );
+    }
+
+    /// The earliest armed timer as `(deadline, primary batch id)`.
+    pub(crate) fn next_timer(&self) -> Option<(SimTime, u64)> {
+        self.timers.first().copied()
+    }
+
+    /// The timer of `primary` fired at `t` with the primary still
+    /// running. `pick` chooses an alternate replica given the primary's
+    /// host; when it finds one, the hedge is issued and this returns
+    /// its batch id, its replica, and the pristine plan to run there.
+    pub(crate) fn fire(
+        &mut self,
+        t: SimTime,
+        primary: u64,
+        pick: impl FnOnce(usize) -> Option<usize>,
+    ) -> Option<(u64, usize, Arc<ExecutionPlan>)> {
+        self.timers.remove(&(t, primary));
+        let st = self
+            .live
+            .get_mut(&primary)
+            .expect("hedge timer had live state");
+        let replica = pick(st.primary_replica)?;
+        let id = HEDGE_BASE + self.next_hedge_seq;
+        self.next_hedge_seq += 1;
+        self.issued += 1;
+        self.by_hedge.insert(id, primary);
+        st.hedge = Some(HedgeFlight {
+            id,
+            replica,
+            dispatched: t,
+        });
+        Some((id, replica, st.plan.clone()))
+    }
+
+    /// Primary `primary` completed at `t` after `service`: a delay
+    /// sample, and the end of its race. Returns the losing hedge to
+    /// cancel as `(hedge id, replica)`, if one was running.
+    pub(crate) fn primary_done(
+        &mut self,
+        primary: u64,
+        service: SimDuration,
+        t: SimTime,
+    ) -> Option<(u64, usize)> {
+        let at = self.samples.partition_point(|&s| s <= service);
+        self.samples.insert(at, service);
+        self.useful += service;
+        let st = self.live.remove(&primary)?;
+        self.timers.remove(&(st.deadline, primary));
+        let hedge = st.hedge?;
+        self.by_hedge.remove(&hedge.id);
+        self.wasted += t.saturating_since(hedge.dispatched);
+        Some((hedge.id, hedge.replica))
+    }
+
+    /// Hedge `hedge` completed at `t` after `service` and won its race.
+    /// Returns the primary batch it served and, when that primary is
+    /// still running, the replica to cancel it on.
+    pub(crate) fn hedge_done(
+        &mut self,
+        hedge: u64,
+        service: SimDuration,
+        t: SimTime,
+    ) -> (u64, Option<usize>) {
+        let primary = self
+            .by_hedge
+            .remove(&hedge)
+            .expect("finished hedge was registered");
+        let st = self
+            .live
+            .remove(&primary)
+            .expect("finished hedge had live state");
+        self.won += 1;
+        self.useful += service;
+        if st.primary_gone {
+            return (primary, None);
+        }
+        self.wasted += t.saturating_since(st.primary_dispatched);
+        (primary, Some(st.primary_replica))
+    }
+
+    /// Flight `id`, primary or hedge, died in a crash at `at`. Returns
+    /// the primary batch whose members are now displaced, or `None`
+    /// while the other flight still carries them.
+    pub(crate) fn aborted(&mut self, id: u64, at: SimTime) -> Option<u64> {
+        if is_hedge(id) {
+            let primary = self.by_hedge.remove(&id).expect("hedge id was registered");
+            let st = self.live.get_mut(&primary).expect("hedge had live state");
+            let hedge = st.hedge.take().expect("hedge flight was recorded");
+            self.wasted += at.saturating_since(hedge.dispatched);
+            if !st.primary_gone {
+                return None;
+            }
+            self.live.remove(&primary);
+            return Some(primary);
+        }
+        if let Some(st) = self.live.get_mut(&id) {
+            if st.hedge.is_some() {
+                st.primary_gone = true;
+                return None;
+            }
+            self.timers.remove(&(st.deadline, id));
+            self.live.remove(&id);
+        }
+        Some(id)
+    }
+
+    /// `(issued, won, wasted fraction of all batch compute)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a race is still open: every one must resolve by the
+    /// end of the run.
+    pub(crate) fn summary(&self) -> (usize, usize, f64) {
+        assert!(
+            self.live.is_empty() && self.timers.is_empty() && self.by_hedge.is_empty(),
+            "every hedge race must resolve by the end of the run"
+        );
+        let useful = self.useful.as_secs_f64();
+        let wasted = self.wasted.as_secs_f64();
+        let frac = if useful + wasted > 0.0 {
+            wasted / (useful + wasted)
+        } else {
+            0.0
+        };
+        (self.issued, self.won, frac)
+    }
+}
+
 /// Streaming mean/variance accumulator (Welford's algorithm).
 #[derive(Clone, Debug, Default)]
 struct Welford {
@@ -231,6 +479,15 @@ pub struct HealthMonitor {
     /// variance the detection compares against).
     baseline: Welford,
     replicas: Vec<ReplicaHealth>,
+    /// Prices dispatched plans at nominal speed (no degradation, clean
+    /// links, solo collectives) for the expectation each completion is
+    /// judged against, so batch size and composition drop out of the
+    /// signal: a healthy solo replica observes exactly ratio 1.0.
+    /// `None` under the oracle detector, which never prices one.
+    pricer: Option<SoloTimer>,
+    /// Expected nominal totals of in-flight batches (primaries and
+    /// hedges alike), consumed at completion.
+    expected: BTreeMap<u64, SimDuration>,
 }
 
 impl HealthMonitor {
@@ -240,7 +497,47 @@ impl HealthMonitor {
             config,
             baseline: Welford::default(),
             replicas: vec![ReplicaHealth::default(); n],
+            pricer: None,
+            expected: BTreeMap::new(),
         }
+    }
+
+    /// The cluster loop's monitor: as [`HealthMonitor::new`], pricing
+    /// batch expectations on `topo` unless the detector is the oracle.
+    pub(crate) fn for_cluster(config: HealthConfig, n: usize, topo: Arc<Topology>) -> Self {
+        let pricer = (config.detector != DetectorKind::Oracle).then(|| SoloTimer::new_shared(topo));
+        HealthMonitor {
+            pricer,
+            ..HealthMonitor::new(config, n)
+        }
+    }
+
+    /// Prices batch `id`'s pristine plan as the expectation its
+    /// completion will be judged against (a no-op without a pricer).
+    pub(crate) fn expect(&mut self, id: u64, plan: &ExecutionPlan) {
+        if let Some(timer) = &mut self.pricer {
+            self.expected
+                .insert(id, execute_plan_solo(plan, timer).total);
+        }
+    }
+
+    /// Batch `id` completed on `replica` after `service`: one
+    /// observation against its expectation, if one was priced.
+    pub(crate) fn completed(
+        &mut self,
+        replica: usize,
+        id: u64,
+        service: SimDuration,
+        now: SimTime,
+    ) {
+        if let Some(expected) = self.expected.remove(&id) {
+            self.observe(replica, expected, service, now);
+        }
+    }
+
+    /// Batch `id` will never complete (aborted or cancelled).
+    pub(crate) fn forget(&mut self, id: u64) {
+        self.expected.remove(&id);
     }
 
     /// Grows the tracked pool to `n` replicas (elastic scale-up); the

@@ -11,14 +11,23 @@
 //! emits [`ReshardAction`]s — replicate a hot expert onto another
 //! device, evict a cold replica, or migrate an expert wholesale. The
 //! cluster event loop evaluates the policy at a fixed control interval
-//! as its own priority class; actuation pays the modeled PCIe weight
-//! transfer through the shared [`crate::provisioning`] helper and bumps
-//! the plan-cache placement epoch so executors re-plan against the new
-//! shard map.
+//! as its own priority class. Applying any action charges every up
+//! replica the modeled PCIe transfer for the weights moved
+//! ([`crate::provisioning::reshard_transfer`]) and flushes every
+//! monitoring and re-estimation window (their samples predate the new
+//! map). Actions mutate every layer of the map in lockstep, and
+//! dispatch then plans against the live map: a replicated expert's
+//! tokens split across its replicas inside
+//! [`plan_batch_layered`](lina_runner::plan_batch_layered). A device
+//! loss resets the map to the run's base layout.
 //!
 //! [`ReestimationWindow`]: crate::engine::ReestimationWindow
 
+use lina_model::{ExpertPlacement, LayeredPlacement};
 use lina_simcore::{SimDuration, SimTime};
+use lina_workload::TokenBatch;
+
+use crate::engine::ReestimationWindow;
 
 /// One shard-map mutation a policy may request. Expert indices refer
 /// to the model's global expert ids.
@@ -331,6 +340,142 @@ impl ReshardConfig {
             );
             assert!(*hysteresis > 0, "resharding: hysteresis must be > 0");
         }
+    }
+}
+
+/// An armed re-sharder inside the cluster event loop: the policy, its
+/// tick clock, the per-expert load monitor, the live shard map, and
+/// the actuation counters.
+pub(crate) struct ReshardRuntime {
+    pub(crate) config: ReshardConfig,
+    policy: Box<dyn ReshardPolicy>,
+    /// Next re-shard tick.
+    pub(crate) next_at: SimTime,
+    /// The load monitor: a sliding window over recently dispatched
+    /// batches, flushed on every map change.
+    window: ReestimationWindow,
+    /// The run's base layout: the configured placement, or the
+    /// canonical expert-per-device map at every layer.
+    base: LayeredPlacement,
+    /// The live map. Actions mutate every layer in lockstep, so a
+    /// uniform map stays uniform.
+    shard_map: LayeredPlacement,
+    /// The live map differs from `base`. While false, dispatch plans
+    /// exactly as an unarmed run would.
+    dirty: bool,
+    experts: usize,
+    devices: usize,
+    pub(crate) replications: usize,
+    pub(crate) evictions: usize,
+    pub(crate) migrations: usize,
+}
+
+impl ReshardRuntime {
+    /// A runtime starting from `placement`, or from the canonical
+    /// expert-per-device map when none is configured.
+    pub(crate) fn new(
+        config: &ReshardConfig,
+        placement: Option<&LayeredPlacement>,
+        experts: usize,
+        devices: usize,
+        layers: usize,
+    ) -> Self {
+        let base = placement.cloned().unwrap_or_else(|| {
+            LayeredPlacement::uniform(ExpertPlacement::one_per_device(experts, devices), layers)
+        });
+        ReshardRuntime {
+            policy: config.policy.build(),
+            next_at: SimTime::ZERO + config.interval,
+            window: ReestimationWindow::new(config.window),
+            shard_map: base.clone(),
+            base,
+            dirty: false,
+            experts,
+            devices,
+            replications: 0,
+            evictions: 0,
+            migrations: 0,
+            config: config.clone(),
+        }
+    }
+
+    /// Samples one dispatched batch into the load monitor.
+    pub(crate) fn observe(&mut self, batch: TokenBatch) {
+        self.window.push(batch);
+    }
+
+    /// The map dispatch plans against once it diverged from the base.
+    pub(crate) fn plan_map(&self) -> Option<&LayeredPlacement> {
+        self.dirty.then_some(&self.shard_map)
+    }
+
+    /// Back to the base layout with an empty monitor (a device loss's
+    /// emergency re-replication restores the base layout).
+    pub(crate) fn reset(&mut self) {
+        self.shard_map.clone_from(&self.base);
+        self.dirty = false;
+        self.window.clear();
+    }
+
+    /// One tick: profile the monitor into per-expert load shares, ask
+    /// the policy, and apply its actions. Returns the tick instant and,
+    /// when any action changed the map, how many weight replicas moved
+    /// (replications and migrations; evictions are free).
+    pub(crate) fn tick(&mut self) -> (SimTime, Option<usize>) {
+        let at = self.next_at;
+        self.next_at = at + self.config.interval;
+        let counts = self.window.expert_token_counts(self.experts);
+        let total: u64 = counts.iter().sum();
+        let share: Vec<f64> = counts
+            .iter()
+            .map(|&c| {
+                if total == 0 {
+                    0.0
+                } else {
+                    c as f64 / total as f64
+                }
+            })
+            .collect();
+        // Layer 0 speaks for the lockstep map.
+        let replicas: Vec<usize> = self.shard_map.layer(0).hosts.iter().map(Vec::len).collect();
+        // The canonical density plus one slot of headroom, so
+        // replication always has somewhere to go without letting the
+        // map degenerate into every-expert-everywhere.
+        let cap = self.experts.div_ceil(self.devices) + 1;
+        let actions = self.policy.decide(&ReshardObservation {
+            now: at,
+            expert_share: &share,
+            replicas: &replicas,
+            devices: self.devices,
+            max_experts_per_device: cap,
+        });
+        // A layer where the rule finds no eligible move is skipped; an
+        // action counts once if any layer moved.
+        let before = (self.replications, self.evictions, self.migrations);
+        for action in actions {
+            let mut ok = false;
+            for layer in self.shard_map.layers_mut() {
+                ok |= match action {
+                    ReshardAction::Replicate(e) => layer.add_replica(e, self.devices, cap),
+                    ReshardAction::Evict(e) => layer.drop_replica(e, self.devices),
+                    ReshardAction::Migrate(e) => layer.migrate_replica(e, self.devices, cap),
+                };
+            }
+            if ok {
+                match action {
+                    ReshardAction::Replicate(_) => self.replications += 1,
+                    ReshardAction::Evict(_) => self.evictions += 1,
+                    ReshardAction::Migrate(_) => self.migrations += 1,
+                }
+            }
+        }
+        if (self.replications, self.evictions, self.migrations) == before {
+            return (at, None);
+        }
+        self.dirty = self.shard_map != self.base;
+        self.window.clear();
+        let moved = self.replications + self.migrations - before.0 - before.2;
+        (at, Some(moved))
     }
 }
 

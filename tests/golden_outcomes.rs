@@ -1,9 +1,10 @@
-//! Golden digests of six serving runs, one per controller family.
+//! Golden digests of seven serving runs: one per controller family,
+//! plus one with every controller armed at once.
 //!
 //! Each test folds everything a run produced — every request record,
 //! every failure, the queue-depth timeline, and every outcome counter —
 //! into one 128-bit FNV digest and compares it with a pinned value. A
-//! refactor of the serving path must leave all six untouched; any
+//! refactor of the serving path must leave all seven untouched; any
 //! change to what the simulator computes moves at least one of them.
 //!
 //! Each test also checks that its run exercised the controller it is
@@ -301,6 +302,79 @@ fn gray_faults_with_phi_detector_and_hedging() {
         "gray_phi_hedge",
         cluster_digest(&out),
         0x1537_94bf_1ab6_a160_76c5_fa6b_514a_d08d,
+    );
+}
+
+/// Every controller at once: crash and gray faults under retry, shed,
+/// timeout and jitter; the reactive autoscaler; the threshold
+/// re-sharder; the phi detector with hedging; a contended network with
+/// two batches in flight; and per-replica estimators.
+#[test]
+fn everything_armed() {
+    let mut c = cluster_config(InferScheme::Lina, 3000.0, 3);
+    c.serve.n_requests = 192;
+    c.serve.network = NetworkMode::Contended;
+    c.serve.max_inflight = 2;
+    c.balancer = BalancerKind::LeastExpectedLatency;
+    c.sharing = EstimatorSharing::PerReplica;
+    c.locality = true;
+    c.health = HealthConfig::phi_accrual();
+    c.hedging = Some(HedgeConfig {
+        quantile: 0.5,
+        multiplier: 1.2,
+        min_samples: 4,
+    });
+    let rates = FaultRateConfig {
+        gray_rate: 30.0,
+        gray_compute: 6.0,
+        gray_nic: 0.5,
+        mean_gray: SimDuration::from_millis(10),
+        ..FaultRateConfig::crashes(100.0, SimDuration::from_millis(20))
+    };
+    c.faults = FaultPlan {
+        schedule: FaultSchedule::generate(&rates, 3, SimDuration::from_secs_f64(0.2), 0xA11),
+        policy: DegradationPolicy {
+            jitter: 0.5,
+            shed_batches_per_replica: 2.0,
+            ..DegradationPolicy::retry_failover_shed(Some(SimDuration::from_millis(4)))
+        },
+    };
+    c.autoscale = Some(AutoscaleConfig {
+        policy: AutoscalePolicyKind::Reactive {
+            up_threshold: 1.0,
+            down_threshold: 0.1,
+        },
+        interval: SimDuration::from_millis(2),
+        cooldown: SimDuration::from_millis(4),
+        min_replicas: 1,
+        max_replicas: 4,
+    });
+    c.resharding = Some(ReshardConfig {
+        policy: ReshardPolicyKind::Threshold {
+            hot: 1.5,
+            cold: 0.5,
+            hysteresis: 1,
+            transfer_budget: 2,
+        },
+        interval: SimDuration::from_millis(3),
+        window: 8,
+        transfer_cost: 1.0,
+    });
+    let out = run(c.clone());
+    assert_conserved(&out, 192);
+    let digest = cluster_digest(&out);
+    assert_eq!(digest, cluster_digest(&run(c)), "the run is deterministic");
+    let report = out.report();
+    assert!(out.aborted_batches > 0, "a crash must abort work");
+    assert!(report.dropped > 0 && report.timed_out > 0);
+    assert!(out.reestimations > 0);
+    assert!(out.scale_ups > 0 && out.scale_downs > 0);
+    assert!(out.replications > 0);
+    assert!(out.hedges_issued > 0 && out.hedges_won > 0);
+    assert_digest(
+        "everything_armed",
+        digest,
+        0xb043_cf66_dfe0_1bdd_d62a_1c35_4d99_b269,
     );
 }
 
