@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use lina_baselines::TrainScheme;
+use lina_baselines::{InferScheme, TrainScheme};
 use lina_core::{popularity_placement, PlacementConfig, PopularityEstimator};
 use lina_model::{
     assign_replicas, balanced_routing, build_train_step, BatchShape, CostModel, DeviceSpec,
@@ -17,7 +17,9 @@ use lina_model::{
 use lina_netsim::{
     max_min_rates, AllToAllAlgo, ClusterSpec, CollectiveSpec, FlowDemand, SoloTimer, Topology,
 };
-use lina_runner::{execute, train::solo_collective_time};
+use lina_runner::{
+    execute, execute_plan_solo, plan_batch, train::solo_collective_time, InferenceConfig,
+};
 use lina_workload::{Mode, TokenBatch, TokenSource, WorkloadSpec};
 
 /// Times `f` and prints one result line. Returns-value of `f` is
@@ -94,6 +96,27 @@ fn bench_collectives() {
     };
     let mut timer = SoloTimer::new(&topo);
     bench("solo/a2a_8gpu_unequal", || timer.time(&spec));
+    // One serving batch as the cluster prices it: a planned 6-layer
+    // Baseline batch over the same 8 GPUs, a dispatch and a combine
+    // all-to-all per layer, through `execute_plan_solo`.
+    let model = MoeModelConfig::transformer_xl(6, 8).for_inference();
+    let cost = CostModel::new(DeviceSpec::a100_inference(), model);
+    let mut src = TokenSource::new(&WorkloadSpec::enwik8(8, 6), 1, 1234);
+    let batch = src.sample_batch(8, 2048, Mode::Inference);
+    let config = InferenceConfig {
+        scheme: InferScheme::Baseline,
+        top_k: 1,
+    };
+    let plan = plan_batch(&cost, &topo, &config, None, &batch);
+    let collectives = plan
+        .layers
+        .iter()
+        .map(|lp| usize::from(lp.dispatch.is_some()) + usize::from(lp.combine_a2a.is_some()))
+        .sum::<usize>();
+    assert_eq!(collectives, 12, "one dispatch and one combine per layer");
+    bench("solo/serving_batch", || {
+        execute_plan_solo(&plan, &mut timer)
+    });
 }
 
 fn bench_placement() {

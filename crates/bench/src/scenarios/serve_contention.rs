@@ -8,8 +8,8 @@
 //! flight whenever the queue backs up — and the two batches' dispatch
 //! and combine all-to-alls then share the same NICs. This sweep runs
 //! the *same* MMPP trace at each offered load under both
-//! [`NetworkMode`]s: `solo` keeps the closed-form pricing (overlap is
-//! free), `contended` runs every in-flight batch's collectives on one
+//! [`NetworkMode`]s: `solo` keeps pricing each collective alone on the
+//! wire (overlap is free), `contended` runs every in-flight batch's collectives on one
 //! shared network so they fair-share bandwidth. The gap between the two
 //! p99s is exactly the error a capacity plan based on solo costing
 //! would make. The headline metric is `contended_over_solo_p99` at the

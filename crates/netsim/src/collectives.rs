@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use lina_simcore::{SimDuration, SimTime};
 
 use crate::network::{FlowSpec, Network};
-use crate::topology::DeviceId;
+use crate::topology::{DeviceId, Topology};
 
 /// Identifies a running collective operation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -175,12 +175,16 @@ pub struct CollectiveEngine {
     net: Network,
     running: BTreeMap<CollectiveId, RunningCollective>,
     next_id: u64,
+    /// Per-link flow counts of the phase being launched, all zero
+    /// between launches.
+    link_share: Vec<u32>,
 }
 
 impl CollectiveEngine {
     /// Wraps a network.
     pub fn new(net: Network) -> Self {
         CollectiveEngine {
+            link_share: vec![0; net.topology().link_count()],
             net,
             running: BTreeMap::new(),
             next_id: 0,
@@ -329,35 +333,23 @@ impl CollectiveEngine {
         phases
     }
 
-    /// Per-flow weight so the collective's aggregate weight on its most
-    /// shared link is 1.
-    fn phase_weight(&self, phase: &PhasePlan) -> f64 {
-        let mut per_link: BTreeMap<u32, usize> = BTreeMap::new();
-        for &(src, dst, _) in &phase.flows {
-            for l in self.net.topology().path(src, dst) {
-                *per_link.entry(l.0).or_insert(0) += 1;
-            }
-        }
-        let max_share = per_link.values().copied().max().unwrap_or(1);
-        1.0 / max_share as f64
-    }
-
-    fn launch_phase(&mut self, id: CollectiveId) {
-        let rc = self.running.get_mut(&id).expect("collective exists");
-        let phase = rc.phases[rc.current].clone();
+    /// Starts the flows of `rc`'s current phase.
+    fn launch_phase(
+        net: &mut Network,
+        link_share: &mut [u32],
+        id: CollectiveId,
+        rc: &mut RunningCollective,
+    ) {
+        let phase = &rc.phases[rc.current];
         let overhead = if rc.current == 0 {
             rc.launch_overhead
         } else {
             SimDuration::ZERO
         };
-        let weight = self.phase_weight(&phase);
-        let rc = self.running.get_mut(&id).expect("collective exists");
+        let weight = phase_weight(net.topology(), link_share, phase);
         rc.outstanding = phase.flows.len();
-        if phase.flows.is_empty() {
-            return;
-        }
-        for (src, dst, bytes) in phase.flows {
-            self.net.start_flow(FlowSpec {
+        for &(src, dst, bytes) in &phase.flows {
+            net.start_flow(FlowSpec {
                 src,
                 dst,
                 bytes,
@@ -374,19 +366,16 @@ impl CollectiveEngine {
         let phases = self.plan(spec);
         let id = CollectiveId(self.next_id);
         self.next_id += 1;
-        let overhead = self.net.topology().spec().collective_launch_overhead;
-        self.running.insert(
-            id,
-            RunningCollective {
-                phases,
-                current: 0,
-                outstanding: 0,
-                tag,
-                launch_overhead: overhead,
-                started: self.net.now(),
-            },
-        );
-        self.launch_phase(id);
+        let mut rc = RunningCollective {
+            phases,
+            current: 0,
+            outstanding: 0,
+            tag,
+            launch_overhead: self.net.topology().spec().collective_launch_overhead,
+            started: self.net.now(),
+        };
+        Self::launch_phase(&mut self.net, &mut self.link_share, id, &mut rc);
+        self.running.insert(id, rc);
         // An empty first phase (e.g. single-participant collective)
         // completes at the current instant; advance_to picks it up.
         id
@@ -434,28 +423,27 @@ impl CollectiveEngine {
         let mut done = Vec::new();
         loop {
             // Promote any collective whose current phase has no
-            // outstanding flows (empty phases or freshly finished ones).
-            let ready: Vec<CollectiveId> = self
-                .running
-                .iter()
-                .filter(|(_, rc)| rc.outstanding == 0)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in ready {
-                let rc = self.running.get_mut(&id).expect("exists");
+            // outstanding flows (empty phases or freshly finished ones),
+            // in id order. Only a first phase can be empty, so a phase
+            // launched here is never promoted again in the same pass.
+            let (net, link_share) = (&mut self.net, &mut self.link_share);
+            self.running.retain(|&id, rc| {
+                if rc.outstanding != 0 {
+                    return true;
+                }
                 if rc.current + 1 < rc.phases.len() {
                     rc.current += 1;
-                    self.launch_phase(id);
-                } else {
-                    let rc = self.running.remove(&id).expect("exists");
-                    done.push(CollectiveDone {
-                        id,
-                        tag: rc.tag,
-                        at: self.net.now(),
-                        started: rc.started,
-                    });
+                    Self::launch_phase(net, link_share, id, rc);
+                    return true;
                 }
-            }
+                done.push(CollectiveDone {
+                    id,
+                    tag: rc.tag,
+                    at: net.now(),
+                    started: rc.started,
+                });
+                false
+            });
             if self.net.now() >= t {
                 break;
             }
@@ -488,6 +476,26 @@ impl CollectiveEngine {
         }
         done
     }
+}
+
+/// Per-flow weight so the collective's aggregate weight on its most
+/// shared link is 1. Counts flows per link in `link_share`, which must
+/// be all zero, and leaves it all zero again.
+fn phase_weight(topo: &Topology, link_share: &mut [u32], phase: &PhasePlan) -> f64 {
+    let mut max_share = 1;
+    for &(src, dst, _) in &phase.flows {
+        for l in topo.path(src, dst).iter() {
+            let share = &mut link_share[l.0 as usize];
+            *share += 1;
+            max_share = max_share.max(*share);
+        }
+    }
+    for &(src, dst, _) in &phase.flows {
+        for l in topo.path(src, dst).iter() {
+            link_share[l.0 as usize] = 0;
+        }
+    }
+    1.0 / max_share as f64
 }
 
 #[cfg(test)]

@@ -34,40 +34,46 @@ pub struct FlowDemand<'a> {
 /// Panics if any weight is non-positive, any referenced link is out of
 /// range, or any capacity is negative.
 pub fn max_min_rates(capacities: &[f64], flows: &[FlowDemand<'_>]) -> Vec<f64> {
-    let path_links = flows.iter().map(|f| f.links.len()).sum();
-    let mut solver = FairShare::with_capacity(flows.len(), path_links);
-    for f in flows {
-        solver.push_flow(f.weight, f.links);
-    }
+    let mut solver = FairShare::new(capacities.len());
+    let slots: Vec<u32> = flows
+        .iter()
+        .zip(0..)
+        .map(|(f, key)| solver.join(key, f.weight, f.links.iter().copied()))
+        .collect();
     solver.solve(capacities, 1.0);
-    solver.rates
+    slots.into_iter().map(|s| solver.rate(s)).collect()
 }
 
-/// The water-filling solver behind [`max_min_rates`], with every buffer
-/// kept across solves so a long-lived owner (the [`crate::Network`])
-/// allocates nothing in steady state.
+/// The water-filling solver behind [`max_min_rates`], kept alive across
+/// solves so a long-lived owner (the [`crate::Network`]) allocates
+/// nothing in steady state.
 ///
-/// Load a problem with [`FairShare::clear`] and [`FairShare::push_flow`],
-/// then call [`FairShare::solve`]. Each solve indexes the flows by link
-/// (CSR), so a bottleneck scan visits only links some flow crosses and
-/// freezing visits only the bottleneck's own flows. Both walks keep the
-/// ascending link / flow order of the textbook loop, so every sum and
-/// subtraction happens in the same order and the rates are the same
-/// bits.
+/// A flow [`FairShare::join`]s the problem once and holds a slot until
+/// it [`FairShare::leave`]s; between the two, every [`FairShare::solve`]
+/// prices it. The solver keeps, per link, the slots crossing it in
+/// ascending key order, and joining or leaving keeps that order. So a
+/// solve only resets the per-link sums and runs the bottleneck loop:
+/// the scan visits links some flow crosses, ascending, and freezing
+/// visits only the bottleneck's own flows, in key order. Both walks
+/// keep the order of the textbook loop over flows in key order, so
+/// every sum and subtraction happens in the same order and the rates
+/// are the same bits.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct FairShare {
-    /// Per-flow weight, in push order.
+    /// Per slot: ordering key, weight and path. A free slot keeps its
+    /// path buffer for the next flow that takes it.
+    keys: Vec<u64>,
     weights: Vec<f64>,
-    /// `flow_links[flow_start[i]..flow_start[i + 1]]` is flow `i`'s path.
-    flow_start: Vec<u32>,
-    flow_links: Vec<u32>,
-    /// CSR link -> flows: `members[link_start[l]..link_start[l + 1]]`
-    /// lists, in flow order, every flow crossing link `l` (once per
-    /// occurrence of `l` in its path).
-    link_start: Vec<u32>,
-    members: Vec<u32>,
-    /// Links crossed by at least one flow, ascending.
-    touched: Vec<u32>,
+    paths: Vec<Vec<u32>>,
+    /// Slots no flow holds.
+    free: Vec<u32>,
+    /// Per link: the slots crossing it, in ascending key order (once
+    /// per occurrence of the link in a path).
+    members: Vec<Vec<u32>>,
+    /// Links with at least one member, ascending.
+    active: Vec<u32>,
+    /// Per solve: links still in the bottleneck scan, ascending.
+    scan: Vec<u32>,
     remaining: Vec<f64>,
     link_weight: Vec<f64>,
     frozen: Vec<bool>,
@@ -75,58 +81,111 @@ pub(crate) struct FairShare {
 }
 
 impl FairShare {
-    /// A solver sized for `flows` flows crossing `path_links` links in
-    /// total, so a one-shot solve does not regrow its buffers.
-    fn with_capacity(flows: usize, path_links: usize) -> Self {
+    /// An empty solver over `links` links.
+    pub(crate) fn new(links: usize) -> Self {
         FairShare {
-            weights: Vec::with_capacity(flows),
-            flow_start: Vec::with_capacity(flows + 1),
-            flow_links: Vec::with_capacity(path_links),
-            frozen: Vec::with_capacity(flows),
-            rates: Vec::with_capacity(flows),
+            members: vec![Vec::new(); links],
+            link_weight: vec![0.0; links],
             ..FairShare::default()
         }
     }
 
-    /// Forgets the loaded flows (keeping the buffers).
-    pub(crate) fn clear(&mut self) {
-        self.weights.clear();
-        self.flow_links.clear();
-        self.flow_start.clear();
-    }
-
-    /// Adds a flow with the given weight and path.
+    /// Adds a flow with the given ordering key, weight and path;
+    /// returns the slot it holds until [`FairShare::leave`]. Flows are
+    /// summed and frozen in ascending key order.
     ///
     /// # Panics
     ///
-    /// Panics if the weight is not finite and positive.
-    pub(crate) fn push_flow(&mut self, weight: f64, links: &[u32]) {
+    /// Panics if the weight is not finite and positive, or a link is
+    /// out of range.
+    pub(crate) fn join(
+        &mut self,
+        key: u64,
+        weight: f64,
+        links: impl IntoIterator<Item = u32>,
+    ) -> u32 {
         assert!(
             weight > 0.0 && weight.is_finite(),
             "max_min_rates: bad weight {weight}"
         );
-        if self.flow_start.is_empty() {
-            self.flow_start.push(0);
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.keys.push(0);
+            self.weights.push(0.0);
+            self.paths.push(Vec::new());
+            self.keys.len() as u32 - 1
+        });
+        let s = slot as usize;
+        self.keys[s] = key;
+        self.weights[s] = weight;
+        let path = &mut self.paths[s];
+        path.clear();
+        path.extend(links);
+        for &l in path.iter() {
+            let Some(members) = self.members.get_mut(l as usize) else {
+                panic!("max_min_rates: link {l} out of range");
+            };
+            if members.is_empty() {
+                let at = self.active.partition_point(|&a| a < l);
+                self.active.insert(at, l);
+            }
+            let keys = &self.keys;
+            let at = members.partition_point(|&m| keys[m as usize] <= key);
+            members.insert(at, slot);
         }
-        self.weights.push(weight);
-        self.flow_links.extend_from_slice(links);
-        self.flow_start.push(self.flow_links.len() as u32);
+        slot
     }
 
-    /// Solves the loaded problem over `capacities`, each multiplied by
-    /// `scale` unless `scale` is exactly 1.0. Returns one rate per flow,
-    /// in push order.
+    /// Removes the flow holding `slot`; the slot becomes free.
+    pub(crate) fn leave(&mut self, slot: u32) {
+        for &l in &self.paths[slot as usize] {
+            let members = &mut self.members[l as usize];
+            let at = members
+                .iter()
+                .position(|&m| m == slot)
+                .expect("a flow is a member of every link on its path");
+            members.remove(at);
+            if members.is_empty() {
+                let at = self
+                    .active
+                    .binary_search(&l)
+                    .expect("a link with members is active");
+                self.active.remove(at);
+            }
+        }
+        self.free.push(slot);
+    }
+
+    /// Removes every flow (keeping the buffers).
+    pub(crate) fn clear(&mut self) {
+        for &l in &self.active {
+            self.members[l as usize].clear();
+        }
+        self.active.clear();
+        self.free.clear();
+        self.free.extend(0..self.keys.len() as u32);
+    }
+
+    /// The rate the last [`FairShare::solve`] gave the flow holding
+    /// `slot`.
+    pub(crate) fn rate(&self, slot: u32) -> f64 {
+        self.rates[slot as usize]
+    }
+
+    /// Solves the problem over `capacities` (one per link), each
+    /// multiplied by `scale` unless `scale` is exactly 1.0. A flow with
+    /// an empty path is unconstrained and gets `f64::INFINITY`.
     ///
     /// # Panics
     ///
-    /// Panics if any referenced link is out of range or any capacity is
+    /// Panics if `capacities` has the wrong length or any capacity is
     /// negative.
-    pub(crate) fn solve(&mut self, capacities: &[f64], scale: f64) -> &[f64] {
-        let n = self.weights.len();
-        let links = capacities.len();
-        for &l in &self.flow_links {
-            assert!((l as usize) < links, "max_min_rates: link {l} out of range");
-        }
+    pub(crate) fn solve(&mut self, capacities: &[f64], scale: f64) {
+        let links = self.members.len();
+        assert_eq!(
+            capacities.len(),
+            links,
+            "max_min_rates: one capacity per link"
+        );
         self.remaining.clear();
         if scale == 1.0 {
             self.remaining.extend_from_slice(capacities);
@@ -136,62 +195,44 @@ impl FairShare {
         for &c in &self.remaining {
             assert!(c >= 0.0, "max_min_rates: negative capacity {c}");
         }
-
-        // Unconstrained flows complete instantly (device-local copies).
+        // Free slots get a rate too; nobody reads it.
         self.rates.clear();
+        self.rates.extend(self.paths.iter().map(
+            |p| {
+                if p.is_empty() {
+                    f64::INFINITY
+                } else {
+                    0.0
+                }
+            },
+        ));
         self.frozen.clear();
-        for i in 0..n {
-            let empty = self.flow_start[i] == self.flow_start[i + 1];
-            self.rates.push(if empty { f64::INFINITY } else { 0.0 });
-            self.frozen.push(empty);
+        self.frozen.resize(self.paths.len(), false);
+        // Per-link total weight of unfrozen flows, summed in key order.
+        for &l in &self.active {
+            let mut w = 0.0;
+            for &m in &self.members[l as usize] {
+                w += self.weights[m as usize];
+            }
+            self.link_weight[l as usize] = w;
         }
 
-        // Per-link running state: total weight of unfrozen flows crossing
-        // it (summed in flow order), and the CSR link -> flows index.
-        // `link_start[l]` first counts link `l`'s crossings, then holds
-        // its end offset, and after the reverse fill its start offset.
-        self.link_weight.clear();
-        self.link_weight.resize(links, 0.0);
-        self.link_start.clear();
-        self.link_start.resize(links + 1, 0);
-        for i in 0..n {
-            let w = self.weights[i];
-            for &l in &self.flow_links[self.flow_start[i] as usize..self.flow_start[i + 1] as usize]
-            {
-                self.link_weight[l as usize] += w;
-                self.link_start[l as usize] += 1;
-            }
-        }
-        self.touched.clear();
-        let mut end = 0;
-        for l in 0..links {
-            if self.link_start[l] > 0 {
-                self.touched.push(l as u32);
-            }
-            end += self.link_start[l];
-            self.link_start[l] = end;
-        }
-        self.link_start[links] = end;
-        self.members.clear();
-        self.members.resize(end as usize, 0);
-        for i in (0..n).rev() {
-            for &l in self.flow_links[self.flow_start[i] as usize..self.flow_start[i + 1] as usize]
-                .iter()
-                .rev()
-            {
-                self.link_start[l as usize] -= 1;
-                self.members[self.link_start[l as usize] as usize] = i as u32;
-            }
-        }
-
+        self.scan.clear();
+        self.scan.extend_from_slice(&self.active);
         loop {
             // Find the bottleneck: the link with the smallest fair level
-            // remaining / weight among links with unfrozen flows.
+            // remaining / weight among links with unfrozen flows. A link
+            // whose weight fell to 1e-12 or below never qualifies again
+            // this solve (weights only shrink), so it leaves the scan;
+            // the rest keep their ascending order for the tie rule.
             let mut bottleneck: Option<(usize, f64)> = None;
-            for &l in &self.touched {
-                let l = l as usize;
+            let mut kept = 0;
+            for k in 0..self.scan.len() {
+                let l = self.scan[k] as usize;
                 let w = self.link_weight[l];
                 if w > 1e-12 {
+                    self.scan[kept] = l as u32;
+                    kept += 1;
                     let level = self.remaining[l] / w;
                     match bottleneck {
                         Some((_, best)) if level >= best => {}
@@ -199,12 +240,13 @@ impl FairShare {
                     }
                 }
             }
+            self.scan.truncate(kept);
             let Some((bl, level)) = bottleneck else { break };
             let level = level.max(0.0);
             // Freeze every unfrozen flow crossing the bottleneck at its
             // proportional share, and charge its links.
-            for m in self.link_start[bl] as usize..self.link_start[bl + 1] as usize {
-                let i = self.members[m] as usize;
+            for &m in &self.members[bl] {
+                let i = m as usize;
                 if self.frozen[i] {
                     continue;
                 }
@@ -212,8 +254,8 @@ impl FairShare {
                 let rate = weight * level;
                 self.rates[i] = rate;
                 self.frozen[i] = true;
-                for k in self.flow_start[i] as usize..self.flow_start[i + 1] as usize {
-                    let l = self.flow_links[k] as usize;
+                for &l in &self.paths[i] {
+                    let l = l as usize;
                     self.remaining[l] = (self.remaining[l] - rate).max(0.0);
                     self.link_weight[l] -= weight;
                 }
@@ -222,7 +264,6 @@ impl FairShare {
             // negative must not be selected again.
             self.link_weight[bl] = self.link_weight[bl].max(0.0);
         }
-        &self.rates
     }
 }
 
@@ -349,43 +390,64 @@ mod tests {
         }
     }
 
-    /// One solver reused across problems of varying size must give the
-    /// same bits as a fresh solver per problem: no state leaks between
-    /// solves through the reused buffers.
+    /// One solver kept across joins, leaves, clears and solves must give
+    /// the same bits as a fresh solver over the live flows: no state
+    /// leaks through freed slots or the per-link index.
     #[test]
-    fn reused_solver_matches_fresh_solver() {
+    fn persistent_solver_matches_fresh_solver() {
         let mut rng = lina_simcore::Rng::new(7);
-        let mut reused = FairShare::default();
-        for problem in 0..1000 {
+        for problem in 0..200 {
             let links = 1 + rng.index(12);
-            let caps: Vec<f64> = (0..links)
-                .map(|_| match rng.index(6) {
-                    0 => 0.0,
-                    _ => rng.uniform(1.0, 100.0),
-                })
-                .collect();
-            let paths: Vec<Vec<u32>> = (0..rng.index(20))
-                .map(|_| (0..rng.index(4)).map(|_| rng.index(links) as u32).collect())
-                .collect();
-            let weights: Vec<f64> = paths.iter().map(|_| rng.uniform(0.05, 3.0)).collect();
-            let scale = if rng.bernoulli(0.3) { 0.5 } else { 1.0 };
-            let mut fresh = FairShare::default();
-            reused.clear();
-            for (w, p) in weights.iter().zip(&paths) {
-                reused.push_flow(*w, p);
-                fresh.push_flow(*w, p);
+            let mut kept = FairShare::new(links);
+            // Live flows: (key, slot, weight, path), in key order.
+            let mut live: Vec<(u64, u32, f64, Vec<u32>)> = Vec::new();
+            let mut next_key = 0;
+            for step in 0..40 {
+                match rng.index(8) {
+                    0..=3 => {
+                        let path: Vec<u32> =
+                            (0..rng.index(4)).map(|_| rng.index(links) as u32).collect();
+                        let weight = rng.uniform(0.05, 3.0);
+                        // Keys need not arrive in order (a flow whose
+                        // latency ran out late joins late).
+                        let key = next_key + rng.below(3) * 1000;
+                        next_key += 1;
+                        let slot = kept.join(key, weight, path.iter().copied());
+                        let at = live.partition_point(|f| f.0 <= key);
+                        live.insert(at, (key, slot, weight, path));
+                    }
+                    4..=5 if !live.is_empty() => {
+                        let (_, slot, _, _) = live.remove(rng.index(live.len()));
+                        kept.leave(slot);
+                    }
+                    6 if rng.bernoulli(0.1) => {
+                        kept.clear();
+                        live.clear();
+                    }
+                    _ => {}
+                }
+                let caps: Vec<f64> = (0..links)
+                    .map(|_| match rng.index(6) {
+                        0 => 0.0,
+                        _ => rng.uniform(1.0, 100.0),
+                    })
+                    .collect();
+                let scale = if rng.bernoulli(0.3) { 0.5 } else { 1.0 };
+                let mut fresh = FairShare::new(links);
+                let fresh_slots: Vec<u32> = live
+                    .iter()
+                    .map(|(key, _, w, p)| fresh.join(*key, *w, p.iter().copied()))
+                    .collect();
+                kept.solve(&caps, scale);
+                fresh.solve(&caps, scale);
+                for ((_, slot, _, _), fs) in live.iter().zip(fresh_slots) {
+                    assert_eq!(
+                        kept.rate(*slot).to_bits(),
+                        fresh.rate(fs).to_bits(),
+                        "problem {problem} step {step}"
+                    );
+                }
             }
-            let a: Vec<u64> = reused
-                .solve(&caps, scale)
-                .iter()
-                .map(|r| r.to_bits())
-                .collect();
-            let b: Vec<u64> = fresh
-                .solve(&caps, scale)
-                .iter()
-                .map(|r| r.to_bits())
-                .collect();
-            assert_eq!(a, b, "problem {problem}");
         }
     }
 

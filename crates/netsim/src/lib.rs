@@ -27,4 +27,4 @@ pub use fairshare::{max_min_rates, FlowDemand};
 pub use memory::{MemClass, MemoryTracker};
 pub use network::{FlowDone, FlowId, FlowSpec, NetStats, Network};
 pub use solo::SoloTimer;
-pub use topology::{ClusterSpec, DeviceId, LinkId, LinkKind, NodeId, Topology};
+pub use topology::{ClusterSpec, DeviceId, LinkId, LinkKind, NodeId, Path, Topology};

@@ -14,17 +14,19 @@
 //! flow was started with.
 //!
 //! Active flows live in one `Vec` in id order (ids only grow, so a new
-//! flow is pushed at the end and removal keeps the order). Rates come
-//! from a `FairShare` solver owned by the network whose buffers are
-//! reused across every recompute, and the answer of
-//! [`Network::next_event`] is cached until the next mutation.
+//! flow is pushed at the end and removal keeps the order), each with its
+//! path inline. Rates come from a `FairShare` solver owned by the
+//! network: a flow joins it when it enters its transfer phase and leaves
+//! when it finishes or is cancelled, so the solver's link -> flow index
+//! persists across recomputes. The answer of [`Network::next_event`] is
+//! cached until the next mutation.
 
 use std::sync::Arc;
 
 use lina_simcore::{SimDuration, SimTime};
 
 use crate::fairshare::FairShare;
-use crate::topology::{DeviceId, Topology};
+use crate::topology::{DeviceId, Path, Topology};
 
 /// Identifies an active flow.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -48,21 +50,25 @@ pub struct FlowSpec {
     pub tag: u64,
 }
 
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 enum Phase {
-    Latency { left: SimDuration },
-    Transfer,
+    Latency {
+        left: SimDuration,
+    },
+    /// Draining at the rate of its solver slot.
+    Transfer {
+        slot: u32,
+    },
 }
 
 #[derive(Clone, Debug)]
 struct ActiveFlow {
     id: FlowId,
-    links: Vec<u32>,
+    path: Path,
     weight: f64,
     phase: Phase,
     total: f64,
     remaining: f64,
-    rate: f64,
     tag: u64,
 }
 
@@ -115,6 +121,7 @@ impl Network {
     /// sharing the `Arc` avoids a deep topology clone per network.
     pub fn new_shared(topo: Arc<Topology>) -> Self {
         Network {
+            solver: FairShare::new(topo.link_count()),
             topo,
             now: SimTime::ZERO,
             flows: Vec::new(),
@@ -123,7 +130,6 @@ impl Network {
             next_event: None,
             stats: NetStats::default(),
             capacity_scale: 1.0,
-            solver: FairShare::default(),
         }
     }
 
@@ -156,6 +162,7 @@ impl Network {
     /// failed. Time does not advance.
     pub fn cancel_all_flows(&mut self) {
         self.flows.clear();
+        self.solver.clear();
         self.invalidate();
     }
 
@@ -165,7 +172,16 @@ impl Network {
     /// freed bandwidth from the current instant onward.
     pub fn cancel_flows_with_tag(&mut self, tag: u64) {
         let before = self.flows.len();
-        self.flows.retain(|f| f.tag != tag);
+        let solver = &mut self.solver;
+        self.flows.retain(|f| {
+            if f.tag != tag {
+                return true;
+            }
+            if let Phase::Transfer { slot } = f.phase {
+                solver.leave(slot);
+            }
+            false
+        });
         if self.flows.len() != before {
             self.invalidate();
         }
@@ -211,23 +227,17 @@ impl Network {
             spec.bytes
         );
         assert!(spec.weight > 0.0, "start_flow: bad weight {}", spec.weight);
-        let links: Vec<u32> = self
-            .topo
-            .path(spec.src, spec.dst)
-            .iter()
-            .map(|l| l.0)
-            .collect();
+        let path = self.topo.path(spec.src, spec.dst);
         let latency = self.topo.latency(spec.src, spec.dst) + spec.extra_latency;
         let id = FlowId(self.next_id);
         self.next_id += 1;
         self.flows.push(ActiveFlow {
             id,
-            links,
+            path,
             weight: spec.weight,
             phase: Phase::Latency { left: latency },
             total: spec.bytes,
             remaining: spec.bytes,
-            rate: 0.0,
             tag: spec.tag,
         });
         // A flow in its latency phase does not change rates yet, but
@@ -237,21 +247,11 @@ impl Network {
     }
 
     fn recompute_rates(&mut self) {
-        if self.rates_valid {
-            return;
+        if !self.rates_valid {
+            self.solver
+                .solve(self.topo.link_capacities(), self.capacity_scale);
+            self.rates_valid = true;
         }
-        let transferring = |f: &&mut ActiveFlow| f.phase == Phase::Transfer;
-        self.solver.clear();
-        for f in self.flows.iter_mut().filter(transferring) {
-            self.solver.push_flow(f.weight, &f.links);
-        }
-        let rates = self
-            .solver
-            .solve(self.topo.link_capacities(), self.capacity_scale);
-        for (f, &rate) in self.flows.iter_mut().filter(transferring).zip(rates) {
-            f.rate = rate;
-        }
-        self.rates_valid = true;
     }
 
     /// The next instant at which network state changes (a latency phase
@@ -262,30 +262,44 @@ impl Network {
             return cached;
         }
         self.recompute_rates();
-        let mut earliest: Option<SimTime> = None;
+        // The earliest latency expiry and the shortest time to drain, in
+        // seconds. Taking the minimum before converting is exact:
+        // `from_secs_f64` and the saturating `SimTime + SimDuration` are
+        // both monotone.
+        let mut left_min: Option<SimDuration> = None;
+        let mut drain_min: Option<f64> = None;
+        let mut immediate = false;
         for f in &self.flows {
-            let t = match &f.phase {
-                Phase::Latency { left } => self.now + *left,
-                Phase::Transfer => {
-                    if f.remaining <= 0.0 || f.rate.is_infinite() {
-                        self.now
-                    } else if f.rate > 0.0 {
-                        // Round up by one nanosecond so advancing to the
-                        // event time provably drains the flow.
-                        self.now
-                            + SimDuration::from_secs_f64(f.remaining / f.rate)
-                            + SimDuration::from_nanos(1)
-                    } else {
-                        // Zero-capacity path: the flow is stalled forever.
-                        continue;
-                    }
+            match f.phase {
+                Phase::Latency { left } => {
+                    left_min = Some(left_min.map_or(left, |m| m.min(left)));
                 }
-            };
-            earliest = Some(match earliest {
-                None => t,
-                Some(e) => e.min(t),
-            });
+                Phase::Transfer { slot } => {
+                    let rate = self.solver.rate(slot);
+                    if f.remaining <= 0.0 || rate.is_infinite() {
+                        immediate = true;
+                    } else if rate > 0.0 {
+                        let secs = f.remaining / rate;
+                        drain_min = Some(drain_min.map_or(secs, |m| m.min(secs)));
+                    }
+                    // Otherwise a zero-capacity path: stalled forever.
+                }
+            }
         }
+        let earliest = if immediate {
+            Some(self.now)
+        } else {
+            let latency = left_min.map(|left| self.now + left);
+            // Round up by one nanosecond so advancing to the event time
+            // provably drains the flow.
+            let drain = drain_min.map(|secs| {
+                self.now + SimDuration::from_secs_f64(secs) + SimDuration::from_nanos(1)
+            });
+            match (latency, drain) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            }
+        };
         self.next_event = Some(earliest);
         earliest
     }
@@ -308,31 +322,43 @@ impl Network {
             let dt = seg_end - self.now;
             let dt_secs = dt.as_secs_f64();
             let mut transitioned = false;
-            let stats = &mut self.stats;
+            let (stats, solver) = (&mut self.stats, &mut self.solver);
             // One pass in id order: drain every flow over the segment and
-            // drop the ones that finished, reporting them in id order.
+            // drop the ones that finished, reporting them in id order. A
+            // flow whose latency ran out joins the solver (if it still
+            // has bytes to move); a finished transfer leaves it.
             self.flows.retain_mut(|f| {
                 let finished = match &mut f.phase {
                     Phase::Latency { left } => {
                         if *left <= dt {
-                            f.phase = Phase::Transfer;
                             transitioned = true;
-                            f.links.is_empty() || f.remaining <= 0.0
+                            let done = f.path.is_empty() || f.remaining <= 0.0;
+                            if !done {
+                                let links = f.path.iter().map(|l| l.0);
+                                let slot = solver.join(f.id.0, f.weight, links);
+                                f.phase = Phase::Transfer { slot };
+                            }
+                            done
                         } else {
                             *left -= dt;
                             false
                         }
                     }
-                    Phase::Transfer => {
-                        if f.rate.is_infinite() {
+                    Phase::Transfer { slot } => {
+                        let rate = solver.rate(*slot);
+                        if rate.is_infinite() {
                             f.remaining = 0.0;
                         } else {
-                            f.remaining -= f.rate * dt_secs;
+                            f.remaining -= rate * dt_secs;
                         }
                         // Tolerate sub-nanosecond rounding: anything the
                         // current rate would drain in 2ns counts as done.
-                        let eps = f.rate * 2e-9 + 1e-9;
-                        f.remaining <= eps
+                        let eps = rate * 2e-9 + 1e-9;
+                        let done = f.remaining <= eps;
+                        if done {
+                            solver.leave(*slot);
+                        }
+                        done
                     }
                 };
                 if finished {
@@ -381,7 +407,7 @@ impl Network {
         let i = self.flows.binary_search_by_key(&id, |f| f.id).ok()?;
         Some(match self.flows[i].phase {
             Phase::Latency { .. } => 0.0,
-            Phase::Transfer => self.flows[i].rate,
+            Phase::Transfer { slot } => self.solver.rate(slot),
         })
     }
 }

@@ -63,6 +63,11 @@ impl SoloTimer {
         self.engine.network_mut().set_capacity_scale(scale);
     }
 
+    /// The current link-capacity multiplier (1.0 when healthy).
+    pub fn capacity_scale(&self) -> f64 {
+        self.engine.network().capacity_scale()
+    }
+
     /// Duration of `spec` run alone on the idle network.
     ///
     /// # Panics

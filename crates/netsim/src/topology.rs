@@ -28,6 +28,22 @@ pub struct NodeId(pub u32);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct LinkId(pub u32);
 
+/// The links one flow traverses, stored inline: a route in this
+/// topology crosses at most two links. Dereferences to the link slice.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Path {
+    links: [LinkId; 2],
+    len: u8,
+}
+
+impl std::ops::Deref for Path {
+    type Target = [LinkId];
+
+    fn deref(&self) -> &[LinkId] {
+        &self.links[..self.len as usize]
+    }
+}
+
 /// Kind of a link, for diagnostics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LinkKind {
@@ -261,15 +277,19 @@ impl Topology {
 
     /// Links traversed by a flow from `src` to `dst`. Empty for a
     /// device-local copy (`src == dst`).
-    pub fn path(&self, src: DeviceId, dst: DeviceId) -> Vec<LinkId> {
+    pub fn path(&self, src: DeviceId, dst: DeviceId) -> Path {
         if src == dst {
-            return Vec::new();
+            return Path {
+                links: [LinkId(0); 2],
+                len: 0,
+            };
         }
-        if self.same_node(src, dst) {
-            vec![self.nv_tx(src), self.nv_rx(dst)]
+        let links = if self.same_node(src, dst) {
+            [self.nv_tx(src), self.nv_rx(dst)]
         } else {
-            vec![self.nic_tx(src), self.nic_rx(dst)]
-        }
+            [self.nic_tx(src), self.nic_rx(dst)]
+        };
+        Path { links, len: 2 }
     }
 
     /// Base latency of a flow from `src` to `dst`.

@@ -5,8 +5,9 @@
 //! the network model:
 //!
 //! * **Solo** ([`execute_plan_solo`], [`NetworkMode::Solo`]) prices each
-//!   collective closed-form as if it ran alone on the wire — the
-//!   classical `run_inference_batch` costing, bit-for-bit.
+//!   collective as if it ran alone on the wire, replaying it through
+//!   the fluid network on a reused [`SoloTimer`] — the classical
+//!   `run_inference_batch` costing, bit-for-bit.
 //! * **Contended** ([`NetworkMode::Contended`]) feeds the collective
 //!   stages of *all* in-flight batches on a replica through one shared
 //!   [`Network`], so concurrent dispatch/combine all-to-alls fair-share
@@ -32,7 +33,7 @@ use crate::plan::ExecutionPlan;
 /// Which network model executes a plan's collectives.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum NetworkMode {
-    /// Every collective priced closed-form, alone on the wire.
+    /// Every collective priced alone on an idle wire ([`SoloTimer`]).
     Solo,
     /// In-flight batches on a replica share its links fair-share.
     Contended,
@@ -155,8 +156,11 @@ impl ReplicaExecutor {
     }
 
     /// Starts a planned batch at `at` (must be `>=` every previously
-    /// observed event/submit time).
-    pub fn submit(&mut self, id: u64, at: SimTime, plan: Arc<ExecutionPlan>) {
+    /// observed event/submit time). Returns the plan's solo price on
+    /// this replica's links ([`execute_plan_solo`] at the current
+    /// [`ReplicaExecutor::link_scale`]): the batch's service time in
+    /// solo mode, the completion estimate in contended mode.
+    pub fn submit(&mut self, id: u64, at: SimTime, plan: Arc<ExecutionPlan>) -> SimDuration {
         match self {
             ReplicaExecutor::Solo(s) => s.submit(id, at, plan),
             ReplicaExecutor::Contended(c) => c.submit(id, at, plan),
@@ -249,7 +253,7 @@ impl ReplicaExecutor {
 
     /// Scales the replica's link bandwidth (fault injection: 1.0 =
     /// healthy, < 1.0 = degraded NIC). Solo pricing charges subsequent
-    /// plans their closed-form time on the degraded links; contended
+    /// plans their solo time on the degraded links; contended
     /// execution re-shares the degraded links immediately, in-flight
     /// collectives included.
     pub fn set_link_scale(&mut self, scale: f64) {
@@ -259,6 +263,14 @@ impl ReplicaExecutor {
                 c.engine.network_mut().set_capacity_scale(scale);
                 c.estimator.set_capacity_scale(scale);
             }
+        }
+    }
+
+    /// The current link-bandwidth multiplier (1.0 when healthy).
+    pub fn link_scale(&self) -> f64 {
+        match self {
+            ReplicaExecutor::Solo(s) => s.timer.capacity_scale(),
+            ReplicaExecutor::Contended(c) => c.estimator.capacity_scale(),
         }
     }
 
@@ -294,16 +306,17 @@ pub struct SoloReplica {
 }
 
 impl SoloReplica {
-    fn submit(&mut self, id: u64, at: SimTime, plan: Arc<ExecutionPlan>) {
+    fn submit(&mut self, id: u64, at: SimTime, plan: Arc<ExecutionPlan>) -> SimDuration {
         let report = execute_plan_solo(&plan, &mut self.timer);
-        let completed = at + report.total;
+        let total = report.total;
         self.inflight.push(FinishedBatch {
             id,
             dispatched: at,
-            completed,
+            completed: at + total,
             tokens: plan.tokens,
             report,
         });
+        total
     }
 
     fn advance_to(&mut self, t: SimTime) -> Vec<FinishedBatch> {
@@ -380,7 +393,7 @@ pub struct ContendedReplica {
 }
 
 impl ContendedReplica {
-    fn submit(&mut self, id: u64, at: SimTime, plan: Arc<ExecutionPlan>) {
+    fn submit(&mut self, id: u64, at: SimTime, plan: Arc<ExecutionPlan>) -> SimDuration {
         // Process anything due before the dispatch instant, then pin the
         // network clock to it so collective launches are stamped at `at`.
         self.drive(at);
@@ -408,6 +421,7 @@ impl ContendedReplica {
             max_idle_frac: 0.0,
         };
         self.run_steps(b, at);
+        solo_total
     }
 
     /// Earliest pending event: a stage timer or a network event.

@@ -7,8 +7,9 @@
 //!
 //! Inference is layered: [`plan`] lowers a batch's scheduling decisions
 //! into a typed [`ExecutionPlan`], and [`exec`] prices the plan's
-//! stages under a [`NetworkMode`] — solo closed-form collectives, or a
-//! shared network where concurrent batches contend for links.
+//! stages under a [`NetworkMode`] — each collective priced alone on an
+//! idle network, or a shared network where concurrent batches contend
+//! for links.
 
 #![warn(missing_docs)]
 

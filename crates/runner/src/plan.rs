@@ -9,7 +9,7 @@
 //! one sees only the observed token paths, phase two only compares the
 //! estimate against the actual routing), so they resolve here once and
 //! the executors in [`crate::exec`] merely price the stages: the
-//! `SoloExecutor` with closed-form uncontended collectives, the
+//! `SoloExecutor` with each collective alone on an idle network, the
 //! `ContendedExecutor` by running them on a shared network where
 //! concurrent batches fair-share NIC bandwidth.
 

@@ -63,7 +63,7 @@
 //! reproduced bit for bit.
 
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 use lina_model::{CostModel, LayeredPlacement};
@@ -372,6 +372,17 @@ struct Replica {
     /// Prior displacement count per routed request, parallel to
     /// `arrivals` (0 = first attempt).
     attempts: Vec<u32>,
+    /// Routing ordinal on this replica per routed request, parallel to
+    /// `arrivals` (ascending: requests are appended in routing order
+    /// and every removal keeps the order).
+    ordinals: Vec<usize>,
+    /// Timeout deadlines of routed requests as `(deadline, ordinal)`, a
+    /// min-heap with lazy deletion: an entry whose request left the
+    /// undispatched tail (dispatched, expired or displaced) is dropped
+    /// when it surfaces. Empty without a timeout policy. A re-admitted
+    /// request keeps its original arrival, so deadlines are not sorted
+    /// in queue order.
+    deadlines: BinaryHeap<Reverse<(SimTime, usize)>>,
     /// Index of the first request not yet in a finalized dispatch.
     next: usize,
     /// Executes this replica's in-flight batches under the configured
@@ -433,6 +444,8 @@ impl Replica {
             arrivals: Vec::new(),
             queue: Vec::new(),
             attempts: Vec::new(),
+            ordinals: Vec::new(),
+            deadlines: BinaryHeap::new(),
             next: 0,
             executor,
             slot_free: ready_at,
@@ -477,6 +490,48 @@ impl Replica {
         self.executor.in_flight() - self.hedges_in_flight
     }
 
+    /// The earliest timeout deadline among the undispatched requests.
+    fn next_deadline(&mut self) -> Option<SimTime> {
+        while let Some(&Reverse((deadline, ordinal))) = self.deadlines.peek() {
+            if self.ordinals[self.next..].binary_search(&ordinal).is_ok() {
+                return Some(deadline);
+            }
+            self.deadlines.pop();
+        }
+        None
+    }
+
+    /// Moves every undispatched request whose deadline (`arrival +
+    /// timeout`) is at or before `now` into `expired` with its
+    /// deadline, in queue order, in one compaction pass.
+    fn expire(
+        &mut self,
+        now: SimTime,
+        timeout: SimDuration,
+        expired: &mut Vec<(Request, SimTime)>,
+    ) {
+        let mut kept = self.next;
+        for k in self.next..self.queue.len() {
+            let slot = &mut self.queue[k];
+            let deadline = slot.arrival + timeout;
+            if deadline <= now {
+                self.queued_tokens -= slot.tokens.len();
+                let tokens = std::mem::take(&mut slot.tokens);
+                expired.push((Request { tokens, ..*slot }, deadline));
+            } else {
+                self.queue.swap(kept, k);
+                self.arrivals[kept] = self.arrivals[k];
+                self.attempts[kept] = self.attempts[k];
+                self.ordinals[kept] = self.ordinals[k];
+                kept += 1;
+            }
+        }
+        self.queue.truncate(kept);
+        self.arrivals.truncate(kept);
+        self.attempts.truncate(kept);
+        self.ordinals.truncate(kept);
+    }
+
     /// Clears every slowdown a fault left behind (crash or recovery:
     /// the hardware is gone or fresh).
     fn reset_degradation(&mut self) {
@@ -486,19 +541,24 @@ impl Replica {
         self.gray_compute = 1.0;
     }
 
-    /// `plan` as this replica runs it: expert compute stretched by
-    /// every slowdown it carries. Gray degradation stretches service
-    /// exactly like a visible slowdown; only the control plane cannot
-    /// see it.
-    fn stretch(&self, plan: Arc<ExecutionPlan>) -> Arc<ExecutionPlan> {
+    /// Submits the pristine `plan` as this replica runs it: expert
+    /// compute stretched by every slowdown it carries (gray degradation
+    /// stretches service exactly like a visible slowdown; only the
+    /// control plane cannot see it). Returns the executor's solo price
+    /// when it is the pristine plan's nominal price — no stretch and
+    /// clean links — so the detector need not price the plan again.
+    fn submit(&mut self, id: u64, at: SimTime, plan: &Arc<ExecutionPlan>) -> Option<SimDuration> {
         let slow = self.compute_slowdown * self.straggler * self.gray_compute;
-        if slow > 1.0 {
-            let mut degraded = (*plan).clone();
+        let run = if slow > 1.0 {
+            let mut degraded = (**plan).clone();
             degraded.scale_compute(slow);
             Arc::new(degraded)
         } else {
-            plan
-        }
+            Arc::clone(plan)
+        };
+        let nominal = Arc::ptr_eq(&run, plan) && self.executor.link_scale() == 1.0;
+        let priced = self.executor.submit(id, at, run);
+        nominal.then_some(priced)
     }
 
     /// Retires a draining replica the moment it has nothing queued and
@@ -864,12 +924,9 @@ impl ClusterSim<'_, '_> {
                 consider(&mut best, d.at, Step::Dispatch(i, d));
             }
         }
-        if let Some(to) = self.cluster.faults.policy.request_timeout {
-            for rep in &self.replicas {
-                for r in &rep.queue[rep.next..] {
-                    let deadline = r.arrival + to;
-                    consider(&mut best, deadline, Step::Timeout(deadline));
-                }
+        for rep in &mut self.replicas {
+            if let Some(deadline) = rep.next_deadline() {
+                consider(&mut best, deadline, Step::Timeout(deadline));
             }
         }
         // Control and re-shard ticks recur forever, so one never
@@ -997,6 +1054,7 @@ impl ClusterSim<'_, '_> {
                 .zip(rep.attempts.drain(rep.next..)),
         );
         rep.arrivals.truncate(rep.next);
+        rep.ordinals.truncate(rep.next);
         rep.queued_tokens = 0;
         self.recovery.crash(at, displaced.iter().map(|(r, _)| r.id));
 
@@ -1284,6 +1342,11 @@ impl ClusterSim<'_, '_> {
         );
         self.snapshot_scratch = snapshots;
         let rep = &mut self.replicas[target];
+        if let Some(to) = policy.request_timeout {
+            rep.deadlines
+                .push(Reverse((adm.req.arrival + to, rep.requests)));
+        }
+        rep.ordinals.push(rep.requests);
         rep.requests += 1;
         rep.tokens += adm.req.tokens.len();
         rep.arrivals.push(now);
@@ -1419,13 +1482,12 @@ impl ClusterSim<'_, '_> {
         let Some((id, target, plan)) = hedge else {
             return;
         };
-        // The hedge's completion feeds the detector like any other.
-        self.monitor.expect(id, &plan);
         let rep = &mut self.replicas[target];
         rep.hedges_in_flight += 1;
-        // The duplicate runs at the target's true speed.
-        let plan = rep.stretch(plan);
-        rep.executor.submit(id, t, plan);
+        // The duplicate runs at the target's true speed; its completion
+        // feeds the detector like any other.
+        let nominal = rep.submit(id, t, &plan);
+        self.monitor.expect(id, &plan, nominal);
     }
 
     /// Commits the replica's next batch: plan, degrade, submit.
@@ -1469,13 +1531,12 @@ impl ClusterSim<'_, '_> {
         let batch_id = self.total_batches as u64;
         // The detector's expectation and a hedge's re-run both use the
         // pristine plan; the replica's own degradation stretches a copy.
-        self.monitor.expect(batch_id, &plan);
         if let Some(rt) = &mut self.hedging {
             rt.arm(batch_id, i, d.at, &plan);
         }
         let rep = &mut self.replicas[i];
-        let plan = rep.stretch(plan);
-        rep.executor.submit(batch_id, d.at, plan);
+        let nominal = rep.submit(batch_id, d.at, &plan);
+        self.monitor.expect(batch_id, &plan, nominal);
         // Move the members into the pending map — taking each slot's
         // token paths rather than deep-cloning them (a crash can still
         // re-admit the request with its paths intact). The emptied
@@ -1533,18 +1594,8 @@ impl ClusterSim<'_, '_> {
             .expect("timeout event without a timeout policy");
         let mut expired: Vec<(Request, SimTime)> = Vec::new();
         for rep in &mut self.replicas {
-            let mut k = rep.next;
-            while k < rep.queue.len() {
-                let deadline = rep.queue[k].arrival + to;
-                if deadline <= now {
-                    let req = rep.queue.remove(k);
-                    rep.arrivals.remove(k);
-                    rep.attempts.remove(k);
-                    rep.queued_tokens -= req.tokens.len();
-                    expired.push((req, deadline));
-                } else {
-                    k += 1;
-                }
+            if rep.next_deadline().is_some_and(|d| d <= now) {
+                rep.expire(now, to, &mut expired);
             }
         }
         for (req, deadline) in expired {
@@ -1981,6 +2032,42 @@ mod tests {
             if f.outcome == RequestOutcome::TimedOut {
                 assert_eq!(f.ended, f.arrival + SimDuration::from_millis(10));
             }
+        }
+    }
+
+    /// A re-admitted request keeps its original arrival, so its
+    /// timeout deadline can precede those of requests queued ahead of
+    /// it: round robin queues replica 0's displaced requests on
+    /// replica 1 behind later first arrivals. Timeouts must still fire
+    /// at each request's own deadline, in deadline order.
+    #[test]
+    fn timeouts_fire_at_their_deadlines_in_an_unsorted_queue() {
+        let (cost, topo, spec) = world();
+        let mut c = config(InferScheme::Baseline, 12000.0, 2);
+        c.balancer = BalancerKind::RoundRobin;
+        c.faults = FaultPlan {
+            schedule: FaultSchedule::from_script(vec![crash_at(3, 0), recover_at(30, 0)]),
+            policy: DegradationPolicy::retry_failover(Some(SimDuration::from_millis(6))),
+        };
+        let out = serve_cluster(&cost, &topo, &spec, c);
+        // Even ids below 41 arrived on replica 0 before the crash and
+        // were re-queued on replica 1 after the 1 ms backoff.
+        let expected: Vec<usize> = (8..=40)
+            .step_by(2)
+            .chain(53..=67)
+            .chain(72..=86)
+            .chain(91..=95)
+            .collect();
+        let ids: Vec<usize> = out.tracker.failures().iter().map(|f| f.id).collect();
+        assert_eq!(ids, expected);
+        for f in out.tracker.failures() {
+            assert_eq!(f.outcome, RequestOutcome::TimedOut);
+            assert_eq!(
+                f.ended,
+                f.arrival + SimDuration::from_millis(6),
+                "request {}",
+                f.id
+            );
         }
     }
 
@@ -2629,5 +2716,131 @@ mod tests {
             (0..96).collect::<Vec<_>>(),
             "every request reaches exactly one terminal outcome"
         );
+    }
+
+    mod pricing {
+        //! The detector prices each batch once: a replica running the
+        //! pristine plan on clean links hands over its executor's price,
+        //! every other batch is priced again — and both come out as the
+        //! pristine plan's price on a fresh timer.
+
+        use super::*;
+        use lina_netsim::SoloTimer;
+        use lina_runner::{execute_plan_solo, NetworkMode};
+        use lina_workload::{Mode, TokenSource};
+
+        struct Fixture {
+            topo: Arc<Topology>,
+            plan: Arc<ExecutionPlan>,
+            /// The plan priced on a fresh timer.
+            pristine: SimDuration,
+            monitor: HealthMonitor,
+        }
+
+        fn fixture() -> Fixture {
+            let (cost, topo, spec) = world();
+            let batch = TokenSource::new(&spec, 1, 99).sample_batch(8, 512, Mode::Inference);
+            let infer = InferenceConfig {
+                scheme: InferScheme::Baseline,
+                top_k: 1,
+            };
+            let plan = plan_batch_layered(&cost, &topo, &infer, None, &batch, None, false);
+            let pristine = execute_plan_solo(&plan, &mut SoloTimer::new(&topo)).total;
+            let topo = Arc::new(topo);
+            Fixture {
+                monitor: HealthMonitor::for_cluster(HealthConfig::phi_accrual(), 2, topo.clone()),
+                topo,
+                plan: Arc::new(plan),
+                pristine,
+            }
+        }
+
+        fn replica(f: &Fixture, mode: NetworkMode) -> Replica {
+            let executor = ReplicaExecutor::new_shared(mode, f.topo.clone());
+            Replica::new(
+                executor,
+                Estimate::new(None, 8),
+                SimTime::ZERO,
+                SimTime::ZERO,
+            )
+        }
+
+        /// Submits the pristine plan on `rep` and records the detector's
+        /// expectation, as dispatch does; returns whether the executor's
+        /// price was reused and the recorded expectation.
+        fn submit(f: &mut Fixture, rep: &mut Replica, id: u64) -> (bool, SimDuration) {
+            let nominal = rep.submit(id, SimTime::ZERO, &f.plan);
+            f.monitor.expect(id, &f.plan, nominal);
+            let expected = f.monitor.expectation(id).expect("a phi detector prices");
+            (nominal.is_some(), expected)
+        }
+
+        #[test]
+        fn a_pristine_replica_hands_its_price_to_the_detector() {
+            let mut f = fixture();
+            for (id, mode) in [NetworkMode::Solo, NetworkMode::Contended]
+                .into_iter()
+                .enumerate()
+            {
+                let mut rep = replica(&f, mode);
+                assert_eq!(
+                    submit(&mut f, &mut rep, id as u64),
+                    (true, f.pristine),
+                    "{mode:?}"
+                );
+            }
+        }
+
+        #[test]
+        fn degraded_replicas_reprice_the_pristine_plan() {
+            let mut f = fixture();
+            let mut gray = replica(&f, NetworkMode::Solo);
+            gray.gray_compute = 1.5;
+            gray.executor.set_link_scale(0.5);
+            assert_eq!(submit(&mut f, &mut gray, 0), (false, f.pristine));
+            let mut straggler = replica(&f, NetworkMode::Solo);
+            straggler.straggler = 2.0;
+            assert_eq!(submit(&mut f, &mut straggler, 1), (false, f.pristine));
+            // Both really ran slower than the price they were judged by.
+            for rep in [&mut gray, &mut straggler] {
+                let done = rep.executor.advance_to(SimTime::from_secs_f64(10.0));
+                assert!(done[0].report.total > f.pristine);
+            }
+        }
+
+        #[test]
+        fn restored_links_reuse_the_executor_price_again() {
+            let mut f = fixture();
+            let mut rep = replica(&f, NetworkMode::Solo);
+            rep.executor.set_link_scale(0.5);
+            assert_eq!(submit(&mut f, &mut rep, 0), (false, f.pristine));
+            rep.executor.set_link_scale(1.0);
+            assert_eq!(submit(&mut f, &mut rep, 1), (true, f.pristine));
+        }
+
+        #[test]
+        fn a_hedge_onto_a_degraded_target_reprices() {
+            let mut f = fixture();
+            let mut primary = replica(&f, NetworkMode::Solo);
+            let mut target = replica(&f, NetworkMode::Solo);
+            target.gray_compute = 1.5;
+            let mut rt = HedgeRuntime::new(HedgeConfig {
+                quantile: 0.5,
+                multiplier: 1.0,
+                min_samples: 1,
+            });
+            // One delay sample arms hedging.
+            rt.primary_done(u64::MAX >> 1, SimDuration::from_micros(1), SimTime::ZERO);
+            assert_eq!(submit(&mut f, &mut primary, 0), (true, f.pristine));
+            rt.arm(0, 0, SimTime::ZERO, &f.plan);
+            let (t, id) = rt.next_timer().expect("armed");
+            let (hedge, to, plan) = rt.fire(t, id, |_| Some(1)).expect("a free alternate");
+            assert_eq!(to, 1);
+            assert!(
+                Arc::ptr_eq(&plan, &f.plan),
+                "a hedge re-runs the pristine plan"
+            );
+            assert_eq!(submit(&mut f, &mut target, hedge), (false, f.pristine));
+        }
     }
 }

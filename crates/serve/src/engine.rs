@@ -91,9 +91,9 @@ pub struct ServeConfig {
     /// How many recently served batches the re-profiling window holds.
     pub reestimate_window: usize,
     /// How in-flight batches price their collectives:
-    /// [`NetworkMode::Solo`] is the closed-form uncontended costing
-    /// (the historical behaviour, bit-identical to the pre-event-loop
-    /// engine), [`NetworkMode::Contended`] runs every in-flight batch's
+    /// [`NetworkMode::Solo`] prices each collective alone on an idle
+    /// network (the historical behaviour, bit-identical to the
+    /// pre-event-loop engine), [`NetworkMode::Contended`] runs every in-flight batch's
     /// all-to-alls on one shared network per replica, so concurrent
     /// dispatches fair-share NIC bandwidth.
     pub network: NetworkMode,

@@ -14,6 +14,12 @@
 //! size and composition out of the signal: a healthy replica sits at
 //! ratio 1.0 whether it served two requests or twenty, so whatever
 //! stretch a gray fault adds stands directly against the baseline.
+//! Each batch is priced once: when the serving replica runs the
+//! pristine plan on clean links (no compute stretch, link scale exactly
+//! 1.0), the expectation is the solo price its executor just computed
+//! — a reused [`SoloTimer`] is history-independent, so that is the same
+//! bits as a fresh price. Only batches a degraded replica runs (and
+//! hedges onto one) are priced again, pristine, on the monitor's timer.
 //!
 //! * Suspicion is continuous: `0.0` is a replica indistinguishable from
 //!   the cluster baseline; `>= 1.0` excludes it from routing (the
@@ -483,7 +489,10 @@ pub struct HealthMonitor {
     /// links, solo collectives) for the expectation each completion is
     /// judged against, so batch size and composition drop out of the
     /// signal: a healthy solo replica observes exactly ratio 1.0.
-    /// `None` under the oracle detector, which never prices one.
+    /// `None` under the oracle detector, which never prices one. Each
+    /// batch is priced once: a replica running the pristine plan on
+    /// clean links hands over the price its executor just computed, and
+    /// this timer prices only the batches a degraded replica runs.
     pricer: Option<SoloTimer>,
     /// Expected nominal totals of in-flight batches (primaries and
     /// hedges alike), consumed at completion.
@@ -512,13 +521,33 @@ impl HealthMonitor {
         }
     }
 
-    /// Prices batch `id`'s pristine plan as the expectation its
-    /// completion will be judged against (a no-op without a pricer).
-    pub(crate) fn expect(&mut self, id: u64, plan: &ExecutionPlan) {
+    /// Records the expectation batch `id`'s completion will be judged
+    /// against: its pristine `plan` priced solo at nominal speed (a
+    /// no-op without a pricer). `nominal` is that price when the caller
+    /// already has it — the executor priced the same plan on clean
+    /// links, and a reused [`SoloTimer`] is history-independent, so it
+    /// is the same bits; only `None` prices the plan here.
+    pub(crate) fn expect(&mut self, id: u64, plan: &ExecutionPlan, nominal: Option<SimDuration>) {
         if let Some(timer) = &mut self.pricer {
-            self.expected
-                .insert(id, execute_plan_solo(plan, timer).total);
+            let total = match nominal {
+                Some(total) => {
+                    debug_assert_eq!(
+                        total,
+                        execute_plan_solo(plan, timer).total,
+                        "a reused price must equal the pristine plan's"
+                    );
+                    total
+                }
+                None => execute_plan_solo(plan, timer).total,
+            };
+            self.expected.insert(id, total);
         }
+    }
+
+    /// The expectation recorded for batch `id`, if any.
+    #[cfg(test)]
+    pub(crate) fn expectation(&self, id: u64) -> Option<SimDuration> {
+        self.expected.get(&id).copied()
     }
 
     /// Batch `id` completed on `replica` after `service`: one

@@ -3,14 +3,17 @@
 //! `oracle` below is a test-local copy of the textbook implementation:
 //! a `BTreeMap` flow table re-collected on every recompute and an
 //! allocating water-filling loop that scans every link for each
-//! bottleneck and every flow for each freeze. The production
-//! `Network` keeps a flat id-ordered flow table, a reused solver with a
-//! link -> flow index and a cached next event; these tests drive both
-//! through the same seeded scripts and require every observable to be
-//! the same bits.
+//! bottleneck and every flow for each freeze, plus the collective loop
+//! that drove it (`BTreeMap` phase weights, a phase plan per launch).
+//! The production `Network` keeps a flat id-ordered flow table, a
+//! solver whose link -> flow index persists across solves and a cached
+//! next event; these tests drive both through the same seeded scripts
+//! and require every observable to be the same bits. The solo test
+//! does the same for `SoloTimer`, which also runs `CollectiveEngine`.
 
 use lina::netsim::{
-    max_min_rates, ClusterSpec, DeviceId, FlowDemand, FlowDone, FlowId, FlowSpec, Network, Topology,
+    max_min_rates, AllToAllAlgo, ClusterSpec, CollectiveSpec, DeviceId, FlowDemand, FlowDone,
+    FlowId, FlowSpec, Network, SoloTimer, Topology,
 };
 use lina::simcore::{Rng, SimDuration, SimTime};
 
@@ -292,6 +295,145 @@ mod oracle {
     }
 }
 
+/// The collective loop `SoloTimer` runs, over the oracle network: the
+/// phase plan of an all-to-all, `BTreeMap` per-link phase weights, and
+/// the engine's promote / advance / `run_to_idle` stepping (each event
+/// overshot by the pinned 1 ns).
+mod oracle_solo {
+    use std::collections::BTreeMap;
+
+    use super::*;
+
+    fn plan(topo: &Topology, spec: &CollectiveSpec) -> Vec<Vec<(DeviceId, DeviceId, f64)>> {
+        let CollectiveSpec::AllToAll {
+            participants,
+            sizes,
+            algo,
+        } = spec
+        else {
+            panic!("the oracle plans all-to-alls only")
+        };
+        if *algo == AllToAllAlgo::Flat {
+            let mut phase = Vec::new();
+            for (i, &src) in participants.iter().enumerate() {
+                for (j, &dst) in participants.iter().enumerate() {
+                    if src != dst && sizes[i][j] > 0.0 {
+                        phase.push((src, dst, sizes[i][j]));
+                    }
+                }
+            }
+            return vec![phase];
+        }
+        let rank_of: BTreeMap<DeviceId, usize> = participants
+            .iter()
+            .enumerate()
+            .map(|(r, &d)| (d, r))
+            .collect();
+        let (mut gather, mut exchange, mut scatter) = (Vec::new(), Vec::new(), Vec::new());
+        let mut proxy_load: BTreeMap<(DeviceId, DeviceId), f64> = BTreeMap::new();
+        for (&src, &i) in &rank_of {
+            for (&dst, &j) in &rank_of {
+                let b = sizes[i][j];
+                if b <= 0.0 || src == dst {
+                    continue;
+                }
+                if topo.same_node(src, dst) {
+                    gather.push((src, dst, b));
+                    continue;
+                }
+                let proxy = topo.device_at(topo.node_of(src), topo.local_rank(dst));
+                if proxy != src {
+                    gather.push((src, proxy, b));
+                }
+                let peer = topo.device_at(topo.node_of(dst), topo.local_rank(dst));
+                *proxy_load.entry((proxy, peer)).or_insert(0.0) += b;
+                if peer != dst {
+                    scatter.push((peer, dst, b));
+                }
+            }
+        }
+        for ((src, dst), b) in proxy_load {
+            exchange.push((src, dst, b));
+        }
+        let phases: Vec<_> = [gather, exchange, scatter]
+            .into_iter()
+            .filter(|p| !p.is_empty())
+            .collect();
+        if phases.is_empty() {
+            vec![Vec::new()]
+        } else {
+            phases
+        }
+    }
+
+    fn phase_weight(topo: &Topology, phase: &[(DeviceId, DeviceId, f64)]) -> f64 {
+        let mut per_link: BTreeMap<u32, usize> = BTreeMap::new();
+        for &(src, dst, _) in phase {
+            for l in topo.path(src, dst).iter() {
+                *per_link.entry(l.0).or_insert(0) += 1;
+            }
+        }
+        1.0 / per_link.values().copied().max().unwrap_or(1) as f64
+    }
+
+    /// Duration of `spec` alone on a fresh oracle network whose links
+    /// run at `scale` of nominal.
+    pub fn time(topo: &Topology, scale: f64, spec: &CollectiveSpec) -> SimDuration {
+        let mut net = oracle::Network::new(topo.clone());
+        net.set_capacity_scale(scale);
+        let phases = plan(topo, spec);
+        let mut current = 0;
+        let launch = |net: &mut oracle::Network, current: usize| {
+            let phase = &phases[current];
+            let weight = phase_weight(topo, phase);
+            let extra_latency = if current == 0 {
+                topo.spec().collective_launch_overhead
+            } else {
+                SimDuration::ZERO
+            };
+            for &(src, dst, bytes) in phase {
+                net.start_flow(FlowSpec {
+                    src,
+                    dst,
+                    bytes,
+                    weight,
+                    extra_latency,
+                    tag: 0,
+                });
+            }
+            phase.len()
+        };
+        let started = net.now();
+        let mut outstanding = launch(&mut net, current);
+        loop {
+            let next = if outstanding == 0 {
+                net.now()
+            } else {
+                net.next_event()
+                    .expect("the oracle collective never finishes")
+            };
+            let t = next + SimDuration::from_nanos(1);
+            loop {
+                if outstanding == 0 {
+                    if current + 1 == phases.len() {
+                        return net.now() - started;
+                    }
+                    current += 1;
+                    outstanding = launch(&mut net, current);
+                }
+                if net.now() >= t {
+                    break;
+                }
+                let seg_end = match net.next_event() {
+                    Some(e) if e < t => e,
+                    _ => t,
+                };
+                outstanding -= net.advance_to(seg_end).len();
+            }
+        }
+    }
+}
+
 /// Both networks side by side, with every live flow id.
 struct Pair {
     net: Network,
@@ -457,6 +599,89 @@ fn network_matches_the_reference_on_eight_gpus() {
 fn network_matches_the_reference_on_the_paper_testbed() {
     for seed in 100..112 {
         run_script(ClusterSpec::paper_testbed(), seed);
+    }
+}
+
+/// A random all-to-all over `devices` GPUs: a random participant set
+/// (sometimes one device), per-destination skew, and zero-byte pairs.
+fn random_all_to_all(rng: &mut Rng, devices: u32) -> CollectiveSpec {
+    let participants: Vec<DeviceId> = if rng.bernoulli(0.1) {
+        vec![DeviceId(rng.below(devices as u64) as u32)]
+    } else if rng.bernoulli(0.6) {
+        (0..devices).map(DeviceId).collect()
+    } else {
+        let mut p: Vec<DeviceId> = (0..devices)
+            .filter(|_| rng.bernoulli(0.6))
+            .map(DeviceId)
+            .collect();
+        if p.is_empty() {
+            p.push(DeviceId(0));
+        }
+        p
+    };
+    let n = participants.len();
+    let skew: Vec<f64> = (0..n).map(|_| rng.uniform(0.05, 4.0)).collect();
+    // Each source leaves its own share of pairs empty, so the busiest
+    // link is sometimes a receiver's and sometimes a sender's.
+    let sizes: Vec<Vec<f64>> = (0..n)
+        .map(|_| {
+            let zero = rng.uniform(0.0, 0.8);
+            (0..n)
+                .map(|j| {
+                    if rng.bernoulli(zero) {
+                        0.0
+                    } else {
+                        skew[j] * rng.uniform(1e4, 2e6)
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let algo = if rng.bernoulli(0.5) {
+        AllToAllAlgo::Flat
+    } else {
+        AllToAllAlgo::Hierarchical
+    };
+    CollectiveSpec::AllToAll {
+        participants,
+        sizes,
+        algo,
+    }
+}
+
+/// A reused `SoloTimer` prices random all-to-alls to the same
+/// nanosecond as the oracle collective loop on a fresh oracle network,
+/// before, during and after a 0.5 capacity degradation.
+#[test]
+fn solo_timer_matches_the_reference_collective_loop() {
+    for (spec, seed) in [
+        (ClusterSpec::with_total_gpus(8), 7),
+        (ClusterSpec::paper_testbed(), 8),
+    ] {
+        let devices = spec.total_devices() as u32;
+        let topo = Topology::new(spec);
+        let mut timer = SoloTimer::new(&topo);
+        let mut rng = Rng::new(seed);
+        for case in 0..150 {
+            let a2a = random_all_to_all(&mut rng, devices);
+            let healthy = timer.time(&a2a);
+            assert_eq!(healthy, oracle_solo::time(&topo, 1.0, &a2a), "case {case}");
+            if case % 5 == 0 {
+                timer.set_capacity_scale(0.5);
+                let degraded = timer.time(&a2a);
+                assert_eq!(
+                    degraded,
+                    oracle_solo::time(&topo, 0.5, &a2a),
+                    "case {case} at 0.5"
+                );
+                timer.set_capacity_scale(1.0);
+                assert_eq!(
+                    timer.time(&a2a),
+                    healthy,
+                    "case {case} after the round trip"
+                );
+            }
+        }
     }
 }
 
