@@ -105,19 +105,13 @@ mod tests {
     fn chain_stats(layers: usize, experts: usize, succ: &dyn Fn(u16) -> u16) -> AffinityStats {
         let tokens: Vec<TokenPath> = (0..experts as u16)
             .flat_map(|e| {
-                let mut sel = vec![vec![e]];
+                let mut sel = vec![e];
                 let mut cur = e;
                 for _ in 1..layers {
                     cur = succ(cur);
-                    sel.push(vec![cur]);
+                    sel.push(cur);
                 }
-                std::iter::repeat_n(
-                    TokenPath {
-                        class: e as usize,
-                        selections: sel,
-                    },
-                    10,
-                )
+                std::iter::repeat_n(TokenPath::new(e as usize, 1, sel.into()), 10)
             })
             .collect();
         let batch = TokenBatch {

@@ -4,8 +4,12 @@
 //!
 //! The harness is self-contained (`harness = false`): each case is
 //! warmed up, then timed over enough iterations to fill a ~200 ms
-//! window, reporting mean wall-clock time per iteration.
+//! window, reporting mean wall-clock time and heap allocations per
+//! iteration. Allocations are counted by this binary's own global
+//! allocator, so the library crates carry no instrumentation.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use lina_baselines::{InferScheme, TrainScheme};
@@ -20,7 +24,36 @@ use lina_netsim::{
 use lina_runner::{
     execute, execute_plan_solo, plan_batch, train::solo_collective_time, InferenceConfig,
 };
-use lina_workload::{Mode, TokenBatch, TokenSource, WorkloadSpec};
+use lina_workload::{Mode, TokenBatch, TokenPath, TokenSource, WorkloadSpec};
+
+/// The system allocator, counting every allocation and reallocation.
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Times `f` and prints one result line. Returns-value of `f` is
 /// black-boxed through `std::hint::black_box` to stop the optimizer
@@ -31,13 +64,15 @@ fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
     std::hint::black_box(f());
     let once = start.elapsed().as_secs_f64().max(1e-9);
     let iters = ((0.2 / once) as u64).clamp(1, 100_000);
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed);
     let start = Instant::now();
     for _ in 0..iters {
         std::hint::black_box(f());
     }
     let per = start.elapsed().as_secs_f64() / iters as f64;
+    let allocs = (ALLOCATIONS.load(Ordering::Relaxed) - allocs) as f64 / iters as f64;
     println!(
-        "{name:<40} {:>12} / iter  ({iters} iters)",
+        "{name:<40} {:>12} / iter  {allocs:>10.0} allocs / iter  ({iters} iters)",
         lina_simcore::format_secs(per)
     );
 }
@@ -180,6 +215,41 @@ fn bench_workload() {
     bench("sample_batch_8k_tokens", move || {
         src.sample_batch(16, 512, Mode::Inference)
     });
+    // The serving trace's token stage: each request samples as a
+    // one-device batch, and the popular classes rotate every 100
+    // requests.
+    let spec = WorkloadSpec::enwik8(8, 6);
+    bench("workload/request_stream", || {
+        let mut src = TokenSource::new(&spec, 1, 9);
+        (0..600)
+            .map(|id| {
+                src.set_class_rotation(id / 100);
+                src.sample_batch(1, 256, Mode::Inference).tokens
+            })
+            .collect::<Vec<Vec<TokenPath>>>()
+    });
+}
+
+fn bench_batch_assembly() {
+    // Dispatch copies a full batch's member tokens (8 requests of 256)
+    // into the batch the planner reads, as `ClusterSim::dispatch` does.
+    let spec = WorkloadSpec::enwik8(8, 6);
+    let mut src = TokenSource::new(&spec, 1, 9);
+    let requests: Vec<Vec<TokenPath>> = (0..8)
+        .map(|_| src.sample_batch(1, 256, Mode::Inference).tokens)
+        .collect();
+    let batch_tokens = requests.iter().map(Vec::len).sum();
+    bench("serve/batch_assembly", || {
+        let mut tokens = Vec::with_capacity(batch_tokens);
+        for r in &requests {
+            tokens.extend_from_slice(r);
+        }
+        TokenBatch {
+            tokens,
+            devices: 8,
+            experts: spec.experts,
+        }
+    });
 }
 
 fn bench_packed_dispatch() {
@@ -200,5 +270,6 @@ fn main() {
     bench_estimator();
     bench_step_simulation();
     bench_workload();
+    bench_batch_assembly();
     bench_packed_dispatch();
 }

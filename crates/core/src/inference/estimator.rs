@@ -43,13 +43,25 @@ struct PsiTable {
 }
 
 impl PsiTable {
-    fn count(&mut self, code: u64, next: usize, experts: usize) {
+    /// The row of a path code, zeroed on first sight.
+    fn row_mut(&mut self, code: u64, experts: usize) -> &mut [f64] {
         let fresh = u32::try_from(self.rows.len()).expect("profile: more than u32::MAX paths");
         let row = *self.rows.entry(code).or_insert(fresh);
         if row == fresh {
             self.dists.resize(self.dists.len() + experts, 0.0);
         }
-        self.dists[row as usize * experts + next] += 1.0;
+        &mut self.dists[row as usize * experts..][..experts]
+    }
+
+    /// Adds every count row of `longer` into the row of its code's low
+    /// digits (`code % radix`): the table of a shorter suffix.
+    fn fold_from(&mut self, longer: &PsiTable, radix: u64, experts: usize) {
+        for (&code, &row) in &longer.rows {
+            let counts = &longer.dists[row as usize * experts..][..experts];
+            for (c, &n) in self.row_mut(code % radix, experts).iter_mut().zip(counts) {
+                *c += n;
+            }
+        }
     }
 
     fn normalize(&mut self, experts: usize) {
@@ -117,7 +129,7 @@ impl PopularityEstimator {
             "profile: first batch has no tokens"
         );
         let experts = first.experts;
-        let layers = first.tokens[0].selections.len();
+        let layers = first.tokens[0].layers();
         let radix: Vec<u64> = (1..=path_length)
             .map(|len| {
                 u32::try_from(len)
@@ -132,6 +144,10 @@ impl PopularityEstimator {
             .map(|_| vec![PsiTable::default(); layers.saturating_sub(1)])
             .collect();
         let mut marginals = vec![vec![0.0f64; experts]; layers];
+        let (full, suffixes) = tables.split_last_mut().expect("path_length > 0");
+        // `experts^(l-1)`: the digits a full-length code keeps when the
+        // next primary shifts in.
+        let keep = radix[path_length - 1] / (experts as u64).max(1);
         for batch in batches {
             assert_eq!(
                 batch.experts, experts,
@@ -139,20 +155,31 @@ impl PopularityEstimator {
             );
             for tok in &batch.tokens {
                 assert_eq!(
-                    tok.selections.len(),
+                    tok.layers(),
                     layers,
                     "profile: token layer count differs from the first batch's"
                 );
-                for layer in 0..layers {
-                    marginals[layer][tok.primary(layer) as usize] += 1.0;
-                    if layer + 1 < layers {
-                        let next = tok.primary(layer + 1) as usize;
-                        let code = tok.path_code(layer, path_length, experts);
-                        for (per_layer, &radix) in tables.iter_mut().zip(&radix) {
-                            per_layer[layer].count(code % radix, next, experts);
-                        }
+                // One pass over the strided primaries, rolling the
+                // path code: before layer `i` is shifted in, `code` is
+                // `tok.path_code(i - 1, path_length, experts)`.
+                let mut code = 0u64;
+                let primaries = tok.selections().iter().step_by(tok.top_k());
+                for (layer, &e) in primaries.enumerate() {
+                    let e = usize::from(e);
+                    marginals[layer][e] += 1.0;
+                    if layer > 0 {
+                        full[layer - 1].row_mut(code, experts)[e] += 1.0;
                     }
+                    code = code % keep * experts as u64 + e as u64;
                 }
+            }
+        }
+        // A shorter suffix's table sums the full-length rows sharing its
+        // low digits. Counts are exact integers, so this equals counting
+        // every token into it.
+        for (per_layer, &radix) in suffixes.iter_mut().zip(&radix) {
+            for (table, longer) in per_layer.iter_mut().zip(full.iter()) {
+                table.fold_from(longer, radix, experts);
             }
         }
         for table in tables.iter_mut().flatten() {
@@ -366,10 +393,7 @@ mod tests {
     #[should_panic(expected = "overflows a u64 path code")]
     fn overflowing_path_code_panics() {
         let batch = TokenBatch {
-            tokens: vec![TokenPath {
-                class: 0,
-                selections: vec![vec![0]; 20],
-            }],
+            tokens: vec![TokenPath::new(0, 1, vec![0; 20].into())],
             devices: 1,
             experts: 1 << 16,
         };
@@ -396,7 +420,8 @@ mod tests {
     #[should_panic(expected = "token layer count differs")]
     fn mismatched_layer_count_panics() {
         let (first, mut other) = two_batches();
-        other.tokens[1].selections.pop();
+        let short = &other.tokens[1];
+        other.tokens[1] = TokenPath::new(short.class, 1, short.selections()[1..].into());
         PopularityEstimator::profile(&[first, other], 3);
     }
 
@@ -513,11 +538,8 @@ mod tests {
     #[test]
     fn unseen_path_falls_back_to_marginal() {
         let (est, _) = profiled(3);
-        let tok = TokenPath {
-            class: 0,
-            // An implausible path unlikely to be profiled.
-            selections: (0..12).map(|i| vec![(i % 16) as u16]).collect(),
-        };
+        // An implausible path unlikely to be profiled.
+        let tok = TokenPath::new(0, 1, (0..12).map(|i| (i % 16) as u16).collect());
         // Must not panic and must return a normalized distribution.
         let d = est.next_layer_distribution(&tok, 6);
         let total: f64 = d.iter().sum();

@@ -389,13 +389,11 @@ pub fn plan_batch_layered(
                 .collect();
             let mut sizes = dispatch_plan.sizes.clone();
             for (t, prev) in prev_host.iter_mut().enumerate() {
-                let Some(&e) = batch.tokens[t]
-                    .selections
-                    .get(layer)
-                    .and_then(|sel| sel.first())
-                else {
+                let tok = &batch.tokens[t];
+                if layer >= tok.layers() {
                     continue;
-                };
+                }
+                let e = tok.primary(layer);
                 let this_host = host_of[e as usize];
                 let home = batch.device_of(t);
                 match this_host {

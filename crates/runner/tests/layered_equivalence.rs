@@ -168,3 +168,26 @@ fn locality_counts_hops_and_never_adds_bytes() {
         }
     }
 }
+
+/// A batch with fewer tokens than devices plans under locality pricing:
+/// every token is homed on the last device, as [`TokenBatch::tokens_on`]
+/// shards it, so each primary hop is counted once.
+#[test]
+fn locality_plans_a_batch_smaller_than_the_device_count() {
+    let experts = 8usize;
+    let (cost, topo, scheduler, mut batches) = world(experts);
+    let mut batch = batches.swap_remove(0);
+    batch.tokens.truncate(3);
+    assert_eq!(batch.devices, 8);
+    for scheme in InferScheme::all() {
+        let config = InferenceConfig { scheme, top_k: 1 };
+        let plan = plan_batch_layered(&cost, &topo, &config, Some(&scheduler), &batch, None, true);
+        assert_eq!(plan.tokens, 3);
+        if scheme != InferScheme::Ideal {
+            assert_eq!(
+                plan.local_hops + plan.routed_hops,
+                3 * cost.model.layers as u64
+            );
+        }
+    }
+}

@@ -1496,11 +1496,13 @@ impl ClusterSim<'_, '_> {
         let rep = &self.replicas[i];
         let members = &rep.queue[rep.next..rep.next + d.count];
         let batch_tokens: usize = members.iter().map(|r| r.tokens.len()).sum();
+        // One allocation per member token, plus the batch's own.
+        let mut tokens = Vec::with_capacity(batch_tokens);
+        for r in members {
+            tokens.extend_from_slice(&r.tokens);
+        }
         let batch = TokenBatch {
-            tokens: members
-                .iter()
-                .flat_map(|r| r.tokens.iter().cloned())
-                .collect(),
+            tokens,
             devices: engine.topo.devices(),
             experts: engine.spec.experts,
         };
@@ -1561,22 +1563,19 @@ impl ClusterSim<'_, '_> {
         rep.batches += 1;
         self.total_batches += 1;
 
-        // The re-shard load monitor samples every dispatched batch,
-        // sharing it with the re-estimator when both are armed; the
-        // re-estimator pools cluster-wide (shared) or replica-locally.
+        // The re-shard load monitor counts every dispatched batch's
+        // selections; the re-estimator then keeps the batch itself,
+        // pooled cluster-wide (shared) or replica-locally.
         let every = engine
             .config
             .reestimate_every
             .filter(|_| engine.estimates());
+        if let Some(rt) = &mut self.resharding {
+            rt.observe(&batch);
+        }
         let Some(every) = every else {
-            if let Some(rt) = &mut self.resharding {
-                rt.observe(batch);
-            }
             return;
         };
-        if let Some(rt) = &mut self.resharding {
-            rt.observe(batch.clone());
-        }
         if self.estimate(i).observe(batch, every, engine) {
             self.reestimations += 1;
         }

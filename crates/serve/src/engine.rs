@@ -240,23 +240,6 @@ impl ReestimationWindow {
     pub(crate) fn clear(&mut self) {
         self.batches.clear();
     }
-
-    /// Token-selections routed to each expert across the windowed
-    /// batches, summed over every layer — the per-expert load signal
-    /// the re-sharding monitor reads.
-    pub(crate) fn expert_token_counts(&self, experts: usize) -> Vec<u64> {
-        let mut counts = vec![0u64; experts];
-        for batch in &self.batches {
-            for tok in &batch.tokens {
-                for layer in &tok.selections {
-                    for &e in layer {
-                        counts[e as usize] += 1;
-                    }
-                }
-            }
-        }
-        counts
-    }
 }
 
 /// Everything a serving run produced.

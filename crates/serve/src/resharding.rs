@@ -6,8 +6,9 @@
 //! next batches. Between epochs, a drifting workload leaves the hot
 //! expert pinned to one device. This module closes that gap with a
 //! continuous control loop (HarMoEny-style): an online per-expert load
-//! monitor (reusing the same [`ReestimationWindow`] samples the
-//! re-estimator reads) feeds a [`ReshardPolicy`] that, mid-serving,
+//! monitor (a sliding window of per-batch expert selection counts over
+//! the same dispatched batches the re-estimator reads) feeds a
+//! [`ReshardPolicy`] that, mid-serving,
 //! emits [`ReshardAction`]s — replicate a hot expert onto another
 //! device, evict a cold replica, or migrate an expert wholesale. The
 //! cluster event loop evaluates the policy at a fixed control interval
@@ -20,14 +21,12 @@
 //! tokens split across its replicas inside
 //! [`plan_batch_layered`](lina_runner::plan_batch_layered). A device
 //! loss resets the map to the run's base layout.
-//!
-//! [`ReestimationWindow`]: crate::engine::ReestimationWindow
+
+use std::collections::VecDeque;
 
 use lina_model::{ExpertPlacement, LayeredPlacement};
 use lina_simcore::{SimDuration, SimTime};
 use lina_workload::TokenBatch;
-
-use crate::engine::ReestimationWindow;
 
 /// One shard-map mutation a policy may request. Expert indices refer
 /// to the model's global expert ids.
@@ -351,9 +350,10 @@ pub(crate) struct ReshardRuntime {
     policy: Box<dyn ReshardPolicy>,
     /// Next re-shard tick.
     pub(crate) next_at: SimTime,
-    /// The load monitor: a sliding window over recently dispatched
-    /// batches, flushed on every map change.
-    window: ReestimationWindow,
+    /// The load monitor: token-selections per expert, summed over every
+    /// layer, of each of the last `config.window` dispatched batches
+    /// (oldest first), flushed on every map change.
+    window: VecDeque<Vec<u64>>,
     /// The run's base layout: the configured placement, or the
     /// canonical expert-per-device map at every layer.
     base: LayeredPlacement,
@@ -386,7 +386,7 @@ impl ReshardRuntime {
         ReshardRuntime {
             policy: config.policy.build(),
             next_at: SimTime::ZERO + config.interval,
-            window: ReestimationWindow::new(config.window),
+            window: VecDeque::new(),
             shard_map: base.clone(),
             base,
             dirty: false,
@@ -399,9 +399,19 @@ impl ReshardRuntime {
         }
     }
 
-    /// Samples one dispatched batch into the load monitor.
-    pub(crate) fn observe(&mut self, batch: TokenBatch) {
-        self.window.push(batch);
+    /// Samples one dispatched batch into the load monitor, evicting
+    /// the oldest batch past the window.
+    pub(crate) fn observe(&mut self, batch: &TokenBatch) {
+        let mut counts = vec![0u64; self.experts];
+        for tok in &batch.tokens {
+            for &e in tok.selections() {
+                counts[e as usize] += 1;
+            }
+        }
+        self.window.push_back(counts);
+        if self.window.len() > self.config.window {
+            self.window.pop_front();
+        }
     }
 
     /// The map dispatch plans against once it diverged from the base.
@@ -424,7 +434,12 @@ impl ReshardRuntime {
     pub(crate) fn tick(&mut self) -> (SimTime, Option<usize>) {
         let at = self.next_at;
         self.next_at = at + self.config.interval;
-        let counts = self.window.expert_token_counts(self.experts);
+        let mut counts = vec![0u64; self.experts];
+        for batch in &self.window {
+            for (c, &b) in counts.iter_mut().zip(batch) {
+                *c += b;
+            }
+        }
         let total: u64 = counts.iter().sum();
         let share: Vec<f64> = counts
             .iter()

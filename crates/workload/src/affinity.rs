@@ -55,7 +55,7 @@ impl AffinityStats {
     /// shorter than the tracked depth contribute only the pairs they
     /// cover.
     pub fn record_path(&mut self, path: &TokenPath) {
-        let depth = path.selections.len().min(self.counts.len() + 1);
+        let depth = path.layers().min(self.counts.len() + 1);
         for l in 0..depth.saturating_sub(1) {
             let e = path.primary(l) as usize;
             let f = path.primary(l + 1) as usize;
@@ -133,10 +133,7 @@ mod tests {
     use super::*;
 
     fn path(selections: &[u16]) -> TokenPath {
-        TokenPath {
-            class: 0,
-            selections: selections.iter().map(|&e| vec![e]).collect(),
-        }
+        TokenPath::new(0, 1, selections.into())
     }
 
     #[test]

@@ -150,39 +150,33 @@ impl GatingModel {
     }
 
     /// Samples the gate's top-k selection for a token of `class` at
-    /// `layer`. The first expert is the class's canonical expert with
-    /// the layer's persistence probability; remaining slots are distinct
-    /// background draws.
+    /// `layer` into `out`, whose length is the fan-out `k`. The first
+    /// expert is the class's canonical expert with the layer's
+    /// persistence probability; remaining slots are distinct background
+    /// draws.
     ///
     /// # Panics
     ///
-    /// Panics if `top_k` is zero or exceeds the expert count.
-    pub fn select(
-        &self,
-        layer: usize,
-        class: usize,
-        top_k: usize,
-        mode: Mode,
-        rng: &mut Rng,
-    ) -> Vec<u16> {
+    /// Panics if `out` is empty or longer than the expert count.
+    pub fn select(&self, layer: usize, class: usize, mode: Mode, rng: &mut Rng, out: &mut [u16]) {
+        let top_k = out.len();
         assert!(
             top_k >= 1 && top_k <= self.spec.experts,
             "select: bad top_k {top_k}"
         );
-        let mut chosen = Vec::with_capacity(top_k);
-        let primary = if rng.bernoulli(self.spec.persistence(layer)) {
+        out[0] = if rng.bernoulli(self.spec.persistence(layer)) {
             self.sigma[layer][class]
         } else {
             self.sample_background(layer, mode, rng)
         };
-        chosen.push(primary);
-        while chosen.len() < top_k {
+        let mut chosen = 1;
+        while chosen < top_k {
             let e = self.sample_background(layer, mode, rng);
-            if !chosen.contains(&e) {
-                chosen.push(e);
+            if !out[..chosen].contains(&e) {
+                out[chosen] = e;
+                chosen += 1;
             }
         }
-        chosen
     }
 
     /// The exact marginal expert distribution at a layer given a class
@@ -305,9 +299,9 @@ mod tests {
     fn select_returns_distinct_topk() {
         let m = model();
         let mut rng = Rng::new(5);
+        let mut sel = [0u16; 2];
         for _ in 0..1000 {
-            let sel = m.select(3, 10, 2, Mode::Inference, &mut rng);
-            assert_eq!(sel.len(), 2);
+            m.select(3, 10, Mode::Inference, &mut rng, &mut sel);
             assert_ne!(sel[0], sel[1]);
             assert!(sel.iter().all(|&e| (e as usize) < 16));
         }
@@ -321,8 +315,12 @@ mod tests {
         let class = 20;
         let canon = m.canonical_expert(layer, class);
         let n = 20_000;
+        let mut sel = [0u16; 1];
         let hits = (0..n)
-            .filter(|_| m.select(layer, class, 1, Mode::Inference, &mut rng)[0] == canon)
+            .filter(|_| {
+                m.select(layer, class, Mode::Inference, &mut rng, &mut sel);
+                sel[0] == canon
+            })
             .count();
         let p = m.spec().persistence(layer);
         let rate = hits as f64 / n as f64;
@@ -366,6 +364,6 @@ mod tests {
     fn zero_topk_panics() {
         let m = model();
         let mut rng = Rng::new(1);
-        m.select(0, 0, 0, Mode::Train, &mut rng);
+        m.select(0, 0, Mode::Train, &mut rng, &mut []);
     }
 }

@@ -48,7 +48,7 @@ pub fn top_experts(batch: &TokenBatch, layer: usize, n: usize) -> Vec<usize> {
 /// their group's locally ranked top-k. Token-weighted across groups;
 /// returns 0 for an empty batch or the last layer.
 pub fn pattern_ratio(batch: &TokenBatch, layer: usize, k: usize) -> f64 {
-    if batch.tokens.is_empty() || layer + 1 >= batch.tokens[0].selections.len() {
+    if batch.tokens.is_empty() || layer + 1 >= batch.tokens[0].layers() {
         return 0.0;
     }
     // Group tokens by primary expert at `layer`.
@@ -85,7 +85,7 @@ pub fn mean_pattern_ratio(batch: &TokenBatch, k: usize) -> f64 {
     if batch.tokens.is_empty() {
         return 0.0;
     }
-    let layers = batch.tokens[0].selections.len();
+    let layers = batch.tokens[0].layers();
     if layers < 2 {
         return 0.0;
     }
@@ -178,10 +178,7 @@ mod tests {
         };
         assert_eq!(pattern_ratio(&empty, 0, 1), 0.0);
         let single_layer = TokenBatch {
-            tokens: vec![TokenPath {
-                class: 0,
-                selections: vec![vec![0]],
-            }],
+            tokens: vec![TokenPath::new(0, 1, Box::new([0]))],
             devices: 1,
             experts: 4,
         };
@@ -194,10 +191,7 @@ mod tests {
         // All tokens pick expert (class % 4) at every layer: groups are
         // pure, so the ratio is 1 at any k.
         let tokens: Vec<TokenPath> = (0..64)
-            .map(|i| TokenPath {
-                class: i,
-                selections: vec![vec![(i % 4) as u16]; 3],
-            })
+            .map(|i| TokenPath::new(i, 1, vec![(i % 4) as u16; 3].into()))
             .collect();
         let b = TokenBatch {
             tokens,

@@ -13,20 +13,62 @@ use lina_model::LayerRouting;
 use crate::gating::{GatingModel, Mode};
 use crate::spec::WorkloadSpec;
 
-/// One token's trajectory through the model.
+/// One token's trajectory through the model: its class and the gate's
+/// top-k selections at every layer, stored token-major in one
+/// allocation (`[layer][k]`, primary first within a layer).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TokenPath {
     /// Latent semantic class (not visible to schedulers; only the
     /// generator and tests may look at it).
     pub class: usize,
-    /// `selections[layer]` = the gate's top-k experts, primary first.
-    pub selections: Vec<Vec<u16>>,
+    /// Gate fan-out: selections per layer.
+    top_k: usize,
+    /// `selections[layer * top_k..][..top_k]` = layer `layer`'s top-k.
+    selections: Box<[u16]>,
 }
 
 impl TokenPath {
+    /// A path from its flat `[layer][k]` selections.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `top_k` is zero or does not divide the selection count.
+    pub fn new(class: usize, top_k: usize, selections: Box<[u16]>) -> Self {
+        assert!(
+            top_k > 0 && selections.len().is_multiple_of(top_k),
+            "TokenPath: {} selections are not whole layers of top-{top_k}",
+            selections.len()
+        );
+        TokenPath {
+            class,
+            top_k,
+            selections,
+        }
+    }
+
+    /// Layers the path covers.
+    pub fn layers(&self) -> usize {
+        self.selections.len() / self.top_k
+    }
+
+    /// Gate fan-out: selections per layer.
+    pub fn top_k(&self) -> usize {
+        self.top_k
+    }
+
+    /// The gate's top-k experts at a layer, primary first.
+    pub fn selection(&self, layer: usize) -> &[u16] {
+        &self.selections[layer * self.top_k..][..self.top_k]
+    }
+
+    /// Every selection, `[layer][k]` token-major.
+    pub fn selections(&self) -> &[u16] {
+        &self.selections
+    }
+
     /// The primary (top-1) expert at a layer.
     pub fn primary(&self, layer: usize) -> u16 {
-        self.selections[layer][0]
+        self.selections[layer * self.top_k]
     }
 
     /// The estimator's sample-path key: the primary selections of layers
@@ -38,14 +80,16 @@ impl TokenPath {
     /// `u64`.
     pub fn path_code(&self, layer: usize, len: usize, experts: usize) -> u64 {
         let start = (layer + 1).saturating_sub(len);
-        (start..=layer).fold(0, |code, i| {
-            let e = self.primary(i);
-            debug_assert!(
-                usize::from(e) < experts,
-                "path_code: expert {e} >= {experts}"
-            );
-            code * experts as u64 + u64::from(e)
-        })
+        self.selections[start * self.top_k..(layer + 1) * self.top_k]
+            .iter()
+            .step_by(self.top_k)
+            .fold(0, |code, &e| {
+                debug_assert!(
+                    usize::from(e) < experts,
+                    "path_code: expert {e} >= {experts}"
+                );
+                code * experts as u64 + u64::from(e)
+            })
     }
 }
 
@@ -73,9 +117,16 @@ impl TokenBatch {
         &self.tokens[start..end]
     }
 
-    /// Device homing token index `t`.
+    /// Device homing token index `t`: the block [`tokens_on`] puts it
+    /// in. A batch with fewer tokens than devices homes every token on
+    /// the last device.
+    ///
+    /// [`tokens_on`]: TokenBatch::tokens_on
     pub fn device_of(&self, t: usize) -> usize {
         let per = self.tokens.len() / self.devices;
+        if per == 0 {
+            return self.devices - 1;
+        }
         (t / per).min(self.devices - 1)
     }
 
@@ -85,7 +136,7 @@ impl TokenBatch {
         let mut routing = LayerRouting::empty(self.devices, self.experts);
         for d in 0..self.devices {
             for tok in self.tokens_on(d) {
-                for &e in &tok.selections[layer] {
+                for &e in tok.selection(layer) {
                     routing.counts[d][e as usize] += 1;
                 }
             }
@@ -174,21 +225,14 @@ impl TokenSource {
 
     /// Samples one token's full trajectory.
     pub fn sample_token(&mut self, mode: Mode) -> TokenPath {
-        let spec = self.gating.spec().clone();
         let class = match mode {
-            Mode::Train => self.rng.index(spec.classes),
+            Mode::Train => self.rng.index(self.gating.spec().classes),
             Mode::Inference => {
                 let rank = self.class_dist.sample(&mut self.rng);
                 self.rank_to_class(rank)
             }
         };
-        let selections = (0..spec.layers)
-            .map(|layer| {
-                self.gating
-                    .select(layer, class, self.top_k, mode, &mut self.rng)
-            })
-            .collect();
-        TokenPath { class, selections }
+        self.sample_token_of_class(class, mode)
     }
 
     /// Samples a batch of `tokens_per_device * devices` tokens.
@@ -212,9 +256,11 @@ impl TokenSource {
             "sample_batch: empty shape"
         );
         let n = devices * tokens_per_device;
-        let spec = self.gating.spec().clone();
-        let topics: Vec<usize> = if mode == Mode::Inference && spec.burst_topics > 0 {
-            (0..spec.burst_topics)
+        let spec = self.gating.spec();
+        let (burst_topics, burst_strength, experts) =
+            (spec.burst_topics, spec.burst_strength, spec.experts);
+        let topics: Vec<usize> = if mode == Mode::Inference && burst_topics > 0 {
+            (0..burst_topics)
                 .map(|_| {
                     let rank = self.class_dist.sample(&mut self.rng);
                     self.rank_to_class(rank)
@@ -225,7 +271,7 @@ impl TokenSource {
         };
         let tokens = (0..n)
             .map(|_| {
-                if !topics.is_empty() && self.rng.bernoulli(spec.burst_strength) {
+                if !topics.is_empty() && self.rng.bernoulli(burst_strength) {
                     let class = topics[self.rng.index(topics.len())];
                     self.sample_token_of_class(class, mode)
                 } else {
@@ -236,20 +282,19 @@ impl TokenSource {
         TokenBatch {
             tokens,
             devices,
-            experts: spec.experts,
+            experts,
         }
     }
 
-    /// Samples a token with a fixed latent class.
+    /// Samples a token with a fixed latent class: the token's one
+    /// allocation, filled layer by layer.
     pub fn sample_token_of_class(&mut self, class: usize, mode: Mode) -> TokenPath {
-        let spec = self.gating.spec().clone();
-        let selections = (0..spec.layers)
-            .map(|layer| {
-                self.gating
-                    .select(layer, class, self.top_k, mode, &mut self.rng)
-            })
-            .collect();
-        TokenPath { class, selections }
+        let k = self.top_k;
+        let mut selections = vec![0u16; self.gating.spec().layers * k].into_boxed_slice();
+        for (layer, out) in selections.chunks_exact_mut(k).enumerate() {
+            self.gating.select(layer, class, mode, &mut self.rng, out);
+        }
+        TokenPath::new(class, k, selections)
     }
 }
 
@@ -304,11 +349,22 @@ mod tests {
     }
 
     #[test]
+    fn sub_device_batches_home_on_the_last_device() {
+        let mut s = source();
+        let mut b = s.sample_batch(1, 3, Mode::Inference);
+        b.devices = 8;
+        for t in 0..3 {
+            assert_eq!(b.device_of(t), 7);
+        }
+        assert_eq!(b.tokens_on(7).len(), 3);
+        assert!(b.tokens_on(0).is_empty());
+    }
+
+    #[test]
     fn paths_and_codes() {
-        let tok = TokenPath {
-            class: 0,
-            selections: vec![vec![3], vec![7], vec![1], vec![4]],
-        };
+        let tok = TokenPath::new(0, 1, Box::new([3, 7, 1, 4]));
+        assert_eq!(tok.layers(), 4);
+        assert_eq!(tok.selection(1), &[7]);
         assert_eq!(tok.primary(2), 1);
         assert_eq!(tok.path_code(3, 2, 10), 14);
         assert_eq!(tok.path_code(3, 2, 16), 16 + 4);
@@ -319,6 +375,19 @@ mod tests {
         assert_eq!(tok.path_code(1, 3, 10), 37);
         // A shorter suffix is the low digits of a longer one.
         assert_eq!(tok.path_code(3, 4, 8) % 8u64.pow(3), tok.path_code(3, 3, 8));
+        // Top-2: codes read only the primaries, strided past the rest.
+        let two = TokenPath::new(0, 2, Box::new([3, 9, 7, 0, 1, 5, 4, 2]));
+        assert_eq!(two.layers(), 4);
+        assert_eq!(two.selection(2), &[1, 5]);
+        assert_eq!(two.primary(3), 4);
+        assert_eq!(two.path_code(3, 4, 10), 3714);
+        assert_eq!(two.path_code(1, 3, 10), 37);
+    }
+
+    #[test]
+    #[should_panic(expected = "not whole layers of top-2")]
+    fn ragged_selections_panic() {
+        TokenPath::new(0, 2, Box::new([1, 2, 3]));
     }
 
     #[test]

@@ -20,10 +20,11 @@ fn batches_are_well_formed() {
             assert_eq!(batch.len(), 4 * tokens);
             for tok in &batch.tokens {
                 assert!(tok.class < spec.classes);
-                assert_eq!(tok.selections.len(), 6);
-                for sel in &tok.selections {
-                    assert_eq!(sel.len(), top_k);
-                    let mut distinct = sel.clone();
+                assert_eq!(tok.layers(), 6);
+                assert_eq!(tok.selections().len(), 6 * top_k);
+                for layer in 0..6 {
+                    let sel = tok.selection(layer);
+                    let mut distinct = sel.to_vec();
                     distinct.sort_unstable();
                     distinct.dedup();
                     assert_eq!(distinct.len(), top_k, "duplicate experts in top-k");

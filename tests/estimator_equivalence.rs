@@ -38,7 +38,7 @@ fn normalized(mut dist: Vec<f64>) -> Vec<f64> {
 impl Oracle {
     fn profile(batches: &[TokenBatch], path_length: usize) -> Self {
         let experts = batches[0].experts;
-        let layers = batches[0].tokens[0].selections.len();
+        let layers = batches[0].tokens[0].layers();
         let mut tables: Vec<Vec<BTreeMap<Vec<u16>, Vec<f64>>>> =
             vec![vec![BTreeMap::new(); layers - 1]; path_length];
         let mut marginals = vec![vec![0.0f64; experts]; layers];
@@ -132,12 +132,11 @@ fn probes(spec: &WorkloadSpec, layers: usize, experts: usize) -> Vec<TokenPath> 
     let mut tokens = src.sample_batch(8, 64, Mode::Inference).tokens;
     let mut rng = Rng::new(0xE57);
     tokens.extend((0..128).map(|_| {
-        TokenPath {
-            class: 0,
-            selections: (0..layers)
-                .map(|_| vec![rng.index(experts) as u16])
-                .collect(),
-        }
+        TokenPath::new(
+            0,
+            1,
+            (0..layers).map(|_| rng.index(experts) as u16).collect(),
+        )
     }));
     tokens
 }
