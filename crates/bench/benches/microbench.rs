@@ -10,6 +10,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use lina_baselines::{InferScheme, TrainScheme};
@@ -23,7 +24,9 @@ use lina_netsim::{
 };
 use lina_runner::{
     execute, execute_plan_solo, plan_batch, train::solo_collective_time, InferenceConfig,
+    NetworkMode, ReplicaExecutor,
 };
+use lina_simcore::SimTime;
 use lina_workload::{Mode, TokenBatch, TokenPath, TokenSource, WorkloadSpec};
 
 /// The system allocator, counting every allocation and reallocation.
@@ -151,6 +154,15 @@ fn bench_collectives() {
     assert_eq!(collectives, 12, "one dispatch and one combine per layer");
     bench("solo/serving_batch", || {
         execute_plan_solo(&plan, &mut timer)
+    });
+    // The same batch alone on a fresh contended executor: the layer
+    // walk driven by stage timers and the shared network.
+    let plan = Arc::new(plan);
+    let topo = Arc::new(topo);
+    bench("exec/contended_serving_batch", || {
+        let mut exec = ReplicaExecutor::new_shared(NetworkMode::Contended, Arc::clone(&topo));
+        exec.submit(0, SimTime::ZERO, Arc::clone(&plan));
+        exec.advance_to(SimTime::MAX)
     });
 }
 

@@ -1,13 +1,15 @@
 //! Executors that price an [`ExecutionPlan`].
 //!
 //! The planner in [`crate::plan`] resolves every scheduling decision;
-//! what remains is attaching times to the stages, and that depends on
-//! the network model:
+//! what remains is attaching times to the stages. One walker owns the
+//! stage sequence and its per-layer accounting (the phase-one overlap
+//! carry, layer and all-to-all times, estimate counters) and yields
+//! each blocking stage in turn: a local wait or a collective. The
+//! [`NetworkMode`] decides only who times a collective:
 //!
 //! * **Solo** ([`execute_plan_solo`], [`NetworkMode::Solo`]) prices each
 //!   collective as if it ran alone on the wire, replaying it through
-//!   the fluid network on a reused [`SoloTimer`] — the classical
-//!   `run_inference_batch` costing, bit-for-bit.
+//!   the fluid network on a reused [`SoloTimer`].
 //! * **Contended** ([`NetworkMode::Contended`]) feeds the collective
 //!   stages of *all* in-flight batches on a replica through one shared
 //!   [`Network`], so concurrent dispatch/combine all-to-alls fair-share
@@ -18,13 +20,13 @@
 //! [`ReplicaExecutor`] is the event-driven surface the serving cluster
 //! drives: `submit` a planned batch at its dispatch instant, ask for the
 //! `next_event` horizon, and `advance_to` a time to collect
-//! [`FinishedBatch`]es. The solo variant is the degenerate case whose
-//! completions are known at submit time.
+//! [`FinishedBatch`]es. In solo mode `submit` walks the whole plan at
+//! once and only the batch's completion waits on the event queue.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use lina_netsim::{CollectiveDone, CollectiveEngine, Network, SoloTimer, Topology};
+use lina_netsim::{CollectiveDone, CollectiveEngine, CollectiveSpec, Network, SoloTimer, Topology};
 use lina_simcore::{EventQueue, SimDuration, SimTime};
 
 use crate::inference::InferenceReport;
@@ -55,53 +57,188 @@ impl NetworkMode {
 /// equivalence test in `tests/solo_equivalence.rs` pins it bit-for-bit
 /// against reports captured before the planner/executor split.
 pub fn execute_plan_solo(plan: &ExecutionPlan, timer: &mut SoloTimer) -> InferenceReport {
-    let n = plan.layers.len();
-    let mut total = SimDuration::ZERO;
-    let mut layer_times = Vec::with_capacity(n);
-    let mut a2a_times = Vec::with_capacity(n);
-    let mut finetunes = 0;
-    let mut estimates = 0;
-    let mut accurate = 0;
-    let mut max_idle_frac: f64 = 0.0;
-    // Phase-one time the previous layer's overlap window could not
-    // absorb blocks the current layer's scheduling stage.
-    let mut unabsorbed = SimDuration::ZERO;
-    for lp in &plan.layers {
-        total += lp.attention;
-        let mut layer_time = lp.gate + unabsorbed + lp.sched_block;
-        unabsorbed = SimDuration::ZERO;
-        let d1 = lp
-            .dispatch
-            .as_ref()
-            .map(|s| timer.time(s))
-            .unwrap_or(SimDuration::ZERO);
-        let slowest = lp.slowest_compute();
-        max_idle_frac = max_idle_frac.max(lp.idle_frac());
-        let d2 = lp
-            .combine_a2a
-            .as_ref()
-            .map(|s| timer.time(s))
-            .unwrap_or(SimDuration::ZERO);
-        layer_time += d1 + slowest + d2 + lp.combine;
-        if let Some(budget) = lp.phase_one {
-            let window = d1 + slowest + d2 + lp.combine + lp.attention + lp.gate;
-            unabsorbed = budget.saturating_sub(window);
+    let mut walk = LayerWalk::new(SimTime::ZERO, plan.n_layers());
+    let end = walk.run_solo(plan, timer, SimTime::ZERO);
+    walk.finish(end)
+}
+
+/// What a [`LayerWalk`] blocks on next.
+enum Blocked<'p> {
+    /// A local stage (attention through scheduling, expert compute, or
+    /// the combine op) lasting this long.
+    Wait(SimDuration),
+    /// An all-to-all; its measured time goes to
+    /// [`LayerWalk::collective_done`].
+    Collective(&'p CollectiveSpec),
+    /// Every layer has run.
+    Done,
+}
+
+/// The stage a [`LayerWalk`] runs next within the current layer.
+#[derive(Clone, Copy, Debug)]
+enum Stage {
+    /// Attention + gate + (unabsorbed phase-one + blocking schedule).
+    Gate,
+    /// Dispatch all-to-all (skipped when the layer has no remote pair).
+    Dispatch,
+    /// Slowest-device expert compute.
+    Compute,
+    /// Combine all-to-all.
+    CombineA2a,
+    /// Combine op.
+    Combine,
+    /// Zero-duration bookkeeping closing the layer.
+    LayerEnd,
+}
+
+/// One batch's walk through its plan's stages, in execution order,
+/// with the per-layer accounting both network modes share. The caller
+/// times each blocking stage and resumes the walk at the instant the
+/// stage ends.
+struct LayerWalk {
+    dispatched: SimTime,
+    layer: usize,
+    stage: Stage,
+    /// Start of the current layer's MoE accounting (after attention).
+    moe_start: SimTime,
+    /// Measured all-to-all time of the current layer.
+    a2a: SimDuration,
+    /// Phase-one time the previous layer's overlap window could not
+    /// absorb; it blocks the current layer's scheduling stage.
+    unabsorbed: SimDuration,
+    /// Per-layer accumulators; `total` is set by [`LayerWalk::finish`].
+    report: InferenceReport,
+}
+
+impl LayerWalk {
+    fn new(dispatched: SimTime, layers: usize) -> Self {
+        LayerWalk {
+            dispatched,
+            layer: 0,
+            stage: Stage::Gate,
+            moe_start: dispatched,
+            a2a: SimDuration::ZERO,
+            unabsorbed: SimDuration::ZERO,
+            report: InferenceReport {
+                total: SimDuration::ZERO,
+                layer_times: Vec::with_capacity(layers),
+                a2a_times: Vec::with_capacity(layers),
+                finetunes: 0,
+                estimates: 0,
+                accurate: 0,
+                max_idle_frac: 0.0,
+            },
         }
-        estimates += lp.estimated as usize;
-        accurate += lp.accurate as usize;
-        finetunes += lp.finetuned as usize;
-        a2a_times.push(d1 + d2);
-        layer_times.push(layer_time);
-        total += layer_time;
     }
-    InferenceReport {
-        total,
-        layer_times,
-        a2a_times,
-        finetunes,
-        estimates,
-        accurate,
-        max_idle_frac,
+
+    /// Runs the zero-duration stages due at `now` and returns the
+    /// stage the walk then blocks on.
+    fn advance<'p>(&mut self, plan: &'p ExecutionPlan, now: SimTime) -> Blocked<'p> {
+        while let Some(lp) = plan.layers.get(self.layer) {
+            match self.stage {
+                Stage::Gate => {
+                    self.stage = Stage::Dispatch;
+                    self.moe_start = now + lp.attention;
+                    let unabsorbed = std::mem::take(&mut self.unabsorbed);
+                    let dur = lp.attention + lp.gate + unabsorbed + lp.sched_block;
+                    if dur > SimDuration::ZERO {
+                        return Blocked::Wait(dur);
+                    }
+                }
+                Stage::Dispatch => {
+                    self.stage = Stage::Compute;
+                    if let Some(spec) = &lp.dispatch {
+                        return Blocked::Collective(spec);
+                    }
+                }
+                Stage::Compute => {
+                    self.stage = Stage::CombineA2a;
+                    let r = &mut self.report;
+                    r.max_idle_frac = r.max_idle_frac.max(lp.idle_frac());
+                    let dur = lp.slowest_compute();
+                    if dur > SimDuration::ZERO {
+                        return Blocked::Wait(dur);
+                    }
+                }
+                Stage::CombineA2a => {
+                    self.stage = Stage::Combine;
+                    if let Some(spec) = &lp.combine_a2a {
+                        return Blocked::Collective(spec);
+                    }
+                }
+                Stage::Combine => {
+                    self.stage = Stage::LayerEnd;
+                    if lp.combine > SimDuration::ZERO {
+                        return Blocked::Wait(lp.combine);
+                    }
+                }
+                Stage::LayerEnd => {
+                    let r = &mut self.report;
+                    r.layer_times.push(now - self.moe_start);
+                    r.a2a_times.push(self.a2a);
+                    r.estimates += lp.estimated as usize;
+                    r.accurate += lp.accurate as usize;
+                    r.finetunes += lp.finetuned as usize;
+                    // Phase one overlaps everything from this layer's
+                    // dispatch through the next layer's gate, with the
+                    // *measured* all-to-all times: contention stretches
+                    // the window and absorbs more of the scheduling.
+                    if let (Some(budget), Some(next)) =
+                        (lp.phase_one, plan.layers.get(self.layer + 1))
+                    {
+                        let window = self.a2a
+                            + lp.slowest_compute()
+                            + lp.combine
+                            + next.attention
+                            + next.gate;
+                        self.unabsorbed = budget.saturating_sub(window);
+                    }
+                    self.a2a = SimDuration::ZERO;
+                    self.layer += 1;
+                    self.stage = Stage::Gate;
+                }
+            }
+        }
+        Blocked::Done
+    }
+
+    /// Records the measured time of the collective the walk blocked on.
+    fn collective_done(&mut self, measured: SimDuration) {
+        debug_assert!(
+            matches!(self.stage, Stage::Compute | Stage::Combine),
+            "collective completed while the walk awaits {:?}",
+            self.stage
+        );
+        self.a2a += measured;
+    }
+
+    /// Walks the rest of the plan from `now`, timing each collective
+    /// alone on `timer`; returns the instant the walk is done.
+    fn run_solo(
+        &mut self,
+        plan: &ExecutionPlan,
+        timer: &mut SoloTimer,
+        mut now: SimTime,
+    ) -> SimTime {
+        loop {
+            match self.advance(plan, now) {
+                Blocked::Wait(dur) => now += dur,
+                Blocked::Collective(spec) => {
+                    let measured = timer.time(spec);
+                    self.collective_done(measured);
+                    now += measured;
+                }
+                Blocked::Done => return now,
+            }
+        }
+    }
+
+    /// The batch's report for a walk that finished at `now`.
+    fn finish(self, now: SimTime) -> InferenceReport {
+        InferenceReport {
+            total: now - self.dispatched,
+            ..self.report
+        }
     }
 }
 
@@ -120,12 +257,34 @@ pub struct FinishedBatch {
     pub report: InferenceReport,
 }
 
+/// A batch in flight on a replica.
+struct InFlight {
+    /// Solo-priced completion: exact in solo mode, an estimate in
+    /// contended mode.
+    expected: SimTime,
+    plan: Arc<ExecutionPlan>,
+    walk: LayerWalk,
+}
+
 /// Executes submitted plans for one replica under a [`NetworkMode`].
-pub enum ReplicaExecutor {
-    /// Solo pricing: completions known at submit time.
-    Solo(Box<SoloReplica>),
-    /// Shared-network execution on an event queue.
-    Contended(Box<ContendedReplica>),
+///
+/// In contended mode local stages (attention, gate, scheduling, expert
+/// compute, combine op) are timer events and only the wire is shared:
+/// compute does not contend across batches, because each replica
+/// serves one batch per GPU stream.
+pub struct ReplicaExecutor {
+    /// Solo pricing: the service time in solo mode, the `busy_until`
+    /// estimate in contended mode.
+    timer: SoloTimer,
+    /// The replica's shared network in contended mode; `None` in solo
+    /// mode, where the timer prices every collective at submit.
+    engine: Option<CollectiveEngine>,
+    /// Stage-boundary timers (payload = batch id). In solo mode a
+    /// batch's only event is its completion.
+    queue: EventQueue<u64>,
+    batches: BTreeMap<u64, InFlight>,
+    finished: Vec<FinishedBatch>,
+    last_completion: SimTime,
 }
 
 impl ReplicaExecutor {
@@ -138,20 +297,14 @@ impl ReplicaExecutor {
     /// builds one `Arc<Topology>` per run and every replica shares it
     /// instead of deep-cloning the topology per executor.
     pub fn new_shared(mode: NetworkMode, topo: Arc<Topology>) -> Self {
-        match mode {
-            NetworkMode::Solo => ReplicaExecutor::Solo(Box::new(SoloReplica {
-                timer: SoloTimer::new_shared(topo),
-                inflight: Vec::new(),
-                last_completion: SimTime::ZERO,
-            })),
-            NetworkMode::Contended => ReplicaExecutor::Contended(Box::new(ContendedReplica {
-                engine: CollectiveEngine::new(Network::new_shared(topo.clone())),
-                estimator: SoloTimer::new_shared(topo),
-                queue: EventQueue::new(),
-                batches: BTreeMap::new(),
-                finished: Vec::new(),
-                last_completion: SimTime::ZERO,
-            })),
+        ReplicaExecutor {
+            engine: (mode == NetworkMode::Contended)
+                .then(|| CollectiveEngine::new(Network::new_shared(topo.clone()))),
+            timer: SoloTimer::new_shared(topo),
+            queue: EventQueue::new(),
+            batches: BTreeMap::new(),
+            finished: Vec::new(),
+            last_completion: SimTime::ZERO,
         }
     }
 
@@ -161,45 +314,65 @@ impl ReplicaExecutor {
     /// [`ReplicaExecutor::link_scale`]): the batch's service time in
     /// solo mode, the completion estimate in contended mode.
     pub fn submit(&mut self, id: u64, at: SimTime, plan: Arc<ExecutionPlan>) -> SimDuration {
-        match self {
-            ReplicaExecutor::Solo(s) => s.submit(id, at, plan),
-            ReplicaExecutor::Contended(c) => c.submit(id, at, plan),
+        // Process anything due by the dispatch instant, then pin the
+        // network clock to it so collective launches are stamped at `at`.
+        self.drive(at);
+        if let Some(engine) = &mut self.engine {
+            for d in engine.advance_to(at) {
+                self.on_collective_done(d);
+            }
         }
+        let mut walk = LayerWalk::new(at, plan.n_layers());
+        let expected = walk.run_solo(&plan, &mut self.timer, at);
+        let mut b = InFlight {
+            expected,
+            plan,
+            walk,
+        };
+        if self.engine.is_some() {
+            // The shared network times this batch's collectives; the
+            // solo walk only estimated its completion.
+            b.walk = LayerWalk::new(at, b.plan.n_layers());
+            self.resume(id, b, at);
+        } else {
+            self.queue.push(expected, id);
+            self.batches.insert(id, b);
+        }
+        expected - at
     }
 
     /// Next instant at which this replica's state can change (a batch
     /// completion in solo mode; any stage boundary or network event in
     /// contended mode), or `None` when nothing is in flight.
     pub fn next_event(&mut self) -> Option<SimTime> {
-        match self {
-            ReplicaExecutor::Solo(s) => s.inflight.iter().map(|f| f.completed).min(),
-            ReplicaExecutor::Contended(c) => c.next_horizon(),
+        let net = self
+            .engine
+            .as_mut()
+            .filter(|e| e.active() > 0)
+            .and_then(CollectiveEngine::next_event);
+        match (net, self.queue.peek_time()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
     }
 
     /// Advances to `t` and returns batches that completed by then,
     /// ordered by `(completed, id)`.
     pub fn advance_to(&mut self, t: SimTime) -> Vec<FinishedBatch> {
-        match self {
-            ReplicaExecutor::Solo(s) => s.advance_to(t),
-            ReplicaExecutor::Contended(c) => c.advance_to(t),
-        }
+        self.drive(t);
+        let mut out = std::mem::take(&mut self.finished);
+        out.sort_by_key(|f| (f.completed, f.id));
+        out
     }
 
     /// Batches currently in flight.
     pub fn in_flight(&self) -> usize {
-        match self {
-            ReplicaExecutor::Solo(s) => s.inflight.len(),
-            ReplicaExecutor::Contended(c) => c.batches.len(),
-        }
+        self.batches.len()
     }
 
     /// Tokens across in-flight batches.
     pub fn in_flight_tokens(&self) -> usize {
-        match self {
-            ReplicaExecutor::Solo(s) => s.inflight.iter().map(|f| f.tokens).sum(),
-            ReplicaExecutor::Contended(c) => c.batches.values().map(|b| b.plan.tokens).sum(),
-        }
+        self.batches.values().map(|b| b.plan.tokens).sum()
     }
 
     /// Aborts every in-flight batch — the replica crashed. Returns the
@@ -212,24 +385,17 @@ impl ReplicaExecutor {
     /// batch completing exactly at the crash instant is aborted (the
     /// fault fires first at ties).
     pub fn abort_all(&mut self) -> Vec<u64> {
-        match self {
-            ReplicaExecutor::Solo(s) => {
-                let mut ids: Vec<u64> = s.inflight.drain(..).map(|f| f.id).collect();
-                ids.sort_unstable();
-                ids
-            }
-            ReplicaExecutor::Contended(c) => {
-                debug_assert!(
-                    c.finished.is_empty(),
-                    "abort_all: undrained completions on the replica"
-                );
-                let ids: Vec<u64> = c.batches.keys().copied().collect();
-                c.batches.clear();
-                c.queue.clear();
-                c.engine.cancel_all();
-                ids
-            }
+        debug_assert!(
+            self.finished.is_empty(),
+            "abort_all: undrained completions on the replica"
+        );
+        let ids: Vec<u64> = self.batches.keys().copied().collect();
+        self.batches.clear();
+        self.queue.clear();
+        if let Some(engine) = &mut self.engine {
+            engine.cancel_all();
         }
+        ids
     }
 
     /// Aborts one in-flight batch — a hedged duplicate lost the race.
@@ -241,14 +407,22 @@ impl ReplicaExecutor {
     /// drained is aborted too — the abort wins ties, mirroring
     /// [`ReplicaExecutor::abort_all`] at a crash instant.
     pub fn abort(&mut self, id: u64) -> bool {
-        match self {
-            ReplicaExecutor::Solo(s) => {
-                let before = s.inflight.len();
-                s.inflight.retain(|f| f.id != id);
-                s.inflight.len() != before
+        if self.batches.remove(&id).is_some() {
+            // A live batch blocks on exactly one thing — a collective
+            // (tagged with its id) or a timer — so whichever of the two
+            // cancellations misses, the other hits.
+            if self
+                .engine
+                .as_mut()
+                .is_none_or(|e| e.cancel_tagged(id) == 0)
+            {
+                self.queue.retain(|&b| b != id);
             }
-            ReplicaExecutor::Contended(c) => c.abort(id),
+            return true;
         }
+        let before = self.finished.len();
+        self.finished.retain(|f| f.id != id);
+        self.finished.len() != before
     }
 
     /// Scales the replica's link bandwidth (fault injection: 1.0 =
@@ -257,21 +431,15 @@ impl ReplicaExecutor {
     /// execution re-shares the degraded links immediately, in-flight
     /// collectives included.
     pub fn set_link_scale(&mut self, scale: f64) {
-        match self {
-            ReplicaExecutor::Solo(s) => s.timer.set_capacity_scale(scale),
-            ReplicaExecutor::Contended(c) => {
-                c.engine.network_mut().set_capacity_scale(scale);
-                c.estimator.set_capacity_scale(scale);
-            }
+        if let Some(engine) = &mut self.engine {
+            engine.network_mut().set_capacity_scale(scale);
         }
+        self.timer.set_capacity_scale(scale);
     }
 
     /// The current link-bandwidth multiplier (1.0 when healthy).
     pub fn link_scale(&self) -> f64 {
-        match self {
-            ReplicaExecutor::Solo(s) => s.timer.capacity_scale(),
-            ReplicaExecutor::Contended(c) => c.estimator.capacity_scale(),
-        }
+        self.timer.capacity_scale()
     }
 
     /// When the replica expects to drain: the latest in-flight
@@ -279,169 +447,17 @@ impl ReplicaExecutor {
     /// completions can land later under contention), or the last
     /// observed completion when idle.
     pub fn busy_until(&self) -> SimTime {
-        match self {
-            ReplicaExecutor::Solo(s) => s
-                .inflight
-                .iter()
-                .map(|f| f.completed)
-                .max()
-                .unwrap_or(s.last_completion),
-            ReplicaExecutor::Contended(c) => c
-                .batches
-                .values()
-                .map(|b| b.expected_completion)
-                .max()
-                .unwrap_or(c.last_completion),
-        }
-    }
-}
-
-/// Solo-pricing executor: each submitted plan is priced immediately
-/// with uncontended collectives; "execution" is just waiting out the
-/// precomputed completion instant.
-pub struct SoloReplica {
-    timer: SoloTimer,
-    inflight: Vec<FinishedBatch>,
-    last_completion: SimTime,
-}
-
-impl SoloReplica {
-    fn submit(&mut self, id: u64, at: SimTime, plan: Arc<ExecutionPlan>) -> SimDuration {
-        let report = execute_plan_solo(&plan, &mut self.timer);
-        let total = report.total;
-        self.inflight.push(FinishedBatch {
-            id,
-            dispatched: at,
-            completed: at + total,
-            tokens: plan.tokens,
-            report,
-        });
-        total
-    }
-
-    fn advance_to(&mut self, t: SimTime) -> Vec<FinishedBatch> {
-        let mut out: Vec<FinishedBatch> = Vec::new();
-        let mut i = 0;
-        while i < self.inflight.len() {
-            if self.inflight[i].completed <= t {
-                out.push(self.inflight.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        out.sort_by_key(|f| (f.completed, f.id));
-        if let Some(last) = out.last() {
-            self.last_completion = self.last_completion.max(last.completed);
-        }
-        out
-    }
-}
-
-/// Progress marker: the next stage a contended batch will execute.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Step {
-    /// Attention + gate + (unabsorbed phase-one + blocking schedule).
-    PreDispatch,
-    /// Dispatch all-to-all (skipped when the layer has no remote pair).
-    Dispatch,
-    /// Slowest-device expert compute.
-    Compute,
-    /// Combine all-to-all.
-    CombineA2a,
-    /// Combine op.
-    Combine,
-    /// Zero-duration bookkeeping closing the layer.
-    LayerEnd,
-}
-
-struct ContendedBatch {
-    id: u64,
-    dispatched: SimTime,
-    expected_completion: SimTime,
-    plan: Arc<ExecutionPlan>,
-    layer: usize,
-    next: Step,
-    /// Start of the current layer's MoE accounting (after attention).
-    moe_start: SimTime,
-    unabsorbed: SimDuration,
-    /// Measured dispatch / combine all-to-all times of the current layer.
-    d1: SimDuration,
-    d2: SimDuration,
-    layer_times: Vec<SimDuration>,
-    a2a_times: Vec<SimDuration>,
-    finetunes: usize,
-    estimates: usize,
-    accurate: usize,
-    max_idle_frac: f64,
-}
-
-/// Shared-network executor: every in-flight batch's collectives run on
-/// one [`Network`], so overlapping all-to-alls contend for links. Local
-/// stages (attention, gate, scheduling, expert compute, combine op) are
-/// timer events — compute does not contend across batches because each
-/// replica serves one batch per GPU stream; only the wire is shared.
-pub struct ContendedReplica {
-    engine: CollectiveEngine,
-    /// Solo pricing used for the `busy_until` completion estimate.
-    estimator: SoloTimer,
-    /// Timer events for non-collective stage boundaries (payload =
-    /// batch id).
-    queue: EventQueue<u64>,
-    batches: BTreeMap<u64, ContendedBatch>,
-    finished: Vec<FinishedBatch>,
-    last_completion: SimTime,
-}
-
-impl ContendedReplica {
-    fn submit(&mut self, id: u64, at: SimTime, plan: Arc<ExecutionPlan>) -> SimDuration {
-        // Process anything due before the dispatch instant, then pin the
-        // network clock to it so collective launches are stamped at `at`.
-        self.drive(at);
-        for d in self.engine.advance_to(at) {
-            self.on_collective_done(d);
-        }
-        let solo_total = execute_plan_solo(&plan, &mut self.estimator).total;
-        let n = plan.layers.len();
-        let b = ContendedBatch {
-            id,
-            dispatched: at,
-            expected_completion: at + solo_total,
-            plan,
-            layer: 0,
-            next: Step::PreDispatch,
-            moe_start: at,
-            unabsorbed: SimDuration::ZERO,
-            d1: SimDuration::ZERO,
-            d2: SimDuration::ZERO,
-            layer_times: Vec::with_capacity(n),
-            a2a_times: Vec::with_capacity(n),
-            finetunes: 0,
-            estimates: 0,
-            accurate: 0,
-            max_idle_frac: 0.0,
-        };
-        self.run_steps(b, at);
-        solo_total
-    }
-
-    /// Earliest pending event: a stage timer or a network event.
-    fn next_horizon(&mut self) -> Option<SimTime> {
-        let eng = if self.engine.active() > 0 {
-            self.engine.next_event()
-        } else {
-            None
-        };
-        match (eng, self.queue.peek_time()) {
-            (None, q) => q,
-            (e, None) => e,
-            (Some(a), Some(b)) => Some(a.min(b)),
-        }
+        self.batches
+            .values()
+            .map(|b| b.expected)
+            .max()
+            .unwrap_or(self.last_completion)
     }
 
     /// Processes every event with time `<= t`, in time order (network
     /// completions before timer events at the same instant).
     fn drive(&mut self, t: SimTime) {
-        while let Some(h) = self.next_horizon() {
+        while let Some(h) = self.next_event() {
             if h > t {
                 break;
             }
@@ -449,45 +465,19 @@ impl ContendedReplica {
             // (piecewise-linear fluid flows), so stepping to each event
             // horizon keeps collective launches and stage boundaries
             // correctly interleaved.
-            for d in self.engine.advance_to(h) {
-                self.on_collective_done(d);
+            if let Some(engine) = &mut self.engine {
+                for d in engine.advance_to(h) {
+                    self.on_collective_done(d);
+                }
             }
             while let Some((at, id)) = self.queue.pop_due(h) {
-                self.on_timer(id, at);
+                let b = self
+                    .batches
+                    .remove(&id)
+                    .expect("timer event for live batch");
+                self.resume(id, b, at);
             }
         }
-    }
-
-    fn advance_to(&mut self, t: SimTime) -> Vec<FinishedBatch> {
-        self.drive(t);
-        let mut out: Vec<FinishedBatch> = self.finished.drain(..).collect();
-        out.sort_by_key(|f| (f.completed, f.id));
-        out
-    }
-
-    /// See [`ReplicaExecutor::abort`]. A live batch blocks on exactly
-    /// one thing — a collective (tagged with its id) or a stage timer —
-    /// so whichever of the two cancellations misses, the other hits.
-    fn abort(&mut self, id: u64) -> bool {
-        if self.batches.remove(&id).is_some() {
-            if self.engine.cancel_tagged(id) == 0 {
-                self.queue.retain(|&b| b != id);
-            }
-            return true;
-        }
-        // Completed at this very instant but not yet drained: the abort
-        // wins the tie.
-        let before = self.finished.len();
-        self.finished.retain(|f| f.id != id);
-        self.finished.len() != before
-    }
-
-    fn on_timer(&mut self, id: u64, at: SimTime) {
-        let b = self
-            .batches
-            .remove(&id)
-            .expect("timer event for live batch");
-        self.run_steps(b, at);
     }
 
     fn on_collective_done(&mut self, d: CollectiveDone) {
@@ -495,121 +485,32 @@ impl ContendedReplica {
             .batches
             .remove(&d.tag)
             .expect("collective completion for live batch");
-        let measured = d.at - d.started;
-        match b.next {
-            // `next` was already advanced past the all-to-all stage when
-            // the collective launched, so it names the stage *after* it.
-            Step::Compute => b.d1 = measured,
-            Step::Combine => b.d2 = measured,
-            other => unreachable!("collective completed while batch awaits {other:?}"),
-        }
-        self.run_steps(b, d.at);
+        b.walk.collective_done(d.at - d.started);
+        self.resume(d.tag, b, d.at);
     }
 
-    /// Executes stages from `now` until the batch blocks on a timer or
+    /// Walks batch `id` from `now` until it blocks on a timer or a
     /// collective, or finishes.
-    fn run_steps(&mut self, mut b: ContendedBatch, now: SimTime) {
-        let mut finished_at = None;
-        loop {
-            let lp = &b.plan.layers[b.layer];
-            match b.next {
-                Step::PreDispatch => {
-                    let dur = lp.attention + lp.gate + b.unabsorbed + lp.sched_block;
-                    b.moe_start = now + lp.attention;
-                    b.unabsorbed = SimDuration::ZERO;
-                    b.next = Step::Dispatch;
-                    if dur > SimDuration::ZERO {
-                        self.queue.push(now + dur, b.id);
-                        break;
-                    }
-                }
-                Step::Dispatch => {
-                    b.next = Step::Compute;
-                    if let Some(spec) = &lp.dispatch {
-                        self.engine.start(spec, b.id);
-                        break;
-                    }
-                    b.d1 = SimDuration::ZERO;
-                }
-                Step::Compute => {
-                    b.max_idle_frac = b.max_idle_frac.max(lp.idle_frac());
-                    let dur = lp.slowest_compute();
-                    b.next = Step::CombineA2a;
-                    if dur > SimDuration::ZERO {
-                        self.queue.push(now + dur, b.id);
-                        break;
-                    }
-                }
-                Step::CombineA2a => {
-                    b.next = Step::Combine;
-                    if let Some(spec) = &lp.combine_a2a {
-                        self.engine.start(spec, b.id);
-                        break;
-                    }
-                    b.d2 = SimDuration::ZERO;
-                }
-                Step::Combine => {
-                    b.next = Step::LayerEnd;
-                    if lp.combine > SimDuration::ZERO {
-                        self.queue.push(now + lp.combine, b.id);
-                        break;
-                    }
-                }
-                Step::LayerEnd => {
-                    b.layer_times.push(now - b.moe_start);
-                    b.a2a_times.push(b.d1 + b.d2);
-                    b.estimates += lp.estimated as usize;
-                    b.accurate += lp.accurate as usize;
-                    b.finetunes += lp.finetuned as usize;
-                    if let Some(budget) = lp.phase_one {
-                        // The planner only sets phase_one when a next
-                        // layer exists. The window uses the *measured*
-                        // all-to-all times: contention stretches the
-                        // window and absorbs more of the overlapped
-                        // scheduling.
-                        let next_lp = &b.plan.layers[b.layer + 1];
-                        let window = b.d1
-                            + lp.slowest_compute()
-                            + b.d2
-                            + lp.combine
-                            + next_lp.attention
-                            + next_lp.gate;
-                        b.unabsorbed = budget.saturating_sub(window);
-                    }
-                    b.d1 = SimDuration::ZERO;
-                    b.d2 = SimDuration::ZERO;
-                    b.layer += 1;
-                    if b.layer == b.plan.layers.len() {
-                        finished_at = Some(now);
-                        break;
-                    }
-                    b.next = Step::PreDispatch;
-                }
+    fn resume(&mut self, id: u64, mut b: InFlight, now: SimTime) {
+        match b.walk.advance(&b.plan, now) {
+            Blocked::Wait(dur) => self.queue.push(now + dur, id),
+            Blocked::Collective(spec) => {
+                let engine = self.engine.as_mut().expect("solo walks finish at submit");
+                engine.start(spec, id);
             }
-        }
-        match finished_at {
-            Some(at) => {
-                self.last_completion = self.last_completion.max(at);
+            Blocked::Done => {
+                self.last_completion = self.last_completion.max(now);
                 self.finished.push(FinishedBatch {
-                    id: b.id,
-                    dispatched: b.dispatched,
-                    completed: at,
+                    id,
+                    dispatched: b.walk.dispatched,
+                    completed: now,
                     tokens: b.plan.tokens,
-                    report: InferenceReport {
-                        total: at - b.dispatched,
-                        layer_times: b.layer_times,
-                        a2a_times: b.a2a_times,
-                        finetunes: b.finetunes,
-                        estimates: b.estimates,
-                        accurate: b.accurate,
-                        max_idle_frac: b.max_idle_frac,
-                    },
+                    report: b.walk.finish(now),
                 });
-            }
-            None => {
-                self.batches.insert(b.id, b);
+                return;
             }
         }
+        self.batches.insert(id, b);
     }
 }
 
@@ -617,7 +518,7 @@ impl ContendedReplica {
 mod tests {
     use super::*;
     use crate::inference::InferenceConfig;
-    use crate::plan::plan_batch;
+    use crate::plan::{plan_batch, LayerPlan};
     use lina_baselines::InferScheme;
     use lina_core::{PopularityEstimator, TwoPhaseConfig, TwoPhaseScheduler};
     use lina_model::{CostModel, DeviceSpec, MoeModelConfig};
@@ -921,7 +822,7 @@ mod tests {
         );
     }
 
-    /// The solo variant's bookkeeping: busy_until tracks the precomputed
+    /// Solo-mode bookkeeping: busy_until tracks the precomputed
     /// completion and advance_to drains in completion order.
     #[test]
     fn solo_replica_tracks_completions() {
@@ -941,5 +842,75 @@ mod tests {
         assert!(rest[0].completed >= first);
         assert_eq!(exec.in_flight(), 0);
         assert_eq!(exec.busy_until(), rest[0].completed);
+
+        // A submit fires every completion due by its instant first: the
+        // batch completing exactly then leaves the in-flight set but is
+        // still reported, once, by the next `advance_to`.
+        let mut exec = ReplicaExecutor::new(NetworkMode::Solo, &topo);
+        exec.submit(0, SimTime::ZERO, plans[0].clone());
+        exec.submit(1, SimTime::from_micros(10), plans[1].clone());
+        let first = exec.next_event().expect("two in flight");
+        let second = exec.busy_until();
+        assert!(second > first, "the fixture's batches finish apart");
+        let price = exec.submit(2, first, plans[2].clone());
+        assert_eq!(exec.in_flight(), 2);
+        assert_eq!(exec.busy_until(), second.max(first + price));
+        let all = exec.advance_to(SimTime::MAX);
+        let mut ids: Vec<u64> = all.iter().map(|f| f.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![0, 1, 2], "every batch exactly once");
+        assert!(all
+            .windows(2)
+            .all(|w| (w[0].completed, w[0].id) < (w[1].completed, w[1].id)));
+        assert_eq!(all[0].completed, first);
+        let third = all.iter().find(|f| f.id == 2).expect("batch 2 finishes");
+        assert_eq!(third.completed, first + price);
+        assert_eq!(exec.in_flight(), 0);
+    }
+
+    /// A collective-free 2-layer plan whose layers differ in attention
+    /// and gate: layer 0's phase-one budget overlaps its compute and
+    /// combine plus the *next* layer's attention and gate, identically
+    /// in both modes. Without collectives there is no event rounding,
+    /// so equality is exact.
+    #[test]
+    fn phase_one_window_spans_the_next_layers_attention_and_gate() {
+        let us = SimDuration::from_micros;
+        let layer = |attention, gate, phase_one| LayerPlan {
+            attention: us(attention),
+            gate: us(gate),
+            sched_block: SimDuration::ZERO,
+            dispatch: None,
+            compute: vec![us(20), us(12)],
+            combine_a2a: None,
+            combine: us(3),
+            phase_one,
+            estimated: false,
+            accurate: false,
+            finetuned: false,
+        };
+        let plan = ExecutionPlan {
+            tokens: 8,
+            layers: vec![layer(10, 5, Some(us(100))), layer(40, 30, None)],
+            local_hops: 0,
+            routed_hops: 0,
+        };
+        // Layer 0 is gate 5 + compute 20 + combine 3. Its window is
+        // 20 + 3 + layer 1's attention 40 + gate 30 = 93, so 7 of the
+        // 100 µs phase one block layer 1: gate 30 + 7 + 20 + 3.
+        let want_layers = vec![us(28), us(60)];
+        let want_total = us(10 + 28 + 40 + 60);
+        let topo = Topology::new(ClusterSpec::with_total_gpus(8));
+        let solo = execute_plan_solo(&plan, &mut SoloTimer::new(&topo));
+        assert_eq!(solo.layer_times, want_layers, "solo");
+        assert_eq!(solo.total, want_total, "solo");
+        let mut exec = ReplicaExecutor::new(NetworkMode::Contended, &topo);
+        let at = SimTime::from_micros(7);
+        assert_eq!(exec.submit(0, at, Arc::new(plan)), want_total);
+        let done = exec.advance_to(SimTime::MAX);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].report.layer_times, want_layers, "contended");
+        assert_eq!(done[0].report.total, want_total, "contended");
+        assert_eq!(done[0].completed, at + want_total);
     }
 }

@@ -8,10 +8,11 @@
 //! All of Lina's scheduling decisions are timing-independent (phase
 //! one sees only the observed token paths, phase two only compares the
 //! estimate against the actual routing), so they resolve here once and
-//! the executors in [`crate::exec`] merely price the stages: the
-//! `SoloExecutor` with each collective alone on an idle network, the
-//! `ContendedExecutor` by running them on a shared network where
-//! concurrent batches fair-share NIC bandwidth.
+//! the executors in [`crate::exec`] merely price the stages:
+//! [`crate::exec::execute_plan_solo`] with each collective alone on an
+//! idle network, and [`crate::exec::ReplicaExecutor`] either that way
+//! or on a shared network where concurrent batches fair-share NIC
+//! bandwidth.
 
 use lina_baselines::InferScheme;
 use lina_core::{PhaseOne, PhaseTwo, TwoPhaseScheduler};
@@ -219,8 +220,8 @@ pub fn plan_batch(
 /// device that computed its layer-`l-1` expert (or on its own
 /// attention shard) contributes **no dispatch bytes** for that hop:
 /// the activation is already resident, so the all-to-all is priced on
-/// the actually-crossing token counts. Both executors inherit this
-/// automatically — Solo and Contended price collectives from the
+/// the actually-crossing token counts. Both network modes inherit
+/// this automatically — solo and contended pricing time the
 /// [`CollectiveSpec`]s built here. `base: None, locality: false` is
 /// [`plan_batch`].
 ///
@@ -252,7 +253,7 @@ pub fn plan_batch_layered(
     );
     assert!(
         !needs_scheduler || scheduler.is_some(),
-        "run_inference_batch: {:?} requires a scheduler",
+        "plan: {:?} requires a scheduler",
         config.scheme
     );
 

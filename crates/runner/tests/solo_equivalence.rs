@@ -4,7 +4,7 @@
 //! *before* `crates/runner/src/inference.rs` was split into a planner
 //! (`plan.rs`) and pluggable executors (`exec.rs`). Every scheme of the
 //! Figure 16 grid — both models, both expert counts — must keep
-//! producing the exact same reports through the `SoloExecutor` path:
+//! producing the exact same reports through `execute_plan_solo`:
 //! total, per-layer times, all-to-all times, estimate/fine-tune
 //! counters, and the idle-fraction float, down to the last bit.
 //!
