@@ -7,10 +7,16 @@
 //! window, reporting mean wall-clock time and heap allocations per
 //! iteration. Allocations are counted by this binary's own global
 //! allocator, so the library crates carry no instrumentation.
+//!
+//! An optional argument runs only the cases whose name contains it:
+//!
+//! ```text
+//! cargo bench -p lina-bench --bench microbench -- solo/
+//! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use lina_baselines::{InferScheme, TrainScheme};
@@ -26,7 +32,7 @@ use lina_runner::{
     execute, execute_plan_solo, plan_batch, train::solo_collective_time, InferenceConfig,
     NetworkMode, ReplicaExecutor,
 };
-use lina_simcore::SimTime;
+use lina_simcore::{SimDuration, SimTime};
 use lina_workload::{Mode, TokenBatch, TokenPath, TokenSource, WorkloadSpec};
 
 /// The system allocator, counting every allocation and reallocation.
@@ -58,10 +64,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Times `f` and prints one result line. Returns-value of `f` is
-/// black-boxed through `std::hint::black_box` to stop the optimizer
-/// from deleting the work.
+/// The case-name filter: the first argument that is not a flag
+/// (`cargo bench` passes `--bench` itself).
+fn filter() -> Option<&'static str> {
+    static FILTER: OnceLock<Option<String>> = OnceLock::new();
+    FILTER
+        .get_or_init(|| std::env::args().skip(1).find(|a| !a.starts_with('-')))
+        .as_deref()
+}
+
+/// Times `f` and prints one result line, unless the filter excludes
+/// `name`. Returns-value of `f` is black-boxed through
+/// `std::hint::black_box` to stop the optimizer from deleting the work.
 fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
+    if filter().is_some_and(|pat| !name.contains(pat)) {
+        return;
+    }
     // Warm-up and per-iteration estimate.
     let start = Instant::now();
     std::hint::black_box(f());
@@ -162,6 +180,17 @@ fn bench_collectives() {
     bench("exec/contended_serving_batch", || {
         let mut exec = ReplicaExecutor::new_shared(NetworkMode::Contended, Arc::clone(&topo));
         exec.submit(0, SimTime::ZERO, Arc::clone(&plan));
+        exec.advance_to(SimTime::MAX)
+    });
+    // Four copies of it submitted 200 us apart on one contended
+    // executor, so their collectives overlap on the shared network:
+    // the shape of a replica with four batches in flight.
+    bench("exec/contended_four_batches", || {
+        let mut exec = ReplicaExecutor::new_shared(NetworkMode::Contended, Arc::clone(&topo));
+        for id in 0..4 {
+            let at = SimTime::ZERO + SimDuration::from_micros(200 * id);
+            exec.submit(id, at, Arc::clone(&plan));
+        }
         exec.advance_to(SimTime::MAX)
     });
 }

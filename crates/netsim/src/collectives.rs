@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 use lina_simcore::{SimDuration, SimTime};
 
-use crate::network::{FlowSpec, Network};
+use crate::network::{FlowDone, FlowSpec, Network};
 use crate::topology::{DeviceId, Topology};
 
 /// Identifies a running collective operation.
@@ -170,14 +170,23 @@ pub struct CollectiveDone {
 }
 
 /// Drives collectives over a [`Network`], handling phase transitions.
+///
+/// Every flow a collective starts carries the collective's id as its
+/// tag, and the engine owns the network outright, so each flow
+/// completion belongs to a running collective.
 #[derive(Clone, Debug)]
 pub struct CollectiveEngine {
     net: Network,
-    running: BTreeMap<CollectiveId, RunningCollective>,
+    /// Running collectives in ascending id order (ids only grow, so a
+    /// new one is pushed at the end).
+    running: Vec<(CollectiveId, RunningCollective)>,
     next_id: u64,
     /// Per-link flow counts of the phase being launched, all zero
     /// between launches.
     link_share: Vec<u32>,
+    /// Flow completions of the current network segment (empty between
+    /// segments).
+    flows_done: Vec<FlowDone>,
 }
 
 impl CollectiveEngine {
@@ -186,8 +195,9 @@ impl CollectiveEngine {
         CollectiveEngine {
             link_share: vec![0; net.topology().link_count()],
             net,
-            running: BTreeMap::new(),
+            running: Vec::new(),
             next_id: 0,
+            flows_done: Vec::new(),
         }
     }
 
@@ -196,9 +206,16 @@ impl CollectiveEngine {
         &self.net
     }
 
-    /// Mutable access to the underlying network (for raw flows).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.net
+    /// Scales every link capacity of the underlying network (fault
+    /// injection: 1.0 = healthy, < 1.0 = degraded); see
+    /// [`Network::set_capacity_scale`]. Running collectives re-share
+    /// the changed links from the current instant onward.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `scale` is finite and positive.
+    pub fn set_capacity_scale(&mut self, scale: f64) {
+        self.net.set_capacity_scale(scale);
     }
 
     /// Current simulated time.
@@ -375,7 +392,7 @@ impl CollectiveEngine {
             started: self.net.now(),
         };
         Self::launch_phase(&mut self.net, &mut self.link_share, id, &mut rc);
-        self.running.insert(id, rc);
+        self.running.push((id, rc));
         // An empty first phase (e.g. single-participant collective)
         // completes at the current instant; advance_to picks it up.
         id
@@ -395,24 +412,23 @@ impl CollectiveEngine {
     /// many collectives were cancelled; surviving collectives re-share
     /// the freed links from the current instant onward.
     pub fn cancel_tagged(&mut self, tag: u64) -> usize {
-        let ids: Vec<CollectiveId> = self
-            .running
-            .iter()
-            .filter(|(_, rc)| rc.tag == tag)
-            .map(|(&id, _)| id)
-            .collect();
-        for &id in &ids {
-            self.running.remove(&id);
+        let before = self.running.len();
+        let net = &mut self.net;
+        self.running.retain(|(id, rc)| {
+            if rc.tag != tag {
+                return true;
+            }
             // Flows are tagged with the collective id, not the caller tag.
-            self.net.cancel_flows_with_tag(id.0);
-        }
-        ids.len()
+            net.cancel_flows_with_tag(id.0);
+            false
+        });
+        before - self.running.len()
     }
 
     /// Next instant at which anything changes: a flow event or an
     /// empty-phase promotion.
     pub fn next_event(&mut self) -> Option<SimTime> {
-        if self.running.values().any(|rc| rc.outstanding == 0) {
+        if self.running.iter().any(|(_, rc)| rc.outstanding == 0) {
             return Some(self.net.now());
         }
         self.net.next_event()
@@ -421,23 +437,30 @@ impl CollectiveEngine {
     /// Advances to `t`, promoting phases and completing collectives.
     pub fn advance_to(&mut self, t: SimTime) -> Vec<CollectiveDone> {
         let mut done = Vec::new();
+        self.advance_into(t, &mut done);
+        done
+    }
+
+    /// [`CollectiveEngine::advance_to`], appending the completions to
+    /// `done`.
+    fn advance_into(&mut self, t: SimTime, done: &mut Vec<CollectiveDone>) {
         loop {
             // Promote any collective whose current phase has no
             // outstanding flows (empty phases or freshly finished ones),
             // in id order. Only a first phase can be empty, so a phase
             // launched here is never promoted again in the same pass.
             let (net, link_share) = (&mut self.net, &mut self.link_share);
-            self.running.retain(|&id, rc| {
+            self.running.retain_mut(|(id, rc)| {
                 if rc.outstanding != 0 {
                     return true;
                 }
                 if rc.current + 1 < rc.phases.len() {
                     rc.current += 1;
-                    Self::launch_phase(net, link_share, id, rc);
+                    Self::launch_phase(net, link_share, *id, rc);
                     return true;
                 }
                 done.push(CollectiveDone {
-                    id,
+                    id: *id,
                     tag: rc.tag,
                     at: net.now(),
                     started: rc.started,
@@ -451,14 +474,23 @@ impl CollectiveEngine {
                 Some(e) if e < t => e,
                 _ => t,
             };
-            for fd in self.net.advance_to(seg_end) {
-                let cid = CollectiveId(fd.tag);
-                if let Some(rc) = self.running.get_mut(&cid) {
-                    rc.outstanding = rc.outstanding.saturating_sub(1);
-                }
+            self.net.advance_into(seg_end, &mut self.flows_done);
+            for fd in self.flows_done.drain(..) {
+                let owner = self
+                    .running
+                    .binary_search_by_key(&CollectiveId(fd.tag), |(id, _)| *id)
+                    .ok()
+                    .map(|i| &mut self.running[i].1)
+                    .filter(|rc| rc.outstanding > 0);
+                let Some(rc) = owner else {
+                    panic!(
+                        "CollectiveEngine: flow {:?} completed for no running collective (tag {})",
+                        fd.id, fd.tag
+                    )
+                };
+                rc.outstanding -= 1;
             }
         }
-        done
     }
 
     /// Runs until all collectives complete; returns completions in order.
@@ -472,7 +504,7 @@ impl CollectiveEngine {
             // the network; that segment is part of the pinned arithmetic
             // (solo prices and golden digests depend on it), so it must
             // not be optimised away.
-            done.extend(self.advance_to(next + SimDuration::from_nanos(1)));
+            self.advance_into(next + SimDuration::from_nanos(1), &mut done);
         }
         done
     }
@@ -763,6 +795,54 @@ mod tests {
             bytes: 10.0,
         };
         assert_eq!(bc.total_bytes(), 30.0);
+    }
+
+    /// Only the engine's own flows count towards a collective. A flow
+    /// started on the engine's network with the tag of a running
+    /// collective finishes first (1 kB, ~8 µs, against a 1 GB send that
+    /// takes ~83 ms alone) and ends the send's count early; the send's
+    /// own flow then completes for no running collective, which the
+    /// engine must refuse rather than skip.
+    #[test]
+    #[should_panic(expected = "completed for no running collective")]
+    fn a_stray_flow_cannot_complete_a_collective() {
+        let mut e = engine();
+        e.start(
+            &CollectiveSpec::Send {
+                src: DeviceId(0),
+                dst: DeviceId(4),
+                bytes: 1e9,
+            },
+            0,
+        );
+        e.net.start_flow(FlowSpec {
+            src: DeviceId(8),
+            dst: DeviceId(12),
+            bytes: 1e3,
+            weight: 1.0,
+            extra_latency: SimDuration::ZERO,
+            tag: 0,
+        });
+        e.advance_to(SimTime::from_secs_f64(1.0));
+    }
+
+    #[test]
+    fn capacity_scale_stretches_a_send() {
+        let send = CollectiveSpec::Send {
+            src: DeviceId(0),
+            dst: DeviceId(4),
+            bytes: 1e9,
+        };
+        let mut healthy = engine();
+        healthy.start(&send, 0);
+        let healthy = healthy.run_to_idle()[0].at.as_secs_f64();
+        let mut degraded = engine();
+        degraded.set_capacity_scale(0.5);
+        assert_eq!(degraded.network().capacity_scale(), 0.5);
+        degraded.start(&send, 0);
+        let degraded = degraded.run_to_idle()[0].at.as_secs_f64();
+        let ratio = degraded / healthy;
+        assert!((ratio - 2.0).abs() < 0.01, "half bandwidth ratio {ratio}");
     }
 
     #[test]

@@ -12,6 +12,15 @@
 //! flows over the same link assigns each weight `1/k`, so two overlapping
 //! collectives split a link roughly evenly regardless of how many flows
 //! each decomposes into — matching how two NCCL communicators share a NIC.
+//!
+//! [`max_min_rates`] is a one-shot wrapper over the solver a
+//! [`crate::Network`] keeps for its whole life. That solver holds, per
+//! link, the flows crossing it in key order and the ascending list of
+//! links some flow crosses, so a solve touches only those links: it sets
+//! their capacity and weight sums, then repeats one compacting pass over
+//! the links still in play (which stores each one's fair level) and a
+//! first-minimum pass over the levels. Capacities are checked `>= 0` by
+//! the owner, once, rather than on every solve.
 
 /// A flow presented to the allocator: a weight and the links it traverses.
 #[derive(Clone, Debug)]
@@ -32,8 +41,9 @@ pub struct FlowDemand<'a> {
 /// # Panics
 ///
 /// Panics if any weight is non-positive, any referenced link is out of
-/// range, or any capacity is negative.
+/// range, or any capacity is negative or NaN.
 pub fn max_min_rates(capacities: &[f64], flows: &[FlowDemand<'_>]) -> Vec<f64> {
+    check_capacities(capacities);
     let mut solver = FairShare::new(capacities.len());
     let slots: Vec<u32> = flows
         .iter()
@@ -44,6 +54,14 @@ pub fn max_min_rates(capacities: &[f64], flows: &[FlowDemand<'_>]) -> Vec<f64> {
     slots.into_iter().map(|s| solver.rate(s)).collect()
 }
 
+/// Asserts every capacity is `>= 0` (so none is NaN either), which
+/// [`FairShare::solve`] relies on and does not check.
+pub(crate) fn check_capacities(capacities: &[f64]) {
+    for &c in capacities {
+        assert!(c >= 0.0, "max_min_rates: negative capacity {c}");
+    }
+}
+
 /// The water-filling solver behind [`max_min_rates`], kept alive across
 /// solves so a long-lived owner (the [`crate::Network`]) allocates
 /// nothing in steady state.
@@ -52,12 +70,12 @@ pub fn max_min_rates(capacities: &[f64], flows: &[FlowDemand<'_>]) -> Vec<f64> {
 /// it [`FairShare::leave`]s; between the two, every [`FairShare::solve`]
 /// prices it. The solver keeps, per link, the slots crossing it in
 /// ascending key order, and joining or leaving keeps that order. So a
-/// solve only resets the per-link sums and runs the bottleneck loop:
-/// the scan visits links some flow crosses, ascending, and freezing
-/// visits only the bottleneck's own flows, in key order. Both walks
-/// keep the order of the textbook loop over flows in key order, so
-/// every sum and subtraction happens in the same order and the rates
-/// are the same bits.
+/// solve only resets the per-link state of the links some flow crosses
+/// and runs the bottleneck loop: the scan visits those links, ascending,
+/// and freezing visits only the bottleneck's own flows, in key order.
+/// Both walks keep the order of the textbook loop over flows in key
+/// order, so every sum and subtraction happens in the same order and
+/// the rates are the same bits.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct FairShare {
     /// Per slot: ordering key, weight and path. A free slot keeps its
@@ -72,8 +90,12 @@ pub(crate) struct FairShare {
     members: Vec<Vec<u32>>,
     /// Links with at least one member, ascending.
     active: Vec<u32>,
-    /// Per solve: links still in the bottleneck scan, ascending.
+    /// Per solve: links still in the bottleneck scan, ascending, and
+    /// their fair levels in the current round.
     scan: Vec<u32>,
+    levels: Vec<f64>,
+    /// Per link, set for active links only: capacity left and the total
+    /// weight of the unfrozen flows.
     remaining: Vec<f64>,
     link_weight: Vec<f64>,
     frozen: Vec<bool>,
@@ -85,6 +107,7 @@ impl FairShare {
     pub(crate) fn new(links: usize) -> Self {
         FairShare {
             members: vec![Vec::new(); links],
+            remaining: vec![0.0; links],
             link_weight: vec![0.0; links],
             ..FairShare::default()
         }
@@ -172,29 +195,21 @@ impl FairShare {
     }
 
     /// Solves the problem over `capacities` (one per link), each
-    /// multiplied by `scale` unless `scale` is exactly 1.0. A flow with
-    /// an empty path is unconstrained and gets `f64::INFINITY`.
+    /// multiplied by `scale`. A flow with an empty path is unconstrained
+    /// and gets `f64::INFINITY`.
+    ///
+    /// The capacities must all be `>= 0` and `scale` positive; the owner
+    /// checks that once ([`check_capacities`]), not every solve.
     ///
     /// # Panics
     ///
-    /// Panics if `capacities` has the wrong length or any capacity is
-    /// negative.
+    /// Panics if `capacities` has the wrong length.
     pub(crate) fn solve(&mut self, capacities: &[f64], scale: f64) {
-        let links = self.members.len();
         assert_eq!(
             capacities.len(),
-            links,
+            self.members.len(),
             "max_min_rates: one capacity per link"
         );
-        self.remaining.clear();
-        if scale == 1.0 {
-            self.remaining.extend_from_slice(capacities);
-        } else {
-            self.remaining.extend(capacities.iter().map(|c| c * scale));
-        }
-        for &c in &self.remaining {
-            assert!(c >= 0.0, "max_min_rates: negative capacity {c}");
-        }
         // Free slots get a rate too; nobody reads it.
         self.rates.clear();
         self.rates.extend(self.paths.iter().map(
@@ -208,40 +223,51 @@ impl FairShare {
         ));
         self.frozen.clear();
         self.frozen.resize(self.paths.len(), false);
-        // Per-link total weight of unfrozen flows, summed in key order.
+        // Per-link capacity and total weight of unfrozen flows, summed
+        // in key order. Only links some flow crosses are ever read.
         for &l in &self.active {
+            let l = l as usize;
+            self.remaining[l] = capacities[l] * scale;
             let mut w = 0.0;
-            for &m in &self.members[l as usize] {
+            for &m in &self.members[l] {
                 w += self.weights[m as usize];
             }
-            self.link_weight[l as usize] = w;
+            self.link_weight[l] = w;
         }
 
         self.scan.clear();
         self.scan.extend_from_slice(&self.active);
+        self.levels.resize(self.scan.len(), 0.0);
         loop {
             // Find the bottleneck: the link with the smallest fair level
             // remaining / weight among links with unfrozen flows. A link
             // whose weight fell to 1e-12 or below never qualifies again
             // this solve (weights only shrink), so it leaves the scan;
-            // the rest keep their ascending order for the tie rule.
-            let mut bottleneck: Option<(usize, f64)> = None;
+            // the rest keep their ascending order for the tie rule. The
+            // compaction writes every link and counts only the ones
+            // kept, so the pass has no branch on the data.
             let mut kept = 0;
             for k in 0..self.scan.len() {
-                let l = self.scan[k] as usize;
-                let w = self.link_weight[l];
-                if w > 1e-12 {
-                    self.scan[kept] = l as u32;
-                    kept += 1;
-                    let level = self.remaining[l] / w;
-                    match bottleneck {
-                        Some((_, best)) if level >= best => {}
-                        _ => bottleneck = Some((l, level)),
-                    }
-                }
+                let l = self.scan[k];
+                let w = self.link_weight[l as usize];
+                self.scan[kept] = l;
+                self.levels[kept] = self.remaining[l as usize] / w;
+                kept += usize::from(w > 1e-12);
             }
             self.scan.truncate(kept);
-            let Some((bl, level)) = bottleneck else { break };
+            let Some(&first) = self.levels[..kept].first() else {
+                break;
+            };
+            // The first minimum: no level is NaN (capacities are >= 0
+            // and weights > 1e-12), so a strict `<` keeps the lowest
+            // link among equal levels.
+            let (mut best, mut level) = (0, first);
+            for (k, &v) in self.levels[..kept].iter().enumerate().skip(1) {
+                if v < level {
+                    (best, level) = (k, v);
+                }
+            }
+            let bl = self.scan[best] as usize;
             let level = level.max(0.0);
             // Freeze every unfrozen flow crossing the bottleneck at its
             // proportional share, and charge its links.

@@ -13,19 +13,25 @@
 //! [`Network::advance_to`]; completions are reported with the tag the
 //! flow was started with.
 //!
-//! Active flows live in one `Vec` in id order (ids only grow, so a new
-//! flow is pushed at the end and removal keeps the order), each with its
-//! path inline. Rates come from a `FairShare` solver owned by the
-//! network: a flow joins it when it enters its transfer phase and leaves
-//! when it finishes or is cancelled, so the solver's link -> flow index
-//! persists across recomputes. The answer of [`Network::next_event`] is
-//! cached until the next mutation.
+//! Active flows live in two lists. Flows in their latency phase sit in
+//! `pending`, in id order (ids only grow, so a new flow is pushed at the
+//! end). A flow whose latency runs out joins the `FairShare` solver owned
+//! by the network and moves to `transfers`, a dense list in no particular
+//! order that drops finished flows with `swap_remove`. Each segment is
+//! one drain pass over both lists; the pass sorts the segment's
+//! completions by id before it reports them, counts them into
+//! [`NetStats`] and takes them out of the solver, so completion order and
+//! the byte sum do not depend on the list order. The solver's
+//! link -> flow index persists across recomputes. The answer of
+//! [`Network::next_event`] is cached until the next mutation, and a
+//! segment in which no flow changed phase computes it on its way through
+//! the flows.
 
 use std::sync::Arc;
 
 use lina_simcore::{SimDuration, SimTime};
 
-use crate::fairshare::FairShare;
+use crate::fairshare::{check_capacities, FairShare};
 use crate::topology::{DeviceId, Path, Topology};
 
 /// Identifies an active flow.
@@ -50,26 +56,36 @@ pub struct FlowSpec {
     pub tag: u64,
 }
 
+/// A flow in its latency phase.
 #[derive(Clone, Debug)]
-enum Phase {
-    Latency {
-        left: SimDuration,
-    },
-    /// Draining at the rate of its solver slot.
-    Transfer {
-        slot: u32,
-    },
-}
-
-#[derive(Clone, Debug)]
-struct ActiveFlow {
+struct PendingFlow {
     id: FlowId,
     path: Path,
     weight: f64,
-    phase: Phase,
+    left: SimDuration,
+    bytes: f64,
+    tag: u64,
+}
+
+/// A flow in its transfer phase, draining at the rate of its solver
+/// slot (the solver holds its path and weight).
+#[derive(Clone, Debug)]
+struct Transfer {
+    id: FlowId,
+    slot: u32,
     total: f64,
     remaining: f64,
     tag: u64,
+}
+
+/// A flow that finished in the current segment; `slot` is the solver
+/// slot it still holds, if it got as far as its transfer phase.
+#[derive(Clone, Copy, Debug)]
+struct Finished {
+    id: FlowId,
+    tag: u64,
+    total: f64,
+    slot: Option<u32>,
 }
 
 /// A completed-flow notification.
@@ -97,8 +113,12 @@ pub struct NetStats {
 pub struct Network {
     topo: Arc<Topology>,
     now: SimTime,
-    /// Active flows, in ascending id order.
-    flows: Vec<ActiveFlow>,
+    /// Flows in their latency phase, in ascending id order.
+    pending: Vec<PendingFlow>,
+    /// Flows in their transfer phase, in no particular order.
+    transfers: Vec<Transfer>,
+    /// The current segment's completions (empty between segments).
+    finished: Vec<Finished>,
     next_id: u64,
     rates_valid: bool,
     /// Memoized [`Network::next_event`] answer; `None` when stale.
@@ -119,12 +139,21 @@ impl Network {
     /// Creates an idle network over a shared topology handle. Replicas
     /// of one cluster all price against the same immutable topology, so
     /// sharing the `Arc` avoids a deep topology clone per network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a link capacity is negative or NaN.
     pub fn new_shared(topo: Arc<Topology>) -> Self {
+        // The topology is immutable and the capacity scale is always
+        // positive, so every solve sees capacities checked here.
+        check_capacities(topo.link_capacities());
         Network {
             solver: FairShare::new(topo.link_count()),
             topo,
             now: SimTime::ZERO,
-            flows: Vec::new(),
+            pending: Vec::new(),
+            transfers: Vec::new(),
+            finished: Vec::new(),
             next_id: 0,
             rates_valid: true,
             next_event: None,
@@ -161,7 +190,8 @@ impl Network {
     /// reported and no stats are counted) — the device driving them has
     /// failed. Time does not advance.
     pub fn cancel_all_flows(&mut self) {
-        self.flows.clear();
+        self.pending.clear();
+        self.transfers.clear();
         self.solver.clear();
         self.invalidate();
     }
@@ -171,18 +201,17 @@ impl Network {
     /// collective driving them was aborted. Other flows re-share the
     /// freed bandwidth from the current instant onward.
     pub fn cancel_flows_with_tag(&mut self, tag: u64) {
-        let before = self.flows.len();
-        let solver = &mut self.solver;
-        self.flows.retain(|f| {
-            if f.tag != tag {
-                return true;
+        let before = self.active_flows();
+        self.pending.retain(|f| f.tag != tag);
+        let mut i = 0;
+        while i < self.transfers.len() {
+            if self.transfers[i].tag == tag {
+                self.solver.leave(self.transfers.swap_remove(i).slot);
+            } else {
+                i += 1;
             }
-            if let Phase::Transfer { slot } = f.phase {
-                solver.leave(slot);
-            }
-            false
-        });
-        if self.flows.len() != before {
+        }
+        if self.active_flows() != before {
             self.invalidate();
         }
     }
@@ -206,7 +235,7 @@ impl Network {
 
     /// Number of active flows (both phases).
     pub fn active_flows(&self) -> usize {
-        self.flows.len()
+        self.pending.len() + self.transfers.len()
     }
 
     /// Aggregate counters.
@@ -218,26 +247,29 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes` is negative/non-finite or `weight` is
-    /// non-positive.
+    /// Panics if `bytes` is negative/non-finite or `weight` is not
+    /// finite and positive.
     pub fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
         assert!(
             spec.bytes >= 0.0 && spec.bytes.is_finite(),
             "start_flow: bad byte count {}",
             spec.bytes
         );
-        assert!(spec.weight > 0.0, "start_flow: bad weight {}", spec.weight);
+        assert!(
+            spec.weight > 0.0 && spec.weight.is_finite(),
+            "start_flow: bad weight {}",
+            spec.weight
+        );
         let path = self.topo.path(spec.src, spec.dst);
         let latency = self.topo.latency(spec.src, spec.dst) + spec.extra_latency;
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        self.flows.push(ActiveFlow {
+        self.pending.push(PendingFlow {
             id,
             path,
             weight: spec.weight,
-            phase: Phase::Latency { left: latency },
-            total: spec.bytes,
-            remaining: spec.bytes,
+            left: latency,
+            bytes: spec.bytes,
             tag: spec.tag,
         });
         // A flow in its latency phase does not change rates yet, but
@@ -262,44 +294,12 @@ impl Network {
             return cached;
         }
         self.recompute_rates();
-        // The earliest latency expiry and the shortest time to drain, in
-        // seconds. Taking the minimum before converting is exact:
-        // `from_secs_f64` and the saturating `SimTime + SimDuration` are
-        // both monotone.
-        let mut left_min: Option<SimDuration> = None;
-        let mut drain_min: Option<f64> = None;
-        let mut immediate = false;
-        for f in &self.flows {
-            match f.phase {
-                Phase::Latency { left } => {
-                    left_min = Some(left_min.map_or(left, |m| m.min(left)));
-                }
-                Phase::Transfer { slot } => {
-                    let rate = self.solver.rate(slot);
-                    if f.remaining <= 0.0 || rate.is_infinite() {
-                        immediate = true;
-                    } else if rate > 0.0 {
-                        let secs = f.remaining / rate;
-                        drain_min = Some(drain_min.map_or(secs, |m| m.min(secs)));
-                    }
-                    // Otherwise a zero-capacity path: stalled forever.
-                }
-            }
+        let left_min = self.pending.iter().map(|f| f.left).min();
+        let mut drain_min = Drain::default();
+        for f in &self.transfers {
+            drain_min.add(f.remaining, self.solver.rate(f.slot));
         }
-        let earliest = if immediate {
-            Some(self.now)
-        } else {
-            let latency = left_min.map(|left| self.now + left);
-            // Round up by one nanosecond so advancing to the event time
-            // provably drains the flow.
-            let drain = drain_min.map(|secs| {
-                self.now + SimDuration::from_secs_f64(secs) + SimDuration::from_nanos(1)
-            });
-            match (latency, drain) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            }
-        };
+        let earliest = drain_min.earliest(self.now, left_min);
         self.next_event = Some(earliest);
         earliest
     }
@@ -312,8 +312,14 @@ impl Network {
     ///
     /// Panics if `t` is in the past.
     pub fn advance_to(&mut self, t: SimTime) -> Vec<FlowDone> {
-        assert!(t >= self.now, "advance_to: time going backwards");
         let mut done = Vec::new();
+        self.advance_into(t, &mut done);
+        done
+    }
+
+    /// [`Network::advance_to`], appending the completions to `done`.
+    pub(crate) fn advance_into(&mut self, t: SimTime, done: &mut Vec<FlowDone>) {
+        assert!(t >= self.now, "advance_to: time going backwards");
         while self.now < t {
             let seg_end = match self.next_event() {
                 Some(e) if e < t => e,
@@ -321,69 +327,92 @@ impl Network {
             };
             let dt = seg_end - self.now;
             let dt_secs = dt.as_secs_f64();
-            let mut transitioned = false;
-            let (stats, solver) = (&mut self.stats, &mut self.solver);
-            // One pass in id order: drain every flow over the segment and
-            // drop the ones that finished, reporting them in id order. A
-            // flow whose latency ran out joins the solver (if it still
-            // has bytes to move); a finished transfer leaves it.
-            self.flows.retain_mut(|f| {
-                let finished = match &mut f.phase {
-                    Phase::Latency { left } => {
-                        if *left <= dt {
-                            transitioned = true;
-                            let done = f.path.is_empty() || f.remaining <= 0.0;
-                            if !done {
-                                let links = f.path.iter().map(|l| l.0);
-                                let slot = solver.join(f.id.0, f.weight, links);
-                                f.phase = Phase::Transfer { slot };
-                            }
-                            done
-                        } else {
-                            *left -= dt;
-                            false
-                        }
-                    }
-                    Phase::Transfer { slot } => {
-                        let rate = solver.rate(*slot);
-                        if rate.is_infinite() {
-                            f.remaining = 0.0;
-                        } else {
-                            f.remaining -= rate * dt_secs;
-                        }
-                        // Tolerate sub-nanosecond rounding: anything the
-                        // current rate would drain in 2ns counts as done.
-                        let eps = rate * 2e-9 + 1e-9;
-                        let done = f.remaining <= eps;
-                        if done {
-                            solver.leave(*slot);
-                        }
-                        done
-                    }
-                };
-                if finished {
-                    transitioned = true;
-                    stats.flows_completed += 1;
-                    // `remaining` may be a few bytes short of zero; count
-                    // the full payload as delivered.
-                    stats.bytes_delivered += f.total;
-                    done.push(FlowDone {
+            let (solver, finished) = (&mut self.solver, &mut self.finished);
+            // Drain every transfer over the segment, and take the
+            // next-event minimum over the ones that remain.
+            let mut drain_min = Drain::default();
+            let mut i = 0;
+            while i < self.transfers.len() {
+                let f = &mut self.transfers[i];
+                let rate = solver.rate(f.slot);
+                if rate.is_infinite() {
+                    f.remaining = 0.0;
+                } else {
+                    f.remaining -= rate * dt_secs;
+                }
+                // Tolerate sub-nanosecond rounding: anything the current
+                // rate would drain in 2ns counts as done.
+                if f.remaining <= rate * 2e-9 + 1e-9 {
+                    finished.push(Finished {
                         id: f.id,
                         tag: f.tag,
-                        at: seg_end,
+                        total: f.total,
+                        slot: Some(f.slot),
+                    });
+                    self.transfers.swap_remove(i);
+                } else {
+                    drain_min.add(f.remaining, rate);
+                    i += 1;
+                }
+            }
+            // Then run down the latency phases. A flow whose latency ran
+            // out joins the solver (if it still has bytes to move); it
+            // starts draining in the next segment.
+            let mut left_min: Option<SimDuration> = None;
+            let mut expired = false;
+            let transfers = &mut self.transfers;
+            self.pending.retain_mut(|f| {
+                if f.left > dt {
+                    f.left -= dt;
+                    left_min = Some(left_min.map_or(f.left, |m| m.min(f.left)));
+                    return true;
+                }
+                expired = true;
+                if f.path.is_empty() || f.bytes <= 0.0 {
+                    finished.push(Finished {
+                        id: f.id,
+                        tag: f.tag,
+                        total: f.bytes,
+                        slot: None,
+                    });
+                } else {
+                    let links = f.path.iter().map(|l| l.0);
+                    transfers.push(Transfer {
+                        id: f.id,
+                        slot: solver.join(f.id.0, f.weight, links),
+                        total: f.bytes,
+                        remaining: f.bytes,
+                        tag: f.tag,
                     });
                 }
-                !finished
+                false
             });
             self.now = seg_end;
-            // Every flow moved, so the cached next event is stale even
-            // when the flow set (and so the rates) did not change.
-            self.next_event = None;
-            if transitioned {
-                self.rates_valid = false;
+            if expired || !self.finished.is_empty() {
+                // The flow set changed: re-solve before the next event.
+                self.invalidate();
+            } else {
+                // Same flows at the same rates: the minimum taken on the
+                // way through is the next event.
+                self.next_event = Some(drain_min.earliest(seg_end, left_min));
+            }
+            // Report in id order, whichever list a flow finished in.
+            self.finished.sort_unstable_by_key(|f| f.id);
+            for f in self.finished.drain(..) {
+                if let Some(slot) = f.slot {
+                    self.solver.leave(slot);
+                }
+                self.stats.flows_completed += 1;
+                // `remaining` may be a few bytes short of zero; count
+                // the full payload as delivered.
+                self.stats.bytes_delivered += f.total;
+                done.push(FlowDone {
+                    id: f.id,
+                    tag: f.tag,
+                    at: seg_end,
+                });
             }
         }
-        done
     }
 
     /// Convenience: runs the network until all flows complete, returning
@@ -391,9 +420,11 @@ impl Network {
     /// can never complete (zero-capacity path).
     pub fn run_to_idle(&mut self) -> Option<SimTime> {
         let mut last = self.now;
+        let mut done = Vec::new();
         while self.active_flows() > 0 {
             let next = self.next_event()?;
-            let done = self.advance_to(next);
+            done.clear();
+            self.advance_into(next, &mut done);
             if let Some(d) = done.last() {
                 last = d.at;
             }
@@ -404,11 +435,50 @@ impl Network {
     /// Current rate of a flow in bytes/s (0 during the latency phase).
     pub fn flow_rate(&mut self, id: FlowId) -> Option<f64> {
         self.recompute_rates();
-        let i = self.flows.binary_search_by_key(&id, |f| f.id).ok()?;
-        Some(match self.flows[i].phase {
-            Phase::Latency { .. } => 0.0,
-            Phase::Transfer { slot } => self.solver.rate(slot),
-        })
+        if self.pending.binary_search_by_key(&id, |f| f.id).is_ok() {
+            return Some(0.0);
+        }
+        let f = self.transfers.iter().find(|f| f.id == id)?;
+        Some(self.solver.rate(f.slot))
+    }
+}
+
+/// The shortest time to drain over the transferring flows, in seconds.
+/// Taking the minimum before converting is exact: `from_secs_f64` and
+/// the saturating `SimTime + SimDuration` are both monotone, and the
+/// minimum of `f64`s does not depend on the order they come in.
+#[derive(Default)]
+struct Drain {
+    secs: Option<f64>,
+    immediate: bool,
+}
+
+impl Drain {
+    fn add(&mut self, remaining: f64, rate: f64) {
+        if remaining <= 0.0 || rate.is_infinite() {
+            self.immediate = true;
+        } else if rate > 0.0 {
+            let secs = remaining / rate;
+            self.secs = Some(self.secs.map_or(secs, |m| m.min(secs)));
+        }
+        // Otherwise a zero-capacity path: stalled forever.
+    }
+
+    /// The next event at `now`, given the earliest latency expiry.
+    fn earliest(&self, now: SimTime, left_min: Option<SimDuration>) -> Option<SimTime> {
+        if self.immediate {
+            return Some(now);
+        }
+        let latency = left_min.map(|left| now + left);
+        // Round up by one nanosecond so advancing to the event time
+        // provably drains the flow.
+        let drain = self
+            .secs
+            .map(|secs| now + SimDuration::from_secs_f64(secs) + SimDuration::from_nanos(1));
+        match (latency, drain) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 }
 
@@ -644,5 +714,53 @@ mod tests {
     #[should_panic(expected = "bad scale")]
     fn zero_capacity_scale_rejected() {
         net().set_capacity_scale(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "start_flow: bad weight")]
+    fn infinite_weight_rejected_at_start() {
+        let mut s = spec(0, 4, 1e6);
+        s.weight = f64::INFINITY;
+        net().start_flow(s);
+    }
+
+    #[test]
+    #[should_panic(expected = "negative capacity")]
+    fn negative_capacity_rejected_at_construction() {
+        let mut s = ClusterSpec::paper_testbed();
+        s.nic_bw = -1.0;
+        Network::new(Topology::new(s));
+    }
+
+    /// Completions of one segment come out in id order and add into the
+    /// byte count in that order, whichever phase each flow finished in.
+    #[test]
+    fn one_segment_reports_in_id_order() {
+        // Ids 0 and 2 transfer equal payloads on disjoint paths; id 1 is
+        // a zero-byte flow whose latency is stretched to end exactly
+        // when the other two finish draining.
+        let run = |extra: SimDuration| {
+            let mut n = net();
+            n.start_flow(spec(8, 12, 1e6));
+            let mut zero = spec(0, 4, 0.0);
+            zero.extra_latency = extra;
+            n.start_flow(zero);
+            n.start_flow(spec(1, 5, 1e6));
+            let mut done = Vec::new();
+            while let Some(t) = n.next_event() {
+                done.push(n.advance_to(t));
+            }
+            (n, done)
+        };
+        let (_, plain) = run(SimDuration::ZERO);
+        let drained = plain.last().expect("segments")[0].at;
+        let lat = net().topology().spec().inter_latency;
+        let (n, done) = run(drained - (SimTime::ZERO + lat));
+        let last = done.last().expect("segments");
+        let ids: Vec<u64> = last.iter().map(|d| d.id.0).collect();
+        assert_eq!(ids, [0, 1, 2]);
+        assert!(last.iter().all(|d| d.at == drained));
+        assert_eq!(n.stats().flows_completed, 3);
+        assert_eq!(n.stats().bytes_delivered, 2e6);
     }
 }

@@ -60,7 +60,7 @@ impl SoloTimer {
     /// 1.0 = healthy, < 1.0 = degraded). Subsequent [`SoloTimer::time`]
     /// queries price collectives on the degraded links.
     pub fn set_capacity_scale(&mut self, scale: f64) {
-        self.engine.network_mut().set_capacity_scale(scale);
+        self.engine.set_capacity_scale(scale);
     }
 
     /// The current link-capacity multiplier (1.0 when healthy).

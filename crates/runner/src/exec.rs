@@ -432,7 +432,7 @@ impl ReplicaExecutor {
     /// collectives included.
     pub fn set_link_scale(&mut self, scale: f64) {
         if let Some(engine) = &mut self.engine {
-            engine.network_mut().set_capacity_scale(scale);
+            engine.set_capacity_scale(scale);
         }
         self.timer.set_capacity_scale(scale);
     }

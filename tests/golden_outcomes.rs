@@ -1,10 +1,11 @@
-//! Golden digests of seven serving runs: one per controller family,
-//! plus one with every controller armed at once.
+//! Golden digests of eight serving runs: one per controller family,
+//! one with every controller armed at once, and one pairing the
+//! autoscaler with device loss on a contended network.
 //!
 //! Each test folds everything a run produced — every request record,
 //! every failure, the queue-depth timeline, and every outcome counter —
 //! into one 128-bit FNV digest and compares it with a pinned value. A
-//! refactor of the serving path must leave all seven untouched; any
+//! refactor of the serving path must leave all eight untouched; any
 //! change to what the simulator computes moves at least one of them.
 //!
 //! Each test also checks that its run exercised the controller it is
@@ -375,6 +376,56 @@ fn everything_armed() {
         "everything_armed",
         digest,
         0xb043_cf66_dfe0_1bdd_d62a_1c35_4d99_b269,
+    );
+}
+
+/// The autoscaler under device loss, on a contended network: the pool
+/// grows and shrinks while devices fail under it, on serving replicas
+/// (which re-place their experts) and on replicas the autoscaler has
+/// retired or not yet provisioned.
+#[test]
+fn autoscaler_under_device_loss_contended() {
+    let mut c = cluster_config(InferScheme::Lina, 3000.0, 3);
+    c.serve.n_requests = 192;
+    c.serve.network = NetworkMode::Contended;
+    c.serve.max_inflight = 2;
+    c.balancer = BalancerKind::JoinShortestQueue;
+    c.autoscale = Some(AutoscaleConfig {
+        policy: AutoscalePolicyKind::Reactive {
+            up_threshold: 1.0,
+            down_threshold: 0.1,
+        },
+        interval: SimDuration::from_millis(2),
+        cooldown: SimDuration::from_millis(4),
+        min_replicas: 1,
+        max_replicas: 4,
+    });
+    let rates = FaultRateConfig {
+        device_loss_rate: 15.0,
+        ..FaultRateConfig::crashes(0.0, SimDuration::ZERO)
+    };
+    c.faults = FaultPlan {
+        schedule: FaultSchedule::generate(&rates, 3, SimDuration::from_secs_f64(0.2), 0xDE71),
+        policy: DegradationPolicy::retry_failover(None),
+    };
+    let out = run(c);
+    assert_conserved(&out, 192);
+    assert!(
+        out.scale_ups > 0 && out.scale_downs > 0,
+        "the pool must move"
+    );
+    assert!(
+        out.emergency_replacements > 0,
+        "a device loss must re-place"
+    );
+    assert!(
+        out.faults_injected > out.emergency_replacements,
+        "some device loss must land off the serving pool"
+    );
+    assert_digest(
+        "autoscale_device_loss",
+        cluster_digest(&out),
+        0xea5e_5268_6e39_9969_9275_407e_fde2_c9e7,
     );
 }
 

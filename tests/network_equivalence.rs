@@ -5,15 +5,17 @@
 //! allocating water-filling loop that scans every link for each
 //! bottleneck and every flow for each freeze, plus the collective loop
 //! that drove it (`BTreeMap` phase weights, a phase plan per launch).
-//! The production `Network` keeps a flat id-ordered flow table, a
-//! solver whose link -> flow index persists across solves and a cached
-//! next event; these tests drive both through the same seeded scripts
-//! and require every observable to be the same bits. The solo test
-//! does the same for `SoloTimer`, which also runs `CollectiveEngine`.
+//! The production `Network` keeps an id-ordered latency list, an
+//! unordered transfer list, a solver whose link -> flow index persists
+//! across solves and a cached next event; these tests drive both
+//! through the same seeded scripts and require every observable to be
+//! the same bits. The solo test does the same for `SoloTimer`, and the
+//! concurrent-collective test for `CollectiveEngine` with many
+//! collectives in flight, cancelled and re-shared at once.
 
 use lina::netsim::{
-    max_min_rates, AllToAllAlgo, ClusterSpec, CollectiveSpec, DeviceId, FlowDemand, FlowDone,
-    FlowId, FlowSpec, Network, SoloTimer, Topology,
+    max_min_rates, AllToAllAlgo, ClusterSpec, CollectiveEngine, CollectiveSpec, DeviceId,
+    FlowDemand, FlowDone, FlowId, FlowSpec, Network, SoloTimer, Topology,
 };
 use lina::simcore::{Rng, SimDuration, SimTime};
 
@@ -304,14 +306,26 @@ mod oracle_solo {
 
     use super::*;
 
-    fn plan(topo: &Topology, spec: &CollectiveSpec) -> Vec<Vec<(DeviceId, DeviceId, f64)>> {
-        let CollectiveSpec::AllToAll {
-            participants,
-            sizes,
-            algo,
-        } = spec
-        else {
-            panic!("the oracle plans all-to-alls only")
+    pub fn plan(topo: &Topology, spec: &CollectiveSpec) -> Vec<Vec<(DeviceId, DeviceId, f64)>> {
+        let (participants, sizes, algo) = match spec {
+            CollectiveSpec::AllToAll {
+                participants,
+                sizes,
+                algo,
+            } => (participants, sizes, algo),
+            CollectiveSpec::AllReduce {
+                participants,
+                bytes,
+            } => {
+                let p = participants.len();
+                if p < 2 {
+                    return vec![Vec::new()];
+                }
+                let per_edge = 2.0 * (p as f64 - 1.0) / p as f64 * *bytes;
+                let ring = (0..p).map(|i| (participants[i], participants[(i + 1) % p], per_edge));
+                return vec![ring.collect()];
+            }
+            _ => panic!("the oracle plans all-to-alls and allreduces only"),
         };
         if *algo == AllToAllAlgo::Flat {
             let mut phase = Vec::new();
@@ -366,7 +380,7 @@ mod oracle_solo {
         }
     }
 
-    fn phase_weight(topo: &Topology, phase: &[(DeviceId, DeviceId, f64)]) -> f64 {
+    pub fn phase_weight(topo: &Topology, phase: &[(DeviceId, DeviceId, f64)]) -> f64 {
         let mut per_link: BTreeMap<u32, usize> = BTreeMap::new();
         for &(src, dst, _) in phase {
             for l in topo.path(src, dst).iter() {
@@ -434,6 +448,164 @@ mod oracle_solo {
     }
 }
 
+/// The collective engine's loop over the oracle network, for many
+/// collectives at once: a `BTreeMap` of running collectives promoted in
+/// id order, flow completions charged to the collective named by the
+/// flow's tag, cancellation by caller tag, and `run_to_idle` stepping
+/// each event overshot by the pinned 1 ns.
+mod oracle_engine {
+    use std::collections::BTreeMap;
+
+    use lina::netsim::{CollectiveDone, CollectiveId};
+
+    use super::*;
+
+    struct Running {
+        phases: Vec<Vec<(DeviceId, DeviceId, f64)>>,
+        current: usize,
+        outstanding: usize,
+        tag: u64,
+        started: SimTime,
+    }
+
+    pub struct Engine {
+        topo: Topology,
+        net: oracle::Network,
+        running: BTreeMap<u64, Running>,
+        next_id: u64,
+    }
+
+    impl Engine {
+        pub fn new(topo: Topology) -> Self {
+            Engine {
+                net: oracle::Network::new(topo.clone()),
+                topo,
+                running: BTreeMap::new(),
+                next_id: 0,
+            }
+        }
+
+        pub fn now(&self) -> SimTime {
+            self.net.now()
+        }
+
+        pub fn active(&self) -> usize {
+            self.running.len()
+        }
+
+        pub fn set_capacity_scale(&mut self, scale: f64) {
+            self.net.set_capacity_scale(scale);
+        }
+
+        /// Starts the current phase of collective `id`.
+        fn launch(&mut self, id: u64) {
+            let rc = self.running.get_mut(&id).expect("running");
+            let phase = &rc.phases[rc.current];
+            let weight = oracle_solo::phase_weight(&self.topo, phase);
+            let extra_latency = if rc.current == 0 {
+                self.topo.spec().collective_launch_overhead
+            } else {
+                SimDuration::ZERO
+            };
+            rc.outstanding = phase.len();
+            for &(src, dst, bytes) in phase {
+                self.net.start_flow(FlowSpec {
+                    src,
+                    dst,
+                    bytes,
+                    weight,
+                    extra_latency,
+                    tag: id,
+                });
+            }
+        }
+
+        pub fn start(&mut self, spec: &CollectiveSpec, tag: u64) -> CollectiveId {
+            let id = self.next_id;
+            self.next_id += 1;
+            let running = Running {
+                phases: oracle_solo::plan(&self.topo, spec),
+                current: 0,
+                outstanding: 0,
+                tag,
+                started: self.net.now(),
+            };
+            self.running.insert(id, running);
+            self.launch(id);
+            CollectiveId(id)
+        }
+
+        pub fn cancel_tagged(&mut self, tag: u64) -> usize {
+            let ids: Vec<u64> = self
+                .running
+                .iter()
+                .filter(|(_, rc)| rc.tag == tag)
+                .map(|(&id, _)| id)
+                .collect();
+            for &id in &ids {
+                self.running.remove(&id);
+                self.net.cancel_flows_with_tag(id);
+            }
+            ids.len()
+        }
+
+        pub fn next_event(&mut self) -> Option<SimTime> {
+            if self.running.values().any(|rc| rc.outstanding == 0) {
+                return Some(self.net.now());
+            }
+            self.net.next_event()
+        }
+
+        pub fn advance_to(&mut self, t: SimTime) -> Vec<CollectiveDone> {
+            let mut done = Vec::new();
+            loop {
+                let ids: Vec<u64> = self.running.keys().copied().collect();
+                for id in ids {
+                    let rc = &self.running[&id];
+                    if rc.outstanding != 0 {
+                        continue;
+                    }
+                    if rc.current + 1 < rc.phases.len() {
+                        self.running.get_mut(&id).expect("running").current += 1;
+                        self.launch(id);
+                    } else {
+                        done.push(CollectiveDone {
+                            id: CollectiveId(id),
+                            tag: rc.tag,
+                            at: self.net.now(),
+                            started: rc.started,
+                        });
+                        self.running.remove(&id);
+                    }
+                }
+                if self.net.now() >= t {
+                    return done;
+                }
+                let seg_end = match self.net.next_event() {
+                    Some(e) if e < t => e,
+                    _ => t,
+                };
+                for fd in self.net.advance_to(seg_end) {
+                    let rc = self
+                        .running
+                        .get_mut(&fd.tag)
+                        .expect("a flow completes only for a running collective");
+                    rc.outstanding -= 1;
+                }
+            }
+        }
+
+        pub fn run_to_idle(&mut self) -> Vec<CollectiveDone> {
+            let mut done = Vec::new();
+            while self.active() > 0 {
+                let Some(next) = self.next_event() else { break };
+                done.extend(self.advance_to(next + SimDuration::from_nanos(1)));
+            }
+            done
+        }
+    }
+}
+
 /// Both networks side by side, with every live flow id.
 struct Pair {
     net: Network,
@@ -490,7 +662,8 @@ impl Pair {
         self.live.retain(|id| !a.iter().any(|d| d.id == *id));
     }
 
-    fn random_flow(&mut self, rng: &mut Rng) {
+    /// Starts a random flow, moving `bytes` if given.
+    fn random_flow(&mut self, rng: &mut Rng, bytes: Option<f64>) {
         let src = rng.below(self.devices as u64) as u32;
         // One flow in eight is a loopback copy.
         let dst = if rng.bernoulli(0.125) {
@@ -498,11 +671,11 @@ impl Pair {
         } else {
             rng.below(self.devices as u64) as u32
         };
-        let bytes = match rng.index(5) {
+        let bytes = bytes.unwrap_or_else(|| match rng.index(5) {
             0 => 0.0,
             1 => rng.uniform(1.0, 1e4),
             _ => rng.uniform(1e5, 4e7),
-        };
+        });
         let weight = *rng
             .choose(&[1.0, 0.25, 1.0 / 3.0, 1.0 / 7.0, 2.5, 0.1])
             .expect("non-empty");
@@ -536,8 +709,11 @@ fn run_script(spec: ClusterSpec, seed: u64) {
         let what = format!("seed {seed} step {step}");
         match rng.index(20) {
             0..=6 => {
+                // One burst in three moves equal payloads, so flows that
+                // join at different instants can finish in one segment.
+                let bytes = rng.bernoulli(0.3).then(|| rng.uniform(1e5, 4e7));
                 for _ in 0..1 + rng.index(12) {
-                    p.random_flow(&mut rng);
+                    p.random_flow(&mut rng, bytes);
                 }
             }
             7..=10 => {
@@ -682,6 +858,107 @@ fn solo_timer_matches_the_reference_collective_loop() {
                 );
             }
         }
+    }
+}
+
+/// A random ring allreduce over some of `devices` GPUs (sometimes one).
+fn random_allreduce(rng: &mut Rng, devices: u32) -> CollectiveSpec {
+    let participants: Vec<DeviceId> = if rng.bernoulli(0.5) {
+        (0..devices).map(DeviceId).collect()
+    } else {
+        (0..devices)
+            .filter(|_| rng.bernoulli(0.5))
+            .map(DeviceId)
+            .collect()
+    };
+    CollectiveSpec::AllReduce {
+        participants,
+        bytes: rng.uniform(1e5, 5e7),
+    }
+}
+
+/// One seeded script over many concurrent collectives: all-to-alls and
+/// allreduces started at staggered instants under a handful of caller
+/// tags, mid-flight `cancel_tagged`, event-exact, overshot and arbitrary
+/// `advance_to` horizons, capacity-scale changes and `run_to_idle`
+/// drains. Every `CollectiveDone` must be the same bits as the oracle's.
+fn run_collective_script(spec: ClusterSpec, seed: u64) {
+    let devices = spec.total_devices() as u32;
+    let topo = Topology::new(spec);
+    let mut engine = CollectiveEngine::new(Network::new(topo.clone()));
+    let mut oracle = oracle_engine::Engine::new(topo);
+    let mut rng = Rng::new(seed);
+    let mut completed = 0;
+    for step in 0..300 {
+        let what = format!("seed {seed} step {step}");
+        match rng.index(16) {
+            0..=4 => {
+                let spec = if rng.bernoulli(0.6) {
+                    random_all_to_all(&mut rng, devices)
+                } else {
+                    random_allreduce(&mut rng, devices)
+                };
+                let tag = rng.below(5);
+                assert_eq!(
+                    engine.start(&spec, tag),
+                    oracle.start(&spec, tag),
+                    "{what}: ids"
+                );
+            }
+            5..=8 => {
+                if let Some(t) = engine.next_event() {
+                    let t = t + SimDuration::from_nanos(rng.below(2));
+                    let done = engine.advance_to(t);
+                    assert_eq!(done, oracle.advance_to(t), "{what}: completions");
+                    completed += done.len();
+                }
+            }
+            9..=10 => {
+                let t = engine.now() + SimDuration::from_nanos(rng.range_inclusive(0, 3_000_000));
+                let done = engine.advance_to(t);
+                assert_eq!(done, oracle.advance_to(t), "{what}: completions");
+                completed += done.len();
+            }
+            11 => {
+                let scale = *rng.choose(&[1.0, 0.5, 0.25, 0.8]).expect("non-empty");
+                engine.set_capacity_scale(scale);
+                oracle.set_capacity_scale(scale);
+            }
+            12..=13 => {
+                let tag = rng.below(5);
+                assert_eq!(
+                    engine.cancel_tagged(tag),
+                    oracle.cancel_tagged(tag),
+                    "{what}: cancelled"
+                );
+            }
+            14 if rng.bernoulli(0.3) => {
+                let done = engine.run_to_idle();
+                assert_eq!(done, oracle.run_to_idle(), "{what}: drain");
+                completed += done.len();
+            }
+            _ => {}
+        }
+        assert_eq!(engine.now(), oracle.now(), "{what}: now");
+        assert_eq!(engine.active(), oracle.active(), "{what}: active");
+        assert_eq!(
+            engine.next_event(),
+            oracle.next_event(),
+            "{what}: next_event"
+        );
+    }
+    let done = engine.run_to_idle();
+    assert_eq!(done, oracle.run_to_idle(), "seed {seed}: final drain");
+    completed += done.len();
+    assert_eq!(engine.active(), 0, "seed {seed}: the engine drains");
+    assert!(completed > 20, "seed {seed}: only {completed} completions");
+}
+
+#[test]
+fn concurrent_collectives_match_the_reference_engine() {
+    for seed in 0..6 {
+        run_collective_script(ClusterSpec::with_total_gpus(8), 200 + seed);
+        run_collective_script(ClusterSpec::paper_testbed(), 300 + seed);
     }
 }
 
