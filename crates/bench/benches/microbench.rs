@@ -173,25 +173,35 @@ fn bench_collectives() {
     bench("solo/serving_batch", || {
         execute_plan_solo(&plan, &mut timer)
     });
-    // The same batch alone on a fresh contended executor: the layer
-    // walk driven by stage timers and the shared network.
+    // The same batch alone on a fresh contended executor, built as the
+    // cluster builds it when nothing reads the completion estimate: the
+    // layer walk driven by stage timers and the shared network.
     let plan = Arc::new(plan);
     let topo = Arc::new(topo);
     bench("exec/contended_serving_batch", || {
-        let mut exec = ReplicaExecutor::new_shared(NetworkMode::Contended, Arc::clone(&topo));
+        let mut exec =
+            ReplicaExecutor::new_shared(NetworkMode::Contended, Arc::clone(&topo), false);
         exec.submit(0, SimTime::ZERO, Arc::clone(&plan));
         exec.advance_to(SimTime::MAX)
     });
     // Four copies of it submitted 200 us apart on one contended
     // executor, so their collectives overlap on the shared network:
-    // the shape of a replica with four batches in flight.
-    bench("exec/contended_four_batches", || {
-        let mut exec = ReplicaExecutor::new_shared(NetworkMode::Contended, Arc::clone(&topo));
+    // the shape of a replica with four batches in flight. The
+    // `_estimated` case also solo-prices each batch at submit, as a
+    // replica whose estimate has a reader does; the difference between
+    // the two is the estimate's cost.
+    let four_batches = |estimate: bool| {
+        let mut exec =
+            ReplicaExecutor::new_shared(NetworkMode::Contended, Arc::clone(&topo), estimate);
         for id in 0..4 {
             let at = SimTime::ZERO + SimDuration::from_micros(200 * id);
             exec.submit(id, at, Arc::clone(&plan));
         }
         exec.advance_to(SimTime::MAX)
+    };
+    bench("exec/contended_four_batches", || four_batches(false));
+    bench("exec/contended_four_batches_estimated", || {
+        four_batches(true)
     });
 }
 

@@ -15,12 +15,14 @@
 //!
 //! [`max_min_rates`] is a one-shot wrapper over the solver a
 //! [`crate::Network`] keeps for its whole life. That solver holds, per
-//! link, the flows crossing it in key order and the ascending list of
-//! links some flow crosses, so a solve touches only those links: it sets
-//! their capacity and weight sums, then repeats one compacting pass over
-//! the links still in play (which stores each one's fair level) and a
-//! first-minimum pass over the levels. Capacities are checked `>= 0` by
-//! the owner, once, rather than on every solve.
+//! link, the flows crossing it in key order, their weight sum, and the
+//! ascending list of links some flow crosses, so a solve touches only
+//! those links: it sets their capacity (re-summing a link's weight only
+//! after its flows changed), then repeats one compacting pass over the
+//! links still in play (which stores each one's fair level) and a
+//! first-minimum pass over the levels, until every flow is frozen.
+//! Capacities are checked `>= 0` by the owner, once, rather than on
+//! every solve.
 
 /// A flow presented to the allocator: a weight and the links it traverses.
 #[derive(Clone, Debug)]
@@ -75,7 +77,9 @@ pub(crate) fn check_capacities(capacities: &[f64]) {
 /// and freezing visits only the bottleneck's own flows, in key order.
 /// Both walks keep the order of the textbook loop over flows in key
 /// order, so every sum and subtraction happens in the same order and
-/// the rates are the same bits.
+/// the rates are the same bits. The loop stops once every flow is
+/// frozen: later rounds could only pick links whose flows are all
+/// frozen, which changes no rate.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct FairShare {
     /// Per slot: ordering key, weight and path. A free slot keeps its
@@ -88,6 +92,12 @@ pub(crate) struct FairShare {
     /// Per link: the slots crossing it, in ascending key order (once
     /// per occurrence of the link in a path).
     members: Vec<Vec<u32>>,
+    /// Per link: the weight sum of its members in key order, valid
+    /// unless `stale` (its members changed since the last solve).
+    member_weight: Vec<f64>,
+    stale: Vec<bool>,
+    /// Live flows with a non-empty path: the ones a solve freezes.
+    constrained: usize,
     /// Links with at least one member, ascending.
     active: Vec<u32>,
     /// Per solve: links still in the bottleneck scan, ascending, and
@@ -98,7 +108,12 @@ pub(crate) struct FairShare {
     /// weight of the unfrozen flows.
     remaining: Vec<f64>,
     link_weight: Vec<f64>,
+    /// Per slot: frozen in the current solve, and the slots that are,
+    /// so the flags are cleared without a pass over every slot.
     frozen: Vec<bool>,
+    frozen_now: Vec<u32>,
+    /// Per slot: the rate of the last solve, set at join for a flow no
+    /// solve has priced yet.
     rates: Vec<f64>,
 }
 
@@ -107,6 +122,8 @@ impl FairShare {
     pub(crate) fn new(links: usize) -> Self {
         FairShare {
             members: vec![Vec::new(); links],
+            member_weight: vec![0.0; links],
+            stale: vec![false; links],
             remaining: vec![0.0; links],
             link_weight: vec![0.0; links],
             ..FairShare::default()
@@ -135,6 +152,8 @@ impl FairShare {
             self.keys.push(0);
             self.weights.push(0.0);
             self.paths.push(Vec::new());
+            self.frozen.push(false);
+            self.rates.push(0.0);
             self.keys.len() as u32 - 1
         });
         let s = slot as usize;
@@ -154,13 +173,25 @@ impl FairShare {
             let keys = &self.keys;
             let at = members.partition_point(|&m| keys[m as usize] <= key);
             members.insert(at, slot);
+            self.stale[l as usize] = true;
         }
+        // A flow with an empty path is unconstrained; the rest read 0
+        // until a solve prices them.
+        self.rates[s] = if path.is_empty() {
+            f64::INFINITY
+        } else {
+            self.constrained += 1;
+            0.0
+        };
         slot
     }
 
     /// Removes the flow holding `slot`; the slot becomes free.
     pub(crate) fn leave(&mut self, slot: u32) {
-        for &l in &self.paths[slot as usize] {
+        let path = &self.paths[slot as usize];
+        self.constrained -= usize::from(!path.is_empty());
+        for &l in path {
+            self.stale[l as usize] = true;
             let members = &mut self.members[l as usize];
             let at = members
                 .iter()
@@ -184,6 +215,7 @@ impl FairShare {
             self.members[l as usize].clear();
         }
         self.active.clear();
+        self.constrained = 0;
         self.free.clear();
         self.free.extend(0..self.keys.len() as u32);
     }
@@ -210,35 +242,25 @@ impl FairShare {
             self.members.len(),
             "max_min_rates: one capacity per link"
         );
-        // Free slots get a rate too; nobody reads it.
-        self.rates.clear();
-        self.rates.extend(self.paths.iter().map(
-            |p| {
-                if p.is_empty() {
-                    f64::INFINITY
-                } else {
-                    0.0
-                }
-            },
-        ));
-        self.frozen.clear();
-        self.frozen.resize(self.paths.len(), false);
         // Per-link capacity and total weight of unfrozen flows, summed
         // in key order. Only links some flow crosses are ever read.
         for &l in &self.active {
             let l = l as usize;
             self.remaining[l] = capacities[l] * scale;
-            let mut w = 0.0;
-            for &m in &self.members[l] {
-                w += self.weights[m as usize];
+            if std::mem::take(&mut self.stale[l]) {
+                let mut w = 0.0;
+                for &m in &self.members[l] {
+                    w += self.weights[m as usize];
+                }
+                self.member_weight[l] = w;
             }
-            self.link_weight[l] = w;
+            self.link_weight[l] = self.member_weight[l];
         }
 
         self.scan.clear();
         self.scan.extend_from_slice(&self.active);
         self.levels.resize(self.scan.len(), 0.0);
-        loop {
+        while self.frozen_now.len() < self.constrained {
             // Find the bottleneck: the link with the smallest fair level
             // remaining / weight among links with unfrozen flows. A link
             // whose weight fell to 1e-12 or below never qualifies again
@@ -280,6 +302,7 @@ impl FairShare {
                 let rate = weight * level;
                 self.rates[i] = rate;
                 self.frozen[i] = true;
+                self.frozen_now.push(m);
                 for &l in &self.paths[i] {
                     let l = l as usize;
                     self.remaining[l] = (self.remaining[l] - rate).max(0.0);
@@ -289,6 +312,21 @@ impl FairShare {
             // Numerical cleanup: a link whose weight underflowed to a tiny
             // negative must not be selected again.
             self.link_weight[bl] = self.link_weight[bl].max(0.0);
+        }
+        // A flow whose every link fell to weight 1e-12 or below before
+        // a bottleneck froze it gets no bandwidth, whatever rate an
+        // earlier solve gave it.
+        if self.frozen_now.len() < self.constrained {
+            for &l in &self.active {
+                for &m in &self.members[l as usize] {
+                    if !self.frozen[m as usize] {
+                        self.rates[m as usize] = 0.0;
+                    }
+                }
+            }
+        }
+        for m in self.frozen_now.drain(..) {
+            self.frozen[m as usize] = false;
         }
     }
 }
@@ -475,6 +513,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The one way a live flow ends a solve unfrozen: a flow of weight
+    /// under 1e-12 is frozen at a share while a link-mate holds its
+    /// link's weight up; once the mate leaves, the link's weight is too
+    /// small to bottleneck and the flow must read 0, as on a fresh
+    /// solver, not the share an earlier solve gave it.
+    #[test]
+    fn an_unfrozen_flow_reads_zero_after_its_link_mate_leaves() {
+        let mut kept = FairShare::new(2);
+        let tiny = kept.join(0, 1e-13, [0, 1]);
+        let mate = kept.join(1, 1.0, [0]);
+        kept.solve(&[10.0, 10.0], 1.0);
+        assert!(kept.rate(tiny) > 0.0, "frozen at a share while shared");
+        kept.leave(mate);
+        kept.solve(&[10.0, 10.0], 1.0);
+        let mut fresh = FairShare::new(2);
+        let alone = fresh.join(0, 1e-13, [0, 1]);
+        fresh.solve(&[10.0, 10.0], 1.0);
+        assert_eq!(fresh.rate(alone), 0.0);
+        assert_eq!(kept.rate(tiny).to_bits(), fresh.rate(alone).to_bits());
+        // A later mate prices it again.
+        kept.join(2, 1.0, [1]);
+        kept.solve(&[10.0, 10.0], 1.0);
+        assert!(kept.rate(tiny) > 0.0);
     }
 
     #[test]

@@ -21,7 +21,11 @@
 //! drives: `submit` a planned batch at its dispatch instant, ask for the
 //! `next_event` horizon, and `advance_to` a time to collect
 //! [`FinishedBatch`]es. In solo mode `submit` walks the whole plan at
-//! once and only the batch's completion waits on the event queue.
+//! once and only the batch's completion waits on the event queue. A
+//! contended executor solo-prices a batch at submit only when built to
+//! estimate ([`ReplicaExecutor::new_shared`]): the estimate feeds
+//! [`ReplicaExecutor::busy_until`] and the price `submit` returns, and
+//! a replica whose estimate nobody reads should not pay for the walk.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -260,8 +264,8 @@ pub struct FinishedBatch {
 /// A batch in flight on a replica.
 struct InFlight {
     /// Solo-priced completion: exact in solo mode, an estimate in
-    /// contended mode.
-    expected: SimTime,
+    /// contended mode, `None` when the executor does not estimate.
+    expected: Option<SimTime>,
     plan: Arc<ExecutionPlan>,
     walk: LayerWalk,
 }
@@ -273,9 +277,10 @@ struct InFlight {
 /// compute does not contend across batches, because each replica
 /// serves one batch per GPU stream.
 pub struct ReplicaExecutor {
-    /// Solo pricing: the service time in solo mode, the `busy_until`
-    /// estimate in contended mode.
-    timer: SoloTimer,
+    /// Solo pricing: the service time in solo mode, the completion
+    /// estimate in an estimating contended executor; `None` in a
+    /// contended executor that does not estimate.
+    timer: Option<SoloTimer>,
     /// The replica's shared network in contended mode; `None` in solo
     /// mode, where the timer prices every collective at submit.
     engine: Option<CollectiveEngine>,
@@ -288,19 +293,25 @@ pub struct ReplicaExecutor {
 }
 
 impl ReplicaExecutor {
-    /// Builds an executor for a replica spanning `topo`.
+    /// Builds an executor for a replica spanning `topo`. A contended
+    /// one does not estimate.
     pub fn new(mode: NetworkMode, topo: &Topology) -> Self {
-        ReplicaExecutor::new_shared(mode, Arc::new(topo.clone()))
+        ReplicaExecutor::new_shared(mode, Arc::new(topo.clone()), false)
     }
 
     /// Builds an executor over a shared topology handle — the cluster
     /// builds one `Arc<Topology>` per run and every replica shares it
     /// instead of deep-cloning the topology per executor.
-    pub fn new_shared(mode: NetworkMode, topo: Arc<Topology>) -> Self {
+    ///
+    /// `estimate` makes a contended executor solo-price every batch at
+    /// submit, for [`ReplicaExecutor::busy_until`] and the price
+    /// [`ReplicaExecutor::submit`] returns. A solo executor always
+    /// prices, since the price is the service time.
+    pub fn new_shared(mode: NetworkMode, topo: Arc<Topology>, estimate: bool) -> Self {
+        let contended = mode == NetworkMode::Contended;
         ReplicaExecutor {
-            engine: (mode == NetworkMode::Contended)
-                .then(|| CollectiveEngine::new(Network::new_shared(topo.clone()))),
-            timer: SoloTimer::new_shared(topo),
+            engine: contended.then(|| CollectiveEngine::new(Network::new_shared(topo.clone()))),
+            timer: (!contended || estimate).then(|| SoloTimer::new_shared(topo)),
             queue: EventQueue::new(),
             batches: BTreeMap::new(),
             finished: Vec::new(),
@@ -311,9 +322,16 @@ impl ReplicaExecutor {
     /// Starts a planned batch at `at` (must be `>=` every previously
     /// observed event/submit time). Returns the plan's solo price on
     /// this replica's links ([`execute_plan_solo`] at the current
-    /// [`ReplicaExecutor::link_scale`]): the batch's service time in
-    /// solo mode, the completion estimate in contended mode.
-    pub fn submit(&mut self, id: u64, at: SimTime, plan: Arc<ExecutionPlan>) -> SimDuration {
+    /// [`ReplicaExecutor::link_scale`]) when the executor prices: the
+    /// batch's service time in solo mode, the completion estimate in
+    /// an estimating contended executor. A contended executor that
+    /// does not estimate returns `None` and never walks the plan solo.
+    pub fn submit(
+        &mut self,
+        id: u64,
+        at: SimTime,
+        plan: Arc<ExecutionPlan>,
+    ) -> Option<SimDuration> {
         // Process anything due by the dispatch instant, then pin the
         // network clock to it so collective launches are stamped at `at`.
         self.drive(at);
@@ -323,22 +341,28 @@ impl ReplicaExecutor {
             }
         }
         let mut walk = LayerWalk::new(at, plan.n_layers());
-        let expected = walk.run_solo(&plan, &mut self.timer, at);
+        let expected = self
+            .timer
+            .as_mut()
+            .map(|timer| walk.run_solo(&plan, timer, at));
         let mut b = InFlight {
             expected,
             plan,
             walk,
         };
         if self.engine.is_some() {
-            // The shared network times this batch's collectives; the
+            // The shared network times this batch's collectives; a
             // solo walk only estimated its completion.
-            b.walk = LayerWalk::new(at, b.plan.n_layers());
+            if expected.is_some() {
+                b.walk = LayerWalk::new(at, b.plan.n_layers());
+            }
             self.resume(id, b, at);
         } else {
-            self.queue.push(expected, id);
+            let done = expected.expect("a solo executor always prices");
+            self.queue.push(done, id);
             self.batches.insert(id, b);
         }
-        expected - at
+        expected.map(|done| done - at)
     }
 
     /// Next instant at which this replica's state can change (a batch
@@ -434,24 +458,29 @@ impl ReplicaExecutor {
         if let Some(engine) = &mut self.engine {
             engine.set_capacity_scale(scale);
         }
-        self.timer.set_capacity_scale(scale);
+        if let Some(timer) = &mut self.timer {
+            timer.set_capacity_scale(scale);
+        }
     }
 
     /// The current link-bandwidth multiplier (1.0 when healthy).
     pub fn link_scale(&self) -> f64 {
-        self.timer.capacity_scale()
+        match (&self.engine, &self.timer) {
+            (Some(engine), _) => engine.network().capacity_scale(),
+            (None, Some(timer)) => timer.capacity_scale(),
+            (None, None) => unreachable!("a solo executor always holds its timer"),
+        }
     }
 
     /// When the replica expects to drain: the latest in-flight
     /// completion (solo-priced estimate in contended mode, where actual
     /// completions can land later under contention), or the last
-    /// observed completion when idle.
-    pub fn busy_until(&self) -> SimTime {
-        self.batches
-            .values()
-            .map(|b| b.expected)
-            .max()
-            .unwrap_or(self.last_completion)
+    /// observed completion when idle. `None` when the executor does
+    /// not estimate.
+    pub fn busy_until(&self) -> Option<SimTime> {
+        self.timer.as_ref()?;
+        let latest = self.batches.values().filter_map(|b| b.expected).max();
+        Some(latest.unwrap_or(self.last_completion))
     }
 
     /// Processes every event with time `<= t`, in time order (network
@@ -833,7 +862,7 @@ mod tests {
         exec.submit(1, SimTime::from_micros(10), plans[1].clone());
         assert_eq!(exec.in_flight(), 2);
         let first = exec.next_event().expect("two in flight");
-        assert!(exec.busy_until() >= first);
+        assert!(exec.busy_until() >= Some(first));
         let done = exec.advance_to(first);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].completed, first);
@@ -841,7 +870,7 @@ mod tests {
         assert_eq!(rest.len(), 1);
         assert!(rest[0].completed >= first);
         assert_eq!(exec.in_flight(), 0);
-        assert_eq!(exec.busy_until(), rest[0].completed);
+        assert_eq!(exec.busy_until(), Some(rest[0].completed));
 
         // A submit fires every completion due by its instant first: the
         // batch completing exactly then leaves the in-flight set but is
@@ -850,11 +879,13 @@ mod tests {
         exec.submit(0, SimTime::ZERO, plans[0].clone());
         exec.submit(1, SimTime::from_micros(10), plans[1].clone());
         let first = exec.next_event().expect("two in flight");
-        let second = exec.busy_until();
+        let second = exec.busy_until().expect("a solo executor prices");
         assert!(second > first, "the fixture's batches finish apart");
-        let price = exec.submit(2, first, plans[2].clone());
+        let price = exec
+            .submit(2, first, plans[2].clone())
+            .expect("a solo executor prices");
         assert_eq!(exec.in_flight(), 2);
-        assert_eq!(exec.busy_until(), second.max(first + price));
+        assert_eq!(exec.busy_until(), Some(second.max(first + price)));
         let all = exec.advance_to(SimTime::MAX);
         let mut ids: Vec<u64> = all.iter().map(|f| f.id).collect();
         ids.sort_unstable();
@@ -904,13 +935,81 @@ mod tests {
         let solo = execute_plan_solo(&plan, &mut SoloTimer::new(&topo));
         assert_eq!(solo.layer_times, want_layers, "solo");
         assert_eq!(solo.total, want_total, "solo");
-        let mut exec = ReplicaExecutor::new(NetworkMode::Contended, &topo);
+        let mut exec = ReplicaExecutor::new_shared(NetworkMode::Contended, Arc::new(topo), true);
         let at = SimTime::from_micros(7);
-        assert_eq!(exec.submit(0, at, Arc::new(plan)), want_total);
+        assert_eq!(exec.submit(0, at, Arc::new(plan)), Some(want_total));
         let done = exec.advance_to(SimTime::MAX);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].report.layer_times, want_layers, "contended");
         assert_eq!(done[0].report.total, want_total, "contended");
         assert_eq!(done[0].completed, at + want_total);
+    }
+
+    /// A finished batch's id, completion instant and service.
+    type Completion = (u64, SimTime, SimDuration);
+
+    /// Submits every plan 50 us apart, then drains; returns each
+    /// submit's price and every completion.
+    fn overlap(
+        exec: &mut ReplicaExecutor,
+        plans: &[Arc<ExecutionPlan>],
+    ) -> (Vec<Option<SimDuration>>, Vec<Completion>) {
+        let mut at = SimTime::ZERO;
+        let prices = plans
+            .iter()
+            .zip(0..)
+            .map(|(plan, id)| {
+                let price = exec.submit(id, at, plan.clone());
+                at += SimDuration::from_micros(50);
+                price
+            })
+            .collect();
+        let done = exec
+            .advance_to(SimTime::MAX)
+            .into_iter()
+            .map(|f| (f.id, f.completed, f.report.total))
+            .collect();
+        (prices, done)
+    }
+
+    /// A contended executor built without a reader for its estimate
+    /// holds no timer, so it never walks a plan solo: `submit` prices
+    /// nothing, `busy_until` is unknown, and the batches run exactly as
+    /// on an estimating executor.
+    #[test]
+    fn a_contended_executor_without_a_reader_never_prices() {
+        let (topo, plans) = plans(InferScheme::Lina);
+        let topo = Arc::new(topo);
+        let mut blind = ReplicaExecutor::new_shared(NetworkMode::Contended, topo.clone(), false);
+        let (prices, done) = overlap(&mut blind, &plans);
+        assert!(blind.timer.is_none(), "no timer to touch");
+        assert!(prices.iter().all(Option::is_none), "{prices:?}");
+        assert_eq!(blind.busy_until(), None);
+        let mut estimating = ReplicaExecutor::new_shared(NetworkMode::Contended, topo, true);
+        let (priced, with_estimates) = overlap(&mut estimating, &plans);
+        assert!(priced.iter().all(Option::is_some));
+        assert_eq!(done, with_estimates, "the estimate never steers execution");
+    }
+
+    /// An estimating contended executor returns exactly the solo price
+    /// of each plan on its current links, and `busy_until` is the
+    /// latest estimated completion.
+    #[test]
+    fn an_estimating_contended_executor_returns_the_solo_price() {
+        let (topo, plans) = plans(InferScheme::Baseline);
+        let mut timer = SoloTimer::new(&topo);
+        let mut exec = ReplicaExecutor::new_shared(NetworkMode::Contended, Arc::new(topo), true);
+        let mut latest = SimTime::ZERO;
+        for (id, plan) in plans.iter().enumerate() {
+            let scale = if id % 2 == 0 { 1.0 } else { 0.5 };
+            exec.set_link_scale(scale);
+            timer.set_capacity_scale(scale);
+            let at = SimTime::from_micros(30 * id as u64);
+            let price = exec.submit(id as u64, at, plan.clone());
+            let solo = execute_plan_solo(plan, &mut timer).total;
+            assert_eq!(price, Some(solo), "batch {id} at link scale {scale}");
+            latest = latest.max(at + solo);
+            assert_eq!(exec.busy_until(), Some(latest), "batch {id}");
+        }
     }
 }

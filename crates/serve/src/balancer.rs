@@ -58,9 +58,15 @@ pub struct ReplicaSnapshot {
     pub queued_requests: usize,
     /// Tokens routed to this replica but not yet dispatched.
     pub queued_tokens: usize,
-    /// Tokens in the batch currently executing (0 when idle).
+    /// Tokens across every batch in flight on the replica (0 when
+    /// idle).
     pub in_flight_tokens: usize,
-    /// Instant the replica's server frees up (in the past when idle).
+    /// Instant the replica expects to drain: the latest solo-priced
+    /// completion of its in-flight batches (in the past when idle).
+    /// Under a contended network it is an estimate, which the cluster
+    /// pays for only when something reads it: [`SimTime::ZERO`] unless
+    /// the balancer is [`LeastExpectedLatency`] (its one reader) or a
+    /// pricing detector is armed, like `capacity`.
     pub server_free: SimTime,
     /// The replica's sustainable throughput upper bound (requests/s),
     /// as probed by [`crate::ServeEngine::capacity`] and scaled down

@@ -78,7 +78,9 @@ use crate::balancer::{BalancerKind, LoadBalancer, ReplicaSnapshot};
 use crate::batcher::{Batcher, Dispatch};
 use crate::engine::{ReestimationWindow, ServeConfig, ServeEngine};
 use crate::faults::{FaultEvent, FaultKind, FaultPlan, RecoveryClock};
-use crate::health::{is_hedge, HealthConfig, HealthMonitor, HedgeConfig, HedgeRuntime};
+use crate::health::{
+    is_hedge, DetectorKind, HealthConfig, HealthMonitor, HedgeConfig, HedgeRuntime,
+};
 use crate::provisioning;
 use crate::request::{Request, RequestRecord};
 use crate::resharding::{ReshardConfig, ReshardRuntime};
@@ -545,8 +547,9 @@ impl Replica {
     /// compute stretched by every slowdown it carries (gray degradation
     /// stretches service exactly like a visible slowdown; only the
     /// control plane cannot see it). Returns the executor's solo price
-    /// when it is the pristine plan's nominal price — no stretch and
-    /// clean links — so the detector need not price the plan again.
+    /// when it priced one and it is the pristine plan's nominal price —
+    /// no stretch and clean links — so the detector need not price the
+    /// plan again.
     fn submit(&mut self, id: u64, at: SimTime, plan: &Arc<ExecutionPlan>) -> Option<SimDuration> {
         let slow = self.compute_slowdown * self.straggler * self.gray_compute;
         let run = if slow > 1.0 {
@@ -558,7 +561,7 @@ impl Replica {
         };
         let nominal = Arc::ptr_eq(&run, plan) && self.executor.link_scale() == 1.0;
         let priced = self.executor.submit(id, at, run);
-        nominal.then_some(priced)
+        priced.filter(|_| nominal)
     }
 
     /// Retires a draining replica the moment it has nothing queued and
@@ -607,7 +610,7 @@ impl Replica {
             queued_requests: self.queue.len() - self.next,
             queued_tokens: self.queued_tokens,
             in_flight_tokens: self.executor.in_flight_tokens(),
-            server_free: self.executor.busy_until(),
+            server_free: self.executor.busy_until().unwrap_or(SimTime::ZERO),
             capacity: if slow > 1.0 {
                 capacity / slow
             } else {
@@ -738,6 +741,7 @@ impl<'a> ClusterEngine<'a> {
         } else {
             0.0
         };
+        let estimated = estimate_read(cluster.balancer, &cluster.health);
         let batch_tokens = config.batcher.max_batch_requests * config.tokens_per_request;
         // One topology clone per run, shared by every executor.
         let topo = Arc::new(engine.topo.clone());
@@ -748,7 +752,7 @@ impl<'a> ClusterEngine<'a> {
             replicas: (0..n)
                 .map(|_| {
                     Replica::new(
-                        ReplicaExecutor::new_shared(config.network, topo.clone()),
+                        ReplicaExecutor::new_shared(config.network, topo.clone(), estimated),
                         Estimate::new(offline.clone(), config.reestimate_window),
                         SimTime::ZERO,
                         SimTime::ZERO,
@@ -764,6 +768,7 @@ impl<'a> ClusterEngine<'a> {
                 top_k: config.top_k,
             },
             per_replica_capacity,
+            estimated,
             batch_tokens,
             reload,
             shared: Estimate::new(offline, config.reestimate_window),
@@ -807,6 +812,15 @@ impl<'a> ClusterEngine<'a> {
     }
 }
 
+/// Whether a contended replica's solo-priced completion estimate has a
+/// reader, so its executor must price each batch at submit: the
+/// least-expected-latency balancer (through `busy_until`) or a pricing
+/// detector (through the nominal price `Replica::submit` hands it).
+/// Solo replicas always price: there the walk is the service time.
+fn estimate_read(balancer: BalancerKind, health: &HealthConfig) -> bool {
+    balancer == BalancerKind::LeastExpectedLatency || health.detector != DetectorKind::Oracle
+}
+
 /// The unified cluster event loop's state.
 struct ClusterSim<'e, 'a> {
     engine: &'e ServeEngine<'a>,
@@ -818,6 +832,9 @@ struct ClusterSim<'e, 'a> {
     batcher: Batcher,
     infer: InferenceConfig,
     per_replica_capacity: f64,
+    /// Whether contended executors solo-price each batch at submit:
+    /// only when the estimate has a reader.
+    estimated: bool,
     /// Tokens in one full batch.
     batch_tokens: usize,
     /// Modeled PCIe transfer to (re)load one device's expert shard,
@@ -1208,7 +1225,11 @@ impl ClusterSim<'_, '_> {
                     // and stays invisible to the balancers until its
                     // weight reload completes.
                     self.replicas.push(Replica::new(
-                        ReplicaExecutor::new_shared(self.engine.config.network, self.topo.clone()),
+                        ReplicaExecutor::new_shared(
+                            self.engine.config.network,
+                            self.topo.clone(),
+                            self.estimated,
+                        ),
                         Estimate::new(
                             self.shared.scheduler.clone(),
                             self.engine.config.reestimate_window,
@@ -2754,8 +2775,12 @@ mod tests {
             }
         }
 
+        /// A replica as a round-robin cluster with the fixture's phi
+        /// detector builds it: the detector is the estimate's only
+        /// reader.
         fn replica(f: &Fixture, mode: NetworkMode) -> Replica {
-            let executor = ReplicaExecutor::new_shared(mode, f.topo.clone());
+            let estimate = estimate_read(BalancerKind::RoundRobin, &HealthConfig::phi_accrual());
+            let executor = ReplicaExecutor::new_shared(mode, f.topo.clone(), estimate);
             Replica::new(
                 executor,
                 Estimate::new(None, 8),

@@ -1,11 +1,14 @@
-//! Golden digests of eight serving runs: one per controller family,
-//! one with every controller armed at once, and one pairing the
-//! autoscaler with device loss on a contended network.
+//! Golden digests of ten serving runs: one per controller family,
+//! one with every controller armed at once, one pairing the
+//! autoscaler with device loss on a contended network, and two
+//! contended runs that each read a batch's solo-priced completion
+//! estimate through one consumer only (the least-expected-latency
+//! balancer, the phi detector).
 //!
 //! Each test folds everything a run produced — every request record,
 //! every failure, the queue-depth timeline, and every outcome counter —
 //! into one 128-bit FNV digest and compares it with a pinned value. A
-//! refactor of the serving path must leave all eight untouched; any
+//! refactor of the serving path must leave all ten untouched; any
 //! change to what the simulator computes moves at least one of them.
 //!
 //! Each test also checks that its run exercised the controller it is
@@ -197,6 +200,65 @@ fn contended_baseline_four_in_flight() {
         "contended_baseline",
         cluster_digest(&out),
         0xeabe_a305_073c_5554_b4ba_bff0_6978_7efc,
+    );
+}
+
+/// Contended replicas whose solo-priced completion estimate is read by
+/// the least-expected-latency balancer alone (the oracle detector never
+/// prices a batch).
+#[test]
+fn contended_least_latency_oracle() {
+    let mut c = cluster_config(InferScheme::Lina, 3000.0, 3);
+    c.serve.network = NetworkMode::Contended;
+    c.serve.max_inflight = 2;
+    c.balancer = BalancerKind::LeastExpectedLatency;
+    let out = run(c);
+    assert_conserved(&out, 96);
+    assert!(
+        out.requests_per_replica.iter().all(|&n| n > 0),
+        "the balancer must spread the load"
+    );
+    assert_digest(
+        "contended_least_latency",
+        cluster_digest(&out),
+        0x431d_6f31_5633_3f7a_e28c_7e6b_3f72_ca67,
+    );
+}
+
+/// Contended replicas whose solo-priced completion estimate is read by
+/// the phi detector alone (round-robin routing reads no estimate). The
+/// gray fault lands after the detector has warmed up on healthy
+/// samples; the gray replica must then draw suspicion and lose its
+/// round-robin share.
+#[test]
+fn contended_round_robin_phi_detector() {
+    let mut c = cluster_config(InferScheme::Baseline, 600.0, 3);
+    c.serve.n_requests = 192;
+    c.serve.network = NetworkMode::Contended;
+    c.serve.max_inflight = 2;
+    c.health = HealthConfig::phi_accrual();
+    c.faults = FaultPlan {
+        schedule: FaultSchedule::from_script(vec![FaultEvent {
+            at: SimTime::from_millis(80),
+            replica: 0,
+            kind: FaultKind::GrayDegrade {
+                compute_scale: 8.0,
+                nic_scale: 0.5,
+            },
+        }]),
+        policy: DegradationPolicy::retry_failover(None),
+    };
+    let out = run(c);
+    assert_conserved(&out, 192);
+    let served = &out.requests_per_replica;
+    assert!(
+        served[0] < served[1].min(served[2]),
+        "the detector must steer round-robin off the gray replica: {served:?}"
+    );
+    assert_digest(
+        "contended_rr_phi",
+        cluster_digest(&out),
+        0x8046_fc90_37ee_b644_6b53_da3b_2ad9_307d,
     );
 }
 
