@@ -167,6 +167,21 @@ impl InferScheme {
             InferScheme::LinaNoFinetune,
         ]
     }
+
+    /// Plans through the two-phase scheduler: the three Lina schemes.
+    pub fn needs_scheduler(&self) -> bool {
+        matches!(
+            self,
+            InferScheme::Lina | InferScheme::LinaNoEstimation | InferScheme::LinaNoFinetune
+        )
+    }
+
+    /// Estimates each next layer's popularity ahead of its gate (phase
+    /// one), so a serving run re-profiles the estimator online: Lina
+    /// and Lina w/o fine-tuning.
+    pub fn estimates(&self) -> bool {
+        matches!(self, InferScheme::Lina | InferScheme::LinaNoFinetune)
+    }
 }
 
 #[cfg(test)]

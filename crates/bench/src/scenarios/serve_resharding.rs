@@ -10,7 +10,8 @@
 //! mis-estimated layer falls back to the fine-tune re-schedule (a full
 //! blocking schedule plus a late weight swap). The proactive arm keeps
 //! the scheme static (Baseline, no estimation, no scheduling overhead)
-//! and instead arms the [`ThresholdReshardPolicy`] control loop: an
+//! and instead arms the threshold re-sharding control loop
+//! ([`ReshardPolicyKind::Threshold`]): an
 //! online per-expert load monitor feeds hot/cold watermarks, a hot
 //! expert gains a replica on the least-crowded device (dispatch then
 //! splits its tokens across the replicas), a cold replicated expert
@@ -21,8 +22,6 @@
 //! re-placement under drift); `inert_resharding_identical` re-runs a
 //! reduced trace with an *armed but inert* re-sharder and demands a
 //! bit-identical outcome.
-//!
-//! [`ThresholdReshardPolicy`]: lina_serve::ThresholdReshardPolicy
 
 use lina_baselines::InferScheme;
 use lina_model::MoeModelConfig;

@@ -247,12 +247,8 @@ pub fn plan_batch_layered(
     // token on some device; remainder tokens land on the critical
     // path).
     let tokens_per_device = batch.len().div_ceil(devices);
-    let needs_scheduler = matches!(
-        config.scheme,
-        InferScheme::Lina | InferScheme::LinaNoEstimation | InferScheme::LinaNoFinetune
-    );
     assert!(
-        !needs_scheduler || scheduler.is_some(),
+        !config.scheme.needs_scheduler() || scheduler.is_some(),
         "plan: {:?} requires a scheduler",
         config.scheme
     );
@@ -328,45 +324,43 @@ pub fn plan_batch_layered(
         let mut estimated = false;
         let mut accurate = false;
         let mut finetuned = false;
-        match config.scheme {
-            InferScheme::Baseline | InferScheme::Ideal => {}
-            InferScheme::LinaNoEstimation => {
-                let s = scheduler.expect("checked above");
-                placement = Some(s.schedule_from_actual(&routing));
-                // Reactive scheduling blocks the layer entirely.
-                sched_block += s.config().schedule_time;
-                swapped_late = true;
-            }
-            InferScheme::Lina | InferScheme::LinaNoFinetune => {
-                let s = scheduler.expect("checked above");
-                if let Some(p1) = std::mem::take(&mut pending_phase_one) {
-                    estimated = true;
-                    let actual_pop = routing.popularity();
-                    let two_k = 2 * config.top_k;
-                    accurate = lina_core::PopularityEstimator::estimate_matches(
-                        &p1.estimate,
-                        &actual_pop,
-                        two_k.min(model.experts),
-                    );
-                    if config.scheme == InferScheme::Lina {
-                        match s.phase_two(&p1, &routing) {
-                            PhaseTwo::Resume => {
-                                sched_block += s.config().resume_time;
-                                placement = Some(p1.placement);
-                            }
-                            PhaseTwo::Finetune(p) => {
-                                sched_block += s.config().schedule_time;
-                                finetuned = true;
-                                placement = Some(p);
-                                swapped_late = true;
-                            }
+        // Baseline and Ideal keep the static placement.
+        if config.scheme.estimates() {
+            let s = scheduler.expect("checked above");
+            if let Some(p1) = std::mem::take(&mut pending_phase_one) {
+                estimated = true;
+                let actual_pop = routing.popularity();
+                let two_k = 2 * config.top_k;
+                accurate = lina_core::PopularityEstimator::estimate_matches(
+                    &p1.estimate,
+                    &actual_pop,
+                    two_k.min(model.experts),
+                );
+                if config.scheme == InferScheme::Lina {
+                    match s.phase_two(&p1, &routing) {
+                        PhaseTwo::Resume => {
+                            sched_block += s.config().resume_time;
+                            placement = Some(p1.placement);
                         }
-                    } else {
-                        // w/o fine-tuning: trust the estimate blindly.
-                        placement = Some(p1.placement);
+                        PhaseTwo::Finetune(p) => {
+                            sched_block += s.config().schedule_time;
+                            finetuned = true;
+                            placement = Some(p);
+                            swapped_late = true;
+                        }
                     }
+                } else {
+                    // w/o fine-tuning: trust the estimate blindly.
+                    placement = Some(p1.placement);
                 }
             }
+        } else if config.scheme.needs_scheduler() {
+            // w/o estimation: schedule from the actual routing.
+            let s = scheduler.expect("checked above");
+            placement = Some(s.schedule_from_actual(&routing));
+            // Reactive scheduling blocks the layer entirely.
+            sched_block += s.config().schedule_time;
+            swapped_late = true;
         }
 
         let used_placement = placement.as_ref().unwrap_or_else(|| static_for(layer));
@@ -449,12 +443,7 @@ pub fn plan_batch_layered(
         // gate fixed the token paths; the budget overlaps everything
         // through the next layer's gate (§6.2).
         let mut phase_one = None;
-        if layer + 1 < layers
-            && matches!(
-                config.scheme,
-                InferScheme::Lina | InferScheme::LinaNoFinetune
-            )
-        {
+        if layer + 1 < layers && config.scheme.estimates() {
             let s = scheduler.expect("checked above");
             pending_phase_one = s.phase_one(&batch.tokens, layer + 1);
             if pending_phase_one.is_some() {

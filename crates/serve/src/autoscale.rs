@@ -1,10 +1,10 @@
-//! Elastic autoscaling policies for the serving cluster.
+//! Elastic autoscaling for the serving cluster.
 //!
-//! The cluster engine evaluates an [`AutoscalePolicy`] at a fixed
-//! control interval inside its unified event loop (a dedicated event
-//! priority class, between executor completions and admissions at one
-//! instant). The policy sees a [`ClusterObservation`] — pool sizes,
-//! backlog, and the arrival count since the previous tick — and
+//! The cluster engine evaluates the configured [`AutoscalePolicyKind`]
+//! at a fixed control interval inside its unified event loop (a
+//! dedicated event priority class, between executor completions and
+//! admissions at one instant). The policy observes the serving pool's
+//! size and backlog and the arrival count since the previous tick, and
 //! returns a [`ScaleDecision`]; the engine actuates it elastically:
 //!
 //! * **scale-up** commissions fresh replicas that pay the modeled
@@ -31,7 +31,8 @@
 //!   land capacity *before* the forecast load arrives.
 //!
 //! Every policy is deterministic: decisions are pure functions of the
-//! observation stream and the policy's own state, so an autoscaled run
+//! observation stream and the run's policy state (the cooldown anchor,
+//! the rate window, the script cursor), so an autoscaled run
 //! is bit-reproducible like everything else in the crate — and an
 //! armed policy that never triggers leaves the event loop bit-identical
 //! to the fixed-replica engine.
@@ -56,272 +57,31 @@ pub enum ScaleDecision {
     ScaleDown(usize),
 }
 
-/// What a policy observes at a control tick.
-#[derive(Clone, Debug)]
-pub struct ClusterObservation {
+/// What the policy observes at a control tick; the configured knobs
+/// it sizes against live in [`AutoscaleRuntime`].
+struct ClusterObservation {
     /// The control tick instant.
-    pub now: SimTime,
-    /// Replicas up, routable, and past their provisioning reload.
-    pub ready: usize,
-    /// Replicas commissioned but still loading weights.
-    pub provisioning: usize,
-    /// Replicas draining toward decommission.
-    pub draining: usize,
-    /// Requests queued (undispatched) across ready and provisioning
-    /// replicas.
-    pub queued_requests: usize,
-    /// Tokens queued plus in-flight across ready and provisioning
-    /// replicas.
-    pub outstanding_tokens: usize,
+    now: SimTime,
+    /// Serving replicas, ready or still provisioning: the pool a
+    /// decision sizes against (provisioning capacity is already paid
+    /// for and arrives shortly).
+    pool: usize,
+    /// Tokens queued plus in-flight across the pool.
+    outstanding_tokens: usize,
     /// First-arrival admissions since the previous control tick.
-    pub arrived_since_last: usize,
-    /// The control interval (ticks are `interval` apart).
-    pub interval: SimDuration,
-    /// Tokens in one full batch (`max_batch_requests ·
-    /// tokens_per_request`) — the natural unit of per-replica backlog.
-    pub batch_tokens: usize,
-    /// One replica's probed sustainable throughput (requests/s); zero
-    /// when unprobed.
-    pub per_replica_capacity: f64,
-    /// Wall-clock cost to bring a new replica online (the weight
-    /// reload a scale-up pays before the replica is routable).
-    pub provision_time: SimDuration,
-    /// Smallest pool the configuration allows.
-    pub min_replicas: usize,
-    /// Largest pool the configuration allows.
-    pub max_replicas: usize,
+    arrived: usize,
 }
 
-impl ClusterObservation {
-    /// Ready plus provisioning replicas: the pool a decision should
-    /// size against (provisioning capacity is already paid for and
-    /// arrives shortly).
-    pub fn pool(&self) -> usize {
-        self.ready + self.provisioning
-    }
-
-    /// Outstanding work per pooled replica, in full-batch units — the
-    /// reactive policy's load signal.
-    pub fn batches_per_replica(&self) -> f64 {
-        self.outstanding_tokens as f64 / self.batch_tokens.max(1) as f64 / self.pool().max(1) as f64
-    }
-
-    /// Arrival rate observed over the last control interval
-    /// (requests/s).
-    pub fn arrival_rate(&self) -> f64 {
-        let secs = self.interval.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.arrived_since_last as f64 / secs
-        }
-    }
-}
-
-/// A deterministic elastic-sizing policy, evaluated once per control
-/// interval.
-pub trait AutoscalePolicy {
-    /// Short display name (table/metric label).
-    fn name(&self) -> &'static str;
-
-    /// Decides the pool change for this tick. Must be a pure function
-    /// of the observation stream and the policy's own state (the
-    /// cluster's bit-reproducibility rests on it).
-    fn decide(&mut self, obs: &ClusterObservation) -> ScaleDecision;
-}
-
-/// Threshold-reactive policy: scale up when the per-replica backlog
-/// exceeds `up_threshold` full batches, drain one replica when it
-/// falls below `down_threshold`. The gap between the thresholds is
-/// the hysteresis band; `cooldown` spaces consecutive actions.
-#[derive(Clone, Debug)]
-pub struct ReactivePolicy {
-    up_threshold: f64,
-    down_threshold: f64,
-    cooldown: SimDuration,
-    last_action: Option<SimTime>,
-}
-
-impl ReactivePolicy {
-    /// Creates the policy; thresholds are in full batches of
-    /// outstanding work per pooled replica.
-    pub fn new(up_threshold: f64, down_threshold: f64, cooldown: SimDuration) -> Self {
-        assert!(
-            up_threshold > down_threshold,
-            "reactive: up_threshold must exceed down_threshold (hysteresis)"
-        );
-        assert!(up_threshold > 0.0, "reactive: up_threshold must be > 0");
-        ReactivePolicy {
-            up_threshold,
-            down_threshold,
-            cooldown,
-            last_action: None,
-        }
-    }
-
-    fn cooling(&self, now: SimTime) -> bool {
-        self.last_action.is_some_and(|at| now < at + self.cooldown)
-    }
-}
-
-impl AutoscalePolicy for ReactivePolicy {
-    fn name(&self) -> &'static str {
-        "reactive"
-    }
-
-    fn decide(&mut self, obs: &ClusterObservation) -> ScaleDecision {
-        if self.cooling(obs.now) {
-            return ScaleDecision::Hold;
-        }
-        let load = obs.batches_per_replica();
-        let pool = obs.pool();
-        if load > self.up_threshold && pool < obs.max_replicas {
-            // Enough replicas to bring the backlog back under the
-            // threshold, capped at the configured maximum.
-            let want = (obs.outstanding_tokens as f64
-                / (self.up_threshold * obs.batch_tokens.max(1) as f64))
-                .ceil() as usize;
-            let target = want.clamp(pool + 1, obs.max_replicas);
-            self.last_action = Some(obs.now);
-            return ScaleDecision::ScaleUp(target - pool);
-        }
-        if load < self.down_threshold && pool > obs.min_replicas {
-            self.last_action = Some(obs.now);
-            return ScaleDecision::ScaleDown(1);
-        }
-        ScaleDecision::Hold
-    }
-}
-
-/// Predictive policy: keeps a sliding window of observed arrival
-/// rates (one sample per control tick), fits a least-squares linear
-/// trend, and sizes the pool for the rate forecast one provisioning
-/// lead-time ahead — so capacity lands *before* the ramp it serves.
-#[derive(Clone, Debug)]
-pub struct PredictivePolicy {
-    target_util: f64,
-    window: VecDeque<f64>,
-    cap: usize,
-    cooldown: SimDuration,
-    last_action: Option<SimTime>,
-}
-
-impl PredictivePolicy {
-    /// Creates the policy: size the pool so each replica runs at
-    /// `target_util` of its probed capacity against the forecast
-    /// rate; keep `window` rate samples (≥ 2, one per tick).
-    pub fn new(target_util: f64, window: usize, cooldown: SimDuration) -> Self {
-        assert!(
-            target_util > 0.0 && target_util <= 1.0,
-            "predictive: target_util must be in (0, 1]"
-        );
-        assert!(window >= 2, "predictive: window must hold >= 2 samples");
-        PredictivePolicy {
-            target_util,
-            window: VecDeque::new(),
-            cap: window,
-            cooldown,
-            last_action: None,
-        }
-    }
-
-    /// Least-squares forecast of the rate `lead_ticks` past the last
-    /// sample; clamped at zero (a falling trend never forecasts a
-    /// negative rate).
-    fn forecast(&self, lead_ticks: f64) -> f64 {
-        let n = self.window.len() as f64;
-        let mean_x = (n - 1.0) / 2.0;
-        let mean_y = self.window.iter().sum::<f64>() / n;
-        let (mut cov, mut var) = (0.0, 0.0);
-        for (i, y) in self.window.iter().enumerate() {
-            let dx = i as f64 - mean_x;
-            cov += dx * (y - mean_y);
-            var += dx * dx;
-        }
-        let slope = if var > 0.0 { cov / var } else { 0.0 };
-        (mean_y + slope * (n - 1.0 - mean_x + lead_ticks)).max(0.0)
-    }
-}
-
-impl AutoscalePolicy for PredictivePolicy {
-    fn name(&self) -> &'static str {
-        "predictive"
-    }
-
-    fn decide(&mut self, obs: &ClusterObservation) -> ScaleDecision {
-        self.window.push_back(obs.arrival_rate());
-        if self.window.len() > self.cap {
-            self.window.pop_front();
-        }
-        if self.window.len() < 2 || obs.per_replica_capacity <= 0.0 || self.cooling(obs.now) {
-            return ScaleDecision::Hold;
-        }
-        // Forecast at the horizon where newly commissioned capacity
-        // would come online: one provisioning reload plus one tick.
-        let lead = (obs.provision_time + obs.interval).as_secs_f64()
-            / obs.interval.as_secs_f64().max(f64::MIN_POSITIVE);
-        let rate = self.forecast(lead);
-        let per_replica = self.target_util * obs.per_replica_capacity;
-        let target =
-            ((rate / per_replica).ceil() as usize).clamp(obs.min_replicas, obs.max_replicas);
-        let pool = obs.pool();
-        if target > pool {
-            self.last_action = Some(obs.now);
-            ScaleDecision::ScaleUp(target - pool)
-        } else if target < pool && pool > obs.min_replicas {
-            // Drain conservatively — one replica per tick — so a noisy
-            // forecast dip cannot flush capacity it will want back.
-            self.last_action = Some(obs.now);
-            ScaleDecision::ScaleDown(1)
-        } else {
-            ScaleDecision::Hold
-        }
-    }
-}
-
-impl PredictivePolicy {
-    fn cooling(&self, now: SimTime) -> bool {
-        self.last_action.is_some_and(|at| now < at + self.cooldown)
-    }
-}
-
-/// Replays a fixed decision script, one entry per control tick
-/// ([`ScaleDecision::Hold`] once exhausted). The property tests drive
-/// the engine through arbitrary generated decision sequences with it.
-#[derive(Clone, Debug)]
-pub struct ScriptedPolicy {
-    script: Vec<ScaleDecision>,
-    next: usize,
-}
-
-impl ScriptedPolicy {
-    /// Creates the policy from a decision list.
-    pub fn new(script: Vec<ScaleDecision>) -> Self {
-        ScriptedPolicy { script, next: 0 }
-    }
-}
-
-impl AutoscalePolicy for ScriptedPolicy {
-    fn name(&self) -> &'static str {
-        "scripted"
-    }
-
-    fn decide(&mut self, _obs: &ClusterObservation) -> ScaleDecision {
-        let d = self
-            .script
-            .get(self.next)
-            .copied()
-            .unwrap_or(ScaleDecision::Hold);
-        self.next += 1;
-        d
-    }
-}
-
-/// Constructible policy selector for configs, sweeps, and the bench
-/// registry (a `Box<dyn AutoscalePolicy>` itself is not `Clone`).
+/// The elastic-sizing policy, evaluated once per control interval.
+/// Every decision is a pure function of the observation stream and the
+/// run's own policy state (the cluster's bit-reproducibility rests on
+/// it).
 #[derive(Clone, Debug)]
 pub enum AutoscalePolicyKind {
-    /// [`ReactivePolicy`]: backlog thresholds with hysteresis.
+    /// Threshold-reactive: scale up when the per-replica backlog
+    /// exceeds `up_threshold` full batches, drain one replica when it
+    /// falls below `down_threshold`. The gap between the thresholds is
+    /// the hysteresis band; the cooldown spaces consecutive actions.
     Reactive {
         /// Scale up above this per-replica backlog (full batches).
         up_threshold: f64,
@@ -329,50 +89,24 @@ pub enum AutoscalePolicyKind {
         /// never scale down.
         down_threshold: f64,
     },
-    /// [`PredictivePolicy`]: windowed trend forecast.
+    /// Predictive: keeps a sliding window of observed arrival rates
+    /// (one sample per control tick), fits a least-squares linear
+    /// trend, and sizes the pool for the rate forecast one provisioning
+    /// lead-time ahead — so capacity lands *before* the ramp it serves.
     Predictive {
         /// Fraction of per-replica capacity to size against.
         target_util: f64,
-        /// Rate samples kept (one per control tick).
+        /// Rate samples kept (one per control tick, >= 2).
         window: usize,
     },
-    /// [`ScriptedPolicy`]: fixed decision replay (tests).
+    /// Replays a fixed decision script, one entry per control tick
+    /// ([`ScaleDecision::Hold`] once exhausted) and blind to the
+    /// cooldown. The property tests drive the engine through arbitrary
+    /// generated decision sequences with it.
     Scripted {
         /// One decision per control tick.
         script: Vec<ScaleDecision>,
     },
-}
-
-impl AutoscalePolicyKind {
-    /// Builds a fresh policy of this kind.
-    pub fn build(&self, cooldown: SimDuration) -> Box<dyn AutoscalePolicy> {
-        match self {
-            AutoscalePolicyKind::Reactive {
-                up_threshold,
-                down_threshold,
-            } => Box::new(ReactivePolicy::new(
-                *up_threshold,
-                *down_threshold,
-                cooldown,
-            )),
-            AutoscalePolicyKind::Predictive {
-                target_util,
-                window,
-            } => Box::new(PredictivePolicy::new(*target_util, *window, cooldown)),
-            AutoscalePolicyKind::Scripted { script } => {
-                Box::new(ScriptedPolicy::new(script.clone()))
-            }
-        }
-    }
-
-    /// The policy's display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AutoscalePolicyKind::Reactive { .. } => "reactive",
-            AutoscalePolicyKind::Predictive { .. } => "predictive",
-            AutoscalePolicyKind::Scripted { .. } => "scripted",
-        }
-    }
 }
 
 /// Elastic-autoscaling configuration for a cluster run.
@@ -383,8 +117,8 @@ pub struct AutoscaleConfig {
     /// Control interval: the policy is evaluated every `interval`
     /// while the run has work outstanding.
     pub interval: SimDuration,
-    /// Minimum time between two non-hold decisions of the shipped
-    /// policies.
+    /// Minimum time between two non-hold decisions of the reactive and
+    /// predictive policies.
     pub cooldown: SimDuration,
     /// Smallest pool the actuator will drain to.
     pub min_replicas: usize,
@@ -419,8 +153,29 @@ impl AutoscaleConfig {
             self.min_replicas,
             self.max_replicas
         );
-        // Surface bad policy parameters at config time, not mid-run.
-        let _ = self.policy.build(self.cooldown);
+        match self.policy {
+            AutoscalePolicyKind::Reactive {
+                up_threshold,
+                down_threshold,
+            } => {
+                assert!(
+                    up_threshold > down_threshold,
+                    "reactive: up_threshold must exceed down_threshold (hysteresis)"
+                );
+                assert!(up_threshold > 0.0, "reactive: up_threshold must be > 0");
+            }
+            AutoscalePolicyKind::Predictive {
+                target_util,
+                window,
+            } => {
+                assert!(
+                    target_util > 0.0 && target_util <= 1.0,
+                    "predictive: target_util must be in (0, 1]"
+                );
+                assert!(window >= 2, "predictive: window must hold >= 2 samples");
+            }
+            AutoscalePolicyKind::Scripted { .. } => {}
+        }
     }
 
     /// An armed-but-inert configuration: the reactive policy with an
@@ -442,28 +197,12 @@ impl AutoscaleConfig {
     }
 }
 
-/// One replica as a control tick sees it.
-pub(crate) enum PoolMember {
-    /// Up and taking admissions (still provisioning before
-    /// `ready_at`), with its undispatched requests and its queued plus
-    /// in-flight tokens.
-    Serving {
-        ready_at: SimTime,
-        queued_requests: usize,
-        outstanding_tokens: usize,
-    },
-    /// Draining toward decommission.
-    Draining,
-    /// Down or retired: outside the pool.
-    Out,
-}
-
-/// An armed autoscaler inside the cluster event loop: the policy, its
-/// tick clock, the arrival count it reads, and the actuation counters.
-/// The cluster commissions and drains replicas as the grants say.
+/// An armed autoscaler inside the cluster event loop: the policy and
+/// its state, the tick clock, the arrival count it reads, and the
+/// actuation counters. The cluster commissions and drains replicas as
+/// the grants say.
 pub(crate) struct AutoscaleRuntime {
     config: AutoscaleConfig,
-    policy: Box<dyn AutoscalePolicy>,
     /// Next control tick.
     pub(crate) next_at: SimTime,
     /// First-arrival admissions since the previous tick.
@@ -471,6 +210,12 @@ pub(crate) struct AutoscaleRuntime {
     provision_time: SimDuration,
     batch_tokens: usize,
     per_replica_capacity: f64,
+    /// The last non-hold decision's tick: the cooldown runs from it.
+    last_action: Option<SimTime>,
+    /// The predictive policy's arrival-rate samples, oldest first.
+    rates: VecDeque<f64>,
+    /// The scripted policy's next entry.
+    cursor: usize,
     pub(crate) scale_ups: usize,
     pub(crate) scale_downs: usize,
     /// Peak concurrently commissioned (not yet retired) replicas.
@@ -486,12 +231,14 @@ impl AutoscaleRuntime {
         per_replica_capacity: f64,
     ) -> Self {
         AutoscaleRuntime {
-            policy: config.policy.build(config.cooldown),
             next_at: SimTime::ZERO + config.interval,
             arrived: 0,
             provision_time,
             batch_tokens,
             per_replica_capacity,
+            last_action: None,
+            rates: VecDeque::new(),
+            cursor: 0,
             scale_ups: 0,
             scale_downs: 0,
             peak_replicas: replicas,
@@ -504,51 +251,99 @@ impl AutoscaleRuntime {
         self.arrived += 1;
     }
 
-    /// One control tick over the pool: observe it, ask the policy.
-    /// Returns the tick instant and the decision. A draining replica's
-    /// leftover work is its own to finish, so only serving replicas'
-    /// backlog argues for more capacity.
+    /// One control tick over the `pool` serving replicas (ready or
+    /// provisioning) and their queued plus in-flight tokens. A
+    /// draining replica's leftover work is its own to finish, so only
+    /// the serving pool's backlog argues for more capacity. Returns the
+    /// tick instant and the decision.
     pub(crate) fn tick(
         &mut self,
-        pool: impl Iterator<Item = PoolMember>,
+        pool: usize,
+        outstanding_tokens: usize,
     ) -> (SimTime, ScaleDecision) {
         let at = self.next_at;
         self.next_at = at + self.config.interval;
-        let mut obs = ClusterObservation {
+        let obs = ClusterObservation {
             now: at,
-            ready: 0,
-            provisioning: 0,
-            draining: 0,
-            queued_requests: 0,
-            outstanding_tokens: 0,
-            arrived_since_last: std::mem::take(&mut self.arrived),
-            interval: self.config.interval,
-            batch_tokens: self.batch_tokens,
-            per_replica_capacity: self.per_replica_capacity,
-            provision_time: self.provision_time,
-            min_replicas: self.config.min_replicas,
-            max_replicas: self.config.max_replicas,
+            pool,
+            outstanding_tokens,
+            arrived: std::mem::take(&mut self.arrived),
         };
-        for member in pool {
-            match member {
-                PoolMember::Serving {
-                    ready_at,
-                    queued_requests,
-                    outstanding_tokens,
-                } => {
-                    if at < ready_at {
-                        obs.provisioning += 1;
-                    } else {
-                        obs.ready += 1;
-                    }
-                    obs.queued_requests += queued_requests;
-                    obs.outstanding_tokens += outstanding_tokens;
+        (at, self.decide(&obs))
+    }
+
+    /// The configured policy's decision for one observation.
+    fn decide(&mut self, obs: &ClusterObservation) -> ScaleDecision {
+        let cooling = self
+            .last_action
+            .is_some_and(|at| obs.now < at + self.config.cooldown);
+        let (pool, min, max) = (obs.pool, self.config.min_replicas, self.config.max_replicas);
+        let decision = match &self.config.policy {
+            AutoscalePolicyKind::Reactive {
+                up_threshold,
+                down_threshold,
+            } => {
+                // Outstanding work per pooled replica, in full batches.
+                let load = obs.outstanding_tokens as f64
+                    / self.batch_tokens.max(1) as f64
+                    / pool.max(1) as f64;
+                if cooling {
+                    ScaleDecision::Hold
+                } else if load > *up_threshold && pool < max {
+                    // Enough replicas to bring the backlog back under
+                    // the threshold, capped at the configured maximum.
+                    let want = (obs.outstanding_tokens as f64
+                        / (up_threshold * self.batch_tokens.max(1) as f64))
+                        .ceil() as usize;
+                    ScaleDecision::ScaleUp(want.clamp(pool + 1, max) - pool)
+                } else if load < *down_threshold && pool > min {
+                    ScaleDecision::ScaleDown(1)
+                } else {
+                    ScaleDecision::Hold
                 }
-                PoolMember::Draining => obs.draining += 1,
-                PoolMember::Out => {}
             }
+            AutoscalePolicyKind::Predictive {
+                target_util,
+                window,
+            } => {
+                // `validate` keeps the interval positive.
+                let secs = self.config.interval.as_secs_f64();
+                self.rates.push_back(obs.arrived as f64 / secs);
+                if self.rates.len() > *window {
+                    self.rates.pop_front();
+                }
+                if self.rates.len() < 2 || self.per_replica_capacity <= 0.0 || cooling {
+                    ScaleDecision::Hold
+                } else {
+                    // Forecast at the horizon where newly commissioned
+                    // capacity would come online: one provisioning
+                    // reload plus one tick.
+                    let lead = (self.provision_time + self.config.interval).as_secs_f64() / secs;
+                    let rate = forecast(&self.rates, lead);
+                    let per_replica = target_util * self.per_replica_capacity;
+                    let target = ((rate / per_replica).ceil() as usize).clamp(min, max);
+                    if target > pool {
+                        ScaleDecision::ScaleUp(target - pool)
+                    } else if target < pool && pool > min {
+                        // Drain conservatively — one replica per tick —
+                        // so a noisy forecast dip cannot flush capacity
+                        // it will want back.
+                        ScaleDecision::ScaleDown(1)
+                    } else {
+                        ScaleDecision::Hold
+                    }
+                }
+            }
+            AutoscalePolicyKind::Scripted { script } => {
+                let decision = script.get(self.cursor).copied();
+                self.cursor += 1;
+                return decision.unwrap_or(ScaleDecision::Hold);
+            }
+        };
+        if decision != ScaleDecision::Hold {
+            self.last_action = Some(obs.now);
         }
-        (at, self.policy.decide(&obs))
+        decision
     }
 
     /// How many of `n` requested replicas to commission with `live`
@@ -569,33 +364,83 @@ impl AutoscaleRuntime {
     }
 }
 
+/// Least-squares forecast of the rate `lead_ticks` past the last of
+/// `rates` (one sample per tick); clamped at zero (a falling trend
+/// never forecasts a negative rate).
+fn forecast(rates: &VecDeque<f64>, lead_ticks: f64) -> f64 {
+    let n = rates.len() as f64;
+    let mean_x = (n - 1.0) / 2.0;
+    let mean_y = rates.iter().sum::<f64>() / n;
+    let (mut cov, mut var) = (0.0, 0.0);
+    for (i, y) in rates.iter().enumerate() {
+        let dx = i as f64 - mean_x;
+        cov += dx * (y - mean_y);
+        var += dx * dx;
+    }
+    let slope = if var > 0.0 { cov / var } else { 0.0 };
+    (mean_y + slope * (n - 1.0 - mean_x + lead_ticks)).max(0.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn obs(now_ms: u64, outstanding: usize, pool: usize, arrived: usize) -> ClusterObservation {
-        ClusterObservation {
-            now: SimTime::from_millis(now_ms),
-            ready: pool,
-            provisioning: 0,
-            draining: 0,
-            queued_requests: outstanding / 64,
-            outstanding_tokens: outstanding,
-            arrived_since_last: arrived,
+    /// A config over `policy` with 100 ms ticks and pool bounds [1, 8].
+    fn config(policy: AutoscalePolicyKind, cooldown_ms: u64) -> AutoscaleConfig {
+        AutoscaleConfig {
+            policy,
             interval: SimDuration::from_millis(100),
-            batch_tokens: 256,
-            per_replica_capacity: 100.0,
-            provision_time: SimDuration::from_millis(50),
+            cooldown: SimDuration::from_millis(cooldown_ms),
             min_replicas: 1,
             max_replicas: 8,
         }
     }
 
-    use lina_simcore::SimTime;
+    /// A validated runtime over `cfg` with 256-token batches, 100
+    /// requests/s per replica, and a 50 ms provisioning reload.
+    fn runtime(cfg: &AutoscaleConfig) -> AutoscaleRuntime {
+        cfg.validate(cfg.min_replicas);
+        AutoscaleRuntime::new(
+            cfg,
+            cfg.min_replicas,
+            SimDuration::from_millis(50),
+            256,
+            100.0,
+        )
+    }
+
+    fn reactive(cooldown_ms: u64) -> AutoscaleRuntime {
+        runtime(&config(
+            AutoscalePolicyKind::Reactive {
+                up_threshold: 1.5,
+                down_threshold: 0.25,
+            },
+            cooldown_ms,
+        ))
+    }
+
+    fn predictive(window: usize) -> AutoscaleRuntime {
+        runtime(&config(
+            AutoscalePolicyKind::Predictive {
+                target_util: 0.8,
+                window,
+            },
+            0,
+        ))
+    }
+
+    fn obs(now_ms: u64, outstanding: usize, pool: usize, arrived: usize) -> ClusterObservation {
+        ClusterObservation {
+            now: SimTime::from_millis(now_ms),
+            pool,
+            outstanding_tokens: outstanding,
+            arrived,
+        }
+    }
 
     #[test]
     fn reactive_scales_up_proportionally_and_respects_the_cap() {
-        let mut p = ReactivePolicy::new(1.5, 0.25, SimDuration::ZERO);
+        let mut p = reactive(0);
         // 2 replicas, 10 batches outstanding: 5 per replica > 1.5 →
         // grow to ceil(10 / 1.5) = 7 replicas.
         assert_eq!(p.decide(&obs(0, 10 * 256, 2, 0)), ScaleDecision::ScaleUp(5));
@@ -608,20 +453,20 @@ mod tests {
 
     #[test]
     fn reactive_hysteresis_and_cooldown_prevent_thrash() {
-        let mut p = ReactivePolicy::new(1.5, 0.25, SimDuration::from_millis(500));
+        let mut p = reactive(500);
         assert_eq!(p.decide(&obs(0, 8 * 256, 2, 0)), ScaleDecision::ScaleUp(4));
         // Inside the cooldown even an empty cluster holds.
         assert_eq!(p.decide(&obs(100, 0, 6, 0)), ScaleDecision::Hold);
         // Past it, an idle pool drains one replica per tick.
         assert_eq!(p.decide(&obs(600, 0, 6, 0)), ScaleDecision::ScaleDown(1));
         // In the hysteresis band (0.25 < load < 1.5) nothing happens.
-        let mut q = ReactivePolicy::new(1.5, 0.25, SimDuration::ZERO);
+        let mut q = reactive(0);
         assert_eq!(q.decide(&obs(0, 256, 2, 0)), ScaleDecision::Hold);
     }
 
     #[test]
     fn reactive_never_leaves_the_configured_range() {
-        let mut p = ReactivePolicy::new(1.5, 0.25, SimDuration::ZERO);
+        let mut p = reactive(0);
         // Already at max: hold even under load.
         assert_eq!(p.decide(&obs(0, 100 * 256, 8, 0)), ScaleDecision::Hold);
         // Already at min: hold even when idle.
@@ -630,7 +475,7 @@ mod tests {
 
     #[test]
     fn predictive_rides_a_rising_ramp_before_it_lands() {
-        let mut p = PredictivePolicy::new(0.8, 8, SimDuration::ZERO);
+        let mut p = predictive(8);
         // Arrival rate climbing 100 → 500 requests/s across ticks
         // (interval 100 ms → samples are arrivals/0.1 s).
         let mut decision = ScaleDecision::Hold;
@@ -648,7 +493,7 @@ mod tests {
 
     #[test]
     fn predictive_drains_one_at_a_time_when_the_rate_falls() {
-        let mut p = PredictivePolicy::new(0.8, 4, SimDuration::ZERO);
+        let mut p = predictive(4);
         let mut last = ScaleDecision::Hold;
         for (tick, arrived) in [50, 30, 10, 5, 2].iter().enumerate() {
             last = p.decide(&obs(tick as u64 * 100, 0, 6, *arrived));
@@ -658,22 +503,26 @@ mod tests {
 
     #[test]
     fn predictive_holds_without_capacity_or_history() {
-        let mut p = PredictivePolicy::new(0.8, 4, SimDuration::ZERO);
+        let mut p = predictive(4);
         // First tick: only one sample.
         assert_eq!(p.decide(&obs(0, 0, 2, 100)), ScaleDecision::Hold);
         // No probed capacity: cannot size, must hold.
-        let mut blind = obs(100, 0, 2, 500);
-        blind.per_replica_capacity = 0.0;
-        assert_eq!(p.decide(&blind), ScaleDecision::Hold);
+        p.per_replica_capacity = 0.0;
+        assert_eq!(p.decide(&obs(100, 0, 2, 500)), ScaleDecision::Hold);
     }
 
     #[test]
     fn scripted_replays_then_holds() {
-        let mut p = ScriptedPolicy::new(vec![
-            ScaleDecision::ScaleUp(2),
-            ScaleDecision::Hold,
-            ScaleDecision::ScaleDown(1),
-        ]);
+        let mut p = runtime(&config(
+            AutoscalePolicyKind::Scripted {
+                script: vec![
+                    ScaleDecision::ScaleUp(2),
+                    ScaleDecision::Hold,
+                    ScaleDecision::ScaleDown(1),
+                ],
+            },
+            0,
+        ));
         assert_eq!(p.decide(&obs(0, 0, 1, 0)), ScaleDecision::ScaleUp(2));
         assert_eq!(p.decide(&obs(1, 0, 3, 0)), ScaleDecision::Hold);
         assert_eq!(p.decide(&obs(2, 0, 3, 0)), ScaleDecision::ScaleDown(1));
@@ -682,9 +531,7 @@ mod tests {
 
     #[test]
     fn inert_config_never_triggers() {
-        let cfg = AutoscaleConfig::inert(3, SimDuration::from_millis(10));
-        cfg.validate(3);
-        let mut p = cfg.policy.build(cfg.cooldown);
+        let mut p = runtime(&AutoscaleConfig::inert(3, SimDuration::from_millis(10)));
         for t in 0..50 {
             // Idle, swamped, anything: always hold.
             assert_eq!(p.decide(&obs(t, 0, 3, 0)), ScaleDecision::Hold);
@@ -698,7 +545,51 @@ mod tests {
     #[test]
     #[should_panic(expected = "hysteresis")]
     fn inverted_thresholds_rejected() {
-        ReactivePolicy::new(0.25, 1.5, SimDuration::ZERO);
+        let reactive = AutoscalePolicyKind::Reactive {
+            up_threshold: 0.25,
+            down_threshold: 1.5,
+        };
+        config(reactive, 0).validate(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "reactive: up_threshold must be > 0")]
+    fn non_positive_up_threshold_rejected() {
+        let reactive = AutoscalePolicyKind::Reactive {
+            up_threshold: 0.0,
+            down_threshold: -1.0,
+        };
+        config(reactive, 0).validate(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "predictive: target_util must be in (0, 1]")]
+    fn zero_target_util_rejected() {
+        let predictive = AutoscalePolicyKind::Predictive {
+            target_util: 0.0,
+            window: 4,
+        };
+        config(predictive, 0).validate(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "predictive: target_util must be in (0, 1]")]
+    fn target_util_above_one_rejected() {
+        let predictive = AutoscalePolicyKind::Predictive {
+            target_util: 1.5,
+            window: 4,
+        };
+        config(predictive, 0).validate(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "predictive: window must hold >= 2 samples")]
+    fn single_sample_window_rejected() {
+        let predictive = AutoscalePolicyKind::Predictive {
+            target_util: 0.8,
+            window: 1,
+        };
+        config(predictive, 0).validate(1);
     }
 
     #[test]

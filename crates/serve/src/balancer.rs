@@ -1,24 +1,25 @@
-//! Pluggable request load balancers for the multi-replica cluster.
+//! Request load balancing for the multi-replica cluster.
 //!
-//! A [`LoadBalancer`] routes each arriving request to one replica,
-//! seeing a [`ReplicaSnapshot`] of every replica's queue and server
-//! state at the arrival instant. Three policies ship with the crate:
+//! A [`BalancerKind`] routes each arriving request to one replica,
+//! seeing a snapshot of every replica's queue and server state at the
+//! arrival instant. Three policies ship with the crate:
 //!
-//! * [`RoundRobin`] — state-free rotation, blind to load;
-//! * [`JoinShortestQueue`] — fewest outstanding tokens (queued plus
-//!   in-flight), the classic JSQ rule at token granularity;
-//! * [`LeastExpectedLatency`] — SLO-aware: picks the replica whose
-//!   expected completion (server drain time plus queued work over the
-//!   replica's [`capacity`](crate::ServeEngine::capacity)) is soonest.
+//! * [`BalancerKind::RoundRobin`] — rotation, blind to load;
+//! * [`BalancerKind::JoinShortestQueue`] — fewest outstanding tokens
+//!   (queued plus in-flight), the classic JSQ rule at token
+//!   granularity;
+//! * [`BalancerKind::LeastExpectedLatency`] — SLO-aware: picks the
+//!   replica whose expected completion (server drain time plus queued
+//!   work over the replica's
+//!   [`capacity`](crate::ServeEngine::capacity)) is soonest.
 //!
-//! All policies route over *routable* replicas only
-//! ([`ReplicaSnapshot::routable`]): a crashed replica is invisible
-//! until its recovery event, a replica the autoscaler is draining
-//! receives nothing new while it finishes its queue, and a freshly
-//! provisioned replica is invisible until its weight reload completes
-//! — even when the excluded replica's (stale) queue state would make
-//! it the argmin. The cluster engine guarantees at least one routable
-//! replica at every `pick` (a total outage is handled upstream by the
+//! All policies route over *routable* replicas only: a crashed
+//! replica is invisible until its recovery event, a replica the
+//! autoscaler is draining receives nothing new while it finishes its
+//! queue, and a freshly provisioned replica is invisible until its
+//! weight reload completes — even when the excluded replica's (stale)
+//! queue state would make it the argmin. The cluster engine guarantees at least one routable
+//! replica at every pick (a total outage is handled upstream by the
 //! degradation policy, before routing).
 //!
 //! Replica health arrives as a continuous *suspicion* score from the
@@ -26,26 +27,26 @@
 //! is indistinguishable from baseline, `>= 1.0` excludes the replica
 //! from the routable set (infinity marks a crashed or retired
 //! replica), and intermediate values penalize the replica under
-//! [`LeastExpectedLatency`] without excluding it. Under the oracle
+//! least-expected-latency without excluding it. Under the oracle
 //! detector every live replica's suspicion is exactly `0.0`, so the
 //! historical health-bit routing is reproduced bit for bit.
 //!
-//! Balancers may keep internal state (the round-robin cursor) but must
-//! be deterministic: the cluster engine's bit-reproducibility rests on
-//! every `pick` being a pure function of the snapshots and that state.
+//! Every pick is a pure function of the snapshots and the round-robin
+//! anchor the cluster keeps beside the kind: the cluster engine's
+//! bit-reproducibility rests on it.
 
 use lina_simcore::SimTime;
 
 /// One replica's queue and server state at a routing instant.
 #[derive(Clone, Debug)]
-pub struct ReplicaSnapshot {
+pub(crate) struct ReplicaSnapshot {
     /// Replica index.
     pub id: usize,
     /// Gray-failure suspicion: `0.0` baseline-healthy, `>= 1.0`
     /// excluded from routing, `f64::INFINITY` for a crashed or
     /// decommissioned replica (which must never be picked). Values in
     /// `(0, 1)` keep the replica routable but penalize it under
-    /// [`LeastExpectedLatency`].
+    /// [`BalancerKind::LeastExpectedLatency`].
     pub suspicion: f64,
     /// Being drained for decommission by the autoscaler: it still
     /// finishes its queued work but receives no new requests.
@@ -65,13 +66,14 @@ pub struct ReplicaSnapshot {
     /// completion of its in-flight batches (in the past when idle).
     /// Under a contended network it is an estimate, which the cluster
     /// pays for only when something reads it: [`SimTime::ZERO`] unless
-    /// the balancer is [`LeastExpectedLatency`] (its one reader) or a
-    /// pricing detector is armed, like `capacity`.
+    /// the balancer is [`BalancerKind::LeastExpectedLatency`] (its one
+    /// reader) or a pricing detector is armed, like `capacity`.
     pub server_free: SimTime,
     /// The replica's sustainable throughput upper bound (requests/s),
     /// as probed by [`crate::ServeEngine::capacity`] and scaled down
     /// for device loss or straggler slowdowns. Zero when the caller
-    /// did not probe it (only [`LeastExpectedLatency`] reads it).
+    /// did not probe it (only [`BalancerKind::LeastExpectedLatency`]
+    /// reads it).
     pub capacity: f64,
 }
 
@@ -85,148 +87,41 @@ impl ReplicaSnapshot {
     /// Ready to receive new requests: suspicion under the exclusion
     /// threshold (which also excludes crashed replicas, whose
     /// suspicion is infinite), not draining toward decommission, and
-    /// past its provisioning weight reload. Every shipped balancer
-    /// routes over the routable subset only.
+    /// past its provisioning weight reload. Every balancer routes over
+    /// the routable subset only.
     pub fn routable(&self) -> bool {
         self.suspicion < 1.0 && !self.draining && !self.provisioning
     }
 }
 
-/// A dispatch-time routing policy over replicas.
-pub trait LoadBalancer {
-    /// Short display name (table/metric label).
-    fn name(&self) -> &'static str;
-
-    /// Chooses the replica for a request arriving at `now`. Must
-    /// return the `id` of one of the given *routable* snapshots; the
-    /// caller guarantees at least one replica is routable.
-    fn pick(&mut self, replicas: &[ReplicaSnapshot], now: SimTime) -> usize;
-}
-
-/// Rotates through the routable replicas, blind to their load.
-///
-/// The rotation anchors on the *last picked replica id*, not a
-/// positional cursor into the filtered list: under a mutating replica
-/// set (crashes, recoveries, elastic scale-up/down) a positional
-/// cursor skips or double-hits replicas whenever the filtered list
-/// shifts underneath it, while the id anchor always advances to the
-/// next routable id in cyclic order.
-#[derive(Clone, Debug, Default)]
-pub struct RoundRobin {
-    /// Id of the replica the previous pick routed to.
-    last: Option<usize>,
-}
-
-impl RoundRobin {
-    /// A fresh rotation starting at replica 0.
-    pub fn new() -> Self {
-        RoundRobin::default()
-    }
-}
-
-impl LoadBalancer for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn pick(&mut self, replicas: &[ReplicaSnapshot], _now: SimTime) -> usize {
-        // The next routable id strictly after the last pick, wrapping
-        // to the smallest routable id.
-        let after = replicas
-            .iter()
-            .filter(|r| r.routable() && self.last.is_some_and(|l| r.id > l))
-            .map(|r| r.id)
-            .min();
-        let id = after
-            .or_else(|| replicas.iter().filter(|r| r.routable()).map(|r| r.id).min())
-            .expect("round-robin: no routable replica");
-        self.last = Some(id);
-        id
-    }
-}
-
-/// Joins the healthy replica with the fewest outstanding tokens
-/// (queued plus in-flight); ties break toward the lowest replica
-/// index.
-#[derive(Clone, Debug, Default)]
-pub struct JoinShortestQueue;
-
-impl LoadBalancer for JoinShortestQueue {
-    fn name(&self) -> &'static str {
-        "jsq"
-    }
-
-    fn pick(&mut self, replicas: &[ReplicaSnapshot], _now: SimTime) -> usize {
-        replicas
-            .iter()
-            .filter(|r| r.routable())
-            .min_by_key(|r| (r.outstanding_tokens(), r.id))
-            .expect("at least one routable replica")
-            .id
-    }
-}
-
-/// Joins the healthy replica with the least expected completion
-/// latency: remaining server busy time plus the queued requests (and
-/// the new one) drained at the replica's probed capacity, stretched
-/// by `1 + suspicion` so a partially suspected replica keeps serving
-/// at reduced weight (an exact no-op at suspicion zero).
-/// Capacity-aware, so it generalizes JSQ to heterogeneous or degraded
-/// replicas.
-#[derive(Clone, Debug, Default)]
-pub struct LeastExpectedLatency;
-
-impl LoadBalancer for LeastExpectedLatency {
-    fn name(&self) -> &'static str {
-        "least-latency"
-    }
-
-    fn pick(&mut self, replicas: &[ReplicaSnapshot], now: SimTime) -> usize {
-        let score = |r: &ReplicaSnapshot| {
-            let busy = r.server_free.saturating_since(now).as_secs_f64();
-            let rate = if r.capacity > 0.0 {
-                r.capacity
-            } else {
-                f64::INFINITY
-            };
-            (busy + (r.queued_requests as f64 + 1.0) / rate) * (1.0 + r.suspicion)
-        };
-        replicas
-            .iter()
-            .filter(|r| r.routable())
-            .min_by(|a, b| {
-                score(a)
-                    .partial_cmp(&score(b))
-                    .expect("scores are finite or +inf, never NaN")
-                    .then(a.id.cmp(&b.id))
-            })
-            .expect("at least one routable replica")
-            .id
-    }
-}
-
-/// Constructible balancer selector for configs, sweeps, and the bench
-/// registry (a `Box<dyn LoadBalancer>` itself is not `Clone`).
+/// The dispatch-time routing policy over replicas, chosen per run.
+/// Every kind routes over the *routable* replicas only; the load-aware
+/// kinds break ties toward the lowest replica id.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BalancerKind {
-    /// [`RoundRobin`].
+    /// Rotates through the routable replicas, blind to their load.
+    ///
+    /// The rotation anchors on the *last picked replica id*, not a
+    /// positional cursor into the filtered list: under a mutating
+    /// replica set (crashes, recoveries, elastic scale-up/down) a
+    /// positional cursor skips or double-hits replicas whenever the
+    /// filtered list shifts underneath it, while the id anchor always
+    /// advances to the next routable id in cyclic order.
     RoundRobin,
-    /// [`JoinShortestQueue`].
+    /// Joins the replica with the fewest outstanding tokens (queued
+    /// plus in-flight).
     JoinShortestQueue,
-    /// [`LeastExpectedLatency`].
+    /// Joins the replica with the least expected completion latency:
+    /// remaining server busy time plus the queued requests (and the new
+    /// one) drained at the replica's probed capacity, stretched by
+    /// `1 + suspicion` so a partially suspected replica keeps serving
+    /// at reduced weight (an exact no-op at suspicion zero).
+    /// Capacity-aware, so it generalizes JSQ to heterogeneous or
+    /// degraded replicas.
     LeastExpectedLatency,
 }
 
 impl BalancerKind {
-    /// Builds a fresh balancer of this kind.
-    pub fn build(self) -> Box<dyn LoadBalancer> {
-        match self {
-            BalancerKind::RoundRobin => Box::new(RoundRobin::new()),
-            BalancerKind::JoinShortestQueue => Box::new(JoinShortestQueue),
-            BalancerKind::LeastExpectedLatency => Box::new(LeastExpectedLatency),
-        }
-    }
-
     /// The policy's display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -235,11 +130,77 @@ impl BalancerKind {
             BalancerKind::LeastExpectedLatency => "least-latency",
         }
     }
+
+    /// Chooses the replica for a request arriving at `now`: the `id`
+    /// of one of the given *routable* snapshots (the caller guarantees
+    /// at least one). `last` is the round-robin anchor, the id the
+    /// previous pick routed to; only [`BalancerKind::RoundRobin`]
+    /// reads or moves it.
+    pub(crate) fn pick(
+        self,
+        replicas: &[ReplicaSnapshot],
+        now: SimTime,
+        last: &mut Option<usize>,
+    ) -> usize {
+        let routable = || replicas.iter().filter(|r| r.routable());
+        match self {
+            BalancerKind::RoundRobin => {
+                // The next routable id strictly after the last pick,
+                // wrapping to the smallest routable id.
+                let after = routable()
+                    .filter(|r| last.is_some_and(|l| r.id > l))
+                    .map(|r| r.id)
+                    .min();
+                let id = after
+                    .or_else(|| routable().map(|r| r.id).min())
+                    .expect("round-robin: no routable replica");
+                *last = Some(id);
+                id
+            }
+            BalancerKind::JoinShortestQueue => {
+                routable()
+                    .min_by_key(|r| (r.outstanding_tokens(), r.id))
+                    .expect("at least one routable replica")
+                    .id
+            }
+            BalancerKind::LeastExpectedLatency => {
+                let score = |r: &ReplicaSnapshot| {
+                    let busy = r.server_free.saturating_since(now).as_secs_f64();
+                    let rate = if r.capacity > 0.0 {
+                        r.capacity
+                    } else {
+                        f64::INFINITY
+                    };
+                    (busy + (r.queued_requests as f64 + 1.0) / rate) * (1.0 + r.suspicion)
+                };
+                routable()
+                    .min_by(|a, b| {
+                        score(a)
+                            .partial_cmp(&score(b))
+                            .expect("scores are finite or +inf, never NaN")
+                            .then(a.id.cmp(&b.id))
+                    })
+                    .expect("at least one routable replica")
+                    .id
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::BalancerKind::{JoinShortestQueue, LeastExpectedLatency, RoundRobin};
     use super::*;
+
+    /// Picks with a fresh round-robin anchor.
+    fn pick(kind: BalancerKind, snaps: &[ReplicaSnapshot]) -> usize {
+        kind.pick(snaps, SimTime::ZERO, &mut None)
+    }
+
+    /// One round-robin pick, moving the anchor `rr`.
+    fn rotate(rr: &mut Option<usize>, snaps: &[ReplicaSnapshot]) -> usize {
+        RoundRobin.pick(snaps, SimTime::ZERO, rr)
+    }
 
     fn snap(id: usize, queued_tokens: usize, in_flight: usize, free_ms: u64) -> ReplicaSnapshot {
         ReplicaSnapshot {
@@ -257,33 +218,31 @@ mod tests {
 
     #[test]
     fn round_robin_rotates() {
-        let mut rr = RoundRobin::new();
+        let mut rr = None;
         let snaps = vec![snap(0, 0, 0, 0), snap(1, 0, 0, 0), snap(2, 0, 0, 0)];
-        let picks: Vec<usize> = (0..6).map(|_| rr.pick(&snaps, SimTime::ZERO)).collect();
+        let picks: Vec<usize> = (0..6).map(|_| rotate(&mut rr, &snaps)).collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
     }
 
     #[test]
     fn jsq_prefers_fewest_outstanding_tokens() {
-        let mut jsq = JoinShortestQueue;
         // Replica 1 has the least queued + in-flight work.
         let snaps = vec![snap(0, 512, 0, 0), snap(1, 128, 64, 5), snap(2, 0, 256, 9)];
-        assert_eq!(jsq.pick(&snaps, SimTime::ZERO), 1);
+        assert_eq!(pick(JoinShortestQueue, &snaps), 1);
         // Ties break toward the lowest id.
         let tied = vec![snap(0, 128, 0, 0), snap(1, 128, 0, 0)];
-        assert_eq!(jsq.pick(&tied, SimTime::ZERO), 0);
+        assert_eq!(pick(JoinShortestQueue, &tied), 0);
     }
 
     #[test]
     fn least_latency_accounts_for_busy_servers() {
-        let mut lel = LeastExpectedLatency;
         // Replica 0 is idle but deeply queued; replica 1 busy for 1 ms
         // with an empty queue: 1 ms + 1/100 s < 0 + 11/100 s.
         let mut a = snap(0, 640, 0, 0);
         a.queued_requests = 10;
         let mut b = snap(1, 0, 64, 1);
         b.queued_requests = 0;
-        assert_eq!(lel.pick(&[a, b], SimTime::ZERO), 1);
+        assert_eq!(pick(LeastExpectedLatency, &[a, b]), 1);
     }
 
     #[test]
@@ -294,24 +253,20 @@ mod tests {
         down.suspicion = f64::INFINITY;
         let busy = snap(1, 512, 256, 9);
         let snaps = vec![down, busy];
-        let mut rr = RoundRobin::new();
+        let mut rr = None;
         for _ in 0..4 {
-            assert_eq!(rr.pick(&snaps, SimTime::ZERO), 1, "round-robin");
+            assert_eq!(rotate(&mut rr, &snaps), 1, "round-robin");
         }
-        assert_eq!(JoinShortestQueue.pick(&snaps, SimTime::ZERO), 1, "jsq");
-        assert_eq!(
-            LeastExpectedLatency.pick(&snaps, SimTime::ZERO),
-            1,
-            "least-latency"
-        );
+        assert_eq!(pick(JoinShortestQueue, &snaps), 1, "jsq");
+        assert_eq!(pick(LeastExpectedLatency, &snaps), 1, "least-latency");
     }
 
     #[test]
     fn round_robin_rotation_skips_the_dead() {
-        let mut rr = RoundRobin::new();
+        let mut rr = None;
         let mut snaps = vec![snap(0, 0, 0, 0), snap(1, 0, 0, 0), snap(2, 0, 0, 0)];
         snaps[1].suspicion = f64::INFINITY;
-        let picks: Vec<usize> = (0..4).map(|_| rr.pick(&snaps, SimTime::ZERO)).collect();
+        let picks: Vec<usize> = (0..4).map(|_| rotate(&mut rr, &snaps)).collect();
         assert_eq!(picks, vec![0, 2, 0, 2]);
     }
 
@@ -322,24 +277,20 @@ mod tests {
         // to rewind the rotation to 0 (cursor 2 % 2 == 0), double-
         // hitting 0 and starving 2. The id-anchored rotation continues
         // at the next routable id.
-        let mut rr = RoundRobin::new();
+        let mut rr = None;
         let three = vec![snap(0, 0, 0, 0), snap(1, 0, 0, 0), snap(2, 0, 0, 0)];
-        assert_eq!(rr.pick(&three, SimTime::ZERO), 0);
-        assert_eq!(rr.pick(&three, SimTime::ZERO), 1);
+        assert_eq!(rotate(&mut rr, &three), 0);
+        assert_eq!(rotate(&mut rr, &three), 1);
         let mut lost = three.clone();
         lost[1].suspicion = f64::INFINITY;
-        assert_eq!(rr.pick(&lost, SimTime::ZERO), 2, "no double-hit of 0");
+        assert_eq!(rotate(&mut rr, &lost), 2, "no double-hit of 0");
         // Replica 1 comes back and a new replica 3 joins (elastic
         // scale-up): the rotation picks up both without skipping.
         let mut grown = three.clone();
         grown.push(snap(3, 0, 0, 0));
-        assert_eq!(rr.pick(&grown, SimTime::ZERO), 3);
-        assert_eq!(
-            rr.pick(&grown, SimTime::ZERO),
-            0,
-            "wraps to the smallest id"
-        );
-        assert_eq!(rr.pick(&grown, SimTime::ZERO), 1);
+        assert_eq!(rotate(&mut rr, &grown), 3);
+        assert_eq!(rotate(&mut rr, &grown), 0, "wraps to the smallest id");
+        assert_eq!(rotate(&mut rr, &grown), 1);
     }
 
     #[test]
@@ -348,10 +299,10 @@ mod tests {
         // routable set is fixed, K consecutive picks hit each replica
         // exactly once (no skips, no double-hits), regardless of what
         // the rotation saw before.
-        let mut rr = RoundRobin::new();
+        let mut rr = None;
         let warm = vec![snap(0, 0, 0, 0), snap(1, 0, 0, 0), snap(4, 0, 0, 0)];
         for _ in 0..4 {
-            rr.pick(&warm, SimTime::ZERO);
+            rotate(&mut rr, &warm);
         }
         let stable = vec![
             snap(0, 0, 0, 0),
@@ -359,7 +310,7 @@ mod tests {
             snap(3, 0, 0, 0),
             snap(5, 0, 0, 0),
         ];
-        let mut picks: Vec<usize> = (0..4).map(|_| rr.pick(&stable, SimTime::ZERO)).collect();
+        let mut picks: Vec<usize> = (0..4).map(|_| rotate(&mut rr, &stable)).collect();
         picks.sort_unstable();
         assert_eq!(picks, vec![0, 2, 3, 5]);
     }
@@ -376,26 +327,11 @@ mod tests {
         provisioning.provisioning = true;
         let busy = snap(2, 512, 256, 9);
         let snaps = vec![draining, provisioning, busy];
-        let mut rr = RoundRobin::new();
+        let mut rr = None;
         for _ in 0..4 {
-            assert_eq!(rr.pick(&snaps, SimTime::ZERO), 2, "round-robin");
+            assert_eq!(rotate(&mut rr, &snaps), 2, "round-robin");
         }
-        assert_eq!(JoinShortestQueue.pick(&snaps, SimTime::ZERO), 2, "jsq");
-        assert_eq!(
-            LeastExpectedLatency.pick(&snaps, SimTime::ZERO),
-            2,
-            "least-latency"
-        );
-    }
-
-    #[test]
-    fn kinds_build_their_policies() {
-        for kind in [
-            BalancerKind::RoundRobin,
-            BalancerKind::JoinShortestQueue,
-            BalancerKind::LeastExpectedLatency,
-        ] {
-            assert_eq!(kind.build().name(), kind.name());
-        }
+        assert_eq!(pick(JoinShortestQueue, &snaps), 2, "jsq");
+        assert_eq!(pick(LeastExpectedLatency, &snaps), 2, "least-latency");
     }
 }

@@ -1,10 +1,10 @@
-//! Multi-replica serving: a cluster of replica servers behind a
-//! pluggable load balancer, with deterministic fault injection.
+//! Multi-replica serving: a cluster of replica servers behind a load
+//! balancer, with deterministic fault injection.
 //!
 //! A [`ClusterEngine`] serves the *same* pre-generated open-loop
 //! request trace a [`ServeEngine`] would (same seeds, same drift), but
 //! routes each arriving request to one of `replicas` identical servers
-//! via a [`LoadBalancer`]. Every replica keeps its own admission queue,
+//! via a [`BalancerKind`]. Every replica keeps its own admission queue,
 //! dynamic [`Batcher`](crate::Batcher) timeline, and a
 //! [`ReplicaExecutor`] running its in-flight batches; the cluster walks
 //! a single K-server event loop over every event kind in global
@@ -42,8 +42,8 @@
 //! 5. **re-shard ticks** — the proactive re-sharder (when armed)
 //!    profiles its per-expert load monitor every `interval` and may
 //!    replicate, evict, or migrate expert replicas
-//!    ([`ReshardPolicy`](crate::ReshardPolicy)); actuation charges the
-//!    modeled PCIe transfer;
+//!    ([`ReshardPolicyKind`](crate::ReshardPolicyKind)); actuation
+//!    charges the modeled PCIe transfer;
 //! 6. **admissions** — a request (first arrival from the lazily
 //!    generated trace stream, or re-admission after a fault) is routed
 //!    by the balancer, which sees only routable replicas; an arrival
@@ -73,8 +73,8 @@ use lina_runner::{plan_batch_layered, ExecutionPlan, FinishedBatch, ReplicaExecu
 use lina_simcore::{EventQueue, Rng, SimDuration, SimTime};
 use lina_workload::{TokenBatch, WorkloadSpec};
 
-use crate::autoscale::{AutoscaleConfig, AutoscaleRuntime, PoolMember, ScaleDecision};
-use crate::balancer::{BalancerKind, LoadBalancer, ReplicaSnapshot};
+use crate::autoscale::{AutoscaleConfig, AutoscaleRuntime, ScaleDecision};
+use crate::balancer::{BalancerKind, ReplicaSnapshot};
 use crate::batcher::{Batcher, Dispatch};
 use crate::engine::{ReestimationWindow, ServeConfig, ServeEngine};
 use crate::faults::{FaultEvent, FaultKind, FaultPlan, RecoveryClock};
@@ -575,19 +575,6 @@ impl Replica {
         }
     }
 
-    /// The autoscaler's view at a control tick.
-    fn pool_member(&self) -> PoolMember {
-        match self.state {
-            ReplicaState::Up => PoolMember::Serving {
-                ready_at: self.ready_at,
-                queued_requests: self.queue.len() - self.next,
-                outstanding_tokens: self.outstanding_tokens(),
-            },
-            ReplicaState::Draining => PoolMember::Draining,
-            ReplicaState::Down | ReplicaState::Retired(_) => PoolMember::Out,
-        }
-    }
-
     /// The balancer's view at a routing instant. The event loop fires
     /// every executor event at or before the routing instant first, so
     /// in-flight counts here never include batches that already
@@ -707,7 +694,7 @@ impl<'a> ClusterEngine<'a> {
 
     /// Runs the full cluster simulation.
     pub fn run(&self) -> ClusterOutcome {
-        self.run_stream(Box::new(self.engine.request_stream()))
+        self.run_stream(self.engine.request_stream())
     }
 
     /// Runs the cluster over a pre-generated request trace instead of
@@ -718,16 +705,17 @@ impl<'a> ClusterEngine<'a> {
     /// Takes the trace by value so the loop moves requests into its
     /// queues instead of deep-cloning their token paths.
     pub fn run_trace(&self, trace: Vec<Request>) -> ClusterOutcome {
-        self.run_stream(Box::new(trace.into_iter()))
+        self.run_stream(trace.into_iter())
     }
 
     /// The K-server event loop over a stream of first arrivals in
     /// `(arrival, id)` order.
-    fn run_stream<'e>(&'e self, stream: Box<dyn Iterator<Item = Request> + 'e>) -> ClusterOutcome {
+    fn run_stream(&self, stream: impl Iterator<Item = Request>) -> ClusterOutcome {
         let (engine, cluster) = (&self.engine, &self.config);
         let config = &engine.config;
         let seeds = config.seeds();
-        let offline = engine
+        let offline = config
+            .scheme
             .needs_scheduler()
             .then(|| engine.offline_scheduler(seeds.profile));
         let reload = provisioning::weight_reload(engine.cost, engine.topo, engine.spec.experts);
@@ -761,7 +749,7 @@ impl<'a> ClusterEngine<'a> {
                 .collect(),
             monitor: HealthMonitor::for_cluster(cluster.health.clone(), n, topo.clone()),
             topo,
-            balancer: cluster.balancer.build(),
+            last_pick: None,
             batcher: Batcher::new(config.batcher.clone()),
             infer: InferenceConfig {
                 scheme: config.scheme,
@@ -822,13 +810,15 @@ fn estimate_read(balancer: BalancerKind, health: &HealthConfig) -> bool {
 }
 
 /// The unified cluster event loop's state.
-struct ClusterSim<'e, 'a> {
+struct ClusterSim<'e, 'a, S: Iterator<Item = Request>> {
     engine: &'e ServeEngine<'a>,
     cluster: &'e ClusterConfig,
     /// One shared topology handle for every executor the run creates
     /// (initial pool and elastic scale-ups alike).
     topo: Arc<Topology>,
-    balancer: Box<dyn LoadBalancer>,
+    /// The round-robin anchor: the replica id the previous pick of
+    /// `cluster.balancer` routed to.
+    last_pick: Option<usize>,
     batcher: Batcher,
     infer: InferenceConfig,
     per_replica_capacity: f64,
@@ -853,7 +843,7 @@ struct ClusterSim<'e, 'a> {
     /// First arrivals in `(arrival, id)` order: the lazily generated
     /// trace stream or a pre-generated trace. Memory stays bounded by
     /// the live backlog.
-    stream: std::iter::Peekable<Box<dyn Iterator<Item = Request> + 'e>>,
+    stream: std::iter::Peekable<S>,
     /// Re-admissions only (first arrivals come from `stream`).
     admissions: EventQueue<Admission>,
     /// Reused balancer-snapshot buffer: `admit` is per-request hot, so
@@ -897,7 +887,7 @@ struct ClusterSim<'e, 'a> {
     admitted_ids: std::collections::BTreeSet<usize>,
 }
 
-impl ClusterSim<'_, '_> {
+impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
     /// Picks the next event in `(time, priority)` order; `None` when
     /// the run has drained.
     fn next_step(&mut self) -> Option<Step> {
@@ -1149,7 +1139,7 @@ impl ClusterSim<'_, '_> {
         // — then flush the source window: its samples were gathered
         // under the pre-loss placement.
         let engine = self.engine;
-        if engine.estimates() {
+        if engine.config.scheme.estimates() {
             let est = self.estimate(i);
             if !est.window.is_empty() {
                 est.reprofile(engine);
@@ -1212,7 +1202,10 @@ impl ClusterSim<'_, '_> {
             .autoscale
             .as_mut()
             .expect("control event without an autoscaler");
-        let (at, decision) = rt.tick(self.replicas.iter().map(Replica::pool_member));
+        // The serving pool, ready or still provisioning.
+        let pool = self.replicas.iter().filter(|r| r.accepts_work());
+        let outstanding = pool.clone().map(Replica::outstanding_tokens).sum();
+        let (at, decision) = rt.tick(pool.count(), outstanding);
         self.now = at;
         match decision {
             ScaleDecision::Hold => {}
@@ -1355,11 +1348,12 @@ impl ClusterSim<'_, '_> {
                 }
             }
         }
-        let target = self.balancer.pick(&snapshots, now);
+        let balancer = self.cluster.balancer;
+        let target = balancer.pick(&snapshots, now, &mut self.last_pick);
         assert!(
             self.replicas.get(target).is_some_and(Replica::is_up),
             "balancer {} picked unroutable or out-of-range replica {target}",
-            self.balancer.name()
+            balancer.name()
         );
         self.snapshot_scratch = snapshots;
         let rep = &mut self.replicas[target];
@@ -1590,7 +1584,7 @@ impl ClusterSim<'_, '_> {
         let every = engine
             .config
             .reestimate_every
-            .filter(|_| engine.estimates());
+            .filter(|_| engine.config.scheme.estimates());
         if let Some(rt) = &mut self.resharding {
             rt.observe(&batch);
         }

@@ -1,12 +1,15 @@
 //! The serving loop.
 //!
-//! A [`ServeEngine`] pre-generates an open-loop request trace (arrival
-//! process + per-request tokens), then walks a single-server timeline:
-//! the [`Batcher`](crate::Batcher) decides when each batch leaves the
-//! admission queue, the batch runs through
-//! [`run_inference_batch`](lina_runner::inference::run_inference_batch)
-//! under the configured scheme, and every member request is charged
-//! its queueing delay plus the batch's model time.
+//! A [`ServeEngine`] streams an open-loop request trace (arrival
+//! process + per-request tokens) through a single server. Its run is a
+//! one-replica [`ClusterEngine`]: the [`Batcher`](crate::Batcher)
+//! decides when each batch leaves the admission queue,
+//! [`plan_batch_layered`](lina_runner::plan_batch_layered) plans it
+//! under the configured scheme, a
+//! [`ReplicaExecutor`](lina_runner::ReplicaExecutor) prices it, and
+//! every member request is charged its queueing delay plus the batch's
+//! model time. Only [`ServeEngine::capacity`] still runs a batch
+//! through [`run_inference_batch`].
 //!
 //! Two serving-specific mechanisms sit on top of the paper's per-batch
 //! machinery:
@@ -314,20 +317,6 @@ impl<'a> ServeEngine<'a> {
         cfg
     }
 
-    pub(crate) fn needs_scheduler(&self) -> bool {
-        matches!(
-            self.config.scheme,
-            InferScheme::Lina | InferScheme::LinaNoEstimation | InferScheme::LinaNoFinetune
-        )
-    }
-
-    pub(crate) fn estimates(&self) -> bool {
-        matches!(
-            self.config.scheme,
-            InferScheme::Lina | InferScheme::LinaNoFinetune
-        )
-    }
-
     /// Builds the offline-profiled scheduler, as the paper's profiling
     /// stage does: training-distribution batches, no drift.
     pub(crate) fn offline_scheduler(&self, profile_seed: u64) -> TwoPhaseScheduler {
@@ -378,6 +367,8 @@ impl<'a> ServeEngine<'a> {
     pub fn capacity(&self) -> f64 {
         let seeds = self.config.seeds();
         let scheduler = self
+            .config
+            .scheme
             .needs_scheduler()
             .then(|| self.offline_scheduler(seeds.profile));
         let mut source = TokenSource::new(self.spec, self.config.top_k, seeds.token);

@@ -23,7 +23,7 @@
 //!
 //! * Suspicion is continuous: `0.0` is a replica indistinguishable from
 //!   the cluster baseline; `>= 1.0` excludes it from routing (the
-//!   [`ReplicaSnapshot::routable`] gate), and values in between
+//!   balancer's routable gate), and values in between
 //!   penalize the replica under the latency-aware balancer without
 //!   excluding it.
 //! * An excluded replica receives no traffic and therefore no fresh
@@ -53,7 +53,6 @@
 //! reported on [`ClusterOutcome`](crate::ClusterOutcome).
 //!
 //! [`FaultKind::GrayDegrade`]: crate::FaultKind::GrayDegrade
-//! [`ReplicaSnapshot::routable`]: crate::ReplicaSnapshot::routable
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;

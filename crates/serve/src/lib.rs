@@ -10,15 +10,16 @@
 //! * [`Batcher`] — an admission queue plus dynamic batcher
 //!   (max-batch-size and max-wait knobs) that forms
 //!   [`TokenBatch`](lina_workload::TokenBatch)es from queued requests;
-//! * [`ServeEngine`] — a single-server loop dispatching each formed
-//!   batch through [`run_inference_batch`](lina_runner::inference::run_inference_batch),
+//! * [`ServeEngine`] — a single server: its run is a one-replica
+//!   [`ClusterEngine`], planning each formed batch with
+//!   [`plan_batch_layered`](lina_runner::plan_batch_layered) and
+//!   pricing it on a [`ReplicaExecutor`](lina_runner::ReplicaExecutor),
 //!   charging every request its queueing delay plus service time;
-//! * [`ClusterEngine`] — N replica servers behind a pluggable
-//!   [`LoadBalancer`] (round-robin, join-shortest-queue,
+//! * [`ClusterEngine`] — N replica servers behind a
+//!   [`BalancerKind`] (round-robin, join-shortest-queue,
 //!   least-expected-latency), each with its own admission queue and
 //!   batcher timeline, sharing one popularity estimator or keeping
-//!   per-replica ones ([`EstimatorSharing`]); the single-server loop is
-//!   its K = 1 special case;
+//!   per-replica ones ([`EstimatorSharing`]);
 //! * [`SloTracker`] — per-request latency percentiles, throughput,
 //!   goodput, SLO attainment, availability, explicit terminal outcomes
 //!   ([`RequestOutcome`]), and a queue-depth timeline;
@@ -42,7 +43,7 @@
 //!   alternate, first completion winning; the default
 //!   [`DetectorKind::Oracle`] reproduces the historical boolean health
 //!   bit bit-for-bit;
-//! * elastic autoscaling — an [`AutoscalePolicy`] (reactive
+//! * elastic autoscaling — an [`AutoscalePolicyKind`] (reactive
 //!   queue-depth thresholds with hysteresis, or a predictive forecast
 //!   over an observation window) evaluated at a fixed control interval
 //!   resizes the replica pool: scale-up pays the shared provisioning
@@ -50,7 +51,7 @@
 //!   work before decommissioning, and the run reports its integrated
 //!   pool cost in replica-seconds — the cost axis of the cost-vs-SLO
 //!   frontier ([`ClusterOutcome::replica_seconds`]);
-//! * proactive expert re-sharding — a [`ReshardPolicy`] fed by an
+//! * proactive expert re-sharding — a [`ReshardPolicyKind`] fed by an
 //!   online per-expert load monitor replicates hot experts, evicts
 //!   cold replicas, and migrates experts mid-serving
 //!   ([`resharding`]); actuation pays the modeled PCIe transfer
@@ -81,14 +82,8 @@ pub mod resharding;
 pub mod slo;
 
 pub use arrival::{ArrivalProcess, ArrivalStream};
-pub use autoscale::{
-    AutoscaleConfig, AutoscalePolicy, AutoscalePolicyKind, ClusterObservation, PredictivePolicy,
-    ReactivePolicy, ScaleDecision, ScriptedPolicy,
-};
-pub use balancer::{
-    BalancerKind, JoinShortestQueue, LeastExpectedLatency, LoadBalancer, ReplicaSnapshot,
-    RoundRobin,
-};
+pub use autoscale::{AutoscaleConfig, AutoscalePolicyKind, ScaleDecision};
+pub use balancer::BalancerKind;
 pub use batcher::{Batcher, BatcherConfig};
 pub use cluster::{
     serve_cluster, ClusterConfig, ClusterEngine, ClusterOutcome, EstimatorSharing, PlanCacheStats,
@@ -101,8 +96,5 @@ pub use health::{DetectorKind, HealthConfig, HealthMonitor, HedgeConfig};
 pub use lina_runner::NetworkMode;
 pub use provisioning::{provision_time, reshard_transfer, weight_reload};
 pub use request::{Request, RequestRecord};
-pub use resharding::{
-    InertPolicy, ReshardAction, ReshardConfig, ReshardObservation, ReshardPolicy,
-    ReshardPolicyKind, ScriptedReshardPolicy, ThresholdReshardPolicy,
-};
+pub use resharding::{ReshardAction, ReshardConfig, ReshardPolicyKind};
 pub use slo::{FailureRecord, RequestOutcome, SloReport, SloTracker};
