@@ -19,9 +19,11 @@
 //! A missing previous file is the first-run case and passes silently,
 //! so the gate bootstraps itself.
 //!
-//!     cargo run -p lina-bench --bin regression_check -- \
-//!         --current bench_summary.json --previous previous.json \
-//!         [--tolerance 0.05]
+//! ```text
+//! cargo run -p lina-bench --bin regression_check -- \
+//!     --current bench_summary.json --previous previous.json \
+//!     [--tolerance 0.05]
+//! ```
 //!
 //! The simulator is deterministic, so at equal tier the expected drift
 //! is zero; the tolerance band only absorbs intentional re-tuning of a

@@ -132,20 +132,8 @@ pub struct InferenceSetup {
     pub batches: Vec<TokenBatch>,
 }
 
-/// Standard inference setup for a workload spec (12 profiling
-/// batches, the historical full-tier depth).
-pub fn inference_setup(
-    spec: &WorkloadSpec,
-    devices: usize,
-    path_length: usize,
-    n_batches: usize,
-    tokens_per_dev: usize,
-) -> InferenceSetup {
-    inference_setup_sized(spec, devices, path_length, n_batches, tokens_per_dev, 12)
-}
-
-/// Inference setup with an explicit profiling depth (the smoke tier
-/// profiles fewer batches).
+/// Inference setup for a workload spec with an explicit profiling
+/// depth (the full tier profiles 12 batches, the smoke tier fewer).
 pub fn inference_setup_sized(
     spec: &WorkloadSpec,
     devices: usize,
@@ -203,7 +191,7 @@ mod tests {
     #[test]
     fn setup_builds() {
         let spec = WorkloadSpec::enwik8(4, 12);
-        let s = inference_setup(&spec, 4, 3, 2, 256);
+        let s = inference_setup_sized(&spec, 4, 3, 2, 256, 12);
         assert_eq!(s.batches.len(), 2);
         assert_eq!(s.scheduler.estimator().path_length(), 3);
     }

@@ -9,8 +9,6 @@
 //! Arrivals **stream**: [`ArrivalProcess::stream`] returns an infinite
 //! lazy iterator over arrival instants, so a million-request diurnal
 //! trace costs O(1) memory instead of materializing a `Vec<SimTime>`.
-//! [`ArrivalProcess::arrival_times`] remains as the eager convenience
-//! wrapper and draws the *identical* sequence (same rng, same order).
 
 use lina_simcore::{Rng, SimDuration, SimTime};
 
@@ -160,12 +158,6 @@ impl<'a> ArrivalStream<'a> {
             trace_idx: 0,
         }
     }
-
-    /// Recovers the rng, advanced past every draw the stream made (the
-    /// eager wrapper hands it back to the caller).
-    fn into_rng(self) -> Rng {
-        self.rng
-    }
 }
 
 impl Iterator for ArrivalStream<'_> {
@@ -261,9 +253,7 @@ impl Iterator for ArrivalStream<'_> {
 
 impl ArrivalProcess {
     /// Streams arrivals lazily: an infinite iterator of nondecreasing
-    /// instants, deterministic in the given rng. The stream owns the
-    /// rng; use [`ArrivalProcess::arrival_times`] when the caller
-    /// needs its rng advanced in place.
+    /// instants, deterministic in the given rng, which the stream owns.
     ///
     /// # Panics
     ///
@@ -271,20 +261,6 @@ impl ArrivalProcess {
     /// an out-of-range diurnal amplitude / flash multiplier.
     pub fn stream(&self, rng: Rng) -> ArrivalStream<'_> {
         ArrivalStream::new(self, rng)
-    }
-
-    /// Generates the first `n` arrival instants, sorted ascending —
-    /// the eager wrapper over [`ArrivalProcess::stream`], drawing the
-    /// identical sequence and leaving `rng` in the identical state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-positive rate or dwell time, or an empty trace.
-    pub fn arrival_times(&self, n: usize, rng: &mut Rng) -> Vec<SimTime> {
-        let mut stream = self.stream(rng.clone());
-        let out: Vec<SimTime> = stream.by_ref().take(n).collect();
-        *rng = stream.into_rng();
-        out
     }
 
     /// The long-run mean arrival rate (requests/s). For the diurnal
@@ -345,7 +321,7 @@ mod tests {
     #[test]
     fn poisson_mean_gap_matches_rate() {
         let p = ArrivalProcess::Poisson { rate: 100.0 };
-        let times = p.arrival_times(20_000, &mut Rng::new(7));
+        let times: Vec<SimTime> = p.stream(Rng::new(7)).take(20_000).collect();
         assert_eq!(times.len(), 20_000);
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
         let span = times.last().expect("nonempty").as_secs_f64();
@@ -361,7 +337,7 @@ mod tests {
             mean_calm: 1.0,
             mean_burst: 0.25,
         };
-        let times = p.arrival_times(20_000, &mut Rng::new(3));
+        let times: Vec<SimTime> = p.stream(Rng::new(3)).take(20_000).collect();
         let span = times.last().expect("nonempty").as_secs_f64();
         let rate = times.len() as f64 / span;
         let mean = p.mean_rate();
@@ -385,7 +361,7 @@ mod tests {
         let p = ArrivalProcess::Trace {
             inter_arrivals: vec![SimDuration::from_millis(1), SimDuration::from_millis(3)],
         };
-        let times = p.arrival_times(4, &mut Rng::new(1));
+        let times: Vec<SimTime> = p.stream(Rng::new(1)).take(4).collect();
         assert_eq!(
             times,
             vec![
@@ -402,43 +378,9 @@ mod tests {
     fn same_seed_same_trace() {
         let p = ArrivalProcess::Poisson { rate: 10.0 };
         assert_eq!(
-            p.arrival_times(100, &mut Rng::new(9)),
-            p.arrival_times(100, &mut Rng::new(9))
+            p.stream(Rng::new(9)).take(100).collect::<Vec<_>>(),
+            p.stream(Rng::new(9)).take(100).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn stream_matches_eager_and_advances_the_rng_identically() {
-        // The lazy iterator must draw the identical sequence as the
-        // eager wrapper for every legacy process — the serving seeds'
-        // bit-reproducibility rests on it — and leave the caller's rng
-        // in the identical state.
-        let processes = [
-            ArrivalProcess::Poisson { rate: 250.0 },
-            ArrivalProcess::Mmpp {
-                calm_rate: 50.0,
-                burst_rate: 800.0,
-                mean_calm: 0.5,
-                mean_burst: 0.05,
-            },
-            ArrivalProcess::Trace {
-                inter_arrivals: vec![SimDuration::from_millis(2), SimDuration::from_millis(5)],
-            },
-            diurnal(2.5),
-        ];
-        for p in &processes {
-            let mut eager_rng = Rng::new(0xA11);
-            let eager = p.arrival_times(500, &mut eager_rng);
-            let lazy: Vec<SimTime> = p.stream(Rng::new(0xA11)).take(500).collect();
-            assert_eq!(eager, lazy);
-            // The wrapper hands back the stream's rng: both paths must
-            // continue with the same draws.
-            let mut stream = p.stream(Rng::new(0xA11));
-            for _ in 0..500 {
-                stream.next();
-            }
-            assert_eq!(eager_rng.next_u64(), stream.into_rng().next_u64());
-        }
     }
 
     #[test]

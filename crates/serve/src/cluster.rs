@@ -5,7 +5,7 @@
 //! request trace a [`ServeEngine`] would (same seeds, same drift), but
 //! routes each arriving request to one of `replicas` identical servers
 //! via a [`BalancerKind`]. Every replica keeps its own admission queue,
-//! dynamic [`Batcher`](crate::Batcher) timeline, and a
+//! dynamic [`Batcher`] timeline, and a
 //! [`ReplicaExecutor`] running its in-flight batches; the cluster walks
 //! a single K-server event loop over every event kind in global
 //! `(time, priority)` order, so the run is deterministic down to the
@@ -77,7 +77,7 @@ use crate::autoscale::{AutoscaleConfig, AutoscaleRuntime, ScaleDecision};
 use crate::balancer::{BalancerKind, ReplicaSnapshot};
 use crate::batcher::{Batcher, Dispatch};
 use crate::engine::{ReestimationWindow, ServeConfig, ServeEngine};
-use crate::faults::{FaultEvent, FaultKind, FaultPlan, RecoveryClock};
+use crate::faults::{Degradation, FaultEvent, FaultKind, FaultPlan, RecoveryClock};
 use crate::health::{
     is_hedge, DetectorKind, HealthConfig, HealthMonitor, HedgeConfig, HedgeRuntime,
 };
@@ -409,18 +409,9 @@ struct Replica {
     /// Batches this replica has dispatched.
     batches: usize,
     state: ReplicaState,
-    /// GPUs lost to [`FaultKind::DeviceLoss`] since the last recovery.
-    devices_lost: usize,
-    /// Expert-compute stretch from lost devices (survivors absorb the
-    /// lost shard): `devices / (devices - devices_lost)`.
-    compute_slowdown: f64,
-    /// Expert-compute stretch from an active straggler episode.
-    straggler: f64,
-    /// Expert-compute stretch from an active *gray* degradation
-    /// ([`FaultKind::GrayDegrade`]). Deliberately excluded from the
-    /// balancer snapshot's capacity: the control plane is never told
-    /// about gray faults, only the detector can infer them.
-    gray_compute: f64,
+    /// The fault factors; the executor always runs under their link
+    /// product.
+    degradation: Degradation,
     /// Speculative hedge batches currently executing here. Excluded
     /// from dispatch-slot accounting so a hedge never blocks the
     /// replica's own primary dispatches.
@@ -457,10 +448,7 @@ impl Replica {
             tokens: 0,
             batches: 0,
             state: ReplicaState::Up,
-            devices_lost: 0,
-            compute_slowdown: 1.0,
-            straggler: 1.0,
-            gray_compute: 1.0,
+            degradation: Degradation::default(),
             hedges_in_flight: 0,
             ready_at,
             commissioned,
@@ -534,13 +522,11 @@ impl Replica {
         self.ordinals.truncate(kept);
     }
 
-    /// Clears every slowdown a fault left behind (crash or recovery:
-    /// the hardware is gone or fresh).
-    fn reset_degradation(&mut self) {
-        self.devices_lost = 0;
-        self.compute_slowdown = 1.0;
-        self.straggler = 1.0;
-        self.gray_compute = 1.0;
+    /// Updates the fault factors, then pushes their link product to the
+    /// executor.
+    fn degrade(&mut self, update: impl FnOnce(&mut Degradation)) {
+        update(&mut self.degradation);
+        self.executor.set_link_scale(self.degradation.link_scale());
     }
 
     /// Submits the pristine `plan` as this replica runs it: expert
@@ -551,7 +537,7 @@ impl Replica {
     /// no stretch and clean links — so the detector need not price the
     /// plan again.
     fn submit(&mut self, id: u64, at: SimTime, plan: &Arc<ExecutionPlan>) -> Option<SimDuration> {
-        let slow = self.compute_slowdown * self.straggler * self.gray_compute;
+        let slow = self.degradation.compute_stretch();
         let run = if slow > 1.0 {
             let mut degraded = (**plan).clone();
             degraded.scale_compute(slow);
@@ -581,10 +567,9 @@ impl Replica {
     /// completed. `suspicion` comes from the run's [`HealthMonitor`]:
     /// down and retired replicas are reported as infinitely suspect
     /// (the balancer contract for "unroutable"). The advertised
-    /// capacity deliberately ignores `gray_compute`: the control plane
-    /// never sees a gray fault directly.
+    /// capacity divides by the visible stretch only (exactly 1.0 when
+    /// undegraded): the control plane never sees a gray fault directly.
     fn snapshot(&self, id: usize, capacity: f64, now: SimTime, suspicion: f64) -> ReplicaSnapshot {
-        let slow = self.compute_slowdown * self.straggler;
         ReplicaSnapshot {
             id,
             suspicion: if self.is_up() {
@@ -598,11 +583,7 @@ impl Replica {
             queued_tokens: self.queued_tokens,
             in_flight_tokens: self.executor.in_flight_tokens(),
             server_free: self.executor.busy_until().unwrap_or(SimTime::ZERO),
-            capacity: if slow > 1.0 {
-                capacity / slow
-            } else {
-                capacity
-            },
+            capacity: capacity / self.degradation.visible_stretch(),
         }
     }
 }
@@ -987,41 +968,24 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
         self.faults_injected += 1;
         let rep = &mut self.replicas[e.replica];
         match e.kind {
-            FaultKind::ReplicaCrash => self.crash(e.replica, e.at),
             FaultKind::ReplicaRecover => self.recover(e.replica, e.at),
-            FaultKind::DeviceLoss => self.device_loss(e.replica, e.at),
-            // The other faults degrade a replica that is up; down and
-            // retired replicas ignore them (recovery resets all
+            // Every other fault hits a replica that is up; down and
+            // retired replicas ignore it (recovery resets all
             // degradation state anyway).
             _ if !rep.is_up() => {}
-            FaultKind::LinkDegrade { scale } => rep.executor.set_link_scale(scale),
-            FaultKind::LinkRestore => rep.executor.set_link_scale(1.0),
-            FaultKind::StragglerStart { factor } => rep.straggler = factor,
-            FaultKind::StragglerEnd => rep.straggler = 1.0,
+            FaultKind::ReplicaCrash => self.crash(e.replica, e.at),
+            FaultKind::DeviceLoss => self.device_loss(e.replica, e.at),
             // Gray faults degrade silently: only a detector that looks
             // can notice.
-            FaultKind::GrayDegrade {
-                compute_scale,
-                nic_scale,
-            } => {
-                rep.gray_compute = compute_scale;
-                rep.executor.set_link_scale(nic_scale);
-            }
-            FaultKind::GrayClear => {
-                rep.gray_compute = 1.0;
-                rep.executor.set_link_scale(1.0);
-            }
+            kind => rep.degrade(|d| d.apply(kind)),
         }
     }
 
-    /// The whole replica goes down: abort its in-flight batches,
-    /// displace its queued requests, and hand everything displaced to
-    /// the degradation policy.
+    /// The whole replica, which is up, goes down: abort its in-flight
+    /// batches, displace its queued requests, and hand everything
+    /// displaced to the degradation policy.
     fn crash(&mut self, i: usize, at: SimTime) {
         let rep = &mut self.replicas[i];
-        if !rep.is_up() {
-            return;
-        }
         // A crashed drain victim has nothing left to finish draining:
         // it retires on the spot (a recovery would revive a replica
         // the autoscaler already decided to shed).
@@ -1030,7 +994,7 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
         } else {
             ReplicaState::Down
         };
-        rep.reset_degradation();
+        rep.degrade(|d| *d = Degradation::default());
         let aborted = rep.executor.abort_all();
         rep.hedges_in_flight = 0;
         self.monitor.reset(i);
@@ -1099,8 +1063,7 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
             return;
         }
         rep.state = ReplicaState::Up;
-        rep.reset_degradation();
-        rep.executor.set_link_scale(1.0);
+        rep.degrade(|d| *d = Degradation::default());
         // The replica's own monitoring samples predate the crash:
         // flush them so a per-replica re-profile after recovery starts
         // from post-recovery observations only. (Under shared sharing
@@ -1113,24 +1076,21 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
         self.monitor.reset(i);
     }
 
-    /// One GPU dies but the replica survives: emergency re-placement
-    /// of the lost experts onto the survivors (modeled PCIe transfer
-    /// gating the next dispatch, scheduler re-profiled from the
-    /// re-estimation window) and a permanent compute stretch until
-    /// recovery. Losing the last device escalates to a crash.
+    /// One GPU of a replica that is up dies but the replica survives:
+    /// emergency re-placement of the lost experts onto the survivors
+    /// (modeled PCIe transfer gating the next dispatch, scheduler
+    /// re-profiled from the re-estimation window) and a permanent
+    /// compute stretch until recovery. Losing the last device escalates
+    /// to a crash.
     fn device_loss(&mut self, i: usize, at: SimTime) {
-        if !self.replicas[i].is_up() {
-            return;
-        }
         let devices = self.engine.topo.devices();
-        if self.replicas[i].devices_lost + 1 >= devices {
+        let reload = self.reload;
+        let rep = &mut self.replicas[i];
+        // Lost devices stretch compute only: the link product stands.
+        if !rep.degradation.lose_device(devices) {
             self.crash(i, at);
             return;
         }
-        let reload = self.reload;
-        let rep = &mut self.replicas[i];
-        rep.devices_lost += 1;
-        rep.compute_slowdown = devices as f64 / (devices - rep.devices_lost) as f64;
         rep.slot_free = rep.slot_free.max(at + reload);
         self.emergency_replacements += 1;
         // Re-profile immediately from whatever the window holds — an
@@ -2191,6 +2151,64 @@ mod tests {
         }
     }
 
+    /// Overlapping link and gray-NIC episodes compose as a product: a
+    /// no-op episode of one family nested inside the other's leaves the
+    /// run bit-identical to the outer episode alone.
+    #[test]
+    fn nested_link_and_gray_nic_episodes_compose() {
+        let (cost, topo, spec) = world();
+        let run = |events: Vec<(u64, FaultKind)>| {
+            let mut c = config(InferScheme::Baseline, 2000.0, 1);
+            let events = events.into_iter().map(|(ms, kind)| FaultEvent {
+                at: SimTime::from_millis(ms),
+                replica: 0,
+                kind,
+            });
+            c.faults = FaultPlan {
+                schedule: FaultSchedule::from_script(events.collect()),
+                policy: DegradationPolicy::retry_failover(None),
+            };
+            serve_cluster(&cost, &topo, &spec, c)
+        };
+        let noop_gray = [
+            (
+                5,
+                FaultKind::GrayDegrade {
+                    compute_scale: 1.0,
+                    nic_scale: 1.0,
+                },
+            ),
+            (15, FaultKind::GrayClear),
+        ];
+        let noop_link = [
+            (5, FaultKind::LinkDegrade { scale: 1.0 }),
+            (15, FaultKind::LinkRestore),
+        ];
+        let gray_nic = FaultKind::GrayDegrade {
+            compute_scale: 1.0,
+            nic_scale: 0.5,
+        };
+        for (outer, inner) in [
+            (FaultKind::LinkDegrade { scale: 0.25 }, noop_gray),
+            (gray_nic, noop_link),
+        ] {
+            let alone = run(vec![(0, outer)]);
+            let nested = run([(0, outer)].into_iter().chain(inner).collect());
+            assert_eq!(nested.faults_injected, 3);
+            assert_eq!(
+                alone.tracker.records(),
+                nested.tracker.records(),
+                "{outer:?}"
+            );
+            assert_eq!(
+                alone.tracker.depth_timeline(),
+                nested.tracker.depth_timeline(),
+                "{outer:?}"
+            );
+            assert_eq!(alone.report(), nested.report(), "{outer:?}");
+        }
+    }
+
     use crate::autoscale::{AutoscaleConfig, AutoscalePolicyKind, ScaleDecision};
 
     fn scripted(
@@ -2813,11 +2831,15 @@ mod tests {
         fn degraded_replicas_reprice_the_pristine_plan() {
             let mut f = fixture();
             let mut gray = replica(&f, NetworkMode::Solo);
-            gray.gray_compute = 1.5;
-            gray.executor.set_link_scale(0.5);
+            gray.degrade(|d| {
+                d.apply(FaultKind::GrayDegrade {
+                    compute_scale: 1.5,
+                    nic_scale: 0.5,
+                })
+            });
             assert_eq!(submit(&mut f, &mut gray, 0), (false, f.pristine));
             let mut straggler = replica(&f, NetworkMode::Solo);
-            straggler.straggler = 2.0;
+            straggler.degrade(|d| d.apply(FaultKind::StragglerStart { factor: 2.0 }));
             assert_eq!(submit(&mut f, &mut straggler, 1), (false, f.pristine));
             // Both really ran slower than the price they were judged by.
             for rep in [&mut gray, &mut straggler] {
@@ -2830,9 +2852,9 @@ mod tests {
         fn restored_links_reuse_the_executor_price_again() {
             let mut f = fixture();
             let mut rep = replica(&f, NetworkMode::Solo);
-            rep.executor.set_link_scale(0.5);
+            rep.degrade(|d| d.apply(FaultKind::LinkDegrade { scale: 0.5 }));
             assert_eq!(submit(&mut f, &mut rep, 0), (false, f.pristine));
-            rep.executor.set_link_scale(1.0);
+            rep.degrade(|d| d.apply(FaultKind::LinkRestore));
             assert_eq!(submit(&mut f, &mut rep, 1), (true, f.pristine));
         }
 
@@ -2841,7 +2863,12 @@ mod tests {
             let mut f = fixture();
             let mut primary = replica(&f, NetworkMode::Solo);
             let mut target = replica(&f, NetworkMode::Solo);
-            target.gray_compute = 1.5;
+            target.degrade(|d| {
+                d.apply(FaultKind::GrayDegrade {
+                    compute_scale: 1.5,
+                    nic_scale: 1.0,
+                })
+            });
             let mut rt = HedgeRuntime::new(HedgeConfig {
                 quantile: 0.5,
                 multiplier: 1.0,

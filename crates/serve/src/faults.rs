@@ -41,6 +41,13 @@
 //! displaced work is timed until all of that work reached a terminal
 //! outcome ([`ClusterOutcome::recovery_times`]).
 //!
+//! Faults compose: each family owns its own factors on the replica, so
+//! overlapping episodes of different families multiply. Expert compute
+//! stretches by the lost-device, straggler and gray factors together;
+//! link bandwidth is the link-degrade fraction times the gray NIC
+//! fraction. An end event resets only its own family's factors, and a
+//! crash or recovery resets them all.
+//!
 //! [`ClusterOutcome::recovery_times`]: crate::ClusterOutcome::recovery_times
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -54,9 +61,9 @@ pub enum FaultKind {
     /// queued requests are displaced, and the balancer stops routing to
     /// it until a [`FaultKind::ReplicaRecover`] event.
     ReplicaCrash,
-    /// The replica comes back (fresh hardware: device loss, link
-    /// degradation, and straggler state are cleared) after paying a
-    /// weight-reload cost before its first dispatch.
+    /// The replica comes back (fresh hardware: every fault factor is
+    /// cleared) after paying a weight-reload cost before its first
+    /// dispatch.
     ReplicaRecover,
     /// One GPU dies but the replica stays up: dispatching blocks while
     /// the lost experts are re-replicated onto the survivors (a modeled
@@ -64,12 +71,14 @@ pub enum FaultKind {
     /// by `devices / (devices - 1)`.
     DeviceLoss,
     /// The replica's link bandwidth drops to `scale` of nominal
-    /// (`0 < scale < 1`); collectives re-share the degraded links.
+    /// (`0 < scale < 1`); collectives re-share the degraded links. The
+    /// fraction multiplies with an active gray episode's `nic_scale`.
     LinkDegrade {
         /// Remaining fraction of nominal link bandwidth.
         scale: f64,
     },
-    /// Link bandwidth returns to nominal.
+    /// The link-degrade fraction returns to 1; an active gray episode's
+    /// NIC fraction still applies.
     LinkRestore,
     /// Expert compute on the replica slows by `factor` (> 1) — a
     /// thermally throttled or contended straggler GPU.
@@ -84,15 +93,18 @@ pub enum FaultKind {
     /// `nic_scale` of nominal — but keeps answering, and **the control
     /// plane is never told**: unlike every other fault kind, the health
     /// bit stays up and only a latency-inference detector
-    /// ([`crate::health`]) can notice.
+    /// ([`crate::health`]) can notice. `nic_scale` multiplies with an
+    /// active link degradation, `compute_scale` with the device-loss
+    /// and straggler stretches.
     GrayDegrade {
         /// Compute slowdown factor (1.0 = none).
         compute_scale: f64,
         /// Remaining fraction of nominal link bandwidth.
         nic_scale: f64,
     },
-    /// The gray episode ends: compute and link return to nominal
-    /// (again without telling the control plane).
+    /// The gray episode ends: its compute and NIC factors return to 1
+    /// (again without telling the control plane); a link degradation
+    /// or straggler in progress still applies.
     GrayClear,
 }
 
@@ -221,15 +233,34 @@ impl FaultSchedule {
     /// `replicas` replicas: per replica, crashes arrive Poisson at
     /// `crash_rate` with exponential repair (each crash is followed by
     /// its recovery, and nothing else targets a down replica in
-    /// between), while device loss, link degradation, and straggler
-    /// episodes arrive on independent substreams. The same arguments
-    /// always produce the same schedule.
+    /// between), while device loss and link-degrade, straggler, gray and
+    /// flap episodes arrive on independent substreams. The same
+    /// arguments always produce the same schedule.
     pub fn generate(
         rates: &FaultRateConfig,
         replicas: usize,
         horizon: SimDuration,
         seed: u64,
     ) -> Self {
+        use FaultKind::*;
+        // One row per family: substream, onset rate, start kind, and the
+        // mean episode length with its end kind (`None`: a one-shot
+        // fault). Flaps are NIC-only gray episodes on their own stream;
+        // overlaps with the main gray stream are suppressed below.
+        #[rustfmt::skip]
+        let families = [
+            (1, rates.crash_rate, ReplicaCrash, Some((rates.mean_recovery, ReplicaRecover))),
+            (2, rates.device_loss_rate, DeviceLoss, None),
+            (3, rates.degrade_rate, LinkDegrade { scale: rates.degrade_scale },
+                Some((rates.mean_degrade, LinkRestore))),
+            (4, rates.straggler_rate, StragglerStart { factor: rates.straggler_factor },
+                Some((rates.mean_straggle, StragglerEnd))),
+            (5, rates.gray_rate,
+                GrayDegrade { compute_scale: rates.gray_compute, nic_scale: rates.gray_nic },
+                Some((rates.mean_gray, GrayClear))),
+            (6, rates.flap_rate, GrayDegrade { compute_scale: 1.0, nic_scale: rates.flap_nic },
+                Some((rates.mean_flap, GrayClear))),
+        ];
         let root = Rng::new(seed);
         let mut events = Vec::new();
         let horizon_s = horizon.as_secs_f64();
@@ -240,136 +271,23 @@ impl FaultSchedule {
             -u.ln() / rate
         };
         for replica in 0..replicas {
-            // Crash/recover alternation.
-            if rates.crash_rate > 0.0 {
-                let mut rng = root.derive(1 + 8 * replica as u64);
-                let mut t = exp(&mut rng, rates.crash_rate);
+            for &(k, rate, start, episode) in families.iter().filter(|f| f.1 > 0.0) {
+                let mut rng = root.derive(k + 8 * replica as u64);
+                let mut push = |t: f64, kind| {
+                    events.push(FaultEvent {
+                        at: SimTime::from_secs_f64(t),
+                        replica,
+                        kind,
+                    })
+                };
+                let mut t = exp(&mut rng, rate);
                 while t < horizon_s {
-                    events.push(FaultEvent {
-                        at: SimTime::from_secs_f64(t),
-                        replica,
-                        kind: FaultKind::ReplicaCrash,
-                    });
-                    let down = exp(
-                        &mut rng,
-                        1.0 / rates.mean_recovery.as_secs_f64().max(f64::MIN_POSITIVE),
-                    );
-                    t += down;
-                    events.push(FaultEvent {
-                        at: SimTime::from_secs_f64(t),
-                        replica,
-                        kind: FaultKind::ReplicaRecover,
-                    });
-                    t += exp(&mut rng, rates.crash_rate);
-                }
-            }
-            if rates.device_loss_rate > 0.0 {
-                let mut rng = root.derive(2 + 8 * replica as u64);
-                let mut t = exp(&mut rng, rates.device_loss_rate);
-                while t < horizon_s {
-                    events.push(FaultEvent {
-                        at: SimTime::from_secs_f64(t),
-                        replica,
-                        kind: FaultKind::DeviceLoss,
-                    });
-                    t += exp(&mut rng, rates.device_loss_rate);
-                }
-            }
-            if rates.degrade_rate > 0.0 {
-                let mut rng = root.derive(3 + 8 * replica as u64);
-                let mut t = exp(&mut rng, rates.degrade_rate);
-                while t < horizon_s {
-                    events.push(FaultEvent {
-                        at: SimTime::from_secs_f64(t),
-                        replica,
-                        kind: FaultKind::LinkDegrade {
-                            scale: rates.degrade_scale,
-                        },
-                    });
-                    t += exp(
-                        &mut rng,
-                        1.0 / rates.mean_degrade.as_secs_f64().max(f64::MIN_POSITIVE),
-                    );
-                    events.push(FaultEvent {
-                        at: SimTime::from_secs_f64(t),
-                        replica,
-                        kind: FaultKind::LinkRestore,
-                    });
-                    t += exp(&mut rng, rates.degrade_rate);
-                }
-            }
-            if rates.straggler_rate > 0.0 {
-                let mut rng = root.derive(4 + 8 * replica as u64);
-                let mut t = exp(&mut rng, rates.straggler_rate);
-                while t < horizon_s {
-                    events.push(FaultEvent {
-                        at: SimTime::from_secs_f64(t),
-                        replica,
-                        kind: FaultKind::StragglerStart {
-                            factor: rates.straggler_factor,
-                        },
-                    });
-                    t += exp(
-                        &mut rng,
-                        1.0 / rates.mean_straggle.as_secs_f64().max(f64::MIN_POSITIVE),
-                    );
-                    events.push(FaultEvent {
-                        at: SimTime::from_secs_f64(t),
-                        replica,
-                        kind: FaultKind::StragglerEnd,
-                    });
-                    t += exp(&mut rng, rates.straggler_rate);
-                }
-            }
-            if rates.gray_rate > 0.0 {
-                let mut rng = root.derive(5 + 8 * replica as u64);
-                let mut t = exp(&mut rng, rates.gray_rate);
-                while t < horizon_s {
-                    events.push(FaultEvent {
-                        at: SimTime::from_secs_f64(t),
-                        replica,
-                        kind: FaultKind::GrayDegrade {
-                            compute_scale: rates.gray_compute,
-                            nic_scale: rates.gray_nic,
-                        },
-                    });
-                    t += exp(
-                        &mut rng,
-                        1.0 / rates.mean_gray.as_secs_f64().max(f64::MIN_POSITIVE),
-                    );
-                    events.push(FaultEvent {
-                        at: SimTime::from_secs_f64(t),
-                        replica,
-                        kind: FaultKind::GrayClear,
-                    });
-                    t += exp(&mut rng, rates.gray_rate);
-                }
-            }
-            if rates.flap_rate > 0.0 {
-                // Flaps are NIC-only gray episodes on an independent
-                // stream; overlaps with the main gray stream are
-                // suppressed below.
-                let mut rng = root.derive(6 + 8 * replica as u64);
-                let mut t = exp(&mut rng, rates.flap_rate);
-                while t < horizon_s {
-                    events.push(FaultEvent {
-                        at: SimTime::from_secs_f64(t),
-                        replica,
-                        kind: FaultKind::GrayDegrade {
-                            compute_scale: 1.0,
-                            nic_scale: rates.flap_nic,
-                        },
-                    });
-                    t += exp(
-                        &mut rng,
-                        1.0 / rates.mean_flap.as_secs_f64().max(f64::MIN_POSITIVE),
-                    );
-                    events.push(FaultEvent {
-                        at: SimTime::from_secs_f64(t),
-                        replica,
-                        kind: FaultKind::GrayClear,
-                    });
-                    t += exp(&mut rng, rates.flap_rate);
+                    push(t, start);
+                    if let Some((mean, end)) = episode {
+                        t += exp(&mut rng, 1.0 / mean.as_secs_f64().max(f64::MIN_POSITIVE));
+                        push(t, end);
+                    }
+                    t += exp(&mut rng, rate);
                 }
             }
         }
@@ -467,6 +385,85 @@ impl FaultSchedule {
                 _ => {}
             }
         }
+    }
+}
+
+/// A replica's fault factors, the one place faults combine: each family
+/// sets only its own factors, so overlapping episodes of different
+/// families multiply instead of overwriting each other. A crash or a
+/// recovery resets them all (the hardware is gone or fresh).
+pub(crate) struct Degradation {
+    /// GPUs lost to [`FaultKind::DeviceLoss`] since the last reset.
+    devices_lost: usize,
+    /// Expert-compute stretch from lost devices (survivors absorb the
+    /// lost shard): `devices / (devices - devices_lost)`.
+    lost: f64,
+    /// Expert-compute stretch from a straggler episode.
+    straggler: f64,
+    /// Expert-compute stretch from a gray episode.
+    gray_compute: f64,
+    /// Surviving link-bandwidth fraction from a link-degrade episode.
+    link: f64,
+    /// Surviving link-bandwidth fraction from a gray episode.
+    gray_nic: f64,
+}
+
+impl Default for Degradation {
+    fn default() -> Self {
+        Degradation {
+            devices_lost: 0,
+            lost: 1.0,
+            straggler: 1.0,
+            gray_compute: 1.0,
+            link: 1.0,
+            gray_nic: 1.0,
+        }
+    }
+}
+
+impl Degradation {
+    /// Sets the factors an episode event's family owns. Panics on a
+    /// crash, recovery or device loss, which the cluster handles.
+    pub(crate) fn apply(&mut self, kind: FaultKind) {
+        match kind {
+            FaultKind::LinkDegrade { scale } => self.link = scale,
+            FaultKind::LinkRestore => self.link = 1.0,
+            FaultKind::StragglerStart { factor } => self.straggler = factor,
+            FaultKind::StragglerEnd => self.straggler = 1.0,
+            FaultKind::GrayDegrade {
+                compute_scale,
+                nic_scale,
+            } => (self.gray_compute, self.gray_nic) = (compute_scale, nic_scale),
+            FaultKind::GrayClear => (self.gray_compute, self.gray_nic) = (1.0, 1.0),
+            _ => unreachable!("{kind:?} is not an episode fault"),
+        }
+    }
+
+    /// Loses one more of `devices` GPUs. Returns `false`, changing
+    /// nothing, when that would be the last one.
+    pub(crate) fn lose_device(&mut self, devices: usize) -> bool {
+        if self.devices_lost + 1 >= devices {
+            return false;
+        }
+        self.devices_lost += 1;
+        self.lost = devices as f64 / (devices - self.devices_lost) as f64;
+        true
+    }
+
+    /// The expert-compute stretch the control plane can see: lost
+    /// devices and stragglers, but not gray faults.
+    pub(crate) fn visible_stretch(&self) -> f64 {
+        self.lost * self.straggler
+    }
+
+    /// The expert-compute stretch a submitted plan runs under.
+    pub(crate) fn compute_stretch(&self) -> f64 {
+        self.visible_stretch() * self.gray_compute
+    }
+
+    /// The link-bandwidth multiplier the replica's executor runs under.
+    pub(crate) fn link_scale(&self) -> f64 {
+        self.link * self.gray_nic
     }
 }
 
@@ -589,8 +586,7 @@ impl DegradationPolicy {
     }
 
     /// [`DegradationPolicy::backoff`] with seeded per-(request, attempt)
-    /// jitter off the `retry` substream of
-    /// [`crate::engine::ServeConfig::seeds`]. Deriving a fresh stream
+    /// jitter off the run's `retry` seed substream. Deriving a fresh stream
     /// per (request, attempt) keeps the factor independent of retry
     /// *order*, so timelines stay reproducible under failover races.
     /// With `jitter == 0.0` this IS `backoff` — the multiply is skipped
@@ -810,6 +806,73 @@ mod tests {
             }
         }
         panic!("no flap onset survived across 32 seeds");
+    }
+
+    /// Pins the generator with all six families armed on three
+    /// replicas: the digest folds every event's instant, replica, kind
+    /// and magnitudes over two seeds.
+    #[test]
+    fn generated_schedule_with_every_family_is_pinned() {
+        let rates = FaultRateConfig {
+            crash_rate: 0.5,
+            mean_recovery: SimDuration::from_millis(300),
+            device_loss_rate: 0.4,
+            degrade_rate: 1.0,
+            degrade_scale: 0.25,
+            mean_degrade: SimDuration::from_millis(200),
+            straggler_rate: 1.5,
+            straggler_factor: 3.0,
+            mean_straggle: SimDuration::from_millis(150),
+            gray_rate: 1.0,
+            gray_compute: 4.0,
+            gray_nic: 0.5,
+            mean_gray: SimDuration::from_millis(400),
+            flap_rate: 4.0,
+            flap_nic: 0.3,
+            mean_flap: SimDuration::from_millis(40),
+        };
+        let mut d = lina_runner::Fnv128::new();
+        let mut counts = [0usize; 9];
+        for seed in [7, 0x5EED] {
+            let s = FaultSchedule::generate(&rates, 3, SimDuration::from_secs_f64(5.0), seed);
+            s.validate(3);
+            d.write_u64(s.events().len() as u64);
+            for e in s.events() {
+                let (tag, a, b) = match e.kind {
+                    FaultKind::ReplicaCrash => (0, 0.0, 0.0),
+                    FaultKind::ReplicaRecover => (1, 0.0, 0.0),
+                    FaultKind::DeviceLoss => (2, 0.0, 0.0),
+                    FaultKind::LinkDegrade { scale } => (3, scale, 0.0),
+                    FaultKind::LinkRestore => (4, 0.0, 0.0),
+                    FaultKind::StragglerStart { factor } => (5, factor, 0.0),
+                    FaultKind::StragglerEnd => (6, 0.0, 0.0),
+                    FaultKind::GrayDegrade {
+                        compute_scale,
+                        nic_scale,
+                    } => (7, compute_scale, nic_scale),
+                    FaultKind::GrayClear => (8, 0.0, 0.0),
+                };
+                counts[tag] += 1;
+                for w in [
+                    e.at.as_nanos(),
+                    e.replica as u64,
+                    tag as u64,
+                    a.to_bits(),
+                    b.to_bits(),
+                ] {
+                    d.write_u64(w);
+                }
+            }
+        }
+        assert!(
+            counts.iter().all(|&c| c > 0),
+            "every kind fires: {counts:?}"
+        );
+        assert_eq!(
+            d.finish(),
+            0x5d5e_4276_0a39_0bf5_ed5c_ac87_4a39_ab1c,
+            "generated schedule digest moved"
+        );
     }
 
     #[test]

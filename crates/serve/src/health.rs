@@ -32,10 +32,10 @@
 //!   replica's last sample ([`HealthConfig::half_life`]), so an
 //!   excluded replica periodically drops back under the threshold and
 //!   earns a probe request that refreshes its estimate.
-//! * A suspected replica re-enters through *probation*: until
-//!   [`HealthConfig::probation`] consecutive clean samples accrue, its
-//!   suspicion is floored at 0.5 — routable, but penalized — so a
-//!   flapping link cannot oscillate the pool at full amplitude.
+//! * A suspected replica re-enters through *probation*: until four
+//!   consecutive clean samples accrue, its suspicion is floored at 0.5
+//!   — routable, but penalized — so a flapping link cannot oscillate
+//!   the pool at full amplitude.
 //! * [`DetectorKind::Oracle`] is the degeneracy mode: `observe` is a
 //!   no-op and suspicion is identically zero, reproducing the
 //!   historical oracle-health-bit behaviour bit for bit.
@@ -81,20 +81,6 @@ pub enum DetectorKind {
 pub struct HealthConfig {
     /// The detector to run.
     pub detector: DetectorKind,
-    /// Phi — baseline standard deviations above the cluster mean — at
-    /// which suspicion reaches 1.0 and the replica stops being
-    /// routable.
-    pub suspect_threshold: f64,
-    /// Cluster-wide completed-batch samples before the detector arms;
-    /// until the baseline holds this many, suspicion is zero
-    /// everywhere.
-    pub warmup_samples: usize,
-    /// EWMA smoothing factor for the per-replica service estimate
-    /// (higher reacts faster, flaps harder).
-    pub ewma_alpha: f64,
-    /// Consecutive clean samples a suspected replica must serve before
-    /// its probation floor lifts.
-    pub probation: usize,
     /// Half-life of the deterministic time-decay applied to suspicion
     /// since the replica's last sample — the probe-window escape hatch
     /// that keeps an excluded replica from starving forever.
@@ -107,10 +93,6 @@ impl HealthConfig {
     pub fn oracle() -> Self {
         HealthConfig {
             detector: DetectorKind::Oracle,
-            suspect_threshold: 4.0,
-            warmup_samples: 16,
-            ewma_alpha: 0.2,
-            probation: 4,
             half_life: SimDuration::from_millis(20),
         }
     }
@@ -127,26 +109,27 @@ impl HealthConfig {
     ///
     /// # Panics
     ///
-    /// Panics on a non-positive threshold or half-life, an EWMA factor
-    /// outside `(0, 1]`, or a zero probation length.
+    /// Panics on a non-positive half-life.
     pub fn validate(&self) {
-        assert!(
-            self.suspect_threshold > 0.0 && self.suspect_threshold.is_finite(),
-            "health: suspect threshold {} must be positive and finite",
-            self.suspect_threshold
-        );
-        assert!(
-            self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0,
-            "health: ewma alpha {} outside (0, 1]",
-            self.ewma_alpha
-        );
-        assert!(self.probation > 0, "health: probation must be > 0");
         assert!(
             self.half_life > SimDuration::ZERO,
             "health: half-life must be positive"
         );
     }
 }
+
+/// Phi — baseline standard deviations above the cluster mean — at which
+/// suspicion reaches 1.0 and the replica stops being routable.
+const SUSPECT_THRESHOLD: f64 = 4.0;
+/// Cluster-wide completed-batch samples before the detector arms; until
+/// the baseline holds this many, suspicion is zero everywhere.
+const WARMUP_SAMPLES: u64 = 16;
+/// EWMA smoothing factor for the per-replica service estimate (higher
+/// reacts faster, flaps harder).
+const EWMA_ALPHA: f64 = 0.2;
+/// Consecutive clean samples a suspected replica must serve before its
+/// probation floor lifts.
+const PROBATION: usize = 4;
 
 /// Hedged-dispatch configuration: when an in-flight batch outlives a
 /// quantile-derived delay, the cluster re-dispatches it speculatively
@@ -448,12 +431,15 @@ impl Welford {
         self.m2 += d * (x - self.mean);
     }
 
-    fn std(&self) -> f64 {
-        if self.count < 2 {
+    /// The sample standard deviation, floored at 5% of the mean (see
+    /// [`HealthMonitor::phi`]).
+    fn floored_std(&self) -> f64 {
+        let std = if self.count < 2 {
             0.0
         } else {
             (self.m2 / (self.count - 1) as f64).sqrt()
-        }
+        };
+        std.max(0.05 * self.mean).max(f64::MIN_POSITIVE)
     }
 }
 
@@ -584,20 +570,13 @@ impl HealthMonitor {
     /// degenerates to zero and an unfloored phi would explode on the
     /// first speck of noise.
     fn phi(&self, replica: usize) -> f64 {
-        if self.config.detector == DetectorKind::Oracle
-            || self.baseline.count < self.config.warmup_samples as u64
-        {
+        if self.config.detector == DetectorKind::Oracle || self.baseline.count < WARMUP_SAMPLES {
             return 0.0;
         }
         let Some(ewma) = self.replicas[replica].ewma else {
             return 0.0;
         };
-        let std = self
-            .baseline
-            .std()
-            .max(0.05 * self.baseline.mean)
-            .max(f64::MIN_POSITIVE);
-        ((ewma - self.baseline.mean) / std).max(0.0)
+        ((ewma - self.baseline.mean) / self.baseline.floored_std()).max(0.0)
     }
 
     /// Feeds one completed batch's observation: `service` actually
@@ -615,10 +594,9 @@ impl HealthMonitor {
             return;
         }
         let x = service.as_secs_f64() / expected.as_secs_f64().max(f64::MIN_POSITIVE);
-        let alpha = self.config.ewma_alpha;
         let rh = &mut self.replicas[replica];
         rh.ewma = Some(match rh.ewma {
-            Some(prev) => alpha * x + (1.0 - alpha) * prev,
+            Some(prev) => EWMA_ALPHA * x + (1.0 - EWMA_ALPHA) * prev,
             None => x,
         });
         rh.last_sample = Some(now);
@@ -629,20 +607,14 @@ impl HealthMonitor {
         // gate is per-sample (the sample's own z-score against the
         // current baseline), not the replica's suspected flag — the
         // flag lags by design.
-        let armed = self.baseline.count >= self.config.warmup_samples as u64;
-        let clean = !armed || {
-            let std = self
-                .baseline
-                .std()
-                .max(0.05 * self.baseline.mean)
-                .max(f64::MIN_POSITIVE);
-            (x - self.baseline.mean) / std < self.config.suspect_threshold
-        };
+        let armed = self.baseline.count >= WARMUP_SAMPLES;
+        let clean =
+            !armed || (x - self.baseline.mean) / self.baseline.floored_std() < SUSPECT_THRESHOLD;
         if clean {
             self.baseline.push(x);
         }
         let phi = self.phi(replica);
-        let norm = phi / self.config.suspect_threshold;
+        let norm = phi / SUSPECT_THRESHOLD;
         let rh = &mut self.replicas[replica];
         if norm >= 1.0 {
             rh.suspected = true;
@@ -650,7 +622,7 @@ impl HealthMonitor {
         } else if rh.suspected {
             if norm < 0.5 {
                 rh.good_streak += 1;
-                if rh.good_streak >= self.config.probation {
+                if rh.good_streak >= PROBATION {
                     rh.suspected = false;
                     rh.good_streak = 0;
                 }
@@ -668,7 +640,7 @@ impl HealthMonitor {
             return 0.0;
         }
         let rh = &self.replicas[replica];
-        let mut score = self.phi(replica) / self.config.suspect_threshold;
+        let mut score = self.phi(replica) / SUSPECT_THRESHOLD;
         // Decay since the last sample: an excluded replica earns a
         // probe once its score halves under the threshold.
         if let Some(last) = rh.last_sample {
@@ -732,7 +704,7 @@ mod tests {
     fn warmup_gates_detection() {
         let mut m = HealthMonitor::new(HealthConfig::phi_accrual(), 2);
         // A handful of wildly slow samples before the baseline holds
-        // `warmup_samples` must not suspect anything.
+        // `WARMUP_SAMPLES` must not suspect anything.
         for i in 0..4 {
             m.observe(1, EXPECTED, SimDuration::from_millis(64), ms(i));
         }
@@ -782,9 +754,7 @@ mod tests {
 
     #[test]
     fn probation_clears_after_a_clean_streak() {
-        let config = HealthConfig::phi_accrual();
-        let probation = config.probation;
-        let mut m = HealthMonitor::new(config, 2);
+        let mut m = HealthMonitor::new(HealthConfig::phi_accrual(), 2);
         for round in 0..16 {
             feed_healthy(&mut m, 2, round);
         }
@@ -804,7 +774,7 @@ mod tests {
         }
         let cleared_at = cleared_at.expect("a clean streak must clear probation");
         assert!(
-            cleared_at + 1 >= probation as u64,
+            cleared_at + 1 >= PROBATION as u64,
             "probation cleared after only {cleared_at} samples"
         );
         assert!(
@@ -838,22 +808,6 @@ mod tests {
         assert_eq!(m.suspicion(2, ms(32)), 0.0);
         m.ensure(2); // never shrinks
         assert_eq!(m.suspicion(2, ms(32)), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "suspect threshold")]
-    fn non_positive_threshold_rejected() {
-        let mut c = HealthConfig::phi_accrual();
-        c.suspect_threshold = 0.0;
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "ewma alpha")]
-    fn out_of_range_alpha_rejected() {
-        let mut c = HealthConfig::phi_accrual();
-        c.ewma_alpha = 1.5;
-        c.validate();
     }
 
     #[test]
