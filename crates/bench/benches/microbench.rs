@@ -236,6 +236,18 @@ fn bench_estimator() {
     bench("estimate_popularity_16k_tokens", || {
         est.estimate_popularity(&batch.tokens, 6, 1)
     });
+    // The served shape: simbench's `lina_drift` replicas run 8 experts
+    // over 6 layers at l = 3 on full 2,048-token batches.
+    let spec = WorkloadSpec::enwik8(8, 6);
+    let mut src = TokenSource::new(&spec, 1, 1);
+    let profile: Vec<TokenBatch> = (0..4)
+        .map(|_| src.sample_batch(8, 256, Mode::Train))
+        .collect();
+    let est = PopularityEstimator::profile(&profile, 3);
+    let batch = src.sample_batch(8, 256, Mode::Inference);
+    bench("estimate_popularity_served_2k_tokens", || {
+        est.estimate_popularity(&batch.tokens, 4, 1)
+    });
 }
 
 fn bench_step_simulation() {

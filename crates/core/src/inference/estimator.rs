@@ -13,6 +13,16 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use lina_workload::{TokenBatch, TokenPath};
 
+/// Slot cap of `estimate_popularity`'s per-call path memo. Up to it the
+/// memo is dense in the `experts^l` path codes; past it codes share
+/// slots modulo the cap. 4096 keeps the paper's 16 experts at `l = 3`
+/// collision-free.
+const MEMO_SLOTS: usize = 4096;
+
+/// A memo slot no path code has claimed: every code is below
+/// `experts^l <= u64::MAX`.
+const EMPTY_SLOT: u64 = u64::MAX;
+
 /// Profiled `Ψ` tables and lookup logic.
 #[derive(Clone, Debug)]
 pub struct PopularityEstimator {
@@ -224,7 +234,14 @@ impl PopularityEstimator {
     /// Unseen full-length paths back off to progressively shorter
     /// suffixes, and finally to the layer marginal.
     pub fn next_layer_distribution(&self, token: &TokenPath, layer: usize) -> &[f64] {
-        let code = token.path_code(layer, self.path_length, self.experts);
+        self.distribution_of(
+            token.path_code(layer, self.path_length, self.experts),
+            layer,
+        )
+    }
+
+    /// [`Self::next_layer_distribution`] of a packed path code.
+    fn distribution_of(&self, code: u64, layer: usize) -> &[f64] {
         for len in (1..=self.path_length).rev() {
             let dist = self.tables[len - 1]
                 .get(layer)
@@ -250,11 +267,40 @@ impl PopularityEstimator {
         if tokens.is_empty() {
             return agg;
         }
-        let mut top = Vec::with_capacity(top_k.min(self.experts));
+        // Each distinct path code is resolved once: its Ψ row goes to
+        // `rows` and its top-k to a `width`-long run of `tops`, and its
+        // direct-mapped slot keeps the code and that index. A code that
+        // finds another code in its slot resolves again into the
+        // evicted entry, so the memo never outgrows its slots. Each
+        // token still adds its own terms into `agg` in token order, so
+        // every sum is bit-identical to resolving every token.
+        let width = top_k.min(self.experts);
+        let slots = self.memo_slots();
+        let mut memo = vec![(EMPTY_SLOT, 0usize); slots];
+        let resolved = slots.min(tokens.len());
+        let mut rows: Vec<&[f64]> = Vec::with_capacity(resolved);
+        let mut tops: Vec<usize> = Vec::with_capacity(resolved * width);
+        let mut top = Vec::with_capacity(width);
         for tok in tokens {
-            let dist = self.next_layer_distribution(tok, layer);
-            top_indices_into(dist, top_k, &mut top);
-            for &e in &top {
+            let code = tok.path_code(layer, self.path_length, self.experts);
+            // Codes are below `experts^l`, so this is `code % slots`
+            // with a constant divisor.
+            let (tag, i) = &mut memo[(code % MEMO_SLOTS as u64) as usize];
+            if *tag != code {
+                let dist = self.distribution_of(code, layer);
+                top_indices_into(dist, top_k, &mut top);
+                if *tag == EMPTY_SLOT {
+                    *i = rows.len();
+                    rows.push(dist);
+                    tops.extend_from_slice(&top);
+                } else {
+                    rows[*i] = dist;
+                    tops[*i * width..][..width].copy_from_slice(&top);
+                }
+                *tag = code;
+            }
+            let dist = rows[*i];
+            for &e in &tops[*i * width..][..width] {
                 agg[e] += dist[e];
             }
         }
@@ -262,6 +308,12 @@ impl PopularityEstimator {
             *v /= tokens.len() as f64;
         }
         agg
+    }
+
+    /// Slots of [`Self::estimate_popularity`]'s path memo: one per
+    /// full-length code up to [`MEMO_SLOTS`].
+    fn memo_slots(&self) -> usize {
+        self.radix[self.path_length - 1].min(MEMO_SLOTS as u64) as usize
     }
 
     /// True if the estimate's top-`2k` experts match the actual
@@ -371,6 +423,15 @@ mod tests {
         assert_eq!(top_indices(&[1.0], 5), vec![0]);
         assert_eq!(top_indices(&[0.2, 0.7, 0.2, 0.7], 3), vec![1, 3, 0]);
         assert!(top_indices(&[0.3, 0.1], 0).is_empty());
+    }
+
+    #[test]
+    fn paper_shape_memo_is_collision_free() {
+        // 16 experts at l = 3: one slot per path code.
+        let (est, _) = profiled(3);
+        assert_eq!(est.experts(), 16);
+        assert!(MEMO_SLOTS >= est.experts().pow(3));
+        assert_eq!(est.memo_slots() as u64, est.radix[2]);
     }
 
     #[test]

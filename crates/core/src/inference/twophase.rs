@@ -138,16 +138,16 @@ impl TwoPhaseScheduler {
         })
     }
 
-    /// Phase two: checks the estimate against the actual routing.
-    pub fn phase_two(&self, phase_one: &PhaseOne, actual: &LayerRouting) -> PhaseTwo {
+    /// Phase two: checks the estimate against the actual popularity
+    /// ([`LayerRouting::popularity`] of the gate's routing).
+    pub fn phase_two(&self, phase_one: &PhaseOne, actual_pop: &[f64]) -> PhaseTwo {
         if !self.config.use_finetuning {
             return PhaseTwo::Resume;
         }
-        let actual_pop = actual.popularity();
         let two_k = (2 * self.config.top_k).min(actual_pop.len());
         if PopularityEstimator::deviates_too_far(
             &phase_one.estimate,
-            &actual_pop,
+            actual_pop,
             two_k,
             self.config.deviation_tolerance,
         )
@@ -155,7 +155,7 @@ impl TwoPhaseScheduler {
         {
             PhaseTwo::Resume
         } else {
-            PhaseTwo::Finetune(popularity_placement(&actual_pop, self.placement_config()))
+            PhaseTwo::Finetune(popularity_placement(actual_pop, self.placement_config()))
         }
     }
 
@@ -213,7 +213,7 @@ mod tests {
         let next_layer = 7;
         let p1 = s.phase_one(&batch.tokens, next_layer).expect("estimable");
         let actual = batch.routing_for_layer(next_layer);
-        match s.phase_two(&p1, &actual) {
+        match s.phase_two(&p1, &actual.popularity()) {
             PhaseTwo::Resume => {}
             PhaseTwo::Finetune(p) => {
                 // A fine-tune must produce a complete placement.
@@ -235,7 +235,7 @@ mod tests {
         for d in 0..16 {
             actual.counts[d][coldest] = 100;
         }
-        match s.phase_two(&p1, &actual) {
+        match s.phase_two(&p1, &actual.popularity()) {
             PhaseTwo::Finetune(p) => {
                 assert!(p.is_complete());
                 assert!(
@@ -257,7 +257,7 @@ mod tests {
         for d in 0..16 {
             actual.counts[d][0] = 100;
         }
-        assert_eq!(s.phase_two(&p1, &actual), PhaseTwo::Resume);
+        assert_eq!(s.phase_two(&p1, &actual.popularity()), PhaseTwo::Resume);
     }
 
     #[test]
@@ -276,7 +276,10 @@ mod tests {
                 for next_layer in l.max(1)..12 {
                     if let Some(p1) = s.phase_one(&batch.tokens, next_layer) {
                         let actual = batch.routing_for_layer(next_layer);
-                        if matches!(s.phase_two(&p1, &actual), PhaseTwo::Finetune(_)) {
+                        if matches!(
+                            s.phase_two(&p1, &actual.popularity()),
+                            PhaseTwo::Finetune(_)
+                        ) {
                             finetunes += 1;
                         }
                         total += 1;

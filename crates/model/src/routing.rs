@@ -429,6 +429,11 @@ pub fn assign_replicas(
     let devices = routing.devices();
     let mut sizes = vec![vec![0usize; devices]; devices];
     let mut compute = vec![vec![0usize; placement.experts()]; devices];
+    // Per-expert and per-source scratch, cleared and refilled each time.
+    let mut fairs: Vec<usize> = Vec::new();
+    let mut load: Vec<usize> = Vec::new();
+    let mut deferred: Vec<(usize, usize)> = Vec::new();
+    let mut local: Vec<usize> = Vec::new();
     for e in 0..placement.experts() {
         let total: usize = (0..devices).map(|d| routing.counts[d][e]).sum();
         if total == 0 {
@@ -438,11 +443,14 @@ pub fn assign_replicas(
         assert!(!hosts.is_empty(), "assign_replicas: expert {e} has no host");
         // Per-replica fair shares follow the placement's intent.
         let weight_sum: f64 = placement.shares[e].iter().sum();
-        let fairs: Vec<usize> = placement.shares[e]
-            .iter()
-            .map(|&w| ((total as f64) * w / weight_sum).ceil() as usize)
-            .collect();
-        let mut load = vec![0usize; hosts.len()];
+        fairs.clear();
+        fairs.extend(
+            placement.shares[e]
+                .iter()
+                .map(|&w| ((total as f64) * w / weight_sum).ceil() as usize),
+        );
+        load.clear();
+        load.resize(hosts.len(), 0);
         let mut assign = |d: usize, h: usize, take: usize, load: &mut Vec<usize>| {
             let dst = hosts[h].0 as usize;
             sizes[d][dst] += take;
@@ -453,7 +461,7 @@ pub fn assign_replicas(
         // same-device replica takes everything; a same-node replica
         // takes up to a softened fair share (locality beats strict
         // balance up to 50% overload). Remote-only sources defer.
-        let mut deferred: Vec<(usize, usize)> = Vec::new();
+        deferred.clear();
         for d in 0..devices {
             let mut remaining = routing.counts[d][e];
             if remaining == 0 {
@@ -466,11 +474,10 @@ pub fn assign_replicas(
             }
             // Same-node replicas, least-filled first, soft-capped at
             // 1.5x their intended share.
-            let mut local: Vec<usize> = (0..hosts.len())
-                .filter(|&h| topo.same_node(hosts[h], src))
-                .collect();
+            local.clear();
+            local.extend((0..hosts.len()).filter(|&h| topo.same_node(hosts[h], src)));
             local.sort_by_key(|&h| (load[h] * 1000 / fairs[h].max(1), h));
-            for h in local {
+            for &h in &local {
                 if remaining == 0 {
                     break;
                 }
@@ -488,7 +495,7 @@ pub fn assign_replicas(
         // Phase B: remote/overflow traffic goes to the least-loaded
         // replica under the fair cap; when every replica is at the cap,
         // fall back to plain least-loaded.
-        for (d, mut remaining) in deferred {
+        for &(d, mut remaining) in &deferred {
             while remaining > 0 {
                 let under: Option<usize> = (0..hosts.len())
                     .filter(|&h| load[h] < fairs[h])

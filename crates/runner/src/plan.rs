@@ -337,7 +337,7 @@ pub fn plan_batch_layered(
                     two_k.min(model.experts),
                 );
                 if config.scheme == InferScheme::Lina {
-                    match s.phase_two(&p1, &routing) {
+                    match s.phase_two(&p1, &actual_pop) {
                         PhaseTwo::Resume => {
                             sched_block += s.config().resume_time;
                             placement = Some(p1.placement);

@@ -192,6 +192,71 @@ fn packed_tables_match_the_reference_bit_for_bit() {
     }
 }
 
+/// The estimator's path-memo slot cap (`MEMO_SLOTS` in
+/// `lina_core::inference::estimator`): codes share a slot modulo it.
+const MEMO_SLOTS: usize = 4096;
+
+#[test]
+fn memo_eviction_matches_the_reference_bit_for_bit() {
+    // 16 experts at l = 6 give 16^6 path codes for 4096 slots. The
+    // probe holds more distinct full-length paths than slots, then
+    // repeats them in reverse, so a path comes back only after other
+    // codes have taken its slot.
+    let (layers, experts, l) = (8, 16, 6);
+    let spec = WorkloadSpec::enwik8(experts, layers);
+    let mut src = TokenSource::new(&spec, 2, 7);
+    let batches: Vec<TokenBatch> = (0..4)
+        .map(|_| src.sample_batch(8, 256, Mode::Train))
+        .collect();
+    let mut once = TokenSource::new(&spec, 1, 99)
+        .sample_batch(8, 512, Mode::Inference)
+        .tokens;
+    let mut rng = Rng::new(0xE71C);
+    once.extend((0..4096).map(|_| {
+        TokenPath::new(
+            0,
+            1,
+            (0..layers).map(|_| rng.index(experts) as u16).collect(),
+        )
+    }));
+    let mut probe = once.clone();
+    probe.extend(once.into_iter().rev());
+    assert!(probe.len() >= 3 * MEMO_SLOTS);
+
+    let est = PopularityEstimator::profile(&batches, l);
+    let oracle = Oracle::profile(&batches, l);
+    let mut evicted_revisits = 0;
+    for layer in 0..layers {
+        // A direct-mapped replay of the memo's slots: count the tokens
+        // whose path was seen before but lost its slot since.
+        let mut slots = vec![None; MEMO_SLOTS];
+        let mut seen = std::collections::HashSet::new();
+        for tok in &probe {
+            let code = tok.path_code(layer, l, experts);
+            let slot = &mut slots[(code % MEMO_SLOTS as u64) as usize];
+            if !seen.insert(code) && *slot != Some(code) {
+                evicted_revisits += 1;
+            }
+            *slot = Some(code);
+        }
+        if layer + 1 >= l {
+            assert!(
+                seen.len() > MEMO_SLOTS,
+                "only {} distinct paths at layer {layer}",
+                seen.len()
+            );
+        }
+        for top_k in [1usize, 2] {
+            assert_eq!(
+                bits(&est.estimate_popularity(&probe, layer, top_k)),
+                bits(&oracle.estimate_popularity(&probe, layer, top_k)),
+                "popularity at layer {layer}, top-{top_k}"
+            );
+        }
+    }
+    assert!(evicted_revisits > 0, "no path revisited after eviction");
+}
+
 #[test]
 fn top_indices_matches_the_sorting_reference() {
     let mut rng = Rng::new(0x7095);
