@@ -29,8 +29,8 @@
 use lina_baselines::{affinity_placement, InferScheme};
 use lina_model::{ExpertPlacement, LayeredPlacement, MoeModelConfig};
 use lina_serve::{
-    serve_cluster, ArrivalProcess, BalancerKind, BatcherConfig, ClusterConfig, ClusterEngine,
-    EstimatorSharing, FaultPlan, NetworkMode, ServeConfig,
+    serve_cluster, ArrivalProcess, BatcherConfig, ClusterConfig, ClusterEngine, NetworkMode,
+    ServeConfig,
 };
 use lina_simcore::{Report, SimDuration, Table};
 use lina_workload::{AffinityStats, Mode, TokenSource, WorkloadSpec};
@@ -92,17 +92,10 @@ fn cluster_config(
     locality: bool,
 ) -> ClusterConfig {
     ClusterConfig {
-        serve,
         replicas: REPLICAS,
-        balancer: BalancerKind::RoundRobin,
-        sharing: EstimatorSharing::Shared,
-        faults: FaultPlan::none(),
-        autoscale: None,
-        resharding: None,
         placement,
         locality,
-        health: lina_serve::HealthConfig::oracle(),
-        hedging: None,
+        ..ClusterConfig::single(serve)
     }
 }
 

@@ -25,8 +25,7 @@ use lina_baselines::InferScheme;
 use lina_model::MoeModelConfig;
 use lina_serve::{
     serve_cluster, ArrivalProcess, AutoscaleConfig, AutoscalePolicyKind, BalancerKind,
-    BatcherConfig, ClusterConfig, ClusterEngine, EstimatorSharing, FaultPlan, NetworkMode,
-    ServeConfig,
+    BatcherConfig, ClusterConfig, ClusterEngine, NetworkMode, ServeConfig,
 };
 use lina_simcore::{Report, SimDuration, Table};
 
@@ -104,17 +103,10 @@ fn cluster_config(
     autoscale: Option<AutoscaleConfig>,
 ) -> ClusterConfig {
     ClusterConfig {
-        serve,
         replicas,
         balancer: BalancerKind::JoinShortestQueue,
-        sharing: EstimatorSharing::Shared,
-        faults: FaultPlan::none(),
         autoscale,
-        resharding: None,
-        placement: None,
-        locality: false,
-        health: lina_serve::HealthConfig::oracle(),
-        hedging: None,
+        ..ClusterConfig::single(serve)
     }
 }
 

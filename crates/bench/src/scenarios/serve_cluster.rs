@@ -19,7 +19,7 @@ use lina_baselines::InferScheme;
 use lina_model::MoeModelConfig;
 use lina_serve::{
     serve_cluster, ArrivalProcess, BalancerKind, BatcherConfig, ClusterConfig, ClusterEngine,
-    EstimatorSharing, FaultPlan, NetworkMode, ServeConfig,
+    EstimatorSharing, NetworkMode, ServeConfig,
 };
 use lina_simcore::{Report, SimDuration, Table};
 
@@ -36,54 +36,48 @@ fn cluster_config(
     balancer: BalancerKind,
     sharing: EstimatorSharing,
 ) -> ClusterConfig {
-    ClusterConfig {
-        serve: ServeConfig {
-            scheme: InferScheme::Lina,
-            top_k: 1,
-            path_length: 3,
-            max_experts_per_device: 2,
-            // Two-state MMPP: bursts at 1.7x the mean rate with calm
-            // valleys between them. Each burst floods the cluster past
-            // its aggregate capacity, re-rolling the transient queue
-            // imbalance that separates the balancers; sustained
-            // overload would instead equalize every policy on the
-            // final drain.
-            arrival: ArrivalProcess::Mmpp {
-                calm_rate: 0.3 * rate,
-                burst_rate: 1.7 * rate,
-                mean_calm: 0.02,
-                mean_burst: 0.02,
-            },
-            batcher: BatcherConfig {
-                max_batch_requests: 8,
-                max_wait: SimDuration::from_millis(2),
-            },
-            slo: SimDuration::from_millis(60),
-            n_requests,
-            tokens_per_request,
-            // Heterogeneous request sizes (0.1x–1.9x nominal): the
-            // work imbalance blind round-robin cannot see.
-            token_spread: 0.9,
-            // Popularity drifts a handful of times over the run; the
-            // estimating schemes re-profile every few batches.
-            drift_period: Some((n_requests / 6).max(1)),
-            reestimate_every: Some(4),
-            reestimate_window: 8,
-            network: NetworkMode::Solo,
-            max_inflight: 1,
-            seed: 0x5EED,
-            perf: Default::default(),
+    let serve = ServeConfig {
+        scheme: InferScheme::Lina,
+        top_k: 1,
+        path_length: 3,
+        max_experts_per_device: 2,
+        // Two-state MMPP: bursts at 1.7x the mean rate with calm
+        // valleys between them. Each burst floods the cluster past
+        // its aggregate capacity, re-rolling the transient queue
+        // imbalance that separates the balancers; sustained
+        // overload would instead equalize every policy on the
+        // final drain.
+        arrival: ArrivalProcess::Mmpp {
+            calm_rate: 0.3 * rate,
+            burst_rate: 1.7 * rate,
+            mean_calm: 0.02,
+            mean_burst: 0.02,
         },
+        batcher: BatcherConfig {
+            max_batch_requests: 8,
+            max_wait: SimDuration::from_millis(2),
+        },
+        slo: SimDuration::from_millis(60),
+        n_requests,
+        tokens_per_request,
+        // Heterogeneous request sizes (0.1x–1.9x nominal): the
+        // work imbalance blind round-robin cannot see.
+        token_spread: 0.9,
+        // Popularity drifts a handful of times over the run; the
+        // estimating schemes re-profile every few batches.
+        drift_period: Some((n_requests / 6).max(1)),
+        reestimate_every: Some(4),
+        reestimate_window: 8,
+        network: NetworkMode::Solo,
+        max_inflight: 1,
+        seed: 0x5EED,
+        perf: Default::default(),
+    };
+    ClusterConfig {
         replicas: REPLICAS,
         balancer,
         sharing,
-        faults: FaultPlan::none(),
-        autoscale: None,
-        resharding: None,
-        placement: None,
-        locality: false,
-        health: lina_serve::HealthConfig::oracle(),
-        hedging: None,
+        ..ClusterConfig::single(serve)
     }
 }
 

@@ -17,7 +17,10 @@
 
 use lina_baselines::InferScheme;
 use lina_model::MoeModelConfig;
-use lina_serve::{serve, ArrivalProcess, BatcherConfig, NetworkMode, ServeConfig, ServeEngine};
+use lina_serve::{
+    serve_cluster, ArrivalProcess, BatcherConfig, ClusterConfig, NetworkMode, ServeConfig,
+    ServeEngine,
+};
 use lina_simcore::{Report, SimDuration, Table};
 
 use crate::ScenarioCtx;
@@ -120,12 +123,8 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
         );
         let mut p99s = Vec::new();
         for network in [NetworkMode::Solo, NetworkMode::Contended] {
-            let out = serve(
-                &cost,
-                &topo,
-                &spec,
-                config(network, bursty(rate), n_requests, tokens_per_request),
-            );
+            let serve = config(network, bursty(rate), n_requests, tokens_per_request);
+            let out = serve_cluster(&cost, &topo, &spec, ClusterConfig::single(serve));
             let r = out.report();
             p99s.push(r.p99.as_secs_f64());
             table.row(&[

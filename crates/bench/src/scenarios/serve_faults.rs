@@ -21,8 +21,8 @@ use lina_baselines::InferScheme;
 use lina_model::MoeModelConfig;
 use lina_serve::{
     serve_cluster, ArrivalProcess, BalancerKind, BatcherConfig, ClusterConfig, ClusterEngine,
-    DegradationPolicy, EstimatorSharing, FaultEvent, FaultKind, FaultPlan, FaultSchedule,
-    NetworkMode, ServeConfig, ServeEngine,
+    DegradationPolicy, FaultEvent, FaultKind, FaultPlan, FaultSchedule, NetworkMode, ServeConfig,
+    ServeEngine,
 };
 use lina_simcore::{Report, SimDuration, SimTime, Table};
 
@@ -70,17 +70,10 @@ fn serve_config(rate: f64, n_requests: usize, tokens_per_request: usize) -> Serv
 
 fn cluster_config(serve: ServeConfig, faults: FaultPlan) -> ClusterConfig {
     ClusterConfig {
-        serve,
         replicas: REPLICAS,
         balancer: BalancerKind::JoinShortestQueue,
-        sharing: EstimatorSharing::Shared,
         faults,
-        autoscale: None,
-        resharding: None,
-        placement: None,
-        locality: false,
-        health: lina_serve::HealthConfig::oracle(),
-        hedging: None,
+        ..ClusterConfig::single(serve)
     }
 }
 

@@ -30,8 +30,8 @@ use lina_baselines::InferScheme;
 use lina_model::MoeModelConfig;
 use lina_serve::{
     serve_cluster, ArrivalProcess, BalancerKind, BatcherConfig, ClusterConfig, ClusterEngine,
-    DegradationPolicy, EstimatorSharing, FaultEvent, FaultKind, FaultPlan, FaultSchedule,
-    HealthConfig, HedgeConfig, NetworkMode, ServeConfig, ServeEngine,
+    DegradationPolicy, FaultEvent, FaultKind, FaultPlan, FaultSchedule, HealthConfig, HedgeConfig,
+    NetworkMode, ServeConfig, ServeEngine,
 };
 use lina_simcore::{Report, SimDuration, SimTime, Table};
 
@@ -82,7 +82,6 @@ fn cluster_config(
     hedging: Option<HedgeConfig>,
 ) -> ClusterConfig {
     ClusterConfig {
-        serve,
         replicas: REPLICAS,
         // Round-robin: the balancer with no queue-depth feedback, so
         // health is the *only* signal that can divert traffic — the
@@ -90,14 +89,10 @@ fn cluster_config(
         // balancers partially self-correct around a straggler by
         // construction.)
         balancer: BalancerKind::RoundRobin,
-        sharing: EstimatorSharing::Shared,
         faults,
-        autoscale: None,
-        resharding: None,
-        placement: None,
-        locality: false,
         health,
         hedging,
+        ..ClusterConfig::single(serve)
     }
 }
 

@@ -11,7 +11,10 @@
 
 use lina_baselines::InferScheme;
 use lina_model::MoeModelConfig;
-use lina_serve::{serve, ArrivalProcess, BatcherConfig, NetworkMode, ServeConfig, ServeEngine};
+use lina_serve::{
+    serve_cluster, ArrivalProcess, BatcherConfig, ClusterConfig, NetworkMode, ServeConfig,
+    ServeEngine,
+};
 use lina_simcore::{Report, SimDuration, Table};
 
 use crate::ScenarioCtx;
@@ -98,12 +101,8 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
             ],
         );
         for scheme in schemes {
-            let out = serve(
-                &cost,
-                &topo,
-                &spec,
-                config(scheme, rate, n_requests, tokens_per_request),
-            );
+            let serve = config(scheme, rate, n_requests, tokens_per_request);
+            let out = serve_cluster(&cost, &topo, &spec, ClusterConfig::single(serve));
             let r = out.report();
             if scheme == InferScheme::Lina {
                 report.metric_unit(

@@ -27,7 +27,7 @@ use lina_baselines::InferScheme;
 use lina_model::MoeModelConfig;
 use lina_serve::{
     serve_cluster, ArrivalProcess, BalancerKind, BatcherConfig, ClusterConfig, ClusterEngine,
-    EstimatorSharing, FaultPlan, NetworkMode, ReshardConfig, ReshardPolicyKind, ServeConfig,
+    NetworkMode, ReshardConfig, ReshardPolicyKind, ServeConfig,
 };
 use lina_simcore::{Report, SimDuration, Table};
 
@@ -98,17 +98,10 @@ fn serve_config(
 
 fn cluster_config(serve: ServeConfig, resharding: Option<ReshardConfig>) -> ClusterConfig {
     ClusterConfig {
-        serve,
         replicas: REPLICAS,
         balancer: BalancerKind::JoinShortestQueue,
-        sharing: EstimatorSharing::Shared,
-        faults: FaultPlan::none(),
-        autoscale: None,
         resharding,
-        placement: None,
-        locality: false,
-        health: lina_serve::HealthConfig::oracle(),
-        hedging: None,
+        ..ClusterConfig::single(serve)
     }
 }
 

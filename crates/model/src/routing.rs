@@ -420,12 +420,18 @@ impl DispatchPlan {
 /// # Panics
 ///
 /// Panics if the placement is missing a host for an expert that
-/// receives tokens.
+/// receives tokens. Debug builds also panic if the routing and the
+/// placement disagree on the expert count.
 pub fn assign_replicas(
     routing: &LayerRouting,
     placement: &ExpertPlacement,
     topo: &Topology,
 ) -> DispatchPlan {
+    debug_assert_eq!(
+        routing.experts,
+        placement.experts(),
+        "assign_replicas: routing and placement expert counts differ"
+    );
     let devices = routing.devices();
     let mut sizes = vec![vec![0usize; devices]; devices];
     let mut compute = vec![vec![0usize; placement.experts()]; devices];

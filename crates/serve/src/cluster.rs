@@ -1,10 +1,12 @@
-//! Multi-replica serving: a cluster of replica servers behind a load
-//! balancer, with deterministic fault injection.
+//! Serving: a cluster of replica servers behind a load balancer, with
+//! deterministic fault injection. [`ClusterEngine`] is the only thing
+//! that runs a serving simulation; a single server is the one-replica
+//! case ([`ClusterConfig::single`]).
 //!
-//! A [`ClusterEngine`] serves the *same* pre-generated open-loop
-//! request trace a [`ServeEngine`] would (same seeds, same drift), but
-//! routes each arriving request to one of `replicas` identical servers
-//! via a [`BalancerKind`]. Every replica keeps its own admission queue,
+//! A [`ClusterEngine`] streams the open-loop request trace its
+//! [`ServeEngine`] generates (seeds, drift) and routes each arriving
+//! request to one of `replicas` identical servers via a
+//! [`BalancerKind`]. Every replica keeps its own admission queue,
 //! dynamic [`Batcher`] timeline, and a
 //! [`ReplicaExecutor`] running its in-flight batches; the cluster walks
 //! a single K-server event loop over every event kind in global
@@ -154,6 +156,27 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
+    /// The healthy single server: one replica, round-robin, a shared
+    /// estimator, no faults, no controllers, no base placement,
+    /// locality off, the oracle detector and no hedging. Configs that
+    /// differ in a few fields spell only those and fill the rest with
+    /// `..ClusterConfig::single(serve)`.
+    pub fn single(serve: ServeConfig) -> ClusterConfig {
+        ClusterConfig {
+            serve,
+            replicas: 1,
+            balancer: BalancerKind::RoundRobin,
+            sharing: EstimatorSharing::Shared,
+            faults: FaultPlan::none(),
+            autoscale: None,
+            resharding: None,
+            placement: None,
+            locality: false,
+            health: HealthConfig::oracle(),
+            hedging: None,
+        }
+    }
+
     /// Validates the knobs.
     ///
     /// # Panics
@@ -616,7 +639,7 @@ enum Step {
     Timeout(SimTime),
 }
 
-/// The multi-replica serving simulator. Holds a [`ServeEngine`] for
+/// The serving simulator, from one replica up. Holds a [`ServeEngine`] for
 /// the shared machinery (trace generation, offline profiling, seed
 /// derivation) plus the cluster config;
 /// [`ClusterEngine::run`] is deterministic in all of them.
@@ -1720,39 +1743,32 @@ mod tests {
     }
 
     fn config(scheme: InferScheme, rate: f64, replicas: usize) -> ClusterConfig {
-        ClusterConfig {
-            serve: ServeConfig {
-                scheme,
-                top_k: 1,
-                path_length: 3,
-                max_experts_per_device: 2,
-                arrival: ArrivalProcess::Poisson { rate },
-                batcher: BatcherConfig {
-                    max_batch_requests: 4,
-                    max_wait: SimDuration::from_millis(2),
-                },
-                slo: SimDuration::from_millis(50),
-                n_requests: 96,
-                tokens_per_request: 64,
-                token_spread: 0.0,
-                drift_period: Some(24),
-                reestimate_every: Some(4),
-                reestimate_window: 8,
-                network: lina_runner::NetworkMode::Solo,
-                max_inflight: 1,
-                seed: 0xC1A5,
-                perf: Default::default(),
+        let serve = ServeConfig {
+            scheme,
+            top_k: 1,
+            path_length: 3,
+            max_experts_per_device: 2,
+            arrival: ArrivalProcess::Poisson { rate },
+            batcher: BatcherConfig {
+                max_batch_requests: 4,
+                max_wait: SimDuration::from_millis(2),
             },
+            slo: SimDuration::from_millis(50),
+            n_requests: 96,
+            tokens_per_request: 64,
+            token_spread: 0.0,
+            drift_period: Some(24),
+            reestimate_every: Some(4),
+            reestimate_window: 8,
+            network: lina_runner::NetworkMode::Solo,
+            max_inflight: 1,
+            seed: 0xC1A5,
+            perf: Default::default(),
+        };
+        ClusterConfig {
             replicas,
             balancer: BalancerKind::JoinShortestQueue,
-            sharing: EstimatorSharing::Shared,
-            faults: FaultPlan::none(),
-            autoscale: None,
-            resharding: None,
-            placement: None,
-            locality: false,
-            health: HealthConfig::oracle(),
-            hedging: None,
+            ..ClusterConfig::single(serve)
         }
     }
 
@@ -1846,17 +1862,6 @@ mod tests {
                 assert_eq!(a.reestimations, b.reestimations);
             }
         }
-    }
-
-    #[test]
-    fn single_replica_cluster_matches_single_server() {
-        let (cost, topo, spec) = world();
-        let c = config(InferScheme::Lina, 400.0, 1);
-        let cluster = serve_cluster(&cost, &topo, &spec, c.clone());
-        let single = crate::engine::serve(&cost, &topo, &spec, c.serve);
-        assert_eq!(cluster.tracker.records(), single.tracker.records());
-        assert_eq!(cluster.batches, single.batches);
-        assert_eq!(cluster.reestimations, single.reestimations);
     }
 
     #[test]

@@ -1,15 +1,13 @@
-//! The serving loop.
+//! The per-replica serving context.
 //!
-//! A [`ServeEngine`] streams an open-loop request trace (arrival
-//! process + per-request tokens) through a single server. Its run is a
-//! one-replica [`ClusterEngine`]: the [`Batcher`](crate::Batcher)
-//! decides when each batch leaves the admission queue,
-//! [`plan_batch_layered`](lina_runner::plan_batch_layered) plans it
-//! under the configured scheme, a
-//! [`ReplicaExecutor`](lina_runner::ReplicaExecutor) prices it, and
-//! every member request is charged its queueing delay plus the batch's
-//! model time. Only [`ServeEngine::capacity`] still runs a batch
-//! through [`run_inference_batch`].
+//! A [`ServeEngine`] holds what every replica of a serving run shares:
+//! the cost model, topology, workload and [`ServeConfig`]. It streams
+//! the open-loop request trace (arrival process + per-request tokens),
+//! builds the offline-profiled two-phase scheduler, and probes a
+//! replica's [`capacity`](ServeEngine::capacity). It does not run:
+//! [`ClusterEngine`](crate::ClusterEngine) is the one serving loop,
+//! and a single server is its one-replica case
+//! ([`ClusterConfig::single`](crate::ClusterConfig::single)).
 //!
 //! Two serving-specific mechanisms sit on top of the paper's per-batch
 //! machinery:
@@ -29,20 +27,15 @@ use std::collections::VecDeque;
 use lina_baselines::InferScheme;
 use lina_core::{PopularityEstimator, TwoPhaseConfig, TwoPhaseScheduler};
 use lina_model::CostModel;
-use lina_netsim::Topology;
-use lina_runner::inference::{run_inference_batch, InferenceConfig};
-use lina_runner::NetworkMode;
+use lina_netsim::{SoloTimer, Topology};
+use lina_runner::inference::InferenceConfig;
+use lina_runner::{execute_plan_solo, plan_batch, NetworkMode};
 use lina_simcore::{Rng, SimDuration};
 use lina_workload::{Mode, TokenBatch, TokenPath, TokenSource, WorkloadSpec};
 
 use crate::arrival::{ArrivalProcess, ArrivalStream};
-use crate::balancer::BalancerKind;
 use crate::batcher::BatcherConfig;
-use crate::cluster::{ClusterConfig, ClusterEngine, EstimatorSharing};
-use crate::faults::FaultPlan;
-use crate::health::HealthConfig;
 use crate::request::Request;
-use crate::slo::{SloReport, SloTracker};
 
 /// The paper's inference experiments use 16384 tokens per device; the
 /// measured scheduling overheads (6.2 ms schedule, 1.45 ms resume)
@@ -118,8 +111,8 @@ pub struct ServeConfig {
 
 /// The seed substreams every consumer of a [`ServeConfig`] derives
 /// from its master seed. Centralized so trace generation, capacity
-/// probing, and the serving loops (single-server and cluster) can
-/// never drift apart in derivation order.
+/// probing, and the serving loop can never drift apart in derivation
+/// order.
 pub(crate) struct Seeds {
     /// Seeds the request [`TokenSource`].
     pub token: u64,
@@ -245,27 +238,9 @@ impl ReestimationWindow {
     }
 }
 
-/// Everything a serving run produced.
-#[derive(Clone, Debug)]
-pub struct ServeOutcome {
-    /// Per-request records and the queue-depth timeline.
-    pub tracker: SloTracker,
-    /// Batches dispatched.
-    pub batches: usize,
-    /// Times the estimator was re-profiled online.
-    pub reestimations: usize,
-}
-
-impl ServeOutcome {
-    /// Summarizes the run (see [`SloTracker::report`]).
-    pub fn report(&self) -> SloReport {
-        self.tracker.report()
-    }
-}
-
-/// The serving simulator. Holds the model/cluster/workload context and
-/// a [`ServeConfig`]; [`ServeEngine::run`] is deterministic in all of
-/// them.
+/// The per-replica serving context: the model/cluster/workload and a
+/// [`ServeConfig`]. Its trace, offline profile and capacity probe are
+/// deterministic in all of them.
 pub struct ServeEngine<'a> {
     pub(crate) cost: &'a CostModel,
     pub(crate) topo: &'a Topology,
@@ -278,7 +253,9 @@ impl<'a> ServeEngine<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the config is invalid (see [`ServeConfig::validate`]).
+    /// Panics if the config is invalid (see [`ServeConfig::validate`]),
+    /// or if the workload's expert or layer count differs from the
+    /// model's.
     pub fn new(
         cost: &'a CostModel,
         topo: &'a Topology,
@@ -286,6 +263,14 @@ impl<'a> ServeEngine<'a> {
         config: ServeConfig,
     ) -> Self {
         config.validate();
+        assert_eq!(
+            spec.experts, cost.model.experts,
+            "serve: workload expert count must match the model"
+        );
+        assert_eq!(
+            spec.layers, cost.model.layers,
+            "serve: workload layer count must match the model"
+        );
         ServeEngine {
             cost,
             topo,
@@ -389,34 +374,9 @@ impl<'a> ServeEngine<'a> {
             scheme: self.config.scheme,
             top_k: self.config.top_k,
         };
-        let report = run_inference_batch(self.cost, self.topo, &infer, scheduler.as_ref(), &batch);
+        let plan = plan_batch(self.cost, self.topo, &infer, scheduler.as_ref(), &batch);
+        let report = execute_plan_solo(&plan, &mut SoloTimer::new(self.topo));
         per_batch as f64 / report.total.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-
-    /// Runs the full serving simulation.
-    ///
-    /// The single-server timeline is a one-replica [`ClusterEngine`]:
-    /// round-robin routing, no faults, no controllers.
-    pub fn run(&self) -> ServeOutcome {
-        let single = ClusterConfig {
-            serve: self.config.clone(),
-            replicas: 1,
-            balancer: BalancerKind::RoundRobin,
-            sharing: EstimatorSharing::Shared,
-            faults: FaultPlan::none(),
-            autoscale: None,
-            resharding: None,
-            placement: None,
-            locality: false,
-            health: HealthConfig::oracle(),
-            hedging: None,
-        };
-        let outcome = ClusterEngine::new(self.cost, self.topo, self.spec, single).run();
-        ServeOutcome {
-            tracker: outcome.tracker,
-            batches: outcome.batches,
-            reestimations: outcome.reestimations,
-        }
     }
 }
 
@@ -465,19 +425,10 @@ impl Iterator for RequestStream<'_> {
     }
 }
 
-/// Convenience wrapper: build a [`ServeEngine`] and run it.
-pub fn serve(
-    cost: &CostModel,
-    topo: &Topology,
-    spec: &WorkloadSpec,
-    config: ServeConfig,
-) -> ServeOutcome {
-    ServeEngine::new(cost, topo, spec, config).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::{serve_cluster, ClusterConfig};
     use lina_model::{DeviceSpec, MoeModelConfig};
     use lina_netsim::ClusterSpec;
     use lina_simcore::SimTime;
@@ -518,7 +469,8 @@ mod tests {
     #[test]
     fn serves_every_request_exactly_once() {
         let (cost, topo, spec) = world();
-        let out = serve(&cost, &topo, &spec, config(InferScheme::Lina, 400.0));
+        let single = ClusterConfig::single(config(InferScheme::Lina, 400.0));
+        let out = serve_cluster(&cost, &topo, &spec, single);
         let mut ids: Vec<usize> = out.tracker.records().iter().map(|r| r.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..64).collect::<Vec<_>>());
@@ -529,7 +481,8 @@ mod tests {
     #[test]
     fn dispatch_respects_arrival_and_server_order() {
         let (cost, topo, spec) = world();
-        let out = serve(&cost, &topo, &spec, config(InferScheme::Baseline, 1000.0));
+        let single = ClusterConfig::single(config(InferScheme::Baseline, 1000.0));
+        let out = serve_cluster(&cost, &topo, &spec, single);
         let records = out.tracker.records();
         for r in records {
             assert!(
@@ -586,12 +539,8 @@ mod tests {
     #[test]
     fn reestimation_disabled_for_non_estimating_schemes() {
         let (cost, topo, spec) = world();
-        let out = serve(
-            &cost,
-            &topo,
-            &spec,
-            config(InferScheme::LinaNoEstimation, 400.0),
-        );
+        let single = ClusterConfig::single(config(InferScheme::LinaNoEstimation, 400.0));
+        let out = serve_cluster(&cost, &topo, &spec, single);
         assert_eq!(out.reestimations, 0);
     }
 
@@ -646,5 +595,21 @@ mod tests {
         let mut c = config(InferScheme::Baseline, 100.0);
         c.n_requests = 0;
         ServeEngine::new(&cost, &topo, &spec, c);
+    }
+
+    #[test]
+    #[should_panic(expected = "workload expert count must match the model")]
+    fn workload_with_other_expert_count_rejected() {
+        let (cost, topo, _) = world();
+        let spec = WorkloadSpec::enwik8(16, 6);
+        ServeEngine::new(&cost, &topo, &spec, config(InferScheme::Baseline, 100.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "workload layer count must match the model")]
+    fn workload_with_other_layer_count_rejected() {
+        let (cost, topo, _) = world();
+        let spec = WorkloadSpec::enwik8(8, 4);
+        ServeEngine::new(&cost, &topo, &spec, config(InferScheme::Baseline, 100.0));
     }
 }

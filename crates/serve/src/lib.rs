@@ -10,16 +10,19 @@
 //! * [`Batcher`] — an admission queue plus dynamic batcher
 //!   (max-batch-size and max-wait knobs) that forms
 //!   [`TokenBatch`](lina_workload::TokenBatch)es from queued requests;
-//! * [`ServeEngine`] — a single server: its run is a one-replica
-//!   [`ClusterEngine`], planning each formed batch with
-//!   [`plan_batch_layered`](lina_runner::plan_batch_layered) and
-//!   pricing it on a [`ReplicaExecutor`](lina_runner::ReplicaExecutor),
-//!   charging every request its queueing delay plus service time;
-//! * [`ClusterEngine`] — N replica servers behind a
-//!   [`BalancerKind`] (round-robin, join-shortest-queue,
+//! * [`ServeEngine`] — the per-replica context: it generates the
+//!   request trace, builds the offline-profiled scheduler, and probes
+//!   a replica's [`capacity`](ServeEngine::capacity);
+//! * [`ClusterEngine`] — the one serving loop: N replica servers
+//!   behind a [`BalancerKind`] (round-robin, join-shortest-queue,
 //!   least-expected-latency), each with its own admission queue and
-//!   batcher timeline, sharing one popularity estimator or keeping
-//!   per-replica ones ([`EstimatorSharing`]);
+//!   batcher timeline, planning each formed batch with
+//!   [`plan_batch_layered`](lina_runner::plan_batch_layered), pricing
+//!   it on a [`ReplicaExecutor`](lina_runner::ReplicaExecutor), and
+//!   charging every request its queueing delay plus service time;
+//!   replicas share one popularity estimator or keep per-replica ones
+//!   ([`EstimatorSharing`]), and [`ClusterConfig::single`] is the
+//!   healthy single server;
 //! * [`SloTracker`] — per-request latency percentiles, throughput,
 //!   goodput, SLO attainment, availability, explicit terminal outcomes
 //!   ([`RequestOutcome`]), and a queue-depth timeline;
@@ -88,7 +91,7 @@ pub use batcher::{Batcher, BatcherConfig};
 pub use cluster::{
     serve_cluster, ClusterConfig, ClusterEngine, ClusterOutcome, EstimatorSharing, PlanCacheStats,
 };
-pub use engine::{serve, ServeConfig, ServeEngine, ServeOutcome};
+pub use engine::{ServeConfig, ServeEngine};
 pub use faults::{
     DegradationPolicy, FaultEvent, FaultKind, FaultPlan, FaultRateConfig, FaultSchedule, PolicyKind,
 };

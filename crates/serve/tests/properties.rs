@@ -7,8 +7,8 @@ use lina_baselines::InferScheme;
 use lina_model::{CostModel, DeviceSpec, ExpertPlacement, LayeredPlacement, MoeModelConfig};
 use lina_netsim::{ClusterSpec, Topology};
 use lina_serve::{
-    serve, serve_cluster, ArrivalProcess, AutoscaleConfig, AutoscalePolicyKind, BalancerKind,
-    Batcher, BatcherConfig, ClusterConfig, DegradationPolicy, EstimatorSharing, FaultPlan,
+    serve_cluster, ArrivalProcess, AutoscaleConfig, AutoscalePolicyKind, BalancerKind, Batcher,
+    BatcherConfig, ClusterConfig, ClusterEngine, DegradationPolicy, EstimatorSharing, FaultPlan,
     FaultRateConfig, FaultSchedule, HealthConfig, HedgeConfig, NetworkMode, ReshardAction,
     ReshardConfig, ReshardPolicyKind, ScaleDecision, ServeConfig, ServeEngine,
 };
@@ -83,11 +83,11 @@ fn same_seed_is_bit_identical() {
     let mut meta = Rng::new(0x5E1D);
     for scheme in [InferScheme::Baseline, InferScheme::Lina] {
         for _ in 0..3 {
-            let config = arb_config(&mut meta, scheme);
-            let engine_a = ServeEngine::new(&cost, &topo, &spec, config.clone());
-            let engine_b = ServeEngine::new(&cost, &topo, &spec, config.clone());
-            let req_a = engine_a.generate_requests();
-            let req_b = engine_b.generate_requests();
+            let config = ClusterConfig::single(arb_config(&mut meta, scheme));
+            let engine_a = ClusterEngine::new(&cost, &topo, &spec, config.clone());
+            let engine_b = ClusterEngine::new(&cost, &topo, &spec, config);
+            let req_a = engine_a.engine().generate_requests();
+            let req_b = engine_b.engine().generate_requests();
             assert_eq!(req_a.len(), req_b.len());
             for (a, b) in req_a.iter().zip(&req_b) {
                 assert_eq!(a.arrival, b.arrival);
@@ -119,7 +119,7 @@ fn batcher_conserves_requests_and_tokens() {
             .iter()
             .map(|r| r.tokens.len())
             .sum();
-        let out = serve(&cost, &topo, &spec, config);
+        let out = serve_cluster(&cost, &topo, &spec, ClusterConfig::single(config));
         let records = out.tracker.records();
         let mut ids: Vec<usize> = records.iter().map(|r| r.id).collect();
         ids.sort_unstable();
@@ -152,7 +152,7 @@ fn latency_dominates_service_time() {
     let mut meta = Rng::new(0x1A7);
     for scheme in [InferScheme::Baseline, InferScheme::Lina] {
         let config = arb_config(&mut meta, scheme);
-        let out = serve(&cost, &topo, &spec, config);
+        let out = serve_cluster(&cost, &topo, &spec, ClusterConfig::single(config));
         for r in out.tracker.records() {
             assert!(r.dispatched >= r.arrival);
             assert_eq!(r.completed, r.dispatched + r.service);
@@ -189,18 +189,12 @@ fn cluster_conserves_and_is_deterministic_across_policies() {
         BalancerKind::LeastExpectedLatency,
     ] {
         for sharing in [EstimatorSharing::Shared, EstimatorSharing::PerReplica] {
+            let serve = arb_config(&mut meta, InferScheme::Lina);
             let config = ClusterConfig {
-                serve: arb_config(&mut meta, InferScheme::Lina),
                 replicas: 2 + meta.index(3),
                 balancer,
                 sharing,
-                faults: FaultPlan::none(),
-                autoscale: None,
-                resharding: None,
-                placement: None,
-                locality: false,
-                health: HealthConfig::oracle(),
-                hedging: None,
+                ..ClusterConfig::single(serve)
             };
             let n = config.serve.n_requests;
             let offered: usize = ServeEngine::new(&cost, &topo, &spec, config.serve.clone())
@@ -366,7 +360,7 @@ fn queue_drains_below_capacity_and_grows_past_it() {
         config.arrival = ArrivalProcess::Poisson {
             rate: frac * capacity,
         };
-        serve(&cost, &topo, &spec, config).report()
+        serve_cluster(&cost, &topo, &spec, ClusterConfig::single(config)).report()
     };
     let calm = run_at(0.25);
     let swamped = run_at(4.0);
@@ -448,17 +442,10 @@ fn faults_conserve_every_request_and_stay_deterministic() {
             arb_policy(&mut meta)
         };
         let config = ClusterConfig {
-            serve: serve_config,
             replicas,
             balancer: BalancerKind::JoinShortestQueue,
-            sharing: EstimatorSharing::Shared,
             faults: FaultPlan { schedule, policy },
-            autoscale: None,
-            resharding: None,
-            placement: None,
-            locality: false,
-            health: HealthConfig::oracle(),
-            hedging: None,
+            ..ClusterConfig::single(serve_config)
         };
         let n = config.serve.n_requests;
         let offered_tokens: usize = ServeEngine::new(&cost, &topo, &spec, config.serve.clone())
@@ -514,18 +501,12 @@ fn empty_fault_schedule_is_bit_identical_to_healthy_path() {
     let (cost, topo, spec) = world();
     let mut meta = Rng::new(0xDE6E);
     for sharing in [EstimatorSharing::Shared, EstimatorSharing::PerReplica] {
+        let serve = arb_config(&mut meta, InferScheme::Lina);
         let config = ClusterConfig {
-            serve: arb_config(&mut meta, InferScheme::Lina),
             replicas: 2 + meta.index(3),
             balancer: BalancerKind::JoinShortestQueue,
             sharing,
-            faults: FaultPlan::none(),
-            autoscale: None,
-            resharding: None,
-            placement: None,
-            locality: false,
-            health: HealthConfig::oracle(),
-            hedging: None,
+            ..ClusterConfig::single(serve)
         };
         let healthy = serve_cluster(&cost, &topo, &spec, config.clone());
         let mut armed = config.clone();
@@ -574,15 +555,12 @@ fn arbitrary_autoscale_decisions_conserve_and_stay_deterministic() {
             })
             .collect();
         let config = ClusterConfig {
-            serve: serve_config,
             replicas,
             balancer: match meta.index(3) {
                 0 => BalancerKind::RoundRobin,
                 1 => BalancerKind::JoinShortestQueue,
                 _ => BalancerKind::LeastExpectedLatency,
             },
-            sharing: EstimatorSharing::Shared,
-            faults: FaultPlan::none(),
             autoscale: Some(AutoscaleConfig {
                 policy: AutoscalePolicyKind::Scripted { script },
                 interval: SimDuration::from_micros(meta.below(3_000) + 200),
@@ -590,11 +568,7 @@ fn arbitrary_autoscale_decisions_conserve_and_stay_deterministic() {
                 min_replicas: 1,
                 max_replicas,
             }),
-            resharding: None,
-            placement: None,
-            locality: false,
-            health: HealthConfig::oracle(),
-            hedging: None,
+            ..ClusterConfig::single(serve_config)
         };
         let n = config.serve.n_requests;
         let offered_tokens: usize = ServeEngine::new(&cost, &topo, &spec, config.serve.clone())
@@ -657,17 +631,9 @@ fn inert_autoscaler_is_bit_identical_to_fixed_cluster() {
     for _ in 0..4 {
         let replicas = 1 + meta.index(4);
         let config = ClusterConfig {
-            serve: arb_config(&mut meta, InferScheme::Lina),
             replicas,
             balancer: BalancerKind::JoinShortestQueue,
-            sharing: EstimatorSharing::Shared,
-            faults: FaultPlan::none(),
-            autoscale: None,
-            resharding: None,
-            placement: None,
-            locality: false,
-            health: HealthConfig::oracle(),
-            hedging: None,
+            ..ClusterConfig::single(arb_config(&mut meta, InferScheme::Lina))
         };
         let fixed = serve_cluster(&cost, &topo, &spec, config.clone());
         let mut armed = config.clone();
@@ -728,23 +694,17 @@ fn arbitrary_reshard_schedules_conserve_and_stay_deterministic() {
                     .collect()
             })
             .collect();
+        let serve = arb_config(&mut meta, scheme);
         let config = ClusterConfig {
-            serve: arb_config(&mut meta, scheme),
             replicas: 1 + meta.index(3),
             balancer,
-            sharing: EstimatorSharing::Shared,
-            faults: FaultPlan::none(),
-            autoscale: None,
             resharding: Some(ReshardConfig {
                 policy: ReshardPolicyKind::Scripted { script },
                 interval: SimDuration::from_micros(meta.below(3_000) + 200),
                 window: 4 + meta.index(8),
                 transfer_cost: meta.uniform(0.0, 2.0),
             }),
-            placement: None,
-            locality: false,
-            health: HealthConfig::oracle(),
-            hedging: None,
+            ..ClusterConfig::single(serve)
         };
         let n = config.serve.n_requests;
         let offered_tokens: usize = ServeEngine::new(&cost, &topo, &spec, config.serve.clone())
@@ -795,18 +755,11 @@ fn inert_resharder_is_bit_identical_to_fixed_cluster() {
     let (cost, topo, spec) = world();
     let mut meta = Rng::new(0x12E5);
     for _ in 0..4 {
+        let serve = arb_config(&mut meta, InferScheme::Lina);
         let config = ClusterConfig {
-            serve: arb_config(&mut meta, InferScheme::Lina),
             replicas: 1 + meta.index(4),
             balancer: BalancerKind::JoinShortestQueue,
-            sharing: EstimatorSharing::Shared,
-            faults: FaultPlan::none(),
-            autoscale: None,
-            resharding: None,
-            placement: None,
-            locality: false,
-            health: HealthConfig::oracle(),
-            hedging: None,
+            ..ClusterConfig::single(serve)
         };
         let fixed = serve_cluster(&cost, &topo, &spec, config.clone());
         let mut armed = config.clone();
@@ -861,18 +814,11 @@ fn uniform_layered_base_is_bit_identical_to_plain() {
                 transfer_cost: 0.5,
             }),
         ] {
+            let serve = arb_config(&mut meta, scheme);
             let plain = ClusterConfig {
-                serve: arb_config(&mut meta, scheme),
                 replicas: 2 + meta.index(2),
-                balancer: BalancerKind::RoundRobin,
-                sharing: EstimatorSharing::Shared,
-                faults: FaultPlan::none(),
-                autoscale: None,
                 resharding: resharding.clone(),
-                placement: None,
-                locality: false,
-                health: HealthConfig::oracle(),
-                hedging: None,
+                ..ClusterConfig::single(serve)
             };
             let mut armed = plain.clone();
             armed.placement = Some(canonical.clone());
@@ -955,20 +901,15 @@ fn gray_faults_with_hedging_conserve_and_stay_deterministic() {
             min_samples: 4 + meta.index(16),
         });
         let config = ClusterConfig {
-            serve: serve_config,
             replicas,
             balancer,
-            sharing: EstimatorSharing::Shared,
             faults: FaultPlan {
                 schedule,
                 policy: arb_policy(&mut meta),
             },
-            autoscale: None,
-            resharding: None,
-            placement: None,
-            locality: false,
             health,
             hedging,
+            ..ClusterConfig::single(serve_config)
         };
         let n = config.serve.n_requests;
         let offered_tokens: usize = ServeEngine::new(&cost, &topo, &spec, config.serve.clone())
@@ -1036,18 +977,11 @@ fn armed_oracle_and_inert_hedging_reproduce_the_plain_run() {
         BalancerKind::JoinShortestQueue,
         BalancerKind::LeastExpectedLatency,
     ] {
+        let serve = arb_config(&mut meta, InferScheme::Lina);
         let config = ClusterConfig {
-            serve: arb_config(&mut meta, InferScheme::Lina),
             replicas: 2 + meta.index(3),
             balancer,
-            sharing: EstimatorSharing::Shared,
-            faults: FaultPlan::none(),
-            autoscale: None,
-            resharding: None,
-            placement: None,
-            locality: false,
-            health: HealthConfig::oracle(),
-            hedging: None,
+            ..ClusterConfig::single(serve)
         };
         let plain = serve_cluster(&cost, &topo, &spec, config.clone());
         let mut armed = config.clone();
@@ -1101,17 +1035,10 @@ fn jittered_backoff_conserves_and_stays_deterministic() {
         let mut policy = arb_policy(&mut meta);
         policy.jitter = meta.uniform(0.05, 0.5);
         let config = ClusterConfig {
-            serve: serve_config,
             replicas,
             balancer: BalancerKind::JoinShortestQueue,
-            sharing: EstimatorSharing::Shared,
             faults: FaultPlan { schedule, policy },
-            autoscale: None,
-            resharding: None,
-            placement: None,
-            locality: false,
-            health: HealthConfig::oracle(),
-            hedging: None,
+            ..ClusterConfig::single(serve_config)
         };
         let n = config.serve.n_requests;
         let offered_tokens: usize = ServeEngine::new(&cost, &topo, &spec, config.serve.clone())

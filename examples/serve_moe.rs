@@ -13,7 +13,10 @@
 use lina::baselines::InferScheme;
 use lina::model::{CostModel, DeviceSpec, MoeModelConfig};
 use lina::netsim::{ClusterSpec, Topology};
-use lina::serve::{serve, ArrivalProcess, BatcherConfig, NetworkMode, ServeConfig, ServeEngine};
+use lina::serve::{
+    serve_cluster, ArrivalProcess, BatcherConfig, ClusterConfig, NetworkMode, ServeConfig,
+    ServeEngine,
+};
 use lina::simcore::{SimDuration, Table};
 use lina::workload::WorkloadSpec;
 
@@ -91,7 +94,8 @@ fn main() {
         InferScheme::Lina,
         InferScheme::LinaNoEstimation,
     ] {
-        let out = serve(&cost, &topo, &spec, config(scheme, rate, n_requests));
+        let single = ClusterConfig::single(config(scheme, rate, n_requests));
+        let out = serve_cluster(&cost, &topo, &spec, single);
         let r = out.report();
         table.row(&[
             scheme.name().into(),

@@ -7,7 +7,10 @@
 use lina::baselines::InferScheme;
 use lina::model::{CostModel, DeviceSpec, MoeModelConfig};
 use lina::netsim::{ClusterSpec, Topology};
-use lina::serve::{serve, ArrivalProcess, BatcherConfig, NetworkMode, ServeConfig, ServeEngine};
+use lina::serve::{
+    serve_cluster, ArrivalProcess, BatcherConfig, ClusterConfig, NetworkMode, ServeConfig,
+    ServeEngine,
+};
 use lina::simcore::SimDuration;
 use lina::workload::WorkloadSpec;
 
@@ -56,8 +59,11 @@ fn lina_beats_static_baseline_p95_at_moderate_load() {
     let (cost, topo, spec) = world(16);
     let probe = ServeEngine::new(&cost, &topo, &spec, config(InferScheme::Baseline, 1.0));
     let rate = 0.7 * probe.capacity();
-    let base = serve(&cost, &topo, &spec, config(InferScheme::Baseline, rate)).report();
-    let lina = serve(&cost, &topo, &spec, config(InferScheme::Lina, rate)).report();
+    let run = |scheme| {
+        let single = ClusterConfig::single(config(scheme, rate));
+        serve_cluster(&cost, &topo, &spec, single).report()
+    };
+    let (base, lina) = (run(InferScheme::Baseline), run(InferScheme::Lina));
     assert!(
         lina.p95 <= base.p95,
         "lina p95 {} must not exceed baseline p95 {}",
@@ -86,8 +92,8 @@ fn serving_is_deterministic_end_to_end() {
         mean_calm: 0.2,
         mean_burst: 0.05,
     };
-    let a = serve(&cost, &topo, &spec, cfg.clone());
-    let b = serve(&cost, &topo, &spec, cfg);
+    let a = serve_cluster(&cost, &topo, &spec, ClusterConfig::single(cfg.clone()));
+    let b = serve_cluster(&cost, &topo, &spec, ClusterConfig::single(cfg));
     assert_eq!(a.tracker.records(), b.tracker.records());
     assert_eq!(a.tracker.depth_timeline(), b.tracker.depth_timeline());
     assert_eq!(a.batches, b.batches);
@@ -108,20 +114,11 @@ fn saturation_degrades_the_slo() {
     };
     let probe = ServeEngine::new(&cost, &topo, &spec, small(InferScheme::Baseline, 1.0));
     let capacity = probe.capacity();
-    let calm = serve(
-        &cost,
-        &topo,
-        &spec,
-        small(InferScheme::Baseline, 0.3 * capacity),
-    )
-    .report();
-    let hot = serve(
-        &cost,
-        &topo,
-        &spec,
-        small(InferScheme::Baseline, 3.0 * capacity),
-    )
-    .report();
+    let run = |load: f64| {
+        let single = ClusterConfig::single(small(InferScheme::Baseline, load * capacity));
+        serve_cluster(&cost, &topo, &spec, single).report()
+    };
+    let (calm, hot) = (run(0.3), run(3.0));
     assert!(hot.mean_queue_delay > calm.mean_queue_delay);
     assert!(hot.attainment <= calm.attainment);
     assert!(hot.p99 >= calm.p99);

@@ -14,13 +14,17 @@
 //! Each test also checks that its run exercised the controller it is
 //! named after (faults fired, hedges issued, ...), so a pinned digest
 //! never silently covers an inert configuration.
+//!
+//! Two of them (`everything_armed`, `contended_baseline_four_in_flight`)
+//! also run the config over its eagerly generated trace
+//! (`ClusterEngine::run_trace`) and require the lazy stream's digest.
 
 use lina::baselines::InferScheme;
 use lina::model::{CostModel, DeviceSpec, MoeModelConfig};
 use lina::netsim::{ClusterSpec, Topology};
 use lina::runner::Fnv128;
 use lina::serve::{
-    serve, ArrivalProcess, AutoscaleConfig, AutoscalePolicyKind, BalancerKind, BatcherConfig,
+    ArrivalProcess, AutoscaleConfig, AutoscalePolicyKind, BalancerKind, BatcherConfig,
     ClusterConfig, ClusterEngine, ClusterOutcome, DegradationPolicy, EstimatorSharing, FaultEvent,
     FaultKind, FaultPlan, FaultRateConfig, FaultSchedule, HealthConfig, HedgeConfig, NetworkMode,
     RequestOutcome, ReshardConfig, ReshardPolicyKind, ServeConfig, SloTracker,
@@ -64,23 +68,22 @@ fn serve_config(scheme: InferScheme, rate: f64) -> ServeConfig {
 
 fn cluster_config(scheme: InferScheme, rate: f64, replicas: usize) -> ClusterConfig {
     ClusterConfig {
-        serve: serve_config(scheme, rate),
         replicas,
-        balancer: BalancerKind::RoundRobin,
-        sharing: EstimatorSharing::Shared,
-        faults: FaultPlan::none(),
-        autoscale: None,
-        resharding: None,
-        placement: None,
-        locality: false,
-        health: HealthConfig::oracle(),
-        hedging: None,
+        ..ClusterConfig::single(serve_config(scheme, rate))
     }
 }
 
 fn run(config: ClusterConfig) -> ClusterOutcome {
     let (cost, topo, spec) = world();
     ClusterEngine::new(&cost, &topo, &spec, config).run()
+}
+
+/// Runs the config over its eagerly generated trace instead of the
+/// lazy arrival stream.
+fn run_trace(config: ClusterConfig) -> ClusterOutcome {
+    let (cost, topo, spec) = world();
+    let engine = ClusterEngine::new(&cost, &topo, &spec, config);
+    engine.run_trace(engine.engine().generate_requests())
 }
 
 /// Folds the records, failures, and depth timeline into `d`.
@@ -194,11 +197,17 @@ fn contended_baseline_four_in_flight() {
     let mut c = cluster_config(InferScheme::Baseline, 3000.0, 1);
     c.serve.network = NetworkMode::Contended;
     c.serve.max_inflight = 4;
-    let out = run(c);
+    let out = run(c.clone());
     assert_conserved(&out, 96);
+    let digest = cluster_digest(&out);
+    assert_eq!(
+        digest,
+        cluster_digest(&run_trace(c)),
+        "run_trace over the generated trace must match run"
+    );
     assert_digest(
         "contended_baseline",
-        cluster_digest(&out),
+        digest,
         0xeabe_a305_073c_5554_b4ba_bff0_6978_7efc,
     );
 }
@@ -426,7 +435,16 @@ fn everything_armed() {
     let out = run(c.clone());
     assert_conserved(&out, 192);
     let digest = cluster_digest(&out);
-    assert_eq!(digest, cluster_digest(&run(c)), "the run is deterministic");
+    assert_eq!(
+        digest,
+        cluster_digest(&run(c.clone())),
+        "the run is deterministic"
+    );
+    assert_eq!(
+        digest,
+        cluster_digest(&run_trace(c)),
+        "run_trace over the generated trace must match run"
+    );
     let report = out.report();
     assert!(out.aborted_batches > 0, "a crash must abort work");
     assert!(report.dropped > 0 && report.timed_out > 0);
@@ -493,8 +511,10 @@ fn autoscaler_under_device_loss_contended() {
 
 #[test]
 fn single_server_serve() {
-    let (cost, topo, spec) = world();
-    let out = serve(&cost, &topo, &spec, serve_config(InferScheme::Lina, 400.0));
+    let out = run(ClusterConfig::single(serve_config(
+        InferScheme::Lina,
+        400.0,
+    )));
     assert!(out.reestimations > 0);
     let mut d = Fnv128::new();
     tracker_digest(&mut d, &out.tracker);
