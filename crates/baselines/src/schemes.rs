@@ -5,17 +5,14 @@
 //! incremental design points (priority, +partitioning, +pipelining,
 //! fixed).
 
-use lina_core::{CommPolicy, LinaTrainScheduler};
+use lina_core::CommPolicy;
 use lina_model::{A2aChunking, ExpertPlacement, GradCommMode, TrainStepOptions};
-use lina_netsim::AllToAllAlgo;
-
-use crate::policies::{FairSharePolicy, FixedSchedulePolicy, NaivePriorityPolicy};
 
 /// The training systems/ablations under evaluation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TrainScheme {
     /// DeepSpeed MoE: fair-share streams, DDP bucketing, whole-tensor
-    /// hierarchical all-to-all.
+    /// flat all-to-all.
     Baseline,
     /// Tutel-like: adds modest all-to-all chunking with FFN overlap but
     /// keeps uncoordinated streams (performs close to Baseline, per the
@@ -53,16 +50,18 @@ impl TrainScheme {
         }
     }
 
-    /// The scheduling policy instance for one step.
-    pub fn policy(&self) -> Box<dyn CommPolicy> {
-        match self {
-            TrainScheme::Baseline | TrainScheme::Tutel => Box::new(FairSharePolicy),
-            TrainScheme::Fixed => Box::new(FixedSchedulePolicy::default()),
-            TrainScheme::PriorityOnly => Box::new(NaivePriorityPolicy),
+    /// The communication policy of one step. Boxed only because the
+    /// benchmark calls `execute(.., policy.as_mut())`; other callers
+    /// pass `&scheme.policy()`.
+    pub fn policy(&self) -> Box<CommPolicy> {
+        Box::new(match self {
+            TrainScheme::Baseline | TrainScheme::Tutel => CommPolicy::FairShare,
+            TrainScheme::Fixed => CommPolicy::Fixed,
+            TrainScheme::PriorityOnly => CommPolicy::NaivePriority,
             TrainScheme::PriorityPartition | TrainScheme::LinaNoPack | TrainScheme::Lina { .. } => {
-                Box::new(LinaTrainScheduler::new())
+                CommPolicy::Lina
             }
-        }
+        })
     }
 
     /// Graph-construction options for a model with `experts` experts on
@@ -73,49 +72,18 @@ impl TrainScheme {
     /// Panics if a Lina packing degree is zero.
     pub fn step_options(&self, experts: usize, topo: &lina_netsim::Topology) -> TrainStepOptions {
         let devices = topo.devices();
-        let bucketed = GradCommMode::Bucketed {
-            bucket_bytes: 25.0 * 1024.0 * 1024.0,
-        };
-        let partitioned = GradCommMode::Partitioned { chunk_bytes: 30e6 };
-        let one_per = ExpertPlacement::one_per_device(experts, devices);
+        let baseline = || TrainStepOptions::baseline(experts, devices);
         match self {
-            TrainScheme::Baseline => TrainStepOptions {
-                grad_comm: bucketed,
-                a2a_chunking: A2aChunking::Whole,
-                pipeline_ffn: false,
-                placement: one_per,
-                a2a_algo: AllToAllAlgo::Flat,
-                jitter_sigma: 0.03,
-                seed: 1,
-            },
+            TrainScheme::Baseline | TrainScheme::Fixed | TrainScheme::PriorityOnly => baseline(),
+            // Tutel overlaps all-to-all with expert compute in two halves.
             TrainScheme::Tutel => TrainStepOptions {
-                grad_comm: bucketed,
-                // Tutel overlaps all-to-all with expert compute in two
-                // halves.
                 a2a_chunking: A2aChunking::Count(2),
                 pipeline_ffn: true,
-                placement: one_per,
-                a2a_algo: AllToAllAlgo::Flat,
-                jitter_sigma: 0.03,
-                seed: 1,
-            },
-            TrainScheme::Fixed | TrainScheme::PriorityOnly => TrainStepOptions {
-                grad_comm: bucketed,
-                a2a_chunking: A2aChunking::Whole,
-                pipeline_ffn: false,
-                placement: one_per,
-                a2a_algo: AllToAllAlgo::Flat,
-                jitter_sigma: 0.03,
-                seed: 1,
+                ..baseline()
             },
             TrainScheme::PriorityPartition => TrainStepOptions {
-                grad_comm: partitioned,
-                a2a_chunking: A2aChunking::Whole,
-                pipeline_ffn: false,
-                placement: one_per,
-                a2a_algo: AllToAllAlgo::Flat,
-                jitter_sigma: 0.03,
-                seed: 1,
+                grad_comm: GradCommMode::Partitioned { chunk_bytes: 30e6 },
+                ..baseline()
             },
             TrainScheme::LinaNoPack => {
                 TrainStepOptions::lina(ExpertPlacement::one_per_device(experts, devices))
@@ -235,17 +203,19 @@ mod tests {
     }
 
     #[test]
-    fn policy_names() {
-        assert_eq!(TrainScheme::Baseline.policy().name(), "fair-share");
-        assert_eq!(TrainScheme::PriorityOnly.policy().name(), "naive-priority");
-        assert_eq!(TrainScheme::Fixed.policy().name(), "fixed");
+    fn scheme_policies() {
+        assert_eq!(*TrainScheme::Baseline.policy(), CommPolicy::FairShare);
         assert_eq!(
-            TrainScheme::Lina {
+            *TrainScheme::PriorityOnly.policy(),
+            CommPolicy::NaivePriority
+        );
+        assert_eq!(*TrainScheme::Fixed.policy(), CommPolicy::Fixed);
+        assert_eq!(
+            *TrainScheme::Lina {
                 experts_per_device: 2
             }
-            .policy()
-            .name(),
-            "lina"
+            .policy(),
+            CommPolicy::Lina
         );
     }
 

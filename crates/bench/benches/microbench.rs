@@ -265,8 +265,7 @@ fn bench_step_simulation() {
             &format!("step_simulation/4layer_16dev/{}", scheme.name()),
             || {
                 let graph = build_train_step(&cost, &topo, batch, &routing, &opts);
-                let mut policy = scheme.policy();
-                execute(&graph, &topo, policy.as_mut())
+                execute(&graph, &topo, &scheme.policy())
             },
         );
     }

@@ -38,8 +38,7 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
                 opts.seed = 171 + seed;
                 let routing = lina_model::balanced_routing(&cost.model, 16, batch);
                 let graph = lina_model::build_train_step(&cost, &topo, batch, &routing, &opts);
-                let mut policy = scheme.policy();
-                let exec = lina_runner::execute(&graph, &topo, policy.as_mut());
+                let exec = lina_runner::execute(&graph, &topo, &scheme.policy());
                 steps.push(StepMetrics {
                     step_time: exec.makespan,
                     fwd_layer_time: lina_simcore::SimDuration::ZERO,

@@ -12,9 +12,10 @@
 //!   with first-fit-decreasing packing and replication, and the
 //!   two-phase (estimate, then fine-tune on deviation) protocol.
 //!
-//! The [`policy::CommPolicy`] trait is the narrow interface through
-//! which any scheduler — Lina's or a baseline's — controls the
-//! execution engine.
+//! [`CommPolicy`] names every training communication policy — Lina's
+//! and the baselines' — as one closed enum. The execution engine runs
+//! one launch sequence for all of them and asks the policy only when
+//! an allreduce may launch.
 
 #![warn(missing_docs)]
 
@@ -26,7 +27,5 @@ pub use inference::{
     popularity_placement, top_indices, PhaseOne, PhaseTwo, PlacementConfig, PopularityEstimator,
     TwoPhaseConfig, TwoPhaseScheduler,
 };
-pub use policy::{ActiveComm, CommPolicy, CommView, PendingComm};
-pub use training::{
-    LinaTrainScheduler, PackingController, PackingDecision, PackingObservation, PackingPlan,
-};
+pub use policy::CommPolicy;
+pub use training::{PackingController, PackingDecision, PackingObservation, PackingPlan};

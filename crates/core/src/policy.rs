@@ -1,148 +1,102 @@
-//! The communication-scheduling policy interface.
+//! Training communication policies.
 //!
-//! The execution engine maintains NCCL-like stream semantics: at most
-//! one collective of each class (all-to-all / allreduce) is in flight,
-//! and a launched collective cannot be preempted — precisely the
-//! constraint §4.1 identifies. A policy is consulted whenever a stream
-//! could launch something (an op became ready, or a collective
-//! finished) and picks which pending op, if any, to admit.
-//!
-//! This narrow interface is deliberately all the control a real
-//! scheduler has; every scheme in the paper (baseline fair-share, naive
-//! priority, fixed, and Lina's micro-op priority scheduler) is a policy
-//! plus a choice of graph-construction options.
+//! The execution engine keeps NCCL-like stream semantics: at most one
+//! collective of each class (all-to-all / allreduce / control) is in
+//! flight, and a launched collective cannot be preempted — precisely
+//! the constraint §4.1 identifies. Whenever a stream could launch
+//! something, every policy runs the same sequence: the oldest pending
+//! all-to-all if its stream is free, then the oldest pending allreduce
+//! if its stream is free and the policy admits it, then control
+//! traffic. The policies differ only in when an allreduce may launch;
+//! every scheme in the paper is one of them plus a choice of
+//! graph-construction options.
 
-use lina_model::CommMeta;
-
-/// A communication op whose dependencies are met, awaiting launch.
-#[derive(Clone, Copy, Debug)]
-pub struct PendingComm {
-    /// Engine handle; return this from [`CommPolicy::select`] to launch.
-    pub handle: usize,
-    /// The op's metadata.
-    pub meta: CommMeta,
-    /// Instant the op became ready, in nanoseconds (FIFO tie-breaking).
-    pub ready_at_ns: u64,
+/// When a gradient allreduce may launch during a training step.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum CommPolicy {
+    /// DeepSpeed/Tutel: the expert- and data-parallel process groups
+    /// launch on independent streams with no coordination, so
+    /// allreduce overlaps all-to-all and fair-shares its bandwidth (the
+    /// Figure 5 pathology).
+    FairShare,
+    /// Strict priority without partitioning (§4.1's strawman and
+    /// Figure 14's "priority" bar): allreduce only while no all-to-all
+    /// is pending or in flight. Gradients stay fused in large buckets,
+    /// so an admitted allreduce still blocks a later all-to-all.
+    NaivePriority,
+    /// Figure 14's fixed heuristic: as [`CommPolicy::NaivePriority`],
+    /// and only at an MoE-layer boundary of the backward pass, that is
+    /// after a non-zero, even number of backward all-to-alls completed.
+    Fixed,
+    /// Lina's micro-op scheduler (§4.2, §6.1): as
+    /// [`CommPolicy::NaivePriority`], and also not while an all-to-all
+    /// is imminent (every unmet dependency of some all-to-all is
+    /// running: the combine computation of the next MoE layer's
+    /// backward has started), since a micro-op launched now would
+    /// collide with it. Partitioned micro-ops then slot into the gaps
+    /// between all-to-alls (Figure 8a).
+    Lina,
 }
 
-/// A collective currently in flight.
-#[derive(Clone, Copy, Debug)]
-pub struct ActiveComm {
-    /// The op's metadata.
-    pub meta: CommMeta,
-}
-
-/// Snapshot of the communication state at a decision point.
-#[derive(Clone, Debug)]
-pub struct CommView<'a> {
-    /// Ready-to-launch ops, in readiness order.
-    pub pending: &'a [PendingComm],
-    /// Collectives in flight.
-    pub active: &'a [ActiveComm],
-    /// True if some all-to-all op is *about to* become ready: all of
-    /// its unmet dependencies are currently executing. Lina's scheduler
-    /// uses this as the "combine in backward has started" signal
-    /// (§6.1) to stop admitting allreduce micro-ops.
-    pub a2a_imminent: bool,
-    /// True if an all-to-all class stream is free (no all-to-all in
-    /// flight).
-    pub a2a_stream_free: bool,
-    /// True if the allreduce class stream is free.
-    pub allreduce_stream_free: bool,
-}
-
-impl CommView<'_> {
-    /// Pending ops of a class, in readiness order.
-    pub fn pending_of(
-        &self,
-        class: lina_model::CommClass,
-    ) -> impl Iterator<Item = &PendingComm> + '_ {
-        self.pending.iter().filter(move |p| p.meta.class == class)
+impl CommPolicy {
+    /// Whether the oldest pending allreduce may launch now, given
+    /// whether any all-to-all is pending or in flight and how many
+    /// backward all-to-alls have completed. `a2a_imminent` scans for an
+    /// imminent all-to-all; only [`CommPolicy::Lina`] calls it, and only
+    /// when no all-to-all is present.
+    pub fn admits_allreduce(
+        self,
+        a2a_present: bool,
+        backward_a2a_done: usize,
+        a2a_imminent: impl FnOnce() -> bool,
+    ) -> bool {
+        match self {
+            CommPolicy::FairShare => true,
+            CommPolicy::NaivePriority => !a2a_present,
+            CommPolicy::Fixed => {
+                !a2a_present && backward_a2a_done > 0 && backward_a2a_done.is_multiple_of(2)
+            }
+            CommPolicy::Lina => !a2a_present && !a2a_imminent(),
+        }
     }
-
-    /// True if any all-to-all is pending or in flight.
-    pub fn a2a_present(&self) -> bool {
-        use lina_model::CommClass::AllToAll;
-        self.pending.iter().any(|p| p.meta.class == AllToAll)
-            || self.active.iter().any(|a| a.meta.class == AllToAll)
-    }
-}
-
-/// A communication scheduling policy.
-pub trait CommPolicy {
-    /// Short name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Chooses which pending ops to launch now (handles from
-    /// [`PendingComm::handle`]). The engine launches them in the
-    /// returned order, still subject to one-in-flight-per-class; ops
-    /// that cannot launch are silently skipped and the policy will be
-    /// consulted again at the next event.
-    fn select(&mut self, view: &CommView<'_>) -> Vec<usize>;
-
-    /// Notification that a collective completed (for policies keeping
-    /// internal state, e.g. fixed scheduling counting all-to-alls).
-    fn on_complete(&mut self, _meta: &CommMeta) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lina_model::{CommClass, CommMeta};
 
-    fn meta(class: CommClass) -> CommMeta {
-        CommMeta {
-            class,
-            layer: 0,
-            chunk: 0,
-            nchunks: 1,
-            bytes_per_device: 1.0,
-            backward: true,
-            op_index: 0,
-        }
+    fn no_scan() -> bool {
+        unreachable!("the imminence scan must not run")
     }
 
     #[test]
-    fn view_helpers() {
-        let pending = vec![
-            PendingComm {
-                handle: 0,
-                meta: meta(CommClass::AllToAll),
-                ready_at_ns: 0,
-            },
-            PendingComm {
-                handle: 1,
-                meta: meta(CommClass::Allreduce),
-                ready_at_ns: 1,
-            },
-        ];
-        let active = vec![ActiveComm {
-            meta: meta(CommClass::Allreduce),
-        }];
-        let view = CommView {
-            pending: &pending,
-            active: &active,
-            a2a_imminent: false,
-            a2a_stream_free: true,
-            allreduce_stream_free: false,
-        };
-        assert!(view.a2a_present());
-        assert_eq!(view.pending_of(CommClass::AllToAll).count(), 1);
-        assert_eq!(view.pending_of(CommClass::Allreduce).count(), 1);
+    fn allreduce_deferred_while_a2a_pending() {
+        assert!(!CommPolicy::Lina.admits_allreduce(true, 2, no_scan));
+        assert!(CommPolicy::Lina.admits_allreduce(false, 2, || false));
     }
 
     #[test]
-    fn a2a_present_via_active() {
-        let active = vec![ActiveComm {
-            meta: meta(CommClass::AllToAll),
-        }];
-        let view = CommView {
-            pending: &[],
-            active: &active,
-            a2a_imminent: false,
-            a2a_stream_free: false,
-            allreduce_stream_free: true,
-        };
-        assert!(view.a2a_present());
+    fn allreduce_deferred_when_a2a_imminent() {
+        assert!(!CommPolicy::Lina.admits_allreduce(false, 0, || true));
+        // The baselines never look ahead.
+        assert!(CommPolicy::FairShare.admits_allreduce(false, 0, no_scan));
+        assert!(CommPolicy::NaivePriority.admits_allreduce(false, 0, no_scan));
+    }
+
+    #[test]
+    fn naive_priority_defers_allreduce() {
+        assert!(!CommPolicy::NaivePriority.admits_allreduce(true, 0, no_scan));
+        // Once the all-to-all is gone, allreduce launches.
+        assert!(CommPolicy::NaivePriority.admits_allreduce(false, 0, no_scan));
+    }
+
+    #[test]
+    fn fixed_waits_for_layer_boundary() {
+        let fixed = |done| CommPolicy::Fixed.admits_allreduce(false, done, no_scan);
+        assert!(!fixed(0));
+        assert!(!fixed(1));
+        assert!(fixed(2));
+        assert!(!fixed(3));
+        assert!(!CommPolicy::Fixed.admits_allreduce(true, 2, no_scan));
     }
 }

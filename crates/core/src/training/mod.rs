@@ -1,8 +1,6 @@
-//! Lina's training-side contribution: the priority micro-op
-//! communication scheduler and the expert-packing controller.
+//! Lina's training-side controller: expert packing. The priority
+//! micro-op communication scheduler is [`crate::CommPolicy::Lina`].
 
 pub mod packing;
-pub mod scheduler;
 
 pub use packing::{PackingController, PackingDecision, PackingObservation, PackingPlan};
-pub use scheduler::LinaTrainScheduler;

@@ -155,12 +155,6 @@ impl CostModel {
         SimDuration::from_secs_f64(self.model.expert_bytes() / pcie_bw)
             + self.device.kernel_overhead
     }
-
-    /// Tensor partition/concatenation overhead for a chunk of `bytes`
-    /// (the `chunk`/`cat` calls in §6.1) — one memory pass each way.
-    pub fn partition_overhead(&self, bytes: f64) -> SimDuration {
-        self.device.mem_time(2.0 * bytes)
-    }
 }
 
 #[cfg(test)]

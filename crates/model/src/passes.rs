@@ -11,8 +11,9 @@
 //! * an [`ExpertPlacement`] that replicates/packs experts, which shrinks
 //!   or eliminates all-to-all traffic (Lina's expert packing).
 //!
-//! Which mechanism a system uses is decided by the scheduler policies in
-//! `lina-core` / `lina-baselines`; this module only builds the DAG.
+//! Which mechanisms a system uses is chosen by its scheme in
+//! `lina-baselines`; this module only builds the DAG. Every all-to-all
+//! is built with the flat algorithm.
 
 // Device/layer indices address several parallel structures at once
 // (op tails, dependency lists, `DeviceId`, op labels); zipped iterators
@@ -68,8 +69,6 @@ pub struct TrainStepOptions {
     pub pipeline_ffn: bool,
     /// Expert-to-device placement (packing/replication).
     pub placement: ExpertPlacement,
-    /// All-to-all decomposition on the wire.
-    pub a2a_algo: AllToAllAlgo,
     /// Log-normal sigma applied to compute durations (models kernel
     /// time variance; 0 disables).
     pub jitter_sigma: f64,
@@ -88,7 +87,6 @@ impl TrainStepOptions {
             a2a_chunking: A2aChunking::Whole,
             pipeline_ffn: false,
             placement: ExpertPlacement::one_per_device(experts, devices),
-            a2a_algo: AllToAllAlgo::Flat,
             jitter_sigma: 0.03,
             seed: 1,
         }
@@ -102,7 +100,6 @@ impl TrainStepOptions {
             a2a_chunking: A2aChunking::FixedBytes(30e6),
             pipeline_ffn: true,
             placement,
-            a2a_algo: AllToAllAlgo::Flat,
             jitter_sigma: 0.03,
             seed: 1,
         }
@@ -189,7 +186,7 @@ impl<'a> StepBuilder<'a> {
             let spec = CollectiveSpec::AllToAll {
                 participants: participants.clone(),
                 sizes: chunk_sizes,
-                algo: self.opts.a2a_algo,
+                algo: AllToAllAlgo::Flat,
             };
             let meta = CommMeta {
                 class: CommClass::AllToAll,

@@ -62,11 +62,6 @@ impl LayerRouting {
         self.counts.iter().map(|row| row[e]).sum()
     }
 
-    /// Total selections leaving device `d`.
-    pub fn tokens_from_device(&self, d: usize) -> usize {
-        self.counts[d].iter().sum()
-    }
-
     /// Total selections in the batch.
     pub fn total(&self) -> usize {
         self.counts

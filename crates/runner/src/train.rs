@@ -74,8 +74,7 @@ pub fn run_train_step(
     let mut opts = scheme.step_options(model.experts, topo);
     opts.seed = seed;
     let graph = build_train_step(cost, topo, batch, &routing, &opts);
-    let mut policy = scheme.policy();
-    let exec = execute(&graph, topo, policy.as_mut());
+    let exec = execute(&graph, topo, &scheme.policy());
     let metrics = extract_metrics(&graph, topo, &exec, model.layers);
     StepRun {
         metrics,

@@ -156,11 +156,6 @@ impl Rng {
         r * theta.cos()
     }
 
-    /// Normal with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
-    }
-
     /// Log-normal multiplicative jitter centred on 1.0 with the given
     /// sigma; useful for realistic duration noise.
     pub fn jitter(&mut self, sigma: f64) -> f64 {

@@ -78,26 +78,6 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// True for communication kinds.
-    pub fn is_comm(self) -> bool {
-        matches!(
-            self,
-            SpanKind::AllToAll | SpanKind::Allreduce | SpanKind::ControlComm
-        )
-    }
-
-    /// True for computation kinds.
-    pub fn is_compute(self) -> bool {
-        matches!(
-            self,
-            SpanKind::Attention
-                | SpanKind::Gate
-                | SpanKind::ExpertFfn
-                | SpanKind::Combine
-                | SpanKind::Optimizer
-        )
-    }
-
     /// Single-character glyph used when rendering timelines.
     pub fn glyph(self) -> char {
         match self {

@@ -1,4 +1,7 @@
-//! Golden digests of ten serving runs: one per controller family,
+//! Golden digests of ten serving runs and of one training step per
+//! training scheme.
+//!
+//! The ten serving runs are one per controller family,
 //! one with every controller armed at once, one pairing the
 //! autoscaler with device loss on a contended network, and two
 //! contended runs that each read a batch's solo-priced completion
@@ -18,11 +21,15 @@
 //! Two of them (`everything_armed`, `contended_baseline_four_in_flight`)
 //! also run the config over its eagerly generated trace
 //! (`ClusterEngine::run_trace`) and require the lazy stream's digest.
+//!
+//! The training digests fold every op window and the makespan of one
+//! step, so a change to any communication policy's launch decisions
+//! moves the digest of the scheme that runs it.
 
-use lina::baselines::InferScheme;
-use lina::model::{CostModel, DeviceSpec, MoeModelConfig};
+use lina::baselines::{InferScheme, TrainScheme};
+use lina::model::{BatchShape, CostModel, DeviceSpec, MoeModelConfig};
 use lina::netsim::{ClusterSpec, Topology};
-use lina::runner::Fnv128;
+use lina::runner::{run_train_step, Fnv128};
 use lina::serve::{
     ArrivalProcess, AutoscaleConfig, AutoscalePolicyKind, BalancerKind, BatcherConfig,
     ClusterConfig, ClusterEngine, ClusterOutcome, DegradationPolicy, EstimatorSharing, FaultEvent,
@@ -525,4 +532,63 @@ fn single_server_serve() {
         d.finish(),
         0x2b3e_78fd_b513_6d66_ee5f_7d75_189b_95e7,
     );
+}
+
+#[test]
+fn training_step_per_scheme() {
+    // Two sequences per device keep the steps short enough that DDP
+    // buckets queue behind each other, so fair-share, naive priority
+    // and fixed each launch them differently. The all-to-all stays
+    // under Lina's 30 MB micro-op size, so LinaNoPack builds the same
+    // graph as PriorityPartition and shares its digest.
+    let model = MoeModelConfig::bert2gpt2(8);
+    let topo = Topology::new(ClusterSpec::with_total_gpus(8));
+    let batch = BatchShape {
+        seqs_per_device: 2,
+        seq_len: model.seq_len,
+    };
+    let cost = CostModel::new(DeviceSpec::a100(), model);
+    let golden: [(TrainScheme, u128); 7] = [
+        (
+            TrainScheme::Baseline,
+            0xec13_259c_d49c_c117_1f78_d24d_8956_23f5,
+        ),
+        (
+            TrainScheme::Tutel,
+            0xbe9b_f0dc_9522_244c_02ee_2272_3090_3adb,
+        ),
+        (
+            TrainScheme::Fixed,
+            0x7f3b_0e20_f304_049e_9fa1_7d05_bc4e_0272,
+        ),
+        (
+            TrainScheme::PriorityOnly,
+            0x22f0_6fd5_cd27_a758_7908_394f_044a_6714,
+        ),
+        (
+            TrainScheme::PriorityPartition,
+            0x213f_425f_b229_7777_9b97_c77f_1d79_1dbf,
+        ),
+        (
+            TrainScheme::LinaNoPack,
+            0x213f_425f_b229_7777_9b97_c77f_1d79_1dbf,
+        ),
+        (
+            TrainScheme::Lina {
+                experts_per_device: 2,
+            },
+            0x2df8_0510_31d8_11d6_fd13_e96f_bd84_c627,
+        ),
+    ];
+    for (scheme, pinned) in golden {
+        let exec = run_train_step(&cost, &topo, batch, scheme, 1).exec;
+        let mut d = Fnv128::new();
+        d.write_u64(exec.op_windows.len() as u64);
+        for (start, end) in exec.op_windows.iter().map(|w| w.expect("every op ran")) {
+            d.write_u64(start.as_nanos());
+            d.write_u64(end.as_nanos());
+        }
+        d.write_u64(exec.makespan.as_nanos());
+        assert_digest(scheme.name(), d.finish(), pinned);
+    }
 }
