@@ -625,6 +625,27 @@ mod tests {
     }
 
     #[test]
+    fn a2a_present_via_active() {
+        // No all-to-all is pending once the allreduce becomes ready, so
+        // only the in-flight one can make an all-to-all present; the
+        // naive-priority gate has no look-ahead to defer it otherwise.
+        let topo = topo4();
+        let mut graph = OpGraph::new();
+        let a2a = comm(&mut graph, &topo, CommClass::AllToAll, false, vec![]);
+        let grad = graph.add_compute(
+            lina_netsim::DeviceId(0),
+            SimDuration::from_micros(10),
+            SpanKind::Attention,
+            vec![],
+            "grad",
+        );
+        let ar = comm(&mut graph, &topo, CommClass::Allreduce, true, vec![grad]);
+        let result = execute(&graph, &topo, &CommPolicy::NaivePriority);
+        assert!(result.window(a2a).1 > result.window(grad).1);
+        assert_eq!(result.window(ar).0, result.window(a2a).1);
+    }
+
+    #[test]
     fn allreduce_runs_in_gaps() {
         // Exactly one micro-op at a time: the second waits for the first.
         let topo = topo4();
