@@ -8,12 +8,11 @@
 //! only in the current summary are *additions* — logged for the CI
 //! record, never failed — so landing a new experiment does not require
 //! a baseline refresh first.
-//! Two kinds of numbers are informational by design and can never
-//! fail the gate: the per-scenario `wall_secs` timings, whose deltas
-//! are printed as `INFO` lines so CI logs track simulator throughput
-//! over time, and hedge/suspicion statistics (operational counters
-//! whose latency consequences the gated tail metrics already cover).
-//! Every scenario metric is a deterministic simulated outcome; the
+//! The per-scenario `wall_secs` timings are informational by design
+//! and can never fail the gate: their deltas are printed as `INFO`
+//! lines so CI logs track simulator throughput over time. Every
+//! scenario metric, hedge and suspicion counters included, is a
+//! deterministic simulated outcome and is gated alike; the
 //! simulator's own speed is measured by the separate `simbench`
 //! benchmark (`BENCHMARK.json`), not here.
 //! A missing previous file is the first-run case and passes silently,
@@ -69,15 +68,6 @@ fn parse_args() -> Result<Args, String> {
 /// `(scenario id, metric name)` — the stable key regression tooling
 /// compares on.
 type MetricKey = (String, String);
-
-/// True for metrics the gate reports but never fails on: hedge and
-/// suspicion statistics are operational counters (how often
-/// speculative dispatch fired, what it cost). The gated p99/attainment
-/// metrics already fail on any real regression they would cause, so
-/// their own drift under intentional re-tuning stays informational.
-fn informational(name: &str) -> bool {
-    name.contains("hedge") || name.contains("suspicion")
-}
 
 /// Flattens a summary into `(key, value)` pairs, in document order.
 fn metrics(doc: &Json) -> Result<Vec<(MetricKey, f64)>, String> {
@@ -197,12 +187,6 @@ fn main() -> ExitCode {
         }
         let drift = (now - prev).abs() / prev.abs().max(f64::MIN_POSITIVE);
         if !drift.is_finite() || drift > args.tolerance {
-            if informational(name) {
-                // Hedge/suspicion counter: the drift is re-tuning, not
-                // a result regression. Surface it, don't gate on it.
-                println!("INFO  {id}/{name}: {prev} -> {now} (informational, not gated)");
-                continue;
-            }
             println!(
                 "FAIL  {id}/{name}: {prev} -> {now} (drift {:.2}% > {:.2}%)",
                 drift * 100.0,
@@ -222,8 +206,8 @@ fn main() -> ExitCode {
     }
     // Hedge and suspicion trend lines: how often speculative dispatch
     // fired, how often it won, and what fraction of compute it burned.
-    // Informational for the same reason as above — the gated tail and
-    // attainment metrics own the pass/fail decision.
+    // The values are gated above like any metric; these lines only
+    // keep their trend visible in CI logs.
     for ((id, name), value) in cur.iter() {
         if name.contains("hedge") || name.contains("suspicion") {
             println!("INFO  {id}/{name}: {value:.4} (informational, not gated)");

@@ -198,9 +198,9 @@ impl AutoscaleConfig {
 }
 
 /// An armed autoscaler inside the cluster event loop: the policy and
-/// its state, the tick clock, the arrival count it reads, and the
-/// actuation counters. The cluster commissions and drains replicas as
-/// the grants say.
+/// its state, the tick clock, and the arrival count it reads. The
+/// cluster commissions and drains replicas as the grants say, and
+/// counts them.
 pub(crate) struct AutoscaleRuntime {
     config: AutoscaleConfig,
     /// Next control tick.
@@ -216,16 +216,11 @@ pub(crate) struct AutoscaleRuntime {
     rates: VecDeque<f64>,
     /// The scripted policy's next entry.
     cursor: usize,
-    pub(crate) scale_ups: usize,
-    pub(crate) scale_downs: usize,
-    /// Peak concurrently commissioned (not yet retired) replicas.
-    pub(crate) peak_replicas: usize,
 }
 
 impl AutoscaleRuntime {
     pub(crate) fn new(
         config: &AutoscaleConfig,
-        replicas: usize,
         provision_time: SimDuration,
         batch_tokens: usize,
         per_replica_capacity: f64,
@@ -239,9 +234,6 @@ impl AutoscaleRuntime {
             last_action: None,
             rates: VecDeque::new(),
             cursor: 0,
-            scale_ups: 0,
-            scale_downs: 0,
-            peak_replicas: replicas,
             config: config.clone(),
         }
     }
@@ -348,19 +340,14 @@ impl AutoscaleRuntime {
 
     /// How many of `n` requested replicas to commission with `live`
     /// not yet retired, capped by `max_replicas`.
-    pub(crate) fn grant_up(&mut self, n: usize, live: usize) -> usize {
-        let k = n.min(self.config.max_replicas.saturating_sub(live));
-        self.scale_ups += k;
-        self.peak_replicas = self.peak_replicas.max(live + k);
-        k
+    pub(crate) fn grant_up(&self, n: usize, live: usize) -> usize {
+        n.min(self.config.max_replicas.saturating_sub(live))
     }
 
     /// How many of `n` requested replicas to drain with `serving` up
     /// and taking work, stopping at `min_replicas`.
-    pub(crate) fn grant_down(&mut self, n: usize, serving: usize) -> usize {
-        let k = n.min(serving.saturating_sub(self.config.min_replicas));
-        self.scale_downs += k;
-        k
+    pub(crate) fn grant_down(&self, n: usize, serving: usize) -> usize {
+        n.min(serving.saturating_sub(self.config.min_replicas))
     }
 }
 
@@ -400,13 +387,7 @@ mod tests {
     /// requests/s per replica, and a 50 ms provisioning reload.
     fn runtime(cfg: &AutoscaleConfig) -> AutoscaleRuntime {
         cfg.validate(cfg.min_replicas);
-        AutoscaleRuntime::new(
-            cfg,
-            cfg.min_replicas,
-            SimDuration::from_millis(50),
-            256,
-            100.0,
-        )
+        AutoscaleRuntime::new(cfg, SimDuration::from_millis(50), 256, 100.0)
     }
 
     fn reactive(cooldown_ms: u64) -> AutoscaleRuntime {

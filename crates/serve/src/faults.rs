@@ -663,46 +663,38 @@ impl FaultPlan {
 /// Time-to-recover accounting: a crash that displaced work opens a
 /// group of the displaced request ids, and the group closes when its
 /// last member reaches a terminal outcome. A request displaced again
-/// moves to the newer group, which may close its old one.
+/// leaves its old group first, which may close it.
 #[derive(Default)]
 pub(crate) struct RecoveryClock {
     /// Crash instant and still-open member count per group.
     groups: Vec<(SimTime, usize)>,
     /// The group each open displaced request belongs to.
     member_of: BTreeMap<usize, usize>,
-    /// Closed groups' time-to-recover, in closing order.
-    pub(crate) times: Vec<SimDuration>,
 }
 
 impl RecoveryClock {
-    /// A crash at `at` displaced the requests `ids`.
-    pub(crate) fn crash(&mut self, at: SimTime, ids: impl IntoIterator<Item = usize>) {
-        let ids: BTreeSet<usize> = ids.into_iter().collect();
+    /// A crash at `at` displaced the requests `ids`, none of which is
+    /// in an open group.
+    pub(crate) fn crash(&mut self, at: SimTime, ids: BTreeSet<usize>) {
         if ids.is_empty() {
             return;
         }
         let group = self.groups.len();
         for &id in &ids {
-            if let Some(old) = self.member_of.insert(id, group) {
-                self.leave(old, at);
-            }
+            let old = self.member_of.insert(id, group);
+            assert!(old.is_none(), "request {id} must leave its old group first");
         }
         self.groups.push((at, ids.len()));
     }
 
-    /// Request `id` reached a terminal outcome at `at`.
-    pub(crate) fn terminal(&mut self, id: usize, at: SimTime) {
-        if let Some(group) = self.member_of.remove(&id) {
-            self.leave(group, at);
-        }
-    }
-
-    fn leave(&mut self, group: usize, at: SimTime) {
+    /// Request `id` left its group at `at` (it reached a terminal
+    /// outcome or was displaced again). Returns the group's time to
+    /// recover when `id` was its last open member.
+    pub(crate) fn leave(&mut self, id: usize, at: SimTime) -> Option<SimDuration> {
+        let group = self.member_of.remove(&id)?;
         let (opened, open) = &mut self.groups[group];
         *open -= 1;
-        if *open == 0 {
-            self.times.push(at.saturating_since(*opened));
-        }
+        (*open == 0).then(|| at.saturating_since(*opened))
     }
 }
 

@@ -217,8 +217,9 @@ struct HedgeState {
 
 /// Armed hedged dispatch inside the cluster event loop: the delay
 /// estimate, per-primary timers and races, and waste accounting. The
-/// cluster owns the executors; every method here only decides and
-/// tells it which flight to start or cancel.
+/// cluster owns the executors and counts hedges issued and won; every
+/// method here only decides and tells it which flight to start or
+/// cancel.
 pub(crate) struct HedgeRuntime {
     config: HedgeConfig,
     /// Observed primary service times, sorted.
@@ -229,8 +230,6 @@ pub(crate) struct HedgeRuntime {
     /// Hedge batch id to its primary's id.
     by_hedge: BTreeMap<u64, u64>,
     next_hedge_seq: u64,
-    issued: usize,
-    won: usize,
     /// Executor time of the losing flights: the duplicated work.
     wasted: SimDuration,
     /// Executor time of the winning flights.
@@ -246,8 +245,6 @@ impl HedgeRuntime {
             live: BTreeMap::new(),
             by_hedge: BTreeMap::new(),
             next_hedge_seq: 0,
-            issued: 0,
-            won: 0,
             wasted: SimDuration::ZERO,
             useful: SimDuration::ZERO,
         }
@@ -311,7 +308,6 @@ impl HedgeRuntime {
         let replica = pick(st.primary_replica)?;
         let id = HEDGE_BASE + self.next_hedge_seq;
         self.next_hedge_seq += 1;
-        self.issued += 1;
         self.by_hedge.insert(id, primary);
         st.hedge = Some(HedgeFlight {
             id,
@@ -358,7 +354,6 @@ impl HedgeRuntime {
             .live
             .remove(&primary)
             .expect("finished hedge had live state");
-        self.won += 1;
         self.useful += service;
         if st.primary_gone {
             return (primary, None);
@@ -393,25 +388,24 @@ impl HedgeRuntime {
         Some(id)
     }
 
-    /// `(issued, won, wasted fraction of all batch compute)`.
+    /// The wasted fraction of all batch compute.
     ///
     /// # Panics
     ///
     /// Panics if a race is still open: every one must resolve by the
     /// end of the run.
-    pub(crate) fn summary(&self) -> (usize, usize, f64) {
+    pub(crate) fn wasted_frac(&self) -> f64 {
         assert!(
             self.live.is_empty() && self.timers.is_empty() && self.by_hedge.is_empty(),
             "every hedge race must resolve by the end of the run"
         );
         let useful = self.useful.as_secs_f64();
         let wasted = self.wasted.as_secs_f64();
-        let frac = if useful + wasted > 0.0 {
+        if useful + wasted > 0.0 {
             wasted / (useful + wasted)
         } else {
             0.0
-        };
-        (self.issued, self.won, frac)
+        }
     }
 }
 

@@ -147,8 +147,8 @@ impl ReshardConfig {
 }
 
 /// An armed re-sharder inside the cluster event loop: the policy state,
-/// its tick clock, the per-expert load monitor, the live shard map, and
-/// the actuation counters.
+/// its tick clock, the per-expert load monitor, and the live shard
+/// map. The cluster counts what each tick applied.
 pub(crate) struct ReshardRuntime {
     pub(crate) config: ReshardConfig,
     /// The threshold policy's consecutive hot and cold ticks per
@@ -174,8 +174,17 @@ pub(crate) struct ReshardRuntime {
     dirty: bool,
     experts: usize,
     devices: usize,
+}
+
+/// The actions one re-shard tick applied (an action counts once if it
+/// changed any layer).
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ReshardApplied {
+    /// Expert replicas added.
     pub(crate) replications: usize,
+    /// Expert replicas dropped.
     pub(crate) evictions: usize,
+    /// Experts moved wholesale.
     pub(crate) migrations: usize,
 }
 
@@ -203,9 +212,6 @@ impl ReshardRuntime {
             dirty: false,
             experts,
             devices,
-            replications: 0,
-            evictions: 0,
-            migrations: 0,
             config: config.clone(),
         }
     }
@@ -240,9 +246,8 @@ impl ReshardRuntime {
 
     /// One tick: profile the monitor into per-expert load shares, ask
     /// the policy, and apply its actions. Returns the tick instant and,
-    /// when any action changed the map, how many weight replicas moved
-    /// (replications and migrations; evictions are free).
-    pub(crate) fn tick(&mut self) -> (SimTime, Option<usize>) {
+    /// when any action changed the map, what it applied.
+    pub(crate) fn tick(&mut self) -> (SimTime, Option<ReshardApplied>) {
         let at = self.next_at;
         self.next_at = at + self.config.interval;
         let mut counts = vec![0u64; self.experts];
@@ -271,7 +276,7 @@ impl ReshardRuntime {
         let actions = self.decide(&share, &replicas);
         // A layer where the rule finds no eligible move is skipped; an
         // action counts once if any layer moved.
-        let before = (self.replications, self.evictions, self.migrations);
+        let mut applied = ReshardApplied::default();
         for action in actions {
             let mut ok = false;
             for layer in self.shard_map.layers_mut() {
@@ -283,19 +288,18 @@ impl ReshardRuntime {
             }
             if ok {
                 match action {
-                    ReshardAction::Replicate(_) => self.replications += 1,
-                    ReshardAction::Evict(_) => self.evictions += 1,
-                    ReshardAction::Migrate(_) => self.migrations += 1,
+                    ReshardAction::Replicate(_) => applied.replications += 1,
+                    ReshardAction::Evict(_) => applied.evictions += 1,
+                    ReshardAction::Migrate(_) => applied.migrations += 1,
                 }
             }
         }
-        if (self.replications, self.evictions, self.migrations) == before {
+        if applied == ReshardApplied::default() {
             return (at, None);
         }
         self.dirty = self.shard_map != self.base;
         self.window.clear();
-        let moved = self.replications + self.migrations - before.0 - before.2;
-        (at, Some(moved))
+        (at, Some(applied))
     }
 
     /// The configured policy's actions for one tick, applied in order,

@@ -68,9 +68,6 @@ pub struct SloTracker {
     records: Vec<RequestRecord>,
     failures: Vec<FailureRecord>,
     depth_timeline: Vec<(SimTime, usize)>,
-    hedges_issued: usize,
-    hedges_won: usize,
-    hedge_wasted_frac: f64,
 }
 
 impl SloTracker {
@@ -81,18 +78,7 @@ impl SloTracker {
             records: Vec::new(),
             failures: Vec::new(),
             depth_timeline: Vec::new(),
-            hedges_issued: 0,
-            hedges_won: 0,
-            hedge_wasted_frac: 0.0,
         }
-    }
-
-    /// Records the run's hedged-dispatch totals (all zero when hedging
-    /// was off — the default, so unhedged reports are unchanged).
-    pub fn record_hedges(&mut self, issued: usize, won: usize, wasted_frac: f64) {
-        self.hedges_issued = issued;
-        self.hedges_won = won;
-        self.hedge_wasted_frac = wasted_frac;
     }
 
     /// The latency target.
@@ -223,14 +209,13 @@ impl SloTracker {
                 .map(|&(_, d)| d)
                 .max()
                 .unwrap_or(0),
-            hedges_issued: self.hedges_issued,
-            hedges_won: self.hedges_won,
-            hedge_wasted_frac: self.hedge_wasted_frac,
         }
     }
 }
 
-/// Aggregate serving metrics.
+/// Aggregate serving metrics over the tracker's records, failures and
+/// depth samples. Cluster-level counters, hedging totals among them,
+/// live on [`ClusterOutcome`](crate::ClusterOutcome) only.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SloReport {
     /// Requests served to completion.
@@ -266,14 +251,6 @@ pub struct SloReport {
     pub makespan: SimDuration,
     /// Largest queue depth seen at any dispatch.
     pub max_queue_depth: usize,
-    /// Speculative hedge batches issued (0 when hedging is off).
-    pub hedges_issued: usize,
-    /// Hedges that completed their batch (beat the primary, or rescued
-    /// it after the primary's replica crashed).
-    pub hedges_won: usize,
-    /// Fraction of total executor time burned on losing flights —
-    /// duplicated work hedging paid for nothing.
-    pub hedge_wasted_frac: f64,
 }
 
 #[cfg(test)]

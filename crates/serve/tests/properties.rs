@@ -8,9 +8,10 @@ use lina_model::{CostModel, DeviceSpec, ExpertPlacement, LayeredPlacement, MoeMo
 use lina_netsim::{ClusterSpec, Topology};
 use lina_serve::{
     serve_cluster, ArrivalProcess, AutoscaleConfig, AutoscalePolicyKind, BalancerKind, Batcher,
-    BatcherConfig, ClusterConfig, ClusterEngine, DegradationPolicy, EstimatorSharing, FaultPlan,
-    FaultRateConfig, FaultSchedule, HealthConfig, HedgeConfig, NetworkMode, ReshardAction,
-    ReshardConfig, ReshardPolicyKind, ScaleDecision, ServeConfig, ServeEngine,
+    BatcherConfig, ClusterConfig, ClusterEngine, ClusterOutcome, DegradationPolicy,
+    EstimatorSharing, FaultPlan, FaultRateConfig, FaultSchedule, HealthConfig, HedgeConfig,
+    NetworkMode, ReshardAction, ReshardConfig, ReshardPolicyKind, ScaleDecision, ServeConfig,
+    ServeEngine,
 };
 use lina_simcore::{Rng, SimDuration, SimTime};
 use lina_workload::WorkloadSpec;
@@ -31,6 +32,43 @@ fn world() -> (CostModel, Topology, WorkloadSpec) {
     let cost = CostModel::new(DeviceSpec::a100_inference(), model);
     let spec = WorkloadSpec::enwik8(8, 6);
     (cost, topo, spec)
+}
+
+/// Identities between a run's outcome counters that hold for every
+/// configuration of a `replicas`-replica cluster: per-replica batches
+/// sum to the total, every per-replica vector has one slot per
+/// commissioned replica, the peak pool lies between the initial pool
+/// and every replica ever commissioned, and no more hedges won than
+/// were issued.
+fn assert_outcome_consistent(out: &ClusterOutcome, replicas: usize, round: usize) {
+    assert_eq!(
+        out.batches_per_replica.iter().sum::<usize>(),
+        out.batches,
+        "round {round}: per-replica batches sum to the total"
+    );
+    let commissioned = replicas + out.scale_ups;
+    for (name, v) in [
+        ("requests", &out.requests_per_replica),
+        ("tokens", &out.tokens_per_replica),
+        ("batches", &out.batches_per_replica),
+    ] {
+        assert_eq!(
+            v.len(),
+            commissioned,
+            "round {round}: one {name} slot per commissioned replica"
+        );
+    }
+    assert!(
+        replicas <= out.peak_replicas && out.peak_replicas <= commissioned,
+        "round {round}: peak {} outside [{replicas}, {commissioned}]",
+        out.peak_replicas
+    );
+    assert!(
+        out.hedges_won <= out.hedges_issued,
+        "round {round}: {} hedges won of {} issued",
+        out.hedges_won,
+        out.hedges_issued
+    );
 }
 
 /// A randomized but valid config drawn from a meta-rng.
@@ -454,6 +492,7 @@ fn faults_conserve_every_request_and_stay_deterministic() {
             .map(|r| r.tokens.len())
             .sum();
         let out = serve_cluster(&cost, &topo, &spec, config.clone());
+        assert_outcome_consistent(&out, replicas, round);
 
         // Exactly one terminal outcome per request.
         let mut ids: Vec<usize> = out
@@ -609,6 +648,7 @@ fn arbitrary_autoscale_decisions_conserve_and_stay_deterministic() {
             replicas + out.scale_ups,
             "round {round}: one routing slot per commissioned replica"
         );
+        assert_outcome_consistent(&out, replicas, round);
 
         let again = serve_cluster(&cost, &topo, &spec, config);
         assert_eq!(out.tracker.records(), again.tracker.records());
@@ -695,8 +735,9 @@ fn arbitrary_reshard_schedules_conserve_and_stay_deterministic() {
             })
             .collect();
         let serve = arb_config(&mut meta, scheme);
+        let replicas = 1 + meta.index(3);
         let config = ClusterConfig {
-            replicas: 1 + meta.index(3),
+            replicas,
             balancer,
             resharding: Some(ReshardConfig {
                 policy: ReshardPolicyKind::Scripted { script },
@@ -735,6 +776,7 @@ fn arbitrary_reshard_schedules_conserve_and_stay_deterministic() {
             .chain(out.tracker.failures().iter().map(|f| f.tokens))
             .sum();
         assert_eq!(terminal_tokens, offered_tokens, "round {round}: tokens");
+        assert_outcome_consistent(&out, replicas, round);
 
         let again = serve_cluster(&cost, &topo, &spec, config);
         assert_eq!(out.tracker.records(), again.tracker.records());
@@ -942,24 +984,25 @@ fn gray_faults_with_hedging_conserve_and_stay_deterministic() {
             .sum();
         assert_eq!(terminal_tokens, offered_tokens, "round {round}: tokens");
 
-        // Hedge counters are internally consistent and mirrored into
-        // the report.
-        let report = out.report();
+        // Hedge counters are internally consistent.
+        assert_outcome_consistent(&out, replicas, round);
         assert!(out.hedges_won <= out.hedges_issued, "round {round}");
         assert!(
             (0.0..=1.0).contains(&out.hedge_wasted_frac),
             "round {round}: wasted frac {}",
             out.hedge_wasted_frac
         );
-        assert_eq!(report.hedges_issued, out.hedges_issued);
-        assert_eq!(report.hedges_won, out.hedges_won);
-        assert_eq!(report.hedge_wasted_frac, out.hedge_wasted_frac);
 
-        // Bit-determinism.
+        // Bit-determinism, hedge accounting included.
         let again = serve_cluster(&cost, &topo, &spec, config);
         assert_eq!(out.tracker.records(), again.tracker.records());
         assert_eq!(out.tracker.failures(), again.tracker.failures());
-        assert_eq!(report, again.report(), "round {round}: determinism");
+        assert_eq!(
+            (out.hedges_issued, out.hedges_won),
+            (again.hedges_issued, again.hedges_won)
+        );
+        assert_eq!(out.hedge_wasted_frac, again.hedge_wasted_frac);
+        assert_eq!(out.report(), again.report(), "round {round}: determinism");
     }
 }
 
