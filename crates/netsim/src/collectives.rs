@@ -470,11 +470,7 @@ impl CollectiveEngine {
             if self.net.now() >= t {
                 break;
             }
-            let seg_end = match self.net.next_event() {
-                Some(e) if e < t => e,
-                _ => t,
-            };
-            self.net.advance_into(seg_end, &mut self.flows_done);
+            self.net.step(t, &mut self.flows_done);
             for fd in self.flows_done.drain(..) {
                 let owner = self
                     .running

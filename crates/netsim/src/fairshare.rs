@@ -23,6 +23,15 @@
 //! first-minimum pass over the levels, until every flow is frozen.
 //! Capacities are checked `>= 0` by the owner, once, rather than on
 //! every solve.
+//!
+//! The solver also logs its last solve: the flows each round froze, in
+//! order. When only departures happened since, the next solve replays
+//! the rounds before the earliest one that froze a departed flow,
+//! charging their flows at their logged rates instead of rescanning the
+//! links, and runs the bottleneck loop from there. If those rounds froze
+//! every live flow, nothing is left to solve and the solve returns at
+//! once. A join, a `clear` or a change of scaled capacity solves from
+//! round one.
 
 /// A flow presented to the allocator: a weight and the links it traverses.
 #[derive(Clone, Debug)]
@@ -64,6 +73,9 @@ pub(crate) fn check_capacities(capacities: &[f64]) {
     }
 }
 
+/// [`FairShare::round`] of a slot the last solve did not freeze.
+const UNFROZEN: u32 = u32::MAX;
+
 /// The water-filling solver behind [`max_min_rates`], kept alive across
 /// solves so a long-lived owner (the [`crate::Network`]) allocates
 /// nothing in steady state.
@@ -80,6 +92,19 @@ pub(crate) fn check_capacities(capacities: &[f64]) {
 /// the rates are the same bits. The loop stops once every flow is
 /// frozen: later rounds could only pick links whose flows are all
 /// frozen, which changes no rate.
+///
+/// A departure changes no round before the one that froze the departed
+/// flow. Its links only lose weight (a float sum of positive weights in
+/// key order never grows when a term is dropped), so their levels only
+/// rise, and none of them was a bottleneck before that round, or the
+/// flow would have frozen earlier. Every other link's level is the same
+/// bits, so each earlier round picks the same first minimum, freezes
+/// the same flows at the same rates and charges the same links. A solve
+/// after departures alone therefore replays those rounds from the log
+/// (charging each flow its logged rate, in logged order) and scans only
+/// from the first round that may differ. Starting that round's scan
+/// from every active link is exact: a link the old scan had compacted
+/// away still weighs `1e-12` or less.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct FairShare {
     /// Per slot: ordering key, weight and path. A free slot keeps its
@@ -104,14 +129,25 @@ pub(crate) struct FairShare {
     /// their fair levels in the current round.
     scan: Vec<u32>,
     levels: Vec<f64>,
-    /// Per link, set for active links only: capacity left and the total
-    /// weight of the unfrozen flows.
+    /// Per link, set for active links only: the scaled capacity, the
+    /// capacity left and the total weight of the unfrozen flows.
+    capacity: Vec<f64>,
     remaining: Vec<f64>,
     link_weight: Vec<f64>,
-    /// Per slot: frozen in the current solve, and the slots that are,
-    /// so the flags are cleared without a pass over every slot.
-    frozen: Vec<bool>,
-    frozen_now: Vec<u32>,
+    /// The log of the last solve: the slots it froze, in freezing
+    /// order, and per round the end of the round's slots in `order`.
+    order: Vec<u32>,
+    round_ends: Vec<u32>,
+    /// Per slot: the round of the last solve that froze it, or
+    /// [`UNFROZEN`]. Exactly the slots in `order` are frozen.
+    round: Vec<u32>,
+    /// How many logged rounds still hold: those before the earliest
+    /// round that froze a flow which left since. Zero after a join or a
+    /// clear.
+    valid_rounds: u32,
+    /// Some rate of the last solve may be infinite (a frozen flow's
+    /// rate was; a solve that returns at once keeps the flag).
+    unbounded: bool,
     /// Per slot: the rate of the last solve, set at join for a flow no
     /// solve has priced yet.
     rates: Vec<f64>,
@@ -124,6 +160,7 @@ impl FairShare {
             members: vec![Vec::new(); links],
             member_weight: vec![0.0; links],
             stale: vec![false; links],
+            capacity: vec![0.0; links],
             remaining: vec![0.0; links],
             link_weight: vec![0.0; links],
             ..FairShare::default()
@@ -152,10 +189,12 @@ impl FairShare {
             self.keys.push(0);
             self.weights.push(0.0);
             self.paths.push(Vec::new());
-            self.frozen.push(false);
+            self.round.push(UNFROZEN);
             self.rates.push(0.0);
             self.keys.len() as u32 - 1
         });
+        // A new flow can take any round's bottleneck share.
+        self.valid_rounds = 0;
         let s = slot as usize;
         self.keys[s] = key;
         self.weights[s] = weight;
@@ -188,6 +227,8 @@ impl FairShare {
 
     /// Removes the flow holding `slot`; the slot becomes free.
     pub(crate) fn leave(&mut self, slot: u32) {
+        // Rounds before the one that froze this flow stay valid.
+        self.valid_rounds = self.valid_rounds.min(self.round[slot as usize]);
         let path = &self.paths[slot as usize];
         self.constrained -= usize::from(!path.is_empty());
         for &l in path {
@@ -216,6 +257,7 @@ impl FairShare {
         }
         self.active.clear();
         self.constrained = 0;
+        self.valid_rounds = 0;
         self.free.clear();
         self.free.extend(0..self.keys.len() as u32);
     }
@@ -224,6 +266,12 @@ impl FairShare {
     /// `slot`.
     pub(crate) fn rate(&self, slot: u32) -> f64 {
         self.rates[slot as usize]
+    }
+
+    /// False only when every constrained flow's rate from the last
+    /// [`FairShare::solve`] is finite.
+    pub(crate) fn unbounded(&self) -> bool {
+        self.unbounded
     }
 
     /// Solves the problem over `capacities` (one per link), each
@@ -242,11 +290,36 @@ impl FairShare {
             self.members.len(),
             "max_min_rates: one capacity per link"
         );
+        // The logged rounds that still hold, unless a live link's scaled
+        // capacity changed. Unfreeze the flows of every later round.
+        let mut replay = self.valid_rounds as usize;
+        if replay > 0
+            && self.active.iter().any(|&l| {
+                (capacities[l as usize] * scale).to_bits() != self.capacity[l as usize].to_bits()
+            })
+        {
+            replay = 0;
+        }
+        let cut = replay
+            .checked_sub(1)
+            .map_or(0, |k| self.round_ends[k] as usize);
+        for &m in &self.order[cut..] {
+            self.round[m as usize] = UNFROZEN;
+        }
+        self.order.truncate(cut);
+        self.round_ends.truncate(replay);
+        self.valid_rounds = replay as u32;
+        if cut == self.constrained {
+            // The kept rounds froze every live flow: the rates stand.
+            return;
+        }
+
         // Per-link capacity and total weight of unfrozen flows, summed
         // in key order. Only links some flow crosses are ever read.
         for &l in &self.active {
             let l = l as usize;
-            self.remaining[l] = capacities[l] * scale;
+            self.capacity[l] = capacities[l] * scale;
+            self.remaining[l] = self.capacity[l];
             if std::mem::take(&mut self.stale[l]) {
                 let mut w = 0.0;
                 for &m in &self.members[l] {
@@ -256,11 +329,26 @@ impl FairShare {
             }
             self.link_weight[l] = self.member_weight[l];
         }
+        // Replay the kept rounds: the same flows at the same rates,
+        // charged in the same order.
+        self.unbounded = false;
+        for &m in &self.order {
+            let i = m as usize;
+            let rate = self.rates[i];
+            self.unbounded |= rate == f64::INFINITY;
+            charge(
+                &mut self.remaining,
+                &mut self.link_weight,
+                &self.paths[i],
+                self.weights[i],
+                rate,
+            );
+        }
 
         self.scan.clear();
         self.scan.extend_from_slice(&self.active);
         self.levels.resize(self.scan.len(), 0.0);
-        while self.frozen_now.len() < self.constrained {
+        while self.order.len() < self.constrained {
             // Find the bottleneck: the link with the smallest fair level
             // remaining / weight among links with unfrozen flows. A link
             // whose weight fell to 1e-12 or below never qualifies again
@@ -292,42 +380,55 @@ impl FairShare {
             let bl = self.scan[best] as usize;
             let level = level.max(0.0);
             // Freeze every unfrozen flow crossing the bottleneck at its
-            // proportional share, and charge its links.
+            // proportional share, charge its links and log it.
+            let round = self.round_ends.len() as u32;
             for &m in &self.members[bl] {
                 let i = m as usize;
-                if self.frozen[i] {
+                if self.round[i] != UNFROZEN {
                     continue;
                 }
                 let weight = self.weights[i];
                 let rate = weight * level;
                 self.rates[i] = rate;
-                self.frozen[i] = true;
-                self.frozen_now.push(m);
-                for &l in &self.paths[i] {
-                    let l = l as usize;
-                    self.remaining[l] = (self.remaining[l] - rate).max(0.0);
-                    self.link_weight[l] -= weight;
-                }
+                self.round[i] = round;
+                self.order.push(m);
+                self.unbounded |= rate == f64::INFINITY;
+                charge(
+                    &mut self.remaining,
+                    &mut self.link_weight,
+                    &self.paths[i],
+                    weight,
+                    rate,
+                );
             }
-            // Numerical cleanup: a link whose weight underflowed to a tiny
-            // negative must not be selected again.
-            self.link_weight[bl] = self.link_weight[bl].max(0.0);
+            // Every flow on the bottleneck is frozen now, so no later
+            // round charges it. Its weight needs no clamp: a negative
+            // rounding residue fails the scan's `w > 1e-12` as 0 would.
+            self.round_ends.push(self.order.len() as u32);
         }
+        self.valid_rounds = self.round_ends.len() as u32;
         // A flow whose every link fell to weight 1e-12 or below before
         // a bottleneck froze it gets no bandwidth, whatever rate an
         // earlier solve gave it.
-        if self.frozen_now.len() < self.constrained {
+        if self.order.len() < self.constrained {
             for &l in &self.active {
                 for &m in &self.members[l as usize] {
-                    if !self.frozen[m as usize] {
+                    if self.round[m as usize] == UNFROZEN {
                         self.rates[m as usize] = 0.0;
                     }
                 }
             }
         }
-        for m in self.frozen_now.drain(..) {
-            self.frozen[m as usize] = false;
-        }
+    }
+}
+
+/// Charges a flow of `weight` frozen at `rate` to every link on its
+/// path.
+fn charge(remaining: &mut [f64], link_weight: &mut [f64], path: &[u32], weight: f64, rate: f64) {
+    for &l in path {
+        let l = l as usize;
+        remaining[l] = (remaining[l] - rate).max(0.0);
+        link_weight[l] -= weight;
     }
 }
 
@@ -454,6 +555,34 @@ mod tests {
         }
     }
 
+    /// The live flows of a test script, in key order: key, slot in the
+    /// kept solver, weight and path.
+    type Live = Vec<(u64, u32, f64, Vec<u32>)>;
+
+    fn join_live(kept: &mut FairShare, live: &mut Live, key: u64, weight: f64, path: Vec<u32>) {
+        let slot = kept.join(key, weight, path.iter().copied());
+        let at = live.partition_point(|f| f.0 <= key);
+        live.insert(at, (key, slot, weight, path));
+    }
+
+    /// Asserts the kept solver gave every live flow the same bits as a
+    /// fresh solver over the same flows.
+    fn assert_matches_fresh(kept: &FairShare, live: &Live, caps: &[f64], scale: f64, what: &str) {
+        let mut fresh = FairShare::new(caps.len());
+        let slots: Vec<u32> = live
+            .iter()
+            .map(|(key, _, w, p)| fresh.join(*key, *w, p.iter().copied()))
+            .collect();
+        fresh.solve(caps, scale);
+        for ((key, slot, _, _), fs) in live.iter().zip(slots) {
+            assert_eq!(
+                kept.rate(*slot).to_bits(),
+                fresh.rate(fs).to_bits(),
+                "{what}: flow {key}"
+            );
+        }
+    }
+
     /// One solver kept across joins, leaves, clears and solves must give
     /// the same bits as a fresh solver over the live flows: no state
     /// leaks through freed slots or the per-link index.
@@ -463,8 +592,7 @@ mod tests {
         for problem in 0..200 {
             let links = 1 + rng.index(12);
             let mut kept = FairShare::new(links);
-            // Live flows: (key, slot, weight, path), in key order.
-            let mut live: Vec<(u64, u32, f64, Vec<u32>)> = Vec::new();
+            let mut live = Live::new();
             let mut next_key = 0;
             for step in 0..40 {
                 match rng.index(8) {
@@ -476,9 +604,7 @@ mod tests {
                         // latency ran out late joins late).
                         let key = next_key + rng.below(3) * 1000;
                         next_key += 1;
-                        let slot = kept.join(key, weight, path.iter().copied());
-                        let at = live.partition_point(|f| f.0 <= key);
-                        live.insert(at, (key, slot, weight, path));
+                        join_live(&mut kept, &mut live, key, weight, path);
                     }
                     4..=5 if !live.is_empty() => {
                         let (_, slot, _, _) = live.remove(rng.index(live.len()));
@@ -497,21 +623,141 @@ mod tests {
                     })
                     .collect();
                 let scale = if rng.bernoulli(0.3) { 0.5 } else { 1.0 };
-                let mut fresh = FairShare::new(links);
-                let fresh_slots: Vec<u32> = live
-                    .iter()
-                    .map(|(key, _, w, p)| fresh.join(*key, *w, p.iter().copied()))
-                    .collect();
                 kept.solve(&caps, scale);
-                fresh.solve(&caps, scale);
-                for ((_, slot, _, _), fs) in live.iter().zip(fresh_slots) {
-                    assert_eq!(
-                        kept.rate(*slot).to_bits(),
-                        fresh.rate(fs).to_bits(),
-                        "problem {problem} step {step}"
-                    );
-                }
+                let what = format!("problem {problem} step {step}");
+                assert_matches_fresh(&kept, &live, &caps, scale, &what);
             }
+        }
+    }
+
+    /// Solves after departures alone replay the logged rounds before the
+    /// earliest departed flow's round, or return at once, and must still
+    /// give a fresh solver's bits. Capacities and scale hold for runs of
+    /// steps (a change of either solves from round one) and most steps
+    /// are departures, so both shortcuts run often; joins, clears and
+    /// flows too light to ever freeze (they read 0) are mixed in.
+    #[test]
+    fn replayed_solves_match_fresh_solver() {
+        let mut rng = lina_simcore::Rng::new(11);
+        let (mut replays, mut returns) = (0, 0);
+        for problem in 0..300 {
+            let links = 1 + rng.index(10);
+            let draw_caps = |rng: &mut lina_simcore::Rng| -> Vec<f64> {
+                (0..links)
+                    .map(|_| match rng.index(8) {
+                        0 => 0.0,
+                        1 => 12.0,
+                        _ => rng.uniform(1.0, 100.0),
+                    })
+                    .collect()
+            };
+            let mut kept = FairShare::new(links);
+            let mut live = Live::new();
+            let mut caps = draw_caps(&mut rng);
+            let mut scale = 1.0;
+            let mut next_key = 0;
+            for step in 0..60 {
+                if rng.bernoulli(0.08) {
+                    caps = draw_caps(&mut rng);
+                }
+                if rng.bernoulli(0.04) {
+                    scale = *rng.choose(&[1.0, 0.5, 0.8]).expect("non-empty");
+                }
+                let (joins, leaves) = match rng.index(10) {
+                    0..=1 => (1 + rng.index(6), 0),
+                    2..=7 => (0, 1 + rng.index(3)),
+                    8 => (0, 0),
+                    _ => {
+                        if rng.bernoulli(0.1) {
+                            kept.clear();
+                            live.clear();
+                        }
+                        (0, 0)
+                    }
+                };
+                for _ in 0..joins {
+                    // Paths may be empty and may repeat a link.
+                    let path: Vec<u32> =
+                        (0..rng.index(4)).map(|_| rng.index(links) as u32).collect();
+                    let weight = match rng.index(12) {
+                        0 => 1e-13,
+                        1..=5 => 1.0 / (1 + rng.index(8)) as f64,
+                        _ => rng.uniform(0.05, 3.0),
+                    };
+                    let key = next_key + rng.below(3) * 1000;
+                    next_key += 1;
+                    join_live(&mut kept, &mut live, key, weight, path);
+                }
+                for _ in 0..leaves.min(live.len()) {
+                    let (_, slot, _, _) = live.remove(rng.index(live.len()));
+                    kept.leave(slot);
+                }
+                // Which way the solve will go, read off the log: rounds
+                // stay valid unless a capacity changed.
+                let valid = kept.valid_rounds as usize;
+                let same_caps = kept.active.iter().all(|&l| {
+                    (caps[l as usize] * scale).to_bits() == kept.capacity[l as usize].to_bits()
+                });
+                if valid > 0 && same_caps {
+                    if kept.round_ends[valid - 1] as usize == kept.constrained {
+                        returns += 1;
+                    } else {
+                        replays += 1;
+                    }
+                }
+                kept.solve(&caps, scale);
+                let what = format!("problem {problem} step {step}");
+                assert_matches_fresh(&kept, &live, &caps, scale, &what);
+            }
+        }
+        assert!(replays > 600, "only {replays} replayed solves");
+        assert!(returns > 1200, "only {returns} solves returned at once");
+    }
+
+    /// Four flows frozen one per round: `a` (round 1, on link 0), `b`
+    /// (round 2, link 1), `c` (round 3, link 2) and `d` (round 4, link
+    /// 3, which all four cross), plus two flows on link 4 too light to
+    /// be frozen, which read 0. Each case makes some of them leave and
+    /// checks how many logged rounds stay valid and that the next solve
+    /// gives a fresh solver's bits.
+    #[test]
+    fn departures_replay_exactly_the_rounds_before_them() {
+        let caps = [1.0, 2.0, 4.0, 100.0, 10.0];
+        let flows: [(&str, f64, &[u32]); 6] = [
+            ("a", 1.0, &[0, 3]),
+            ("b", 1.0, &[1, 3]),
+            ("c", 1.0, &[2, 3]),
+            ("d", 1.0, &[3]),
+            ("e", 1e-13, &[4]),
+            ("f", 1e-13, &[4]),
+        ];
+        for (leaving, valid) in [
+            // Frozen in the last round: the other three stand as they are.
+            (&["d"][..], 3),
+            // Frozen in round 1: nothing to replay.
+            (&["a"], 0),
+            // From rounds 2 and 4 in one go: replay round 1 only.
+            (&["d", "b"], 1),
+            // Read 0: every round stays valid.
+            (&["e"], 4),
+            (&["e", "f"], 4),
+        ] {
+            let mut kept = FairShare::new(caps.len());
+            let mut live = Live::new();
+            for (key, (_, weight, path)) in (0..).zip(flows) {
+                join_live(&mut kept, &mut live, key, weight, path.to_vec());
+            }
+            kept.solve(&caps, 1.0);
+            assert_eq!(kept.round_ends.len(), 4);
+            assert_matches_fresh(&kept, &live, &caps, 1.0, "before");
+            for name in leaving {
+                let key = flows.iter().position(|f| f.0 == *name).expect("a flow") as u64;
+                let at = live.iter().position(|f| f.0 == key).expect("live");
+                kept.leave(live.remove(at).1);
+            }
+            assert_eq!(kept.valid_rounds, valid, "{leaving:?} leave");
+            kept.solve(&caps, 1.0);
+            assert_matches_fresh(&kept, &live, &caps, 1.0, &format!("{leaving:?} left"));
         }
     }
 

@@ -22,10 +22,18 @@
 //! completions by id before it reports them, counts them into
 //! [`NetStats`] and takes them out of the solver, so completion order and
 //! the byte sum do not depend on the list order. The solver's
-//! link -> flow index persists across recomputes. The answer of
-//! [`Network::next_event`] is cached until the next mutation, and a
-//! segment in which no flow changed phase computes it on its way through
-//! the flows.
+//! link -> flow index persists across recomputes, and after departures
+//! alone it replays the rounds they left unchanged (see
+//! [`crate::fairshare`]).
+//!
+//! The answer of [`Network::next_event`] is cached until the next
+//! mutation. Finding it costs one `f64` division per transfer, and each
+//! rate change pays that once: a segment in which no flow changed phase
+//! divides on its way through the flows and caches the answer; a
+//! segment that ends at the cached event (and so ends a flow) does not
+//! divide; and a step of at most 1 ns, such as the collective engine's
+//! step past each completion, needs no answer at all, since every drain
+//! event lies at least 1 ns out.
 
 use std::sync::Arc;
 
@@ -318,100 +326,135 @@ impl Network {
     }
 
     /// [`Network::advance_to`], appending the completions to `done`.
-    pub(crate) fn advance_into(&mut self, t: SimTime, done: &mut Vec<FlowDone>) {
+    fn advance_into(&mut self, t: SimTime, done: &mut Vec<FlowDone>) {
         assert!(t >= self.now, "advance_to: time going backwards");
         while self.now < t {
-            let seg_end = match self.next_event() {
-                Some(e) if e < t => e,
-                _ => t,
-            };
-            let dt = seg_end - self.now;
-            let dt_secs = dt.as_secs_f64();
-            let (solver, finished) = (&mut self.solver, &mut self.finished);
-            // Drain every transfer over the segment, and take the
-            // next-event minimum over the ones that remain.
-            let mut drain_min = Drain::default();
-            let mut i = 0;
-            while i < self.transfers.len() {
-                let f = &mut self.transfers[i];
-                let rate = solver.rate(f.slot);
-                if rate.is_infinite() {
-                    f.remaining = 0.0;
-                } else {
-                    f.remaining -= rate * dt_secs;
-                }
-                // Tolerate sub-nanosecond rounding: anything the current
-                // rate would drain in 2ns counts as done.
-                if f.remaining <= rate * 2e-9 + 1e-9 {
-                    finished.push(Finished {
-                        id: f.id,
-                        tag: f.tag,
-                        total: f.total,
-                        slot: Some(f.slot),
-                    });
-                    self.transfers.swap_remove(i);
-                } else {
-                    drain_min.add(f.remaining, rate);
-                    i += 1;
-                }
+            self.step(t, done);
+        }
+    }
+
+    /// Where a segment that may run to `t` ends: the next event if that
+    /// comes first, else `t`.
+    ///
+    /// A step of at most 1 ns needs no drain minimum: every drain event
+    /// lies at least 1 ns out, as [`Drain::earliest`] rounds up, and a
+    /// transfer always has bytes left. So unless some rate is infinite,
+    /// only a latency expiry can come before `t`. The collective engine
+    /// takes such a step after every completion.
+    fn segment_end(&mut self, t: SimTime) -> SimTime {
+        if self.next_event.is_none() && t <= self.now + SimDuration::from_nanos(1) {
+            self.recompute_rates();
+            if !self.solver.unbounded() {
+                return match self.pending.iter().map(|f| f.left).min() {
+                    Some(left) if self.now + left < t => self.now + left,
+                    _ => t,
+                };
             }
-            // Then run down the latency phases. A flow whose latency ran
-            // out joins the solver (if it still has bytes to move); it
-            // starts draining in the next segment.
-            let mut left_min: Option<SimDuration> = None;
-            let mut expired = false;
-            let transfers = &mut self.transfers;
-            self.pending.retain_mut(|f| {
-                if f.left > dt {
-                    f.left -= dt;
-                    left_min = Some(left_min.map_or(f.left, |m| m.min(f.left)));
-                    return true;
-                }
-                expired = true;
-                if f.path.is_empty() || f.bytes <= 0.0 {
-                    finished.push(Finished {
-                        id: f.id,
-                        tag: f.tag,
-                        total: f.bytes,
-                        slot: None,
-                    });
-                } else {
-                    let links = f.path.iter().map(|l| l.0);
-                    transfers.push(Transfer {
-                        id: f.id,
-                        slot: solver.join(f.id.0, f.weight, links),
-                        total: f.bytes,
-                        remaining: f.bytes,
-                        tag: f.tag,
-                    });
-                }
-                false
-            });
-            self.now = seg_end;
-            if expired || !self.finished.is_empty() {
-                // The flow set changed: re-solve before the next event.
-                self.invalidate();
+        }
+        match self.next_event() {
+            Some(e) if e < t => e,
+            _ => t,
+        }
+    }
+
+    /// Advances by one segment towards `t` (which must be later than
+    /// now): to the next event, or to `t` if that comes first. Appends
+    /// the segment's completions to `done`.
+    pub(crate) fn step(&mut self, t: SimTime, done: &mut Vec<FlowDone>) {
+        let seg_end = self.segment_end(t);
+        // A segment that ends at the cached next event ends a flow or a
+        // latency phase, which voids any minimum taken on the way; the
+        // drain pass divides only in other segments.
+        let due = self.next_event == Some(Some(seg_end));
+        let dt = seg_end - self.now;
+        let dt_secs = dt.as_secs_f64();
+        let (solver, finished) = (&mut self.solver, &mut self.finished);
+        // Drain every transfer over the segment, and unless it is due,
+        // take the next-event minimum over the ones that remain.
+        let mut drain_min = Drain::default();
+        let mut i = 0;
+        while i < self.transfers.len() {
+            let f = &mut self.transfers[i];
+            let rate = solver.rate(f.slot);
+            if rate.is_infinite() {
+                f.remaining = 0.0;
             } else {
-                // Same flows at the same rates: the minimum taken on the
-                // way through is the next event.
-                self.next_event = Some(drain_min.earliest(seg_end, left_min));
+                f.remaining -= rate * dt_secs;
             }
-            // Report in id order, whichever list a flow finished in.
-            self.finished.sort_unstable_by_key(|f| f.id);
-            for f in self.finished.drain(..) {
-                if let Some(slot) = f.slot {
-                    self.solver.leave(slot);
-                }
-                self.stats.flows_completed += 1;
-                // `remaining` may be a few bytes short of zero; count
-                // the full payload as delivered.
-                self.stats.bytes_delivered += f.total;
-                done.push(FlowDone {
+            // Tolerate sub-nanosecond rounding: anything the current
+            // rate would drain in 2ns counts as done.
+            if f.remaining <= rate * 2e-9 + 1e-9 {
+                finished.push(Finished {
                     id: f.id,
                     tag: f.tag,
-                    at: seg_end,
+                    total: f.total,
+                    slot: Some(f.slot),
+                });
+                self.transfers.swap_remove(i);
+            } else {
+                if !due {
+                    drain_min.add(f.remaining, rate);
+                }
+                i += 1;
+            }
+        }
+        // Then run down the latency phases. A flow whose latency ran
+        // out joins the solver (if it still has bytes to move); it
+        // starts draining in the next segment.
+        let mut left_min: Option<SimDuration> = None;
+        let mut expired = false;
+        let transfers = &mut self.transfers;
+        self.pending.retain_mut(|f| {
+            if f.left > dt {
+                f.left -= dt;
+                left_min = Some(left_min.map_or(f.left, |m| m.min(f.left)));
+                return true;
+            }
+            expired = true;
+            if f.path.is_empty() || f.bytes <= 0.0 {
+                finished.push(Finished {
+                    id: f.id,
+                    tag: f.tag,
+                    total: f.bytes,
+                    slot: None,
+                });
+            } else {
+                let links = f.path.iter().map(|l| l.0);
+                transfers.push(Transfer {
+                    id: f.id,
+                    slot: solver.join(f.id.0, f.weight, links),
+                    total: f.bytes,
+                    remaining: f.bytes,
+                    tag: f.tag,
                 });
             }
+            false
+        });
+        self.now = seg_end;
+        if expired || !self.finished.is_empty() {
+            // The flow set changed: re-solve before the next event.
+            self.invalidate();
+        } else {
+            // Same flows at the same rates: the minimum taken on the way
+            // through is the next event; a due segment took none, so
+            // `next_event` scans for it.
+            self.next_event = (!due).then(|| drain_min.earliest(seg_end, left_min));
+        }
+        // Report in id order, whichever list a flow finished in.
+        self.finished.sort_unstable_by_key(|f| f.id);
+        for f in self.finished.drain(..) {
+            if let Some(slot) = f.slot {
+                self.solver.leave(slot);
+            }
+            self.stats.flows_completed += 1;
+            // `remaining` may be a few bytes short of zero; count
+            // the full payload as delivered.
+            self.stats.bytes_delivered += f.total;
+            done.push(FlowDone {
+                id: f.id,
+                tag: f.tag,
+                at: seg_end,
+            });
         }
     }
 

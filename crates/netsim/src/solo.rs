@@ -18,6 +18,14 @@
 //! started at any instant on an otherwise idle network completes after
 //! the same integer-nanosecond duration it would starting at t = 0.
 //! A unit test below pins that equivalence.
+//!
+//! Each completion inside a collective costs one re-solve and one
+//! division pass. The re-solve replays the solver's logged rounds up to
+//! the first one that froze a finished flow, and returns at once when
+//! those froze every live flow. The division pass is the pinned 1 ns
+//! drain segment that follows the completion: it finds the next event
+//! on its way through the flows, the step into it needs none, and the
+//! segment that ends the next flow skips it (see [`crate::network`]).
 
 use std::sync::Arc;
 

@@ -1679,9 +1679,19 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
         );
         // Records enter the tracker in dispatch order (batch index,
         // then request id within the batch), exactly as the
-        // pre-event-loop engine emitted them.
+        // pre-event-loop engine emitted them. Each must be causal: a
+        // request is dispatched no earlier than it arrived, and
+        // completes no earlier than it was dispatched.
         self.records.sort_by_key(|r| (r.batch, r.id));
         for r in std::mem::take(&mut self.records) {
+            assert!(
+                r.arrival <= r.dispatched && r.dispatched <= r.completed,
+                "request {} out of order: arrived {}, dispatched {}, completed {}",
+                r.id,
+                r.arrival,
+                r.dispatched,
+                r.completed
+            );
             out.tracker.record(r);
         }
         if let Some(rt) = &self.hedging {

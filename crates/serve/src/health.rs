@@ -523,12 +523,6 @@ impl HealthMonitor {
         }
     }
 
-    /// The expectation recorded for batch `id`, if any.
-    #[cfg(test)]
-    pub(crate) fn expectation(&self, id: u64) -> Option<SimDuration> {
-        self.expected.get(&id).copied()
-    }
-
     /// Batch `id` completed on `replica` after `service`: one
     /// observation against its expectation, if one was priced.
     pub(crate) fn completed(
@@ -665,6 +659,13 @@ impl HealthMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl HealthMonitor {
+        /// The expectation recorded for batch `id`, if any.
+        pub(crate) fn expectation(&self, id: u64) -> Option<SimDuration> {
+            self.expected.get(&id).copied()
+        }
+    }
 
     fn ms(n: u64) -> SimTime {
         SimTime::from_millis(n)

@@ -7,7 +7,8 @@
 //! that drove it (`BTreeMap` phase weights, a phase plan per launch).
 //! The production `Network` keeps an id-ordered latency list, an
 //! unordered transfer list, a solver whose link -> flow index persists
-//! across solves and a cached next event; these tests drive both
+//! across solves and that replays its last solve's rounds after
+//! departures, and a cached next event; these tests drive both
 //! through the same seeded scripts and require every observable to be
 //! the same bits. The solo test does the same for `SoloTimer`, and the
 //! concurrent-collective test for `CollectiveEngine` with many
@@ -18,6 +19,16 @@ use lina::netsim::{
     FlowDemand, FlowDone, FlowId, FlowSpec, Network, SoloTimer, Topology,
 };
 use lina::simcore::{Rng, SimDuration, SimTime};
+
+/// How many seeds a seeded-script test runs. The nightly soak job
+/// raises this through `LINA_PROP_ROUNDS`, as it does for the serve
+/// property tests; the default keeps the ordinary test tier fast.
+fn rounds(default: u64) -> u64 {
+    std::env::var("LINA_PROP_ROUNDS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
 
 mod oracle {
     use std::collections::BTreeMap;
@@ -766,15 +777,27 @@ fn run_script(spec: ClusterSpec, seed: u64) {
 
 #[test]
 fn network_matches_the_reference_on_eight_gpus() {
-    for seed in 0..12 {
+    for seed in 0..rounds(12) {
         run_script(ClusterSpec::with_total_gpus(8), seed);
     }
 }
 
 #[test]
 fn network_matches_the_reference_on_the_paper_testbed() {
-    for seed in 100..112 {
+    for seed in 100..100 + rounds(12) {
         run_script(ClusterSpec::paper_testbed(), seed);
+    }
+}
+
+/// Infinite NVLink bandwidth gives intra-node transfers an infinite
+/// rate: they finish in a zero-length segment, and no step may assume
+/// every drain event lies at least 1 ns out.
+#[test]
+fn network_matches_the_reference_with_unbounded_links() {
+    for seed in 400..400 + rounds(4) {
+        let mut spec = ClusterSpec::with_total_gpus(8);
+        spec.nvlink_bw = f64::INFINITY;
+        run_script(spec, seed);
     }
 }
 
@@ -882,7 +905,8 @@ fn random_allreduce(rng: &mut Rng, devices: u32) -> CollectiveSpec {
 /// tags, mid-flight `cancel_tagged`, event-exact, overshot and arbitrary
 /// `advance_to` horizons, capacity-scale changes and `run_to_idle`
 /// drains. Every `CollectiveDone` must be the same bits as the oracle's.
-fn run_collective_script(spec: ClusterSpec, seed: u64) {
+/// Returns how many collectives completed.
+fn run_collective_script(spec: ClusterSpec, seed: u64) -> usize {
     let devices = spec.total_devices() as u32;
     let topo = Topology::new(spec);
     let mut engine = CollectiveEngine::new(Network::new(topo.clone()));
@@ -951,14 +975,24 @@ fn run_collective_script(spec: ClusterSpec, seed: u64) {
     assert_eq!(done, oracle.run_to_idle(), "seed {seed}: final drain");
     completed += done.len();
     assert_eq!(engine.active(), 0, "seed {seed}: the engine drains");
-    assert!(completed > 20, "seed {seed}: only {completed} completions");
+    completed
 }
 
 #[test]
 fn concurrent_collectives_match_the_reference_engine() {
-    for seed in 0..6 {
-        run_collective_script(ClusterSpec::with_total_gpus(8), 200 + seed);
-        run_collective_script(ClusterSpec::paper_testbed(), 300 + seed);
+    for seed in 0..rounds(6) {
+        for completed in [
+            run_collective_script(ClusterSpec::with_total_gpus(8), 200 + seed),
+            run_collective_script(ClusterSpec::paper_testbed(), 300 + seed),
+        ] {
+            // Each default script must exercise the engine. The soak's
+            // extra seeds may be quiet: the oracle agrees on every
+            // completion, so a quiet seed says nothing of the engine.
+            assert!(
+                seed >= 6 || completed > 20,
+                "seed {seed}: only {completed} completions"
+            );
+        }
     }
 }
 
