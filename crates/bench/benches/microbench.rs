@@ -248,6 +248,14 @@ fn bench_estimator() {
     bench("estimate_popularity_served_2k_tokens", || {
         est.estimate_popularity(&batch.tokens, 4, 1)
     });
+    // `lina_drift`'s re-estimation window: 8 served batches of 2,048
+    // tokens, re-profiled at l = 3.
+    let window: Vec<TokenBatch> = (0..8)
+        .map(|_| src.sample_batch(8, 256, Mode::Inference))
+        .collect();
+    bench("estimator_profile_served_window", || {
+        PopularityEstimator::profile(&window, 3)
+    });
 }
 
 fn bench_step_simulation() {
@@ -293,23 +301,31 @@ fn bench_workload() {
 }
 
 fn bench_batch_assembly() {
-    // Dispatch copies a full batch's member tokens (8 requests of 256)
-    // into the batch the planner reads, as `ClusterSim::dispatch` does.
+    // Dispatch moves a full batch's member tokens (8 requests of 256)
+    // into the batch the planner reads, as `ClusterSim::dispatch` does:
+    // one allocation for the batch, none per token. Each iteration then
+    // moves the tokens back into the requests' kept buffers, so the
+    // next one starts from whole requests without allocating.
     let spec = WorkloadSpec::enwik8(8, 6);
     let mut src = TokenSource::new(&spec, 1, 9);
-    let requests: Vec<Vec<TokenPath>> = (0..8)
+    let mut requests: Vec<Vec<TokenPath>> = (0..8)
         .map(|_| src.sample_batch(1, 256, Mode::Inference).tokens)
         .collect();
-    let batch_tokens = requests.iter().map(Vec::len).sum();
+    let lens: Vec<usize> = requests.iter().map(Vec::len).collect();
+    let batch_tokens = lens.iter().sum();
     bench("serve/batch_assembly", || {
         let mut tokens = Vec::with_capacity(batch_tokens);
-        for r in &requests {
-            tokens.extend_from_slice(r);
+        for r in &mut requests {
+            tokens.append(r);
         }
-        TokenBatch {
+        let batch = std::hint::black_box(TokenBatch {
             tokens,
             devices: 8,
             experts: spec.experts,
+        });
+        let mut served = batch.tokens.into_iter();
+        for (r, &len) in requests.iter_mut().zip(&lens) {
+            r.extend(served.by_ref().take(len));
         }
     });
 }

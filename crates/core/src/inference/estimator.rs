@@ -122,7 +122,9 @@ impl Hasher for PathHasher {
 }
 
 impl PopularityEstimator {
-    /// Profiles the estimator from training-distribution batches.
+    /// Profiles the estimator from training-distribution batches:
+    /// anything that yields batch references, such as a slice or a
+    /// window of shared batches.
     ///
     /// # Panics
     ///
@@ -130,10 +132,16 @@ impl PopularityEstimator {
     /// batch is empty, `experts^path_length` overflows a `u64` path
     /// code, or a batch's expert count or a token's layer count differs
     /// from the first batch's.
-    pub fn profile(batches: &[TokenBatch], path_length: usize) -> Self {
+    pub fn profile<'b>(
+        batches: impl IntoIterator<Item = &'b TokenBatch>,
+        path_length: usize,
+    ) -> Self {
         assert!(path_length > 0, "profile: zero path length");
-        assert!(!batches.is_empty(), "profile: no batches");
-        let first = &batches[0];
+        let mut batches = batches.into_iter().peekable();
+        let first = batches
+            .peek()
+            .copied()
+            .unwrap_or_else(|| panic!("profile: no batches"));
         assert!(
             !first.tokens.is_empty(),
             "profile: first batch has no tokens"
@@ -155,9 +163,9 @@ impl PopularityEstimator {
             .collect();
         let mut marginals = vec![vec![0.0f64; experts]; layers];
         let (full, suffixes) = tables.split_last_mut().expect("path_length > 0");
-        // `experts^(l-1)`: the digits a full-length code keeps when the
-        // next primary shifts in.
-        let keep = radix[path_length - 1] / (experts as u64).max(1);
+        // `experts^(l-1)`: the place value of a full-length code's
+        // oldest digit, the primary the next shift pushes out.
+        let oldest = radix[path_length - 1] / (experts as u64).max(1);
         for batch in batches {
             assert_eq!(
                 batch.experts, experts,
@@ -171,16 +179,22 @@ impl PopularityEstimator {
                 );
                 // One pass over the strided primaries, rolling the
                 // path code: before layer `i` is shifted in, `code` is
-                // `tok.path_code(i - 1, path_length, experts)`.
+                // `tok.path_code(i - 1, path_length, experts)`. From
+                // layer `l` on the code is full, so the primary of layer
+                // `i - l` leaves it by subtraction: the same integer as
+                // `code % oldest`, without a division.
+                let (sel, k) = (tok.selections(), tok.top_k());
                 let mut code = 0u64;
-                let primaries = tok.selections().iter().step_by(tok.top_k());
-                for (layer, &e) in primaries.enumerate() {
+                for (layer, &e) in sel.iter().step_by(k).enumerate() {
                     let e = usize::from(e);
                     marginals[layer][e] += 1.0;
                     if layer > 0 {
                         full[layer - 1].row_mut(code, experts)[e] += 1.0;
                     }
-                    code = code % keep * experts as u64 + e as u64;
+                    if layer >= path_length {
+                        code -= u64::from(sel[(layer - path_length) * k]) * oldest;
+                    }
+                    code = code * experts as u64 + e as u64;
                 }
             }
         }

@@ -66,6 +66,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::ops::Range;
 use std::sync::Arc;
 
 use lina_model::{CostModel, LayeredPlacement};
@@ -356,16 +357,17 @@ enum ReplicaState {
 }
 
 /// A popularity-estimator re-profiling window and the scheduler last
-/// built from it.
+/// built from it. Until its first re-profile the scheduler is the
+/// engine's shared offline one.
 struct Estimate {
     window: ReestimationWindow,
-    scheduler: Option<TwoPhaseScheduler>,
+    scheduler: Option<Arc<TwoPhaseScheduler>>,
     /// Batches pushed into the window over the run.
     observed: usize,
 }
 
 impl Estimate {
-    fn new(scheduler: Option<TwoPhaseScheduler>, window: usize) -> Self {
+    fn new(scheduler: Option<Arc<TwoPhaseScheduler>>, window: usize) -> Self {
         Estimate {
             window: ReestimationWindow::new(window),
             scheduler,
@@ -376,12 +378,15 @@ impl Estimate {
     /// Rebuilds the scheduler from the windowed batches.
     fn reprofile(&mut self, engine: &ServeEngine) {
         let estimator = self.window.profile(engine.config.path_length);
-        self.scheduler = Some(TwoPhaseScheduler::new(engine.two_phase_config(), estimator));
+        self.scheduler = Some(Arc::new(TwoPhaseScheduler::new(
+            engine.two_phase_config(),
+            estimator,
+        )));
     }
 
     /// Windows a served batch and re-profiles every `every` batches;
     /// true when it did.
-    fn observe(&mut self, batch: TokenBatch, every: usize, engine: &ServeEngine) -> bool {
+    fn observe(&mut self, batch: Arc<TokenBatch>, every: usize, engine: &ServeEngine) -> bool {
         self.window.push(batch);
         self.observed += 1;
         let due = self.observed.is_multiple_of(every);
@@ -389,6 +394,42 @@ impl Estimate {
             self.reprofile(engine);
         }
         due
+    }
+}
+
+/// A committed batch, from dispatch until it completes or aborts.
+/// Dispatch moves the members' tokens out of their requests into
+/// `batch`, which the re-shard monitor reads and the re-estimation
+/// window keeps, so no token is copied on the way.
+struct Flight {
+    batch: Arc<TokenBatch>,
+    members: Vec<Member>,
+}
+
+/// A member of a [`Flight`]: the request without its tokens.
+struct Member {
+    id: usize,
+    /// The original arrival.
+    arrival: SimTime,
+    /// Prior displacement count (0 = first attempt).
+    attempts: u32,
+    /// The request's tokens in the flight's batch; the members' ranges
+    /// tile it in member order.
+    tokens: Range<usize>,
+}
+
+impl Flight {
+    /// The members as requests again, each with a copy of its tokens,
+    /// for re-admission after the flight aborted.
+    fn displace(self) -> impl Iterator<Item = (Request, u32)> {
+        self.members.into_iter().map(move |m| {
+            let req = Request {
+                id: m.id,
+                arrival: m.arrival,
+                tokens: self.batch.tokens[m.tokens].to_vec(),
+            };
+            (req, m.attempts)
+        })
     }
 }
 
@@ -715,10 +756,7 @@ impl<'a> ClusterEngine<'a> {
         let (engine, cluster) = (&self.engine, &self.config);
         let config = &engine.config;
         let seeds = config.seeds();
-        let offline = config
-            .scheme
-            .needs_scheduler()
-            .then(|| engine.offline_scheduler(seeds.profile));
+        let offline = engine.offline();
         let reload = provisioning::weight_reload(engine.cost, engine.topo, engine.spec.experts);
         // Only the capacity-aware consumers pay for the probe batch:
         // the least-expected-latency balancer and any armed autoscaler
@@ -882,9 +920,9 @@ struct ClusterSim<'e, 'a, S: Iterator<Item = Request>> {
     /// which under concurrent replicas need not follow dispatch order;
     /// they are sorted into dispatch order once the run drains.
     records: Vec<RequestRecord>,
-    /// Member bookkeeping (request plus prior displacement count) from
-    /// dispatch commit until the batch completes or aborts.
-    pending: BTreeMap<u64, Vec<(Request, u32)>>,
+    /// Every committed primary batch, by id, until it completes or
+    /// aborts; each leaves exactly once.
+    pending: BTreeMap<u64, Flight>,
     /// First arrivals pulled from the trace stream.
     arrived: usize,
     /// Exactly-once audit, indexed by request id (grown on demand):
@@ -1034,11 +1072,11 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
                 None => Some(id),
             };
             if let Some(batch) = batch {
-                displaced.extend(
-                    self.pending
-                        .remove(&batch)
-                        .expect("aborted batch was committed"),
-                );
+                let flight = self
+                    .pending
+                    .remove(&batch)
+                    .expect("aborted batch was committed");
+                displaced.extend(flight.displace());
             }
         }
         let rep = &mut self.replicas[i];
@@ -1409,7 +1447,7 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
                     self.monitor.forget(primary);
                     let prep = &mut self.replicas[p];
                     let ok = prep.executor.abort(primary);
-                    debug_assert!(ok, "raced primary was in flight");
+                    assert!(ok, "raced primary was in flight");
                     if prep.primaries_in_flight() == max_inflight - 1 {
                         prep.slot_free = t;
                     }
@@ -1426,7 +1464,7 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
                     self.monitor.forget(hedge);
                     let hrep = &mut self.replicas[h];
                     let ok = hrep.executor.abort(hedge);
-                    debug_assert!(ok, "live hedge was in flight");
+                    assert!(ok, "live hedge was in flight");
                     hrep.hedges_in_flight -= 1;
                 }
                 fb.id
@@ -1441,23 +1479,23 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
     /// served by the flight `fb`: the primary itself or its winning
     /// hedge, whose timeline the records then carry.
     fn complete_batch(&mut self, batch: u64, fb: &FinishedBatch) {
-        let members = self
+        let flight = self
             .pending
             .remove(&batch)
             .expect("finished batch was committed");
-        for (r, _) in members {
+        for m in flight.members {
             self.records.push(RequestRecord {
-                id: r.id,
+                id: m.id,
                 // The original arrival: latency spans failed attempts
                 // and backoff waits.
-                arrival: r.arrival,
+                arrival: m.arrival,
                 dispatched: fb.dispatched,
                 completed: fb.completed,
-                tokens: r.tokens.len(),
+                tokens: m.tokens.len(),
                 batch: batch as usize,
                 service: fb.report.total,
             });
-            self.on_terminal(r.id, fb.completed);
+            self.on_terminal(m.id, fb.completed);
         }
     }
 
@@ -1513,25 +1551,52 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
         self.monitor.expect(id, &plan, nominal);
     }
 
-    /// Commits the replica's next batch: plan, degrade, submit.
+    /// Commits the replica's next batch: assemble, plan, degrade,
+    /// submit.
     fn dispatch(&mut self, i: usize, d: Dispatch) {
         let engine = self.engine;
-        let rep = &self.replicas[i];
-        let members = &rep.queue[rep.next..rep.next + d.count];
-        let batch_tokens: usize = members.iter().map(|r| r.tokens.len()).sum();
-        // One allocation per member token, plus the batch's own.
+        let max_inflight = engine.config.max_inflight;
+        let rep = &mut self.replicas[i];
+        assert!(
+            rep.primaries_in_flight() < max_inflight,
+            "replica {i} dispatched past its {max_inflight} in-flight batches"
+        );
+        // Move the members' tokens into the batch: one allocation for
+        // the batch and none per token. A crash can still re-admit a
+        // member with its tokens, copied back from the flight. Each
+        // request's own token buffer is freed here, so token memory
+        // follows the live backlog and flights, not the run length.
+        let span = rep.next..rep.next + d.count;
+        let batch_tokens: usize = rep.queue[span.clone()].iter().map(Request::len).sum();
         let mut tokens = Vec::with_capacity(batch_tokens);
-        for r in members {
-            tokens.extend_from_slice(&r.tokens);
-        }
-        let batch = TokenBatch {
+        let members: Vec<Member> = rep.queue[span.clone()]
+            .iter_mut()
+            .zip(&rep.attempts[span])
+            .map(|(r, &attempts)| {
+                let start = tokens.len();
+                tokens.append(&mut std::mem::take(&mut r.tokens));
+                Member {
+                    id: r.id,
+                    arrival: r.arrival,
+                    attempts,
+                    tokens: start..tokens.len(),
+                }
+            })
+            .collect();
+        let batch = Arc::new(TokenBatch {
             tokens,
             devices: engine.topo.devices(),
             experts: engine.spec.experts,
-        };
+        });
+        let backlog = rep.arrivals[rep.next + d.count..]
+            .iter()
+            .filter(|&&a| a <= d.at)
+            .count();
+        rep.queued_tokens -= batch_tokens;
+        rep.next += d.count;
         let scheduler = match self.cluster.sharing {
             EstimatorSharing::Shared => &self.shared,
-            EstimatorSharing::PerReplica => &rep.estimate,
+            EstimatorSharing::PerReplica => &self.replicas[i].estimate,
         };
         // A diverged shard map overrides the configured base placement;
         // at the base, planning sees exactly the configured map (or the
@@ -1546,7 +1611,7 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
             engine.cost,
             engine.topo,
             &self.infer,
-            scheduler.scheduler.as_ref(),
+            scheduler.scheduler.as_deref(),
             &batch,
             map,
             self.cluster.locality,
@@ -1559,30 +1624,17 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
         if let Some(rt) = &mut self.hedging {
             rt.arm(batch_id, i, d.at, &plan);
         }
-        let rep = &mut self.replicas[i];
-        let nominal = rep.submit(batch_id, d.at, &plan);
+        let nominal = self.replicas[i].submit(batch_id, d.at, &plan);
         self.monitor.expect(batch_id, &plan, nominal);
-        // Move the members into the pending map — taking each slot's
-        // token paths rather than deep-cloning them (a crash can still
-        // re-admit the request with its paths intact). The emptied
-        // queue slots also bound a long trace's memory by the live
-        // backlog, not the run length.
-        let member_info: Vec<(Request, u32)> = rep.queue[rep.next..rep.next + d.count]
-            .iter_mut()
-            .zip(rep.attempts[rep.next..rep.next + d.count].iter().copied())
-            .map(|(slot, attempts)| {
-                let tokens = std::mem::take(&mut slot.tokens);
-                (Request { tokens, ..*slot }, attempts)
-            })
-            .collect();
-        self.pending.insert(batch_id, member_info);
-        let backlog = rep.arrivals[rep.next + d.count..]
-            .iter()
-            .filter(|&&a| a <= d.at)
-            .count();
+        let flight = Flight {
+            batch: Arc::clone(&batch),
+            members,
+        };
+        assert!(
+            self.pending.insert(batch_id, flight).is_none(),
+            "batch {batch_id} committed twice"
+        );
         self.out.tracker.record_depth(d.at, backlog);
-        rep.queued_tokens -= batch_tokens;
-        rep.next += d.count;
         self.out.batches_per_replica[i] += 1;
         self.out.batches += 1;
 

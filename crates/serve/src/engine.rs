@@ -3,7 +3,8 @@
 //! A [`ServeEngine`] holds what every replica of a serving run shares:
 //! the cost model, topology, workload and [`ServeConfig`]. It streams
 //! the open-loop request trace (arrival process + per-request tokens),
-//! builds the offline-profiled two-phase scheduler, and probes a
+//! builds the offline-profiled two-phase scheduler once, on first use,
+//! for its capacity probe and every run to share, and probes a
 //! replica's [`capacity`](ServeEngine::capacity). It does not run:
 //! [`ClusterEngine`](crate::ClusterEngine) is the one serving loop,
 //! and a single server is its one-replica case
@@ -23,6 +24,7 @@
 //!   the stale offline profile.
 
 use std::collections::VecDeque;
+use std::sync::{Arc, OnceLock};
 
 use lina_baselines::InferScheme;
 use lina_core::{PopularityEstimator, TwoPhaseConfig, TwoPhaseScheduler};
@@ -196,8 +198,10 @@ impl ServeConfig {
 /// Sliding window of recently served batches feeding online
 /// re-profiling. Evicting the oldest batch is O(1) (`VecDeque`), so a
 /// long run with a large window stays linear in batches dispatched.
+/// It shares each batch with the flight that dispatched it, so
+/// windowing a batch copies no token.
 pub(crate) struct ReestimationWindow {
-    batches: VecDeque<TokenBatch>,
+    batches: VecDeque<Arc<TokenBatch>>,
     cap: usize,
 }
 
@@ -211,7 +215,7 @@ impl ReestimationWindow {
     }
 
     /// Pushes a served batch, evicting the oldest past the cap.
-    pub(crate) fn push(&mut self, batch: TokenBatch) {
+    pub(crate) fn push(&mut self, batch: Arc<TokenBatch>) {
         self.batches.push_back(batch);
         if self.batches.len() > self.cap {
             self.batches.pop_front();
@@ -219,8 +223,8 @@ impl ReestimationWindow {
     }
 
     /// Re-profiles a popularity estimator from the windowed batches.
-    pub(crate) fn profile(&mut self, path_length: usize) -> PopularityEstimator {
-        PopularityEstimator::profile(self.batches.make_contiguous(), path_length)
+    pub(crate) fn profile(&self, path_length: usize) -> PopularityEstimator {
+        PopularityEstimator::profile(self.batches.iter().map(Arc::as_ref), path_length)
     }
 
     /// No batches observed yet (an emergency re-placement has nothing
@@ -246,6 +250,10 @@ pub struct ServeEngine<'a> {
     pub(crate) topo: &'a Topology,
     pub(crate) spec: &'a WorkloadSpec,
     pub(crate) config: ServeConfig,
+    /// The offline-profiled scheduler, built on first use. It depends
+    /// on nothing but the above, and nothing mutates it, so every
+    /// capacity probe and run shares the one profile.
+    offline: OnceLock<Arc<TwoPhaseScheduler>>,
 }
 
 impl<'a> ServeEngine<'a> {
@@ -276,6 +284,7 @@ impl<'a> ServeEngine<'a> {
             topo,
             spec,
             config,
+            offline: OnceLock::new(),
         }
     }
 
@@ -302,10 +311,22 @@ impl<'a> ServeEngine<'a> {
         cfg
     }
 
+    /// The offline-profiled scheduler of the schemes that plan with
+    /// one (`None` for the others), profiled on the first call.
+    pub(crate) fn offline(&self) -> Option<Arc<TwoPhaseScheduler>> {
+        self.config.scheme.needs_scheduler().then(|| {
+            let scheduler = self
+                .offline
+                .get_or_init(|| Arc::new(self.offline_scheduler()));
+            Arc::clone(scheduler)
+        })
+    }
+
     /// Builds the offline-profiled scheduler, as the paper's profiling
     /// stage does: training-distribution batches, no drift.
-    pub(crate) fn offline_scheduler(&self, profile_seed: u64) -> TwoPhaseScheduler {
+    fn offline_scheduler(&self) -> TwoPhaseScheduler {
         let devices = self.topo.devices();
+        let profile_seed = self.config.seeds().profile;
         let mut src = TokenSource::new(self.spec, self.config.top_k, profile_seed);
         let profile: Vec<TokenBatch> = (0..8)
             .map(|_| src.sample_batch(devices, 1024, Mode::Train))
@@ -348,15 +369,12 @@ impl<'a> ServeEngine<'a> {
 
     /// Upper bound on sustainable throughput (requests/s): a full batch
     /// of nominal-size requests served back-to-back with no queueing.
-    /// Load sweeps express offered load as a fraction of this.
+    /// Load sweeps express offered load as a fraction of this. Each
+    /// call prices the probe batch afresh; only the offline profile it
+    /// plans with is shared.
     pub fn capacity(&self) -> f64 {
-        let seeds = self.config.seeds();
-        let scheduler = self
-            .config
-            .scheme
-            .needs_scheduler()
-            .then(|| self.offline_scheduler(seeds.profile));
-        let mut source = TokenSource::new(self.spec, self.config.top_k, seeds.token);
+        let scheduler = self.offline();
+        let mut source = TokenSource::new(self.spec, self.config.top_k, self.config.seeds().token);
         let per_batch = self.config.batcher.max_batch_requests;
         let tokens: Vec<TokenPath> = (0..per_batch)
             .flat_map(|_| {
@@ -374,7 +392,7 @@ impl<'a> ServeEngine<'a> {
             scheme: self.config.scheme,
             top_k: self.config.top_k,
         };
-        let plan = plan_batch(self.cost, self.topo, &infer, scheduler.as_ref(), &batch);
+        let plan = plan_batch(self.cost, self.topo, &infer, scheduler.as_deref(), &batch);
         let report = execute_plan_solo(&plan, &mut SoloTimer::new(self.topo));
         per_batch as f64 / report.total.as_secs_f64().max(f64::MIN_POSITIVE)
     }

@@ -10,8 +10,8 @@ use lina_serve::{
     serve_cluster, ArrivalProcess, AutoscaleConfig, AutoscalePolicyKind, BalancerKind, Batcher,
     BatcherConfig, ClusterConfig, ClusterEngine, ClusterOutcome, DegradationPolicy,
     EstimatorSharing, FaultPlan, FaultRateConfig, FaultSchedule, HealthConfig, HedgeConfig,
-    NetworkMode, ReshardAction, ReshardConfig, ReshardPolicyKind, ScaleDecision, ServeConfig,
-    ServeEngine,
+    NetworkMode, Request, ReshardAction, ReshardConfig, ReshardPolicyKind, ScaleDecision,
+    ServeConfig, ServeEngine,
 };
 use lina_simcore::{Rng, SimDuration, SimTime};
 use lina_workload::WorkloadSpec;
@@ -69,6 +69,28 @@ fn assert_outcome_consistent(out: &ClusterOutcome, replicas: usize, round: usize
         out.hedges_won,
         out.hedges_issued
     );
+}
+
+/// Every terminal outcome carries exactly its trace request's token
+/// count: a request displaced from an aborted flight gets back its own
+/// tokens, not a neighbour's share of the batch.
+fn assert_tokens_per_request(out: &ClusterOutcome, trace: &[Request], round: usize) {
+    for r in out.tracker.records() {
+        assert_eq!(
+            r.tokens,
+            trace[r.id].len(),
+            "round {round}: request {} served with the wrong token count",
+            r.id
+        );
+    }
+    for f in out.tracker.failures() {
+        assert_eq!(
+            f.tokens,
+            trace[f.id].len(),
+            "round {round}: request {} failed with the wrong token count",
+            f.id
+        );
+    }
 }
 
 /// A randomized but valid config drawn from a meta-rng.
@@ -486,12 +508,10 @@ fn faults_conserve_every_request_and_stay_deterministic() {
             ..ClusterConfig::single(serve_config)
         };
         let n = config.serve.n_requests;
-        let offered_tokens: usize = ServeEngine::new(&cost, &topo, &spec, config.serve.clone())
-            .generate_requests()
-            .iter()
-            .map(|r| r.tokens.len())
-            .sum();
+        let trace = ServeEngine::new(&cost, &topo, &spec, config.serve.clone()).generate_requests();
+        let offered_tokens: usize = trace.iter().map(Request::len).sum();
         let out = serve_cluster(&cost, &topo, &spec, config.clone());
+        assert_tokens_per_request(&out, &trace, round);
         assert_outcome_consistent(&out, replicas, round);
 
         // Exactly one terminal outcome per request.
@@ -610,12 +630,10 @@ fn arbitrary_autoscale_decisions_conserve_and_stay_deterministic() {
             ..ClusterConfig::single(serve_config)
         };
         let n = config.serve.n_requests;
-        let offered_tokens: usize = ServeEngine::new(&cost, &topo, &spec, config.serve.clone())
-            .generate_requests()
-            .iter()
-            .map(|r| r.tokens.len())
-            .sum();
+        let trace = ServeEngine::new(&cost, &topo, &spec, config.serve.clone()).generate_requests();
+        let offered_tokens: usize = trace.iter().map(Request::len).sum();
         let out = serve_cluster(&cost, &topo, &spec, config.clone());
+        assert_tokens_per_request(&out, &trace, round);
 
         let mut ids: Vec<usize> = out
             .tracker
@@ -748,12 +766,10 @@ fn arbitrary_reshard_schedules_conserve_and_stay_deterministic() {
             ..ClusterConfig::single(serve)
         };
         let n = config.serve.n_requests;
-        let offered_tokens: usize = ServeEngine::new(&cost, &topo, &spec, config.serve.clone())
-            .generate_requests()
-            .iter()
-            .map(|r| r.tokens.len())
-            .sum();
+        let trace = ServeEngine::new(&cost, &topo, &spec, config.serve.clone()).generate_requests();
+        let offered_tokens: usize = trace.iter().map(Request::len).sum();
         let out = serve_cluster(&cost, &topo, &spec, config.clone());
+        assert_tokens_per_request(&out, &trace, round);
 
         let mut ids: Vec<usize> = out
             .tracker
@@ -954,12 +970,10 @@ fn gray_faults_with_hedging_conserve_and_stay_deterministic() {
             ..ClusterConfig::single(serve_config)
         };
         let n = config.serve.n_requests;
-        let offered_tokens: usize = ServeEngine::new(&cost, &topo, &spec, config.serve.clone())
-            .generate_requests()
-            .iter()
-            .map(|r| r.tokens.len())
-            .sum();
+        let trace = ServeEngine::new(&cost, &topo, &spec, config.serve.clone()).generate_requests();
+        let offered_tokens: usize = trace.iter().map(Request::len).sum();
         let out = serve_cluster(&cost, &topo, &spec, config.clone());
+        assert_tokens_per_request(&out, &trace, round);
 
         // Exactly one terminal outcome per request, tokens conserved.
         let mut ids: Vec<usize> = out
@@ -1084,12 +1098,10 @@ fn jittered_backoff_conserves_and_stays_deterministic() {
             ..ClusterConfig::single(serve_config)
         };
         let n = config.serve.n_requests;
-        let offered_tokens: usize = ServeEngine::new(&cost, &topo, &spec, config.serve.clone())
-            .generate_requests()
-            .iter()
-            .map(|r| r.tokens.len())
-            .sum();
+        let trace = ServeEngine::new(&cost, &topo, &spec, config.serve.clone()).generate_requests();
+        let offered_tokens: usize = trace.iter().map(Request::len).sum();
         let out = serve_cluster(&cost, &topo, &spec, config.clone());
+        assert_tokens_per_request(&out, &trace, round);
         let mut ids: Vec<usize> = out
             .tracker
             .records()

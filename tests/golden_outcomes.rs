@@ -21,6 +21,8 @@
 //! Two of them (`everything_armed`, `contended_baseline_four_in_flight`)
 //! also run the config over its eagerly generated trace
 //! (`ClusterEngine::run_trace`) and require the lazy stream's digest.
+//! One more test needs no pinned value: calls on one reused engine must
+//! digest as the same calls on fresh engines do.
 //!
 //! The training digests fold every op window and the makespan of one
 //! step, so a change to any communication policy's launch decisions
@@ -532,6 +534,46 @@ fn single_server_serve() {
         d.finish(),
         0x2b3e_78fd_b513_6d66_ee5f_7d75_189b_95e7,
     );
+}
+
+/// One engine serves a sequence of calls exactly as a fresh engine
+/// serves each: the offline profile it builds on first use and shares
+/// with every later call never changes with a run. Lina with the
+/// least-expected-latency balancer (which probes the capacity inside
+/// the run), per-replica re-estimation and drift.
+#[test]
+fn reused_engine_matches_fresh_engines() {
+    let (cost, topo, spec) = world();
+    let mut c = cluster_config(InferScheme::Lina, 900.0, 3);
+    c.balancer = BalancerKind::LeastExpectedLatency;
+    c.sharing = EstimatorSharing::PerReplica;
+    let fresh = || ClusterEngine::new(&cost, &topo, &spec, c.clone());
+    let trace = |e: &ClusterEngine| e.engine().generate_requests();
+    let reused = fresh();
+    assert_eq!(
+        reused.capacity().to_bits(),
+        fresh().capacity().to_bits(),
+        "capacity"
+    );
+    let first = reused.run();
+    assert!(first.reestimations > 0);
+    assert_conserved(&first, 96);
+    let runs = [
+        ("run", first, fresh().run()),
+        (
+            "run_trace",
+            reused.run_trace(trace(&reused)),
+            fresh().run_trace(trace(&fresh())),
+        ),
+        ("second run", reused.run(), fresh().run()),
+    ];
+    for (call, reused, fresh) in runs {
+        assert_eq!(
+            cluster_digest(&reused),
+            cluster_digest(&fresh),
+            "{call} on a reused engine differs from a fresh engine's"
+        );
+    }
 }
 
 #[test]
