@@ -90,11 +90,41 @@ fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
     for _ in 0..iters {
         std::hint::black_box(f());
     }
-    let per = start.elapsed().as_secs_f64() / iters as f64;
-    let allocs = (ALLOCATIONS.load(Ordering::Relaxed) - allocs) as f64 / iters as f64;
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs;
+    report(name, start.elapsed().as_secs_f64(), allocs, iters);
+}
+
+/// Like [`bench`], but each iteration's input comes from `setup`, which
+/// runs outside the timed region and the allocation count, and the
+/// value `f` returns is dropped outside them too.
+fn bench_with_setup<I, T>(name: &str, mut setup: impl FnMut() -> I, mut f: impl FnMut(I) -> T) {
+    if filter().is_some_and(|pat| !name.contains(pat)) {
+        return;
+    }
+    let input = setup();
+    let start = Instant::now();
+    std::hint::black_box(f(input));
+    let once = start.elapsed().as_secs_f64().max(1e-9);
+    let iters = ((0.2 / once) as u64).clamp(1, 100_000);
+    let (mut secs, mut allocs) = (0.0, 0);
+    for _ in 0..iters {
+        let input = setup();
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let start = Instant::now();
+        let out = std::hint::black_box(f(input));
+        secs += start.elapsed().as_secs_f64();
+        allocs += ALLOCATIONS.load(Ordering::Relaxed) - before;
+        drop(out);
+    }
+    report(name, secs, allocs, iters);
+}
+
+/// Prints one result line from a case's totals over `iters` iterations.
+fn report(name: &str, secs: f64, allocs: u64, iters: u64) {
+    let allocs = allocs as f64 / iters as f64;
     println!(
         "{name:<40} {:>12} / iter  {allocs:>10.0} allocs / iter  ({iters} iters)",
-        lina_simcore::format_secs(per)
+        lina_simcore::format_secs(secs / iters as f64)
     );
 }
 
@@ -248,14 +278,6 @@ fn bench_estimator() {
     bench("estimate_popularity_served_2k_tokens", || {
         est.estimate_popularity(&batch.tokens, 4, 1)
     });
-    // `lina_drift`'s re-estimation window: 8 served batches of 2,048
-    // tokens, re-profiled at l = 3.
-    let window: Vec<TokenBatch> = (0..8)
-        .map(|_| src.sample_batch(8, 256, Mode::Inference))
-        .collect();
-    bench("estimator_profile_served_window", || {
-        PopularityEstimator::profile(&window, 3)
-    });
 }
 
 fn bench_step_simulation() {
@@ -302,32 +324,31 @@ fn bench_workload() {
 
 fn bench_batch_assembly() {
     // Dispatch moves a full batch's member tokens (8 requests of 256)
-    // into the batch the planner reads, as `ClusterSim::dispatch` does:
-    // one allocation for the batch, none per token. Each iteration then
-    // moves the tokens back into the requests' kept buffers, so the
-    // next one starts from whole requests without allocating.
+    // into the shared batch the planner reads, as `ClusterSim::dispatch`
+    // does: allocations for the batch and its `Arc`, none per token,
+    // and each request's emptied buffer freed. The requests are cloned
+    // afresh outside the timed region.
     let spec = WorkloadSpec::enwik8(8, 6);
     let mut src = TokenSource::new(&spec, 1, 9);
-    let mut requests: Vec<Vec<TokenPath>> = (0..8)
+    let requests: Vec<Vec<TokenPath>> = (0..8)
         .map(|_| src.sample_batch(1, 256, Mode::Inference).tokens)
         .collect();
-    let lens: Vec<usize> = requests.iter().map(Vec::len).collect();
-    let batch_tokens = lens.iter().sum();
-    bench("serve/batch_assembly", || {
-        let mut tokens = Vec::with_capacity(batch_tokens);
-        for r in &mut requests {
-            tokens.append(r);
-        }
-        let batch = std::hint::black_box(TokenBatch {
-            tokens,
-            devices: 8,
-            experts: spec.experts,
-        });
-        let mut served = batch.tokens.into_iter();
-        for (r, &len) in requests.iter_mut().zip(&lens) {
-            r.extend(served.by_ref().take(len));
-        }
-    });
+    let batch_tokens = requests.iter().map(Vec::len).sum();
+    bench_with_setup(
+        "serve/batch_assembly",
+        || requests.clone(),
+        |requests| {
+            let mut tokens = Vec::with_capacity(batch_tokens);
+            for mut r in requests {
+                tokens.append(&mut r);
+            }
+            Arc::new(TokenBatch {
+                tokens,
+                devices: 8,
+                experts: spec.experts,
+            })
+        },
+    );
 }
 
 fn bench_packed_dispatch() {

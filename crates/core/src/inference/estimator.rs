@@ -19,6 +19,12 @@ use lina_workload::{TokenBatch, TokenPath};
 /// collision-free.
 const MEMO_SLOTS: usize = 4096;
 
+/// Largest full-length `Ψ` table, in counts (`experts^l * experts`),
+/// that `profile` counts into a dense array indexed by path code
+/// instead of through the table's hash map. 2^16 covers the paper's 16
+/// experts at `l = 3`.
+const DENSE_COUNTS: usize = 1 << 16;
+
 /// A memo slot no path code has claimed: every code is below
 /// `experts^l <= u64::MAX`.
 const EMPTY_SLOT: u64 = u64::MAX;
@@ -163,9 +169,17 @@ impl PopularityEstimator {
             .collect();
         let mut marginals = vec![vec![0.0f64; experts]; layers];
         let (full, suffixes) = tables.split_last_mut().expect("path_length > 0");
-        // `experts^(l-1)`: the place value of a full-length code's
-        // oldest digit, the primary the next shift pushes out.
-        let oldest = radix[path_length - 1] / (experts as u64).max(1);
+        // `experts^(l-1)`: the digits a full-length code keeps when the
+        // next primary shifts in.
+        let keep = radix[path_length - 1] / (experts as u64).max(1);
+        // Small tables are counted densely, one `experts`-wide row per
+        // path code and layer (`n` counts per layer), and copied into
+        // their tables after.
+        let mut dense = usize::try_from(radix[path_length - 1])
+            .ok()
+            .and_then(|codes| codes.checked_mul(experts))
+            .filter(|&n| n <= DENSE_COUNTS)
+            .map(|n| (vec![0.0f64; n * full.len()], n));
         for batch in batches {
             assert_eq!(
                 batch.experts, experts,
@@ -179,22 +193,32 @@ impl PopularityEstimator {
                 );
                 // One pass over the strided primaries, rolling the
                 // path code: before layer `i` is shifted in, `code` is
-                // `tok.path_code(i - 1, path_length, experts)`. From
-                // layer `l` on the code is full, so the primary of layer
-                // `i - l` leaves it by subtraction: the same integer as
-                // `code % oldest`, without a division.
-                let (sel, k) = (tok.selections(), tok.top_k());
+                // `tok.path_code(i - 1, path_length, experts)`.
                 let mut code = 0u64;
-                for (layer, &e) in sel.iter().step_by(k).enumerate() {
+                let primaries = tok.selections().iter().step_by(tok.top_k());
+                for (layer, &e) in primaries.enumerate() {
                     let e = usize::from(e);
                     marginals[layer][e] += 1.0;
                     if layer > 0 {
-                        full[layer - 1].row_mut(code, experts)[e] += 1.0;
+                        match &mut dense {
+                            Some((counts, n)) => {
+                                counts[(layer - 1) * *n + code as usize * experts + e] += 1.0
+                            }
+                            None => full[layer - 1].row_mut(code, experts)[e] += 1.0,
+                        }
                     }
-                    if layer >= path_length {
-                        code -= u64::from(sel[(layer - path_length) * k]) * oldest;
+                    code = code % keep * experts as u64 + e as u64;
+                }
+            }
+        }
+        // Every observed path has a nonzero count, so a zero row is a
+        // path never seen, which the table leaves out.
+        if let Some((counts, n)) = dense {
+            for (table, layer) in full.iter_mut().zip(counts.chunks_exact(n)) {
+                for (code, row) in (0u64..).zip(layer.chunks_exact(experts)) {
+                    if row.iter().any(|&c| c > 0.0) {
+                        table.row_mut(code, experts).copy_from_slice(row);
                     }
-                    code = code * experts as u64 + e as u64;
                 }
             }
         }

@@ -357,17 +357,16 @@ enum ReplicaState {
 }
 
 /// A popularity-estimator re-profiling window and the scheduler last
-/// built from it. Until its first re-profile the scheduler is the
-/// engine's shared offline one.
+/// built from it.
 struct Estimate {
     window: ReestimationWindow,
-    scheduler: Option<Arc<TwoPhaseScheduler>>,
+    scheduler: Option<TwoPhaseScheduler>,
     /// Batches pushed into the window over the run.
     observed: usize,
 }
 
 impl Estimate {
-    fn new(scheduler: Option<Arc<TwoPhaseScheduler>>, window: usize) -> Self {
+    fn new(scheduler: Option<TwoPhaseScheduler>, window: usize) -> Self {
         Estimate {
             window: ReestimationWindow::new(window),
             scheduler,
@@ -378,10 +377,7 @@ impl Estimate {
     /// Rebuilds the scheduler from the windowed batches.
     fn reprofile(&mut self, engine: &ServeEngine) {
         let estimator = self.window.profile(engine.config.path_length);
-        self.scheduler = Some(Arc::new(TwoPhaseScheduler::new(
-            engine.two_phase_config(),
-            estimator,
-        )));
+        self.scheduler = Some(TwoPhaseScheduler::new(engine.two_phase_config(), estimator));
     }
 
     /// Windows a served batch and re-profiles every `every` batches;
@@ -756,15 +752,17 @@ impl<'a> ClusterEngine<'a> {
         let (engine, cluster) = (&self.engine, &self.config);
         let config = &engine.config;
         let seeds = config.seeds();
-        let offline = engine.offline();
+        let offline = engine.offline_scheduler();
         let reload = provisioning::weight_reload(engine.cost, engine.topo, engine.spec.experts);
         // Only the capacity-aware consumers pay for the probe batch:
         // the least-expected-latency balancer and any armed autoscaler
-        // (the predictive policy sizes the pool against it).
+        // (the predictive policy sizes the pool against it). The probe
+        // plans with this run's offline profile instead of building its
+        // own.
         let per_replica_capacity = if matches!(cluster.balancer, BalancerKind::LeastExpectedLatency)
             || cluster.autoscale.is_some()
         {
-            engine.capacity()
+            engine.capacity_with(offline.as_ref())
         } else {
             0.0
         };
@@ -1611,7 +1609,7 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
             engine.cost,
             engine.topo,
             &self.infer,
-            scheduler.scheduler.as_deref(),
+            scheduler.scheduler.as_ref(),
             &batch,
             map,
             self.cluster.locality,

@@ -3,8 +3,7 @@
 //! A [`ServeEngine`] holds what every replica of a serving run shares:
 //! the cost model, topology, workload and [`ServeConfig`]. It streams
 //! the open-loop request trace (arrival process + per-request tokens),
-//! builds the offline-profiled two-phase scheduler once, on first use,
-//! for its capacity probe and every run to share, and probes a
+//! builds the offline-profiled two-phase scheduler, and probes a
 //! replica's [`capacity`](ServeEngine::capacity). It does not run:
 //! [`ClusterEngine`](crate::ClusterEngine) is the one serving loop,
 //! and a single server is its one-replica case
@@ -24,7 +23,7 @@
 //!   the stale offline profile.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use lina_baselines::InferScheme;
 use lina_core::{PopularityEstimator, TwoPhaseConfig, TwoPhaseScheduler};
@@ -250,10 +249,6 @@ pub struct ServeEngine<'a> {
     pub(crate) topo: &'a Topology,
     pub(crate) spec: &'a WorkloadSpec,
     pub(crate) config: ServeConfig,
-    /// The offline-profiled scheduler, built on first use. It depends
-    /// on nothing but the above, and nothing mutates it, so every
-    /// capacity probe and run shares the one profile.
-    offline: OnceLock<Arc<TwoPhaseScheduler>>,
 }
 
 impl<'a> ServeEngine<'a> {
@@ -284,7 +279,6 @@ impl<'a> ServeEngine<'a> {
             topo,
             spec,
             config,
-            offline: OnceLock::new(),
         }
     }
 
@@ -311,28 +305,20 @@ impl<'a> ServeEngine<'a> {
         cfg
     }
 
-    /// The offline-profiled scheduler of the schemes that plan with
-    /// one (`None` for the others), profiled on the first call.
-    pub(crate) fn offline(&self) -> Option<Arc<TwoPhaseScheduler>> {
-        self.config.scheme.needs_scheduler().then(|| {
-            let scheduler = self
-                .offline
-                .get_or_init(|| Arc::new(self.offline_scheduler()));
-            Arc::clone(scheduler)
-        })
-    }
-
-    /// Builds the offline-profiled scheduler, as the paper's profiling
-    /// stage does: training-distribution batches, no drift.
-    fn offline_scheduler(&self) -> TwoPhaseScheduler {
+    /// Builds the offline-profiled scheduler of the schemes that plan
+    /// with one (`None` for the others), as the paper's profiling stage
+    /// does: training-distribution batches, no drift.
+    pub(crate) fn offline_scheduler(&self) -> Option<TwoPhaseScheduler> {
+        if !self.config.scheme.needs_scheduler() {
+            return None;
+        }
         let devices = self.topo.devices();
-        let profile_seed = self.config.seeds().profile;
-        let mut src = TokenSource::new(self.spec, self.config.top_k, profile_seed);
+        let mut src = TokenSource::new(self.spec, self.config.top_k, self.config.seeds().profile);
         let profile: Vec<TokenBatch> = (0..8)
             .map(|_| src.sample_batch(devices, 1024, Mode::Train))
             .collect();
         let estimator = PopularityEstimator::profile(&profile, self.config.path_length);
-        TwoPhaseScheduler::new(self.two_phase_config(), estimator)
+        Some(TwoPhaseScheduler::new(self.two_phase_config(), estimator))
     }
 
     /// Streams the open-loop request trace lazily: arrival instants
@@ -369,11 +355,15 @@ impl<'a> ServeEngine<'a> {
 
     /// Upper bound on sustainable throughput (requests/s): a full batch
     /// of nominal-size requests served back-to-back with no queueing.
-    /// Load sweeps express offered load as a fraction of this. Each
-    /// call prices the probe batch afresh; only the offline profile it
-    /// plans with is shared.
+    /// Load sweeps express offered load as a fraction of this.
     pub fn capacity(&self) -> f64 {
-        let scheduler = self.offline();
+        self.capacity_with(self.offline_scheduler().as_ref())
+    }
+
+    /// [`capacity`](Self::capacity) planned with an offline scheduler
+    /// the caller already built, so a run that probes its capacity
+    /// profiles once.
+    pub(crate) fn capacity_with(&self, scheduler: Option<&TwoPhaseScheduler>) -> f64 {
         let mut source = TokenSource::new(self.spec, self.config.top_k, self.config.seeds().token);
         let per_batch = self.config.batcher.max_batch_requests;
         let tokens: Vec<TokenPath> = (0..per_batch)
@@ -392,7 +382,7 @@ impl<'a> ServeEngine<'a> {
             scheme: self.config.scheme,
             top_k: self.config.top_k,
         };
-        let plan = plan_batch(self.cost, self.topo, &infer, scheduler.as_deref(), &batch);
+        let plan = plan_batch(self.cost, self.topo, &infer, scheduler, &batch);
         let report = execute_plan_solo(&plan, &mut SoloTimer::new(self.topo));
         per_batch as f64 / report.total.as_secs_f64().max(f64::MIN_POSITIVE)
     }

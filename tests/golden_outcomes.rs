@@ -537,10 +537,9 @@ fn single_server_serve() {
 }
 
 /// One engine serves a sequence of calls exactly as a fresh engine
-/// serves each: the offline profile it builds on first use and shares
-/// with every later call never changes with a run. Lina with the
-/// least-expected-latency balancer (which probes the capacity inside
-/// the run), per-replica re-estimation and drift.
+/// serves each: no run leaves state behind that a later call reads.
+/// Lina with the least-expected-latency balancer (which probes the
+/// capacity inside the run), per-replica re-estimation and drift.
 #[test]
 fn reused_engine_matches_fresh_engines() {
     let (cost, topo, spec) = world();
