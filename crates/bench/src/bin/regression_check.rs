@@ -195,22 +195,17 @@ fn main() -> ExitCode {
             failures += 1;
         }
     }
-    // Locality-fraction trend: how much dispatch traffic the current
-    // placements keep off the wire. Informational — the gated p99 and
-    // attainment metrics already fail on regressions; these lines let
-    // CI logs track the placement quality that produced them.
+    // Trend lines: how much dispatch traffic the placements keep off
+    // the wire, and how often speculative dispatch fired, won, and
+    // what fraction of compute it burned. The values are gated above
+    // like any metric; these lines only keep their trend visible in
+    // CI logs.
     for ((id, name), value) in cur.iter() {
-        if name.contains("locality_fraction") {
-            println!("INFO  {id}/{name}: {value:.4} (informational, not gated)");
-        }
-    }
-    // Hedge and suspicion trend lines: how often speculative dispatch
-    // fired, how often it won, and what fraction of compute it burned.
-    // The values are gated above like any metric; these lines only
-    // keep their trend visible in CI logs.
-    for ((id, name), value) in cur.iter() {
-        if name.contains("hedge") || name.contains("suspicion") {
-            println!("INFO  {id}/{name}: {value:.4} (informational, not gated)");
+        if ["locality_fraction", "hedge", "suspicion"]
+            .iter()
+            .any(|k| name.contains(k))
+        {
+            println!("INFO  {id}/{name}: {value:.4} (trend; gated above)");
         }
     }
     // Wall-clock throughput trend, per scenario: informational only,

@@ -27,7 +27,7 @@
 //!   hysteresis (distinct up/down thresholds) and a cooldown;
 //! * [`AutoscalePolicyKind::Predictive`] — a least-squares trend
 //!   forecast of the arrival rate over a sliding observation window
-//!   (a [`ReestimationWindow`](crate::engine)-style history), sized to
+//!   (a history like the popularity re-estimation window), sized to
 //!   land capacity *before* the forecast load arrives.
 //!
 //! Every policy is deterministic: decisions are pure functions of the

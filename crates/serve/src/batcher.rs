@@ -3,9 +3,9 @@
 //! Requests queue FIFO; a batch dispatches as soon as either
 //! `max_batch_requests` requests are waiting or the oldest queued
 //! request has waited `max_wait` (the standard size-or-timeout dynamic
-//! batching rule). Dispatch additionally waits for the single model
-//! server to free up, and a dispatch forming *after* the timeout (e.g.
-//! because the server was busy) greedily takes every queued request up
+//! batching rule). Dispatch additionally waits for a free dispatch slot
+//! on its replica, and a dispatch forming *after* the timeout (e.g.
+//! because every slot was busy) greedily takes every queued request up
 //! to the size cap, so batches run full under backlog.
 
 use lina_simcore::{SimDuration, SimTime};
@@ -44,8 +44,8 @@ pub struct Dispatch {
 }
 
 /// The dispatch-decision core of the dynamic batcher. It is a pure
-/// function of the (sorted) arrival trace, so the serving engine and
-/// the property tests share one implementation.
+/// function of the (sorted) waiting admissions, so the cluster event
+/// loop and the property tests share one implementation.
 #[derive(Clone, Debug)]
 pub struct Batcher {
     config: BatcherConfig,
@@ -62,48 +62,41 @@ impl Batcher {
         Batcher { config }
     }
 
-    /// The configured knobs.
-    pub fn config(&self) -> &BatcherConfig {
-        &self.config
-    }
-
-    /// Plans the next dispatch: `arrivals` is the full sorted arrival
-    /// trace, `next` the index of the first undispatched request, and
-    /// `server_free` the instant the model server becomes available.
-    /// Returns `None` once every request has been dispatched.
+    /// Plans the next dispatch: `waiting` yields the admission instants
+    /// of the undispatched requests, oldest first (ascending), and
+    /// `slot_free` is the instant the replica's next dispatch slot
+    /// opens. Reads at most `max_batch_requests` instants. Returns
+    /// `None` when nothing is waiting.
     ///
     /// The returned batch always contains at least one request, never
     /// more than `max_batch_requests`, and only requests that have
     /// arrived by the dispatch instant.
     pub fn next_dispatch(
         &self,
-        arrivals: &[SimTime],
-        next: usize,
-        server_free: SimTime,
+        waiting: impl IntoIterator<Item = SimTime>,
+        slot_free: SimTime,
     ) -> Option<Dispatch> {
-        if next >= arrivals.len() {
-            return None;
-        }
-        let oldest = arrivals[next];
+        let cap = self.config.max_batch_requests;
+        let mut waiting = waiting.into_iter();
+        let oldest = waiting.next()?;
         // The batch cannot leave before the oldest request exists nor
-        // while the server is busy.
-        let earliest = oldest.max(server_free);
+        // while every slot is busy.
+        let earliest = oldest.max(slot_free);
         // Timeout rule: the oldest request waits at most max_wait
-        // (longer only if the server is still busy then).
-        let deadline = (oldest + self.config.max_wait).max(server_free);
+        // (longer only if no slot is free by then).
+        let deadline = (oldest + self.config.max_wait).max(slot_free);
         // Size rule: if the batch fills before the deadline, go at the
-        // filling arrival (or as soon as the server frees up).
-        let fill = next + self.config.max_batch_requests - 1;
-        let at = match arrivals.get(fill) {
-            Some(&kth) if kth <= deadline => kth.max(earliest),
-            _ => deadline,
+        // filling arrival (or as soon as a slot frees up). The instants
+        // ascend, so the requests waiting by the deadline are a prefix.
+        let (count, last) = waiting
+            .take(cap - 1)
+            .take_while(|&a| a <= deadline)
+            .fold((1, oldest), |(n, _), a| (n + 1, a));
+        let at = if count == cap {
+            last.max(earliest)
+        } else {
+            deadline
         };
-        let count = arrivals[next..]
-            .iter()
-            .take(self.config.max_batch_requests)
-            .filter(|&&a| a <= at)
-            .count();
-        debug_assert!(count >= 1, "oldest arrival is always <= dispatch instant");
         Some(Dispatch { at, count })
     }
 }
@@ -126,10 +119,8 @@ mod tests {
     #[test]
     fn dispatches_when_full() {
         let b = batcher(3, 100);
-        let arrivals = vec![ms(1), ms(2), ms(3), ms(50)];
-        let d = b
-            .next_dispatch(&arrivals, 0, SimTime::ZERO)
-            .expect("pending");
+        let arrivals = [ms(1), ms(2), ms(3), ms(50)];
+        let d = b.next_dispatch(arrivals, SimTime::ZERO).expect("pending");
         assert_eq!(
             d,
             Dispatch {
@@ -142,10 +133,8 @@ mod tests {
     #[test]
     fn dispatches_partial_on_timeout() {
         let b = batcher(8, 10);
-        let arrivals = vec![ms(1), ms(5), ms(100)];
-        let d = b
-            .next_dispatch(&arrivals, 0, SimTime::ZERO)
-            .expect("pending");
+        let arrivals = [ms(1), ms(5), ms(100)];
+        let d = b.next_dispatch(arrivals, SimTime::ZERO).expect("pending");
         assert_eq!(
             d,
             Dispatch {
@@ -158,10 +147,10 @@ mod tests {
     #[test]
     fn busy_server_delays_and_fills_the_batch() {
         let b = batcher(4, 10);
-        let arrivals = vec![ms(1), ms(5), ms(20), ms(30), ms(300)];
+        let arrivals = [ms(1), ms(5), ms(20), ms(30), ms(300)];
         // Server busy until t=40: the deadline passes while busy, and by
         // t=40 four requests are queued, so the batch leaves full.
-        let d = b.next_dispatch(&arrivals, 0, ms(40)).expect("pending");
+        let d = b.next_dispatch(arrivals, ms(40)).expect("pending");
         assert_eq!(
             d,
             Dispatch {
@@ -174,19 +163,19 @@ mod tests {
     #[test]
     fn takes_at_most_the_size_cap() {
         let b = batcher(2, 1000);
-        let arrivals = vec![ms(1), ms(1), ms(1), ms(1)];
-        let d = b
-            .next_dispatch(&arrivals, 0, SimTime::ZERO)
-            .expect("pending");
+        let arrivals = [ms(1), ms(1), ms(1), ms(1)];
+        let d = b.next_dispatch(arrivals, SimTime::ZERO).expect("pending");
         assert_eq!(d.count, 2);
-        let d2 = b.next_dispatch(&arrivals, 2, d.at).expect("pending");
+        let d2 = b
+            .next_dispatch(arrivals[2..].iter().copied(), d.at)
+            .expect("pending");
         assert_eq!(d2.count, 2);
     }
 
     #[test]
     fn exhausted_queue_returns_none() {
         let b = batcher(2, 1);
-        assert!(b.next_dispatch(&[ms(1)], 1, SimTime::ZERO).is_none());
+        assert!(b.next_dispatch([], SimTime::ZERO).is_none());
     }
 
     #[test]

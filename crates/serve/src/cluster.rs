@@ -65,7 +65,7 @@
 //! reproduced bit for bit.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -79,7 +79,7 @@ use lina_workload::{TokenBatch, WorkloadSpec};
 use crate::autoscale::{AutoscaleConfig, AutoscaleRuntime, ScaleDecision};
 use crate::balancer::{BalancerKind, ReplicaSnapshot};
 use crate::batcher::{Batcher, Dispatch};
-use crate::engine::{ReestimationWindow, ServeConfig, ServeEngine};
+use crate::engine::{ServeConfig, ServeEngine};
 use crate::faults::{Degradation, FaultEvent, FaultKind, FaultPlan, RecoveryClock};
 use crate::health::{
     is_hedge, DetectorKind, HealthConfig, HealthMonitor, HedgeConfig, HedgeRuntime,
@@ -89,7 +89,7 @@ use crate::request::{Request, RequestRecord};
 use crate::resharding::{ReshardConfig, ReshardRuntime};
 use crate::slo::{FailureRecord, RequestOutcome, SloTracker};
 
-use lina_core::TwoPhaseScheduler;
+use lina_core::{PopularityEstimator, TwoPhaseScheduler};
 
 /// How the estimating schemes pool online observations across
 /// replicas: the two topologies compare the value of pooling under
@@ -359,16 +359,23 @@ enum ReplicaState {
 /// A popularity-estimator re-profiling window and the scheduler last
 /// built from it.
 struct Estimate {
-    window: ReestimationWindow,
+    /// The most recently served batches, oldest first, at most `cap`.
+    /// Each is shared with the flight that dispatched it, so windowing
+    /// a batch copies no token. Flushed whenever the shard map changes
+    /// (device loss, recovery, re-sharding): samples observed under the
+    /// old placement would otherwise blend into the new profile.
+    window: VecDeque<Arc<TokenBatch>>,
+    cap: usize,
     scheduler: Option<TwoPhaseScheduler>,
     /// Batches pushed into the window over the run.
     observed: usize,
 }
 
 impl Estimate {
-    fn new(scheduler: Option<TwoPhaseScheduler>, window: usize) -> Self {
+    fn new(scheduler: Option<TwoPhaseScheduler>, cap: usize) -> Self {
         Estimate {
-            window: ReestimationWindow::new(window),
+            window: VecDeque::new(),
+            cap,
             scheduler,
             observed: 0,
         }
@@ -376,14 +383,20 @@ impl Estimate {
 
     /// Rebuilds the scheduler from the windowed batches.
     fn reprofile(&mut self, engine: &ServeEngine) {
-        let estimator = self.window.profile(engine.config.path_length);
+        let estimator = PopularityEstimator::profile(
+            self.window.iter().map(Arc::as_ref),
+            engine.config.path_length,
+        );
         self.scheduler = Some(TwoPhaseScheduler::new(engine.two_phase_config(), estimator));
     }
 
     /// Windows a served batch and re-profiles every `every` batches;
     /// true when it did.
     fn observe(&mut self, batch: Arc<TokenBatch>, every: usize, engine: &ServeEngine) -> bool {
-        self.window.push(batch);
+        self.window.push_back(batch);
+        if self.window.len() > self.cap {
+            self.window.pop_front();
+        }
         self.observed += 1;
         let due = self.observed.is_multiple_of(every);
         if due {
@@ -431,28 +444,19 @@ impl Flight {
 
 /// One replica's mutable state inside the event loop.
 struct Replica {
-    /// Admission instants of requests routed here, ascending (routing
-    /// happens in global time order; a re-admitted request's entry is
-    /// its re-admission instant, not its original arrival).
-    arrivals: Vec<SimTime>,
-    /// The routed requests, parallel to `arrivals`.
-    queue: Vec<Request>,
-    /// Prior displacement count per routed request, parallel to
-    /// `arrivals` (0 = first attempt).
-    attempts: Vec<u32>,
-    /// Routing ordinal on this replica per routed request, parallel to
-    /// `arrivals` (ascending: requests are appended in routing order
-    /// and every removal keeps the order).
-    ordinals: Vec<usize>,
+    /// The undispatched requests routed here, FIFO, each with its
+    /// routing ordinal on this replica. Both the ordinals and the
+    /// admission instants ascend: routing happens in global time order
+    /// and every removal keeps the order. (A re-admitted request's
+    /// instant is its re-admission, not its original arrival.)
+    queue: VecDeque<(usize, Admission)>,
     /// Timeout deadlines of routed requests as `(deadline, ordinal)`, a
     /// min-heap with lazy deletion: an entry whose request left the
-    /// undispatched tail (dispatched, expired or displaced) is dropped
-    /// when it surfaces. Empty without a timeout policy. A re-admitted
-    /// request keeps its original arrival, so deadlines are not sorted
-    /// in queue order.
+    /// queue (dispatched, expired or displaced) is dropped when it
+    /// surfaces. Empty without a timeout policy. A re-admitted request
+    /// keeps its original arrival, so deadlines are not sorted in queue
+    /// order.
     deadlines: BinaryHeap<Reverse<(SimTime, usize)>>,
-    /// Index of the first request not yet in a finalized dispatch.
-    next: usize,
     /// Executes this replica's in-flight batches under the configured
     /// network mode.
     executor: ReplicaExecutor,
@@ -494,12 +498,8 @@ impl Replica {
         ready_at: SimTime,
     ) -> Self {
         Replica {
-            arrivals: Vec::new(),
-            queue: Vec::new(),
-            attempts: Vec::new(),
-            ordinals: Vec::new(),
+            queue: VecDeque::new(),
             deadlines: BinaryHeap::new(),
-            next: 0,
             executor,
             slot_free: ready_at,
             queued_tokens: 0,
@@ -540,7 +540,7 @@ impl Replica {
     /// The earliest timeout deadline among the undispatched requests.
     fn next_deadline(&mut self) -> Option<SimTime> {
         while let Some(&Reverse((deadline, ordinal))) = self.deadlines.peek() {
-            if self.ordinals[self.next..].binary_search(&ordinal).is_ok() {
+            if self.queue.binary_search_by_key(&ordinal, |q| q.0).is_ok() {
                 return Some(deadline);
             }
             self.deadlines.pop();
@@ -550,33 +550,23 @@ impl Replica {
 
     /// Moves every undispatched request whose deadline (`arrival +
     /// timeout`) is at or before `now` into `expired` with its
-    /// deadline, in queue order, in one compaction pass.
+    /// deadline, in queue order, in one rotation through the queue.
     fn expire(
         &mut self,
         now: SimTime,
         timeout: SimDuration,
         expired: &mut Vec<(Request, SimTime)>,
     ) {
-        let mut kept = self.next;
-        for k in self.next..self.queue.len() {
-            let slot = &mut self.queue[k];
-            let deadline = slot.arrival + timeout;
+        for _ in 0..self.queue.len() {
+            let entry = self.queue.pop_front().expect("counted above");
+            let deadline = entry.1.req.arrival + timeout;
             if deadline <= now {
-                self.queued_tokens -= slot.tokens.len();
-                let tokens = std::mem::take(&mut slot.tokens);
-                expired.push((Request { tokens, ..*slot }, deadline));
+                self.queued_tokens -= entry.1.req.len();
+                expired.push((entry.1.req, deadline));
             } else {
-                self.queue.swap(kept, k);
-                self.arrivals[kept] = self.arrivals[k];
-                self.attempts[kept] = self.attempts[k];
-                self.ordinals[kept] = self.ordinals[k];
-                kept += 1;
+                self.queue.push_back(entry);
             }
         }
-        self.queue.truncate(kept);
-        self.arrivals.truncate(kept);
-        self.attempts.truncate(kept);
-        self.ordinals.truncate(kept);
     }
 
     /// Updates the fault factors, then pushes their link product to the
@@ -611,7 +601,7 @@ impl Replica {
     /// nothing in flight; cost accrual stops at `at`.
     fn retire_if_idle(&mut self, at: SimTime) {
         if self.state == ReplicaState::Draining
-            && self.next == self.queue.len()
+            && self.queue.is_empty()
             && self.executor.in_flight() == 0
         {
             self.state = ReplicaState::Retired(at);
@@ -636,7 +626,7 @@ impl Replica {
             },
             draining: self.state == ReplicaState::Draining,
             provisioning: self.is_up() && now < self.ready_at,
-            queued_requests: self.queue.len() - self.next,
+            queued_requests: self.queue.len(),
             queued_tokens: self.queued_tokens,
             in_flight_tokens: self.executor.in_flight_tokens(),
             server_free: self.executor.busy_until().unwrap_or(SimTime::ZERO),
@@ -648,7 +638,8 @@ impl Replica {
 /// One admission: a request's first arrival (pulled lazily from the
 /// trace stream) or a re-admission waiting in the retry queue after
 /// displacement. The retry [`EventQueue`] orders by `(at, push order)`;
-/// the stream wins ties against it.
+/// the stream wins ties against it. Once routed, the admission waits in
+/// its replica's queue until it is dispatched, expires or is displaced.
 struct Admission {
     at: SimTime,
     attempts: u32,
@@ -942,9 +933,21 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
         if let Some(e) = self.cluster.faults.schedule.events().get(self.next_fault) {
             consider(&mut best, e.at, Step::Fault);
         }
+        let max_inflight = self.engine.config.max_inflight;
+        // `consider` keeps the strict minimum of a total order, so one
+        // pass over the replicas picks the same step in any order.
         for (i, rep) in self.replicas.iter_mut().enumerate() {
             if let Some(t) = rep.executor.next_event() {
                 consider(&mut best, t, Step::Executor(i, t));
+            }
+            if rep.is_up() && rep.primaries_in_flight() < max_inflight {
+                let waiting = rep.queue.iter().map(|q| q.1.at);
+                if let Some(d) = self.batcher.next_dispatch(waiting, rep.slot_free) {
+                    consider(&mut best, d.at, Step::Dispatch(i, d));
+                }
+            }
+            if let Some(deadline) = rep.next_deadline() {
+                consider(&mut best, deadline, Step::Timeout(deadline));
             }
         }
         // Hedge timers never drive the loop alone: one only exists
@@ -960,23 +963,6 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
             (a, b) => a.or(b),
         } {
             consider(&mut best, at, Step::Admit);
-        }
-        let max_inflight = self.engine.config.max_inflight;
-        for (i, rep) in self.replicas.iter().enumerate() {
-            if !rep.is_up() || rep.primaries_in_flight() >= max_inflight {
-                continue;
-            }
-            if let Some(d) = self
-                .batcher
-                .next_dispatch(&rep.arrivals, rep.next, rep.slot_free)
-            {
-                consider(&mut best, d.at, Step::Dispatch(i, d));
-            }
-        }
-        for rep in &mut self.replicas {
-            if let Some(deadline) = rep.next_deadline() {
-                consider(&mut best, deadline, Step::Timeout(deadline));
-            }
         }
         // Control and re-shard ticks recur forever, so one never
         // drives the loop on its own: the controllers only observe
@@ -1078,15 +1064,9 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
             }
         }
         let rep = &mut self.replicas[i];
-        // Drain the undispatched tail by move — a displaced request's
-        // token paths travel to the retry queue without a deep clone.
-        displaced.extend(
-            rep.queue
-                .drain(rep.next..)
-                .zip(rep.attempts.drain(rep.next..)),
-        );
-        rep.arrivals.truncate(rep.next);
-        rep.ordinals.truncate(rep.next);
+        // Drain the queue by move — a displaced request's token paths
+        // travel to the retry queue without a deep clone.
+        displaced.extend(rep.queue.drain(..).map(|(_, a)| (a.req, a.attempts)));
         rep.queued_tokens = 0;
         // A request displaced again leaves its older recovery group
         // (in id order) before the crash opens the new one.
@@ -1403,13 +1383,10 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
         if let Some(to) = policy.request_timeout {
             rep.deadlines.push(Reverse((adm.req.arrival + to, ordinal)));
         }
-        rep.ordinals.push(ordinal);
         self.out.requests_per_replica[target] += 1;
         self.out.tokens_per_replica[target] += adm.req.tokens.len();
-        rep.arrivals.push(now);
         rep.queued_tokens += adm.req.tokens.len();
-        rep.attempts.push(adm.attempts);
-        rep.queue.push(adm.req);
+        rep.queue.push_back((ordinal, adm));
     }
 
     /// Fires the replica's executor events at `t`; completions free
@@ -1564,19 +1541,18 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
         // member with its tokens, copied back from the flight. Each
         // request's own token buffer is freed here, so token memory
         // follows the live backlog and flights, not the run length.
-        let span = rep.next..rep.next + d.count;
-        let batch_tokens: usize = rep.queue[span.clone()].iter().map(Request::len).sum();
+        let batch_tokens: usize = rep.queue.range(..d.count).map(|q| q.1.req.len()).sum();
         let mut tokens = Vec::with_capacity(batch_tokens);
-        let members: Vec<Member> = rep.queue[span.clone()]
-            .iter_mut()
-            .zip(&rep.attempts[span])
-            .map(|(r, &attempts)| {
+        let members: Vec<Member> = rep
+            .queue
+            .drain(..d.count)
+            .map(|(_, mut adm)| {
                 let start = tokens.len();
-                tokens.append(&mut std::mem::take(&mut r.tokens));
+                tokens.append(&mut adm.req.tokens);
                 Member {
-                    id: r.id,
-                    arrival: r.arrival,
-                    attempts,
+                    id: adm.req.id,
+                    arrival: adm.req.arrival,
+                    attempts: adm.attempts,
                     tokens: start..tokens.len(),
                 }
             })
@@ -1586,12 +1562,10 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
             devices: engine.topo.devices(),
             experts: engine.spec.experts,
         });
-        let backlog = rep.arrivals[rep.next + d.count..]
-            .iter()
-            .filter(|&&a| a <= d.at)
-            .count();
+        // Admission instants ascend, so the requests already waiting
+        // behind the batch are a prefix of what is left.
+        let backlog = rep.queue.partition_point(|q| q.1.at <= d.at);
         rep.queued_tokens -= batch_tokens;
-        rep.next += d.count;
         let scheduler = match self.cluster.sharing {
             EstimatorSharing::Shared => &self.shared,
             EstimatorSharing::PerReplica => &self.replicas[i].estimate,
@@ -1716,7 +1690,8 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
             "every committed batch must complete or abort"
         );
         for rep in &self.replicas {
-            assert_eq!(rep.queue.len(), rep.next, "queued requests left behind");
+            assert!(rep.queue.is_empty(), "queued requests left behind");
+            assert_eq!(rep.queued_tokens, 0, "queued tokens left behind");
         }
         // Conservation: each first arrival pulled from the stream
         // reached a terminal outcome, and `on_terminal` already proved
@@ -2101,6 +2076,73 @@ mod tests {
                 f.id
             );
         }
+    }
+
+    /// `Replica::{next_deadline, expire}` on a queue whose ring buffer
+    /// has wrapped: three dispatched entries left the front, then
+    /// re-admissions with older original arrivals joined the back, so
+    /// deadlines are unsorted in queue order and the heap holds stale
+    /// entries for the dispatched ordinals.
+    #[test]
+    fn timeouts_walk_a_wrapped_queue_in_order() {
+        let (_, topo, _) = world();
+        let executor =
+            ReplicaExecutor::new_shared(lina_runner::NetworkMode::Solo, Arc::new(topo), false);
+        let mut rep = Replica::new(
+            executor,
+            Estimate::new(None, 8),
+            SimTime::ZERO,
+            SimTime::ZERO,
+        );
+        let timeout = SimDuration::from_millis(10);
+        let token = lina_workload::TokenPath::new(0, 1, Box::new([0, 1, 2]));
+        // Admits `ordinal` at `at` ms with its original arrival at
+        // `arrival` ms and `ordinal + 1` tokens, as `admit` routes it.
+        let admit = |rep: &mut Replica, ordinal: usize, at: u64, arrival: u64| {
+            let req = Request {
+                id: 100 + ordinal,
+                arrival: SimTime::from_millis(arrival),
+                tokens: vec![token.clone(); ordinal + 1],
+            };
+            rep.deadlines
+                .push(Reverse((req.arrival + timeout, ordinal)));
+            rep.queued_tokens += req.len();
+            let attempts = u32::from(at != arrival);
+            let at = SimTime::from_millis(at);
+            rep.queue
+                .push_back((ordinal, Admission { at, attempts, req }));
+        };
+        for ordinal in 0..4 {
+            admit(&mut rep, ordinal, ordinal as u64, ordinal as u64);
+        }
+        for (_, adm) in rep.queue.drain(..3) {
+            rep.queued_tokens -= adm.req.len();
+        }
+        admit(&mut rep, 4, 4, 1);
+        admit(&mut rep, 5, 5, 5);
+        admit(&mut rep, 6, 6, 2);
+        let (_, back) = rep.queue.as_slices();
+        assert!(!back.is_empty(), "the ring buffer wrapped");
+        let ms = SimTime::from_millis;
+        // The stale (10, 0) and (11, 1) surface first and are dropped.
+        assert_eq!(rep.next_deadline(), Some(ms(11)));
+
+        let mut expired = Vec::new();
+        rep.expire(ms(12), timeout, &mut expired);
+        let gone: Vec<(usize, SimTime)> = expired.iter().map(|(r, d)| (r.id, *d)).collect();
+        assert_eq!(gone, [(104, ms(11)), (106, ms(12))], "queue order");
+        let left: Vec<usize> = rep.queue.iter().map(|q| q.0).collect();
+        assert_eq!(left, [3, 5], "survivors keep their order");
+        assert_eq!(rep.queued_tokens, 4 + 6);
+        assert_eq!(rep.next_deadline(), Some(ms(13)));
+
+        expired.clear();
+        rep.expire(ms(15), timeout, &mut expired);
+        let gone: Vec<usize> = expired.iter().map(|(r, _)| r.id).collect();
+        assert_eq!(gone, [103, 105]);
+        assert!(rep.queue.is_empty());
+        assert_eq!(rep.queued_tokens, 0);
+        assert_eq!(rep.next_deadline(), None);
     }
 
     #[test]

@@ -22,9 +22,6 @@
 //!   rebuilt, so placement follows the drifted distribution instead of
 //!   the stale offline profile.
 
-use std::collections::VecDeque;
-use std::sync::Arc;
-
 use lina_baselines::InferScheme;
 use lina_core::{PopularityEstimator, TwoPhaseConfig, TwoPhaseScheduler};
 use lina_model::CostModel;
@@ -191,53 +188,6 @@ impl ServeConfig {
             );
         }
         assert!(self.max_inflight > 0, "serve: max_inflight must be > 0");
-    }
-}
-
-/// Sliding window of recently served batches feeding online
-/// re-profiling. Evicting the oldest batch is O(1) (`VecDeque`), so a
-/// long run with a large window stays linear in batches dispatched.
-/// It shares each batch with the flight that dispatched it, so
-/// windowing a batch copies no token.
-pub(crate) struct ReestimationWindow {
-    batches: VecDeque<Arc<TokenBatch>>,
-    cap: usize,
-}
-
-impl ReestimationWindow {
-    /// An empty window holding at most `cap` batches.
-    pub(crate) fn new(cap: usize) -> Self {
-        ReestimationWindow {
-            batches: VecDeque::new(),
-            cap,
-        }
-    }
-
-    /// Pushes a served batch, evicting the oldest past the cap.
-    pub(crate) fn push(&mut self, batch: Arc<TokenBatch>) {
-        self.batches.push_back(batch);
-        if self.batches.len() > self.cap {
-            self.batches.pop_front();
-        }
-    }
-
-    /// Re-profiles a popularity estimator from the windowed batches.
-    pub(crate) fn profile(&self, path_length: usize) -> PopularityEstimator {
-        PopularityEstimator::profile(self.batches.iter().map(Arc::as_ref), path_length)
-    }
-
-    /// No batches observed yet (an emergency re-placement has nothing
-    /// to re-profile from).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.batches.is_empty()
-    }
-
-    /// Drops every windowed batch. Called when the shard map changes
-    /// (re-placement, recovery, re-sharding): samples observed under
-    /// the old placement would otherwise blend into post-placement
-    /// cost estimates.
-    pub(crate) fn clear(&mut self) {
-        self.batches.clear();
     }
 }
 

@@ -312,11 +312,11 @@ fn adversarial_arrivals(meta: &mut Rng, n: usize, max_wait: SimDuration) -> Vec<
 }
 
 /// `Batcher::next_dispatch` invariants over adversarial traces — the
-/// contract both the single-server loop and the K-server cluster loop
-/// lean on: every request dispatched exactly once as a FIFO prefix,
-/// batches never exceed the cap, a dispatch never precedes its oldest
-/// member's arrival or the server freeing up, and every member has
-/// arrived by the dispatch instant.
+/// contract the cluster event loop leans on for every replica's queue:
+/// every request dispatched exactly once as a FIFO prefix, batches
+/// never exceed the cap, a dispatch never precedes its oldest member's
+/// arrival or a dispatch slot freeing up, and every member has arrived
+/// by the dispatch instant.
 #[test]
 fn batcher_dispatch_invariants_under_adversarial_traces() {
     let mut meta = Rng::new(0xBA7C4);
@@ -337,7 +337,7 @@ fn batcher_dispatch_invariants_under_adversarial_traces() {
         let mut server_free = SimTime::ZERO;
         let mut next = 0usize;
         let mut dispatches = Vec::new();
-        while let Some(d) = batcher.next_dispatch(&arrivals, next, server_free) {
+        while let Some(d) = batcher.next_dispatch(arrivals[next..].iter().copied(), server_free) {
             assert!(d.count >= 1, "round {round}: empty batch");
             assert!(
                 d.count <= cap,
