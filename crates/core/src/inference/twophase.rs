@@ -159,13 +159,6 @@ impl TwoPhaseScheduler {
         }
     }
 
-    /// The placement used when no estimate exists (first `l` layers, or
-    /// the w/o-estimation ablation before its reactive scheduling):
-    /// the static one-expert-per-device baseline.
-    pub fn default_placement(&self, experts: usize) -> ExpertPlacement {
-        ExpertPlacement::one_per_device(experts, self.config.devices)
-    }
-
     /// Reactive scheduling from the actual routing (the w/o-estimation
     /// ablation): always blocks for the full schedule time.
     pub fn schedule_from_actual(&self, actual: &LayerRouting) -> ExpertPlacement {
@@ -295,12 +288,5 @@ mod tests {
             rates[1]
         );
         assert!(rates[1] < 0.8, "l=3 fine-tune rate {} too high", rates[1]);
-    }
-
-    #[test]
-    fn default_placement_is_static() {
-        let (s, _) = scheduler(3);
-        let p = s.default_placement(16);
-        assert_eq!(p.total_replicas(), 16);
     }
 }

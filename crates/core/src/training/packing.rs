@@ -103,24 +103,6 @@ impl PackingController {
             dram_offloading,
         }
     }
-
-    /// Runs the full iterative search offline given a measurement
-    /// function (our reproduction of the 10-step warm-up + adjust-every-
-    /// four-steps loop): `measure(experts_per_device)` returns the
-    /// micro-op observation under that packing.
-    pub fn search(
-        &mut self,
-        cost: &CostModel,
-        topo: &Topology,
-        mut measure: impl FnMut(usize) -> PackingObservation,
-    ) -> PackingPlan {
-        loop {
-            let obs = measure(self.experts_per_device);
-            if self.decide(obs) == PackingDecision::Keep {
-                return self.plan(cost, topo);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -177,20 +159,6 @@ mod tests {
             }),
             PackingDecision::Keep
         );
-    }
-
-    #[test]
-    fn search_converges_with_doubling_ffn_cost() {
-        // FFN micro-op time doubles with packing; crosses a2a at 4.
-        let cost = CostModel::new(DeviceSpec::a100(), MoeModelConfig::transformer_xl(12, 16));
-        let topo = Topology::new(ClusterSpec::paper_testbed());
-        let mut c = PackingController::new(16);
-        let plan = c.search(&cost, &topo, |epd| PackingObservation {
-            ffn_micro: ms(0.6 * epd as f64),
-            a2a_micro: ms(2.0),
-        });
-        assert_eq!(plan.experts_per_device, 4);
-        assert!(plan.placement.is_complete());
     }
 
     #[test]

@@ -26,7 +26,7 @@ use lina_simcore::{Rng, SimDuration, SpanKind};
 use crate::config::{BatchShape, MoeModelConfig};
 use crate::cost::CostModel;
 use crate::graph::{CommClass, CommMeta, OpGraph, OpId};
-use crate::routing::{assign_replicas, DispatchPlan, ExpertPlacement, LayerRouting};
+use crate::routing::{assign_replicas, transpose, DispatchPlan, ExpertPlacement, LayerRouting};
 
 /// How non-expert gradients travel through allreduce.
 #[derive(Clone, Copy, Debug)]
@@ -520,17 +520,6 @@ impl<'a> StepBuilder<'a> {
         }
         self.graph
     }
-}
-
-fn transpose(m: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    let n = m.len();
-    let mut out = vec![vec![0.0; n]; n];
-    for (i, row) in m.iter().enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            out[j][i] = v;
-        }
-    }
-    out
 }
 
 /// Builds the op graph of one training step.

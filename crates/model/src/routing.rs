@@ -102,13 +102,6 @@ impl LayerRouting {
             max as f64 / min as f64
         }
     }
-
-    /// Experts ordered by descending popularity (ties by index).
-    pub fn ranked_experts(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.experts).collect();
-        idx.sort_by_key(|&e| (std::cmp::Reverse(self.tokens_to_expert(e)), e));
-        idx
-    }
 }
 
 /// Which devices host (replicas of) which experts.
@@ -354,12 +347,6 @@ impl LayeredPlacement {
         &mut self.layers
     }
 
-    /// True when every layer shares one identical map (the historical
-    /// shape the bit-identity contract pins).
-    pub fn is_uniform(&self) -> bool {
-        self.layers.windows(2).all(|w| w[0] == w[1])
-    }
-
     /// True if every expert has a host on every layer.
     pub fn is_complete(&self) -> bool {
         self.layers.iter().all(ExpertPlacement::is_complete)
@@ -390,21 +377,20 @@ impl DispatchPlan {
             .map(|row| row.iter().map(|&c| c as f64 * bytes_per_token).collect())
             .collect()
     }
+}
 
-    /// Total selections crossing devices (excluding local dispatch).
-    pub fn remote_selections(&self) -> usize {
-        self.sizes
-            .iter()
-            .enumerate()
-            .map(|(s, row)| {
-                row.iter()
-                    .enumerate()
-                    .filter(|&(d, _)| d != s)
-                    .map(|(_, &c)| c)
-                    .sum::<usize>()
-            })
-            .sum()
+/// The transpose of a square matrix: `out[j][i] = m[i][j]`. A
+/// dispatch's [`DispatchPlan::sizes`] transposed is its combine
+/// all-to-all.
+pub fn transpose<T: Copy + Default>(m: &[Vec<T>]) -> Vec<Vec<T>> {
+    let n = m.len();
+    let mut out = vec![vec![T::default(); n]; n];
+    for (i, row) in m.iter().enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            out[j][i] = v;
+        }
     }
+    out
 }
 
 /// Assigns each (device, expert) token count to a replica of the expert:
@@ -555,13 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn ranked_experts_order() {
-        let mut r = LayerRouting::empty(1, 3);
-        r.counts[0] = vec![5, 20, 10];
-        assert_eq!(r.ranked_experts(), vec![1, 2, 0]);
-    }
-
-    #[test]
     fn one_per_device_placement() {
         let p = ExpertPlacement::one_per_device(4, 16);
         assert!(p.is_complete());
@@ -610,7 +589,9 @@ mod tests {
         let p = ExpertPlacement::packed(2, &topo, 2);
         let r = LayerRouting::balanced(2, 2, 512, 2);
         let plan = assign_replicas(&r, &p, &topo);
-        assert_eq!(plan.remote_selections(), 0);
+        for (s, row) in plan.sizes.iter().enumerate() {
+            assert!(row.iter().enumerate().all(|(d, &c)| d == s || c == 0));
+        }
     }
 
     #[test]
@@ -666,7 +647,9 @@ mod tests {
         // Every device hosts every expert: nothing should move.
         let r = LayerRouting::balanced(16, 16, 128, 2);
         let plan = assign_replicas(&r, &p, &topo);
-        assert_eq!(plan.remote_selections(), 0);
+        for (s, row) in plan.sizes.iter().enumerate() {
+            assert!(row.iter().enumerate().all(|(d, &c)| d == s || c == 0));
+        }
     }
 
     #[test]
@@ -776,7 +759,6 @@ mod tests {
         let lp = LayeredPlacement::uniform(base.clone(), 6);
         assert_eq!(lp.n_layers(), 6);
         assert_eq!(lp.experts(), 4);
-        assert!(lp.is_uniform());
         assert!(lp.is_complete());
         for l in 0..6 {
             assert_eq!(lp.layer(l), &base);
@@ -791,7 +773,7 @@ mod tests {
         let lp = LayeredPlacement::from_layers(vec![a.clone(), b.clone()]);
         assert_eq!(lp.layer(0), &a);
         assert_eq!(lp.layer(1), &b);
-        assert!(!lp.is_uniform());
+        assert_ne!(lp.layer(0), lp.layer(1));
     }
 
     #[test]

@@ -16,7 +16,9 @@
 
 use lina_baselines::InferScheme;
 use lina_core::{PhaseOne, PhaseTwo, TwoPhaseScheduler};
-use lina_model::{assign_replicas, CostModel, ExpertPlacement, LayerRouting, LayeredPlacement};
+use lina_model::{
+    assign_replicas, transpose, CostModel, ExpertPlacement, LayerRouting, LayeredPlacement,
+};
 use lina_netsim::{AllToAllAlgo, CollectiveSpec, DeviceId, Topology};
 use lina_simcore::SimDuration;
 use lina_workload::TokenBatch;
@@ -177,17 +179,6 @@ pub(crate) fn a2a_spec(
         sizes: byte_sizes,
         algo: AllToAllAlgo::Flat,
     })
-}
-
-pub(crate) fn transpose_counts(m: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let n = m.len();
-    let mut out = vec![vec![0usize; n]; n];
-    for (i, row) in m.iter().enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            out[j][i] = v;
-        }
-    }
-    out
 }
 
 /// Lowers one batch under the scheme; `scheduler` is required for the
@@ -433,11 +424,7 @@ pub fn plan_batch_layered(
             compute.push(t);
         }
 
-        let combine_a2a = a2a_spec(
-            topo,
-            &transpose_counts(&dispatch_plan.sizes),
-            model.token_bytes(),
-        );
+        let combine_a2a = a2a_spec(topo, &transpose(&dispatch_plan.sizes), model.token_bytes());
 
         // Phase one for the next layer starts as soon as this layer's
         // gate fixed the token paths; the budget overlaps everything

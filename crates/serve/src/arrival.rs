@@ -34,12 +34,6 @@ pub enum ArrivalProcess {
         /// Mean dwell time in the burst phase (seconds).
         mean_burst: f64,
     },
-    /// Replays a recorded gap sequence, cycling if more arrivals are
-    /// requested than the trace holds.
-    Trace {
-        /// Successive inter-arrival gaps.
-        inter_arrivals: Vec<SimDuration>,
-    },
     /// Production-shaped traffic: a sinusoidal diurnal envelope with a
     /// seeded MMPP flash-crowd overlay. The instantaneous rate is
     ///
@@ -97,8 +91,6 @@ pub struct ArrivalStream<'a> {
     /// Instant the current modulating phase ends ([`SimTime::MAX`]
     /// when the process has no modulation).
     phase_end: SimTime,
-    /// Cursor into the recorded gap list (trace replay only).
-    trace_idx: usize,
 }
 
 impl<'a> ArrivalStream<'a> {
@@ -155,7 +147,6 @@ impl<'a> ArrivalStream<'a> {
             t,
             bursting: false,
             phase_end,
-            trace_idx: 0,
         }
     }
 }
@@ -199,15 +190,6 @@ impl Iterator for ArrivalStream<'_> {
                 self.phase_end =
                     self.t + SimDuration::from_secs_f64(exponential(&mut self.rng, 1.0 / dwell));
             },
-            ArrivalProcess::Trace { inter_arrivals } => {
-                assert!(
-                    !inter_arrivals.is_empty(),
-                    "Trace: empty inter-arrival list"
-                );
-                self.t += inter_arrivals[self.trace_idx % inter_arrivals.len()];
-                self.trace_idx += 1;
-                Some(self.t)
-            }
             ArrivalProcess::Diurnal {
                 base_rate,
                 amplitude,
@@ -257,55 +239,49 @@ impl ArrivalProcess {
     ///
     /// # Panics
     ///
-    /// Panics on a non-positive rate or dwell time, an empty trace, or
-    /// an out-of-range diurnal amplitude / flash multiplier.
+    /// Panics on a non-positive rate or dwell time, or an out-of-range
+    /// diurnal amplitude / flash multiplier.
     pub fn stream(&self, rng: Rng) -> ArrivalStream<'_> {
         ArrivalStream::new(self, rng)
-    }
-
-    /// The long-run mean arrival rate (requests/s). For the diurnal
-    /// process this is exact over whole periods (the sinusoid averages
-    /// out) with the overlay's dwell-weighted multiplier applied; a
-    /// finite trace truncated mid-period converges to it as the span
-    /// grows.
-    pub fn mean_rate(&self) -> f64 {
-        match self {
-            ArrivalProcess::Poisson { rate } => *rate,
-            ArrivalProcess::Mmpp {
-                calm_rate,
-                burst_rate,
-                mean_calm,
-                mean_burst,
-            } => (calm_rate * mean_calm + burst_rate * mean_burst) / (mean_calm + mean_burst),
-            ArrivalProcess::Trace { inter_arrivals } => {
-                let total: SimDuration = inter_arrivals.iter().copied().sum();
-                if total == SimDuration::ZERO {
-                    0.0
-                } else {
-                    inter_arrivals.len() as f64 / total.as_secs_f64()
-                }
-            }
-            ArrivalProcess::Diurnal {
-                base_rate,
-                flash_every,
-                flash_mean,
-                flash_mult,
-                ..
-            } => {
-                let overlay = if *flash_mult > 1.0 {
-                    (flash_every + flash_mean * flash_mult) / (flash_every + flash_mean)
-                } else {
-                    1.0
-                };
-                base_rate * overlay
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ArrivalProcess {
+        /// The long-run mean arrival rate (requests/s). For the diurnal
+        /// process this is exact over whole periods (the sinusoid averages
+        /// out) with the overlay's dwell-weighted multiplier applied; a
+        /// finite trace truncated mid-period converges to it as the span
+        /// grows.
+        fn mean_rate(&self) -> f64 {
+            match self {
+                ArrivalProcess::Poisson { rate } => *rate,
+                ArrivalProcess::Mmpp {
+                    calm_rate,
+                    burst_rate,
+                    mean_calm,
+                    mean_burst,
+                } => (calm_rate * mean_calm + burst_rate * mean_burst) / (mean_calm + mean_burst),
+                ArrivalProcess::Diurnal {
+                    base_rate,
+                    flash_every,
+                    flash_mean,
+                    flash_mult,
+                    ..
+                } => {
+                    let overlay = if *flash_mult > 1.0 {
+                        (flash_every + flash_mean * flash_mult) / (flash_every + flash_mean)
+                    } else {
+                        1.0
+                    };
+                    base_rate * overlay
+                }
+            }
+        }
+    }
 
     fn diurnal(flash_mult: f64) -> ArrivalProcess {
         ArrivalProcess::Diurnal {
@@ -354,24 +330,6 @@ mod tests {
         let m = gaps.iter().sum::<f64>() / gaps.len() as f64;
         let var = gaps.iter().map(|g| (g - m).powi(2)).sum::<f64>() / gaps.len() as f64;
         assert!(var / (m * m) > 1.2, "cv2 {}", var / (m * m));
-    }
-
-    #[test]
-    fn trace_replays_and_cycles() {
-        let p = ArrivalProcess::Trace {
-            inter_arrivals: vec![SimDuration::from_millis(1), SimDuration::from_millis(3)],
-        };
-        let times: Vec<SimTime> = p.stream(Rng::new(1)).take(4).collect();
-        assert_eq!(
-            times,
-            vec![
-                SimTime::from_millis(1),
-                SimTime::from_millis(4),
-                SimTime::from_millis(5),
-                SimTime::from_millis(8),
-            ]
-        );
-        assert!((p.mean_rate() - 500.0).abs() < 1e-9);
     }
 
     #[test]

@@ -150,15 +150,6 @@ pub struct HedgeConfig {
 }
 
 impl HedgeConfig {
-    /// Hedge at 2× the observed p95 service time, after 16 samples.
-    pub fn p95x2() -> Self {
-        HedgeConfig {
-            quantile: 0.95,
-            multiplier: 2.0,
-            min_samples: 16,
-        }
-    }
-
     /// Validates the knobs.
     ///
     /// # Panics
@@ -806,18 +797,47 @@ mod tests {
     }
 
     #[test]
+    fn welford_floored_std_is_the_sample_std_above_its_floor() {
+        let values = [1.5, 2.5, 9.0, 3.0, 0.25];
+        let mut w = Welford::default();
+        for &v in &values {
+            w.push(v);
+        }
+        // Two-pass sample standard deviation (divisor n - 1).
+        let n = values.len() as f64;
+        let mean = values.iter().sum::<f64>() / n;
+        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        assert!((w.floored_std() - var.sqrt()).abs() < 1e-12);
+        // Constant input has no spread, so the floor (5% of the mean)
+        // is the answer; an empty accumulator floors at the smallest
+        // positive float.
+        let mut c = Welford::default();
+        for _ in 0..10 {
+            c.push(4.0);
+        }
+        assert!((c.floored_std() - 0.2).abs() < 1e-12);
+        assert_eq!(Welford::default().floored_std(), f64::MIN_POSITIVE);
+    }
+
+    #[test]
     #[should_panic(expected = "quantile")]
     fn out_of_range_hedge_quantile_rejected() {
-        let mut c = HedgeConfig::p95x2();
-        c.quantile = 1.0;
-        c.validate();
+        HedgeConfig {
+            quantile: 1.0,
+            multiplier: 2.0,
+            min_samples: 16,
+        }
+        .validate();
     }
 
     #[test]
     #[should_panic(expected = "multiplier")]
     fn sub_unity_hedge_multiplier_rejected() {
-        let mut c = HedgeConfig::p95x2();
-        c.multiplier = 0.5;
-        c.validate();
+        HedgeConfig {
+            quantile: 0.95,
+            multiplier: 0.5,
+            min_samples: 16,
+        }
+        .validate();
     }
 }

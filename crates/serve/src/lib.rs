@@ -6,7 +6,7 @@
 //! path* in continuous simulated time:
 //!
 //! * [`ArrivalProcess`] — deterministic-seeded Poisson, bursty
-//!   two-state MMPP, and replayable trace arrivals;
+//!   two-state MMPP, and diurnal arrivals with a flash-crowd overlay;
 //! * [`Batcher`] — an admission queue plus dynamic batcher
 //!   (max-batch-size and max-wait knobs) that forms
 //!   [`TokenBatch`](lina_workload::TokenBatch)es from queued requests;

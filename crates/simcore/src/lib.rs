@@ -24,7 +24,7 @@ pub use events::EventQueue;
 pub use json::Json;
 pub use report::{Metric, Report, Section};
 pub use rng::{AliasTable, Rng, Zipf};
-pub use stats::{geomean, Histogram, Samples, Summary, Welford};
-pub use table::{format_bytes, format_pct, format_secs, format_speedup, Align, Table};
+pub use stats::{geomean, Samples};
+pub use table::{format_bytes, format_pct, format_secs, format_speedup, Table};
 pub use time::{SimDuration, SimTime};
 pub use timeline::{Lane, Span, SpanKind, StreamId, Timeline};

@@ -178,32 +178,6 @@ impl Rng {
             Some(&items[self.index(items.len())])
         }
     }
-
-    /// Samples an index from an unnormalized weight vector by inversion.
-    /// For repeated sampling from the same weights prefer [`AliasTable`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weights are empty, contain negatives, or sum to zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "weighted_index: empty weights");
-        let total: f64 = weights
-            .iter()
-            .map(|&w| {
-                assert!(w >= 0.0 && w.is_finite(), "weighted_index: bad weight {w}");
-                w
-            })
-            .sum();
-        assert!(total > 0.0, "weighted_index: zero total weight");
-        let mut x = self.f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if x < w {
-                return i;
-            }
-            x -= w;
-        }
-        weights.len() - 1
-    }
 }
 
 /// Zipf distribution over ranks `0..n` with exponent `s`:
@@ -496,15 +470,6 @@ mod tests {
         for _ in 0..10_000 {
             let s = table.sample(&mut rng);
             assert!(s == 1 || s == 3);
-        }
-    }
-
-    #[test]
-    fn weighted_index_respects_zero_weights() {
-        let mut rng = Rng::new(37);
-        for _ in 0..1_000 {
-            let i = rng.weighted_index(&[0.0, 5.0, 0.0]);
-            assert_eq!(i, 1);
         }
     }
 

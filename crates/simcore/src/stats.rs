@@ -79,17 +79,6 @@ impl Samples {
         }
     }
 
-    /// Population standard deviation; 0 for fewer than two samples.
-    pub fn std_dev(&self) -> f64 {
-        if self.values.len() < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var =
-            self.values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / self.values.len() as f64;
-        var.sqrt()
-    }
-
     /// Minimum sample; 0 for an empty collection.
     pub fn min(&self) -> f64 {
         if self.values.is_empty() {
@@ -182,157 +171,6 @@ impl Samples {
         }
         out
     }
-
-    /// One-line summary of the distribution.
-    pub fn summary(&mut self) -> Summary {
-        Summary {
-            count: self.len(),
-            mean: self.mean(),
-            std_dev: self.std_dev(),
-            min: self.min(),
-            median: self.median(),
-            p95: self.p95(),
-            p99: self.p99(),
-            max: self.max(),
-        }
-    }
-}
-
-/// Summary statistics of a sample collection.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Median.
-    pub median: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-/// Streaming mean/variance via Welford's algorithm, for contexts that
-/// cannot afford to retain every sample.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, value: f64) {
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Running mean; 0 when empty.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance; 0 for fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
-/// Fixed-bucket histogram over [lo, hi); samples outside clamp to the
-/// boundary buckets.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` equal-width buckets over
-    /// [lo, hi).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(buckets > 0, "Histogram::new: zero buckets");
-        assert!(lo < hi, "Histogram::new: empty range");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; buckets],
-            total: 0,
-        }
-    }
-
-    /// Records a sample.
-    pub fn record(&mut self, value: f64) {
-        let n = self.counts.len();
-        let idx = if value <= self.lo {
-            0
-        } else if value >= self.hi {
-            n - 1
-        } else {
-            (((value - self.lo) / (self.hi - self.lo)) * n as f64) as usize
-        };
-        self.counts[idx.min(n - 1)] += 1;
-        self.total += 1;
-    }
-
-    /// Total number of recorded samples.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Midpoint of bucket `i`.
-    pub fn bucket_mid(&self, i: usize) -> f64 {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
-
-    /// Fraction of samples at or below bucket `i`'s upper edge.
-    pub fn cumulative_fraction(&self, i: usize) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let c: u64 = self.counts[..=i].iter().sum();
-        c as f64 / self.total as f64
-    }
 }
 
 /// Computes the geometric mean of strictly positive values; 0 when empty.
@@ -371,7 +209,6 @@ mod tests {
         assert!((s.median() - 3.0).abs() < 1e-12);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 5.0);
-        assert!((s.std_dev() - (2.0f64).sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -413,36 +250,6 @@ mod tests {
         }
         assert_eq!(cdf.last().expect("nonempty").0, 5.0);
         assert!((cdf.last().expect("nonempty").1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_matches_batch() {
-        let values = [1.5, 2.5, 9.0, -3.0, 0.25];
-        let mut w = Welford::new();
-        for &v in &values {
-            w.push(v);
-        }
-        let s = Samples::from_values(values.to_vec());
-        assert!((w.mean() - s.mean()).abs() < 1e-12);
-        assert!((w.std_dev() - s.std_dev()).abs() < 1e-12);
-        assert_eq!(w.count(), 5);
-    }
-
-    #[test]
-    fn histogram_buckets_and_cumulative() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.record(i as f64 + 0.5);
-        }
-        assert_eq!(h.total(), 10);
-        assert!(h.counts().iter().all(|&c| c == 1));
-        assert!((h.cumulative_fraction(4) - 0.5).abs() < 1e-12);
-        assert!((h.bucket_mid(0) - 0.5).abs() < 1e-12);
-        // Out-of-range samples clamp.
-        h.record(-5.0);
-        h.record(50.0);
-        assert_eq!(h.counts()[0], 2);
-        assert_eq!(h.counts()[9], 2);
     }
 
     #[test]

@@ -5,49 +5,24 @@
 
 use std::fmt::Write as _;
 
-/// Column alignment.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Align {
-    /// Left-aligned (labels).
-    Left,
-    /// Right-aligned (numbers).
-    Right,
-}
-
 /// A simple text table builder.
 #[derive(Clone, Debug)]
 pub struct Table {
     title: String,
     headers: Vec<String>,
-    aligns: Vec<Align>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
-    /// Creates a table with the given title and column headers. All
-    /// columns default to right alignment except the first.
+    /// Creates a table with the given title and column headers. The
+    /// first column (labels) renders left-aligned, the rest (numbers)
+    /// right-aligned.
     pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
-        let aligns = headers
-            .iter()
-            .enumerate()
-            .map(|(i, _)| if i == 0 { Align::Left } else { Align::Right })
-            .collect();
         Table {
             title: title.into(),
             headers: headers.iter().map(|h| h.to_string()).collect(),
-            aligns,
             rows: Vec::new(),
         }
-    }
-
-    /// Overrides a column's alignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of range.
-    pub fn align(mut self, col: usize, align: Align) -> Self {
-        self.aligns[col] = align;
-        self
     }
 
     /// Appends a row.
@@ -64,12 +39,6 @@ impl Table {
             cells.len()
         );
         self.rows.push(cells.to_vec());
-    }
-
-    /// Appends a row from displayable items.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
     }
 
     /// The table title.
@@ -110,7 +79,7 @@ impl Table {
         if !self.title.is_empty() {
             let _ = writeln!(out, "== {} ==", self.title);
         }
-        let render_row = |cells: &[String], widths: &[usize], aligns: &[Align]| -> String {
+        let render_row = |cells: &[String], widths: &[usize]| -> String {
             let mut line = String::new();
             for i in 0..ncols {
                 if i > 0 {
@@ -118,24 +87,21 @@ impl Table {
                 }
                 let cell = &cells[i];
                 let pad = widths[i].saturating_sub(cell.chars().count());
-                match aligns[i] {
-                    Align::Left => {
-                        line.push_str(cell);
-                        line.extend(std::iter::repeat_n(' ', pad));
-                    }
-                    Align::Right => {
-                        line.extend(std::iter::repeat_n(' ', pad));
-                        line.push_str(cell);
-                    }
+                if i == 0 {
+                    line.push_str(cell);
+                    line.extend(std::iter::repeat_n(' ', pad));
+                } else {
+                    line.extend(std::iter::repeat_n(' ', pad));
+                    line.push_str(cell);
                 }
             }
             line.trim_end().to_string()
         };
-        let _ = writeln!(out, "{}", render_row(&self.headers, &widths, &self.aligns));
+        let _ = writeln!(out, "{}", render_row(&self.headers, &widths));
         let total: usize = widths.iter().sum::<usize>() + 2 * (ncols - 1);
         let _ = writeln!(out, "{}", "-".repeat(total));
         for row in &self.rows {
-            let _ = writeln!(out, "{}", render_row(row, &widths, &self.aligns));
+            let _ = writeln!(out, "{}", render_row(row, &widths));
         }
         out
     }
@@ -218,13 +184,5 @@ mod tests {
         assert_eq!(format_secs(1.5), "1.500s");
         assert_eq!(format_speedup(1.566), "1.57x");
         assert_eq!(format_pct(0.367), "36.7%");
-    }
-
-    #[test]
-    fn row_display_helper() {
-        let mut t = Table::new("", &["k", "v"]);
-        t.row_display(&[&"x", &42]);
-        assert_eq!(t.len(), 1);
-        assert!(t.render().contains("42"));
     }
 }

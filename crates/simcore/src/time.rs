@@ -70,20 +70,10 @@ impl SimTime {
         self.0 as f64 / 1e6
     }
 
-    /// Returns this instant as fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Duration since an earlier instant, saturating at zero if `earlier`
     /// is actually later.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked addition of a duration; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
     }
 }
 
@@ -124,18 +114,6 @@ impl SimDuration {
         SimDuration(ns.round() as u64)
     }
 
-    /// Creates a duration from fractional milliseconds (see
-    /// [`SimDuration::from_secs_f64`] for rounding rules).
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1e3)
-    }
-
-    /// Creates a duration from fractional microseconds (see
-    /// [`SimDuration::from_secs_f64`] for rounding rules).
-    pub fn from_micros_f64(us: f64) -> Self {
-        Self::from_secs_f64(us / 1e6)
-    }
-
     /// Returns the raw nanosecond count.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -149,11 +127,6 @@ impl SimDuration {
     /// Returns this duration as fractional milliseconds.
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Returns this duration as fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
     }
 
     /// Saturating subtraction.
@@ -308,7 +281,7 @@ mod tests {
             SimTime::from_nanos(1_500_000_000)
         );
         assert_eq!(
-            SimDuration::from_millis_f64(0.5),
+            SimDuration::from_secs_f64(0.5e-3),
             SimDuration::from_micros(500)
         );
     }
@@ -317,8 +290,8 @@ mod tests {
     fn roundtrip_f64() {
         let t = SimTime::from_secs_f64(0.123456789);
         assert!((t.as_secs_f64() - 0.123456789).abs() < 1e-12);
-        let d = SimDuration::from_micros_f64(7.25);
-        assert!((d.as_micros_f64() - 7.25).abs() < 1e-9);
+        let d = SimDuration::from_secs_f64(7.25e-6);
+        assert!((d.as_millis_f64() - 7.25e-3).abs() < 1e-12);
     }
 
     #[test]

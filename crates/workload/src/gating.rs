@@ -133,11 +133,6 @@ impl GatingModel {
         &self.spec
     }
 
-    /// The canonical expert of `class` at `layer`.
-    pub fn canonical_expert(&self, layer: usize, class: usize) -> u16 {
-        self.sigma[layer][class]
-    }
-
     fn sample_background(&self, layer: usize, mode: Mode, rng: &mut Rng) -> u16 {
         match mode {
             Mode::Train => rng.index(self.spec.experts) as u16,
@@ -178,38 +173,41 @@ impl GatingModel {
             }
         }
     }
-
-    /// The exact marginal expert distribution at a layer given a class
-    /// distribution (used by tests and the Ideal benchmark).
-    pub fn marginal_popularity(&self, layer: usize, class_probs: &[f64], mode: Mode) -> Vec<f64> {
-        let e = self.spec.experts;
-        let p = self.spec.persistence(layer);
-        let mut pop = vec![0.0; e];
-        for (c, &pc) in class_probs.iter().enumerate() {
-            pop[self.sigma[layer][c] as usize] += pc * p;
-        }
-        match mode {
-            Mode::Train => {
-                for v in pop.iter_mut() {
-                    *v += (1.0 - p) / e as f64;
-                }
-            }
-            Mode::Inference => {
-                let cdf = &self.background[layer];
-                let mut prev = 0.0;
-                for (i, &c) in cdf.iter().enumerate() {
-                    pop[i] += (1.0 - p) * (c - prev);
-                    prev = c;
-                }
-            }
-        }
-        pop
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl GatingModel {
+        /// The exact marginal expert distribution at a layer given a class
+        /// distribution: the oracle the sampled popularity is checked
+        /// against.
+        fn marginal_popularity(&self, layer: usize, class_probs: &[f64], mode: Mode) -> Vec<f64> {
+            let e = self.spec.experts;
+            let p = self.spec.persistence(layer);
+            let mut pop = vec![0.0; e];
+            for (c, &pc) in class_probs.iter().enumerate() {
+                pop[self.sigma[layer][c] as usize] += pc * p;
+            }
+            match mode {
+                Mode::Train => {
+                    for v in pop.iter_mut() {
+                        *v += (1.0 - p) / e as f64;
+                    }
+                }
+                Mode::Inference => {
+                    let cdf = &self.background[layer];
+                    let mut prev = 0.0;
+                    for (i, &c) in cdf.iter().enumerate() {
+                        pop[i] += (1.0 - p) * (c - prev);
+                        prev = c;
+                    }
+                }
+            }
+            pop
+        }
+    }
 
     fn model() -> GatingModel {
         GatingModel::new(&WorkloadSpec::enwik8(16, 12))
@@ -222,10 +220,7 @@ mod tests {
         let classes = a.spec().classes;
         for layer in 0..12 {
             for class in 0..classes {
-                assert_eq!(
-                    a.canonical_expert(layer, class),
-                    b.canonical_expert(layer, class)
-                );
+                assert_eq!(a.sigma[layer][class], b.sigma[layer][class]);
             }
         }
     }
@@ -235,7 +230,7 @@ mod tests {
         let m = model();
         let classes = m.spec().classes;
         let same = (0..classes)
-            .filter(|&c| m.canonical_expert(0, c) == m.canonical_expert(1, c))
+            .filter(|&c| m.sigma[0][c] == m.sigma[1][c])
             .count();
         // Rearrangement: well under all classes coincide.
         assert!(
@@ -253,7 +248,7 @@ mod tests {
         for layer in 0..12 {
             let mut counts = vec![0usize; experts];
             for c in 0..classes {
-                counts[m.canonical_expert(layer, c) as usize] += 1;
+                counts[m.sigma[layer][c] as usize] += 1;
             }
             // Layer 0 is dealt exactly evenly; deeper layers keep
             // correlated groups and rebalance via regrouped classes, so
@@ -278,9 +273,9 @@ mod tests {
         for layer in 0..11 {
             for a in 0..classes {
                 for b in (a + 1)..classes {
-                    if m.canonical_expert(layer, a) == m.canonical_expert(layer, b) {
+                    if m.sigma[layer][a] == m.sigma[layer][b] {
                         total += 1;
-                        if m.canonical_expert(layer + 1, a) == m.canonical_expert(layer + 1, b) {
+                        if m.sigma[layer + 1][a] == m.sigma[layer + 1][b] {
                             together += 1;
                         }
                     }
@@ -313,7 +308,7 @@ mod tests {
         let mut rng = Rng::new(7);
         let layer = 11;
         let class = 20;
-        let canon = m.canonical_expert(layer, class);
+        let canon = m.sigma[layer][class];
         let n = 20_000;
         let mut sel = [0u16; 1];
         let hits = (0..n)
