@@ -162,6 +162,22 @@ mod tests {
     }
 
     #[test]
+    fn search_converges_with_doubling_ffn_cost() {
+        // FFN micro-op time doubles with packing; crosses a2a at 4.
+        let cost = CostModel::new(DeviceSpec::a100(), MoeModelConfig::transformer_xl(12, 16));
+        let topo = Topology::new(ClusterSpec::paper_testbed());
+        let mut c = PackingController::new(16);
+        while c.decide(PackingObservation {
+            ffn_micro: ms(0.6 * c.experts_per_device() as f64),
+            a2a_micro: ms(2.0),
+        }) == PackingDecision::Grow
+        {}
+        let plan = c.plan(&cost, &topo);
+        assert_eq!(plan.experts_per_device, 4);
+        assert!(plan.placement.is_complete());
+    }
+
+    #[test]
     fn memory_check_flags_offloading() {
         let cost = CostModel::new(DeviceSpec::a100(), MoeModelConfig::transformer_xl(36, 16));
         let topo = Topology::new(ClusterSpec::paper_testbed());
