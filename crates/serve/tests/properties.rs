@@ -5,7 +5,7 @@
 
 use lina_baselines::InferScheme;
 use lina_model::{CostModel, DeviceSpec, ExpertPlacement, LayeredPlacement, MoeModelConfig};
-use lina_netsim::{ClusterSpec, Topology};
+use lina_netsim::{ClusterSpec, DeviceId, Topology};
 use lina_serve::{
     serve_cluster, ArrivalProcess, AutoscaleConfig, AutoscalePolicyKind, BalancerKind, Batcher,
     BatcherConfig, ClusterConfig, ClusterEngine, ClusterOutcome, DegradationPolicy,
@@ -1138,5 +1138,223 @@ fn jittered_backoff_conserves_and_stays_deterministic() {
         let b = serve_cluster(&cost, &topo, &spec, plain);
         assert_eq!(a.tracker.records(), b.tracker.records());
         assert_eq!(a.report(), b.report());
+    }
+}
+
+/// A random per-layer base placement: every expert of every layer is
+/// hosted on one or two distinct random devices.
+fn arb_placement(
+    meta: &mut Rng,
+    layers: usize,
+    experts: usize,
+    devices: usize,
+) -> LayeredPlacement {
+    let layer = |meta: &mut Rng| {
+        let hosts = (0..experts)
+            .map(|_| {
+                let first = meta.index(devices);
+                let mut hosts = vec![DeviceId(first as u32)];
+                if meta.bernoulli(0.3) {
+                    let second = (first + 1 + meta.index(devices - 1)) % devices;
+                    hosts.push(DeviceId(second as u32));
+                }
+                hosts
+            })
+            .collect();
+        ExpertPlacement::uniform(hosts)
+    };
+    LayeredPlacement::from_layers((0..layers).map(|_| layer(meta)).collect())
+}
+
+/// Every controller armed at once, each family drawn at random per
+/// round: generated crash, device-loss, link-degrade, straggler, gray
+/// and flap faults; fail-fast or retry with jitter and shedding; a
+/// reactive, predictive or scripted autoscaler; a threshold or
+/// scripted re-sharder; a random per-layer base placement with
+/// locality on or off; the phi detector with or without hedging;
+/// shared or per-replica estimators; solo or contended pricing at 1-4
+/// batches in flight; Lina, Baseline or Ideal. Every run conserves
+/// requests and tokens, keeps its counters consistent, is identical
+/// when run twice, and a run over the pre-generated trace is identical
+/// to the streamed one.
+#[test]
+fn every_controller_armed_at_once_conserves_and_stays_deterministic() {
+    let (cost, topo, spec) = world();
+    let mut meta = Rng::new(0xA11C0);
+    for round in 0..rounds(100) {
+        let scheme = match meta.index(3) {
+            0 => InferScheme::Lina,
+            1 => InferScheme::Baseline,
+            _ => InferScheme::Ideal,
+        };
+        let mut serve = arb_config(&mut meta, scheme);
+        if meta.bernoulli(0.5) {
+            serve.network = NetworkMode::Contended;
+        }
+        serve.max_inflight = 1 + meta.index(4);
+        let replicas = 1 + meta.index(3);
+        // Each fault family is on or off independently.
+        let rate = |meta: &mut Rng, hi: f64| {
+            if meta.bernoulli(0.5) {
+                meta.uniform(0.5, hi)
+            } else {
+                0.0
+            }
+        };
+        let rates = FaultRateConfig {
+            crash_rate: rate(&mut meta, 20.0),
+            mean_recovery: SimDuration::from_millis(meta.below(30) + 5),
+            device_loss_rate: rate(&mut meta, 5.0),
+            degrade_rate: rate(&mut meta, 5.0),
+            degrade_scale: meta.uniform(0.2, 1.0),
+            mean_degrade: SimDuration::from_millis(meta.below(30) + 5),
+            straggler_rate: rate(&mut meta, 5.0),
+            straggler_factor: meta.uniform(1.0, 4.0),
+            mean_straggle: SimDuration::from_millis(meta.below(30) + 5),
+            gray_rate: rate(&mut meta, 10.0),
+            gray_compute: meta.uniform(1.0, 6.0),
+            gray_nic: meta.uniform(0.3, 1.0),
+            mean_gray: SimDuration::from_millis(meta.below(30) + 5),
+            flap_rate: rate(&mut meta, 6.0),
+            flap_nic: meta.uniform(0.2, 0.9),
+            mean_flap: SimDuration::from_millis(meta.below(5) + 1),
+        };
+        let schedule = FaultSchedule::generate(
+            &rates,
+            replicas,
+            SimDuration::from_secs_f64(2.0),
+            meta.next_u64(),
+        );
+        let policy = if meta.bernoulli(0.25) {
+            DegradationPolicy::fail_fast()
+        } else {
+            let mut policy = arb_policy(&mut meta);
+            if meta.bernoulli(0.5) {
+                policy.jitter = meta.uniform(0.05, 0.5);
+            }
+            policy
+        };
+        let max_replicas = replicas + meta.index(3);
+        let autoscale = match meta.index(4) {
+            0 => None,
+            1 => Some(AutoscalePolicyKind::Reactive {
+                up_threshold: meta.uniform(0.5, 3.0),
+                down_threshold: meta.uniform(0.0, 0.4),
+            }),
+            2 => Some(AutoscalePolicyKind::Predictive {
+                target_util: meta.uniform(0.3, 1.0),
+                window: 2 + meta.index(6),
+            }),
+            _ => Some(AutoscalePolicyKind::Scripted {
+                script: (0..8 + meta.index(16))
+                    .map(|_| match meta.index(3) {
+                        0 => ScaleDecision::Hold,
+                        1 => ScaleDecision::ScaleUp(1 + meta.index(2)),
+                        _ => ScaleDecision::ScaleDown(1 + meta.index(2)),
+                    })
+                    .collect(),
+            }),
+        }
+        .map(|policy| AutoscaleConfig {
+            policy,
+            interval: SimDuration::from_micros(meta.below(3_000) + 200),
+            cooldown: SimDuration::from_micros(meta.below(4_000)),
+            min_replicas: 1,
+            max_replicas,
+        });
+        let experts = spec.experts;
+        let resharding = match meta.index(3) {
+            0 => None,
+            1 => Some(ReshardPolicyKind::Threshold {
+                hot: meta.uniform(1.2, 2.5),
+                cold: meta.uniform(0.1, 0.8),
+                hysteresis: 1 + meta.index(3),
+                transfer_budget: 1 + meta.index(3),
+            }),
+            _ => Some(ReshardPolicyKind::Scripted {
+                script: (0..8 + meta.index(16))
+                    .map(|_| {
+                        (0..meta.index(3))
+                            .map(|_| match meta.index(3) {
+                                0 => ReshardAction::Replicate(meta.index(experts)),
+                                1 => ReshardAction::Evict(meta.index(experts)),
+                                _ => ReshardAction::Migrate(meta.index(experts)),
+                            })
+                            .collect()
+                    })
+                    .collect(),
+            }),
+        }
+        .map(|policy| ReshardConfig {
+            policy,
+            interval: SimDuration::from_micros(meta.below(3_000) + 200),
+            window: 4 + meta.index(8),
+            transfer_cost: meta.uniform(0.0, 2.0),
+        });
+        let placement = meta
+            .bernoulli(0.5)
+            .then(|| arb_placement(&mut meta, cost.model.layers, experts, topo.devices()));
+        let config = ClusterConfig {
+            replicas,
+            balancer: match meta.index(3) {
+                0 => BalancerKind::RoundRobin,
+                1 => BalancerKind::JoinShortestQueue,
+                _ => BalancerKind::LeastExpectedLatency,
+            },
+            sharing: if meta.bernoulli(0.5) {
+                EstimatorSharing::Shared
+            } else {
+                EstimatorSharing::PerReplica
+            },
+            faults: FaultPlan { schedule, policy },
+            autoscale,
+            resharding,
+            placement,
+            locality: meta.bernoulli(0.5),
+            health: if meta.bernoulli(0.5) {
+                HealthConfig::phi_accrual()
+            } else {
+                HealthConfig::oracle()
+            },
+            hedging: meta.bernoulli(0.5).then(|| HedgeConfig {
+                quantile: meta.uniform(0.3, 0.9),
+                multiplier: meta.uniform(1.0, 1.5),
+                min_samples: 2 + meta.index(6),
+            }),
+            ..ClusterConfig::single(serve)
+        };
+        let n = config.serve.n_requests;
+        let engine = ClusterEngine::new(&cost, &topo, &spec, config);
+        let trace = engine.engine().generate_requests();
+        let out = engine.run();
+        assert_tokens_per_request(&out, &trace, round);
+        assert_outcome_consistent(&out, replicas, round);
+        let mut ids: Vec<usize> = out
+            .tracker
+            .records()
+            .iter()
+            .map(|r| r.id)
+            .chain(out.tracker.failures().iter().map(|f| f.id))
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(
+            ids,
+            (0..n).collect::<Vec<_>>(),
+            "round {round}: every request exactly one terminal outcome"
+        );
+        // `ClusterOutcome`'s `Debug` prints every counter, record,
+        // failure and depth sample, floats in round-trip form, so
+        // equal strings are identical outcomes.
+        let digest = format!("{out:?}");
+        assert_eq!(
+            digest,
+            format!("{:?}", engine.run()),
+            "round {round}: determinism"
+        );
+        assert_eq!(
+            digest,
+            format!("{:?}", engine.run_trace(trace)),
+            "round {round}: run_trace over the generated trace must match run"
+        );
     }
 }
