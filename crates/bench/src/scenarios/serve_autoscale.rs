@@ -208,15 +208,15 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
     let mut headline_cells: Vec<(&'static str, bool, f64, f64)> = Vec::new();
     let mut headline_interval = None;
     for &(shape, flash_mult) in &shapes {
-        // The overlay's dwell-weighted multiplier depends only on the
-        // period *fractions*, so the mean rate — and from it the span
-        // and period — is known before the period itself.
-        let overlay = if flash_mult > 1.0 {
-            (FLASH_EVERY_FRAC + FLASH_MEAN_FRAC * flash_mult) / (FLASH_EVERY_FRAC + FLASH_MEAN_FRAC)
-        } else {
-            1.0
-        };
-        let mean_rate = base_rate * overlay;
+        let mean_rate = ArrivalProcess::Diurnal {
+            base_rate,
+            amplitude: AMPLITUDE,
+            period: SimDuration::from_secs_f64(1.0),
+            flash_every: FLASH_EVERY_FRAC,
+            flash_mean: FLASH_MEAN_FRAC,
+            flash_mult,
+        }
+        .mean_rate();
         let span = n_requests as f64 / mean_rate;
         let period = span / PERIODS;
         let interval = SimDuration::from_secs_f64(period / TICKS_PER_PERIOD);

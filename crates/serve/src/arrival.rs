@@ -244,44 +244,45 @@ impl ArrivalProcess {
     pub fn stream(&self, rng: Rng) -> ArrivalStream<'_> {
         ArrivalStream::new(self, rng)
     }
+
+    /// The long-run mean arrival rate (requests/s). For the diurnal
+    /// process this is exact over whole periods (the sinusoid averages
+    /// out) with the overlay's dwell-weighted multiplier applied; a
+    /// finite trace truncated mid-period converges to it as the span
+    /// grows. The overlay multiplier depends on the flash dwell times
+    /// only through their ratio, so a unit-period process with dwell
+    /// times given as fractions of a period has the mean rate of every
+    /// period.
+    pub fn mean_rate(&self) -> f64 {
+        match self {
+            ArrivalProcess::Poisson { rate } => *rate,
+            ArrivalProcess::Mmpp {
+                calm_rate,
+                burst_rate,
+                mean_calm,
+                mean_burst,
+            } => (calm_rate * mean_calm + burst_rate * mean_burst) / (mean_calm + mean_burst),
+            ArrivalProcess::Diurnal {
+                base_rate,
+                flash_every,
+                flash_mean,
+                flash_mult,
+                ..
+            } => {
+                let overlay = if *flash_mult > 1.0 {
+                    (flash_every + flash_mean * flash_mult) / (flash_every + flash_mean)
+                } else {
+                    1.0
+                };
+                base_rate * overlay
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl ArrivalProcess {
-        /// The long-run mean arrival rate (requests/s). For the diurnal
-        /// process this is exact over whole periods (the sinusoid averages
-        /// out) with the overlay's dwell-weighted multiplier applied; a
-        /// finite trace truncated mid-period converges to it as the span
-        /// grows.
-        fn mean_rate(&self) -> f64 {
-            match self {
-                ArrivalProcess::Poisson { rate } => *rate,
-                ArrivalProcess::Mmpp {
-                    calm_rate,
-                    burst_rate,
-                    mean_calm,
-                    mean_burst,
-                } => (calm_rate * mean_calm + burst_rate * mean_burst) / (mean_calm + mean_burst),
-                ArrivalProcess::Diurnal {
-                    base_rate,
-                    flash_every,
-                    flash_mean,
-                    flash_mult,
-                    ..
-                } => {
-                    let overlay = if *flash_mult > 1.0 {
-                        (flash_every + flash_mean * flash_mult) / (flash_every + flash_mean)
-                    } else {
-                        1.0
-                    };
-                    base_rate * overlay
-                }
-            }
-        }
-    }
 
     fn diurnal(flash_mult: f64) -> ArrivalProcess {
         ArrivalProcess::Diurnal {

@@ -23,7 +23,7 @@
 //! degradation policy, before routing).
 //!
 //! Replica health arrives as a continuous *suspicion* score from the
-//! gray-failure detector ([`crate::HealthMonitor`]), not a bool: `0.0`
+//! gray-failure detector ([`crate::health`]), not a bool: `0.0`
 //! is indistinguishable from baseline, `>= 1.0` excludes the replica
 //! from the routable set (infinity marks a crashed or retired
 //! replica), and intermediate values penalize the replica under

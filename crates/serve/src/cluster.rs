@@ -6,19 +6,26 @@
 //! A [`ClusterEngine`] streams the open-loop request trace its
 //! [`ServeEngine`] generates (seeds, drift) and routes each arriving
 //! request to one of `replicas` identical servers via a
-//! [`BalancerKind`]. Every replica keeps its own admission queue,
-//! dynamic [`Batcher`] timeline, and a
-//! [`ReplicaExecutor`] running its in-flight batches; the cluster walks
-//! a single K-server event loop over every event kind in global
-//! `(time, priority)` order, so the run is deterministic down to the
-//! bit.
+//! [`BalancerKind`]. This module is the event loop: one K-server loop
+//! over every event kind in global `(time, priority)` order, so the
+//! run is deterministic down to the bit. A replica's own bookkeeping
+//! (its admission queue and deadlines, dynamic [`Batcher`] timeline,
+//! the [`ReplicaExecutor`] running its in-flight batches, its dispatch
+//! slot, degradation and lifecycle) lives behind methods in
+//! `replica.rs`, each rule written once there.
 //!
-//! The loop owns routing, dispatch, and completion. Each controller's
-//! runtime lives beside its config and the loop calls it directly
-//! while armed: faults and crash accounting in [`crate::faults`], the
-//! phi detector and hedged dispatch in [`crate::health`], elastic
-//! autoscaling in [`crate::autoscale`], and proactive re-sharding in
-//! [`crate::resharding`].
+//! The loop routes, calls the controllers and writes the outcome:
+//! every [`ClusterOutcome`] counter and record is written where the
+//! event it counts happens, and those writes are the loop's emit sites.
+//! Each controller's runtime lives beside its config and the loop
+//! calls it directly while armed: faults and crash accounting in
+//! [`crate::faults`], the phi detector and hedged dispatch in
+//! [`crate::health`], elastic autoscaling in [`crate::autoscale`], and
+//! proactive re-sharding in [`crate::resharding`]. The loop also owns
+//! the popularity estimators: a [`EstimatorSharing::Shared`] run holds
+//! exactly one, fed by every replica; a
+//! [`EstimatorSharing::PerReplica`] run holds one per replica, each
+//! starting from the offline profile when its replica is commissioned.
 //!
 //! Eight event kinds interleave, with the priority breaking ties at
 //! one instant:
@@ -65,31 +72,30 @@
 //! reproduced bit for bit.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
-use std::ops::Range;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use lina_core::TwoPhaseScheduler;
 use lina_model::{CostModel, LayeredPlacement};
 use lina_netsim::Topology;
 use lina_runner::inference::InferenceConfig;
-use lina_runner::{plan_batch_layered, ExecutionPlan, FinishedBatch, ReplicaExecutor};
+use lina_runner::{plan_batch_layered, ReplicaExecutor};
 use lina_simcore::{EventQueue, Rng, SimDuration, SimTime};
-use lina_workload::{TokenBatch, WorkloadSpec};
+use lina_workload::WorkloadSpec;
 
 use crate::autoscale::{AutoscaleConfig, AutoscaleRuntime, ScaleDecision};
 use crate::balancer::{BalancerKind, ReplicaSnapshot};
 use crate::batcher::{Batcher, Dispatch};
-use crate::engine::{ServeConfig, ServeEngine};
-use crate::faults::{Degradation, FaultEvent, FaultKind, FaultPlan, RecoveryClock};
+use crate::engine::{Estimate, ServeConfig, ServeEngine};
+use crate::faults::{FaultEvent, FaultKind, FaultPlan, RecoveryClock};
 use crate::health::{
     is_hedge, DetectorKind, HealthConfig, HealthMonitor, HedgeConfig, HedgeRuntime,
 };
 use crate::provisioning;
+use crate::replica::{Flight, Replica};
 use crate::request::{Request, RequestRecord};
 use crate::resharding::{ReshardConfig, ReshardRuntime};
 use crate::slo::{FailureRecord, RequestOutcome, SloTracker};
-
-use lina_core::{PopularityEstimator, TwoPhaseScheduler};
 
 /// How the estimating schemes pool online observations across
 /// replicas: the two topologies compare the value of pooling under
@@ -338,314 +344,6 @@ impl PlanCacheStats {
     }
 }
 
-/// Where a replica is in its lifecycle. These are exactly the
-/// reachable states: a crash retires a draining replica on the spot,
-/// so a replica is never down and draining at once. Every replica of a
-/// fault-free fixed-pool run stays [`ReplicaState::Up`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ReplicaState {
-    /// Serving (possibly still provisioning until `ready_at`).
-    Up,
-    /// Scale-down victim: receives no new admissions, finishes its
-    /// queued and in-flight work, then retires.
-    Draining,
-    /// Crashed; invisible to the balancer until its recovery event.
-    Down,
-    /// Decommissioned at the carried instant: invisible to every part
-    /// of the loop and no longer accruing cost.
-    Retired(SimTime),
-}
-
-/// A popularity-estimator re-profiling window and the scheduler last
-/// built from it.
-struct Estimate {
-    /// The most recently served batches, oldest first, at most `cap`.
-    /// Each is shared with the flight that dispatched it, so windowing
-    /// a batch copies no token. Flushed whenever the shard map changes
-    /// (device loss, recovery, re-sharding): samples observed under the
-    /// old placement would otherwise blend into the new profile.
-    window: VecDeque<Arc<TokenBatch>>,
-    cap: usize,
-    scheduler: Option<TwoPhaseScheduler>,
-    /// Batches pushed into the window over the run.
-    observed: usize,
-}
-
-impl Estimate {
-    fn new(scheduler: Option<TwoPhaseScheduler>, cap: usize) -> Self {
-        Estimate {
-            window: VecDeque::new(),
-            cap,
-            scheduler,
-            observed: 0,
-        }
-    }
-
-    /// Rebuilds the scheduler from the windowed batches.
-    fn reprofile(&mut self, engine: &ServeEngine) {
-        let estimator = PopularityEstimator::profile(
-            self.window.iter().map(Arc::as_ref),
-            engine.config.path_length,
-        );
-        self.scheduler = Some(TwoPhaseScheduler::new(engine.two_phase_config(), estimator));
-    }
-
-    /// Windows a served batch and re-profiles every `every` batches;
-    /// true when it did.
-    fn observe(&mut self, batch: Arc<TokenBatch>, every: usize, engine: &ServeEngine) -> bool {
-        self.window.push_back(batch);
-        if self.window.len() > self.cap {
-            self.window.pop_front();
-        }
-        self.observed += 1;
-        let due = self.observed.is_multiple_of(every);
-        if due {
-            self.reprofile(engine);
-        }
-        due
-    }
-}
-
-/// A committed batch, from dispatch until it completes or aborts.
-/// Dispatch moves the members' tokens out of their requests into
-/// `batch`, which the re-shard monitor reads and the re-estimation
-/// window keeps, so no token is copied on the way.
-struct Flight {
-    batch: Arc<TokenBatch>,
-    members: Vec<Member>,
-}
-
-/// A member of a [`Flight`]: the request without its tokens.
-struct Member {
-    id: usize,
-    /// The original arrival.
-    arrival: SimTime,
-    /// Prior displacement count (0 = first attempt).
-    attempts: u32,
-    /// The request's tokens in the flight's batch; the members' ranges
-    /// tile it in member order.
-    tokens: Range<usize>,
-}
-
-impl Flight {
-    /// The members as requests again, each with a copy of its tokens,
-    /// for re-admission after the flight aborted.
-    fn displace(self) -> impl Iterator<Item = (Request, u32)> {
-        self.members.into_iter().map(move |m| {
-            let req = Request {
-                id: m.id,
-                arrival: m.arrival,
-                tokens: self.batch.tokens[m.tokens].to_vec(),
-            };
-            (req, m.attempts)
-        })
-    }
-}
-
-/// One replica's mutable state inside the event loop.
-struct Replica {
-    /// The undispatched requests routed here, FIFO, each with its
-    /// routing ordinal on this replica. Both the ordinals and the
-    /// admission instants ascend: routing happens in global time order
-    /// and every removal keeps the order. (A re-admitted request's
-    /// instant is its re-admission, not its original arrival.)
-    queue: VecDeque<(usize, Admission)>,
-    /// Timeout deadlines of routed requests as `(deadline, ordinal)`, a
-    /// min-heap with lazy deletion: an entry whose request left the
-    /// queue (dispatched, expired or displaced) is dropped when it
-    /// surfaces. Empty without a timeout policy. A re-admitted request
-    /// keeps its original arrival, so deadlines are not sorted in queue
-    /// order.
-    deadlines: BinaryHeap<Reverse<(SimTime, usize)>>,
-    /// Executes this replica's in-flight batches under the configured
-    /// network mode.
-    executor: ReplicaExecutor,
-    /// Instant the most recently vacated dispatch slot opened (the
-    /// completion that brought the replica back under `max_inflight`).
-    /// A new dispatch cannot leave before it — at `max_inflight` = 1
-    /// this is exactly the old `server_free` busy-until-done gate.
-    /// Recovery weight reloads and emergency re-placements also push
-    /// it forward.
-    slot_free: SimTime,
-    /// Tokens routed but not yet dispatched.
-    queued_tokens: usize,
-    /// This replica's own estimator (per-replica sharing; unused while
-    /// the cluster runs a shared one).
-    estimate: Estimate,
-    state: ReplicaState,
-    /// The fault factors; the executor always runs under their link
-    /// product.
-    degradation: Degradation,
-    /// Speculative hedge batches currently executing here. Excluded
-    /// from dispatch-slot accounting so a hedge never blocks the
-    /// replica's own primary dispatches.
-    hedges_in_flight: usize,
-    /// Instant the provisioning weight reload completes; balancers
-    /// skip the replica before it. The initial pool is ready at time
-    /// zero (its weights were loaded before the run).
-    ready_at: SimTime,
-    /// Instant this replica started accruing cost.
-    commissioned: SimTime,
-}
-
-impl Replica {
-    /// An up replica commissioned at `commissioned` whose first
-    /// dispatch waits until `ready_at`.
-    fn new(
-        executor: ReplicaExecutor,
-        estimate: Estimate,
-        commissioned: SimTime,
-        ready_at: SimTime,
-    ) -> Self {
-        Replica {
-            queue: VecDeque::new(),
-            deadlines: BinaryHeap::new(),
-            executor,
-            slot_free: ready_at,
-            queued_tokens: 0,
-            estimate,
-            state: ReplicaState::Up,
-            degradation: Degradation::default(),
-            hedges_in_flight: 0,
-            ready_at,
-            commissioned,
-        }
-    }
-
-    /// Up and dispatching, draining included.
-    fn is_up(&self) -> bool {
-        matches!(self.state, ReplicaState::Up | ReplicaState::Draining)
-    }
-
-    /// Commissioned and not yet retired, down included.
-    fn is_live(&self) -> bool {
-        !matches!(self.state, ReplicaState::Retired(_))
-    }
-
-    /// Up and not draining: a candidate for new work.
-    fn accepts_work(&self) -> bool {
-        self.state == ReplicaState::Up
-    }
-
-    /// Queued plus in-flight tokens.
-    fn outstanding_tokens(&self) -> usize {
-        self.queued_tokens + self.executor.in_flight_tokens()
-    }
-
-    /// In-flight primary batches: hedges ride outside the slot budget.
-    fn primaries_in_flight(&self) -> usize {
-        self.executor.in_flight() - self.hedges_in_flight
-    }
-
-    /// The earliest timeout deadline among the undispatched requests.
-    fn next_deadline(&mut self) -> Option<SimTime> {
-        while let Some(&Reverse((deadline, ordinal))) = self.deadlines.peek() {
-            if self.queue.binary_search_by_key(&ordinal, |q| q.0).is_ok() {
-                return Some(deadline);
-            }
-            self.deadlines.pop();
-        }
-        None
-    }
-
-    /// Moves every undispatched request whose deadline (`arrival +
-    /// timeout`) is at or before `now` into `expired` with its
-    /// deadline, in queue order, in one rotation through the queue.
-    fn expire(
-        &mut self,
-        now: SimTime,
-        timeout: SimDuration,
-        expired: &mut Vec<(Request, SimTime)>,
-    ) {
-        for _ in 0..self.queue.len() {
-            let entry = self.queue.pop_front().expect("counted above");
-            let deadline = entry.1.req.arrival + timeout;
-            if deadline <= now {
-                self.queued_tokens -= entry.1.req.len();
-                expired.push((entry.1.req, deadline));
-            } else {
-                self.queue.push_back(entry);
-            }
-        }
-    }
-
-    /// Updates the fault factors, then pushes their link product to the
-    /// executor.
-    fn degrade(&mut self, update: impl FnOnce(&mut Degradation)) {
-        update(&mut self.degradation);
-        self.executor.set_link_scale(self.degradation.link_scale());
-    }
-
-    /// Submits the pristine `plan` as this replica runs it: expert
-    /// compute stretched by every slowdown it carries (gray degradation
-    /// stretches service exactly like a visible slowdown; only the
-    /// control plane cannot see it). Returns the executor's solo price
-    /// when it priced one and it is the pristine plan's nominal price —
-    /// no stretch and clean links — so the detector need not price the
-    /// plan again.
-    fn submit(&mut self, id: u64, at: SimTime, plan: &Arc<ExecutionPlan>) -> Option<SimDuration> {
-        let slow = self.degradation.compute_stretch();
-        let run = if slow > 1.0 {
-            let mut degraded = (**plan).clone();
-            degraded.scale_compute(slow);
-            Arc::new(degraded)
-        } else {
-            Arc::clone(plan)
-        };
-        let nominal = Arc::ptr_eq(&run, plan) && self.executor.link_scale() == 1.0;
-        let priced = self.executor.submit(id, at, run);
-        priced.filter(|_| nominal)
-    }
-
-    /// Retires a draining replica the moment it has nothing queued and
-    /// nothing in flight; cost accrual stops at `at`.
-    fn retire_if_idle(&mut self, at: SimTime) {
-        if self.state == ReplicaState::Draining
-            && self.queue.is_empty()
-            && self.executor.in_flight() == 0
-        {
-            self.state = ReplicaState::Retired(at);
-        }
-    }
-
-    /// The balancer's view at a routing instant. The event loop fires
-    /// every executor event at or before the routing instant first, so
-    /// in-flight counts here never include batches that already
-    /// completed. `suspicion` comes from the run's [`HealthMonitor`]:
-    /// down and retired replicas are reported as infinitely suspect
-    /// (the balancer contract for "unroutable"). The advertised
-    /// capacity divides by the visible stretch only (exactly 1.0 when
-    /// undegraded): the control plane never sees a gray fault directly.
-    fn snapshot(&self, id: usize, capacity: f64, now: SimTime, suspicion: f64) -> ReplicaSnapshot {
-        ReplicaSnapshot {
-            id,
-            suspicion: if self.is_up() {
-                suspicion
-            } else {
-                f64::INFINITY
-            },
-            draining: self.state == ReplicaState::Draining,
-            provisioning: self.is_up() && now < self.ready_at,
-            queued_requests: self.queue.len(),
-            queued_tokens: self.queued_tokens,
-            in_flight_tokens: self.executor.in_flight_tokens(),
-            server_free: self.executor.busy_until().unwrap_or(SimTime::ZERO),
-            capacity: capacity / self.degradation.visible_stretch(),
-        }
-    }
-}
-
-/// One admission: a request's first arrival (pulled lazily from the
-/// trace stream) or a re-admission waiting in the retry queue after
-/// displacement. The retry [`EventQueue`] orders by `(at, push order)`;
-/// the stream wins ties against it. Once routed, the admission waits in
-/// its replica's queue until it is dispatched, expires or is displaced.
-struct Admission {
-    at: SimTime,
-    attempts: u32,
-    req: Request,
-}
-
 /// The next step of the unified event loop, chosen in global
 /// `(time, step)` order. Declaration order is the tie-break order at
 /// one instant (see the module docs for why each kind sits where it
@@ -742,7 +440,6 @@ impl<'a> ClusterEngine<'a> {
     fn run_stream(&self, stream: impl Iterator<Item = Request>) -> ClusterOutcome {
         let (engine, cluster) = (&self.engine, &self.config);
         let config = &engine.config;
-        let seeds = config.seeds();
         let offline = engine.offline_scheduler();
         let reload = provisioning::weight_reload(engine.cost, engine.topo, engine.spec.experts);
         // Only the capacity-aware consumers pay for the probe batch:
@@ -757,25 +454,21 @@ impl<'a> ClusterEngine<'a> {
         } else {
             0.0
         };
-        let estimated = estimate_read(cluster.balancer, &cluster.health);
+        // A shared run's one estimate starts from the offline profile;
+        // per-replica estimates are made as replicas are commissioned.
+        let (estimates, offline) = match cluster.sharing {
+            EstimatorSharing::Shared => (vec![Estimate::new(offline, config)], None),
+            EstimatorSharing::PerReplica => (Vec::new(), offline),
+        };
         let batch_tokens = config.batcher.max_batch_requests * config.tokens_per_request;
         // One topology clone per run, shared by every executor.
         let topo = Arc::new(engine.topo.clone());
         let n = cluster.replicas;
-        let sim = ClusterSim {
+        let mut sim = ClusterSim {
             engine,
             cluster,
-            replicas: (0..n)
-                .map(|_| {
-                    Replica::new(
-                        ReplicaExecutor::new_shared(config.network, topo.clone(), estimated),
-                        Estimate::new(offline.clone(), config.reestimate_window),
-                        SimTime::ZERO,
-                        SimTime::ZERO,
-                    )
-                })
-                .collect(),
-            monitor: HealthMonitor::for_cluster(cluster.health.clone(), n, topo.clone()),
+            replicas: Vec::new(),
+            monitor: HealthMonitor::for_cluster(cluster.health.clone(), 0, topo.clone()),
             topo,
             last_pick: None,
             batcher: Batcher::new(config.batcher.clone()),
@@ -784,10 +477,10 @@ impl<'a> ClusterEngine<'a> {
                 top_k: config.top_k,
             },
             per_replica_capacity,
-            estimated,
             batch_tokens,
             reload,
-            shared: Estimate::new(offline, config.reestimate_window),
+            estimates,
+            offline,
             stream: stream.peekable(),
             admissions: EventQueue::new(),
             snapshot_scratch: Vec::new(),
@@ -805,16 +498,16 @@ impl<'a> ClusterEngine<'a> {
                 )
             }),
             hedging: cluster.hedging.clone().map(HedgeRuntime::new),
-            retry: seeds.retry,
+            retry: config.seeds().retry,
             now: SimTime::ZERO,
             next_fault: 0,
             out: ClusterOutcome {
                 tracker: SloTracker::new(config.slo),
                 batches: 0,
                 reestimations: 0,
-                requests_per_replica: vec![0; n],
-                tokens_per_replica: vec![0; n],
-                batches_per_replica: vec![0; n],
+                requests_per_replica: Vec::new(),
+                tokens_per_replica: Vec::new(),
+                batches_per_replica: Vec::new(),
                 aborted_batches: 0,
                 faults_injected: 0,
                 emergency_replacements: 0,
@@ -840,6 +533,9 @@ impl<'a> ClusterEngine<'a> {
             terminated: Vec::new(),
             recovery: RecoveryClock::default(),
         };
+        for _ in 0..n {
+            sim.commission(SimTime::ZERO, SimTime::ZERO);
+        }
         sim.run()
     }
 }
@@ -849,7 +545,7 @@ impl<'a> ClusterEngine<'a> {
 /// least-expected-latency balancer (through `busy_until`) or a pricing
 /// detector (through the nominal price `Replica::submit` hands it).
 /// Solo replicas always price: there the walk is the service time.
-fn estimate_read(balancer: BalancerKind, health: &HealthConfig) -> bool {
+pub(crate) fn estimate_read(balancer: BalancerKind, health: &HealthConfig) -> bool {
     balancer == BalancerKind::LeastExpectedLatency || health.detector != DetectorKind::Oracle
 }
 
@@ -866,25 +562,28 @@ struct ClusterSim<'e, 'a, S: Iterator<Item = Request>> {
     batcher: Batcher,
     infer: InferenceConfig,
     per_replica_capacity: f64,
-    /// Whether contended executors solo-price each batch at submit:
-    /// only when the estimate has a reader.
-    estimated: bool,
     /// Tokens in one full batch.
     batch_tokens: usize,
     /// Modeled PCIe transfer to (re)load one device's expert shard,
     /// charged before the first dispatch after a recovery, a device
     /// loss, or an elastic scale-up.
     reload: SimDuration,
-    /// The cluster-wide estimator (shared sharing, and the starting
-    /// profile of every elastic scale-up).
-    shared: Estimate,
+    /// The popularity estimators: exactly one under shared sharing,
+    /// one per commissioned replica under per-replica sharing (see
+    /// [`ClusterSim::estimate_of`]).
+    estimates: Vec<Estimate>,
+    /// The offline profile each per-replica estimate starts from;
+    /// `None` under shared sharing, whose one estimate took it.
+    offline: Option<TwoPhaseScheduler>,
     replicas: Vec<Replica>,
     /// First arrivals in `(arrival, id)` order: the lazily generated
     /// trace stream or a pre-generated trace. Memory stays bounded by
     /// the live backlog.
     stream: std::iter::Peekable<S>,
-    /// Re-admissions only (first arrivals come from `stream`).
-    admissions: EventQueue<Admission>,
+    /// Re-admissions only (first arrivals come from `stream`): each
+    /// displaced request with its displacement count, at its retry
+    /// instant. Orders by `(at, push order)`; the stream wins ties.
+    admissions: EventQueue<(Request, u32)>,
     /// Reused balancer-snapshot buffer: `admit` is per-request hot, so
     /// it must not allocate in steady state.
     snapshot_scratch: Vec<ReplicaSnapshot>,
@@ -933,18 +632,14 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
         if let Some(e) = self.cluster.faults.schedule.events().get(self.next_fault) {
             consider(&mut best, e.at, Step::Fault);
         }
-        let max_inflight = self.engine.config.max_inflight;
         // `consider` keeps the strict minimum of a total order, so one
         // pass over the replicas picks the same step in any order.
         for (i, rep) in self.replicas.iter_mut().enumerate() {
-            if let Some(t) = rep.executor.next_event() {
+            if let Some(t) = rep.next_event() {
                 consider(&mut best, t, Step::Executor(i, t));
             }
-            if rep.is_up() && rep.primaries_in_flight() < max_inflight {
-                let waiting = rep.queue.iter().map(|q| q.1.at);
-                if let Some(d) = self.batcher.next_dispatch(waiting, rep.slot_free) {
-                    consider(&mut best, d.at, Step::Dispatch(i, d));
-                }
+            if let Some(d) = rep.next_dispatch(&self.batcher) {
+                consider(&mut best, d.at, Step::Dispatch(i, d));
             }
             if let Some(deadline) = rep.next_deadline() {
                 consider(&mut best, deadline, Step::Timeout(deadline));
@@ -1011,6 +706,41 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
         self.finish()
     }
 
+    /// Adds a replica commissioned at `at` whose first dispatch waits
+    /// until `ready_at`, with its slot in every per-replica counter and
+    /// in the detector; under per-replica sharing it gets its own
+    /// estimate, starting from the offline profile.
+    fn commission(&mut self, at: SimTime, ready_at: SimTime) {
+        let config = &self.engine.config;
+        if self.cluster.sharing == EstimatorSharing::PerReplica {
+            let estimate = Estimate::new(self.offline.clone(), config);
+            self.estimates.push(estimate);
+        }
+        let estimated = estimate_read(self.cluster.balancer, &self.cluster.health);
+        let executor = ReplicaExecutor::new_shared(config.network, self.topo.clone(), estimated);
+        let timeout = self.cluster.faults.policy.request_timeout;
+        let replica = Replica::new(executor, config.max_inflight, timeout, at, ready_at);
+        self.replicas.push(replica);
+        let out = &mut self.out;
+        for counts in [
+            &mut out.requests_per_replica,
+            &mut out.tokens_per_replica,
+            &mut out.batches_per_replica,
+        ] {
+            counts.push(0);
+        }
+        self.monitor.ensure(self.replicas.len());
+    }
+
+    /// Index into `estimates` of the estimator replica `i` plans with
+    /// and feeds: the one shared estimate, or its own.
+    fn estimate_of(&self, i: usize) -> usize {
+        match self.cluster.sharing {
+            EstimatorSharing::Shared => 0,
+            EstimatorSharing::PerReplica => i,
+        }
+    }
+
     fn apply_fault(&mut self, e: FaultEvent) {
         self.out.faults_injected += 1;
         let rep = &mut self.replicas[e.replica];
@@ -1024,7 +754,7 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
             FaultKind::DeviceLoss => self.device_loss(e.replica, e.at),
             // Gray faults degrade silently: only a detector that looks
             // can notice.
-            kind => rep.degrade(|d| d.apply(kind)),
+            kind => rep.degrade(kind),
         }
     }
 
@@ -1032,18 +762,7 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
     /// batches, displace its queued requests, and hand everything
     /// displaced to the degradation policy.
     fn crash(&mut self, i: usize, at: SimTime) {
-        let rep = &mut self.replicas[i];
-        // A crashed drain victim has nothing left to finish draining:
-        // it retires on the spot (a recovery would revive a replica
-        // the autoscaler already decided to shed).
-        rep.state = if rep.state == ReplicaState::Draining {
-            ReplicaState::Retired(at)
-        } else {
-            ReplicaState::Down
-        };
-        rep.degrade(|d| *d = Degradation::default());
-        let aborted = rep.executor.abort_all();
-        rep.hedges_in_flight = 0;
+        let (aborted, queued) = self.replicas[i].crash(at);
         self.monitor.reset(i);
         self.out.aborted_batches += aborted.len();
         let mut displaced: Vec<(Request, u32)> = Vec::new();
@@ -1063,11 +782,7 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
                 displaced.extend(flight.displace());
             }
         }
-        let rep = &mut self.replicas[i];
-        // Drain the queue by move — a displaced request's token paths
-        // travel to the retry queue without a deep clone.
-        displaced.extend(rep.queue.drain(..).map(|(_, a)| (a.req, a.attempts)));
-        rep.queued_tokens = 0;
+        displaced.extend(queued);
         // A request displaced again leaves its older recovery group
         // (in id order) before the crash opens the new one.
         let ids: BTreeSet<usize> = displaced.iter().map(|(r, _)| r.id).collect();
@@ -1098,26 +813,23 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
                 return;
             }
         }
-        self.admissions.push(at, Admission { at, attempts, req });
+        self.admissions.push(at, (req, attempts));
     }
 
     /// Fresh hardware comes back: clear all degradation state and gate
     /// the first dispatch behind the weight reload.
     fn recover(&mut self, i: usize, at: SimTime) {
-        let reload = self.reload;
-        let rep = &mut self.replicas[i];
-        if rep.state != ReplicaState::Down {
+        if !self.replicas[i].recover(at + self.reload) {
             return;
         }
-        rep.state = ReplicaState::Up;
-        rep.degrade(|d| *d = Degradation::default());
         // The replica's own monitoring samples predate the crash:
         // flush them so a per-replica re-profile after recovery starts
-        // from post-recovery observations only. (Under shared sharing
-        // dispatch never fills the per-replica window, so this is a
-        // no-op there — the pooled shared window survives untouched.)
-        rep.estimate.window.clear();
-        rep.slot_free = rep.slot_free.max(at + reload);
+        // from post-recovery observations only. The pooled shared
+        // window survives untouched.
+        if self.cluster.sharing == EstimatorSharing::PerReplica {
+            let k = self.estimate_of(i);
+            self.estimates[k].flush();
+        }
         // Post-recovery hardware is fresh: pre-crash latency history
         // (and any suspicion it earned) no longer describes it.
         self.monitor.reset(i);
@@ -1130,43 +842,22 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
     /// compute stretch until recovery. Losing the last device escalates
     /// to a crash.
     fn device_loss(&mut self, i: usize, at: SimTime) {
-        let devices = self.engine.topo.devices();
-        let reload = self.reload;
-        let rep = &mut self.replicas[i];
-        // Lost devices stretch compute only: the link product stands.
-        if !rep.degradation.lose_device(devices) {
+        if !self.replicas[i].lose_device(self.engine.topo.devices(), at + self.reload) {
             self.crash(i, at);
             return;
         }
-        rep.slot_free = rep.slot_free.max(at + reload);
         self.out.emergency_replacements += 1;
         // Re-profile immediately from whatever the window holds — an
         // out-of-cycle rebuild (not counted as a periodic
-        // re-estimation) so the next plan reflects current popularity
-        // — then flush the source window: its samples were gathered
-        // under the pre-loss placement.
-        let engine = self.engine;
-        if engine.config.scheme.estimates() {
-            let est = self.estimate(i);
-            if !est.window.is_empty() {
-                est.reprofile(engine);
-                est.window.clear();
-            }
-        }
+        // re-estimation) — then flush the source window: its samples
+        // were gathered under the pre-loss placement.
+        let k = self.estimate_of(i);
+        self.estimates[k].rebuild(self.engine);
         // A dynamic shard map does not survive the loss either: the
         // emergency re-replication restores the run's base layout, and
         // the proactive controller restarts from scratch.
         if let Some(rt) = &mut self.resharding {
             rt.reset();
-        }
-    }
-
-    /// The estimator replica `i` plans with and feeds: the cluster-wide
-    /// one under shared sharing, its own otherwise.
-    fn estimate(&mut self, i: usize) -> &mut Estimate {
-        match self.cluster.sharing {
-            EstimatorSharing::Shared => &mut self.shared,
-            EstimatorSharing::PerReplica => &mut self.replicas[i].estimate,
         }
     }
 
@@ -1180,24 +871,20 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
             (None, Some(_)) => false,
             (None, None) => unreachable!("Step::Admit without a pending admission"),
         };
-        let adm = if take_stream {
+        let (at, (req, attempts)) = if take_stream {
             let req = self.stream.next().expect("peeked above");
             self.arrived += 1;
-            Admission {
-                at: req.arrival,
-                attempts: 0,
-                req,
-            }
+            (req.arrival, (req, 0))
         } else {
-            self.admissions.pop().expect("peeked above").1
+            self.admissions.pop().expect("peeked above")
         };
-        self.now = adm.at;
+        self.now = at;
         if let Some(rt) = &mut self.autoscale {
-            if adm.attempts == 0 {
+            if attempts == 0 {
                 rt.arrival();
             }
         }
-        self.admit(adm);
+        self.admit(at, attempts, req);
     }
 
     /// One autoscaler control tick: observe the pool and the backlog,
@@ -1219,35 +906,11 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
                 let granted = rt.grant_up(n, live);
                 self.out.scale_ups += granted;
                 self.out.peak_replicas = self.out.peak_replicas.max(live + granted);
+                // A new replica stays invisible to the balancers until
+                // its weight reload completes.
                 for _ in 0..granted {
-                    // A new replica starts from the cluster's current
-                    // shared profile (the offline one under per-replica
-                    // sharing, which never re-profiles the shared copy)
-                    // and stays invisible to the balancers until its
-                    // weight reload completes.
-                    self.replicas.push(Replica::new(
-                        ReplicaExecutor::new_shared(
-                            self.engine.config.network,
-                            self.topo.clone(),
-                            self.estimated,
-                        ),
-                        Estimate::new(
-                            self.shared.scheduler.clone(),
-                            self.engine.config.reestimate_window,
-                        ),
-                        at,
-                        at + self.reload,
-                    ));
+                    self.commission(at, at + self.reload);
                 }
-                let out = &mut self.out;
-                for counts in [
-                    &mut out.requests_per_replica,
-                    &mut out.tokens_per_replica,
-                    &mut out.batches_per_replica,
-                ] {
-                    counts.resize(self.replicas.len(), 0);
-                }
-                self.monitor.ensure(self.replicas.len());
             }
             ScaleDecision::ScaleDown(n) => {
                 let serving = self.replicas.iter().filter(|r| r.accepts_work()).count();
@@ -1265,9 +928,7 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
                         .min_by_key(|(i, r)| (r.outstanding_tokens(), Reverse(*i)))
                         .map(|(i, _)| i)
                         .expect("pool above minimum has a drain candidate");
-                    let rep = &mut self.replicas[victim];
-                    rep.state = ReplicaState::Draining;
-                    rep.retire_if_idle(at);
+                    self.replicas[victim].drain(at);
                 }
             }
         }
@@ -1299,21 +960,19 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
                 rt.config.transfer_cost,
             );
             for rep in self.replicas.iter_mut().filter(|r| r.is_up()) {
-                rep.slot_free = rep.slot_free.max(at + charge);
+                rep.stall_until(at + charge);
             }
         }
         // No window sample gathered under the old map may survive it.
-        self.shared.window.clear();
-        for rep in &mut self.replicas {
-            rep.estimate.window.clear();
+        for estimate in &mut self.estimates {
+            estimate.flush();
         }
     }
 
-    /// Routes one admission (first arrival or re-admission) through
-    /// the balancer, which sees only routable replicas; applies the
-    /// shedding admission controller to first arrivals.
-    fn admit(&mut self, adm: Admission) {
-        let now = adm.at;
+    /// Routes one admission at `now` (first arrival or re-admission)
+    /// through the balancer, which sees only routable replicas; applies
+    /// the shedding admission controller to first arrivals.
+    fn admit(&mut self, now: SimTime, attempts: u32, req: Request) {
         let policy = self.cluster.faults.policy;
         let n_alive = self.replicas.iter().filter(|r| r.is_up()).count();
         if n_alive == 0 {
@@ -1323,8 +982,8 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
             // fail-fast, or a cluster that never recovers, drops.
             let recovery = self.cluster.faults.schedule.next_recovery_after(now);
             match recovery.filter(|_| policy.retries()) {
-                Some(rec) => self.readmit(adm.req, adm.attempts, rec, now),
-                None => self.fail(adm.req, now, RequestOutcome::Dropped),
+                Some(rec) => self.readmit(req, attempts, rec, now),
+                None => self.fail(req, now, RequestOutcome::Dropped),
             }
             return;
         }
@@ -1332,7 +991,7 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
         // Admission control: shed a *new* request when the surviving
         // capacity already has more than the threshold outstanding.
         // Re-admissions are exempt — shedding protects admitted work.
-        if adm.attempts == 0 && policy.sheds() {
+        if attempts == 0 && policy.sheds() {
             let outstanding: usize = self
                 .replicas
                 .iter()
@@ -1341,7 +1000,7 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
                 .sum();
             let cap = policy.shed_batches_per_replica * n_alive as f64 * self.batch_tokens as f64;
             if outstanding as f64 > cap {
-                self.fail(adm.req, now, RequestOutcome::Dropped);
+                self.fail(req, now, RequestOutcome::Dropped);
                 return;
             }
         }
@@ -1378,36 +1037,17 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
             balancer.name()
         );
         self.snapshot_scratch = snapshots;
-        let rep = &mut self.replicas[target];
         let ordinal = self.out.requests_per_replica[target];
-        if let Some(to) = policy.request_timeout {
-            rep.deadlines.push(Reverse((adm.req.arrival + to, ordinal)));
-        }
         self.out.requests_per_replica[target] += 1;
-        self.out.tokens_per_replica[target] += adm.req.tokens.len();
-        rep.queued_tokens += adm.req.tokens.len();
-        rep.queue.push_back((ordinal, adm));
+        self.out.tokens_per_replica[target] += req.len();
+        self.replicas[target].admit(ordinal, now, attempts, req);
     }
 
     /// Fires the replica's executor events at `t`; completions free
     /// dispatch slots, feed the health detector, resolve hedge races,
     /// and materialize their members' records.
     fn complete_on(&mut self, i: usize, t: SimTime) {
-        let max_inflight = self.engine.config.max_inflight;
-        let rep = &mut self.replicas[i];
-        let mut inflight = rep.primaries_in_flight();
-        let finished = rep.executor.advance_to(t);
-        for fb in &finished {
-            if is_hedge(fb.id) {
-                rep.hedges_in_flight -= 1;
-                continue;
-            }
-            inflight -= 1;
-            if inflight == max_inflight - 1 {
-                rep.slot_free = fb.completed;
-            }
-        }
-        for fb in finished {
+        for fb in self.replicas[i].advance_to(t) {
             // Every completion here, hedge duplicates included, is a
             // latency observation for the detector.
             self.monitor
@@ -1420,13 +1060,7 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
                     // The hedge beat a still-running primary: abort
                     // the original and free its dispatch slot now.
                     self.monitor.forget(primary);
-                    let prep = &mut self.replicas[p];
-                    let ok = prep.executor.abort(primary);
-                    assert!(ok, "raced primary was in flight");
-                    if prep.primaries_in_flight() == max_inflight - 1 {
-                        prep.slot_free = t;
-                    }
-                    prep.retire_if_idle(t);
+                    self.replicas[p].cancel(primary, t);
                 }
                 primary
             } else {
@@ -1437,80 +1071,46 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
                 if let Some((hedge, h)) = lost {
                     // The primary beat its hedge: cancel the copy.
                     self.monitor.forget(hedge);
-                    let hrep = &mut self.replicas[h];
-                    let ok = hrep.executor.abort(hedge);
-                    assert!(ok, "live hedge was in flight");
-                    hrep.hedges_in_flight -= 1;
+                    self.replicas[h].cancel(hedge, t);
                 }
                 fb.id
             };
-            self.complete_batch(batch, &fb);
+            // Materialize the members' records, on the timeline of
+            // the flight that served them.
+            let flight = self
+                .pending
+                .remove(&batch)
+                .expect("finished batch was committed");
+            for record in flight.records(batch, &fb) {
+                self.on_terminal(record.id, fb.completed);
+                self.records.push(record);
+            }
         }
         // A drain victim decommissions at its last completion.
         self.replicas[i].retire_if_idle(t);
-    }
-
-    /// Materializes the records of primary batch `batch`'s members,
-    /// served by the flight `fb`: the primary itself or its winning
-    /// hedge, whose timeline the records then carry.
-    fn complete_batch(&mut self, batch: u64, fb: &FinishedBatch) {
-        let flight = self
-            .pending
-            .remove(&batch)
-            .expect("finished batch was committed");
-        for m in flight.members {
-            self.records.push(RequestRecord {
-                id: m.id,
-                // The original arrival: latency spans failed attempts
-                // and backoff waits.
-                arrival: m.arrival,
-                dispatched: fb.dispatched,
-                completed: fb.completed,
-                tokens: m.tokens.len(),
-                batch: batch as usize,
-                service: fb.report.total,
-            });
-            self.on_terminal(m.id, fb.completed);
-        }
     }
 
     /// A hedge timer fired: the primary is still running past its
     /// deadline. Duplicate the batch onto the least-suspected routable
     /// alternate with spare executor capacity; first completion wins.
     fn fire_hedge(&mut self, t: SimTime, primary: u64) {
-        let max_inflight = self.engine.config.max_inflight;
         let rt = self
             .hedging
             .as_mut()
             .expect("hedge timer without a runtime");
         let (replicas, monitor) = (&self.replicas, &self.monitor);
         let hedge = rt.fire(t, primary, |host| {
-            // Candidates: up and taking work, past the weight reload,
-            // not the primary's host, with a genuinely free executor
-            // slot (the hedge consumes capacity even though it skips
-            // the dispatch budget). Least suspicion wins; ties break
+            // Candidates: any replica but the primary's host that can
+            // start a hedge now. Least suspicion wins; ties break
             // toward the lighter in-flight load, then the lower index.
             // None (single live replica, or everyone saturated) leaves
             // the primary alone with the batch.
-            replicas
-                .iter()
-                .enumerate()
-                .filter(|&(j, r)| {
-                    j != host
-                        && r.accepts_work()
-                        && t >= r.ready_at
-                        && r.executor.in_flight() < max_inflight
-                })
-                .min_by(|&(a, ra), &(b, rb)| {
-                    monitor
-                        .suspicion(a, t)
-                        .total_cmp(&monitor.suspicion(b, t))
-                        .then_with(|| {
-                            ra.executor
-                                .in_flight_tokens()
-                                .cmp(&rb.executor.in_flight_tokens())
-                        })
-                        .then_with(|| a.cmp(&b))
+            let candidates = replicas.iter().enumerate().filter(|&(j, _)| j != host);
+            candidates
+                .filter_map(|(j, r)| Some((j, r.hedge_load(t)?)))
+                .min_by(|&(a, la), &(b, lb)| {
+                    let (sa, sb) = (monitor.suspicion(a, t), monitor.suspicion(b, t));
+                    sa.total_cmp(&sb).then(la.cmp(&lb)).then(a.cmp(&b))
                 })
                 .map(|(j, _)| j)
         });
@@ -1518,11 +1118,9 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
             return;
         };
         self.out.hedges_issued += 1;
-        let rep = &mut self.replicas[target];
-        rep.hedges_in_flight += 1;
         // The duplicate runs at the target's true speed; its completion
         // feeds the detector like any other.
-        let nominal = rep.submit(id, t, &plan);
+        let nominal = self.replicas[target].submit(id, t, &plan);
         self.monitor.expect(id, &plan, nominal);
     }
 
@@ -1530,46 +1128,8 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
     /// submit.
     fn dispatch(&mut self, i: usize, d: Dispatch) {
         let engine = self.engine;
-        let max_inflight = engine.config.max_inflight;
-        let rep = &mut self.replicas[i];
-        assert!(
-            rep.primaries_in_flight() < max_inflight,
-            "replica {i} dispatched past its {max_inflight} in-flight batches"
-        );
-        // Move the members' tokens into the batch: one allocation for
-        // the batch and none per token. A crash can still re-admit a
-        // member with its tokens, copied back from the flight. Each
-        // request's own token buffer is freed here, so token memory
-        // follows the live backlog and flights, not the run length.
-        let batch_tokens: usize = rep.queue.range(..d.count).map(|q| q.1.req.len()).sum();
-        let mut tokens = Vec::with_capacity(batch_tokens);
-        let members: Vec<Member> = rep
-            .queue
-            .drain(..d.count)
-            .map(|(_, mut adm)| {
-                let start = tokens.len();
-                tokens.append(&mut adm.req.tokens);
-                Member {
-                    id: adm.req.id,
-                    arrival: adm.req.arrival,
-                    attempts: adm.attempts,
-                    tokens: start..tokens.len(),
-                }
-            })
-            .collect();
-        let batch = Arc::new(TokenBatch {
-            tokens,
-            devices: engine.topo.devices(),
-            experts: engine.spec.experts,
-        });
-        // Admission instants ascend, so the requests already waiting
-        // behind the batch are a prefix of what is left.
-        let backlog = rep.queue.partition_point(|q| q.1.at <= d.at);
-        rep.queued_tokens -= batch_tokens;
-        let scheduler = match self.cluster.sharing {
-            EstimatorSharing::Shared => &self.shared,
-            EstimatorSharing::PerReplica => &self.replicas[i].estimate,
-        };
+        let shape = (engine.topo.devices(), engine.spec.experts);
+        let (flight, batch, backlog) = self.replicas[i].assemble(d, shape);
         // A diverged shard map overrides the configured base placement;
         // at the base, planning sees exactly the configured map (or the
         // canonical one when none was set), so an armed-but-inert
@@ -1579,11 +1139,12 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
             .as_ref()
             .and_then(ReshardRuntime::plan_map)
             .or(self.cluster.placement.as_ref());
+        let k = self.estimate_of(i);
         let plan = Arc::new(plan_batch_layered(
             engine.cost,
             engine.topo,
             &self.infer,
-            scheduler.scheduler.as_ref(),
+            self.estimates[k].scheduler(),
             &batch,
             map,
             self.cluster.locality,
@@ -1598,10 +1159,6 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
         }
         let nominal = self.replicas[i].submit(batch_id, d.at, &plan);
         self.monitor.expect(batch_id, &plan, nominal);
-        let flight = Flight {
-            batch: Arc::clone(&batch),
-            members,
-        };
         assert!(
             self.pending.insert(batch_id, flight).is_none(),
             "batch {batch_id} committed twice"
@@ -1613,17 +1170,10 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
         // The re-shard load monitor counts every dispatched batch's
         // selections; the re-estimator then keeps the batch itself,
         // pooled cluster-wide (shared) or replica-locally.
-        let every = engine
-            .config
-            .reestimate_every
-            .filter(|_| engine.config.scheme.estimates());
         if let Some(rt) = &mut self.resharding {
             rt.observe(&batch);
         }
-        let Some(every) = every else {
-            return;
-        };
-        if self.estimate(i).observe(batch, every, engine) {
+        if self.estimates[k].observe(batch, engine) {
             self.out.reestimations += 1;
         }
     }
@@ -1632,16 +1182,10 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
     /// loop fires this at the earliest deadline, so `TimedOut` records
     /// carry exactly their deadline as the end instant.
     fn expire(&mut self, now: SimTime) {
-        let to = self
-            .cluster
-            .faults
-            .policy
-            .request_timeout
-            .expect("timeout event without a timeout policy");
         let mut expired: Vec<(Request, SimTime)> = Vec::new();
         for rep in &mut self.replicas {
             if rep.next_deadline().is_some_and(|d| d <= now) {
-                rep.expire(now, to, &mut expired);
+                rep.expire(now, &mut expired);
             }
         }
         for (req, deadline) in expired {
@@ -1689,10 +1233,10 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
             self.pending.is_empty(),
             "every committed batch must complete or abort"
         );
-        for rep in &self.replicas {
-            assert!(rep.queue.is_empty(), "queued requests left behind");
-            assert_eq!(rep.queued_tokens, 0, "queued tokens left behind");
-        }
+        assert!(
+            self.replicas.iter().all(Replica::is_drained),
+            "queued requests or tokens left behind"
+        );
         // Conservation: each first arrival pulled from the stream
         // reached a terminal outcome, and `on_terminal` already proved
         // that none reached two.
@@ -1725,17 +1269,7 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
         // Pool cost: every replica accrues from commission until it
         // retired (or the last event of the run for survivors).
         let end = self.now;
-        out.replica_seconds = self
-            .replicas
-            .iter()
-            .map(|r| {
-                let until = match r.state {
-                    ReplicaState::Retired(at) => at,
-                    _ => end,
-                };
-                until.saturating_since(r.commissioned).as_secs_f64()
-            })
-            .sum();
+        out.replica_seconds = self.replicas.iter().map(|r| r.replica_seconds(end)).sum();
         out.last_event = end;
         self.out
     }
@@ -2076,73 +1610,6 @@ mod tests {
                 f.id
             );
         }
-    }
-
-    /// `Replica::{next_deadline, expire}` on a queue whose ring buffer
-    /// has wrapped: three dispatched entries left the front, then
-    /// re-admissions with older original arrivals joined the back, so
-    /// deadlines are unsorted in queue order and the heap holds stale
-    /// entries for the dispatched ordinals.
-    #[test]
-    fn timeouts_walk_a_wrapped_queue_in_order() {
-        let (_, topo, _) = world();
-        let executor =
-            ReplicaExecutor::new_shared(lina_runner::NetworkMode::Solo, Arc::new(topo), false);
-        let mut rep = Replica::new(
-            executor,
-            Estimate::new(None, 8),
-            SimTime::ZERO,
-            SimTime::ZERO,
-        );
-        let timeout = SimDuration::from_millis(10);
-        let token = lina_workload::TokenPath::new(0, 1, Box::new([0, 1, 2]));
-        // Admits `ordinal` at `at` ms with its original arrival at
-        // `arrival` ms and `ordinal + 1` tokens, as `admit` routes it.
-        let admit = |rep: &mut Replica, ordinal: usize, at: u64, arrival: u64| {
-            let req = Request {
-                id: 100 + ordinal,
-                arrival: SimTime::from_millis(arrival),
-                tokens: vec![token.clone(); ordinal + 1],
-            };
-            rep.deadlines
-                .push(Reverse((req.arrival + timeout, ordinal)));
-            rep.queued_tokens += req.len();
-            let attempts = u32::from(at != arrival);
-            let at = SimTime::from_millis(at);
-            rep.queue
-                .push_back((ordinal, Admission { at, attempts, req }));
-        };
-        for ordinal in 0..4 {
-            admit(&mut rep, ordinal, ordinal as u64, ordinal as u64);
-        }
-        for (_, adm) in rep.queue.drain(..3) {
-            rep.queued_tokens -= adm.req.len();
-        }
-        admit(&mut rep, 4, 4, 1);
-        admit(&mut rep, 5, 5, 5);
-        admit(&mut rep, 6, 6, 2);
-        let (_, back) = rep.queue.as_slices();
-        assert!(!back.is_empty(), "the ring buffer wrapped");
-        let ms = SimTime::from_millis;
-        // The stale (10, 0) and (11, 1) surface first and are dropped.
-        assert_eq!(rep.next_deadline(), Some(ms(11)));
-
-        let mut expired = Vec::new();
-        rep.expire(ms(12), timeout, &mut expired);
-        let gone: Vec<(usize, SimTime)> = expired.iter().map(|(r, d)| (r.id, *d)).collect();
-        assert_eq!(gone, [(104, ms(11)), (106, ms(12))], "queue order");
-        let left: Vec<usize> = rep.queue.iter().map(|q| q.0).collect();
-        assert_eq!(left, [3, 5], "survivors keep their order");
-        assert_eq!(rep.queued_tokens, 4 + 6);
-        assert_eq!(rep.next_deadline(), Some(ms(13)));
-
-        expired.clear();
-        rep.expire(ms(15), timeout, &mut expired);
-        let gone: Vec<usize> = expired.iter().map(|(r, _)| r.id).collect();
-        assert_eq!(gone, [103, 105]);
-        assert!(rep.queue.is_empty());
-        assert_eq!(rep.queued_tokens, 0);
-        assert_eq!(rep.next_deadline(), None);
     }
 
     #[test]
@@ -2846,144 +2313,5 @@ mod tests {
             (0..96).collect::<Vec<_>>(),
             "every request reaches exactly one terminal outcome"
         );
-    }
-
-    mod pricing {
-        //! The detector prices each batch once: a replica running the
-        //! pristine plan on clean links hands over its executor's price,
-        //! every other batch is priced again — and both come out as the
-        //! pristine plan's price on a fresh timer.
-
-        use super::*;
-        use lina_netsim::SoloTimer;
-        use lina_runner::{execute_plan_solo, NetworkMode};
-        use lina_workload::{Mode, TokenSource};
-
-        struct Fixture {
-            topo: Arc<Topology>,
-            plan: Arc<ExecutionPlan>,
-            /// The plan priced on a fresh timer.
-            pristine: SimDuration,
-            monitor: HealthMonitor,
-        }
-
-        fn fixture() -> Fixture {
-            let (cost, topo, spec) = world();
-            let batch = TokenSource::new(&spec, 1, 99).sample_batch(8, 512, Mode::Inference);
-            let infer = InferenceConfig {
-                scheme: InferScheme::Baseline,
-                top_k: 1,
-            };
-            let plan = plan_batch_layered(&cost, &topo, &infer, None, &batch, None, false);
-            let pristine = execute_plan_solo(&plan, &mut SoloTimer::new(&topo)).total;
-            let topo = Arc::new(topo);
-            Fixture {
-                monitor: HealthMonitor::for_cluster(HealthConfig::phi_accrual(), 2, topo.clone()),
-                topo,
-                plan: Arc::new(plan),
-                pristine,
-            }
-        }
-
-        /// A replica as a round-robin cluster with the fixture's phi
-        /// detector builds it: the detector is the estimate's only
-        /// reader.
-        fn replica(f: &Fixture, mode: NetworkMode) -> Replica {
-            let estimate = estimate_read(BalancerKind::RoundRobin, &HealthConfig::phi_accrual());
-            let executor = ReplicaExecutor::new_shared(mode, f.topo.clone(), estimate);
-            Replica::new(
-                executor,
-                Estimate::new(None, 8),
-                SimTime::ZERO,
-                SimTime::ZERO,
-            )
-        }
-
-        /// Submits the pristine plan on `rep` and records the detector's
-        /// expectation, as dispatch does; returns whether the executor's
-        /// price was reused and the recorded expectation.
-        fn submit(f: &mut Fixture, rep: &mut Replica, id: u64) -> (bool, SimDuration) {
-            let nominal = rep.submit(id, SimTime::ZERO, &f.plan);
-            f.monitor.expect(id, &f.plan, nominal);
-            let expected = f.monitor.expectation(id).expect("a phi detector prices");
-            (nominal.is_some(), expected)
-        }
-
-        #[test]
-        fn a_pristine_replica_hands_its_price_to_the_detector() {
-            let mut f = fixture();
-            for (id, mode) in [NetworkMode::Solo, NetworkMode::Contended]
-                .into_iter()
-                .enumerate()
-            {
-                let mut rep = replica(&f, mode);
-                assert_eq!(
-                    submit(&mut f, &mut rep, id as u64),
-                    (true, f.pristine),
-                    "{mode:?}"
-                );
-            }
-        }
-
-        #[test]
-        fn degraded_replicas_reprice_the_pristine_plan() {
-            let mut f = fixture();
-            let mut gray = replica(&f, NetworkMode::Solo);
-            gray.degrade(|d| {
-                d.apply(FaultKind::GrayDegrade {
-                    compute_scale: 1.5,
-                    nic_scale: 0.5,
-                })
-            });
-            assert_eq!(submit(&mut f, &mut gray, 0), (false, f.pristine));
-            let mut straggler = replica(&f, NetworkMode::Solo);
-            straggler.degrade(|d| d.apply(FaultKind::StragglerStart { factor: 2.0 }));
-            assert_eq!(submit(&mut f, &mut straggler, 1), (false, f.pristine));
-            // Both really ran slower than the price they were judged by.
-            for rep in [&mut gray, &mut straggler] {
-                let done = rep.executor.advance_to(SimTime::from_secs_f64(10.0));
-                assert!(done[0].report.total > f.pristine);
-            }
-        }
-
-        #[test]
-        fn restored_links_reuse_the_executor_price_again() {
-            let mut f = fixture();
-            let mut rep = replica(&f, NetworkMode::Solo);
-            rep.degrade(|d| d.apply(FaultKind::LinkDegrade { scale: 0.5 }));
-            assert_eq!(submit(&mut f, &mut rep, 0), (false, f.pristine));
-            rep.degrade(|d| d.apply(FaultKind::LinkRestore));
-            assert_eq!(submit(&mut f, &mut rep, 1), (true, f.pristine));
-        }
-
-        #[test]
-        fn a_hedge_onto_a_degraded_target_reprices() {
-            let mut f = fixture();
-            let mut primary = replica(&f, NetworkMode::Solo);
-            let mut target = replica(&f, NetworkMode::Solo);
-            target.degrade(|d| {
-                d.apply(FaultKind::GrayDegrade {
-                    compute_scale: 1.5,
-                    nic_scale: 1.0,
-                })
-            });
-            let mut rt = HedgeRuntime::new(HedgeConfig {
-                quantile: 0.5,
-                multiplier: 1.0,
-                min_samples: 1,
-            });
-            // One delay sample arms hedging.
-            rt.primary_done(u64::MAX >> 1, SimDuration::from_micros(1), SimTime::ZERO);
-            assert_eq!(submit(&mut f, &mut primary, 0), (true, f.pristine));
-            rt.arm(0, 0, SimTime::ZERO, &f.plan);
-            let (t, id) = rt.next_timer().expect("armed");
-            let (hedge, to, plan) = rt.fire(t, id, |_| Some(1)).expect("a free alternate");
-            assert_eq!(to, 1);
-            assert!(
-                Arc::ptr_eq(&plan, &f.plan),
-                "a hedge re-runs the pristine plan"
-            );
-            assert_eq!(submit(&mut f, &mut target, hedge), (false, f.pristine));
-        }
     }
 }

@@ -22,6 +22,9 @@
 //!   rebuilt, so placement follows the drifted distribution instead of
 //!   the stale offline profile.
 
+use std::collections::VecDeque;
+use std::sync::Arc;
+
 use lina_baselines::InferScheme;
 use lina_core::{PopularityEstimator, TwoPhaseConfig, TwoPhaseScheduler};
 use lina_model::CostModel;
@@ -335,6 +338,87 @@ impl<'a> ServeEngine<'a> {
         let plan = plan_batch(self.cost, self.topo, &infer, scheduler, &batch);
         let report = execute_plan_solo(&plan, &mut SoloTimer::new(self.topo));
         per_batch as f64 / report.total.as_secs_f64().max(f64::MIN_POSITIVE)
+    }
+}
+
+/// A popularity-estimator re-profiling window and the scheduler last
+/// built from it: one per cluster run under shared sharing, one per
+/// replica otherwise.
+pub(crate) struct Estimate {
+    /// The most recently served batches, oldest first, at most `cap`.
+    /// Each is shared with the flight that dispatched it, so windowing
+    /// a batch copies no token. Flushed whenever the shard map changes
+    /// (device loss, recovery, re-sharding): samples observed under the
+    /// old placement would otherwise blend into the new profile.
+    window: VecDeque<Arc<TokenBatch>>,
+    cap: usize,
+    /// Re-profile every this many windowed batches; `None` (no period,
+    /// or a scheme that never estimates) windows nothing.
+    every: Option<usize>,
+    scheduler: Option<TwoPhaseScheduler>,
+    /// Batches pushed into the window over the run.
+    observed: usize,
+}
+
+impl Estimate {
+    /// Starts from `scheduler` (the offline profile) with an empty
+    /// window, re-profiling as `config` says.
+    pub(crate) fn new(scheduler: Option<TwoPhaseScheduler>, config: &ServeConfig) -> Self {
+        Estimate {
+            window: VecDeque::new(),
+            cap: config.reestimate_window,
+            every: config
+                .reestimate_every
+                .filter(|_| config.scheme.estimates()),
+            scheduler,
+            observed: 0,
+        }
+    }
+
+    /// The scheduler batches are planned with.
+    pub(crate) fn scheduler(&self) -> Option<&TwoPhaseScheduler> {
+        self.scheduler.as_ref()
+    }
+
+    /// Rebuilds the scheduler from the windowed batches.
+    fn reprofile(&mut self, engine: &ServeEngine) {
+        let estimator = PopularityEstimator::profile(
+            self.window.iter().map(Arc::as_ref),
+            engine.config.path_length,
+        );
+        self.scheduler = Some(TwoPhaseScheduler::new(engine.two_phase_config(), estimator));
+    }
+
+    /// Windows a served batch and re-profiles every `every` batches;
+    /// true when it did.
+    pub(crate) fn observe(&mut self, batch: Arc<TokenBatch>, engine: &ServeEngine) -> bool {
+        let Some(every) = self.every else {
+            return false;
+        };
+        self.window.push_back(batch);
+        if self.window.len() > self.cap {
+            self.window.pop_front();
+        }
+        self.observed += 1;
+        let due = self.observed.is_multiple_of(every);
+        if due {
+            self.reprofile(engine);
+        }
+        due
+    }
+
+    /// Drops the windowed samples: their shard map no longer holds.
+    pub(crate) fn flush(&mut self) {
+        self.window.clear();
+    }
+
+    /// An out-of-cycle rebuild (a device loss): re-profiles from a
+    /// non-empty window, then flushes it.
+    pub(crate) fn rebuild(&mut self, engine: &ServeEngine) {
+        if !self.window.is_empty() {
+            self.reprofile(engine);
+            self.flush();
+        }
     }
 }
 

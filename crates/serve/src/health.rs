@@ -3,8 +3,8 @@
 //!
 //! A gray-degraded replica ([`FaultKind::GrayDegrade`]) keeps its
 //! health bit up — the control plane is never told — so bit-consuming
-//! balancers would keep routing into it at full weight. The
-//! [`HealthMonitor`] closes the loop from the *data plane* instead:
+//! balancers would keep routing into it at full weight. The cluster's
+//! health monitor closes the loop from the *data plane* instead:
 //! every completed batch feeds the ratio of the serving replica's
 //! observed completion latency over the batch's *expected* latency
 //! (the pristine plan priced at nominal replica speed) into a
@@ -447,7 +447,7 @@ struct ReplicaHealth {
 /// batch's service observation, query a suspicion score at routing
 /// instants. See the [module docs](self) for the model.
 #[derive(Clone, Debug)]
-pub struct HealthMonitor {
+pub(crate) struct HealthMonitor {
     config: HealthConfig,
     /// Cluster-wide actual-over-expected ratio baseline. Samples whose
     /// own z-score already exceeds the suspect threshold are kept out
@@ -635,11 +635,6 @@ impl HealthMonitor {
         score
     }
 
-    /// True while the replica is in the suspected/probation regime.
-    pub fn suspected(&self, replica: usize) -> bool {
-        self.replicas[replica].suspected
-    }
-
     /// Forgets a replica's history (crash or recovery: the hardware
     /// behind the estimate is gone).
     pub fn reset(&mut self, replica: usize) {
@@ -655,6 +650,11 @@ mod tests {
         /// The expectation recorded for batch `id`, if any.
         pub(crate) fn expectation(&self, id: u64) -> Option<SimDuration> {
             self.expected.get(&id).copied()
+        }
+
+        /// True while the replica is in the suspected/probation regime.
+        fn suspected(&self, replica: usize) -> bool {
+            self.replicas[replica].suspected
         }
     }
 

@@ -39,9 +39,9 @@
 //!   displaced work;
 //! * gray-failure detection and hedged dispatch — *gray* faults
 //!   ([`FaultKind::GrayDegrade`]) slow a replica without tripping its
-//!   health bit; a phi-accrual-style [`HealthMonitor`] turns observed
-//!   batch latencies into a continuous suspicion score the balancers
-//!   route on ([`HealthConfig`]), and an optional [`HedgeConfig`]
+//!   health bit; a phi-accrual-style detector ([`health`]) turns
+//!   observed batch latencies into a continuous suspicion score the
+//!   balancers route on ([`HealthConfig`]), and an optional [`HedgeConfig`]
 //!   re-dispatches a quantile-late batch to the least-suspected
 //!   alternate, first completion winning; the default
 //!   [`DetectorKind::Oracle`] reproduces the historical boolean health
@@ -80,6 +80,7 @@ pub mod engine;
 pub mod faults;
 pub mod health;
 pub mod provisioning;
+mod replica;
 pub mod request;
 pub mod resharding;
 pub mod slo;
@@ -95,7 +96,7 @@ pub use engine::{ServeConfig, ServeEngine};
 pub use faults::{
     DegradationPolicy, FaultEvent, FaultKind, FaultPlan, FaultRateConfig, FaultSchedule, PolicyKind,
 };
-pub use health::{DetectorKind, HealthConfig, HealthMonitor, HedgeConfig};
+pub use health::{DetectorKind, HealthConfig, HedgeConfig};
 pub use lina_runner::NetworkMode;
 pub use provisioning::{provision_time, reshard_transfer, weight_reload};
 pub use request::{Request, RequestRecord};
