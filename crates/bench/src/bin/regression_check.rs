@@ -3,8 +3,10 @@
 //! Diffs the current run's summary against a previous one (typically
 //! the artifact from the last green CI run on the main branch), keyed
 //! on `(scenario id, metric name)`. A metric whose value drifts by
-//! more than the relative tolerance fails the check; metrics that
-//! vanished are reported as warnings. Scenarios and metrics present
+//! more than the relative tolerance fails the check, and so does a
+//! scenario or metric of the previous summary that the current one
+//! lacks: a change that drops a metric must refresh the baseline
+//! deliberately. Scenarios and metrics present
 //! only in the current summary are *additions* — logged for the CI
 //! record, never failed — so landing a new experiment does not require
 //! a baseline refresh first.
@@ -172,12 +174,21 @@ fn main() -> ExitCode {
     for (id, n) in &new_scenarios {
         println!("NEW   {id}: scenario added ({n} metric(s))");
     }
+    // Removals fail: a whole scenario once, a single metric each.
+    let cur_ids: std::collections::BTreeSet<&str> = cur.keys().map(|(id, _)| id.as_str()).collect();
     let mut failures = 0usize;
+    for id in prev_ids.difference(&cur_ids) {
+        println!("FAIL  {id}: scenario disappeared");
+        failures += 1;
+    }
     let mut compared = 0usize;
     for ((id, name), prev) in &previous {
         let key = (id.clone(), name.clone());
         let Some(&now) = cur.get(&key) else {
-            println!("WARN  {id}/{name}: metric disappeared (was {prev})");
+            if cur_ids.contains(id.as_str()) {
+                println!("FAIL  {id}/{name}: metric disappeared (was {prev})");
+                failures += 1;
+            }
             continue;
         };
         compared += 1;

@@ -1,10 +1,11 @@
 //! # lina-bench
 //!
 //! The declarative experiment layer that regenerates every table and
-//! figure of the paper's evaluation (see `DESIGN.md` §3 for the full
-//! index). Each experiment is a [`Scenario`] in the [`REGISTRY`]: a
-//! tier-sized function from a [`ScenarioCtx`] to a typed
-//! [`lina_simcore::Report`] (plain-text tables plus named metrics).
+//! figure of the paper's evaluation, plus the eight `serve_*` serving
+//! scenarios (see `DESIGN.md` §3 for the full index). Each experiment
+//! is a [`Scenario`] in the [`REGISTRY`]: a tier-sized function from a
+//! [`ScenarioCtx`] to a typed [`lina_simcore::Report`] (plain-text
+//! tables plus named metrics).
 //! The `reproduce` binary drives the whole registry — `--list`,
 //! `--only <id>`, `--tier smoke|full`, `--threads N`, `--json <path>`
 //! — and `--only <id>` prints one scenario's banner and tables.
@@ -21,14 +22,15 @@
 
 pub mod scenario;
 pub mod scenarios;
+mod serving;
 
 pub use scenario::{find, slug, Scenario, ScenarioCtx, Tier, REGISTRY};
 
 use lina_baselines::TrainScheme;
-use lina_core::{PopularityEstimator, TwoPhaseConfig, TwoPhaseScheduler};
+use lina_core::TwoPhaseScheduler;
 use lina_model::{BatchShape, CostModel, DeviceSpec, MoeModelConfig};
 use lina_netsim::{ClusterSpec, Topology};
-use lina_workload::{Mode, TokenBatch, TokenSource, WorkloadSpec};
+use lina_workload::{TokenBatch, WorkloadSpec};
 
 /// Training steps per configuration.
 pub fn steps() -> usize {
@@ -45,7 +47,8 @@ pub fn tokens_per_device() -> usize {
     env_usize("LINA_TOKENS", 16_384)
 }
 
-/// Requests per serving run (`serve_load_sweep`).
+/// Requests per serving run: the base each `serve_*` scenario sizes
+/// its trace from.
 pub fn requests() -> usize {
     env_usize("LINA_REQUESTS", 256)
 }
@@ -122,38 +125,13 @@ pub fn workload_for(model: &MoeModelConfig, experts: usize, layers: usize) -> Wo
     }
 }
 
-/// Builds a profiled two-phase scheduler plus inference batches for a
-/// workload: profiling uses training-distribution data (as the paper's
-/// profiling stage does), inference uses the skewed request stream.
+/// A profiled two-phase scheduler plus inference batches for a
+/// workload (see [`ScenarioCtx::inference_setup_with`]).
 pub struct InferenceSetup {
     /// The profiled scheduler.
     pub scheduler: TwoPhaseScheduler,
     /// Inference batches.
     pub batches: Vec<TokenBatch>,
-}
-
-/// Inference setup for a workload spec with an explicit profiling
-/// depth (the full tier profiles 12 batches, the smoke tier fewer).
-pub fn inference_setup_sized(
-    spec: &WorkloadSpec,
-    devices: usize,
-    path_length: usize,
-    n_batches: usize,
-    tokens_per_dev: usize,
-    profile_batches: usize,
-) -> InferenceSetup {
-    let mut profile_src = TokenSource::new(spec, 1, 0xBEEF);
-    let profile: Vec<TokenBatch> = (0..profile_batches)
-        .map(|_| profile_src.sample_batch(devices, 2048, Mode::Train))
-        .collect();
-    let estimator = PopularityEstimator::profile(&profile, path_length);
-    let config = TwoPhaseConfig::paper_defaults(devices);
-    let scheduler = TwoPhaseScheduler::new(config, estimator);
-    let mut infer_src = TokenSource::new(spec, 1, 0xCAFE);
-    let batches = (0..n_batches)
-        .map(|_| infer_src.sample_batch(devices, tokens_per_dev, Mode::Inference))
-        .collect();
-    InferenceSetup { scheduler, batches }
 }
 
 /// Formats an optional rate (e.g. [`InferenceSummary::accuracy`]) as a
@@ -191,7 +169,7 @@ mod tests {
     #[test]
     fn setup_builds() {
         let spec = WorkloadSpec::enwik8(4, 12);
-        let s = inference_setup_sized(&spec, 4, 3, 2, 256, 12);
+        let s = ScenarioCtx::full().inference_setup_with(&spec, 4, 3, 2, 256);
         assert_eq!(s.batches.len(), 2);
         assert_eq!(s.scheduler.estimator().path_length(), 3);
     }

@@ -1,17 +1,18 @@
 //! The declarative experiment registry.
 //!
-//! Every table and figure of the paper's evaluation (plus the serving
-//! load sweep) is a [`Scenario`]: an id, a paper reference, a size
-//! tier-aware `run` function from a [`ScenarioCtx`] to a typed
-//! [`Report`]. The registry is the single source of truth that the
-//! `reproduce` driver, the per-figure wrapper binaries, the smoke-tier
-//! integration test, and CI's `bench_summary.json` artifact all drive.
+//! Every table and figure of the paper's evaluation, plus the eight
+//! `serve_*` serving scenarios, is a [`Scenario`]: an id, a paper
+//! reference, a size tier-aware `run` function from a [`ScenarioCtx`]
+//! to a typed [`Report`]. The registry is the single source of truth
+//! that the `reproduce` driver, the smoke-tier integration test, and
+//! CI's `bench_summary.json` artifact all drive.
 
+use lina_core::{PopularityEstimator, TwoPhaseConfig, TwoPhaseScheduler};
 use lina_model::MoeModelConfig;
 use lina_simcore::Report;
-use lina_workload::WorkloadSpec;
+use lina_workload::{Mode, TokenBatch, TokenSource, WorkloadSpec};
 
-use crate::scenarios;
+use crate::{scenarios, InferenceSetup};
 
 /// Experiment size tier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -121,7 +122,7 @@ impl ScenarioCtx {
         spec: &WorkloadSpec,
         devices: usize,
         path_length: usize,
-    ) -> crate::InferenceSetup {
+    ) -> InferenceSetup {
         self.inference_setup_with(
             spec,
             devices,
@@ -131,8 +132,10 @@ impl ScenarioCtx {
         )
     }
 
-    /// Inference setup with explicit batch/token overrides (profiling
-    /// depth still follows the context).
+    /// Inference setup with explicit batch/token overrides: a scheduler
+    /// profiled on the context's count of training-distribution batches
+    /// (as the paper's profiling stage does), and `n_batches` batches of
+    /// the skewed inference stream.
     pub fn inference_setup_with(
         &self,
         spec: &WorkloadSpec,
@@ -140,22 +143,26 @@ impl ScenarioCtx {
         path_length: usize,
         n_batches: usize,
         tokens_per_dev: usize,
-    ) -> crate::InferenceSetup {
-        crate::inference_setup_sized(
-            spec,
-            devices,
-            path_length,
-            n_batches,
-            tokens_per_dev,
-            self.profile_batches,
-        )
+    ) -> InferenceSetup {
+        let mut profile_src = TokenSource::new(spec, 1, 0xBEEF);
+        let profile: Vec<TokenBatch> = (0..self.profile_batches)
+            .map(|_| profile_src.sample_batch(devices, 2048, Mode::Train))
+            .collect();
+        let estimator = PopularityEstimator::profile(&profile, path_length);
+        let config = TwoPhaseConfig::paper_defaults(devices);
+        let scheduler = TwoPhaseScheduler::new(config, estimator);
+        let mut infer_src = TokenSource::new(spec, 1, 0xCAFE);
+        let batches = (0..n_batches)
+            .map(|_| infer_src.sample_batch(devices, tokens_per_dev, Mode::Inference))
+            .collect();
+        InferenceSetup { scheduler, batches }
     }
 }
 
 /// One registered experiment.
 pub struct Scenario {
-    /// Stable id — also the name of the standalone wrapper binary
-    /// (e.g. `fig10_step_speedup`).
+    /// Stable id, the name `reproduce --only` takes (e.g.
+    /// `fig10_step_speedup`).
     pub id: &'static str,
     /// The paper artifact it reproduces (`"Table 1"`, `"Figure 10"`).
     pub paper_ref: &'static str,

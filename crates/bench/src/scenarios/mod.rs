@@ -1,12 +1,11 @@
 //! The experiment implementations behind the registry — one module per
-//! table/figure of the paper (plus the serving load sweep), each
-//! exposing `run(&ScenarioCtx) -> Report`.
+//! table/figure of the paper, plus the eight `serve_*` serving
+//! scenarios, each exposing `run(&ScenarioCtx) -> Report`.
 //!
 //! A scenario never prints and never reads the environment: all sizing
 //! comes from the [`crate::ScenarioCtx`], all output goes into the
-//! returned [`lina_simcore::Report`]. At `Full` tier the rendered
-//! report is the historical per-binary stdout; at `Smoke` tier sweep
-//! grids shrink to a seconds-scale subset.
+//! returned [`lina_simcore::Report`]. At `Full` tier every sweep point
+//! runs; at `Smoke` tier sweep grids shrink to a seconds-scale subset.
 
 pub mod fig10_step_speedup;
 pub mod fig11_12_layer_speedup;

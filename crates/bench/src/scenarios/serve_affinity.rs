@@ -27,14 +27,12 @@
 //! [`affinity_placement`]: lina_baselines::affinity_placement
 
 use lina_baselines::{affinity_placement, InferScheme};
-use lina_model::{ExpertPlacement, LayeredPlacement, MoeModelConfig};
-use lina_serve::{
-    serve_cluster, ArrivalProcess, BatcherConfig, ClusterConfig, ClusterEngine, NetworkMode,
-    ServeConfig,
-};
+use lina_model::{ExpertPlacement, LayeredPlacement};
+use lina_serve::{ArrivalProcess, BatcherConfig, ClusterConfig, ServeConfig};
 use lina_simcore::{Report, SimDuration, Table};
 use lina_workload::{AffinityStats, Mode, TokenSource, WorkloadSpec};
 
+use crate::serving::{identical, ServeWorld};
 use crate::ScenarioCtx;
 
 /// Replica servers behind the balancer.
@@ -59,30 +57,21 @@ const PROFILE_BATCHES: usize = 8;
 const PROFILE_TOKENS: usize = 512;
 
 fn serve_config(rate: f64, slo: SimDuration, n_requests: usize) -> ServeConfig {
+    // Uniform 256-token requests keep the capacity anchor exact.
     ServeConfig {
-        // The base placement governs dispatch under the static scheme;
-        // scheduling arms would re-place per batch and hide it.
-        scheme: InferScheme::Baseline,
-        top_k: 1,
-        path_length: 3,
-        max_experts_per_device: 2,
-        arrival: ArrivalProcess::Poisson { rate },
         batcher: BatcherConfig {
             max_batch_requests: 16,
             max_wait: SimDuration::from_millis(2),
         },
         slo,
-        n_requests,
-        tokens_per_request: 256,
-        // Uniform request sizes keep the capacity anchor exact.
-        token_spread: 0.0,
-        drift_period: None,
-        reestimate_every: None,
-        reestimate_window: 8,
-        network: NetworkMode::Solo,
-        max_inflight: 1,
-        seed: 0xAF11,
-        perf: Default::default(),
+        // The base placement governs dispatch under the static scheme;
+        // scheduling arms would re-place per batch and hide it.
+        ..ServeConfig::new(
+            InferScheme::Baseline,
+            ArrivalProcess::Poisson { rate },
+            n_requests,
+            0xAF11,
+        )
     }
 }
 
@@ -117,24 +106,17 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
         crate::Tier::Full => (ctx.requests * 20).max(4_000),
         crate::Tier::Smoke => 1_500,
     };
-    let model = MoeModelConfig::transformer_xl(6, EXPERTS);
-    let layers = model.layers;
-    let topo = crate::topo(EXPERTS);
-    let devices = topo.devices();
-    let cost = crate::infer_cost(model.clone());
-    let base_spec = crate::workload_for(&model, EXPERTS, layers);
+    let mut world = ServeWorld::new(6, EXPERTS);
+    let base_spec = world.spec.clone();
+    let layers = base_spec.layers;
+    let devices = world.topo.devices();
 
     // Anchor the offered load on the plain pool's capacity (canonical
     // placement, no locality pricing): every arm at every correlation
     // faces the same request rate, so only the dispatch pricing moves.
     let placeholder_slo = SimDuration::from_millis(60);
-    let probe = ClusterEngine::new(
-        &cost,
-        &topo,
-        &base_spec,
-        cluster_config(serve_config(1.0, placeholder_slo, n_requests), None, false),
-    );
-    let cap = probe.capacity();
+    let probe = serve_config(1.0, placeholder_slo, n_requests);
+    let cap = world.capacity(cluster_config(probe, None, false));
     let rate = LOAD * cap;
     let batch_service = 16.0 * REPLICAS as f64 / cap;
     let slo = SimDuration::from_secs_f64(3.0 * (batch_service + 0.002));
@@ -153,8 +135,8 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
     let headline_corr = *correlations.last().expect("nonempty correlation sweep");
     let mut headline: Option<(f64, f64)> = None;
     for &corr in &correlations {
-        let spec = spec_with(&base_spec, corr);
-        let stats = profile_affinity(&spec, layers);
+        world.spec = spec_with(&base_spec, corr);
+        let stats = profile_affinity(&world.spec, layers);
         let affinity = affinity_placement(&stats, layers, devices, 1);
         let mut table = Table::new(
             format!(
@@ -170,12 +152,8 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
         ];
         let mut arm_p99 = [0.0f64; 3];
         for (i, (name, placement, locality)) in arms.into_iter().enumerate() {
-            let out = serve_cluster(
-                &cost,
-                &topo,
-                &spec,
-                cluster_config(serve_config(rate, slo, n_requests), placement, locality),
-            );
+            let serve = serve_config(rate, slo, n_requests);
+            let out = world.run(cluster_config(serve, placement, locality));
             let r = out.report();
             let tag = format!("{name}_c{}", (corr * 100.0).round() as u32);
             report.metric_unit(format!("p99_ms_{tag}"), r.p99.as_millis_f64(), "ms");
@@ -218,33 +196,14 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
     // Degeneracy probe: a reduced trace re-run with an *armed but
     // canonical* layered base (uniform one-expert-per-device at every
     // layer, locality off) must reproduce the plain run bit for bit —
-    // the armed code path prices through `plan_batch_layered` and a
-    // non-zero plan-cache placement digest, yet nothing observable may
-    // move.
+    // the armed code path prices through an explicit layered
+    // placement, yet nothing observable may move.
     let probe_requests = (n_requests / 5).max(500);
-    let probe_spec = spec_with(&base_spec, headline_corr);
+    world.spec = spec_with(&base_spec, headline_corr);
     let probe_serve = serve_config(rate, slo, probe_requests);
-    let plain = serve_cluster(
-        &cost,
-        &topo,
-        &probe_spec,
-        cluster_config(probe_serve.clone(), None, false),
-    );
-    let armed = serve_cluster(
-        &cost,
-        &topo,
-        &probe_spec,
-        cluster_config(probe_serve, Some(canonical), false),
-    );
-    let identical = plain.report() == armed.report()
-        && plain.tracker.records() == armed.tracker.records()
-        && plain.replica_seconds == armed.replica_seconds
-        && armed.local_hops == 0
-        && armed.routed_hops == 0;
-    report.metric(
-        "uniform_layered_identical",
-        if identical { 1.0 } else { 0.0 },
-    );
+    let plain = world.run(cluster_config(probe_serve.clone(), None, false));
+    let armed = world.run(cluster_config(probe_serve, Some(canonical), false));
+    report.metric("uniform_layered_identical", identical(&plain, &armed));
 
     report.text(
         "reading the sweep: the no-locality arm prices every dispatch\n\

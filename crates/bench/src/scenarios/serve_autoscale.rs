@@ -22,13 +22,13 @@
 //! outcome.
 
 use lina_baselines::InferScheme;
-use lina_model::MoeModelConfig;
 use lina_serve::{
-    serve_cluster, ArrivalProcess, AutoscaleConfig, AutoscalePolicyKind, BalancerKind,
-    BatcherConfig, ClusterConfig, ClusterEngine, NetworkMode, ServeConfig,
+    ArrivalProcess, AutoscaleConfig, AutoscalePolicyKind, BalancerKind, BatcherConfig,
+    ClusterConfig, ServeConfig,
 };
 use lina_simcore::{Report, SimDuration, Table};
 
+use crate::serving::{identical, ServeWorld};
 use crate::ScenarioCtx;
 
 /// The minimally provisioned pool: the `static_min` baseline and every
@@ -68,13 +68,6 @@ const TICKS_PER_PERIOD: f64 = 120.0;
 
 fn serve_config(arrival: ArrivalProcess, slo: SimDuration, n_requests: usize) -> ServeConfig {
     ServeConfig {
-        // Static placement without estimation or re-profiling: the
-        // transient under study is the pool resizing, not placement.
-        scheme: InferScheme::Baseline,
-        top_k: 1,
-        path_length: 3,
-        max_experts_per_device: 2,
-        arrival,
         // Large batches of small requests: the trace needs 100k+
         // requests to cover whole diurnal cycles, and batch count —
         // not token count — is what the simulator's wall clock buys.
@@ -83,17 +76,11 @@ fn serve_config(arrival: ArrivalProcess, slo: SimDuration, n_requests: usize) ->
             max_wait: SimDuration::from_millis(2),
         },
         slo,
-        n_requests,
-        tokens_per_request: 4,
         // Uniform request sizes keep the capacity anchor exact.
-        token_spread: 0.0,
-        drift_period: None,
-        reestimate_every: None,
-        reestimate_window: 8,
-        network: NetworkMode::Solo,
-        max_inflight: 1,
-        seed: 0xD1A1,
-        perf: Default::default(),
+        tokens_per_request: 4,
+        // Static placement without estimation or re-profiling: the
+        // transient under study is the pool resizing, not placement.
+        ..ServeConfig::new(InferScheme::Baseline, arrival, n_requests, 0xD1A1)
     }
 }
 
@@ -172,26 +159,13 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
         crate::Tier::Full => (ctx.requests * 500).max(100_000),
         crate::Tier::Smoke => 100_000,
     };
-    let experts = 8;
-    let model = MoeModelConfig::transformer_xl(6, experts);
-    let topo = crate::topo(experts);
-    let cost = crate::infer_cost(model.clone());
-    let spec = crate::workload_for(&model, experts, model.layers);
+    let world = ServeWorld::new(6, 8);
 
     // Anchor every knob on one replica's sustainable throughput so the
     // crest melts `static_min` at any tier or hardware profile.
     let placeholder = ArrivalProcess::Poisson { rate: 1.0 };
-    let probe = ClusterEngine::new(
-        &cost,
-        &topo,
-        &spec,
-        cluster_config(
-            serve_config(placeholder, SimDuration::from_millis(60), n_requests),
-            1,
-            None,
-        ),
-    );
-    let cap1 = probe.capacity();
+    let probe = serve_config(placeholder, SimDuration::from_millis(60), n_requests);
+    let cap1 = world.capacity(cluster_config(probe, 1, None));
     let batch_service = 64.0 / cap1;
     report.metric_unit("replica_capacity", cap1, "req/s");
 
@@ -245,12 +219,8 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
                 ],
             );
             for cell in policy_cells(interval) {
-                let out = serve_cluster(
-                    &cost,
-                    &topo,
-                    &spec,
-                    cluster_config(serve.clone(), cell.replicas, cell.autoscale.clone()),
-                );
+                let config = cluster_config(serve.clone(), cell.replicas, cell.autoscale);
+                let out = world.run(config);
                 let r = out.report();
                 let tag = format!("{}_{shape}_slo{slo_mult:.0}x", cell.name);
                 report.metric_unit(format!("attainment_{tag}"), r.attainment, "frac");
@@ -339,31 +309,10 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
         flash_mult: 1.0,
     };
     let probe_serve = serve_config(probe_arrival, probe_slo, probe_requests);
-    let plain = serve_cluster(
-        &cost,
-        &topo,
-        &spec,
-        cluster_config(probe_serve.clone(), MIN_REPLICAS, None),
-    );
-    let armed = serve_cluster(
-        &cost,
-        &topo,
-        &spec,
-        cluster_config(
-            probe_serve,
-            MIN_REPLICAS,
-            Some(AutoscaleConfig::inert(MIN_REPLICAS, interval)),
-        ),
-    );
-    let identical = plain.report() == armed.report()
-        && plain.tracker.records() == armed.tracker.records()
-        && plain.replica_seconds == armed.replica_seconds
-        && armed.scale_ups == 0
-        && armed.scale_downs == 0;
-    report.metric(
-        "inert_autoscaler_identical",
-        if identical { 1.0 } else { 0.0 },
-    );
+    let plain = world.run(cluster_config(probe_serve.clone(), MIN_REPLICAS, None));
+    let inert = Some(AutoscaleConfig::inert(MIN_REPLICAS, interval));
+    let armed = world.run(cluster_config(probe_serve, MIN_REPLICAS, inert));
+    report.metric("inert_autoscaler_identical", identical(&plain, &armed));
 
     report.text(
         "reading the sweep: the diurnal mean alone (2.26x one replica with\n\

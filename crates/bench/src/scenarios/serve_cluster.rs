@@ -16,14 +16,11 @@
 //! shared estimation (≥ 1 means JSQ wins the tail).
 
 use lina_baselines::InferScheme;
-use lina_model::MoeModelConfig;
-use lina_serve::{
-    serve_cluster, ArrivalProcess, BalancerKind, BatcherConfig, ClusterConfig, ClusterEngine,
-    EstimatorSharing, NetworkMode, ServeConfig,
-};
-use lina_simcore::{Report, SimDuration, Table};
+use lina_serve::{ArrivalProcess, BalancerKind, ClusterConfig, EstimatorSharing, ServeConfig};
+use lina_simcore::{Report, Table};
 
 use crate::scenario::slug;
+use crate::serving::{sized, ServeWorld};
 use crate::ScenarioCtx;
 
 /// Replica servers behind the balancer.
@@ -36,42 +33,27 @@ fn cluster_config(
     balancer: BalancerKind,
     sharing: EstimatorSharing,
 ) -> ClusterConfig {
+    // Two-state MMPP: bursts at 1.7x the mean rate with calm valleys
+    // between them. Each burst floods the cluster past its aggregate
+    // capacity, re-rolling the transient queue imbalance that separates
+    // the balancers; sustained overload would instead equalize every
+    // policy on the final drain.
+    let arrival = ArrivalProcess::Mmpp {
+        calm_rate: 0.3 * rate,
+        burst_rate: 1.7 * rate,
+        mean_calm: 0.02,
+        mean_burst: 0.02,
+    };
     let serve = ServeConfig {
-        scheme: InferScheme::Lina,
-        top_k: 1,
-        path_length: 3,
-        max_experts_per_device: 2,
-        // Two-state MMPP: bursts at 1.7x the mean rate with calm
-        // valleys between them. Each burst floods the cluster past
-        // its aggregate capacity, re-rolling the transient queue
-        // imbalance that separates the balancers; sustained
-        // overload would instead equalize every policy on the
-        // final drain.
-        arrival: ArrivalProcess::Mmpp {
-            calm_rate: 0.3 * rate,
-            burst_rate: 1.7 * rate,
-            mean_calm: 0.02,
-            mean_burst: 0.02,
-        },
-        batcher: BatcherConfig {
-            max_batch_requests: 8,
-            max_wait: SimDuration::from_millis(2),
-        },
-        slo: SimDuration::from_millis(60),
-        n_requests,
         tokens_per_request,
-        // Heterogeneous request sizes (0.1x–1.9x nominal): the
-        // work imbalance blind round-robin cannot see.
+        // Heterogeneous request sizes (0.1x–1.9x nominal): the work
+        // imbalance blind round-robin cannot see.
         token_spread: 0.9,
         // Popularity drifts a handful of times over the run; the
         // estimating schemes re-profile every few batches.
         drift_period: Some((n_requests / 6).max(1)),
         reestimate_every: Some(4),
-        reestimate_window: 8,
-        network: NetworkMode::Solo,
-        max_inflight: 1,
-        seed: 0x5EED,
-        perf: Default::default(),
+        ..ServeConfig::new(InferScheme::Lina, arrival, n_requests, 0x5EED)
     };
     ClusterConfig {
         replicas: REPLICAS,
@@ -87,34 +69,18 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
     // Long enough per point that routing quality, not batching noise,
     // sets the tail: at smoke sizes each replica still sees ~50
     // requests over a dozen-plus burst/calm cycles.
-    let n_requests = match ctx.tier {
-        crate::Tier::Full => ctx.requests * REPLICAS,
-        crate::Tier::Smoke => ctx.requests * REPLICAS * 4,
-    };
-    let tokens_per_request = match ctx.tier {
-        crate::Tier::Full => 8192,
-        crate::Tier::Smoke => 2048,
-    };
-    let experts = 8;
-    let model = MoeModelConfig::transformer_xl(6, experts);
-    let topo = crate::topo(experts);
-    let cost = crate::infer_cost(model.clone());
-    let spec = crate::workload_for(&model, experts, model.layers);
+    let (n_requests, tokens_per_request) =
+        sized(ctx, ctx.requests * REPLICAS, ctx.requests * REPLICAS * 4);
+    let world = ServeWorld::new(6, 8);
 
     // Anchor the sweep on the cluster's aggregate saturation rate.
-    let probe = ClusterEngine::new(
-        &cost,
-        &topo,
-        &spec,
-        cluster_config(
-            1.0,
-            n_requests,
-            tokens_per_request,
-            BalancerKind::RoundRobin,
-            EstimatorSharing::Shared,
-        ),
-    );
-    let capacity = probe.capacity();
+    let capacity = world.capacity(cluster_config(
+        1.0,
+        n_requests,
+        tokens_per_request,
+        BalancerKind::RoundRobin,
+        EstimatorSharing::Shared,
+    ));
     report.metric_unit("cluster_capacity", capacity, "req/s");
     report.text(format!(
         "{REPLICAS} replicas, aggregate capacity ~{capacity:.0} req/s; \
@@ -148,12 +114,13 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
         );
         for balancer in balancers {
             for sharing in sharings {
-                let out = serve_cluster(
-                    &cost,
-                    &topo,
-                    &spec,
-                    cluster_config(rate, n_requests, tokens_per_request, balancer, sharing),
-                );
+                let out = world.run(cluster_config(
+                    rate,
+                    n_requests,
+                    tokens_per_request,
+                    balancer,
+                    sharing,
+                ));
                 let r = out.report();
                 let cell = format!("{}_{}", slug(balancer.name()), slug(sharing.name()));
                 report.metric_unit(

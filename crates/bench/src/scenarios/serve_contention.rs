@@ -16,13 +16,10 @@
 //! highest offered load (≥ 1: contention never makes the tail faster).
 
 use lina_baselines::InferScheme;
-use lina_model::MoeModelConfig;
-use lina_serve::{
-    serve_cluster, ArrivalProcess, BatcherConfig, ClusterConfig, NetworkMode, ServeConfig,
-    ServeEngine,
-};
+use lina_serve::{ArrivalProcess, BatcherConfig, ClusterConfig, NetworkMode, ServeConfig};
 use lina_simcore::{Report, SimDuration, Table};
 
+use crate::serving::{sized, ServeWorld};
 use crate::ScenarioCtx;
 
 /// Admission depth: one batch executing plus one admitted behind it.
@@ -43,66 +40,37 @@ fn bursty(mean_rate: f64) -> ArrivalProcess {
 
 fn config(
     network: NetworkMode,
-    arrival: ArrivalProcess,
+    rate: f64,
     n_requests: usize,
     tokens_per_request: usize,
-) -> ServeConfig {
-    ServeConfig {
-        scheme: InferScheme::Baseline,
-        top_k: 1,
-        path_length: 3,
-        max_experts_per_device: 2,
-        arrival,
+) -> ClusterConfig {
+    ClusterConfig::single(ServeConfig {
         batcher: BatcherConfig {
             max_batch_requests: 4,
             max_wait: SimDuration::from_millis(4),
         },
-        slo: SimDuration::from_millis(60),
-        n_requests,
         tokens_per_request,
-        token_spread: 0.0,
-        drift_period: None,
-        reestimate_every: None,
-        reestimate_window: 1,
         network,
         max_inflight: MAX_INFLIGHT,
-        seed: 0xC0CE,
-        perf: Default::default(),
-    }
+        ..ServeConfig::new(InferScheme::Baseline, bursty(rate), n_requests, 0xC0CE)
+    })
 }
 
 /// Runs the experiment.
 pub fn run(ctx: &ScenarioCtx) -> Report {
     let mut report = Report::new();
-    let n_requests = match ctx.tier {
-        crate::Tier::Full => ctx.requests,
-        // Enough batches that the burst phase actually overlaps some.
-        crate::Tier::Smoke => ctx.requests.max(24),
-    };
-    let tokens_per_request = match ctx.tier {
-        crate::Tier::Full => 8192,
-        crate::Tier::Smoke => 2048,
-    };
-    let experts = 8;
-    let model = MoeModelConfig::transformer_xl(12, experts);
-    let topo = crate::topo(experts);
-    let cost = crate::infer_cost(model.clone());
-    let spec = crate::workload_for(&model, experts, model.layers);
+    // Enough batches at smoke that the burst phase actually overlaps some.
+    let (n_requests, tokens_per_request) = sized(ctx, ctx.requests, ctx.requests.max(24));
+    let world = ServeWorld::new(12, 8);
 
     // Anchor offered load on the solo one-batch-at-a-time capacity
     // (the number a solo-costed capacity plan would use).
-    let probe = ServeEngine::new(
-        &cost,
-        &topo,
-        &spec,
-        config(
-            NetworkMode::Solo,
-            bursty(1.0),
-            n_requests,
-            tokens_per_request,
-        ),
-    );
-    let capacity = probe.capacity();
+    let capacity = world.capacity(config(
+        NetworkMode::Solo,
+        1.0,
+        n_requests,
+        tokens_per_request,
+    ));
     report.metric_unit("solo_capacity", capacity, "req/s");
     report.text(format!(
         "solo-costed capacity ~{capacity:.0} req/s; bursty MMPP arrivals \
@@ -123,9 +91,9 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
         );
         let mut p99s = Vec::new();
         for network in [NetworkMode::Solo, NetworkMode::Contended] {
-            let serve = config(network, bursty(rate), n_requests, tokens_per_request);
-            let out = serve_cluster(&cost, &topo, &spec, ClusterConfig::single(serve));
-            let r = out.report();
+            let r = world
+                .run(config(network, rate, n_requests, tokens_per_request))
+                .report();
             p99s.push(r.p99.as_secs_f64());
             table.row(&[
                 network.name().into(),

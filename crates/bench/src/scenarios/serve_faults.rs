@@ -18,15 +18,14 @@
 //! bit.
 
 use lina_baselines::InferScheme;
-use lina_model::MoeModelConfig;
 use lina_serve::{
-    serve_cluster, ArrivalProcess, BalancerKind, BatcherConfig, ClusterConfig, ClusterEngine,
-    DegradationPolicy, FaultEvent, FaultKind, FaultPlan, FaultSchedule, NetworkMode, ServeConfig,
-    ServeEngine,
+    ArrivalProcess, BalancerKind, ClusterConfig, DegradationPolicy, FaultEvent, FaultKind,
+    FaultPlan, FaultSchedule, ServeConfig,
 };
 use lina_simcore::{Report, SimDuration, SimTime, Table};
 
 use crate::scenario::slug;
+use crate::serving::{identical, sized, ServeWorld};
 use crate::ScenarioCtx;
 
 /// Replica servers behind the balancer.
@@ -43,28 +42,18 @@ const DEFAULT_RECOVERY_MS: u64 = 10;
 
 fn serve_config(rate: f64, n_requests: usize, tokens_per_request: usize) -> ServeConfig {
     ServeConfig {
-        scheme: InferScheme::Lina,
-        top_k: 1,
-        path_length: 3,
-        max_experts_per_device: 2,
-        // Steady Poisson arrivals: the transient we are studying is the
-        // failure, not the arrival process.
-        arrival: ArrivalProcess::Poisson { rate },
-        batcher: BatcherConfig {
-            max_batch_requests: 8,
-            max_wait: SimDuration::from_millis(2),
-        },
-        slo: SimDuration::from_millis(60),
-        n_requests,
         tokens_per_request,
         token_spread: 0.9,
         drift_period: Some((n_requests / 6).max(1)),
         reestimate_every: Some(4),
-        reestimate_window: 8,
-        network: NetworkMode::Solo,
-        max_inflight: 1,
-        seed: 0x5EED,
-        perf: Default::default(),
+        // Steady Poisson arrivals: the transient we are studying is the
+        // failure, not the arrival process.
+        ..ServeConfig::new(
+            InferScheme::Lina,
+            ArrivalProcess::Poisson { rate },
+            n_requests,
+            0x5EED,
+        )
     }
 }
 
@@ -103,40 +92,19 @@ fn crash_script(crashes: usize, recovery: SimDuration, span: SimDuration) -> Fau
 /// Runs the experiment.
 pub fn run(ctx: &ScenarioCtx) -> Report {
     let mut report = Report::new();
-    let n_requests = match ctx.tier {
-        crate::Tier::Full => ctx.requests * REPLICAS,
-        crate::Tier::Smoke => ctx.requests * REPLICAS * 4,
-    };
-    let tokens_per_request = match ctx.tier {
-        crate::Tier::Full => 8192,
-        crate::Tier::Smoke => 2048,
-    };
-    let experts = 8;
-    let model = MoeModelConfig::transformer_xl(6, experts);
-    let topo = crate::topo(experts);
-    let cost = crate::infer_cost(model.clone());
-    let spec = crate::workload_for(&model, experts, model.layers);
+    let (n_requests, tokens_per_request) =
+        sized(ctx, ctx.requests * REPLICAS, ctx.requests * REPLICAS * 4);
+    let world = ServeWorld::new(6, 8);
 
     // Anchor on aggregate capacity, then measure the healthy arrival
     // span so scripted crashes land mid-run at every tier.
-    let probe = ClusterEngine::new(
-        &cost,
-        &topo,
-        &spec,
-        cluster_config(
-            serve_config(1.0, n_requests, tokens_per_request),
-            FaultPlan::none(),
-        ),
-    );
-    let capacity = probe.capacity();
+    let capacity = world.capacity(cluster_config(
+        serve_config(1.0, n_requests, tokens_per_request),
+        FaultPlan::none(),
+    ));
     let rate = LOAD * capacity;
     let serve = serve_config(rate, n_requests, tokens_per_request);
-    let span = ServeEngine::new(&cost, &topo, &spec, serve.clone())
-        .generate_requests()
-        .last()
-        .expect("nonempty request trace")
-        .arrival
-        .saturating_since(SimTime::ZERO);
+    let span = world.span(serve.clone());
     report.metric_unit("cluster_capacity", capacity, "req/s");
     report.text(format!(
         "{REPLICAS} replicas at {:.0}% load ({rate:.0} req/s), {n_requests} \
@@ -171,18 +139,11 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
                 ],
             );
             for policy in policies {
-                let out = serve_cluster(
-                    &cost,
-                    &topo,
-                    &spec,
-                    cluster_config(
-                        serve.clone(),
-                        FaultPlan {
-                            schedule: schedule.clone(),
-                            policy,
-                        },
-                    ),
-                );
+                let faults = FaultPlan {
+                    schedule: schedule.clone(),
+                    policy,
+                };
+                let out = world.run(cluster_config(serve.clone(), faults));
                 let r = out.report();
                 let ttr = out.mean_time_to_recover();
                 let cell = format!("{}_c{crashes}_r{rec_ms}ms", slug(policy.kind.name()));
@@ -224,36 +185,20 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
 
     // Degeneracy probe: an armed retry policy over an empty schedule
     // must be inert — bit-for-bit the healthy path.
-    let healthy = serve_cluster(
-        &cost,
-        &topo,
-        &spec,
-        cluster_config(serve.clone(), FaultPlan::none()),
-    );
-    let armed = serve_cluster(
-        &cost,
-        &topo,
-        &spec,
-        cluster_config(
-            serve,
-            FaultPlan {
-                schedule: FaultSchedule::none(),
-                policy: DegradationPolicy::retry_failover_shed(None),
-            },
-        ),
-    );
-    let identical = healthy.report() == armed.report()
-        && healthy.tracker.records() == armed.tracker.records()
-        && armed.tracker.failures().is_empty();
+    let healthy = world.run(cluster_config(serve.clone(), FaultPlan::none()));
+    let armed = world.run(cluster_config(
+        serve,
+        FaultPlan {
+            schedule: FaultSchedule::none(),
+            policy: DegradationPolicy::retry_failover_shed(None),
+        },
+    ));
     report.metric_unit(
         "empty_schedule_p99_delta_ms",
         (healthy.report().p99.as_millis_f64() - armed.report().p99.as_millis_f64()).abs(),
         "ms",
     );
-    report.metric(
-        "empty_schedule_identical",
-        if identical { 1.0 } else { 0.0 },
-    );
+    report.metric("empty_schedule_identical", identical(&healthy, &armed));
 
     report.text(
         "reading the sweep: every crash aborts the replica's in-flight batch\n\

@@ -27,14 +27,13 @@
 //! quantile would land in the straggler's own band and never fire.
 
 use lina_baselines::InferScheme;
-use lina_model::MoeModelConfig;
 use lina_serve::{
-    serve_cluster, ArrivalProcess, BalancerKind, BatcherConfig, ClusterConfig, ClusterEngine,
-    DegradationPolicy, FaultEvent, FaultKind, FaultPlan, FaultSchedule, HealthConfig, HedgeConfig,
-    NetworkMode, ServeConfig, ServeEngine,
+    ArrivalProcess, BalancerKind, ClusterConfig, DegradationPolicy, FaultEvent, FaultKind,
+    FaultPlan, FaultSchedule, HealthConfig, HedgeConfig, ServeConfig,
 };
 use lina_simcore::{Report, SimDuration, SimTime, Table};
 
+use crate::serving::{identical, sized, ServeWorld};
 use crate::ScenarioCtx;
 
 /// Replica servers behind the balancer.
@@ -50,28 +49,18 @@ const DEFAULT_SCALE: f64 = 8.0;
 
 fn serve_config(rate: f64, n_requests: usize, tokens_per_request: usize) -> ServeConfig {
     ServeConfig {
-        scheme: InferScheme::Lina,
-        top_k: 1,
-        path_length: 3,
-        max_experts_per_device: 2,
-        // Steady Poisson arrivals: the transient under study is the
-        // gray episode, not the arrival process.
-        arrival: ArrivalProcess::Poisson { rate },
-        batcher: BatcherConfig {
-            max_batch_requests: 8,
-            max_wait: SimDuration::from_millis(2),
-        },
-        slo: SimDuration::from_millis(60),
-        n_requests,
         tokens_per_request,
         token_spread: 0.3,
         drift_period: Some((n_requests / 6).max(1)),
         reestimate_every: Some(4),
-        reestimate_window: 8,
-        network: NetworkMode::Solo,
-        max_inflight: 1,
-        seed: 0x64A7,
-        perf: Default::default(),
+        // Steady Poisson arrivals: the transient under study is the
+        // gray episode, not the arrival process.
+        ..ServeConfig::new(
+            InferScheme::Lina,
+            ArrivalProcess::Poisson { rate },
+            n_requests,
+            0x64A7,
+        )
     }
 }
 
@@ -150,42 +139,21 @@ fn gray_script(scale: f64, span: SimDuration) -> FaultSchedule {
 /// Runs the experiment.
 pub fn run(ctx: &ScenarioCtx) -> Report {
     let mut report = Report::new();
-    let n_requests = match ctx.tier {
-        crate::Tier::Full => ctx.requests * REPLICAS,
-        crate::Tier::Smoke => ctx.requests * REPLICAS * 6,
-    };
-    let tokens_per_request = match ctx.tier {
-        crate::Tier::Full => 8192,
-        crate::Tier::Smoke => 2048,
-    };
-    let experts = 8;
-    let model = MoeModelConfig::transformer_xl(6, experts);
-    let topo = crate::topo(experts);
-    let cost = crate::infer_cost(model.clone());
-    let spec = crate::workload_for(&model, experts, model.layers);
+    let (n_requests, tokens_per_request) =
+        sized(ctx, ctx.requests * REPLICAS, ctx.requests * REPLICAS * 6);
+    let world = ServeWorld::new(6, 8);
 
     // Anchor on aggregate capacity, then measure the healthy arrival
     // span so the scripted episode lands mid-run at every tier.
-    let probe = ClusterEngine::new(
-        &cost,
-        &topo,
-        &spec,
-        cluster_config(
-            serve_config(1.0, n_requests, tokens_per_request),
-            FaultPlan::none(),
-            HealthConfig::oracle(),
-            None,
-        ),
-    );
-    let capacity = probe.capacity();
+    let capacity = world.capacity(cluster_config(
+        serve_config(1.0, n_requests, tokens_per_request),
+        FaultPlan::none(),
+        HealthConfig::oracle(),
+        None,
+    ));
     let rate = LOAD * capacity;
     let serve = serve_config(rate, n_requests, tokens_per_request);
-    let span = ServeEngine::new(&cost, &topo, &spec, serve.clone())
-        .generate_requests()
-        .last()
-        .expect("nonempty request trace")
-        .arrival
-        .saturating_since(SimTime::ZERO);
+    let span = world.span(serve.clone());
     report.metric_unit("cluster_capacity", capacity, "req/s");
     report.text(format!(
         "{REPLICAS} replicas at {:.0}% load ({rate:.0} req/s), {n_requests} \
@@ -196,23 +164,19 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
     ));
 
     // Healthy bound for the recoverable gap.
-    let healthy = serve_cluster(
-        &cost,
-        &topo,
-        &spec,
-        cluster_config(
-            serve.clone(),
-            FaultPlan::none(),
-            HealthConfig::oracle(),
-            None,
-        ),
-    );
+    let healthy = world.run(cluster_config(
+        serve.clone(),
+        FaultPlan::none(),
+        HealthConfig::oracle(),
+        None,
+    ));
     let p99_healthy = healthy.report().p99.as_millis_f64();
     report.metric_unit("p99_ms_healthy", p99_healthy, "ms");
 
     let policy = DegradationPolicy::retry_failover(None);
     let scales = ctx.pick(&[2.0, 4.0, DEFAULT_SCALE], &[DEFAULT_SCALE]);
     let mut headline: Option<(f64, f64, f64, f64)> = None;
+    let mut blind = None;
     for &scale in &scales {
         let schedule = gray_script(scale, span);
         let arms: [(&str, HealthConfig, Option<HedgeConfig>); 3] = [
@@ -235,20 +199,11 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
         let mut cell: Vec<(&str, f64, f64)> = Vec::new();
         for (arm, health, hedging) in arms {
             let hedged = hedging.is_some();
-            let out = serve_cluster(
-                &cost,
-                &topo,
-                &spec,
-                cluster_config(
-                    serve.clone(),
-                    FaultPlan {
-                        schedule: schedule.clone(),
-                        policy,
-                    },
-                    health,
-                    hedging,
-                ),
-            );
+            let faults = FaultPlan {
+                schedule: schedule.clone(),
+                policy,
+            };
+            let out = world.run(cluster_config(serve.clone(), faults, health, hedging));
             let r = out.report();
             let p99 = r.p99.as_millis_f64();
             let gray_share = out.requests_per_replica[0] as f64 / r.requests as f64;
@@ -275,6 +230,9 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
                 out.hedges_won.to_string(),
                 format!("{:.1}%", out.hedge_wasted_frac * 100.0),
             ]);
+            if scale == DEFAULT_SCALE && arm == "blind" {
+                blind = Some(out);
+            }
         }
         report.table(table);
         if scale == DEFAULT_SCALE {
@@ -305,44 +263,23 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
 
     // Degeneracy probe: the oracle detector with an armed hedge
     // runtime that can never reach its sample floor must reproduce the
-    // blind arm bit for bit over the same gray schedule.
-    let schedule = gray_script(DEFAULT_SCALE, span);
-    let blind = serve_cluster(
-        &cost,
-        &topo,
-        &spec,
-        cluster_config(
-            serve.clone(),
-            FaultPlan {
-                schedule: schedule.clone(),
-                policy,
-            },
-            HealthConfig::oracle(),
-            None,
-        ),
-    );
-    let inert = serve_cluster(
-        &cost,
-        &topo,
-        &spec,
-        cluster_config(
-            serve,
-            FaultPlan { schedule, policy },
-            HealthConfig::oracle(),
-            Some(HedgeConfig {
-                quantile: 0.95,
-                multiplier: 2.0,
-                min_samples: usize::MAX,
-            }),
-        ),
-    );
-    let identical = blind.report() == inert.report()
-        && blind.tracker.records() == inert.tracker.records()
-        && inert.hedges_issued == 0;
-    report.metric(
-        "oracle_inert_hedging_identical",
-        if identical { 1.0 } else { 0.0 },
-    );
+    // blind arm at the default intensity bit for bit.
+    let blind = blind.expect("default scale swept");
+    let faults = FaultPlan {
+        schedule: gray_script(DEFAULT_SCALE, span),
+        policy,
+    };
+    let inert = world.run(cluster_config(
+        serve,
+        faults,
+        HealthConfig::oracle(),
+        Some(HedgeConfig {
+            quantile: 0.95,
+            multiplier: 2.0,
+            min_samples: usize::MAX,
+        }),
+    ));
+    report.metric("oracle_inert_hedging_identical", identical(&blind, &inert));
 
     report.text(
         "reading the sweep: the blind arm keeps trusting the oracle health\n\

@@ -10,13 +10,10 @@
 //! and Lina re-profiles its estimator online.
 
 use lina_baselines::InferScheme;
-use lina_model::MoeModelConfig;
-use lina_serve::{
-    serve_cluster, ArrivalProcess, BatcherConfig, ClusterConfig, NetworkMode, ServeConfig,
-    ServeEngine,
-};
+use lina_serve::{ArrivalProcess, BatcherConfig, ClusterConfig, ServeConfig};
 use lina_simcore::{Report, SimDuration, Table};
 
+use crate::serving::{sized, ServeWorld};
 use crate::ScenarioCtx;
 
 fn config(
@@ -24,53 +21,33 @@ fn config(
     rate: f64,
     n_requests: usize,
     tokens_per_request: usize,
-) -> ServeConfig {
-    ServeConfig {
-        scheme,
-        top_k: 1,
-        path_length: 3,
-        max_experts_per_device: 2,
-        arrival: ArrivalProcess::Poisson { rate },
+) -> ClusterConfig {
+    ClusterConfig::single(ServeConfig {
         batcher: BatcherConfig {
             max_batch_requests: 4,
             max_wait: SimDuration::from_millis(4),
         },
-        slo: SimDuration::from_millis(60),
-        n_requests,
         tokens_per_request,
-        token_spread: 0.0,
         drift_period: Some((n_requests / 4).max(1)),
         reestimate_every: Some(8),
         reestimate_window: 16,
-        network: NetworkMode::Solo,
-        max_inflight: 1,
-        seed: 0x10AD,
-        perf: Default::default(),
-    }
+        ..ServeConfig::new(scheme, ArrivalProcess::Poisson { rate }, n_requests, 0x10AD)
+    })
 }
 
 /// Runs the experiment.
 pub fn run(ctx: &ScenarioCtx) -> Report {
     let mut report = Report::new();
-    let n_requests = ctx.requests;
-    let tokens_per_request = match ctx.tier {
-        crate::Tier::Full => 8192,
-        crate::Tier::Smoke => 2048,
-    };
-    let experts = 16;
-    let model = MoeModelConfig::transformer_xl(12, experts);
-    let topo = crate::topo(experts);
-    let cost = crate::infer_cost(model.clone());
-    let spec = crate::workload_for(&model, experts, model.layers);
+    let (n_requests, tokens_per_request) = sized(ctx, ctx.requests, ctx.requests);
+    let world = ServeWorld::new(12, 16);
 
     // Anchor the sweep on the static baseline's saturation rate.
-    let probe = ServeEngine::new(
-        &cost,
-        &topo,
-        &spec,
-        config(InferScheme::Baseline, 1.0, n_requests, tokens_per_request),
-    );
-    let capacity = probe.capacity();
+    let capacity = world.capacity(config(
+        InferScheme::Baseline,
+        1.0,
+        n_requests,
+        tokens_per_request,
+    ));
     report.metric_unit("baseline_capacity", capacity, "req/s");
     report.text(format!(
         "baseline capacity ~{capacity:.0} req/s (full batches back to back); \
@@ -101,9 +78,9 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
             ],
         );
         for scheme in schemes {
-            let serve = config(scheme, rate, n_requests, tokens_per_request);
-            let out = serve_cluster(&cost, &topo, &spec, ClusterConfig::single(serve));
-            let r = out.report();
+            let r = world
+                .run(config(scheme, rate, n_requests, tokens_per_request))
+                .report();
             if scheme == InferScheme::Lina {
                 report.metric_unit(
                     format!("lina_slo_attainment_load{:.0}", load * 100.0),

@@ -24,13 +24,13 @@
 //! bit-identical outcome.
 
 use lina_baselines::InferScheme;
-use lina_model::MoeModelConfig;
 use lina_serve::{
-    serve_cluster, ArrivalProcess, BalancerKind, BatcherConfig, ClusterConfig, ClusterEngine,
-    NetworkMode, ReshardConfig, ReshardPolicyKind, ServeConfig,
+    ArrivalProcess, BalancerKind, BatcherConfig, ClusterConfig, ReshardConfig, ReshardPolicyKind,
+    ServeConfig,
 };
 use lina_simcore::{Report, SimDuration, Table};
 
+use crate::serving::{identical, ServeWorld};
 use crate::ScenarioCtx;
 
 /// Replica servers behind the balancer.
@@ -71,28 +71,16 @@ fn serve_config(
     slo: SimDuration,
     n_requests: usize,
 ) -> ServeConfig {
+    // Uniform 256-token requests keep the capacity anchor exact.
     ServeConfig {
-        scheme,
-        top_k: 1,
-        path_length: 3,
-        max_experts_per_device: 2,
-        arrival: ArrivalProcess::Poisson { rate },
         batcher: BatcherConfig {
             max_batch_requests: 16,
             max_wait: SimDuration::from_millis(2),
         },
         slo,
-        n_requests,
-        tokens_per_request: 256,
-        // Uniform request sizes keep the capacity anchor exact.
-        token_spread: 0.0,
         drift_period: Some(drift_period),
         reestimate_every,
-        reestimate_window: 8,
-        network: NetworkMode::Solo,
-        max_inflight: 1,
-        seed: 0x5A2D,
-        perf: Default::default(),
+        ..ServeConfig::new(scheme, ArrivalProcess::Poisson { rate }, n_requests, 0x5A2D)
     }
 }
 
@@ -171,32 +159,24 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
         crate::Tier::Full => (ctx.requests * 20).max(4_000),
         crate::Tier::Smoke => 2_000,
     };
-    let model = MoeModelConfig::transformer_xl(6, EXPERTS);
-    let topo = crate::topo(DEVICES);
-    let cost = crate::infer_cost(model.clone());
-    let spec = crate::workload_for(&model, EXPERTS, model.layers);
+    let world = ServeWorld {
+        topo: crate::topo(DEVICES),
+        ..ServeWorld::new(6, EXPERTS)
+    };
 
     // Anchor the offered load on the static pool's capacity (a full
     // skewed batch under the one-expert-per-device placement, served
     // back to back): the drift hurts every arm from the same baseline.
     let placeholder_slo = SimDuration::from_millis(60);
-    let probe = ClusterEngine::new(
-        &cost,
-        &topo,
-        &spec,
-        cluster_config(
-            serve_config(
-                InferScheme::Baseline,
-                None,
-                n_requests,
-                1.0,
-                placeholder_slo,
-                n_requests,
-            ),
-            None,
-        ),
+    let probe = serve_config(
+        InferScheme::Baseline,
+        None,
+        n_requests,
+        1.0,
+        placeholder_slo,
+        n_requests,
     );
-    let cap = probe.capacity();
+    let cap = world.capacity(cluster_config(probe, None));
     let rate = LOAD * cap;
     let batch_service = 16.0 * REPLICAS as f64 / cap;
     let slo = SimDuration::from_secs_f64(3.0 * (batch_service + 0.002));
@@ -236,12 +216,7 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
                 slo,
                 n_requests,
             );
-            let out = serve_cluster(
-                &cost,
-                &topo,
-                &spec,
-                cluster_config(serve, cell.resharding.clone()),
-            );
+            let out = world.run(cluster_config(serve, cell.resharding.clone()));
             let r = out.report();
             let tag = format!("{}_d{phases}", cell.name);
             report.metric_unit(format!("p99_ms_{tag}"), r.p99.as_millis_f64(), "ms");
@@ -316,28 +291,10 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
         slo,
         probe_requests,
     );
-    let plain = serve_cluster(
-        &cost,
-        &topo,
-        &spec,
-        cluster_config(probe_serve.clone(), None),
-    );
-    let armed = serve_cluster(
-        &cost,
-        &topo,
-        &spec,
-        cluster_config(probe_serve, Some(ReshardConfig::inert(interval))),
-    );
-    let identical = plain.report() == armed.report()
-        && plain.tracker.records() == armed.tracker.records()
-        && plain.replica_seconds == armed.replica_seconds
-        && armed.replications == 0
-        && armed.evictions == 0
-        && armed.migrations == 0;
-    report.metric(
-        "inert_resharding_identical",
-        if identical { 1.0 } else { 0.0 },
-    );
+    let plain = world.run(cluster_config(probe_serve.clone(), None));
+    let inert = Some(ReshardConfig::inert(interval));
+    let armed = world.run(cluster_config(probe_serve, inert));
+    report.metric("inert_resharding_identical", identical(&plain, &armed));
 
     report.text(
         "reading the sweep: the static arm pins every rotation's hot\n\

@@ -35,9 +35,9 @@ impl Fnv {
     }
 }
 
-/// Mirrors `lina_bench::inference_setup_sized` (profiling on the
-/// training distribution, inference on the skewed stream) at a size
-/// small enough for a unit test.
+/// Mirrors `lina_bench::ScenarioCtx::inference_setup_with` (profiling
+/// on the training distribution, inference on the skewed stream) at a
+/// size small enough for a unit test.
 fn grid_case(
     model: MoeModelConfig,
     experts: usize,

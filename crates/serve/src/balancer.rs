@@ -10,8 +10,8 @@
 //!   granularity;
 //! * [`BalancerKind::LeastExpectedLatency`] — SLO-aware: picks the
 //!   replica whose expected completion (server drain time plus queued
-//!   work over the replica's
-//!   [`capacity`](crate::ServeEngine::capacity)) is soonest.
+//!   work over the replica's share of
+//!   [`capacity`](crate::ClusterEngine::capacity)) is soonest.
 //!
 //! All policies route over *routable* replicas only: a crashed
 //! replica is invisible until its recovery event, a replica the
@@ -70,7 +70,7 @@ pub(crate) struct ReplicaSnapshot {
     /// reader) or a pricing detector is armed, like `capacity`.
     pub server_free: SimTime,
     /// The replica's sustainable throughput upper bound (requests/s),
-    /// as probed by [`crate::ServeEngine::capacity`] and scaled down
+    /// one replica's share of [`crate::ClusterEngine::capacity`], scaled down
     /// for device loss or straggler slowdowns. Zero when the caller
     /// did not probe it (only [`BalancerKind::LeastExpectedLatency`]
     /// reads it).

@@ -1306,26 +1306,15 @@ mod tests {
 
     fn config(scheme: InferScheme, rate: f64, replicas: usize) -> ClusterConfig {
         let serve = ServeConfig {
-            scheme,
-            top_k: 1,
-            path_length: 3,
-            max_experts_per_device: 2,
-            arrival: ArrivalProcess::Poisson { rate },
             batcher: BatcherConfig {
                 max_batch_requests: 4,
                 max_wait: SimDuration::from_millis(2),
             },
             slo: SimDuration::from_millis(50),
-            n_requests: 96,
             tokens_per_request: 64,
-            token_spread: 0.0,
             drift_period: Some(24),
             reestimate_every: Some(4),
-            reestimate_window: 8,
-            network: lina_runner::NetworkMode::Solo,
-            max_inflight: 1,
-            seed: 0xC1A5,
-            perf: Default::default(),
+            ..ServeConfig::new(scheme, ArrivalProcess::Poisson { rate }, 96, 0xC1A5)
         };
         ClusterConfig {
             replicas,

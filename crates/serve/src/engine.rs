@@ -4,7 +4,7 @@
 //! the cost model, topology, workload and [`ServeConfig`]. It streams
 //! the open-loop request trace (arrival process + per-request tokens),
 //! builds the offline-profiled two-phase scheduler, and probes a
-//! replica's [`capacity`](ServeEngine::capacity). It does not run:
+//! replica's capacity. It does not run:
 //! [`ClusterEngine`](crate::ClusterEngine) is the one serving loop,
 //! and a single server is its one-replica case
 //! ([`ClusterConfig::single`](crate::ClusterConfig::single)).
@@ -136,6 +136,38 @@ pub(crate) struct Seeds {
 }
 
 impl ServeConfig {
+    /// The serving defaults: top-1 gating, path length 3, at most 2
+    /// experts per device, batches of up to 8 requests or 2 ms, a 60 ms
+    /// SLO, 256-token requests without spread, stationary popularity,
+    /// no re-estimation (window 8 if armed), solo pricing and one batch
+    /// in flight. Configs that differ in a few fields spell only those
+    /// and fill the rest with `..ServeConfig::new(scheme, arrival,
+    /// n_requests, seed)`.
+    pub fn new(scheme: InferScheme, arrival: ArrivalProcess, n_requests: usize, seed: u64) -> Self {
+        ServeConfig {
+            scheme,
+            top_k: 1,
+            path_length: 3,
+            max_experts_per_device: 2,
+            arrival,
+            batcher: BatcherConfig {
+                max_batch_requests: 8,
+                max_wait: SimDuration::from_millis(2),
+            },
+            slo: SimDuration::from_millis(60),
+            n_requests,
+            tokens_per_request: 256,
+            token_spread: 0.0,
+            drift_period: None,
+            reestimate_every: None,
+            reestimate_window: 8,
+            network: NetworkMode::Solo,
+            max_inflight: 1,
+            seed,
+            perf: (),
+        }
+    }
+
     /// Derives the seed substreams: first sequential draw is the token
     /// seed, second the profile seed; arrivals use a derived substream.
     pub(crate) fn seeds(&self) -> Seeds {
@@ -205,14 +237,15 @@ pub struct ServeEngine<'a> {
 }
 
 impl<'a> ServeEngine<'a> {
-    /// Creates an engine.
+    /// Creates an engine; [`ClusterEngine::new`](crate::ClusterEngine::new)
+    /// is the public way to build one.
     ///
     /// # Panics
     ///
     /// Panics if the config is invalid (see [`ServeConfig::validate`]),
     /// or if the workload's expert or layer count differs from the
     /// model's.
-    pub fn new(
+    pub(crate) fn new(
         cost: &'a CostModel,
         topo: &'a Topology,
         spec: &'a WorkloadSpec,
@@ -233,11 +266,6 @@ impl<'a> ServeEngine<'a> {
             spec,
             config,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
     }
 
     /// Scheduling overheads scaled from the paper's measurement scale
@@ -309,7 +337,7 @@ impl<'a> ServeEngine<'a> {
     /// Upper bound on sustainable throughput (requests/s): a full batch
     /// of nominal-size requests served back-to-back with no queueing.
     /// Load sweeps express offered load as a fraction of this.
-    pub fn capacity(&self) -> f64 {
+    pub(crate) fn capacity(&self) -> f64 {
         self.capacity_with(self.offline_scheduler().as_ref())
     }
 
@@ -485,26 +513,15 @@ mod tests {
 
     fn config(scheme: InferScheme, rate: f64) -> ServeConfig {
         ServeConfig {
-            scheme,
-            top_k: 1,
-            path_length: 3,
-            max_experts_per_device: 2,
-            arrival: ArrivalProcess::Poisson { rate },
             batcher: BatcherConfig {
                 max_batch_requests: 4,
                 max_wait: SimDuration::from_millis(2),
             },
             slo: SimDuration::from_millis(50),
-            n_requests: 64,
             tokens_per_request: 64,
-            token_spread: 0.0,
             drift_period: Some(16),
             reestimate_every: Some(4),
-            reestimate_window: 8,
-            network: NetworkMode::Solo,
-            max_inflight: 1,
-            seed: 0x5EED,
-            perf: (),
+            ..ServeConfig::new(scheme, ArrivalProcess::Poisson { rate }, 64, 0x5EED)
         }
     }
 

@@ -12,7 +12,7 @@
 //!   [`TokenBatch`](lina_workload::TokenBatch)es from queued requests;
 //! * [`ServeEngine`] — the per-replica context: it generates the
 //!   request trace, builds the offline-profiled scheduler, and probes
-//!   a replica's [`capacity`](ServeEngine::capacity);
+//!   a replica's capacity;
 //! * [`ClusterEngine`] — the one serving loop: N replica servers
 //!   behind a [`BalancerKind`] (round-robin, join-shortest-queue,
 //!   least-expected-latency), each with its own admission queue and

@@ -343,8 +343,8 @@ impl Replica {
     }
 
     /// Cancels flight `id`, which lost its hedge race at `t`: a hedge
-    /// frees its hedge slot; a primary may open the dispatch slot now,
-    /// and a drain victim may retire.
+    /// frees its hedge slot; a primary may open the dispatch slot now.
+    /// Either way a drain victim left idle retires.
     pub(crate) fn cancel(&mut self, id: u64, t: SimTime) {
         let ok = self.executor.abort(id);
         assert!(ok, "a raced flight was in flight");
@@ -352,8 +352,8 @@ impl Replica {
             self.hedges_in_flight -= 1;
         } else {
             self.primary_left(self.primaries_in_flight(), t);
-            self.retire_if_idle(t);
         }
+        self.retire_if_idle(t);
     }
 
     /// Applies a gray or link fault, pushing the link product to the
@@ -727,6 +727,20 @@ mod tests {
         rep.crash(ms(2));
         assert!(!rep.is_live());
         assert!(!rep.recover(ms(3)));
+        assert_eq!(rep.replica_seconds(ms(9)), 0.002);
+    }
+
+    /// A drain victim whose last flight is a hedge retires when that
+    /// hedge loses its race: no later event would retire it.
+    #[test]
+    fn a_drain_victim_retires_when_its_last_hedge_loses() {
+        let f = fixture();
+        let mut rep = replica(&f, NetworkMode::Solo, 1);
+        rep.submit(HEDGE, SimTime::ZERO, &f.plan);
+        rep.drain(ms(1));
+        assert!(rep.is_live(), "still running its hedge");
+        rep.cancel(HEDGE, ms(2));
+        assert!(!rep.is_live());
         assert_eq!(rep.replica_seconds(ms(9)), 0.002);
     }
 

@@ -11,7 +11,7 @@ use lina_serve::{
     BatcherConfig, ClusterConfig, ClusterEngine, ClusterOutcome, DegradationPolicy,
     EstimatorSharing, FaultPlan, FaultRateConfig, FaultSchedule, HealthConfig, HedgeConfig,
     NetworkMode, Request, ReshardAction, ReshardConfig, ReshardPolicyKind, ScaleDecision,
-    ServeConfig, ServeEngine,
+    ServeConfig,
 };
 use lina_simcore::{Rng, SimDuration, SimTime};
 use lina_workload::WorkloadSpec;
@@ -95,30 +95,32 @@ fn assert_tokens_per_request(out: &ClusterOutcome, trace: &[Request], round: usi
 
 /// A randomized but valid config drawn from a meta-rng.
 fn arb_config(meta: &mut Rng, scheme: InferScheme) -> ServeConfig {
+    // Drawn in field order: the base's seed is evaluated last.
+    let path_length = 1 + meta.index(3);
+    let max_experts_per_device = 1 + meta.index(4);
+    let arrival = if meta.bernoulli(0.5) {
+        ArrivalProcess::Poisson {
+            rate: meta.uniform(50.0, 2000.0),
+        }
+    } else {
+        let rate = meta.uniform(50.0, 2000.0);
+        ArrivalProcess::Mmpp {
+            calm_rate: rate * 0.5,
+            burst_rate: rate * 2.0,
+            mean_calm: meta.uniform(0.05, 0.5),
+            mean_burst: meta.uniform(0.02, 0.2),
+        }
+    };
+    let batcher = BatcherConfig {
+        max_batch_requests: 1 + meta.index(8),
+        max_wait: SimDuration::from_micros(meta.below(5_000) + 100),
+    };
+    let n_requests = 24 + meta.index(40);
     ServeConfig {
-        scheme,
-        top_k: 1,
-        path_length: 1 + meta.index(3),
-        max_experts_per_device: 1 + meta.index(4),
-        arrival: if meta.bernoulli(0.5) {
-            ArrivalProcess::Poisson {
-                rate: meta.uniform(50.0, 2000.0),
-            }
-        } else {
-            let rate = meta.uniform(50.0, 2000.0);
-            ArrivalProcess::Mmpp {
-                calm_rate: rate * 0.5,
-                burst_rate: rate * 2.0,
-                mean_calm: meta.uniform(0.05, 0.5),
-                mean_burst: meta.uniform(0.02, 0.2),
-            }
-        },
-        batcher: BatcherConfig {
-            max_batch_requests: 1 + meta.index(8),
-            max_wait: SimDuration::from_micros(meta.below(5_000) + 100),
-        },
+        path_length,
+        max_experts_per_device,
+        batcher,
         slo: SimDuration::from_millis(50),
-        n_requests: 24 + meta.index(40),
         tokens_per_request: 16 + meta.index(100),
         token_spread: if meta.bernoulli(0.5) {
             meta.uniform(0.0, 0.9)
@@ -128,10 +130,7 @@ fn arb_config(meta: &mut Rng, scheme: InferScheme) -> ServeConfig {
         drift_period: meta.bernoulli(0.5).then(|| 8 + meta.index(24)),
         reestimate_every: meta.bernoulli(0.5).then(|| 2 + meta.index(6)),
         reestimate_window: 4 + meta.index(8),
-        network: NetworkMode::Solo,
-        max_inflight: 1,
-        seed: meta.next_u64(),
-        perf: Default::default(),
+        ..ServeConfig::new(scheme, arrival, n_requests, meta.next_u64())
     }
 }
 
@@ -174,11 +173,13 @@ fn batcher_conserves_requests_and_tokens() {
         let config = arb_config(&mut meta, InferScheme::Baseline);
         let cap = config.batcher.max_batch_requests;
         let n = config.n_requests;
-        let offered: usize = ServeEngine::new(&cost, &topo, &spec, config.clone())
-            .generate_requests()
-            .iter()
-            .map(|r| r.tokens.len())
-            .sum();
+        let offered: usize =
+            ClusterEngine::new(&cost, &topo, &spec, ClusterConfig::single(config.clone()))
+                .engine()
+                .generate_requests()
+                .iter()
+                .map(|r| r.tokens.len())
+                .sum();
         let out = serve_cluster(&cost, &topo, &spec, ClusterConfig::single(config));
         let records = out.tracker.records();
         let mut ids: Vec<usize> = records.iter().map(|r| r.id).collect();
@@ -257,7 +258,8 @@ fn cluster_conserves_and_is_deterministic_across_policies() {
                 ..ClusterConfig::single(serve)
             };
             let n = config.serve.n_requests;
-            let offered: usize = ServeEngine::new(&cost, &topo, &spec, config.serve.clone())
+            let offered: usize = ClusterEngine::new(&cost, &topo, &spec, config.clone())
+                .engine()
                 .generate_requests()
                 .iter()
                 .map(|r| r.tokens.len())
@@ -393,28 +395,21 @@ fn batcher_dispatch_invariants_under_adversarial_traces() {
 fn queue_drains_below_capacity_and_grows_past_it() {
     let (cost, topo, spec) = world();
     let base = ServeConfig {
-        scheme: InferScheme::Baseline,
-        top_k: 1,
-        path_length: 3,
-        max_experts_per_device: 2,
-        arrival: ArrivalProcess::Poisson { rate: 1.0 },
         batcher: BatcherConfig {
             max_batch_requests: 4,
             max_wait: SimDuration::from_millis(1),
         },
         slo: SimDuration::from_millis(50),
-        n_requests: 96,
         tokens_per_request: 64,
-        token_spread: 0.0,
-        drift_period: None,
-        reestimate_every: None,
-        reestimate_window: 1,
-        network: NetworkMode::Solo,
-        max_inflight: 1,
-        seed: 0xD12A1,
-        perf: Default::default(),
+        ..ServeConfig::new(
+            InferScheme::Baseline,
+            ArrivalProcess::Poisson { rate: 1.0 },
+            96,
+            0xD12A1,
+        )
     };
-    let capacity = ServeEngine::new(&cost, &topo, &spec, base.clone()).capacity();
+    let capacity =
+        ClusterEngine::new(&cost, &topo, &spec, ClusterConfig::single(base.clone())).capacity();
     let run_at = |frac: f64| {
         let mut config = base.clone();
         config.arrival = ArrivalProcess::Poisson {
@@ -508,7 +503,9 @@ fn faults_conserve_every_request_and_stay_deterministic() {
             ..ClusterConfig::single(serve_config)
         };
         let n = config.serve.n_requests;
-        let trace = ServeEngine::new(&cost, &topo, &spec, config.serve.clone()).generate_requests();
+        let trace = ClusterEngine::new(&cost, &topo, &spec, config.clone())
+            .engine()
+            .generate_requests();
         let offered_tokens: usize = trace.iter().map(Request::len).sum();
         let out = serve_cluster(&cost, &topo, &spec, config.clone());
         assert_tokens_per_request(&out, &trace, round);
@@ -630,7 +627,9 @@ fn arbitrary_autoscale_decisions_conserve_and_stay_deterministic() {
             ..ClusterConfig::single(serve_config)
         };
         let n = config.serve.n_requests;
-        let trace = ServeEngine::new(&cost, &topo, &spec, config.serve.clone()).generate_requests();
+        let trace = ClusterEngine::new(&cost, &topo, &spec, config.clone())
+            .engine()
+            .generate_requests();
         let offered_tokens: usize = trace.iter().map(Request::len).sum();
         let out = serve_cluster(&cost, &topo, &spec, config.clone());
         assert_tokens_per_request(&out, &trace, round);
@@ -766,7 +765,9 @@ fn arbitrary_reshard_schedules_conserve_and_stay_deterministic() {
             ..ClusterConfig::single(serve)
         };
         let n = config.serve.n_requests;
-        let trace = ServeEngine::new(&cost, &topo, &spec, config.serve.clone()).generate_requests();
+        let trace = ClusterEngine::new(&cost, &topo, &spec, config.clone())
+            .engine()
+            .generate_requests();
         let offered_tokens: usize = trace.iter().map(Request::len).sum();
         let out = serve_cluster(&cost, &topo, &spec, config.clone());
         assert_tokens_per_request(&out, &trace, round);
@@ -970,7 +971,9 @@ fn gray_faults_with_hedging_conserve_and_stay_deterministic() {
             ..ClusterConfig::single(serve_config)
         };
         let n = config.serve.n_requests;
-        let trace = ServeEngine::new(&cost, &topo, &spec, config.serve.clone()).generate_requests();
+        let trace = ClusterEngine::new(&cost, &topo, &spec, config.clone())
+            .engine()
+            .generate_requests();
         let offered_tokens: usize = trace.iter().map(Request::len).sum();
         let out = serve_cluster(&cost, &topo, &spec, config.clone());
         assert_tokens_per_request(&out, &trace, round);
@@ -1098,7 +1101,9 @@ fn jittered_backoff_conserves_and_stays_deterministic() {
             ..ClusterConfig::single(serve_config)
         };
         let n = config.serve.n_requests;
-        let trace = ServeEngine::new(&cost, &topo, &spec, config.serve.clone()).generate_requests();
+        let trace = ClusterEngine::new(&cost, &topo, &spec, config.clone())
+            .engine()
+            .generate_requests();
         let offered_tokens: usize = trace.iter().map(Request::len).sum();
         let out = serve_cluster(&cost, &topo, &spec, config.clone());
         assert_tokens_per_request(&out, &trace, round);

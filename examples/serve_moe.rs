@@ -14,39 +14,28 @@ use lina::baselines::InferScheme;
 use lina::model::{CostModel, DeviceSpec, MoeModelConfig};
 use lina::netsim::{ClusterSpec, Topology};
 use lina::serve::{
-    serve_cluster, ArrivalProcess, BatcherConfig, ClusterConfig, NetworkMode, ServeConfig,
-    ServeEngine,
+    serve_cluster, ArrivalProcess, BatcherConfig, ClusterConfig, ClusterEngine, ServeConfig,
 };
 use lina::simcore::{SimDuration, Table};
 use lina::workload::WorkloadSpec;
 
 fn config(scheme: InferScheme, rate: f64, n_requests: usize) -> ServeConfig {
+    let arrival = ArrivalProcess::Mmpp {
+        calm_rate: rate * 0.8,
+        burst_rate: rate * 2.0,
+        mean_calm: 0.5,
+        mean_burst: 0.1,
+    };
     ServeConfig {
-        scheme,
-        top_k: 1,
-        path_length: 3,
-        max_experts_per_device: 2,
-        arrival: ArrivalProcess::Mmpp {
-            calm_rate: rate * 0.8,
-            burst_rate: rate * 2.0,
-            mean_calm: 0.5,
-            mean_burst: 0.1,
-        },
         batcher: BatcherConfig {
             max_batch_requests: 4,
             max_wait: SimDuration::from_millis(4),
         },
-        slo: SimDuration::from_millis(60),
-        n_requests,
         tokens_per_request: 8192,
-        token_spread: 0.0,
         drift_period: Some((n_requests / 4).max(1)),
         reestimate_every: Some(8),
         reestimate_window: 16,
-        network: NetworkMode::Solo,
-        max_inflight: 1,
-        seed: 0x11A,
-        perf: Default::default(),
+        ..ServeConfig::new(scheme, arrival, n_requests, 0x11A)
     }
 }
 
@@ -61,13 +50,8 @@ fn main() {
     let spec = WorkloadSpec::enwik8(experts, 12);
 
     // Offered load: 70% of the static baseline's saturation rate.
-    let probe = ServeEngine::new(
-        &cost,
-        &topo,
-        &spec,
-        config(InferScheme::Baseline, 1.0, n_requests),
-    );
-    let rate = 0.7 * probe.capacity();
+    let probe = ClusterConfig::single(config(InferScheme::Baseline, 1.0, n_requests));
+    let rate = 0.7 * ClusterEngine::new(&cost, &topo, &spec, probe).capacity();
 
     println!("serving {n_requests} requests at {rate:.0} req/s (70% of baseline capacity)");
     println!(

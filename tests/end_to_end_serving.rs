@@ -8,8 +8,7 @@ use lina::baselines::InferScheme;
 use lina::model::{CostModel, DeviceSpec, MoeModelConfig};
 use lina::netsim::{ClusterSpec, Topology};
 use lina::serve::{
-    serve_cluster, ArrivalProcess, BatcherConfig, ClusterConfig, NetworkMode, ServeConfig,
-    ServeEngine,
+    serve_cluster, ArrivalProcess, BatcherConfig, ClusterConfig, ClusterEngine, ServeConfig,
 };
 use lina::simcore::SimDuration;
 use lina::workload::WorkloadSpec;
@@ -28,26 +27,15 @@ fn world(experts: usize) -> (CostModel, Topology, WorkloadSpec) {
 /// experts per device) bounds the number of swaps per layer.
 fn config(scheme: InferScheme, rate: f64) -> ServeConfig {
     ServeConfig {
-        scheme,
-        top_k: 1,
-        path_length: 3,
-        max_experts_per_device: 2,
-        arrival: ArrivalProcess::Poisson { rate },
         batcher: BatcherConfig {
             max_batch_requests: 4,
             max_wait: SimDuration::from_millis(4),
         },
-        slo: SimDuration::from_millis(60),
-        n_requests: 64,
         tokens_per_request: 8192,
-        token_spread: 0.0,
         drift_period: Some(16),
         reestimate_every: Some(8),
         reestimate_window: 16,
-        network: NetworkMode::Solo,
-        max_inflight: 1,
-        seed: 0xE2E,
-        perf: Default::default(),
+        ..ServeConfig::new(scheme, ArrivalProcess::Poisson { rate }, 64, 0xE2E)
     }
 }
 
@@ -57,8 +45,8 @@ fn config(scheme: InferScheme, rate: f64) -> ServeConfig {
 #[test]
 fn lina_beats_static_baseline_p95_at_moderate_load() {
     let (cost, topo, spec) = world(16);
-    let probe = ServeEngine::new(&cost, &topo, &spec, config(InferScheme::Baseline, 1.0));
-    let rate = 0.7 * probe.capacity();
+    let probe = ClusterConfig::single(config(InferScheme::Baseline, 1.0));
+    let rate = 0.7 * ClusterEngine::new(&cost, &topo, &spec, probe).capacity();
     let run = |scheme| {
         let single = ClusterConfig::single(config(scheme, rate));
         serve_cluster(&cost, &topo, &spec, single).report()
@@ -112,8 +100,8 @@ fn saturation_degrades_the_slo() {
         cfg.tokens_per_request = 1024;
         cfg
     };
-    let probe = ServeEngine::new(&cost, &topo, &spec, small(InferScheme::Baseline, 1.0));
-    let capacity = probe.capacity();
+    let probe = ClusterConfig::single(small(InferScheme::Baseline, 1.0));
+    let capacity = ClusterEngine::new(&cost, &topo, &spec, probe).capacity();
     let run = |load: f64| {
         let single = ClusterConfig::single(small(InferScheme::Baseline, load * capacity));
         serve_cluster(&cost, &topo, &spec, single).report()
