@@ -2265,8 +2265,13 @@ mod tests {
         assert!((0.0..=1.0).contains(&out.hedge_wasted_frac));
     }
 
-    #[test]
-    fn hedging_survives_a_crash_of_the_primary_replica() {
+    /// Three replicas with hedging armed after two samples, replica 0 a
+    /// 16x gray straggler from the start (so its primaries outlive the
+    /// hedge delay), and replica `crashed` crashing at `at_ms` and
+    /// recovering at 40 ms. Asserts that every request reached exactly
+    /// one terminal outcome: the ids of the records and failures are
+    /// each request once.
+    fn crash_under_hedge(crashed: usize, at_ms: u64) -> ClusterOutcome {
         let (cost, topo, spec) = world();
         let mut c = config(InferScheme::Baseline, 1500.0, 3);
         c.hedging = Some(HedgeConfig {
@@ -2284,23 +2289,43 @@ mod tests {
                         nic_scale: 1.0,
                     },
                 },
-                crash_at(20, 0),
-                recover_at(40, 0),
+                crash_at(at_ms, crashed),
+                recover_at(40, crashed),
             ]),
             policy: DegradationPolicy::retry_failover(None),
         };
-        let out = serve_cluster(&cost, &topo, &spec, c);
-        // Conservation under the nastiest interleaving: hedges in
-        // flight when their primary's replica crashes, primaries dying
-        // with live hedges, and recovery mid-run.
+        let out = ClusterEngine::new(&cost, &topo, &spec, c).run();
         let mut terminal: Vec<usize> = out.tracker.records().iter().map(|r| r.id).collect();
         terminal.extend(out.tracker.failures().iter().map(|f| f.id));
         terminal.sort_unstable();
-        terminal.dedup();
         assert_eq!(
             terminal,
             (0..96).collect::<Vec<_>>(),
             "every request reaches exactly one terminal outcome"
         );
+        assert!(out.tracker.failures().is_empty(), "retries lose nothing");
+        out
+    }
+
+    /// At 18 ms the straggler crashes under a primary whose hedge is
+    /// running elsewhere: the hedge carries the batch alone and wins
+    /// without cancelling the dead primary. (`Replica::cancel` asserts
+    /// its flight is still in flight, so a completion that cancelled a
+    /// crashed flight would panic.)
+    #[test]
+    fn hedging_survives_a_crash_of_the_primary_replica() {
+        let out = crash_under_hedge(0, 18);
+        assert_eq!(out.aborted_batches, 1, "the crash took the hedged primary");
+        assert!(out.hedges_won > 0);
+    }
+
+    /// At 18 ms replica 2 crashes under a hedge whose primary still
+    /// runs on the straggler: the primary carries the batch alone and
+    /// its completion cancels nothing.
+    #[test]
+    fn hedging_survives_a_crash_of_the_hedge_replica() {
+        let out = crash_under_hedge(2, 18);
+        assert!(out.aborted_batches > 0);
+        assert!(out.hedges_won <= out.hedges_issued);
     }
 }

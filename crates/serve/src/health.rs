@@ -819,6 +819,50 @@ mod tests {
         assert_eq!(Welford::default().floored_std(), f64::MIN_POSITIVE);
     }
 
+    /// A runtime armed by one delay sample, with primary 0 dispatched
+    /// on replica 0 at zero and its hedge issued on replica 1; returns
+    /// the hedge's id.
+    fn racing() -> (HedgeRuntime, u64) {
+        let mut rt = HedgeRuntime::new(HedgeConfig {
+            quantile: 0.5,
+            multiplier: 1.0,
+            min_samples: 1,
+        });
+        rt.primary_done(u64::MAX >> 1, SimDuration::from_millis(1), SimTime::ZERO);
+        let plan = Arc::new(ExecutionPlan {
+            tokens: 0,
+            layers: Vec::new(),
+            local_hops: 0,
+            routed_hops: 0,
+        });
+        rt.arm(0, 0, SimTime::ZERO, &plan);
+        let (t, primary) = rt.next_timer().expect("armed");
+        let (hedge, to, _) = rt.fire(t, primary, |_| Some(1)).expect("issued");
+        assert_eq!(to, 1);
+        (rt, hedge)
+    }
+
+    /// A crash on one side of a race leaves the other side carrying the
+    /// batch: nothing is displaced, and the survivor's completion
+    /// resolves the race with nothing to cancel.
+    #[test]
+    fn a_crash_on_one_side_of_a_race_leaves_nothing_to_cancel() {
+        let (mut rt, hedge) = racing();
+        assert_eq!(rt.aborted(0, ms(2)), None, "the hedge carries the batch");
+        assert_eq!(
+            rt.hedge_done(hedge, SimDuration::from_millis(2), ms(3)),
+            (0, None)
+        );
+        rt.wasted_frac();
+
+        let (mut rt, hedge) = racing();
+        assert_eq!(rt.aborted(hedge, ms(2)), None, "the primary carries it");
+        assert_eq!(rt.primary_done(0, SimDuration::from_millis(3), ms(3)), None);
+        // The dead hedge ran 1 ms (from its 1 ms deadline); the arming
+        // sample and the primary served 4 ms.
+        assert_eq!(rt.wasted_frac(), 0.2);
+    }
+
     #[test]
     #[should_panic(expected = "quantile")]
     fn out_of_range_hedge_quantile_rejected() {
