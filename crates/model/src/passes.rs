@@ -219,7 +219,6 @@ impl<'a> StepBuilder<'a> {
     /// op ids of the *last* chunk (what downstream ops wait on), plus
     /// the op ids grouped by chunk (for pipelining the next
     /// all-to-all).
-    #[allow(clippy::too_many_arguments)]
     fn emit_expert_compute(
         &mut self,
         plan: &DispatchPlan,

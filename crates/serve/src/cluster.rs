@@ -609,7 +609,8 @@ struct ClusterSim<'e, 'a, S: Iterator<Item = Request>> {
     /// they are sorted into dispatch order once the run drains.
     records: Vec<RequestRecord>,
     /// Every committed primary batch, by id, until it completes or
-    /// aborts; each leaves exactly once.
+    /// aborts; each leaves exactly once. The one per-batch map: a
+    /// flight carries its detector expectation and its hedge race.
     pending: BTreeMap<u64, Flight>,
     /// First arrivals pulled from the trace stream.
     arrived: usize,
@@ -767,18 +768,17 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
         self.out.aborted_batches += aborted.len();
         let mut displaced: Vec<(Request, u32)> = Vec::new();
         for id in aborted {
-            self.monitor.forget(id);
+            let batch = self.batch_of(id);
+            let flight = self
+                .pending
+                .get_mut(&batch)
+                .expect("aborted batch was committed");
             // With a hedge racing it, a batch's members ride whichever
             // flight survives instead of being displaced.
-            let batch = match &mut self.hedging {
-                Some(rt) => rt.aborted(id, at),
-                None => Some(id),
-            };
-            if let Some(batch) = batch {
-                let flight = self
-                    .pending
-                    .remove(&batch)
-                    .expect("aborted batch was committed");
+            let carried = (self.hedging.as_mut().zip(flight.race.as_mut()))
+                .is_some_and(|(rt, race)| rt.aborted(batch, id, race, at));
+            if !carried {
+                let flight = self.pending.remove(&batch).expect("looked up above");
                 displaced.extend(flight.displace());
             }
         }
@@ -800,6 +800,15 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
             }
             let retry_at = at + policy.backoff_jittered(n, req.id, &self.retry);
             self.readmit(req, n, retry_at, at);
+        }
+    }
+
+    /// The primary batch whose flight `id` finished: `id` itself, or
+    /// the primary a hedge duplicated (the hedge leaves the hedge map).
+    fn batch_of(&mut self, id: u64) -> u64 {
+        match &mut self.hedging {
+            Some(rt) if is_hedge(id) => rt.primary_of(id),
+            _ => id,
         }
     }
 
@@ -1048,39 +1057,35 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
     /// and materialize their members' records.
     fn complete_on(&mut self, i: usize, t: SimTime) {
         for fb in self.replicas[i].advance_to(t) {
-            // Every completion here, hedge duplicates included, is a
-            // latency observation for the detector.
-            self.monitor
-                .completed(i, fb.id, fb.report.total, fb.completed);
-            let batch = if is_hedge(fb.id) {
-                let rt = self.hedging.as_mut().expect("hedge id without a runtime");
-                let (primary, racing) = rt.hedge_done(fb.id, fb.report.total, t);
-                self.out.hedges_won += 1;
-                if let Some(p) = racing {
-                    // The hedge beat a still-running primary: abort
-                    // the original and free its dispatch slot now.
-                    self.monitor.forget(primary);
-                    self.replicas[p].cancel(primary, t);
-                }
-                primary
-            } else {
-                let lost = self
-                    .hedging
-                    .as_mut()
-                    .and_then(|rt| rt.primary_done(fb.id, fb.report.total, t));
-                if let Some((hedge, h)) = lost {
-                    // The primary beat its hedge: cancel the copy.
-                    self.monitor.forget(hedge);
-                    self.replicas[h].cancel(hedge, t);
-                }
-                fb.id
-            };
-            // Materialize the members' records, on the timeline of
-            // the flight that served them.
-            let flight = self
+            let service = fb.report.total;
+            let batch = self.batch_of(fb.id);
+            let mut flight = self
                 .pending
                 .remove(&batch)
                 .expect("finished batch was committed");
+            // Every completion, a winning hedge's included, is a latency
+            // observation against the flight's one expectation.
+            if let Some(expected) = flight.expected {
+                self.monitor.observe(i, expected, service, fb.completed);
+            }
+            let loser = match &mut self.hedging {
+                Some(rt) if is_hedge(fb.id) => {
+                    self.out.hedges_won += 1;
+                    let race = flight.race.as_ref().expect("a hedge ran a race");
+                    // The hedge beat a still-running primary: abort the
+                    // original and free its dispatch slot now.
+                    rt.hedge_won(race, flight.dispatched, service, t)
+                        .then_some((batch, flight.replica))
+                }
+                // The primary beat its hedge: cancel the copy.
+                Some(rt) => rt.primary_done(batch, flight.race.take(), service, t),
+                None => None,
+            };
+            if let Some((id, r)) = loser {
+                self.replicas[r].cancel(id, t);
+            }
+            // Materialize the members' records, on the timeline of
+            // the flight that served them.
             for record in flight.records(batch, &fb) {
                 self.on_terminal(record.id, fb.completed);
                 self.records.push(record);
@@ -1098,8 +1103,13 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
             .hedging
             .as_mut()
             .expect("hedge timer without a runtime");
-        let (replicas, monitor) = (&self.replicas, &self.monitor);
-        let hedge = rt.fire(t, primary, |host| {
+        let flight = self
+            .pending
+            .get_mut(&primary)
+            .expect("hedge timer had a live flight");
+        let race = flight.race.as_mut().expect("hedge timer had a race");
+        let (replicas, monitor, host) = (&self.replicas, &self.monitor, flight.replica);
+        let hedge = rt.fire(t, primary, race, || {
             // Candidates: any replica but the primary's host that can
             // start a hedge now. Least suspicion wins; ties break
             // toward the lighter in-flight load, then the lower index.
@@ -1114,14 +1124,14 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
                 })
                 .map(|(j, _)| j)
         });
-        let Some((id, target, plan)) = hedge else {
+        let Some((id, target)) = hedge else {
             return;
         };
         self.out.hedges_issued += 1;
-        // The duplicate runs at the target's true speed; its completion
-        // feeds the detector like any other.
-        let nominal = self.replicas[target].submit(id, t, &plan);
-        self.monitor.expect(id, &plan, nominal);
+        // The duplicate re-runs the pristine plan at the target's true
+        // speed; its completion is judged against the flight's
+        // expectation, so it is not priced.
+        self.replicas[target].submit(id, t, &flight.plan);
     }
 
     /// Commits the replica's next batch: assemble, plan, degrade,
@@ -1129,7 +1139,7 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
     fn dispatch(&mut self, i: usize, d: Dispatch) {
         let engine = self.engine;
         let shape = (engine.topo.devices(), engine.spec.experts);
-        let (flight, batch, backlog) = self.replicas[i].assemble(d, shape);
+        let (batch, members, backlog) = self.replicas[i].assemble(d, shape);
         // A diverged shard map overrides the configured base placement;
         // at the base, planning sees exactly the configured map (or the
         // canonical one when none was set), so an armed-but-inert
@@ -1154,11 +1164,16 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
         let batch_id = self.out.batches as u64;
         // The detector's expectation and a hedge's re-run both use the
         // pristine plan; the replica's own degradation stretches a copy.
-        if let Some(rt) = &mut self.hedging {
-            rt.arm(batch_id, i, d.at, &plan);
-        }
         let nominal = self.replicas[i].submit(batch_id, d.at, &plan);
-        self.monitor.expect(batch_id, &plan, nominal);
+        let flight = Flight {
+            replica: i,
+            dispatched: d.at,
+            expected: self.monitor.price(&plan, nominal),
+            race: self.hedging.as_mut().and_then(|rt| rt.arm(batch_id, d.at)),
+            plan,
+            batch: Arc::clone(&batch),
+            members,
+        };
         assert!(
             self.pending.insert(batch_id, flight).is_none(),
             "batch {batch_id} committed twice"
@@ -1275,16 +1290,6 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
     }
 }
 
-/// Convenience wrapper: build a [`ClusterEngine`] and run it.
-pub fn serve_cluster(
-    cost: &CostModel,
-    topo: &Topology,
-    spec: &WorkloadSpec,
-    config: ClusterConfig,
-) -> ClusterOutcome {
-    ClusterEngine::new(cost, topo, spec, config).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1342,7 +1347,8 @@ mod tests {
     #[test]
     fn cluster_serves_every_request_exactly_once() {
         let (cost, topo, spec) = world();
-        let out = serve_cluster(&cost, &topo, &spec, config(InferScheme::Lina, 800.0, 3));
+        let out =
+            ClusterEngine::new(&cost, &topo, &spec, config(InferScheme::Lina, 800.0, 3)).run();
         let mut ids: Vec<usize> = out.tracker.records().iter().map(|r| r.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..96).collect::<Vec<_>>());
@@ -1361,12 +1367,13 @@ mod tests {
     #[test]
     fn replica_timelines_never_overlap() {
         let (cost, topo, spec) = world();
-        let out = serve_cluster(
+        let out = ClusterEngine::new(
             &cost,
             &topo,
             &spec,
             config(InferScheme::Baseline, 1500.0, 2),
-        );
+        )
+        .run();
         // Group batch spans per batch id; all batches of one replica
         // are serialized, and every record obeys arrival <= dispatch.
         for r in out.tracker.records() {
@@ -1406,8 +1413,8 @@ mod tests {
                 let mut c = config(InferScheme::Lina, 600.0, 3);
                 c.balancer = balancer;
                 c.sharing = sharing;
-                let a = serve_cluster(&cost, &topo, &spec, c.clone());
-                let b = serve_cluster(&cost, &topo, &spec, c);
+                let a = ClusterEngine::new(&cost, &topo, &spec, c.clone()).run();
+                let b = ClusterEngine::new(&cost, &topo, &spec, c).run();
                 assert_eq!(a.tracker.records(), b.tracker.records());
                 assert_eq!(a.requests_per_replica, b.requests_per_replica);
                 assert_eq!(a.reestimations, b.reestimations);
@@ -1420,7 +1427,7 @@ mod tests {
         let (cost, topo, spec) = world();
         let mut c = config(InferScheme::Baseline, 500.0, 3);
         c.balancer = BalancerKind::RoundRobin;
-        let out = serve_cluster(&cost, &topo, &spec, c);
+        let out = ClusterEngine::new(&cost, &topo, &spec, c).run();
         assert_eq!(out.requests_per_replica, vec![32, 32, 32]);
         assert!((out.routing_imbalance() - 1.0).abs() < 1e-12);
     }
@@ -1433,8 +1440,10 @@ mod tests {
         assert!((three.capacity() - 3.0 * one.engine().capacity()).abs() < 1e-9);
         // Offer a load that swamps one replica but not three.
         let rate = 1.5 * one.engine().capacity();
-        let swamped = serve_cluster(&cost, &topo, &spec, config(InferScheme::Baseline, rate, 1));
-        let cruising = serve_cluster(&cost, &topo, &spec, config(InferScheme::Baseline, rate, 3));
+        let swamped =
+            ClusterEngine::new(&cost, &topo, &spec, config(InferScheme::Baseline, rate, 1)).run();
+        let cruising =
+            ClusterEngine::new(&cost, &topo, &spec, config(InferScheme::Baseline, rate, 3)).run();
         let (s, c) = (swamped.report(), cruising.report());
         assert!(
             c.p99 < s.p99,
@@ -1450,7 +1459,7 @@ mod tests {
         let (cost, topo, spec) = world();
         let mut c = config(InferScheme::Lina, 800.0, 2);
         c.sharing = EstimatorSharing::PerReplica;
-        let out = serve_cluster(&cost, &topo, &spec, c);
+        let out = ClusterEngine::new(&cost, &topo, &spec, c).run();
         assert!(out.reestimations > 0);
     }
 
@@ -1466,7 +1475,8 @@ mod tests {
     #[test]
     fn empty_fault_schedule_matches_healthy_path() {
         let (cost, topo, spec) = world();
-        let healthy = serve_cluster(&cost, &topo, &spec, config(InferScheme::Lina, 700.0, 3));
+        let healthy =
+            ClusterEngine::new(&cost, &topo, &spec, config(InferScheme::Lina, 700.0, 3)).run();
         // A live retry policy over an empty schedule must be inert:
         // nothing ever displaces, and without a timeout no new event
         // kind fires.
@@ -1475,7 +1485,7 @@ mod tests {
             schedule: FaultSchedule::none(),
             policy: DegradationPolicy::retry_failover(None),
         };
-        let armed = serve_cluster(&cost, &topo, &spec, c);
+        let armed = ClusterEngine::new(&cost, &topo, &spec, c).run();
         assert_eq!(healthy.tracker.records(), armed.tracker.records());
         assert_eq!(
             healthy.tracker.depth_timeline(),
@@ -1494,7 +1504,7 @@ mod tests {
             schedule: FaultSchedule::from_script(vec![crash_at(10, 0)]),
             policy: DegradationPolicy::fail_fast(),
         };
-        let out = serve_cluster(&cost, &topo, &spec, c);
+        let out = ClusterEngine::new(&cost, &topo, &spec, c).run();
         let report = out.report();
         assert!(report.dropped > 0, "the crash must displace something");
         assert_eq!(report.offered, 96, "every request reaches an outcome");
@@ -1530,7 +1540,7 @@ mod tests {
             ]),
             policy: DegradationPolicy::retry_failover(None),
         };
-        let out = serve_cluster(&cost, &topo, &spec, c);
+        let out = ClusterEngine::new(&cost, &topo, &spec, c).run();
         let report = out.report();
         assert_eq!(report.requests, 96, "retries recover every request");
         assert!((report.availability - 1.0).abs() < 1e-15);
@@ -1552,7 +1562,7 @@ mod tests {
             schedule: FaultSchedule::none(),
             policy: DegradationPolicy::retry_failover(Some(SimDuration::from_millis(10))),
         };
-        let out = serve_cluster(&cost, &topo, &spec, c);
+        let out = ClusterEngine::new(&cost, &topo, &spec, c).run();
         let report = out.report();
         assert!(report.timed_out > 0, "overload must time requests out");
         assert_eq!(report.offered, 96);
@@ -1579,7 +1589,7 @@ mod tests {
             schedule: FaultSchedule::from_script(vec![crash_at(3, 0), recover_at(30, 0)]),
             policy: DegradationPolicy::retry_failover(Some(SimDuration::from_millis(6))),
         };
-        let out = serve_cluster(&cost, &topo, &spec, c);
+        let out = ClusterEngine::new(&cost, &topo, &spec, c).run();
         // Even ids below 41 arrived on replica 0 before the crash and
         // were re-queued on replica 1 after the 1 ms backoff.
         let expected: Vec<usize> = (8..=40)
@@ -1617,7 +1627,7 @@ mod tests {
                 schedule: FaultSchedule::from_script(vec![crash_at(0, 0)]),
                 policy: DegradationPolicy::retry_failover(None),
             };
-            let out = serve_cluster(&cost, &topo, &spec, c);
+            let out = ClusterEngine::new(&cost, &topo, &spec, c).run();
             assert_eq!(
                 out.requests_per_replica[0],
                 0,
@@ -1639,8 +1649,8 @@ mod tests {
             schedule,
             policy: DegradationPolicy::retry_failover_shed(Some(SimDuration::from_millis(200))),
         };
-        let a = serve_cluster(&cost, &topo, &spec, c.clone());
-        let b = serve_cluster(&cost, &topo, &spec, c);
+        let a = ClusterEngine::new(&cost, &topo, &spec, c.clone()).run();
+        let b = ClusterEngine::new(&cost, &topo, &spec, c).run();
         assert_eq!(a.tracker.records(), b.tracker.records());
         assert_eq!(a.tracker.failures(), b.tracker.failures());
         assert_eq!(a.faults_injected, b.faults_injected);
@@ -1652,12 +1662,13 @@ mod tests {
     #[test]
     fn device_loss_slows_the_replica_and_replaces_experts() {
         let (cost, topo, spec) = world();
-        let healthy = serve_cluster(
+        let healthy = ClusterEngine::new(
             &cost,
             &topo,
             &spec,
             config(InferScheme::Baseline, 2000.0, 1),
-        );
+        )
+        .run();
         let mut c = config(InferScheme::Baseline, 2000.0, 1);
         c.faults = FaultPlan {
             schedule: FaultSchedule::from_script(vec![FaultEvent {
@@ -1667,7 +1678,7 @@ mod tests {
             }]),
             policy: DegradationPolicy::retry_failover(None),
         };
-        let degraded = serve_cluster(&cost, &topo, &spec, c);
+        let degraded = ClusterEngine::new(&cost, &topo, &spec, c).run();
         assert_eq!(degraded.emergency_replacements, 1);
         assert_eq!(degraded.report().requests, 96, "the replica stays up");
         assert!(
@@ -1679,12 +1690,13 @@ mod tests {
     #[test]
     fn link_degrade_and_straggler_stretch_service() {
         let (cost, topo, spec) = world();
-        let healthy = serve_cluster(
+        let healthy = ClusterEngine::new(
             &cost,
             &topo,
             &spec,
             config(InferScheme::Baseline, 2000.0, 1),
-        );
+        )
+        .run();
         for kind in [
             FaultKind::LinkDegrade { scale: 0.25 },
             FaultKind::StragglerStart { factor: 4.0 },
@@ -1698,7 +1710,7 @@ mod tests {
                 }]),
                 policy: DegradationPolicy::retry_failover(None),
             };
-            let slow = serve_cluster(&cost, &topo, &spec, c);
+            let slow = ClusterEngine::new(&cost, &topo, &spec, c).run();
             assert_eq!(slow.report().requests, 96);
             assert!(
                 slow.report().makespan > healthy.report().makespan,
@@ -1724,7 +1736,7 @@ mod tests {
                 schedule: FaultSchedule::from_script(events.collect()),
                 policy: DegradationPolicy::retry_failover(None),
             };
-            serve_cluster(&cost, &topo, &spec, c)
+            ClusterEngine::new(&cost, &topo, &spec, c).run()
         };
         let noop_gray = [
             (
@@ -1785,10 +1797,11 @@ mod tests {
     #[test]
     fn armed_inert_autoscaler_matches_the_fixed_cluster() {
         let (cost, topo, spec) = world();
-        let fixed = serve_cluster(&cost, &topo, &spec, config(InferScheme::Lina, 800.0, 3));
+        let fixed =
+            ClusterEngine::new(&cost, &topo, &spec, config(InferScheme::Lina, 800.0, 3)).run();
         let mut c = config(InferScheme::Lina, 800.0, 3);
         c.autoscale = Some(AutoscaleConfig::inert(3, SimDuration::from_millis(1)));
-        let armed = serve_cluster(&cost, &topo, &spec, c);
+        let armed = ClusterEngine::new(&cost, &topo, &spec, c).run();
         assert_eq!(fixed.tracker.records(), armed.tracker.records());
         assert_eq!(
             fixed.tracker.depth_timeline(),
@@ -1808,7 +1821,7 @@ mod tests {
         let mut c = config(InferScheme::Baseline, 2000.0, 1);
         c.balancer = BalancerKind::JoinShortestQueue;
         c.autoscale = Some(scripted(vec![ScaleDecision::ScaleUp(1)], 1, 4, 1));
-        let out = serve_cluster(&cost, &topo, &spec, c);
+        let out = ClusterEngine::new(&cost, &topo, &spec, c).run();
         assert_eq!(out.scale_ups, 1);
         assert_eq!(out.peak_replicas, 2);
         assert_eq!(out.requests_per_replica.len(), 2);
@@ -1831,7 +1844,7 @@ mod tests {
         let (cost, topo, spec) = world();
         let mut c = config(InferScheme::Baseline, 2000.0, 3);
         c.autoscale = Some(scripted(vec![ScaleDecision::ScaleDown(1)], 1, 3, 1));
-        let out = serve_cluster(&cost, &topo, &spec, c);
+        let out = ClusterEngine::new(&cost, &topo, &spec, c).run();
         assert_eq!(out.scale_downs, 1);
         assert_eq!(out.report().requests, 96, "draining loses nothing");
         assert!(out.tracker.failures().is_empty());
@@ -1859,16 +1872,17 @@ mod tests {
             min_replicas: 1,
             max_replicas: 4,
         });
-        let out = serve_cluster(&cost, &topo, &spec, c);
+        let out = ClusterEngine::new(&cost, &topo, &spec, c).run();
         assert!(out.scale_ups > 0, "a swamped pool must grow");
         assert!(out.peak_replicas > 1);
         assert_eq!(out.report().requests, 96);
-        let fixed = serve_cluster(
+        let fixed = ClusterEngine::new(
             &cost,
             &topo,
             &spec,
             config(InferScheme::Baseline, 4000.0, 1),
-        );
+        )
+        .run();
         assert!(
             out.report().p99 < fixed.report().p99,
             "elastic capacity must beat the swamped static pool's tail"
@@ -1896,8 +1910,8 @@ mod tests {
                 min_replicas: 1,
                 max_replicas: 5,
             });
-            let a = serve_cluster(&cost, &topo, &spec, c.clone());
-            let b = serve_cluster(&cost, &topo, &spec, c);
+            let a = ClusterEngine::new(&cost, &topo, &spec, c.clone()).run();
+            let b = ClusterEngine::new(&cost, &topo, &spec, c).run();
             assert_eq!(a.tracker.records(), b.tracker.records());
             assert_eq!(a.tracker.failures(), b.tracker.failures());
             assert_eq!(a.scale_ups, b.scale_ups);
@@ -1925,7 +1939,7 @@ mod tests {
             min_replicas: 1,
             max_replicas: 4,
         });
-        let out = serve_cluster(&cost, &topo, &spec, c);
+        let out = ClusterEngine::new(&cost, &topo, &spec, c).run();
         assert_eq!(
             out.report().requests,
             96,
@@ -1939,7 +1953,7 @@ mod tests {
         let (cost, topo, spec) = world();
         let mut c = config(InferScheme::Lina, 2000.0, 3);
         c.autoscale = Some(scripted(vec![ScaleDecision::ScaleDown(1)], 1, 3, 1));
-        let fault_free = serve_cluster(&cost, &topo, &spec, c.clone());
+        let fault_free = ClusterEngine::new(&cost, &topo, &spec, c.clone()).run();
         assert_eq!(
             fault_free.requests_per_replica[2], 1,
             "the drain victim retires after one request"
@@ -1952,7 +1966,7 @@ mod tests {
             }]),
             policy: DegradationPolicy::retry_failover(None),
         };
-        let out = serve_cluster(&cost, &topo, &spec, c);
+        let out = ClusterEngine::new(&cost, &topo, &spec, c).run();
         assert_eq!(out.faults_injected, 1);
         assert_eq!(out.emergency_replacements, 0);
         assert_eq!(out.tracker.records(), fault_free.tracker.records());
@@ -1982,10 +1996,11 @@ mod tests {
     #[test]
     fn armed_inert_resharder_matches_the_fixed_cluster() {
         let (cost, topo, spec) = world();
-        let fixed = serve_cluster(&cost, &topo, &spec, config(InferScheme::Lina, 800.0, 3));
+        let fixed =
+            ClusterEngine::new(&cost, &topo, &spec, config(InferScheme::Lina, 800.0, 3)).run();
         let mut c = config(InferScheme::Lina, 800.0, 3);
         c.resharding = Some(ReshardConfig::inert(SimDuration::from_millis(1)));
-        let armed = serve_cluster(&cost, &topo, &spec, c);
+        let armed = ClusterEngine::new(&cost, &topo, &spec, c).run();
         assert_eq!(fixed.tracker.records(), armed.tracker.records());
         assert_eq!(
             fixed.tracker.depth_timeline(),
@@ -2006,22 +2021,23 @@ mod tests {
         let (cost, topo, spec) = world();
         let mut c = config(InferScheme::Baseline, 2000.0, 1);
         c.resharding = Some(scripted_reshard(vec![vec![ReshardAction::Replicate(0)]], 1));
-        let out = serve_cluster(&cost, &topo, &spec, c.clone());
+        let out = ClusterEngine::new(&cost, &topo, &spec, c.clone()).run();
         assert_eq!(out.replications, 1, "the scripted replication lands");
         assert_eq!(out.report().requests, 96, "re-sharding loses nothing");
         assert!(out.tracker.failures().is_empty());
         // Bit-identical replay: actuation is deterministic.
-        let again = serve_cluster(&cost, &topo, &spec, c);
+        let again = ClusterEngine::new(&cost, &topo, &spec, c).run();
         assert_eq!(out.tracker.records(), again.tracker.records());
         assert_eq!(out.replications, again.replications);
         // The replicated map diverges from the unsharded timeline: the
         // transfer charge and the split expert must show somewhere.
-        let fixed = serve_cluster(
+        let fixed = ClusterEngine::new(
             &cost,
             &topo,
             &spec,
             config(InferScheme::Baseline, 2000.0, 1),
-        );
+        )
+        .run();
         assert_ne!(
             fixed.tracker.records(),
             out.tracker.records(),
@@ -2040,7 +2056,7 @@ mod tests {
             ],
             1,
         ));
-        let out = serve_cluster(&cost, &topo, &spec, c);
+        let out = ClusterEngine::new(&cost, &topo, &spec, c).run();
         assert_eq!(out.replications, 1);
         assert_eq!(out.evictions, 1, "the replicated expert can shed its copy");
         assert_eq!(out.report().requests, 96);
@@ -2050,18 +2066,19 @@ mod tests {
     #[test]
     fn eviction_never_strands_a_single_homed_expert() {
         let (cost, topo, spec) = world();
-        let fixed = serve_cluster(
+        let fixed = ClusterEngine::new(
             &cost,
             &topo,
             &spec,
             config(InferScheme::Baseline, 2000.0, 1),
-        );
+        )
+        .run();
         let mut c = config(InferScheme::Baseline, 2000.0, 1);
         // Every expert starts single-homed: the eviction must refuse
         // (planning panics on a hostless expert) and the refused no-op
         // must leave the run bit-identical to the fixed cluster.
         c.resharding = Some(scripted_reshard(vec![vec![ReshardAction::Evict(3)]], 1));
-        let out = serve_cluster(&cost, &topo, &spec, c);
+        let out = ClusterEngine::new(&cost, &topo, &spec, c).run();
         assert_eq!(out.evictions, 0, "the last replica is never evicted");
         assert_eq!(fixed.tracker.records(), out.tracker.records());
         assert_eq!(fixed.report(), out.report());
@@ -2070,12 +2087,13 @@ mod tests {
     #[test]
     fn gray_degrade_stretches_service_without_tripping_the_health_bit() {
         let (cost, topo, spec) = world();
-        let healthy = serve_cluster(
+        let healthy = ClusterEngine::new(
             &cost,
             &topo,
             &spec,
             config(InferScheme::Baseline, 2000.0, 1),
-        );
+        )
+        .run();
         let mut c = config(InferScheme::Baseline, 2000.0, 1);
         c.faults = FaultPlan {
             schedule: FaultSchedule::from_script(vec![FaultEvent {
@@ -2088,7 +2106,7 @@ mod tests {
             }]),
             policy: DegradationPolicy::retry_failover(None),
         };
-        let gray = serve_cluster(&cost, &topo, &spec, c);
+        let gray = ClusterEngine::new(&cost, &topo, &spec, c).run();
         assert_eq!(gray.report().requests, 96, "gray never displaces work");
         assert_eq!(gray.aborted_batches, 0, "the health bit never trips");
         assert!(
@@ -2131,8 +2149,8 @@ mod tests {
             ]),
             policy: DegradationPolicy::retry_failover(None),
         };
-        let slow = serve_cluster(&cost, &topo, &spec, forever);
-        let recovered = serve_cluster(&cost, &topo, &spec, cleared);
+        let slow = ClusterEngine::new(&cost, &topo, &spec, forever).run();
+        let recovered = ClusterEngine::new(&cost, &topo, &spec, cleared).run();
         assert_eq!(recovered.report().requests, 96);
         assert!(
             recovered.report().makespan < slow.report().makespan,
@@ -2143,14 +2161,15 @@ mod tests {
     #[test]
     fn armed_phi_detector_is_bit_identical_on_the_healthy_path() {
         let (cost, topo, spec) = world();
-        let oracle = serve_cluster(&cost, &topo, &spec, config(InferScheme::Lina, 800.0, 3));
+        let oracle =
+            ClusterEngine::new(&cost, &topo, &spec, config(InferScheme::Lina, 800.0, 3)).run();
         let mut c = config(InferScheme::Lina, 800.0, 3);
         c.balancer = BalancerKind::LeastExpectedLatency;
         c.health = HealthConfig::phi_accrual();
         let mut o = config(InferScheme::Lina, 800.0, 3);
         o.balancer = BalancerKind::LeastExpectedLatency;
-        let detector = serve_cluster(&cost, &topo, &spec, c);
-        let oracle_lel = serve_cluster(&cost, &topo, &spec, o);
+        let detector = ClusterEngine::new(&cost, &topo, &spec, c).run();
+        let oracle_lel = ClusterEngine::new(&cost, &topo, &spec, o).run();
         // With no faults the detector must never manufacture suspicion
         // that changes routing: the latency-aware balancer sees the
         // same scores an oracle run does (all well under exclusion),
@@ -2187,8 +2206,8 @@ mod tests {
         blind.faults = gray_fault.clone();
         let mut seeing = blind.clone();
         seeing.health = HealthConfig::phi_accrual();
-        let blind = serve_cluster(&cost, &topo, &spec, blind);
-        let seeing = serve_cluster(&cost, &topo, &spec, seeing);
+        let blind = ClusterEngine::new(&cost, &topo, &spec, blind).run();
+        let seeing = ClusterEngine::new(&cost, &topo, &spec, seeing).run();
         assert_eq!(blind.report().requests, 96);
         assert_eq!(seeing.report().requests, 96);
         assert!(
@@ -2207,7 +2226,8 @@ mod tests {
     #[test]
     fn armed_inert_hedging_matches_the_unhedged_cluster() {
         let (cost, topo, spec) = world();
-        let plain = serve_cluster(&cost, &topo, &spec, config(InferScheme::Lina, 800.0, 3));
+        let plain =
+            ClusterEngine::new(&cost, &topo, &spec, config(InferScheme::Lina, 800.0, 3)).run();
         let mut c = config(InferScheme::Lina, 800.0, 3);
         // min_samples beyond the run's batch count: armed but inert.
         c.hedging = Some(HedgeConfig {
@@ -2215,7 +2235,7 @@ mod tests {
             multiplier: 2.0,
             min_samples: 1_000_000,
         });
-        let armed = serve_cluster(&cost, &topo, &spec, c);
+        let armed = ClusterEngine::new(&cost, &topo, &spec, c).run();
         assert_eq!(plain.tracker.records(), armed.tracker.records());
         assert_eq!(
             plain.tracker.depth_timeline(),
@@ -2249,7 +2269,7 @@ mod tests {
             }]),
             policy: DegradationPolicy::retry_failover(None),
         };
-        let out = serve_cluster(&cost, &topo, &spec, c);
+        let out = ClusterEngine::new(&cost, &topo, &spec, c).run();
         let mut ids: Vec<usize> = out.tracker.records().iter().map(|r| r.id).collect();
         ids.sort_unstable();
         assert_eq!(

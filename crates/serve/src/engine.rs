@@ -498,7 +498,7 @@ impl Iterator for RequestStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{serve_cluster, ClusterConfig};
+    use crate::cluster::{ClusterConfig, ClusterEngine};
     use lina_model::{DeviceSpec, MoeModelConfig};
     use lina_netsim::ClusterSpec;
     use lina_simcore::SimTime;
@@ -529,7 +529,7 @@ mod tests {
     fn serves_every_request_exactly_once() {
         let (cost, topo, spec) = world();
         let single = ClusterConfig::single(config(InferScheme::Lina, 400.0));
-        let out = serve_cluster(&cost, &topo, &spec, single);
+        let out = ClusterEngine::new(&cost, &topo, &spec, single).run();
         let mut ids: Vec<usize> = out.tracker.records().iter().map(|r| r.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..64).collect::<Vec<_>>());
@@ -541,7 +541,7 @@ mod tests {
     fn dispatch_respects_arrival_and_server_order() {
         let (cost, topo, spec) = world();
         let single = ClusterConfig::single(config(InferScheme::Baseline, 1000.0));
-        let out = serve_cluster(&cost, &topo, &spec, single);
+        let out = ClusterEngine::new(&cost, &topo, &spec, single).run();
         let records = out.tracker.records();
         for r in records {
             assert!(
@@ -599,7 +599,7 @@ mod tests {
     fn reestimation_disabled_for_non_estimating_schemes() {
         let (cost, topo, spec) = world();
         let single = ClusterConfig::single(config(InferScheme::LinaNoEstimation, 400.0));
-        let out = serve_cluster(&cost, &topo, &spec, single);
+        let out = ClusterEngine::new(&cost, &topo, &spec, single).run();
         assert_eq!(out.reestimations, 0);
     }
 

@@ -14,12 +14,15 @@
 //! size and composition out of the signal: a healthy replica sits at
 //! ratio 1.0 whether it served two requests or twenty, so whatever
 //! stretch a gray fault adds stands directly against the baseline.
-//! Each batch is priced once: when the serving replica runs the
+//! Each batch is priced once, when its primary is dispatched, and the
+//! batch's flight keeps the price: when the primary's replica runs the
 //! pristine plan on clean links (no compute stretch, link scale exactly
 //! 1.0), the expectation is the solo price its executor just computed
 //! — a reused [`SoloTimer`] is history-independent, so that is the same
-//! bits as a fresh price. Only batches a degraded replica runs (and
-//! hedges onto one) are priced again, pristine, on the monitor's timer.
+//! bits as a fresh price. Only primaries a degraded replica runs are
+//! priced again, pristine, on the monitor's timer. A hedge re-runs the
+//! same pristine plan, so its completion is judged against the same
+//! expectation.
 //!
 //! * Suspicion is continuous: `0.0` is a replica indistinguishable from
 //!   the cluster baseline; `>= 1.0` excludes it from routing (the
@@ -189,16 +192,13 @@ struct HedgeFlight {
     dispatched: SimTime,
 }
 
-/// Per-primary hedge bookkeeping, from dispatch commit until both the
-/// primary and any hedge reach a terminal state.
-struct HedgeState {
-    primary_replica: usize,
-    /// Instant the primary was dispatched (its waste when it loses).
-    primary_dispatched: SimTime,
+/// A primary batch's hedge race, from the dispatch that armed its timer
+/// until both the primary and any hedge reach a terminal state. It
+/// rides on the batch's flight; the plan a hedge re-runs is the
+/// flight's pristine plan.
+pub(crate) struct Race {
     /// When the timer fires if the primary is still running.
     deadline: SimTime,
-    /// The primary's pristine plan; a hedge re-runs it elsewhere.
-    plan: Arc<ExecutionPlan>,
     /// The primary's replica crashed with the hedge still live; the
     /// hedge is then the batch's only path to completion.
     primary_gone: bool,
@@ -206,8 +206,9 @@ struct HedgeState {
     hedge: Option<HedgeFlight>,
 }
 
-/// Armed hedged dispatch inside the cluster event loop: the delay
-/// estimate, per-primary timers and races, and waste accounting. The
+/// Armed hedged dispatch inside the cluster event loop: what spans
+/// batches — the delay estimate, the timers, the hedge-id map and waste
+/// accounting. Each race lives on its flight and is passed in. The
 /// cluster owns the executors and counts hedges issued and won; every
 /// method here only decides and tells it which flight to start or
 /// cancel.
@@ -217,7 +218,6 @@ pub(crate) struct HedgeRuntime {
     samples: Vec<SimDuration>,
     /// Armed timers as `(deadline, primary batch id)`.
     timers: BTreeSet<(SimTime, u64)>,
-    live: BTreeMap<u64, HedgeState>,
     /// Hedge batch id to its primary's id.
     by_hedge: BTreeMap<u64, u64>,
     next_hedge_seq: u64,
@@ -233,7 +233,6 @@ impl HedgeRuntime {
             config,
             samples: Vec::new(),
             timers: BTreeSet::new(),
-            live: BTreeMap::new(),
             by_hedge: BTreeMap::new(),
             next_hedge_seq: 0,
             wasted: SimDuration::ZERO,
@@ -251,29 +250,16 @@ impl HedgeRuntime {
         Some(self.samples[idx].mul_f64(self.config.multiplier))
     }
 
-    /// Primary batch `primary` was just dispatched on `replica` at
-    /// `at`: arm its timer once a delay can be estimated.
-    pub(crate) fn arm(
-        &mut self,
-        primary: u64,
-        replica: usize,
-        at: SimTime,
-        plan: &Arc<ExecutionPlan>,
-    ) {
-        let Some(delay) = self.delay() else { return };
-        let deadline = at + delay;
+    /// Primary batch `primary` was just dispatched at `at`: arm its
+    /// timer once a delay can be estimated, opening its race.
+    pub(crate) fn arm(&mut self, primary: u64, at: SimTime) -> Option<Race> {
+        let deadline = at + self.delay()?;
         self.timers.insert((deadline, primary));
-        self.live.insert(
-            primary,
-            HedgeState {
-                primary_replica: replica,
-                primary_dispatched: at,
-                deadline,
-                plan: plan.clone(),
-                primary_gone: false,
-                hedge: None,
-            },
-        );
+        Some(Race {
+            deadline,
+            primary_gone: false,
+            hedge: None,
+        })
     }
 
     /// The earliest armed timer as `(deadline, primary batch id)`.
@@ -282,101 +268,92 @@ impl HedgeRuntime {
     }
 
     /// The timer of `primary` fired at `t` with the primary still
-    /// running. `pick` chooses an alternate replica given the primary's
-    /// host; when it finds one, the hedge is issued and this returns
-    /// its batch id, its replica, and the pristine plan to run there.
+    /// running its `race`. `pick` chooses an alternate replica; when it
+    /// finds one, the hedge is issued and this returns its batch id and
+    /// its replica.
     pub(crate) fn fire(
         &mut self,
         t: SimTime,
         primary: u64,
-        pick: impl FnOnce(usize) -> Option<usize>,
-    ) -> Option<(u64, usize, Arc<ExecutionPlan>)> {
+        race: &mut Race,
+        pick: impl FnOnce() -> Option<usize>,
+    ) -> Option<(u64, usize)> {
         self.timers.remove(&(t, primary));
-        let st = self
-            .live
-            .get_mut(&primary)
-            .expect("hedge timer had live state");
-        let replica = pick(st.primary_replica)?;
+        let replica = pick()?;
         let id = HEDGE_BASE + self.next_hedge_seq;
         self.next_hedge_seq += 1;
         self.by_hedge.insert(id, primary);
-        st.hedge = Some(HedgeFlight {
+        race.hedge = Some(HedgeFlight {
             id,
             replica,
             dispatched: t,
         });
-        Some((id, replica, st.plan.clone()))
+        Some((id, replica))
+    }
+
+    /// The primary batch hedge `hedge` duplicates. The hedge has
+    /// finished (completed or aborted), so it leaves the map.
+    pub(crate) fn primary_of(&mut self, hedge: u64) -> u64 {
+        self.by_hedge
+            .remove(&hedge)
+            .expect("finished hedge was registered")
     }
 
     /// Primary `primary` completed at `t` after `service`: a delay
-    /// sample, and the end of its race. Returns the losing hedge to
-    /// cancel as `(hedge id, replica)`, if one was running.
+    /// sample, and the end of its race, if it had one. Returns the
+    /// losing hedge to cancel as `(hedge id, replica)`, if one was
+    /// running.
     pub(crate) fn primary_done(
         &mut self,
         primary: u64,
+        race: Option<Race>,
         service: SimDuration,
         t: SimTime,
     ) -> Option<(u64, usize)> {
         let at = self.samples.partition_point(|&s| s <= service);
         self.samples.insert(at, service);
         self.useful += service;
-        let st = self.live.remove(&primary)?;
-        self.timers.remove(&(st.deadline, primary));
-        let hedge = st.hedge?;
+        let race = race?;
+        self.timers.remove(&(race.deadline, primary));
+        let hedge = race.hedge?;
         self.by_hedge.remove(&hedge.id);
         self.wasted += t.saturating_since(hedge.dispatched);
         Some((hedge.id, hedge.replica))
     }
 
-    /// Hedge `hedge` completed at `t` after `service` and won its race.
-    /// Returns the primary batch it served and, when that primary is
-    /// still running, the replica to cancel it on.
-    pub(crate) fn hedge_done(
+    /// The hedge of a primary dispatched at `dispatched` completed at
+    /// `t` after `service` and won the `race`. Returns whether the
+    /// primary is still running, to be cancelled.
+    pub(crate) fn hedge_won(
         &mut self,
-        hedge: u64,
+        race: &Race,
+        dispatched: SimTime,
         service: SimDuration,
         t: SimTime,
-    ) -> (u64, Option<usize>) {
-        let primary = self
-            .by_hedge
-            .remove(&hedge)
-            .expect("finished hedge was registered");
-        let st = self
-            .live
-            .remove(&primary)
-            .expect("finished hedge had live state");
+    ) -> bool {
         self.useful += service;
-        if st.primary_gone {
-            return (primary, None);
+        if race.primary_gone {
+            return false;
         }
-        self.wasted += t.saturating_since(st.primary_dispatched);
-        (primary, Some(st.primary_replica))
+        self.wasted += t.saturating_since(dispatched);
+        true
     }
 
-    /// Flight `id`, primary or hedge, died in a crash at `at`. Returns
-    /// the primary batch whose members are now displaced, or `None`
-    /// while the other flight still carries them.
-    pub(crate) fn aborted(&mut self, id: u64, at: SimTime) -> Option<u64> {
+    /// Flight `id`, primary `primary` or its hedge, died in a crash at
+    /// `at` while running `race`. Returns whether the other flight
+    /// still carries the members; when it does not, they are displaced.
+    pub(crate) fn aborted(&mut self, primary: u64, id: u64, race: &mut Race, at: SimTime) -> bool {
         if is_hedge(id) {
-            let primary = self.by_hedge.remove(&id).expect("hedge id was registered");
-            let st = self.live.get_mut(&primary).expect("hedge had live state");
-            let hedge = st.hedge.take().expect("hedge flight was recorded");
+            let hedge = race.hedge.take().expect("hedge flight was recorded");
             self.wasted += at.saturating_since(hedge.dispatched);
-            if !st.primary_gone {
-                return None;
-            }
-            self.live.remove(&primary);
-            return Some(primary);
+            return !race.primary_gone;
         }
-        if let Some(st) = self.live.get_mut(&id) {
-            if st.hedge.is_some() {
-                st.primary_gone = true;
-                return None;
-            }
-            self.timers.remove(&(st.deadline, id));
-            self.live.remove(&id);
+        if race.hedge.is_some() {
+            race.primary_gone = true;
+            return true;
         }
-        Some(id)
+        self.timers.remove(&(race.deadline, primary));
+        false
     }
 
     /// The wasted fraction of all batch compute.
@@ -387,7 +364,7 @@ impl HedgeRuntime {
     /// end of the run.
     pub(crate) fn wasted_frac(&self) -> f64 {
         assert!(
-            self.live.is_empty() && self.timers.is_empty() && self.by_hedge.is_empty(),
+            self.timers.is_empty() && self.by_hedge.is_empty(),
             "every hedge race must resolve by the end of the run"
         );
         let useful = self.useful.as_secs_f64();
@@ -460,13 +437,12 @@ pub(crate) struct HealthMonitor {
     /// judged against, so batch size and composition drop out of the
     /// signal: a healthy solo replica observes exactly ratio 1.0.
     /// `None` under the oracle detector, which never prices one. Each
-    /// batch is priced once: a replica running the pristine plan on
-    /// clean links hands over the price its executor just computed, and
-    /// this timer prices only the batches a degraded replica runs.
+    /// batch is priced once, at its primary's dispatch: a replica
+    /// running the pristine plan on clean links hands over the price its
+    /// executor just computed, and this timer prices only the primaries
+    /// a degraded replica runs. A hedge is judged against its primary's
+    /// price.
     pricer: Option<SoloTimer>,
-    /// Expected nominal totals of in-flight batches (primaries and
-    /// hedges alike), consumed at completion.
-    expected: BTreeMap<u64, SimDuration>,
 }
 
 impl HealthMonitor {
@@ -477,7 +453,6 @@ impl HealthMonitor {
             baseline: Welford::default(),
             replicas: vec![ReplicaHealth::default(); n],
             pricer: None,
-            expected: BTreeMap::new(),
         }
     }
 
@@ -491,46 +466,29 @@ impl HealthMonitor {
         }
     }
 
-    /// Records the expectation batch `id`'s completion will be judged
-    /// against: its pristine `plan` priced solo at nominal speed (a
-    /// no-op without a pricer). `nominal` is that price when the caller
-    /// already has it — the executor priced the same plan on clean
-    /// links, and a reused [`SoloTimer`] is history-independent, so it
-    /// is the same bits; only `None` prices the plan here.
-    pub(crate) fn expect(&mut self, id: u64, plan: &ExecutionPlan, nominal: Option<SimDuration>) {
-        if let Some(timer) = &mut self.pricer {
-            let total = match nominal {
-                Some(total) => {
-                    debug_assert_eq!(
-                        total,
-                        execute_plan_solo(plan, timer).total,
-                        "a reused price must equal the pristine plan's"
-                    );
-                    total
-                }
-                None => execute_plan_solo(plan, timer).total,
-            };
-            self.expected.insert(id, total);
-        }
-    }
-
-    /// Batch `id` completed on `replica` after `service`: one
-    /// observation against its expectation, if one was priced.
-    pub(crate) fn completed(
+    /// The expectation a batch's completions are judged against: its
+    /// pristine `plan` priced solo at nominal speed; `None` without a
+    /// pricer. `nominal` is that price when the caller already has it —
+    /// the executor priced the same plan on clean links, and a reused
+    /// [`SoloTimer`] is history-independent, so it is the same bits;
+    /// only `None` prices the plan here.
+    pub(crate) fn price(
         &mut self,
-        replica: usize,
-        id: u64,
-        service: SimDuration,
-        now: SimTime,
-    ) {
-        if let Some(expected) = self.expected.remove(&id) {
-            self.observe(replica, expected, service, now);
-        }
-    }
-
-    /// Batch `id` will never complete (aborted or cancelled).
-    pub(crate) fn forget(&mut self, id: u64) {
-        self.expected.remove(&id);
+        plan: &ExecutionPlan,
+        nominal: Option<SimDuration>,
+    ) -> Option<SimDuration> {
+        let timer = self.pricer.as_mut()?;
+        Some(match nominal {
+            Some(total) => {
+                debug_assert_eq!(
+                    total,
+                    execute_plan_solo(plan, timer).total,
+                    "a reused price must equal the pristine plan's"
+                );
+                total
+            }
+            None => execute_plan_solo(plan, timer).total,
+        })
     }
 
     /// Grows the tracked pool to `n` replicas (elastic scale-up); the
@@ -647,11 +605,6 @@ mod tests {
     use super::*;
 
     impl HealthMonitor {
-        /// The expectation recorded for batch `id`, if any.
-        pub(crate) fn expectation(&self, id: u64) -> Option<SimDuration> {
-            self.expected.get(&id).copied()
-        }
-
         /// True while the replica is in the suspected/probation regime.
         fn suspected(&self, replica: usize) -> bool {
             self.replicas[replica].suspected
@@ -820,26 +773,25 @@ mod tests {
     }
 
     /// A runtime armed by one delay sample, with primary 0 dispatched
-    /// on replica 0 at zero and its hedge issued on replica 1; returns
-    /// the hedge's id.
-    fn racing() -> (HedgeRuntime, u64) {
+    /// at zero and its hedge issued on replica 1; returns the runtime,
+    /// the primary's race and the hedge's id.
+    fn racing() -> (HedgeRuntime, Race, u64) {
         let mut rt = HedgeRuntime::new(HedgeConfig {
             quantile: 0.5,
             multiplier: 1.0,
             min_samples: 1,
         });
-        rt.primary_done(u64::MAX >> 1, SimDuration::from_millis(1), SimTime::ZERO);
-        let plan = Arc::new(ExecutionPlan {
-            tokens: 0,
-            layers: Vec::new(),
-            local_hops: 0,
-            routed_hops: 0,
-        });
-        rt.arm(0, 0, SimTime::ZERO, &plan);
+        rt.primary_done(
+            u64::MAX >> 1,
+            None,
+            SimDuration::from_millis(1),
+            SimTime::ZERO,
+        );
+        let mut race = rt.arm(0, SimTime::ZERO).expect("one sample arms hedging");
         let (t, primary) = rt.next_timer().expect("armed");
-        let (hedge, to, _) = rt.fire(t, primary, |_| Some(1)).expect("issued");
+        let (hedge, to) = rt.fire(t, primary, &mut race, || Some(1)).expect("issued");
         assert_eq!(to, 1);
-        (rt, hedge)
+        (rt, race, hedge)
     }
 
     /// A crash on one side of a race leaves the other side carrying the
@@ -847,17 +799,27 @@ mod tests {
     /// resolves the race with nothing to cancel.
     #[test]
     fn a_crash_on_one_side_of_a_race_leaves_nothing_to_cancel() {
-        let (mut rt, hedge) = racing();
-        assert_eq!(rt.aborted(0, ms(2)), None, "the hedge carries the batch");
-        assert_eq!(
-            rt.hedge_done(hedge, SimDuration::from_millis(2), ms(3)),
-            (0, None)
+        let (mut rt, mut race, hedge) = racing();
+        assert!(
+            rt.aborted(0, 0, &mut race, ms(2)),
+            "the hedge carries the batch"
+        );
+        assert_eq!(rt.primary_of(hedge), 0);
+        let service = SimDuration::from_millis(2);
+        assert!(
+            !rt.hedge_won(&race, SimTime::ZERO, service, ms(3)),
+            "no primary runs"
         );
         rt.wasted_frac();
 
-        let (mut rt, hedge) = racing();
-        assert_eq!(rt.aborted(hedge, ms(2)), None, "the primary carries it");
-        assert_eq!(rt.primary_done(0, SimDuration::from_millis(3), ms(3)), None);
+        let (mut rt, mut race, hedge) = racing();
+        assert_eq!(rt.primary_of(hedge), 0);
+        assert!(
+            rt.aborted(0, hedge, &mut race, ms(2)),
+            "the primary carries it"
+        );
+        let service = SimDuration::from_millis(3);
+        assert_eq!(rt.primary_done(0, Some(race), service, ms(3)), None);
         // The dead hedge ran 1 ms (from its 1 ms deadline); the arming
         // sample and the primary served 4 ms.
         assert_eq!(rt.wasted_frac(), 0.2);

@@ -89,9 +89,7 @@ pub use arrival::{ArrivalProcess, ArrivalStream};
 pub use autoscale::{AutoscaleConfig, AutoscalePolicyKind, ScaleDecision};
 pub use balancer::BalancerKind;
 pub use batcher::{Batcher, BatcherConfig};
-pub use cluster::{
-    serve_cluster, ClusterConfig, ClusterEngine, ClusterOutcome, EstimatorSharing, PlanCacheStats,
-};
+pub use cluster::{ClusterConfig, ClusterEngine, ClusterOutcome, EstimatorSharing, PlanCacheStats};
 pub use engine::{ServeConfig, ServeEngine};
 pub use faults::{
     DegradationPolicy, FaultEvent, FaultKind, FaultPlan, FaultRateConfig, FaultSchedule, PolicyKind,

@@ -15,7 +15,7 @@ use lina_workload::TokenBatch;
 use crate::balancer::ReplicaSnapshot;
 use crate::batcher::{Batcher, Dispatch};
 use crate::faults::{Degradation, FaultKind};
-use crate::health::is_hedge;
+use crate::health::{is_hedge, Race};
 use crate::request::{Request, RequestRecord};
 
 /// Where a replica is in its lifecycle. These are exactly the
@@ -45,17 +45,32 @@ struct Admission {
     req: Request,
 }
 
-/// A committed batch, from dispatch until it completes or aborts.
-/// Dispatch moves the members' tokens out of their requests into
-/// `batch`, which the re-shard monitor reads and the re-estimation
-/// window keeps, so no token is copied on the way.
+/// A committed primary batch, from dispatch until it completes or
+/// aborts: the one record of the batch, its hedge race included.
 pub(crate) struct Flight {
-    batch: Arc<TokenBatch>,
-    members: Vec<Member>,
+    /// The replica running the primary.
+    pub(crate) replica: usize,
+    /// The primary's dispatch instant.
+    pub(crate) dispatched: SimTime,
+    /// The pristine plan: the primary's replica runs it, stretched by
+    /// its degradation, and a hedge re-runs it elsewhere.
+    pub(crate) plan: Arc<ExecutionPlan>,
+    /// The detector's expectation, which every completion of the batch
+    /// (primary or hedge) is judged against; `None` without a pricing
+    /// detector.
+    pub(crate) expected: Option<SimDuration>,
+    /// The hedge race, once hedging could estimate a delay.
+    pub(crate) race: Option<Race>,
+    /// Dispatch moves the members' tokens out of their requests into
+    /// this batch, which the re-shard monitor reads and the
+    /// re-estimation window keeps, so no token is copied on the way.
+    pub(crate) batch: Arc<TokenBatch>,
+    /// The batch's requests, in the order their tokens tile `batch`.
+    pub(crate) members: Vec<Member>,
 }
 
 /// A member of a [`Flight`]: the request without its tokens.
-struct Member {
+pub(crate) struct Member {
     id: usize,
     /// The original arrival.
     arrival: SimTime,
@@ -243,12 +258,12 @@ impl Replica {
     /// still re-admit a member with its tokens, copied back from the
     /// flight. Each request's own token buffer is freed here, so token
     /// memory follows the live backlog and flights, not the run length.
-    /// Returns the flight, its batch and the backlog left at `d.at`.
+    /// Returns the batch, its members and the backlog left at `d.at`.
     pub(crate) fn assemble(
         &mut self,
         d: Dispatch,
         shape: (usize, usize),
-    ) -> (Flight, Arc<TokenBatch>, usize) {
+    ) -> (Arc<TokenBatch>, Vec<Member>, usize) {
         assert!(
             self.primaries_in_flight() < self.max_inflight,
             "replica dispatched past its {} in-flight batches",
@@ -280,11 +295,7 @@ impl Replica {
             devices,
             experts,
         });
-        let flight = Flight {
-            batch: Arc::clone(&batch),
-            members,
-        };
-        (flight, batch, backlog)
+        (batch, members, backlog)
     }
 
     /// Submits the pristine `plan` as this replica runs it: expert
@@ -292,9 +303,9 @@ impl Replica {
     /// stretches service exactly like a visible slowdown; only the
     /// control plane cannot see it). Returns the executor's solo price
     /// when it priced one and it is the pristine plan's nominal price —
-    /// no stretch and clean links — so the detector need not price the
-    /// plan again. A hedge (an id in the hedge namespace) runs outside
-    /// the slot budget.
+    /// no stretch and clean links — so the detector need not price a
+    /// primary's plan again. A hedge (an id in the hedge namespace) runs
+    /// outside the slot budget.
     pub(crate) fn submit(
         &mut self,
         id: u64,
@@ -596,7 +607,7 @@ mod tests {
         for ordinal in 0..4 {
             admit(&mut rep, ordinal, ordinal as u64, ordinal as u64);
         }
-        let (_, batch, backlog) = rep.assemble(
+        let (batch, _, backlog) = rep.assemble(
             Dispatch {
                 at: ms(3),
                 count: 3,
@@ -745,21 +756,22 @@ mod tests {
     }
 
     mod pricing {
-        //! The detector prices each batch once: a replica running the
-        //! pristine plan on clean links hands over its executor's price,
-        //! every other batch is priced again — and both come out as the
-        //! pristine plan's price on a fresh timer.
+        //! The detector prices each batch once, at its primary's
+        //! dispatch: a replica running the pristine plan on clean links
+        //! hands over its executor's price, and a degraded replica's
+        //! primary is priced again — both come out as the pristine
+        //! plan's price on a fresh timer. A hedge is never priced: its
+        //! completion is judged against its flight's expectation.
 
         use super::*;
 
-        /// Submits the pristine plan on `rep` and records the detector's
-        /// expectation, as the cluster does; returns whether the
-        /// executor's price was reused and the recorded expectation.
+        /// Submits the pristine plan on `rep` and prices the detector's
+        /// expectation, as the cluster's dispatch does; returns whether
+        /// the executor's price was reused and the expectation.
         fn submit(f: &mut Fixture, rep: &mut Replica, id: u64) -> (bool, SimDuration) {
             let nominal = rep.submit(id, SimTime::ZERO, &f.plan);
-            f.monitor.expect(id, &f.plan, nominal);
-            let expected = f.monitor.expectation(id).expect("a phi detector prices");
-            (nominal.is_some(), expected)
+            let expected = f.monitor.price(&f.plan, nominal);
+            (nominal.is_some(), expected.expect("a phi detector prices"))
         }
 
         #[test]
@@ -808,7 +820,7 @@ mod tests {
         }
 
         #[test]
-        fn a_hedge_onto_a_degraded_target_reprices() {
+        fn a_hedge_onto_a_degraded_target_is_judged_by_its_flights_price() {
             let mut f = fixture();
             let mut primary = replica(&f, NetworkMode::Solo, 1);
             let mut target = replica(&f, NetworkMode::Solo, 1);
@@ -822,17 +834,41 @@ mod tests {
                 min_samples: 1,
             });
             // One delay sample arms hedging.
-            rt.primary_done(u64::MAX >> 1, SimDuration::from_micros(1), SimTime::ZERO);
-            assert_eq!(submit(&mut f, &mut primary, 0), (true, f.pristine));
-            rt.arm(0, 0, SimTime::ZERO, &f.plan);
+            let sample = SimDuration::from_micros(1);
+            rt.primary_done(u64::MAX >> 1, None, sample, SimTime::ZERO);
+            // The primary's dispatch as the cluster commits it: the
+            // flight keeps the pristine plan, its one price and its race.
+            admit(&mut primary, 0, 0, 0);
+            let d = Dispatch {
+                at: SimTime::ZERO,
+                count: 1,
+            };
+            let (batch, members, _) = primary.assemble(d, (8, 8));
+            let (reused, expected) = submit(&mut f, &mut primary, 0);
+            assert_eq!((reused, expected), (true, f.pristine));
+            let mut flight = Flight {
+                replica: 0,
+                dispatched: d.at,
+                plan: Arc::clone(&f.plan),
+                expected: Some(expected),
+                race: rt.arm(0, d.at),
+                batch,
+                members,
+            };
             let (t, id) = rt.next_timer().expect("armed");
-            let (hedge, to, plan) = rt.fire(t, id, |_| Some(1)).expect("a free alternate");
+            let race = flight.race.as_mut().expect("armed");
+            let (hedge, to) = rt.fire(t, id, race, || Some(1)).expect("a free alternate");
             assert_eq!(to, 1);
             assert!(
-                Arc::ptr_eq(&plan, &f.plan),
+                Arc::ptr_eq(&flight.plan, &f.plan),
                 "a hedge re-runs the pristine plan"
             );
-            assert_eq!(submit(&mut f, &mut target, hedge), (false, f.pristine));
+            // The gray target hands over no nominal price and nothing
+            // prices the hedge: its completion is judged against the
+            // flight's one expectation, which it overran.
+            assert_eq!(target.submit(hedge, t, &flight.plan), None);
+            let done = target.advance_to(SimTime::from_secs_f64(10.0));
+            assert!(done[0].report.total > flight.expected.expect("priced"));
         }
     }
 }

@@ -7,11 +7,10 @@ use lina_baselines::InferScheme;
 use lina_model::{CostModel, DeviceSpec, ExpertPlacement, LayeredPlacement, MoeModelConfig};
 use lina_netsim::{ClusterSpec, DeviceId, Topology};
 use lina_serve::{
-    serve_cluster, ArrivalProcess, AutoscaleConfig, AutoscalePolicyKind, BalancerKind, Batcher,
-    BatcherConfig, ClusterConfig, ClusterEngine, ClusterOutcome, DegradationPolicy,
-    EstimatorSharing, FaultPlan, FaultRateConfig, FaultSchedule, HealthConfig, HedgeConfig,
-    NetworkMode, Request, ReshardAction, ReshardConfig, ReshardPolicyKind, ScaleDecision,
-    ServeConfig,
+    ArrivalProcess, AutoscaleConfig, AutoscalePolicyKind, BalancerKind, Batcher, BatcherConfig,
+    ClusterConfig, ClusterEngine, ClusterOutcome, DegradationPolicy, EstimatorSharing, FaultPlan,
+    FaultRateConfig, FaultSchedule, HealthConfig, HedgeConfig, NetworkMode, Request, ReshardAction,
+    ReshardConfig, ReshardPolicyKind, ScaleDecision, ServeConfig,
 };
 use lina_simcore::{Rng, SimDuration, SimTime};
 use lina_workload::WorkloadSpec;
@@ -180,7 +179,7 @@ fn batcher_conserves_requests_and_tokens() {
                 .iter()
                 .map(|r| r.tokens.len())
                 .sum();
-        let out = serve_cluster(&cost, &topo, &spec, ClusterConfig::single(config));
+        let out = ClusterEngine::new(&cost, &topo, &spec, ClusterConfig::single(config)).run();
         let records = out.tracker.records();
         let mut ids: Vec<usize> = records.iter().map(|r| r.id).collect();
         ids.sort_unstable();
@@ -213,7 +212,7 @@ fn latency_dominates_service_time() {
     let mut meta = Rng::new(0x1A7);
     for scheme in [InferScheme::Baseline, InferScheme::Lina] {
         let config = arb_config(&mut meta, scheme);
-        let out = serve_cluster(&cost, &topo, &spec, ClusterConfig::single(config));
+        let out = ClusterEngine::new(&cost, &topo, &spec, ClusterConfig::single(config)).run();
         for r in out.tracker.records() {
             assert!(r.dispatched >= r.arrival);
             assert_eq!(r.completed, r.dispatched + r.service);
@@ -264,14 +263,14 @@ fn cluster_conserves_and_is_deterministic_across_policies() {
                 .iter()
                 .map(|r| r.tokens.len())
                 .sum();
-            let out = serve_cluster(&cost, &topo, &spec, config.clone());
+            let out = ClusterEngine::new(&cost, &topo, &spec, config.clone()).run();
             let mut ids: Vec<usize> = out.tracker.records().iter().map(|r| r.id).collect();
             ids.sort_unstable();
             assert_eq!(ids, (0..n).collect::<Vec<_>>(), "{balancer:?}/{sharing:?}");
             let total_tokens: usize = out.tracker.records().iter().map(|r| r.tokens).sum();
             assert_eq!(total_tokens, offered);
             assert_eq!(out.requests_per_replica.iter().sum::<usize>(), n);
-            let again = serve_cluster(&cost, &topo, &spec, config);
+            let again = ClusterEngine::new(&cost, &topo, &spec, config).run();
             assert_eq!(out.tracker.records(), again.tracker.records());
         }
     }
@@ -415,7 +414,9 @@ fn queue_drains_below_capacity_and_grows_past_it() {
         config.arrival = ArrivalProcess::Poisson {
             rate: frac * capacity,
         };
-        serve_cluster(&cost, &topo, &spec, ClusterConfig::single(config)).report()
+        ClusterEngine::new(&cost, &topo, &spec, ClusterConfig::single(config))
+            .run()
+            .report()
     };
     let calm = run_at(0.25);
     let swamped = run_at(4.0);
@@ -507,7 +508,7 @@ fn faults_conserve_every_request_and_stay_deterministic() {
             .engine()
             .generate_requests();
         let offered_tokens: usize = trace.iter().map(Request::len).sum();
-        let out = serve_cluster(&cost, &topo, &spec, config.clone());
+        let out = ClusterEngine::new(&cost, &topo, &spec, config.clone()).run();
         assert_tokens_per_request(&out, &trace, round);
         assert_outcome_consistent(&out, replicas, round);
 
@@ -541,7 +542,7 @@ fn faults_conserve_every_request_and_stay_deterministic() {
         assert!(report.availability.is_finite() && report.goodput.is_finite());
 
         // Bit-determinism under the same fault plan.
-        let again = serve_cluster(&cost, &topo, &spec, config);
+        let again = ClusterEngine::new(&cost, &topo, &spec, config).run();
         assert_eq!(out.tracker.records(), again.tracker.records());
         assert_eq!(out.tracker.failures(), again.tracker.failures());
         assert_eq!(out.recovery_times, again.recovery_times);
@@ -564,7 +565,7 @@ fn empty_fault_schedule_is_bit_identical_to_healthy_path() {
             sharing,
             ..ClusterConfig::single(serve)
         };
-        let healthy = serve_cluster(&cost, &topo, &spec, config.clone());
+        let healthy = ClusterEngine::new(&cost, &topo, &spec, config.clone()).run();
         let mut armed = config.clone();
         armed.faults = FaultPlan {
             schedule: FaultSchedule::none(),
@@ -572,7 +573,7 @@ fn empty_fault_schedule_is_bit_identical_to_healthy_path() {
             // retry machinery must never perturb the event order.
             policy: DegradationPolicy::retry_failover(None),
         };
-        let with_policy = serve_cluster(&cost, &topo, &spec, armed);
+        let with_policy = ClusterEngine::new(&cost, &topo, &spec, armed).run();
         assert_eq!(healthy.tracker.records(), with_policy.tracker.records());
         assert_eq!(
             healthy.tracker.depth_timeline(),
@@ -631,7 +632,7 @@ fn arbitrary_autoscale_decisions_conserve_and_stay_deterministic() {
             .engine()
             .generate_requests();
         let offered_tokens: usize = trace.iter().map(Request::len).sum();
-        let out = serve_cluster(&cost, &topo, &spec, config.clone());
+        let out = ClusterEngine::new(&cost, &topo, &spec, config.clone()).run();
         assert_tokens_per_request(&out, &trace, round);
 
         let mut ids: Vec<usize> = out
@@ -667,7 +668,7 @@ fn arbitrary_autoscale_decisions_conserve_and_stay_deterministic() {
         );
         assert_outcome_consistent(&out, replicas, round);
 
-        let again = serve_cluster(&cost, &topo, &spec, config);
+        let again = ClusterEngine::new(&cost, &topo, &spec, config).run();
         assert_eq!(out.tracker.records(), again.tracker.records());
         assert_eq!(out.tracker.failures(), again.tracker.failures());
         assert_eq!(out.scale_ups, again.scale_ups);
@@ -692,13 +693,13 @@ fn inert_autoscaler_is_bit_identical_to_fixed_cluster() {
             balancer: BalancerKind::JoinShortestQueue,
             ..ClusterConfig::single(arb_config(&mut meta, InferScheme::Lina))
         };
-        let fixed = serve_cluster(&cost, &topo, &spec, config.clone());
+        let fixed = ClusterEngine::new(&cost, &topo, &spec, config.clone()).run();
         let mut armed = config.clone();
         armed.autoscale = Some(AutoscaleConfig::inert(
             replicas,
             SimDuration::from_micros(meta.below(2_000) + 100),
         ));
-        let elastic = serve_cluster(&cost, &topo, &spec, armed);
+        let elastic = ClusterEngine::new(&cost, &topo, &spec, armed).run();
         assert_eq!(fixed.tracker.records(), elastic.tracker.records());
         assert_eq!(
             fixed.tracker.depth_timeline(),
@@ -769,7 +770,7 @@ fn arbitrary_reshard_schedules_conserve_and_stay_deterministic() {
             .engine()
             .generate_requests();
         let offered_tokens: usize = trace.iter().map(Request::len).sum();
-        let out = serve_cluster(&cost, &topo, &spec, config.clone());
+        let out = ClusterEngine::new(&cost, &topo, &spec, config.clone()).run();
         assert_tokens_per_request(&out, &trace, round);
 
         let mut ids: Vec<usize> = out
@@ -795,7 +796,7 @@ fn arbitrary_reshard_schedules_conserve_and_stay_deterministic() {
         assert_eq!(terminal_tokens, offered_tokens, "round {round}: tokens");
         assert_outcome_consistent(&out, replicas, round);
 
-        let again = serve_cluster(&cost, &topo, &spec, config);
+        let again = ClusterEngine::new(&cost, &topo, &spec, config).run();
         assert_eq!(out.tracker.records(), again.tracker.records());
         assert_eq!(out.tracker.failures(), again.tracker.failures());
         assert_eq!(out.replications, again.replications);
@@ -820,12 +821,12 @@ fn inert_resharder_is_bit_identical_to_fixed_cluster() {
             balancer: BalancerKind::JoinShortestQueue,
             ..ClusterConfig::single(serve)
         };
-        let fixed = serve_cluster(&cost, &topo, &spec, config.clone());
+        let fixed = ClusterEngine::new(&cost, &topo, &spec, config.clone()).run();
         let mut armed = config.clone();
         armed.resharding = Some(ReshardConfig::inert(SimDuration::from_micros(
             meta.below(2_000) + 100,
         )));
-        let dynamic = serve_cluster(&cost, &topo, &spec, armed);
+        let dynamic = ClusterEngine::new(&cost, &topo, &spec, armed).run();
         assert_eq!(fixed.tracker.records(), dynamic.tracker.records());
         assert_eq!(
             fixed.tracker.depth_timeline(),
@@ -881,8 +882,8 @@ fn uniform_layered_base_is_bit_identical_to_plain() {
             };
             let mut armed = plain.clone();
             armed.placement = Some(canonical.clone());
-            let base = serve_cluster(&cost, &topo, &spec, plain);
-            let out = serve_cluster(&cost, &topo, &spec, armed);
+            let base = ClusterEngine::new(&cost, &topo, &spec, plain).run();
+            let out = ClusterEngine::new(&cost, &topo, &spec, armed).run();
             let tag = format!("{scheme:?} resharding={}", resharding.is_some());
             assert_eq!(
                 base.tracker.records(),
@@ -975,7 +976,7 @@ fn gray_faults_with_hedging_conserve_and_stay_deterministic() {
             .engine()
             .generate_requests();
         let offered_tokens: usize = trace.iter().map(Request::len).sum();
-        let out = serve_cluster(&cost, &topo, &spec, config.clone());
+        let out = ClusterEngine::new(&cost, &topo, &spec, config.clone()).run();
         assert_tokens_per_request(&out, &trace, round);
 
         // Exactly one terminal outcome per request, tokens conserved.
@@ -1011,7 +1012,7 @@ fn gray_faults_with_hedging_conserve_and_stay_deterministic() {
         );
 
         // Bit-determinism, hedge accounting included.
-        let again = serve_cluster(&cost, &topo, &spec, config);
+        let again = ClusterEngine::new(&cost, &topo, &spec, config).run();
         assert_eq!(out.tracker.records(), again.tracker.records());
         assert_eq!(out.tracker.failures(), again.tracker.failures());
         assert_eq!(
@@ -1043,7 +1044,7 @@ fn armed_oracle_and_inert_hedging_reproduce_the_plain_run() {
             balancer,
             ..ClusterConfig::single(serve)
         };
-        let plain = serve_cluster(&cost, &topo, &spec, config.clone());
+        let plain = ClusterEngine::new(&cost, &topo, &spec, config.clone()).run();
         let mut armed = config.clone();
         armed.hedging = Some(HedgeConfig {
             quantile: 0.95,
@@ -1052,7 +1053,7 @@ fn armed_oracle_and_inert_hedging_reproduce_the_plain_run() {
             // never derive a delay, so no batch is ever hedged.
             min_samples: usize::MAX,
         });
-        let out = serve_cluster(&cost, &topo, &spec, armed);
+        let out = ClusterEngine::new(&cost, &topo, &spec, armed).run();
         assert_eq!(
             plain.tracker.records(),
             out.tracker.records(),
@@ -1105,7 +1106,7 @@ fn jittered_backoff_conserves_and_stays_deterministic() {
             .engine()
             .generate_requests();
         let offered_tokens: usize = trace.iter().map(Request::len).sum();
-        let out = serve_cluster(&cost, &topo, &spec, config.clone());
+        let out = ClusterEngine::new(&cost, &topo, &spec, config.clone()).run();
         assert_tokens_per_request(&out, &trace, round);
         let mut ids: Vec<usize> = out
             .tracker
@@ -1128,7 +1129,7 @@ fn jittered_backoff_conserves_and_stays_deterministic() {
             .chain(out.tracker.failures().iter().map(|f| f.tokens))
             .sum();
         assert_eq!(terminal_tokens, offered_tokens, "round {round}: tokens");
-        let again = serve_cluster(&cost, &topo, &spec, config.clone());
+        let again = ClusterEngine::new(&cost, &topo, &spec, config.clone()).run();
         assert_eq!(out.tracker.records(), again.tracker.records());
         assert_eq!(out.tracker.failures(), again.tracker.failures());
         assert_eq!(out.report(), again.report(), "round {round}: determinism");
@@ -1139,8 +1140,8 @@ fn jittered_backoff_conserves_and_stays_deterministic() {
         flat.faults.policy.jitter = 0.0;
         let mut plain = config;
         plain.faults.policy.jitter = 0.0;
-        let a = serve_cluster(&cost, &topo, &spec, flat);
-        let b = serve_cluster(&cost, &topo, &spec, plain);
+        let a = ClusterEngine::new(&cost, &topo, &spec, flat).run();
+        let b = ClusterEngine::new(&cost, &topo, &spec, plain).run();
         assert_eq!(a.tracker.records(), b.tracker.records());
         assert_eq!(a.report(), b.report());
     }

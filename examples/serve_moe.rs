@@ -13,9 +13,7 @@
 use lina::baselines::InferScheme;
 use lina::model::{CostModel, DeviceSpec, MoeModelConfig};
 use lina::netsim::{ClusterSpec, Topology};
-use lina::serve::{
-    serve_cluster, ArrivalProcess, BatcherConfig, ClusterConfig, ClusterEngine, ServeConfig,
-};
+use lina::serve::{ArrivalProcess, BatcherConfig, ClusterConfig, ClusterEngine, ServeConfig};
 use lina::simcore::{SimDuration, Table};
 use lina::workload::WorkloadSpec;
 
@@ -79,7 +77,7 @@ fn main() {
         InferScheme::LinaNoEstimation,
     ] {
         let single = ClusterConfig::single(config(scheme, rate, n_requests));
-        let out = serve_cluster(&cost, &topo, &spec, single);
+        let out = ClusterEngine::new(&cost, &topo, &spec, single).run();
         let r = out.report();
         table.row(&[
             scheme.name().into(),

@@ -7,9 +7,7 @@
 use lina::baselines::InferScheme;
 use lina::model::{CostModel, DeviceSpec, MoeModelConfig};
 use lina::netsim::{ClusterSpec, Topology};
-use lina::serve::{
-    serve_cluster, ArrivalProcess, BatcherConfig, ClusterConfig, ClusterEngine, ServeConfig,
-};
+use lina::serve::{ArrivalProcess, BatcherConfig, ClusterConfig, ClusterEngine, ServeConfig};
 use lina::simcore::SimDuration;
 use lina::workload::WorkloadSpec;
 
@@ -49,7 +47,9 @@ fn lina_beats_static_baseline_p95_at_moderate_load() {
     let rate = 0.7 * ClusterEngine::new(&cost, &topo, &spec, probe).capacity();
     let run = |scheme| {
         let single = ClusterConfig::single(config(scheme, rate));
-        serve_cluster(&cost, &topo, &spec, single).report()
+        ClusterEngine::new(&cost, &topo, &spec, single)
+            .run()
+            .report()
     };
     let (base, lina) = (run(InferScheme::Baseline), run(InferScheme::Lina));
     assert!(
@@ -80,8 +80,8 @@ fn serving_is_deterministic_end_to_end() {
         mean_calm: 0.2,
         mean_burst: 0.05,
     };
-    let a = serve_cluster(&cost, &topo, &spec, ClusterConfig::single(cfg.clone()));
-    let b = serve_cluster(&cost, &topo, &spec, ClusterConfig::single(cfg));
+    let a = ClusterEngine::new(&cost, &topo, &spec, ClusterConfig::single(cfg.clone())).run();
+    let b = ClusterEngine::new(&cost, &topo, &spec, ClusterConfig::single(cfg)).run();
     assert_eq!(a.tracker.records(), b.tracker.records());
     assert_eq!(a.tracker.depth_timeline(), b.tracker.depth_timeline());
     assert_eq!(a.batches, b.batches);
@@ -104,7 +104,9 @@ fn saturation_degrades_the_slo() {
     let capacity = ClusterEngine::new(&cost, &topo, &spec, probe).capacity();
     let run = |load: f64| {
         let single = ClusterConfig::single(small(InferScheme::Baseline, load * capacity));
-        serve_cluster(&cost, &topo, &spec, single).report()
+        ClusterEngine::new(&cost, &topo, &spec, single)
+            .run()
+            .report()
     };
     let (calm, hot) = (run(0.3), run(3.0));
     assert!(hot.mean_queue_delay > calm.mean_queue_delay);
