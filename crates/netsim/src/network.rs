@@ -15,11 +15,16 @@
 //!
 //! Active flows live in two lists. Flows in their latency phase sit in
 //! `pending`, in id order (ids only grow, so a new flow is pushed at the
-//! end). A flow whose latency runs out joins the `FairShare` solver owned
-//! by the network and moves to `transfers`, a dense list in no particular
-//! order that drops finished flows with `swap_remove`. Each segment is
-//! one drain pass over both lists; the pass sorts the segment's
-//! completions by id before it reports them, counts them into
+//! end), each with the instant its latency ends; the network caches the
+//! earliest of those deadlines. A flow whose latency runs out joins the
+//! `FairShare` solver owned by the network and moves to `transfers`, a
+//! dense list in no particular order that drops finished flows with
+//! `swap_remove`. Each segment is one drain pass over `transfers`;
+//! `pending` is scanned only by a segment that reaches the cached
+//! deadline, which ends the latency phases due by then and takes the
+//! minimum over the rest. Cancelling pending flows retakes that minimum
+//! too, since a stale one would end a segment early. The segment sorts
+//! its completions by id before it reports them, counts them into
 //! [`NetStats`] and takes them out of the solver, so completion order and
 //! the byte sum do not depend on the list order. The solver's
 //! link -> flow index persists across recomputes, and after departures
@@ -70,7 +75,8 @@ struct PendingFlow {
     id: FlowId,
     path: Path,
     weight: f64,
-    left: SimDuration,
+    /// When the latency phase ends.
+    until: SimTime,
     bytes: f64,
     tag: u64,
 }
@@ -123,6 +129,8 @@ pub struct Network {
     now: SimTime,
     /// Flows in their latency phase, in ascending id order.
     pending: Vec<PendingFlow>,
+    /// The earliest `until` in `pending` (`None` when it is empty).
+    pending_until: Option<SimTime>,
     /// Flows in their transfer phase, in no particular order.
     transfers: Vec<Transfer>,
     /// The current segment's completions (empty between segments).
@@ -160,6 +168,7 @@ impl Network {
             topo,
             now: SimTime::ZERO,
             pending: Vec::new(),
+            pending_until: None,
             transfers: Vec::new(),
             finished: Vec::new(),
             next_id: 0,
@@ -199,6 +208,7 @@ impl Network {
     /// failed. Time does not advance.
     pub fn cancel_all_flows(&mut self) {
         self.pending.clear();
+        self.pending_until = None;
         self.transfers.clear();
         self.solver.clear();
         self.invalidate();
@@ -211,6 +221,7 @@ impl Network {
     pub fn cancel_flows_with_tag(&mut self, tag: u64) {
         let before = self.active_flows();
         self.pending.retain(|f| f.tag != tag);
+        self.pending_until = self.pending.iter().map(|f| f.until).min();
         let mut i = 0;
         while i < self.transfers.len() {
             if self.transfers[i].tag == tag {
@@ -272,11 +283,13 @@ impl Network {
         let latency = self.topo.latency(spec.src, spec.dst) + spec.extra_latency;
         let id = FlowId(self.next_id);
         self.next_id += 1;
+        let until = self.now + latency;
+        self.pending_until = Some(self.pending_until.map_or(until, |u| u.min(until)));
         self.pending.push(PendingFlow {
             id,
             path,
             weight: spec.weight,
-            left: latency,
+            until,
             bytes: spec.bytes,
             tag: spec.tag,
         });
@@ -302,12 +315,11 @@ impl Network {
             return cached;
         }
         self.recompute_rates();
-        let left_min = self.pending.iter().map(|f| f.left).min();
         let mut drain_min = Drain::default();
         for f in &self.transfers {
             drain_min.add(f.remaining, self.solver.rate(f.slot));
         }
-        let earliest = drain_min.earliest(self.now, left_min);
+        let earliest = drain_min.earliest(self.now, self.pending_until);
         self.next_event = Some(earliest);
         earliest
     }
@@ -345,8 +357,8 @@ impl Network {
         if self.next_event.is_none() && t <= self.now + SimDuration::from_nanos(1) {
             self.recompute_rates();
             if !self.solver.unbounded() {
-                return match self.pending.iter().map(|f| f.left).min() {
-                    Some(left) if self.now + left < t => self.now + left,
+                return match self.pending_until {
+                    Some(until) if until < t => until,
                     _ => t,
                 };
             }
@@ -366,8 +378,7 @@ impl Network {
         // latency phase, which voids any minimum taken on the way; the
         // drain pass divides only in other segments.
         let due = self.next_event == Some(Some(seg_end));
-        let dt = seg_end - self.now;
-        let dt_secs = dt.as_secs_f64();
+        let dt_secs = (seg_end - self.now).as_secs_f64();
         let (solver, finished) = (&mut self.solver, &mut self.finished);
         // Drain every transfer over the segment, and unless it is due,
         // take the next-event minimum over the ones that remain.
@@ -398,38 +409,39 @@ impl Network {
                 i += 1;
             }
         }
-        // Then run down the latency phases. A flow whose latency ran
-        // out joins the solver (if it still has bytes to move); it
-        // starts draining in the next segment.
-        let mut left_min: Option<SimDuration> = None;
-        let mut expired = false;
-        let transfers = &mut self.transfers;
-        self.pending.retain_mut(|f| {
-            if f.left > dt {
-                f.left -= dt;
-                left_min = Some(left_min.map_or(f.left, |m| m.min(f.left)));
-                return true;
-            }
-            expired = true;
-            if f.path.is_empty() || f.bytes <= 0.0 {
-                finished.push(Finished {
-                    id: f.id,
-                    tag: f.tag,
-                    total: f.bytes,
-                    slot: None,
-                });
-            } else {
-                let links = f.path.iter().map(|l| l.0);
-                transfers.push(Transfer {
-                    id: f.id,
-                    slot: solver.join(f.id.0, f.weight, links),
-                    total: f.bytes,
-                    remaining: f.bytes,
-                    tag: f.tag,
-                });
-            }
-            false
-        });
+        // Then end the latency phases due by the segment's end, if any
+        // is. A flow whose latency ran out joins the solver (if it still
+        // has bytes to move); it starts draining in the next segment.
+        let expired = self.pending_until.is_some_and(|u| u <= seg_end);
+        if expired {
+            let mut until_min: Option<SimTime> = None;
+            let transfers = &mut self.transfers;
+            self.pending.retain(|f| {
+                if f.until > seg_end {
+                    until_min = Some(until_min.map_or(f.until, |m| m.min(f.until)));
+                    return true;
+                }
+                if f.path.is_empty() || f.bytes <= 0.0 {
+                    finished.push(Finished {
+                        id: f.id,
+                        tag: f.tag,
+                        total: f.bytes,
+                        slot: None,
+                    });
+                } else {
+                    let links = f.path.iter().map(|l| l.0);
+                    transfers.push(Transfer {
+                        id: f.id,
+                        slot: solver.join(f.id.0, f.weight, links),
+                        total: f.bytes,
+                        remaining: f.bytes,
+                        tag: f.tag,
+                    });
+                }
+                false
+            });
+            self.pending_until = until_min;
+        }
         self.now = seg_end;
         if expired || !self.finished.is_empty() {
             // The flow set changed: re-solve before the next event.
@@ -438,7 +450,7 @@ impl Network {
             // Same flows at the same rates: the minimum taken on the way
             // through is the next event; a due segment took none, so
             // `next_event` scans for it.
-            self.next_event = (!due).then(|| drain_min.earliest(seg_end, left_min));
+            self.next_event = (!due).then(|| drain_min.earliest(seg_end, self.pending_until));
         }
         // Report in id order, whichever list a flow finished in.
         self.finished.sort_unstable_by_key(|f| f.id);
@@ -508,11 +520,10 @@ impl Drain {
     }
 
     /// The next event at `now`, given the earliest latency expiry.
-    fn earliest(&self, now: SimTime, left_min: Option<SimDuration>) -> Option<SimTime> {
+    fn earliest(&self, now: SimTime, latency: Option<SimTime>) -> Option<SimTime> {
         if self.immediate {
             return Some(now);
         }
-        let latency = left_min.map(|left| now + left);
         // Round up by one nanosecond so advancing to the event time
         // provably drains the flow.
         let drain = self
@@ -751,6 +762,31 @@ mod tests {
         let done = n.advance_to(SimTime::from_secs_f64(10.0));
         assert!(done.is_empty(), "cancelled flows reported completions");
         assert_eq!(n.stats().flows_completed, 0);
+    }
+
+    /// The cached earliest deadline follows cancellations: once the
+    /// flow holding it is gone, the next event is the next live expiry.
+    #[test]
+    fn cancelling_the_earliest_deadline_moves_the_next_event() {
+        let mut n = net();
+        let lat = n.topology().spec().inter_latency;
+        for (tag, micros) in [(1, 30), (2, 10), (3, 20)] {
+            let mut s = spec(0, 4, 1e6);
+            s.extra_latency = SimDuration::from_micros(micros);
+            s.tag = tag;
+            n.start_flow(s);
+        }
+        let at = |micros| SimTime::ZERO + lat + SimDuration::from_micros(micros);
+        assert_eq!(n.next_event(), Some(at(10)));
+        n.cancel_flows_with_tag(2);
+        assert_eq!(n.next_event(), Some(at(20)));
+        n.cancel_flows_with_tag(3);
+        assert_eq!(n.next_event(), Some(at(30)));
+        n.cancel_all_flows();
+        assert_eq!(n.next_event(), None);
+        // A flow started after the cancels sees no stale deadline.
+        n.start_flow(spec(0, 4, 1e6));
+        assert_eq!(n.next_event(), Some(SimTime::ZERO + lat));
     }
 
     #[test]
