@@ -29,6 +29,8 @@ pub enum Mode {
 #[derive(Clone, Debug)]
 pub struct GatingModel {
     spec: WorkloadSpec,
+    /// `persistence[layer]` = `spec.persistence(layer)`.
+    persistence: Vec<f64>,
     /// `sigma[layer][class]` = canonical expert of a class at a layer.
     sigma: Vec<Vec<u16>>,
     /// Per-layer background CDF over experts for inference (a permuted
@@ -123,6 +125,7 @@ impl GatingModel {
         }
         GatingModel {
             spec: spec.clone(),
+            persistence: (0..spec.layers).map(|l| spec.persistence(l)).collect(),
             sigma,
             background,
         }
@@ -133,43 +136,61 @@ impl GatingModel {
         &self.spec
     }
 
-    fn sample_background(&self, layer: usize, mode: Mode, rng: &mut Rng) -> u16 {
-        match mode {
-            Mode::Train => rng.index(self.spec.experts) as u16,
-            Mode::Inference => {
-                let u = rng.f64();
-                let cdf = &self.background[layer];
-                cdf.partition_point(|&c| c <= u).min(self.spec.experts - 1) as u16
-            }
-        }
-    }
-
-    /// Samples the gate's top-k selection for a token of `class` at
-    /// `layer` into `out`, whose length is the fan-out `k`. The first
+    /// Samples the gate's top-`k` selections for a token of `class` at
+    /// every layer into `out`, `[layer][k]`. At each layer the first
     /// expert is the class's canonical expert with the layer's
     /// persistence probability; remaining slots are distinct background
     /// draws.
     ///
     /// # Panics
     ///
-    /// Panics if `out` is empty or longer than the expert count.
-    pub fn select(&self, layer: usize, class: usize, mode: Mode, rng: &mut Rng, out: &mut [u16]) {
-        let top_k = out.len();
-        assert!(
-            top_k >= 1 && top_k <= self.spec.experts,
-            "select: bad top_k {top_k}"
+    /// Panics if `k` is zero or above the expert count, or if `out` does
+    /// not hold `k` selections per layer.
+    pub fn select_path(&self, class: usize, k: usize, mode: Mode, rng: &mut Rng, out: &mut [u16]) {
+        let experts = self.spec.experts;
+        assert!(k >= 1 && k <= experts, "select_path: bad top_k {k}");
+        assert_eq!(
+            out.len(),
+            self.sigma.len() * k,
+            "select_path: bad path length"
         );
-        out[0] = if rng.bernoulli(self.spec.persistence(layer)) {
-            self.sigma[layer][class]
-        } else {
-            self.sample_background(layer, mode, rng)
-        };
-        let mut chosen = 1;
-        while chosen < top_k {
-            let e = self.sample_background(layer, mode, rng);
-            if !out[..chosen].contains(&e) {
-                out[chosen] = e;
-                chosen += 1;
+        match mode {
+            Mode::Train => self.fill_path(class, k, rng, out, |rng, _| rng.index(experts) as u16),
+            Mode::Inference => self.fill_path(class, k, rng, out, |rng, cdf| {
+                let u = rng.f64();
+                cdf.partition_point(|&c| c <= u).min(experts - 1) as u16
+            }),
+        }
+    }
+
+    /// [`GatingModel::select_path`] for one mode: `background` draws one
+    /// background expert, given the layer's inference CDF.
+    fn fill_path(
+        &self,
+        class: usize,
+        k: usize,
+        rng: &mut Rng,
+        out: &mut [u16],
+        background: impl Fn(&mut Rng, &[f64]) -> u16,
+    ) {
+        let rows = self
+            .persistence
+            .iter()
+            .zip(&self.sigma)
+            .zip(&self.background);
+        for (out, ((&p, sigma), cdf)) in out.chunks_exact_mut(k).zip(rows) {
+            out[0] = if rng.bernoulli(p) {
+                sigma[class]
+            } else {
+                background(rng, cdf)
+            };
+            let mut chosen = 1;
+            while chosen < k {
+                let e = background(rng, cdf);
+                if !out[..chosen].contains(&e) {
+                    out[chosen] = e;
+                    chosen += 1;
+                }
             }
         }
     }
@@ -294,11 +315,13 @@ mod tests {
     fn select_returns_distinct_topk() {
         let m = model();
         let mut rng = Rng::new(5);
-        let mut sel = [0u16; 2];
+        let mut path = [0u16; 12 * 2];
         for _ in 0..1000 {
-            m.select(3, 10, Mode::Inference, &mut rng, &mut sel);
-            assert_ne!(sel[0], sel[1]);
-            assert!(sel.iter().all(|&e| (e as usize) < 16));
+            m.select_path(10, 2, Mode::Inference, &mut rng, &mut path);
+            for sel in path.chunks_exact(2) {
+                assert_ne!(sel[0], sel[1]);
+                assert!(sel.iter().all(|&e| (e as usize) < 16));
+            }
         }
     }
 
@@ -310,11 +333,11 @@ mod tests {
         let class = 20;
         let canon = m.sigma[layer][class];
         let n = 20_000;
-        let mut sel = [0u16; 1];
+        let mut path = [0u16; 12];
         let hits = (0..n)
             .filter(|_| {
-                m.select(layer, class, Mode::Inference, &mut rng, &mut sel);
-                sel[0] == canon
+                m.select_path(class, 1, Mode::Inference, &mut rng, &mut path);
+                path[layer] == canon
             })
             .count();
         let p = m.spec().persistence(layer);
@@ -359,6 +382,6 @@ mod tests {
     fn zero_topk_panics() {
         let m = model();
         let mut rng = Rng::new(1);
-        m.select(0, 0, Mode::Train, &mut rng, &mut []);
+        m.select_path(0, 0, Mode::Train, &mut rng, &mut []);
     }
 }

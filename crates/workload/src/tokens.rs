@@ -287,13 +287,12 @@ impl TokenSource {
     }
 
     /// Samples a token with a fixed latent class: the token's one
-    /// allocation, filled layer by layer.
+    /// allocation, filled by one whole-path draw.
     pub fn sample_token_of_class(&mut self, class: usize, mode: Mode) -> TokenPath {
         let k = self.top_k;
         let mut selections = vec![0u16; self.gating.spec().layers * k].into_boxed_slice();
-        for (layer, out) in selections.chunks_exact_mut(k).enumerate() {
-            self.gating.select(layer, class, mode, &mut self.rng, out);
-        }
+        self.gating
+            .select_path(class, k, mode, &mut self.rng, &mut selections);
         TokenPath::new(class, k, selections)
     }
 }
