@@ -776,7 +776,7 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
             // With a hedge racing it, a batch's members ride whichever
             // flight survives instead of being displaced.
             let carried = (self.hedging.as_mut().zip(flight.race.as_mut()))
-                .is_some_and(|(rt, race)| rt.aborted(batch, id, race, at));
+                .is_some_and(|(rt, race)| rt.aborted(batch, id, race, flight.dispatched, at));
             if !carried {
                 let flight = self.pending.remove(&batch).expect("looked up above");
                 displaced.extend(flight.displace());

@@ -339,10 +339,19 @@ impl HedgeRuntime {
         true
     }
 
-    /// Flight `id`, primary `primary` or its hedge, died in a crash at
-    /// `at` while running `race`. Returns whether the other flight
-    /// still carries the members; when it does not, they are displaced.
-    pub(crate) fn aborted(&mut self, primary: u64, id: u64, race: &mut Race, at: SimTime) -> bool {
+    /// Flight `id`, primary `primary` (dispatched at `dispatched`) or
+    /// its hedge, died in a crash at `at` while running `race`. Returns
+    /// whether the other flight still carries the members; when it does
+    /// not, they are displaced. A dead flight's run is wasted work
+    /// whenever the other one lives on.
+    pub(crate) fn aborted(
+        &mut self,
+        primary: u64,
+        id: u64,
+        race: &mut Race,
+        dispatched: SimTime,
+        at: SimTime,
+    ) -> bool {
         if is_hedge(id) {
             let hedge = race.hedge.take().expect("hedge flight was recorded");
             self.wasted += at.saturating_since(hedge.dispatched);
@@ -350,6 +359,7 @@ impl HedgeRuntime {
         }
         if race.hedge.is_some() {
             race.primary_gone = true;
+            self.wasted += at.saturating_since(dispatched);
             return true;
         }
         self.timers.remove(&(race.deadline, primary));
@@ -801,7 +811,7 @@ mod tests {
     fn a_crash_on_one_side_of_a_race_leaves_nothing_to_cancel() {
         let (mut rt, mut race, hedge) = racing();
         assert!(
-            rt.aborted(0, 0, &mut race, ms(2)),
+            rt.aborted(0, 0, &mut race, SimTime::ZERO, ms(2)),
             "the hedge carries the batch"
         );
         assert_eq!(rt.primary_of(hedge), 0);
@@ -810,12 +820,14 @@ mod tests {
             !rt.hedge_won(&race, SimTime::ZERO, service, ms(3)),
             "no primary runs"
         );
-        rt.wasted_frac();
+        // The dead primary ran 2 ms; the arming sample and the hedge
+        // served 3 ms.
+        assert_eq!(rt.wasted_frac(), 0.4);
 
         let (mut rt, mut race, hedge) = racing();
         assert_eq!(rt.primary_of(hedge), 0);
         assert!(
-            rt.aborted(0, hedge, &mut race, ms(2)),
+            rt.aborted(0, hedge, &mut race, SimTime::ZERO, ms(2)),
             "the primary carries it"
         );
         let service = SimDuration::from_millis(3);
