@@ -12,12 +12,14 @@
 //! batch, so [`SoloTimer`] clones the topology once and replays every
 //! query on the same engine.
 //!
-//! Reuse is exact, not approximate: all flow arithmetic in
-//! [`Network`] is duration-based (segment lengths, byte drains, and
-//! event offsets never involve the absolute clock), so a collective
-//! started at any instant on an otherwise idle network completes after
-//! the same integer-nanosecond duration it would starting at t = 0.
-//! A unit test below pins that equivalence.
+//! Reuse is exact, not approximate: the float arithmetic in [`Network`]
+//! is duration-based (segment lengths, byte drains and drain offsets
+//! never involve the absolute clock), and a latency deadline is the
+//! start instant plus an integer-nanosecond latency, compared with
+//! segment ends in integer nanoseconds. So a collective started at any
+//! instant on an otherwise idle network completes after the same
+//! integer-nanosecond duration it would starting at t = 0. A unit test
+//! below pins that equivalence.
 //!
 //! Each completion inside a collective costs one re-solve and one
 //! division pass. The re-solve replays the solver's logged rounds up to
@@ -25,7 +27,10 @@
 //! those froze every live flow. The division pass is the pinned 1 ns
 //! drain segment that follows the completion: it finds the next event
 //! on its way through the flows, the step into it needs none, and the
-//! segment that ends the next flow skips it (see [`crate::network`]).
+//! segment that ends the next flow skips it. No segment scans the
+//! flows still in their latency phase unless one of their deadlines
+//! falls inside it: a serving all-to-all takes about 90 segments, and
+//! about 2 of them end latency phases (see [`crate::network`]).
 
 use std::sync::Arc;
 

@@ -148,11 +148,10 @@ impl GatingModel {
     /// not hold `k` selections per layer.
     pub fn select_path(&self, class: usize, k: usize, mode: Mode, rng: &mut Rng, out: &mut [u16]) {
         let experts = self.spec.experts;
-        assert!(k >= 1 && k <= experts, "select_path: bad top_k {k}");
-        assert_eq!(
-            out.len(),
-            self.sigma.len() * k,
-            "select_path: bad path length"
+        assert!(
+            k >= 1 && k <= experts && out.len() == self.sigma.len() * k,
+            "select_path: bad top_k {k} for {} selections",
+            out.len()
         );
         match mode {
             Mode::Train => self.fill_path(class, k, rng, out, |rng, _| rng.index(experts) as u16),
