@@ -29,8 +29,7 @@ use lina_netsim::{
     max_min_rates, AllToAllAlgo, ClusterSpec, CollectiveSpec, FlowDemand, SoloTimer, Topology,
 };
 use lina_runner::{
-    execute, execute_plan_solo, plan_batch, train::solo_collective_time, InferenceConfig,
-    NetworkMode, ReplicaExecutor,
+    execute, execute_plan_solo, plan_batch, InferenceConfig, NetworkMode, ReplicaExecutor,
 };
 use lina_simcore::{SimDuration, SimTime};
 use lina_workload::{Mode, TokenBatch, TokenPath, TokenSource, WorkloadSpec};
@@ -155,7 +154,7 @@ fn bench_collectives() {
     ] {
         let spec = CollectiveSpec::uniform_all_to_all(topo.device_ids().collect(), 2e6, algo);
         bench(&format!("collectives/a2a_16dev/{name}"), || {
-            solo_collective_time(&topo, &spec)
+            SoloTimer::new(&topo).time(&spec)
         });
     }
     // The serving shape: a flat all-to-all over 2 nodes x 4 GPUs with

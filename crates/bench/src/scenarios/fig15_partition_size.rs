@@ -6,7 +6,6 @@
 
 use lina_baselines::TrainScheme;
 use lina_model::{A2aChunking, GradCommMode};
-use lina_runner::train::StepMetrics;
 use lina_simcore::{format_secs, geomean, Report, Table};
 
 use crate::ScenarioCtx;
@@ -30,7 +29,7 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
             let bytes = mb * 1e6;
             let scheme = TrainScheme::LinaNoPack;
             // Override both partition sizes.
-            let mut steps: Vec<StepMetrics> = Vec::new();
+            let mut step_times: Vec<f64> = Vec::new();
             for seed in 0..ctx.steps.min(5) as u64 {
                 let mut opts = scheme.step_options(experts, &topo);
                 opts.grad_comm = GradCommMode::Partitioned { chunk_bytes: bytes };
@@ -39,20 +38,9 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
                 let routing = lina_model::balanced_routing(&cost.model, 16, batch);
                 let graph = lina_model::build_train_step(&cost, &topo, batch, &routing, &opts);
                 let exec = lina_runner::execute(&graph, &topo, &scheme.policy());
-                steps.push(StepMetrics {
-                    step_time: exec.makespan,
-                    fwd_layer_time: lina_simcore::SimDuration::ZERO,
-                    bwd_layer_time: lina_simcore::SimDuration::ZERO,
-                    a2a_total: lina_simcore::SimDuration::ZERO,
-                    a2a_bwd_times: vec![],
-                    a2a_bwd_slowdowns: vec![],
-                    a2a_bwd_overlapped: vec![],
-                    pipelining_efficiency: 0.0,
-                    compute_util: 0.0,
-                });
+                step_times.push(exec.makespan.as_secs_f64());
             }
-            let mean =
-                steps.iter().map(|m| m.step_time.as_secs_f64()).sum::<f64>() / steps.len() as f64;
+            let mean = step_times.iter().sum::<f64>() / step_times.len() as f64;
             per_size[si].push(mean);
             cells.push(format_secs(mean));
         }

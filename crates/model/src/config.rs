@@ -43,8 +43,6 @@ pub struct MoeModelConfig {
     pub hidden: usize,
     /// Expert FFN inner dimension `F` (typically `4 H`).
     pub ffn_hidden: usize,
-    /// Attention heads.
-    pub heads: usize,
     /// Vocabulary size (embedding table rows).
     pub vocab: usize,
     /// Tokens per sequence.
@@ -74,7 +72,6 @@ impl MoeModelConfig {
             layers,
             hidden: 512,
             ffn_hidden: 2048,
-            heads: 8,
             vocab: 32_000,
             seq_len: 512,
             attn_span: 2048,
@@ -93,7 +90,6 @@ impl MoeModelConfig {
             layers: 12,
             hidden: 768,
             ffn_hidden: 3072,
-            heads: 12,
             vocab: 50_257,
             seq_len: 512,
             attn_span: 512,
@@ -112,7 +108,6 @@ impl MoeModelConfig {
             layers: 12,
             hidden: 768,
             ffn_hidden: 3072,
-            heads: 12,
             vocab: 30_522,
             seq_len: 448,
             attn_span: 448,
@@ -131,7 +126,6 @@ impl MoeModelConfig {
             layers: 12,
             hidden: 1024,
             ffn_hidden: 4096,
-            heads: 16,
             vocab: 30_522,
             seq_len: 384,
             attn_span: 384,
@@ -150,7 +144,6 @@ impl MoeModelConfig {
             layers: 12,
             hidden: 768,
             ffn_hidden: 3072,
-            heads: 12,
             vocab: 32_128,
             seq_len: 512,
             attn_span: 512,

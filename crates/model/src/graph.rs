@@ -21,8 +21,6 @@ pub enum CommClass {
     AllToAll,
     /// Data-parallel gradient allreduce (asynchronous wrt compute).
     Allreduce,
-    /// Scheduler control traffic.
-    Control,
 }
 
 /// Metadata attached to a communication op.
@@ -211,8 +209,9 @@ impl OpGraph {
     }
 
     /// Validates structural invariants: all dependency edges point
-    /// backwards (acyclicity) and every op has a well-formed payload.
-    /// Returns the number of edges checked.
+    /// backwards (acyclicity) and every op has a well-formed payload
+    /// (a comm op's chunk is in range and its class names its spec's
+    /// collective). Returns the number of edges checked.
     pub fn validate(&self) -> usize {
         let mut edges = 0;
         for (i, op) in self.ops.iter().enumerate() {
@@ -220,8 +219,17 @@ impl OpGraph {
                 assert!((d.0 as usize) < i, "op {i} depends forward on {:?}", d);
                 edges += 1;
             }
-            if let OpKind::Comm { meta, .. } = &op.kind {
+            if let OpKind::Comm { spec, meta } = &op.kind {
                 assert!(meta.chunk < meta.nchunks, "op {i}: chunk out of range");
+                let agrees = match meta.class {
+                    CommClass::AllToAll => matches!(spec, CollectiveSpec::AllToAll { .. }),
+                    CommClass::Allreduce => matches!(spec, CollectiveSpec::AllReduce { .. }),
+                };
+                assert!(
+                    agrees,
+                    "op {i}: {:?} op carries another collective's spec",
+                    meta.class
+                );
             }
         }
         edges
@@ -231,7 +239,7 @@ impl OpGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lina_netsim::CollectiveSpec;
+    use lina_netsim::AllToAllAlgo;
 
     fn comm_meta() -> CommMeta {
         CommMeta {
@@ -256,11 +264,11 @@ mod tests {
             "attn",
         );
         let b = g.add_comm(
-            CollectiveSpec::Send {
-                src: DeviceId(0),
-                dst: DeviceId(1),
-                bytes: 10.0,
-            },
+            CollectiveSpec::uniform_all_to_all(
+                vec![DeviceId(0), DeviceId(1)],
+                10.0,
+                AllToAllAlgo::Flat,
+            ),
             comm_meta(),
             vec![a],
             "a2a",
@@ -314,9 +322,25 @@ mod tests {
         g.add_compute(
             DeviceId(0),
             SimDuration::ZERO,
-            SpanKind::Other,
+            SpanKind::Attention,
             vec![OpId(5)],
             "bad",
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "carries another collective's spec")]
+    fn validate_rejects_a_class_its_spec_disagrees_with() {
+        let mut g = OpGraph::new();
+        g.add_comm(
+            CollectiveSpec::AllReduce {
+                participants: vec![DeviceId(0), DeviceId(1)],
+                bytes: 10.0,
+            },
+            comm_meta(),
+            vec![],
+            "a2a",
+        );
+        g.validate();
     }
 }

@@ -1,6 +1,6 @@
 //! Collective communication operations over the flow-level network.
 //!
-//! The MoE execution uses four collectives:
+//! The MoE execution uses two collectives:
 //!
 //! * **all-to-all** — every participant sends a (possibly unequal) byte
 //!   count to every other participant. A flat decomposition launches all
@@ -13,8 +13,6 @@
 //!   fluid single-phase model of the ring (identical completion time on a
 //!   homogeneous topology, and a faithful share of bandwidth under
 //!   contention).
-//! * **broadcast / p2p send** — direct flows, used by Lina's inference
-//!   scheduler for control traffic.
 //!
 //! Every flow of a collective carries weight `1 / k`, where `k` is the
 //! maximum number of the collective's concurrent flows over any link it
@@ -60,24 +58,6 @@ pub enum CollectiveSpec {
         /// Participating devices in rank order (ring order).
         participants: Vec<DeviceId>,
         /// Gradient bytes reduced on each device.
-        bytes: f64,
-    },
-    /// One-to-all broadcast of `bytes`.
-    Broadcast {
-        /// Source device.
-        root: DeviceId,
-        /// Receivers (the root may be included; it is skipped).
-        participants: Vec<DeviceId>,
-        /// Payload size.
-        bytes: f64,
-    },
-    /// A single point-to-point transfer.
-    Send {
-        /// Source device.
-        src: DeviceId,
-        /// Destination device.
-        dst: DeviceId,
-        /// Payload size.
         bytes: f64,
     },
 }
@@ -130,12 +110,6 @@ impl CollectiveSpec {
                     2.0 * (p - 1.0) * *bytes
                 }
             }
-            CollectiveSpec::Broadcast {
-                root,
-                participants,
-                bytes,
-            } => participants.iter().filter(|&&d| d != *root).count() as f64 * *bytes,
-            CollectiveSpec::Send { bytes, .. } => *bytes,
         }
     }
 }
@@ -265,24 +239,6 @@ impl CollectiveEngine {
                     phase.flows.push((src, dst, per_edge));
                 }
                 vec![phase]
-            }
-            CollectiveSpec::Broadcast {
-                root,
-                participants,
-                bytes,
-            } => {
-                let mut phase = PhasePlan::default();
-                for &d in participants {
-                    if d != *root {
-                        phase.flows.push((*root, d, *bytes));
-                    }
-                }
-                vec![phase]
-            }
-            CollectiveSpec::Send { src, dst, bytes } => {
-                vec![PhasePlan {
-                    flows: vec![(*src, *dst, *bytes)],
-                }]
             }
         }
     }
@@ -539,18 +495,21 @@ mod tests {
         (0..n).map(DeviceId).collect()
     }
 
+    /// A two-participant all-to-all with one nonzero entry: a single
+    /// `src -> dst` flow of weight 1.
+    fn one_flow(src: u32, dst: u32, bytes: f64) -> CollectiveSpec {
+        CollectiveSpec::AllToAll {
+            participants: vec![DeviceId(src), DeviceId(dst)],
+            sizes: vec![vec![0.0, bytes], vec![0.0, 0.0]],
+            algo: AllToAllAlgo::Flat,
+        }
+    }
+
     #[test]
     fn send_completes_in_transfer_time() {
         let mut e = engine();
         let bw = e.network().topology().spec().nic_bw;
-        e.start(
-            &CollectiveSpec::Send {
-                src: DeviceId(0),
-                dst: DeviceId(4),
-                bytes: 1e9,
-            },
-            9,
-        );
+        e.start(&one_flow(0, 4, 1e9), 9);
         let done = e.run_to_idle();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].tag, 9);
@@ -644,14 +603,11 @@ mod tests {
 
     #[test]
     fn cancel_tagged_drops_only_the_matching_collective() {
-        // Alone, a send completes in its solo transfer time. Starting a
-        // contending send and cancelling it mid-flight must return the
-        // survivor to roughly its solo completion.
-        let spec = |dst| CollectiveSpec::Send {
-            src: DeviceId(0),
-            dst: DeviceId(dst),
-            bytes: 1e9,
-        };
+        // Alone, a one-flow transfer completes in its solo transfer
+        // time. Starting a contending transfer and cancelling it
+        // mid-flight must return the survivor to roughly its solo
+        // completion.
+        let spec = |dst| one_flow(0, dst, 1e9);
         let mut solo = engine();
         solo.start(&spec(4), 1);
         let solo_at = solo.run_to_idle()[0].at;
@@ -746,22 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_reaches_all() {
-        let mut e = engine();
-        e.start(
-            &CollectiveSpec::Broadcast {
-                root: DeviceId(0),
-                participants: devs(16),
-                bytes: 1e6,
-            },
-            3,
-        );
-        let done = e.run_to_idle();
-        assert_eq!(done.len(), 1);
-        assert!(done[0].at > SimTime::ZERO);
-    }
-
-    #[test]
     fn single_participant_collectives_complete_immediately() {
         let mut e = engine();
         e.start(
@@ -785,32 +725,19 @@ mod tests {
             bytes: 100.0,
         };
         assert_eq!(ar.total_bytes(), 600.0);
-        let bc = CollectiveSpec::Broadcast {
-            root: DeviceId(0),
-            participants: devs(4),
-            bytes: 10.0,
-        };
-        assert_eq!(bc.total_bytes(), 30.0);
     }
 
     /// Only the engine's own flows count towards a collective. A flow
     /// started on the engine's network with the tag of a running
-    /// collective finishes first (1 kB, ~8 µs, against a 1 GB send that
-    /// takes ~83 ms alone) and ends the send's count early; the send's
-    /// own flow then completes for no running collective, which the
-    /// engine must refuse rather than skip.
+    /// collective finishes first (1 kB, ~8 µs, against a 1 GB transfer
+    /// that takes ~83 ms alone) and ends the transfer's count early; the
+    /// transfer's own flow then completes for no running collective,
+    /// which the engine must refuse rather than skip.
     #[test]
     #[should_panic(expected = "completed for no running collective")]
     fn a_stray_flow_cannot_complete_a_collective() {
         let mut e = engine();
-        e.start(
-            &CollectiveSpec::Send {
-                src: DeviceId(0),
-                dst: DeviceId(4),
-                bytes: 1e9,
-            },
-            0,
-        );
+        e.start(&one_flow(0, 4, 1e9), 0);
         e.net.start_flow(FlowSpec {
             src: DeviceId(8),
             dst: DeviceId(12),
@@ -824,11 +751,7 @@ mod tests {
 
     #[test]
     fn capacity_scale_stretches_a_send() {
-        let send = CollectiveSpec::Send {
-            src: DeviceId(0),
-            dst: DeviceId(4),
-            bytes: 1e9,
-        };
+        let send = one_flow(0, 4, 1e9);
         let mut healthy = engine();
         healthy.start(&send, 0);
         let healthy = healthy.run_to_idle()[0].at.as_secs_f64();

@@ -108,6 +108,16 @@ mod tests {
     use crate::collectives::AllToAllAlgo;
     use crate::topology::{ClusterSpec, DeviceId};
 
+    /// A two-participant all-to-all with one nonzero entry: a single
+    /// `src -> dst` flow of weight 1.
+    fn one_flow(src: u32, dst: u32, bytes: f64) -> CollectiveSpec {
+        CollectiveSpec::AllToAll {
+            participants: vec![DeviceId(src), DeviceId(dst)],
+            sizes: vec![vec![0.0, bytes], vec![0.0, 0.0]],
+            algo: AllToAllAlgo::Flat,
+        }
+    }
+
     fn specs() -> Vec<CollectiveSpec> {
         let devs: Vec<DeviceId> = (0..16).map(DeviceId).collect();
         let mut unequal = vec![vec![0.0; 16]; 16];
@@ -125,19 +135,10 @@ mod tests {
             },
             CollectiveSpec::uniform_all_to_all(devs.clone(), 5e5, AllToAllAlgo::Hierarchical),
             CollectiveSpec::AllReduce {
-                participants: devs.clone(),
+                participants: devs,
                 bytes: 1e7,
             },
-            CollectiveSpec::Send {
-                src: DeviceId(0),
-                dst: DeviceId(9),
-                bytes: 3e6,
-            },
-            CollectiveSpec::Broadcast {
-                root: DeviceId(2),
-                participants: devs,
-                bytes: 1e6,
-            },
+            one_flow(0, 9, 3e6),
         ]
     }
 
@@ -163,11 +164,7 @@ mod tests {
         let mut spec = ClusterSpec::paper_testbed();
         spec.nic_bw = 0.0;
         let mut timer = SoloTimer::new(&Topology::new(spec));
-        timer.time(&CollectiveSpec::Send {
-            src: DeviceId(0),
-            dst: DeviceId(4),
-            bytes: 1e6,
-        });
+        timer.time(&one_flow(0, 4, 1e6));
     }
 
     #[test]

@@ -4,16 +4,15 @@
 //!
 //! * each device runs its compute ops on one compute stream, in
 //!   readiness order;
-//! * each communication class (all-to-all / allreduce / control)
-//!   behaves like an NCCL process-group stream: at most one collective
-//!   in flight, no preemption once launched;
+//! * each communication class (all-to-all / allreduce) behaves like an
+//!   NCCL process-group stream: at most one collective in flight, no
+//!   preemption once launched;
 //! * at every event the engine launches, in launch rounds until a round
 //!   launches nothing, the oldest pending all-to-all if its stream is
-//!   free, the oldest pending allreduce if its stream is free and the
-//!   [`CommPolicy`] admits it, then the oldest control op if its stream
-//!   is free. When to admit an allreduce is the only control a
-//!   communication scheduler actually has (§4.1); the policy decides on
-//!   the state before the round's first launch.
+//!   free, then the oldest pending allreduce if its stream is free and
+//!   the [`CommPolicy`] admits it. When to admit an allreduce is the
+//!   only control a communication scheduler actually has (§4.1); the
+//!   policy decides on the state before the round's first launch.
 //!
 //! Overlapping collectives share links under the network's max-min
 //! model, which is where the baseline's all-to-all slowdown comes from.
@@ -22,7 +21,7 @@ use std::collections::VecDeque;
 
 use lina_core::CommPolicy;
 use lina_model::{CommClass, OpGraph, OpId, OpKind};
-use lina_netsim::{CollectiveEngine, CollectiveSpec, Network, Topology};
+use lina_netsim::{CollectiveEngine, CollectiveSpec, DeviceId, Network, Topology};
 use lina_simcore::{Lane, SimDuration, SimTime, SpanKind, StreamId, Timeline};
 
 /// Execution outcome of one op graph.
@@ -45,12 +44,6 @@ impl ExecResult {
     /// execution).
     pub fn window(&self, id: OpId) -> (SimTime, SimTime) {
         self.op_windows[id.0 as usize].expect("op executed")
-    }
-
-    /// Duration of op `id`.
-    pub fn duration(&self, id: OpId) -> SimDuration {
-        let (s, e) = self.window(id);
-        e - s
     }
 }
 
@@ -154,11 +147,10 @@ impl<'a> EngineState<'a> {
                 let (lane, span) = match meta.class {
                     CommClass::AllToAll => (Lane::AllToAll, SpanKind::AllToAll),
                     CommClass::Allreduce => (Lane::Allreduce, SpanKind::Allreduce),
-                    CommClass::Control => (Lane::Control, SpanKind::ControlComm),
                 };
                 for d in participants(spec) {
                     self.timeline.record(
-                        StreamId { device: d, lane },
+                        StreamId { device: d.0, lane },
                         span,
                         started,
                         self.now,
@@ -248,7 +240,6 @@ impl<'a> EngineState<'a> {
                             || self.a2a_imminent(),
                         )
                 }),
-                oldest(CommClass::Control).filter(|_| self.stream_free(CommClass::Control)),
             ];
             if round.iter().all(Option::is_none) {
                 return;
@@ -279,22 +270,10 @@ impl<'a> EngineState<'a> {
     }
 }
 
-fn participants(spec: &CollectiveSpec) -> Vec<u32> {
+fn participants(spec: &CollectiveSpec) -> &[DeviceId] {
     match spec {
         CollectiveSpec::AllToAll { participants, .. }
-        | CollectiveSpec::AllReduce { participants, .. } => {
-            participants.iter().map(|d| d.0).collect()
-        }
-        CollectiveSpec::Broadcast {
-            root, participants, ..
-        } => {
-            let mut v: Vec<u32> = participants.iter().map(|d| d.0).collect();
-            if !v.contains(&root.0) {
-                v.push(root.0);
-            }
-            v
-        }
-        CollectiveSpec::Send { src, dst, .. } => vec![src.0, dst.0],
+        | CollectiveSpec::AllReduce { participants, .. } => participants,
     }
 }
 
@@ -392,7 +371,7 @@ mod tests {
             CommClass::AllToAll => {
                 CollectiveSpec::uniform_all_to_all(participants, 1e6, AllToAllAlgo::Flat)
             }
-            _ => CollectiveSpec::AllReduce {
+            CommClass::Allreduce => CollectiveSpec::AllReduce {
                 participants,
                 bytes: 1e6,
             },
@@ -537,7 +516,7 @@ mod tests {
         graph.add_compute(
             lina_netsim::DeviceId(2),
             SimDuration::from_millis(7),
-            SpanKind::Other,
+            SpanKind::Attention,
             vec![],
             "solo",
         );

@@ -32,6 +32,5 @@ pub use plan::{plan_batch, plan_batch_layered, ExecutionPlan, LayerPlan};
 pub use session::{run_lina_session, SessionConfig, SessionReport};
 pub use sweep::{default_threads, parallel_map};
 pub use train::{
-    run_train_step, run_train_steps, solo_collective_time, summarize_steps, StepMetrics, StepRun,
-    TrainSummary,
+    run_train_step, run_train_steps, summarize_steps, StepMetrics, StepRun, TrainSummary,
 };

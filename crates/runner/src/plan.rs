@@ -116,17 +116,6 @@ impl ExecutionPlan {
         self.layers.len()
     }
 
-    /// Fraction of token-hops that skipped the dispatch wire under
-    /// locality-aware pricing (0 when the plan was priced without it).
-    pub fn locality_fraction(&self) -> f64 {
-        let total = self.local_hops + self.routed_hops;
-        if total == 0 {
-            0.0
-        } else {
-            self.local_hops as f64 / total as f64
-        }
-    }
-
     /// Stretches every per-device expert-compute segment by `factor`
     /// (≥ 1): the degraded-replica model for a straggling GPU or a lost
     /// device whose experts were packed onto the survivors. Attention,

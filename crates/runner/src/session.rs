@@ -10,10 +10,10 @@
 use lina_baselines::TrainScheme;
 use lina_core::{PackingController, PackingDecision, PackingObservation};
 use lina_model::{BatchShape, CommClass, CostModel, OpKind};
-use lina_netsim::{AllToAllAlgo, CollectiveSpec, Topology};
+use lina_netsim::{AllToAllAlgo, CollectiveSpec, SoloTimer, Topology};
 use lina_simcore::{SimDuration, SpanKind};
 
-use crate::train::{run_train_step, solo_collective_time, StepMetrics};
+use crate::train::{run_train_step, StepMetrics};
 
 /// Configuration of a training session.
 #[derive(Clone, Debug)]
@@ -110,7 +110,7 @@ fn repack_exchange_cost(
         per_pair,
         AllToAllAlgo::Flat,
     );
-    solo_collective_time(topo, &spec)
+    SoloTimer::new(topo).time(&spec)
 }
 
 /// Runs a Lina training session: baseline micro-op scheduling from step

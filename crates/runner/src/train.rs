@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use lina_baselines::TrainScheme;
 use lina_model::{balanced_routing, build_train_step, BatchShape, CommClass, CostModel, OpKind};
-use lina_netsim::{CollectiveSpec, SoloTimer, Topology};
+use lina_netsim::{SoloTimer, Topology};
 use lina_simcore::{Samples, SimDuration, SimTime, SpanKind};
 
 use crate::engine::{execute, ExecResult};
@@ -49,16 +49,6 @@ pub struct StepRun {
     pub exec: ExecResult,
     /// The graph that ran (for further analysis).
     pub graph: lina_model::OpGraph,
-}
-
-/// Simulates a collective alone on an idle network and returns its
-/// completion time (the denominator of the Figure 3 slowdown factor).
-///
-/// One-shot convenience over [`SoloTimer`]; hot loops that price many
-/// collectives against the same topology should hold a timer instead,
-/// which clones the topology once rather than per query.
-pub fn solo_collective_time(topo: &Topology, spec: &CollectiveSpec) -> SimDuration {
-    SoloTimer::new(topo).time(spec)
 }
 
 /// Runs one training step.
@@ -219,30 +209,21 @@ fn extract_metrics(
 /// Aggregates per-step metrics into distribution summaries.
 pub fn summarize_steps(steps: &[StepMetrics]) -> TrainSummary {
     let mut step_time = Samples::new();
-    let mut fwd = Samples::new();
-    let mut bwd = Samples::new();
     let mut a2a_total = Samples::new();
     let mut slowdowns = Samples::new();
-    let mut pipeline = Samples::new();
     let mut util = Samples::new();
     for m in steps {
         step_time.push_duration(m.step_time);
-        fwd.push_duration(m.fwd_layer_time);
-        bwd.push_duration(m.bwd_layer_time);
         a2a_total.push_duration(m.a2a_total);
         for &s in &m.a2a_bwd_slowdowns {
             slowdowns.push(s);
         }
-        pipeline.push(m.pipelining_efficiency);
         util.push(m.compute_util);
     }
     TrainSummary {
         step_time,
-        fwd,
-        bwd,
         a2a_total,
         slowdowns,
-        pipeline,
         util,
     }
 }
@@ -251,16 +232,10 @@ pub fn summarize_steps(steps: &[StepMetrics]) -> TrainSummary {
 pub struct TrainSummary {
     /// Step time samples (seconds).
     pub step_time: Samples,
-    /// Forward MoE-layer time samples.
-    pub fwd: Samples,
-    /// Backward MoE-layer time samples.
-    pub bwd: Samples,
     /// Per-step total all-to-all time samples.
     pub a2a_total: Samples,
     /// Per-logical-op backward all-to-all slowdowns.
     pub slowdowns: Samples,
-    /// Pipelining-efficiency samples.
-    pub pipeline: Samples,
     /// Compute-utilization samples.
     pub util: Samples,
 }
@@ -269,7 +244,7 @@ pub struct TrainSummary {
 mod tests {
     use super::*;
     use lina_model::{DeviceSpec, MoeModelConfig};
-    use lina_netsim::ClusterSpec;
+    use lina_netsim::{ClusterSpec, CollectiveSpec};
 
     fn setup(experts: usize, layers: usize) -> (CostModel, Topology, BatchShape) {
         let model = MoeModelConfig::transformer_xl(layers, experts);
@@ -398,18 +373,17 @@ mod tests {
     fn solo_time_is_positive_and_scales() {
         let topo = Topology::new(ClusterSpec::paper_testbed());
         let devs: Vec<_> = topo.device_ids().collect();
-        let small = solo_collective_time(
-            &topo,
-            &CollectiveSpec::uniform_all_to_all(
-                devs.clone(),
-                1e5,
-                lina_netsim::AllToAllAlgo::Hierarchical,
-            ),
-        );
-        let large = solo_collective_time(
-            &topo,
-            &CollectiveSpec::uniform_all_to_all(devs, 1e6, lina_netsim::AllToAllAlgo::Hierarchical),
-        );
+        let mut timer = SoloTimer::new(&topo);
+        let small = timer.time(&CollectiveSpec::uniform_all_to_all(
+            devs.clone(),
+            1e5,
+            lina_netsim::AllToAllAlgo::Hierarchical,
+        ));
+        let large = timer.time(&CollectiveSpec::uniform_all_to_all(
+            devs,
+            1e6,
+            lina_netsim::AllToAllAlgo::Hierarchical,
+        ));
         assert!(large > small);
         assert!(small > SimDuration::ZERO);
     }

@@ -15,7 +15,7 @@ use crate::time::{SimDuration, SimTime};
 /// Identifies a stream in the timeline: a (device, lane) pair.
 ///
 /// Lanes mirror the CUDA streams in the paper's figures: one compute
-/// stream and dedicated communication streams per device.
+/// stream and two communication streams per device.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct StreamId {
     /// Owning device index.
@@ -24,7 +24,9 @@ pub struct StreamId {
     pub lane: Lane,
 }
 
-/// Stream lanes, mirroring the paper's Stream a/b/c.
+/// Stream lanes, exactly the paper's Stream a/b/c (Figs 2 and 5):
+/// compute, all-to-all and allreduce. Variant order is the `Ord` that
+/// sorts a timeline's streams.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Lane {
     /// Computation stream (the paper's Stream a).
@@ -33,8 +35,6 @@ pub enum Lane {
     AllToAll,
     /// Allreduce communication stream (the paper's Stream b).
     Allreduce,
-    /// Control/scheduling activity (Lina's scheduler threads).
-    Control,
 }
 
 impl Lane {
@@ -44,7 +44,6 @@ impl Lane {
             Lane::Compute => "comp",
             Lane::AllToAll => "a2a ",
             Lane::Allreduce => "ar  ",
-            Lane::Control => "ctrl",
         }
     }
 }
@@ -67,14 +66,6 @@ pub enum SpanKind {
     AllToAll,
     /// Allreduce communication.
     Allreduce,
-    /// Point-to-point or broadcast control communication.
-    ControlComm,
-    /// Scheduler decision-making overhead.
-    SchedOverhead,
-    /// Expert weight swap (DRAM offload traffic).
-    WeightSwap,
-    /// Anything else.
-    Other,
 }
 
 impl SpanKind {
@@ -88,10 +79,6 @@ impl SpanKind {
             SpanKind::Optimizer => 'O',
             SpanKind::AllToAll => '#',
             SpanKind::Allreduce => '=',
-            SpanKind::ControlComm => '.',
-            SpanKind::SchedOverhead => 's',
-            SpanKind::WeightSwap => 'w',
-            SpanKind::Other => '?',
         }
     }
 }
@@ -487,7 +474,7 @@ mod tests {
     fn span_overlap() {
         let s = Span {
             stream: sid(0, Lane::Compute),
-            kind: SpanKind::Other,
+            kind: SpanKind::Attention,
             start: ms(5),
             end: ms(10),
             label: String::new(),

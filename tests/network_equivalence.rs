@@ -336,7 +336,6 @@ mod oracle_solo {
                 let ring = (0..p).map(|i| (participants[i], participants[(i + 1) % p], per_edge));
                 return vec![ring.collect()];
             }
-            _ => panic!("the oracle plans all-to-alls and allreduces only"),
         };
         if *algo == AllToAllAlgo::Flat {
             let mut phase = Vec::new();
