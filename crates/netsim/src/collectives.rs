@@ -483,7 +483,7 @@ fn phase_weight(topo: &Topology, link_share: &mut [u32], phase: &PhasePlan) -> f
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::topology::{ClusterSpec, Topology};
 
@@ -497,7 +497,7 @@ mod tests {
 
     /// A two-participant all-to-all with one nonzero entry: a single
     /// `src -> dst` flow of weight 1.
-    fn one_flow(src: u32, dst: u32, bytes: f64) -> CollectiveSpec {
+    pub(crate) fn one_flow(src: u32, dst: u32, bytes: f64) -> CollectiveSpec {
         CollectiveSpec::AllToAll {
             participants: vec![DeviceId(src), DeviceId(dst)],
             sizes: vec![vec![0.0, bytes], vec![0.0, 0.0]],

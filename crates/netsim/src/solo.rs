@@ -105,18 +105,9 @@ impl SoloTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collectives::tests::one_flow;
     use crate::collectives::AllToAllAlgo;
     use crate::topology::{ClusterSpec, DeviceId};
-
-    /// A two-participant all-to-all with one nonzero entry: a single
-    /// `src -> dst` flow of weight 1.
-    fn one_flow(src: u32, dst: u32, bytes: f64) -> CollectiveSpec {
-        CollectiveSpec::AllToAll {
-            participants: vec![DeviceId(src), DeviceId(dst)],
-            sizes: vec![vec![0.0, bytes], vec![0.0, 0.0]],
-            algo: AllToAllAlgo::Flat,
-        }
-    }
 
     fn specs() -> Vec<CollectiveSpec> {
         let devs: Vec<DeviceId> = (0..16).map(DeviceId).collect();
