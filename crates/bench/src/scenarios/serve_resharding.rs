@@ -192,7 +192,7 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
     let transfer_costs = ctx.pick(&[0.0, 1.0, 4.0], &[0.25, 1.0]);
     let headline_phases = *phase_counts.last().expect("nonempty drift sweep");
     let mut headline_epoch_p99 = None;
-    let mut headline_best: Option<(String, f64, usize, usize, usize)> = None;
+    let mut headline_best: Option<(String, f64, usize, usize)> = None;
     let mut headline_interval = None;
     for &phases in &phase_counts {
         let drift_period = (n_requests / phases).max(1);
@@ -203,9 +203,7 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
                 "{phases} drift phases ({drift_period} requests each), \
                  re-shard tick every {interval}"
             ),
-            &[
-                "policy", "p99", "SLO att.", "goodput", "repl", "evict", "migr",
-            ],
+            &["policy", "p99", "SLO att.", "goodput", "repl", "evict"],
         );
         for cell in policy_cells(&transfer_costs, interval) {
             let serve = serve_config(
@@ -224,7 +222,7 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
             if cell.proactive {
                 report.metric(
                     format!("reshard_actions_{tag}"),
-                    (out.replications + out.evictions + out.migrations) as f64,
+                    (out.replications + out.evictions) as f64,
                 );
             }
             if phases == headline_phases {
@@ -233,17 +231,11 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
                     headline_epoch_p99 = Some(p99);
                 }
                 let beats_best = match &headline_best {
-                    Some((_, best, _, _, _)) => p99 < *best,
+                    Some((_, best, _, _)) => p99 < *best,
                     None => true,
                 };
                 if cell.proactive && beats_best {
-                    headline_best = Some((
-                        cell.name.clone(),
-                        p99,
-                        out.replications,
-                        out.evictions,
-                        out.migrations,
-                    ));
+                    headline_best = Some((cell.name.clone(), p99, out.replications, out.evictions));
                 }
                 headline_interval = Some(interval);
             }
@@ -254,7 +246,6 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
                 format!("{:.0} req/s", r.goodput),
                 out.replications.to_string(),
                 out.evictions.to_string(),
-                out.migrations.to_string(),
             ]);
         }
         report.table(table);
@@ -263,7 +254,7 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
     // Headline: the epoch arm's tail over the best proactive cell's at
     // the fastest swept drift (>= 1: continuous re-sharding wins).
     let epoch_p99 = headline_epoch_p99.expect("epoch arm swept at the headline drift");
-    let (best_name, best_p99, repl, evict, migr) =
+    let (best_name, best_p99, repl, evict) =
         headline_best.expect("a proactive cell swept at the headline drift");
     report.metric(
         "reshard_over_epoch_p99",
@@ -272,7 +263,7 @@ pub fn run(ctx: &ScenarioCtx) -> Report {
     report.text(format!(
         "headline: {best_name} p99 {:.1} ms vs epoch_lina {:.1} ms at \
          {headline_phases} drift phases ({repl} replications, {evict} \
-         evictions, {migr} migrations)\n",
+         evictions)\n",
         best_p99 * 1e3,
         epoch_p99 * 1e3,
     ));

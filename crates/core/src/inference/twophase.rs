@@ -38,11 +38,6 @@ pub struct TwoPhaseConfig {
     /// before phase two re-schedules (near-tie swaps leave the packing
     /// intact, per §7.3.2's error analysis).
     pub deviation_tolerance: f64,
-    /// Ablation: disable phase one (schedule from actual routing only,
-    /// blocking each layer).
-    pub use_estimation: bool,
-    /// Ablation: disable phase two (trust the estimate blindly).
-    pub use_finetuning: bool,
 }
 
 impl TwoPhaseConfig {
@@ -55,8 +50,6 @@ impl TwoPhaseConfig {
             schedule_time: SimDuration::from_micros(6200),
             resume_time: SimDuration::from_micros(1450),
             deviation_tolerance: 0.25,
-            use_estimation: true,
-            use_finetuning: true,
         }
     }
 }
@@ -114,13 +107,12 @@ impl TwoPhaseScheduler {
     /// True once enough layers have been observed for estimation (Lina
     /// starts scheduling from the `l`-th layer).
     pub fn can_estimate(&self, next_layer: usize) -> bool {
-        self.config.use_estimation && next_layer >= self.estimator.path_length()
+        next_layer >= self.estimator.path_length()
     }
 
     /// Phase one for `next_layer`, using tokens' observed paths up to
-    /// `next_layer - 1`. Returns `None` when estimation is disabled or
-    /// the model is still within the first `l` layers (the "slower
-    /// start" of Table 5).
+    /// `next_layer - 1`. Returns `None` while the model is still within
+    /// the first `l` layers (the "slower start" of Table 5).
     pub fn phase_one(&self, tokens: &[TokenPath], next_layer: usize) -> Option<PhaseOne> {
         if !self.can_estimate(next_layer) || next_layer == 0 {
             return None;
@@ -141,9 +133,6 @@ impl TwoPhaseScheduler {
     /// Phase two: checks the estimate against the actual popularity
     /// ([`LayerRouting::popularity`] of the gate's routing).
     pub fn phase_two(&self, phase_one: &PhaseOne, actual_pop: &[f64]) -> PhaseTwo {
-        if !self.config.use_finetuning {
-            return PhaseTwo::Resume;
-        }
         let two_k = (2 * self.config.top_k).min(actual_pop.len());
         if PopularityEstimator::deviates_too_far(
             &phase_one.estimate,
@@ -192,14 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn estimation_ablation_disables_phase_one() {
-        let (mut s, mut src) = scheduler(3);
-        s.config.use_estimation = false;
-        let batch = src.sample_batch(16, 64, Mode::Inference);
-        assert!(s.phase_one(&batch.tokens, 6).is_none());
-    }
-
-    #[test]
     fn phase_two_resumes_on_match() {
         let (s, mut src) = scheduler(3);
         let batch = src.sample_batch(16, 512, Mode::Inference);
@@ -238,19 +219,6 @@ mod tests {
             }
             PhaseTwo::Resume => panic!("gross mismatch must trigger fine-tuning"),
         }
-    }
-
-    #[test]
-    fn finetuning_ablation_always_resumes() {
-        let (mut s, mut src) = scheduler(3);
-        s.config.use_finetuning = false;
-        let batch = src.sample_batch(16, 128, Mode::Inference);
-        let p1 = s.phase_one(&batch.tokens, 5).expect("estimable");
-        let mut actual = LayerRouting::empty(16, 16);
-        for d in 0..16 {
-            actual.counts[d][0] = 100;
-        }
-        assert_eq!(s.phase_two(&p1, &actual.popularity()), PhaseTwo::Resume);
     }
 
     #[test]

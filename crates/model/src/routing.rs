@@ -246,31 +246,6 @@ impl ExpertPlacement {
         self.shares[e].remove(idx);
         true
     }
-
-    /// Moves expert `e` from its most-crowded host to the least-crowded
-    /// eligible device, but only when the move strictly reduces
-    /// crowding; otherwise a no-op.
-    pub fn migrate_replica(&mut self, e: usize, devices: usize, cap: usize) -> bool {
-        let load = self.device_load(devices);
-        let (idx, src) = match self.hosts[e]
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, d)| (load[d.0 as usize], d.0))
-        {
-            Some((idx, d)) => (idx, *d),
-            None => return false,
-        };
-        let dst = (0..devices)
-            .filter(|&d| load[d] < cap && !self.hosts[e].contains(&DeviceId(d as u32)))
-            .min_by_key(|&d| (load[d], d));
-        match dst {
-            Some(d) if load[d] + 1 < load[src.0 as usize] => {
-                self.hosts[e][idx] = DeviceId(d as u32);
-                true
-            }
-            _ => false,
-        }
-    }
 }
 
 /// One [`ExpertPlacement`] per MoE layer.
@@ -734,23 +709,6 @@ mod tests {
         assert!(p.drop_replica(0, 4));
         assert_eq!(p.hosts[0], vec![DeviceId(0)]);
         assert_eq!(p.shares[0], vec![1.0]);
-    }
-
-    #[test]
-    fn migrate_replica_only_when_strictly_better() {
-        // Expert 0 shares device 0 with experts 1 and 2; devices 2 and
-        // 3 are empty — migrating strictly reduces crowding.
-        let mut p = ExpertPlacement::uniform(vec![
-            vec![DeviceId(0)],
-            vec![DeviceId(0)],
-            vec![DeviceId(0)],
-        ]);
-        assert!(p.migrate_replica(0, 4, 2));
-        assert_eq!(p.hosts[0], vec![DeviceId(1)]);
-        // A balanced map has no strictly better home: no-op.
-        let mut q = ExpertPlacement::one_per_device(4, 4);
-        assert!(!q.migrate_replica(0, 4, 2));
-        assert_eq!(q.hosts[0], vec![DeviceId(0)]);
     }
 
     #[test]

@@ -58,8 +58,8 @@ impl NetworkMode {
 /// Prices a plan with solo (uncontended) collectives.
 ///
 /// This is the exact costing of the pre-refactor inference driver: the
-/// equivalence test in `tests/solo_equivalence.rs` pins it bit-for-bit
-/// against reports captured before the planner/executor split.
+/// equivalence test in `crates/runner/tests/solo_equivalence.rs` pins it
+/// bit-for-bit against reports captured before the planner/executor split.
 pub fn execute_plan_solo(plan: &ExecutionPlan, timer: &mut SoloTimer) -> InferenceReport {
     let mut walk = LayerWalk::new(SimTime::ZERO, plan.n_layers());
     let end = walk.run_solo(plan, timer, SimTime::ZERO);

@@ -313,6 +313,35 @@ mod tests {
         );
     }
 
+    /// The w/o-fine-tuning ablation runs phase one like Lina but never
+    /// phase two: on every batch where Lina fine-tunes, it makes the
+    /// same estimates and reports no fine-tune.
+    #[test]
+    fn no_finetune_estimates_but_never_finetunes() {
+        let (cost, topo, sched, batches) = setup();
+        let run = |scheme, batch| {
+            run_inference_batch(
+                &cost,
+                &topo,
+                &InferenceConfig { scheme, top_k: 1 },
+                Some(&sched),
+                batch,
+            )
+        };
+        let mut finetuned = 0;
+        for batch in &batches {
+            let lina = run(InferScheme::Lina, batch);
+            if lina.finetunes == 0 {
+                continue;
+            }
+            finetuned += 1;
+            let noft = run(InferScheme::LinaNoFinetune, batch);
+            assert_eq!(noft.estimates, lina.estimates);
+            assert_eq!(noft.finetunes, 0);
+        }
+        assert!(finetuned > 0, "Lina fine-tuned no batch");
+    }
+
     #[test]
     fn non_estimating_schemes_report_no_estimates() {
         let (cost, topo, sched, batches) = setup();

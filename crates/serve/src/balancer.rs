@@ -71,9 +71,9 @@ pub(crate) struct ReplicaSnapshot {
     pub server_free: SimTime,
     /// The replica's sustainable throughput upper bound (requests/s),
     /// one replica's share of [`crate::ClusterEngine::capacity`], scaled down
-    /// for device loss or straggler slowdowns. Zero when the caller
-    /// did not probe it (only [`BalancerKind::LeastExpectedLatency`]
-    /// reads it).
+    /// for device loss; a gray slowdown stays invisible. Zero when the
+    /// caller did not probe it (only
+    /// [`BalancerKind::LeastExpectedLatency`] reads it).
     pub capacity: f64,
 }
 

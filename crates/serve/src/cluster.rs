@@ -50,9 +50,9 @@
 //!    decision never depends on work it could not have observed;
 //! 5. **re-shard ticks** — the proactive re-sharder (when armed)
 //!    profiles its per-expert load monitor every `interval` and may
-//!    replicate, evict, or migrate expert replicas
+//!    replicate or evict expert replicas
 //!    ([`ReshardPolicyKind`](crate::ReshardPolicyKind)); actuation
-//!    charges the modeled PCIe transfer;
+//!    charges the modeled PCIe transfer for the replicas it copies;
 //! 6. **admissions** — a request (first arrival from the lazily
 //!    generated trace stream, or re-admission after a fault) is routed
 //!    by the balancer, which sees only routable replicas; an arrival
@@ -249,7 +249,8 @@ pub struct ClusterOutcome {
     pub replications: usize,
     /// Expert replicas dropped by the proactive re-sharder.
     pub evictions: usize,
-    /// Experts moved wholesale by the proactive re-sharder.
+    /// Always zero: the re-sharder only replicates and evicts; the
+    /// field remains so callers that read it keep compiling.
     pub migrations: usize,
     /// Peak concurrently commissioned (not yet retired) replicas.
     pub peak_replicas: usize,
@@ -944,7 +945,7 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
     }
 
     /// One proactive re-sharding tick; when the map changed, charge
-    /// the modeled PCIe transfer for the weights moved and flush every
+    /// the modeled PCIe transfer for the replicas added and flush every
     /// monitoring and re-estimation window.
     fn reshard(&mut self) {
         let rt = self
@@ -956,16 +957,14 @@ impl<S: Iterator<Item = Request>> ClusterSim<'_, '_, S> {
         let Some(applied) = applied else { return };
         self.out.replications += applied.replications;
         self.out.evictions += applied.evictions;
-        self.out.migrations += applied.migrations;
         // Each up replica stalls behind the transfer for the replicas
-        // that moved (evictions are free), priced by the same
-        // primitive recovery reloads use.
-        let moved = applied.replications + applied.migrations;
-        if moved > 0 {
+        // added (evictions are free), priced by the same primitive
+        // recovery reloads use.
+        if applied.replications > 0 {
             let charge = provisioning::reshard_transfer(
                 self.engine.cost,
                 self.engine.topo,
-                moved,
+                applied.replications,
                 rt.config.transfer_cost,
             );
             for rep in self.replicas.iter_mut().filter(|r| r.is_up()) {
@@ -1697,9 +1696,17 @@ mod tests {
             config(InferScheme::Baseline, 2000.0, 1),
         )
         .run();
+        // A NIC-only gray episode is a degraded link; a compute-only one
+        // is a straggler.
         for kind in [
-            FaultKind::LinkDegrade { scale: 0.25 },
-            FaultKind::StragglerStart { factor: 4.0 },
+            FaultKind::GrayDegrade {
+                compute_scale: 1.0,
+                nic_scale: 0.25,
+            },
+            FaultKind::GrayDegrade {
+                compute_scale: 4.0,
+                nic_scale: 1.0,
+            },
         ] {
             let mut c = config(InferScheme::Baseline, 2000.0, 1);
             c.faults = FaultPlan {
@@ -1719,11 +1726,11 @@ mod tests {
         }
     }
 
-    /// Overlapping link and gray-NIC episodes compose as a product: a
-    /// no-op episode of one family nested inside the other's leaves the
-    /// run bit-identical to the outer episode alone.
+    /// A gray episode composes with a device loss instead of overwriting
+    /// it: a no-op gray episode on a replica that lost a device leaves
+    /// the run bit-identical to the device loss alone.
     #[test]
-    fn nested_link_and_gray_nic_episodes_compose() {
+    fn gray_episode_composes_with_device_loss() {
         let (cost, topo, spec) = world();
         let run = |events: Vec<(u64, FaultKind)>| {
             let mut c = config(InferScheme::Baseline, 2000.0, 1);
@@ -1738,43 +1745,24 @@ mod tests {
             };
             ClusterEngine::new(&cost, &topo, &spec, c).run()
         };
-        let noop_gray = [
-            (
-                5,
-                FaultKind::GrayDegrade {
-                    compute_scale: 1.0,
-                    nic_scale: 1.0,
-                },
-            ),
-            (15, FaultKind::GrayClear),
-        ];
-        let noop_link = [
-            (5, FaultKind::LinkDegrade { scale: 1.0 }),
-            (15, FaultKind::LinkRestore),
-        ];
-        let gray_nic = FaultKind::GrayDegrade {
+        let noop_gray = FaultKind::GrayDegrade {
             compute_scale: 1.0,
-            nic_scale: 0.5,
+            nic_scale: 1.0,
         };
-        for (outer, inner) in [
-            (FaultKind::LinkDegrade { scale: 0.25 }, noop_gray),
-            (gray_nic, noop_link),
-        ] {
-            let alone = run(vec![(0, outer)]);
-            let nested = run([(0, outer)].into_iter().chain(inner).collect());
-            assert_eq!(nested.faults_injected, 3);
-            assert_eq!(
-                alone.tracker.records(),
-                nested.tracker.records(),
-                "{outer:?}"
-            );
-            assert_eq!(
-                alone.tracker.depth_timeline(),
-                nested.tracker.depth_timeline(),
-                "{outer:?}"
-            );
-            assert_eq!(alone.report(), nested.report(), "{outer:?}");
-        }
+        let alone = run(vec![(0, FaultKind::DeviceLoss)]);
+        let nested = run(vec![
+            (0, FaultKind::DeviceLoss),
+            (5, noop_gray),
+            (15, FaultKind::GrayClear),
+        ]);
+        assert_eq!(nested.faults_injected, 3);
+        assert_eq!(nested.emergency_replacements, 1);
+        assert_eq!(alone.tracker.records(), nested.tracker.records());
+        assert_eq!(
+            alone.tracker.depth_timeline(),
+            nested.tracker.depth_timeline()
+        );
+        assert_eq!(alone.report(), nested.report());
     }
 
     use crate::autoscale::{AutoscaleConfig, AutoscalePolicyKind, ScaleDecision};
@@ -2012,7 +2000,6 @@ mod tests {
         assert_eq!(fixed.batches, armed.batches);
         assert_eq!(armed.replications, 0);
         assert_eq!(armed.evictions, 0);
-        assert_eq!(armed.migrations, 0);
         assert_eq!(fixed.replica_seconds, armed.replica_seconds);
     }
 

@@ -2,8 +2,9 @@
 //!
 //! A [`FaultSchedule`] is a time-sorted list of [`FaultEvent`]s the
 //! cluster event loop injects between serving events: replica crashes
-//! and recoveries, single-device loss, link-bandwidth degradation, and
-//! straggler slowdowns. Schedules are either *scripted*
+//! and recoveries, single-device loss, and silent *gray* degradation of
+//! a replica's expert compute and link bandwidth. Schedules are either
+//! *scripted*
 //! ([`FaultSchedule::from_script`]) or *rate-driven*
 //! ([`FaultSchedule::generate`]): a seeded Poisson process per replica
 //! with exponential repair times, so the same seed always injects the
@@ -41,12 +42,12 @@
 //! displaced work is timed until all of that work reached a terminal
 //! outcome ([`ClusterOutcome::recovery_times`]).
 //!
-//! Faults compose: each family owns its own factors on the replica, so
-//! overlapping episodes of different families multiply. Expert compute
-//! stretches by the lost-device, straggler and gray factors together;
-//! link bandwidth is the link-degrade fraction times the gray NIC
-//! fraction. An end event resets only its own family's factors, and a
-//! crash or recovery resets them all.
+//! Faults compose: expert compute stretches by the lost-device factor
+//! times an active gray episode's compute factor, and link bandwidth is
+//! the gray episode's NIC fraction. A gray clear resets only the gray
+//! factors, and a crash or recovery resets them all. A NIC-only
+//! (`compute_scale` 1) or compute-only (`nic_scale` 1) gray episode is
+//! a degraded link or a straggler GPU.
 //!
 //! [`ClusterOutcome::recovery_times`]: crate::ClusterOutcome::recovery_times
 
@@ -70,32 +71,13 @@ pub enum FaultKind {
     /// PCIe transfer), and every later batch's expert compute stretches
     /// by `devices / (devices - 1)`.
     DeviceLoss,
-    /// The replica's link bandwidth drops to `scale` of nominal
-    /// (`0 < scale < 1`); collectives re-share the degraded links. The
-    /// fraction multiplies with an active gray episode's `nic_scale`.
-    LinkDegrade {
-        /// Remaining fraction of nominal link bandwidth.
-        scale: f64,
-    },
-    /// The link-degrade fraction returns to 1; an active gray episode's
-    /// NIC fraction still applies.
-    LinkRestore,
-    /// Expert compute on the replica slows by `factor` (> 1) — a
-    /// thermally throttled or contended straggler GPU.
-    StragglerStart {
-        /// Compute slowdown factor.
-        factor: f64,
-    },
-    /// The straggler recovers to full speed.
-    StragglerEnd,
     /// A *gray* failure: the replica silently degrades — expert compute
     /// stretches by `compute_scale` (>= 1) and link bandwidth drops to
     /// `nic_scale` of nominal — but keeps answering, and **the control
     /// plane is never told**: unlike every other fault kind, the health
     /// bit stays up and only a latency-inference detector
-    /// ([`crate::health`]) can notice. `nic_scale` multiplies with an
-    /// active link degradation, `compute_scale` with the device-loss
-    /// and straggler stretches.
+    /// ([`crate::health`]) can notice. `compute_scale` multiplies with
+    /// the device-loss stretch; collectives re-share the degraded links.
     GrayDegrade {
         /// Compute slowdown factor (1.0 = none).
         compute_scale: f64,
@@ -103,8 +85,8 @@ pub enum FaultKind {
         nic_scale: f64,
     },
     /// The gray episode ends: its compute and NIC factors return to 1
-    /// (again without telling the control plane); a link degradation
-    /// or straggler in progress still applies.
+    /// (again without telling the control plane); a device loss still
+    /// applies.
     GrayClear,
 }
 
@@ -130,18 +112,6 @@ pub struct FaultRateConfig {
     pub mean_recovery: SimDuration,
     /// Single-device-loss rate.
     pub device_loss_rate: f64,
-    /// Link-degradation onset rate.
-    pub degrade_rate: f64,
-    /// Bandwidth fraction that survives a degradation.
-    pub degrade_scale: f64,
-    /// Mean time from degradation to restore.
-    pub mean_degrade: SimDuration,
-    /// Straggler onset rate.
-    pub straggler_rate: f64,
-    /// Straggler compute slowdown factor.
-    pub straggler_factor: f64,
-    /// Mean straggler episode length.
-    pub mean_straggle: SimDuration,
     /// Gray-failure onset rate (silent compute + NIC degradation).
     pub gray_rate: f64,
     /// Compute slowdown during a gray episode.
@@ -150,13 +120,6 @@ pub struct FaultRateConfig {
     pub gray_nic: f64,
     /// Mean gray episode length.
     pub mean_gray: SimDuration,
-    /// Flapping-link onset rate: short NIC-only gray episodes that keep
-    /// toggling, the classic probation-testing pattern.
-    pub flap_rate: f64,
-    /// Surviving link-bandwidth fraction during a flap.
-    pub flap_nic: f64,
-    /// Mean flap episode length (short relative to `mean_gray`).
-    pub mean_flap: SimDuration,
 }
 
 impl FaultRateConfig {
@@ -167,19 +130,10 @@ impl FaultRateConfig {
             crash_rate,
             mean_recovery,
             device_loss_rate: 0.0,
-            degrade_rate: 0.0,
-            degrade_scale: 0.5,
-            mean_degrade: SimDuration::ZERO,
-            straggler_rate: 0.0,
-            straggler_factor: 2.0,
-            mean_straggle: SimDuration::ZERO,
             gray_rate: 0.0,
             gray_compute: 2.0,
             gray_nic: 1.0,
             mean_gray: SimDuration::ZERO,
-            flap_rate: 0.0,
-            flap_nic: 0.5,
-            mean_flap: SimDuration::ZERO,
         }
     }
 
@@ -233,9 +187,10 @@ impl FaultSchedule {
     /// `replicas` replicas: per replica, crashes arrive Poisson at
     /// `crash_rate` with exponential repair (each crash is followed by
     /// its recovery, and nothing else targets a down replica in
-    /// between), while device loss and link-degrade, straggler, gray and
-    /// flap episodes arrive on independent substreams. The same
-    /// arguments always produce the same schedule.
+    /// between), while device loss and gray episodes arrive on
+    /// independent substreams. Each episode's clear precedes the next
+    /// onset, so a replica's gray events alternate start → clear. The
+    /// same arguments always produce the same schedule.
     pub fn generate(
         rates: &FaultRateConfig,
         replicas: usize,
@@ -245,21 +200,15 @@ impl FaultSchedule {
         use FaultKind::*;
         // One row per family: substream, onset rate, start kind, and the
         // mean episode length with its end kind (`None`: a one-shot
-        // fault). Flaps are NIC-only gray episodes on their own stream;
-        // overlaps with the main gray stream are suppressed below.
+        // fault). A family's substream tag seeds every schedule it
+        // generates, so the tags never change.
         #[rustfmt::skip]
         let families = [
             (1, rates.crash_rate, ReplicaCrash, Some((rates.mean_recovery, ReplicaRecover))),
             (2, rates.device_loss_rate, DeviceLoss, None),
-            (3, rates.degrade_rate, LinkDegrade { scale: rates.degrade_scale },
-                Some((rates.mean_degrade, LinkRestore))),
-            (4, rates.straggler_rate, StragglerStart { factor: rates.straggler_factor },
-                Some((rates.mean_straggle, StragglerEnd))),
             (5, rates.gray_rate,
                 GrayDegrade { compute_scale: rates.gray_compute, nic_scale: rates.gray_nic },
                 Some((rates.mean_gray, GrayClear))),
-            (6, rates.flap_rate, GrayDegrade { compute_scale: 1.0, nic_scale: rates.flap_nic },
-                Some((rates.mean_flap, GrayClear))),
         ];
         let root = Rng::new(seed);
         let mut events = Vec::new();
@@ -291,40 +240,7 @@ impl FaultSchedule {
                 }
             }
         }
-        events.sort_by_key(|e| e.at);
-        FaultSchedule::from_script(Self::suppress_overlaps(events, replicas))
-    }
-
-    /// Drops generated events that would start an episode already in
-    /// progress (or end one that is not): per replica, straggler and
-    /// gray episodes each follow a strict start/end alternation, so
-    /// independent rate streams (e.g. gray + flap, or a future second
-    /// straggler source) can never stack or emit dangling clears.
-    /// `events` must already be sorted by time.
-    fn suppress_overlaps(events: Vec<FaultEvent>, replicas: usize) -> Vec<FaultEvent> {
-        let mut straggling = vec![false; replicas];
-        let mut gray = vec![false; replicas];
-        events
-            .into_iter()
-            .filter(|e| {
-                let flag = match e.kind {
-                    FaultKind::StragglerStart { .. } | FaultKind::StragglerEnd => {
-                        &mut straggling[e.replica]
-                    }
-                    FaultKind::GrayDegrade { .. } | FaultKind::GrayClear => &mut gray[e.replica],
-                    _ => return true,
-                };
-                let starts = matches!(
-                    e.kind,
-                    FaultKind::StragglerStart { .. } | FaultKind::GrayDegrade { .. }
-                );
-                if *flag == starts {
-                    return false; // already in (or out of) the episode
-                }
-                *flag = starts;
-                true
-            })
-            .collect()
+        FaultSchedule::from_script(events)
     }
 
     /// The events, ascending by time.
@@ -349,9 +265,9 @@ impl FaultSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if an event targets a replica index `>= replicas`, a
-    /// degradation scale is outside `(0, 1]`, or a straggler factor is
-    /// below 1.
+    /// Panics if an event targets a replica index `>= replicas`, a gray
+    /// compute scale is below 1, or a gray NIC scale is outside
+    /// `(0, 1]`.
     pub fn validate(&self, replicas: usize) {
         for e in &self.events {
             assert!(
@@ -360,50 +276,37 @@ impl FaultSchedule {
                 e.at,
                 e.replica
             );
-            match e.kind {
-                FaultKind::LinkDegrade { scale } => assert!(
-                    scale > 0.0 && scale <= 1.0,
-                    "link degrade scale {scale} outside (0, 1]"
-                ),
-                FaultKind::StragglerStart { factor } => assert!(
-                    factor.is_finite() && factor >= 1.0,
-                    "straggler factor {factor} below 1"
-                ),
-                FaultKind::GrayDegrade {
-                    compute_scale,
-                    nic_scale,
-                } => {
-                    assert!(
-                        compute_scale.is_finite() && compute_scale >= 1.0,
-                        "gray compute scale {compute_scale} below 1"
-                    );
-                    assert!(
-                        nic_scale > 0.0 && nic_scale <= 1.0,
-                        "gray nic scale {nic_scale} outside (0, 1]"
-                    );
-                }
-                _ => {}
+            if let FaultKind::GrayDegrade {
+                compute_scale,
+                nic_scale,
+            } = e.kind
+            {
+                assert!(
+                    compute_scale.is_finite() && compute_scale >= 1.0,
+                    "gray compute scale {compute_scale} below 1"
+                );
+                assert!(
+                    nic_scale > 0.0 && nic_scale <= 1.0,
+                    "gray nic scale {nic_scale} outside (0, 1]"
+                );
             }
         }
     }
 }
 
-/// A replica's fault factors, the one place faults combine: each family
-/// sets only its own factors, so overlapping episodes of different
-/// families multiply instead of overwriting each other. A crash or a
-/// recovery resets them all (the hardware is gone or fresh).
+/// A replica's fault factors, the one place faults combine: a device
+/// loss and a gray episode each set only their own factors, so a gray
+/// episode on a replica that lost a device multiplies instead of
+/// overwriting. A crash or a recovery resets them all (the hardware is
+/// gone or fresh).
 pub(crate) struct Degradation {
     /// GPUs lost to [`FaultKind::DeviceLoss`] since the last reset.
     devices_lost: usize,
     /// Expert-compute stretch from lost devices (survivors absorb the
     /// lost shard): `devices / (devices - devices_lost)`.
     lost: f64,
-    /// Expert-compute stretch from a straggler episode.
-    straggler: f64,
     /// Expert-compute stretch from a gray episode.
     gray_compute: f64,
-    /// Surviving link-bandwidth fraction from a link-degrade episode.
-    link: f64,
     /// Surviving link-bandwidth fraction from a gray episode.
     gray_nic: f64,
 }
@@ -413,23 +316,17 @@ impl Default for Degradation {
         Degradation {
             devices_lost: 0,
             lost: 1.0,
-            straggler: 1.0,
             gray_compute: 1.0,
-            link: 1.0,
             gray_nic: 1.0,
         }
     }
 }
 
 impl Degradation {
-    /// Sets the factors an episode event's family owns. Panics on a
-    /// crash, recovery or device loss, which the cluster handles.
+    /// Sets the gray factors. Panics on a crash, recovery or device
+    /// loss, which the cluster handles.
     pub(crate) fn apply(&mut self, kind: FaultKind) {
         match kind {
-            FaultKind::LinkDegrade { scale } => self.link = scale,
-            FaultKind::LinkRestore => self.link = 1.0,
-            FaultKind::StragglerStart { factor } => self.straggler = factor,
-            FaultKind::StragglerEnd => self.straggler = 1.0,
             FaultKind::GrayDegrade {
                 compute_scale,
                 nic_scale,
@@ -451,19 +348,19 @@ impl Degradation {
     }
 
     /// The expert-compute stretch the control plane can see: lost
-    /// devices and stragglers, but not gray faults.
+    /// devices, but not gray faults.
     pub(crate) fn visible_stretch(&self) -> f64 {
-        self.lost * self.straggler
+        self.lost
     }
 
     /// The expert-compute stretch a submitted plan runs under.
     pub(crate) fn compute_stretch(&self) -> f64 {
-        self.visible_stretch() * self.gray_compute
+        self.lost * self.gray_compute
     }
 
     /// The link-bandwidth multiplier the replica's executor runs under.
     pub(crate) fn link_scale(&self) -> f64 {
-        self.link * self.gray_nic
+        self.gray_nic
     }
 }
 
@@ -750,57 +647,47 @@ mod tests {
         }
     }
 
-    /// Even with gray and flap streams racing on the same replicas, the
-    /// generator never stacks episodes: every replica's gray events (and
-    /// straggler events) strictly alternate start → clear, and the
-    /// flap stream's NIC-only onsets survive only outside gray episodes.
+    /// With crash, device-loss and gray streams sharing every replica,
+    /// each replica's gray events strictly alternate onset → clear: one
+    /// episode's clear always precedes the next onset, whatever the
+    /// other families inject in between.
     #[test]
-    fn gray_and_flap_streams_never_overlap() {
-        let mut rates = FaultRateConfig::gray(2.0, 4.0, 0.25, SimDuration::from_millis(400));
-        rates.flap_rate = 5.0;
-        rates.flap_nic = 0.5;
-        rates.mean_flap = SimDuration::from_millis(50);
-        rates.straggler_rate = 3.0;
-        rates.straggler_factor = 2.0;
-        rates.mean_straggle = SimDuration::from_millis(100);
+    fn gray_episodes_alternate_beside_crashes_and_device_loss() {
+        let rates = FaultRateConfig {
+            crash_rate: 3.0,
+            mean_recovery: SimDuration::from_millis(100),
+            device_loss_rate: 2.0,
+            gray_rate: 5.0,
+            gray_compute: 4.0,
+            gray_nic: 0.25,
+            mean_gray: SimDuration::from_millis(100),
+        };
         for seed in 0..32u64 {
             let s = FaultSchedule::generate(&rates, 3, SimDuration::from_secs_f64(5.0), seed);
-            assert!(!s.is_empty(), "seed {seed}");
-            let mut saw_flap_onset = false;
+            s.validate(3);
+            let mut onsets = 0;
             for r in 0..3 {
                 let mut gray = false;
-                let mut straggling = false;
                 for e in s.events().iter().filter(|e| e.replica == r) {
                     match e.kind {
-                        FaultKind::GrayDegrade { compute_scale, .. } => {
+                        FaultKind::GrayDegrade { .. } => {
                             assert!(!gray, "seed {seed}: replica {r} double gray onset");
                             gray = true;
-                            saw_flap_onset |= compute_scale == 1.0;
+                            onsets += 1;
                         }
                         FaultKind::GrayClear => {
                             assert!(gray, "seed {seed}: replica {r} dangling gray clear");
                             gray = false;
                         }
-                        FaultKind::StragglerStart { .. } => {
-                            assert!(!straggling, "seed {seed}: replica {r} double straggler");
-                            straggling = true;
-                        }
-                        FaultKind::StragglerEnd => {
-                            assert!(straggling, "seed {seed}: replica {r} dangling end");
-                            straggling = false;
-                        }
-                        other => panic!("unexpected kind {other:?}"),
+                        _ => {}
                     }
                 }
             }
-            if saw_flap_onset {
-                return; // both streams contributed at least once
-            }
+            assert!(onsets > 0, "seed {seed}: no gray episode");
         }
-        panic!("no flap onset survived across 32 seeds");
     }
 
-    /// Pins the generator with all six families armed on three
+    /// Pins the generator with all three families armed on three
     /// replicas: the digest folds every event's instant, replica, kind
     /// and magnitudes over two seeds.
     #[test]
@@ -809,22 +696,13 @@ mod tests {
             crash_rate: 0.5,
             mean_recovery: SimDuration::from_millis(300),
             device_loss_rate: 0.4,
-            degrade_rate: 1.0,
-            degrade_scale: 0.25,
-            mean_degrade: SimDuration::from_millis(200),
-            straggler_rate: 1.5,
-            straggler_factor: 3.0,
-            mean_straggle: SimDuration::from_millis(150),
             gray_rate: 1.0,
             gray_compute: 4.0,
             gray_nic: 0.5,
             mean_gray: SimDuration::from_millis(400),
-            flap_rate: 4.0,
-            flap_nic: 0.3,
-            mean_flap: SimDuration::from_millis(40),
         };
         let mut d = lina_runner::Fnv128::new();
-        let mut counts = [0usize; 9];
+        let mut counts = [0usize; 5];
         for seed in [7, 0x5EED] {
             let s = FaultSchedule::generate(&rates, 3, SimDuration::from_secs_f64(5.0), seed);
             s.validate(3);
@@ -834,15 +712,11 @@ mod tests {
                     FaultKind::ReplicaCrash => (0, 0.0, 0.0),
                     FaultKind::ReplicaRecover => (1, 0.0, 0.0),
                     FaultKind::DeviceLoss => (2, 0.0, 0.0),
-                    FaultKind::LinkDegrade { scale } => (3, scale, 0.0),
-                    FaultKind::LinkRestore => (4, 0.0, 0.0),
-                    FaultKind::StragglerStart { factor } => (5, factor, 0.0),
-                    FaultKind::StragglerEnd => (6, 0.0, 0.0),
                     FaultKind::GrayDegrade {
                         compute_scale,
                         nic_scale,
-                    } => (7, compute_scale, nic_scale),
-                    FaultKind::GrayClear => (8, 0.0, 0.0),
+                    } => (3, compute_scale, nic_scale),
+                    FaultKind::GrayClear => (4, 0.0, 0.0),
                 };
                 counts[tag] += 1;
                 for w in [
@@ -862,7 +736,7 @@ mod tests {
         );
         assert_eq!(
             d.finish(),
-            0x5d5e_4276_0a39_0bf5_ed5c_ac87_4a39_ab1c,
+            0xe3a5_0681_6b21_2c88_4446_1a68_b0a3_342d,
             "generated schedule digest moved"
         );
     }

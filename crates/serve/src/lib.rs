@@ -33,13 +33,12 @@
 //!   distribution;
 //! * deterministic fault injection and graceful degradation — a seeded
 //!   [`FaultSchedule`] injects replica crashes/recoveries, device
-//!   losses, link degradations, and stragglers into the cluster event
-//!   loop, and a [`DegradationPolicy`] (fail-fast, retry + failover,
+//!   losses, and gray episodes into the cluster event loop, and a [`DegradationPolicy`] (fail-fast, retry + failover,
 //!   or retry + failover + load shedding) decides what happens to the
 //!   displaced work;
 //! * gray-failure detection and hedged dispatch — *gray* faults
-//!   ([`FaultKind::GrayDegrade`]) slow a replica without tripping its
-//!   health bit; a phi-accrual-style detector ([`health`]) turns
+//!   ([`FaultKind::GrayDegrade`]: a slow GPU, a degraded link, or
+//!   both) slow a replica without tripping its health bit; a phi-accrual-style detector ([`health`]) turns
 //!   observed batch latencies into a continuous suspicion score the
 //!   balancers route on ([`HealthConfig`]), and an optional [`HedgeConfig`]
 //!   re-dispatches a quantile-late batch to the least-suspected
@@ -55,9 +54,8 @@
 //!   pool cost in replica-seconds — the cost axis of the cost-vs-SLO
 //!   frontier ([`ClusterOutcome::replica_seconds`]);
 //! * proactive expert re-sharding — a [`ReshardPolicyKind`] fed by an
-//!   online per-expert load monitor replicates hot experts, evicts
-//!   cold replicas, and migrates experts mid-serving
-//!   ([`resharding`]); actuation pays the modeled PCIe transfer
+//!   online per-expert load monitor replicates hot experts and evicts
+//!   cold replicas mid-serving ([`resharding`]); actuation pays the modeled PCIe transfer
 //!   ([`provisioning::reshard_transfer`]), and every later batch is
 //!   planned against the new shard map;
 //! * diurnal traffic — [`ArrivalProcess::Diurnal`] composes a

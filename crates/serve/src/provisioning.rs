@@ -2,7 +2,7 @@
 //!
 //! Bringing serving capacity online is never free: a replica that
 //! (re)joins the cluster must first load its expert shard onto every
-//! device over PCIe. The same modeled transfer gates three paths:
+//! device over PCIe. The same modeled transfer gates four paths:
 //!
 //! * **crash recovery** — fresh hardware replacing a crashed replica
 //!   reloads all weights before its first dispatch
@@ -12,7 +12,10 @@
 //!   ([`FaultKind::DeviceLoss`](crate::FaultKind::DeviceLoss));
 //! * **autoscale scale-up** — a newly provisioned replica is invisible
 //!   to the balancers until the reload completes
-//!   (`crate::autoscale`).
+//!   (`crate::autoscale`);
+//! * **re-sharding** — each expert replica the re-sharder adds is
+//!   copied over PCIe while every up replica waits
+//!   ([`reshard_transfer`]; evictions are free).
 //!
 //! Keeping the formula in one place guarantees fault recovery and
 //! elastic scale-up can never drift apart on what provisioning costs.
@@ -38,8 +41,8 @@ pub fn provision_time(cost: &CostModel, topo: &Topology, experts: usize) -> SimD
 }
 
 /// Wall-clock cost of a proactive re-sharding actuation that moves
-/// `moved` expert-weight replicas (replications and migrations copy
-/// one replica each; evictions are free). Priced as `moved` serial
+/// `moved` expert-weight replicas (a replication copies one replica;
+/// evictions are free). Priced as `moved` serial
 /// [`expert_swap`](CostModel::expert_swap)s over PCIe, scaled by the
 /// configured `transfer_cost` — the same transfer primitive the
 /// reload helpers above charge, so reactive recovery and proactive

@@ -150,7 +150,7 @@ pub(crate) struct Replica {
     queued_tokens: usize,
     state: ReplicaState,
     /// The fault factors; the executor always runs under their link
-    /// product.
+    /// scale.
     degradation: Degradation,
     /// Speculative hedge batches currently executing here. Excluded
     /// from dispatch-slot accounting so a hedge never blocks the
@@ -367,7 +367,7 @@ impl Replica {
         self.retire_if_idle(t);
     }
 
-    /// Applies a gray or link fault, pushing the link product to the
+    /// Applies a gray fault or its clear, pushing the link scale to the
     /// executor.
     pub(crate) fn degrade(&mut self, kind: FaultKind) {
         self.degradation.apply(kind);
@@ -701,7 +701,10 @@ mod tests {
     fn a_crash_empties_the_replica_and_a_recovery_resets_it() {
         let f = fixture();
         let mut rep = replica(&f, NetworkMode::Solo, 2);
-        rep.degrade(FaultKind::LinkDegrade { scale: 0.5 });
+        rep.degrade(FaultKind::GrayDegrade {
+            compute_scale: 1.0,
+            nic_scale: 0.5,
+        });
         rep.submit(0, SimTime::ZERO, &f.plan);
         rep.submit(HEDGE, SimTime::ZERO, &f.plan);
         admit(&mut rep, 0, 0, 0);
@@ -800,7 +803,10 @@ mod tests {
             });
             assert_eq!(submit(&mut f, &mut gray, 0), (false, f.pristine));
             let mut straggler = replica(&f, NetworkMode::Solo, 1);
-            straggler.degrade(FaultKind::StragglerStart { factor: 2.0 });
+            straggler.degrade(FaultKind::GrayDegrade {
+                compute_scale: 2.0,
+                nic_scale: 1.0,
+            });
             assert_eq!(submit(&mut f, &mut straggler, 1), (false, f.pristine));
             // Both really ran slower than the price they were judged by.
             for rep in [&mut gray, &mut straggler] {
@@ -813,9 +819,12 @@ mod tests {
         fn restored_links_reuse_the_executor_price_again() {
             let mut f = fixture();
             let mut rep = replica(&f, NetworkMode::Solo, 2);
-            rep.degrade(FaultKind::LinkDegrade { scale: 0.5 });
+            rep.degrade(FaultKind::GrayDegrade {
+                compute_scale: 1.0,
+                nic_scale: 0.5,
+            });
             assert_eq!(submit(&mut f, &mut rep, 0), (false, f.pristine));
-            rep.degrade(FaultKind::LinkRestore);
+            rep.degrade(FaultKind::GrayClear);
             assert_eq!(submit(&mut f, &mut rep, 1), (true, f.pristine));
         }
 

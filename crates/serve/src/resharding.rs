@@ -9,11 +9,11 @@
 //! monitor (a sliding window of per-batch expert selection counts over
 //! the same dispatched batches the re-estimator reads) feeds a
 //! [`ReshardPolicyKind`] that, mid-serving, emits [`ReshardAction`]s —
-//! replicate a hot expert onto another device, evict a cold replica,
-//! or migrate an expert wholesale. The
-//! cluster event loop evaluates the policy at a fixed control interval
-//! as its own priority class. Applying any action charges every up
-//! replica the modeled PCIe transfer for the weights moved
+//! replicate a hot expert onto another device, or evict a cold
+//! replica. The cluster event loop evaluates the policy at a fixed
+//! control interval as its own priority class. Applying any action
+//! charges every up replica the modeled PCIe transfer for the replicas
+//! copied
 //! ([`crate::provisioning::reshard_transfer`]) and flushes every
 //! monitoring and re-estimation window (their samples predate the new
 //! map). Actions mutate every layer of the map in lockstep, and
@@ -40,10 +40,6 @@ pub enum ReshardAction {
     /// hosting it (a no-op when only one replica remains — an expert
     /// must always stay hosted somewhere).
     Evict(usize),
-    /// Move the expert from its most-crowded host to the
-    /// least-crowded device with spare capacity (a no-op when no
-    /// strictly better home exists).
-    Migrate(usize),
 }
 
 /// The re-sharding policy: observes per-expert load, decides
@@ -184,8 +180,6 @@ pub(crate) struct ReshardApplied {
     pub(crate) replications: usize,
     /// Expert replicas dropped.
     pub(crate) evictions: usize,
-    /// Experts moved wholesale.
-    pub(crate) migrations: usize,
 }
 
 impl ReshardRuntime {
@@ -283,14 +277,12 @@ impl ReshardRuntime {
                 ok |= match action {
                     ReshardAction::Replicate(e) => layer.add_replica(e, self.devices, cap),
                     ReshardAction::Evict(e) => layer.drop_replica(e, self.devices),
-                    ReshardAction::Migrate(e) => layer.migrate_replica(e, self.devices, cap),
                 };
             }
             if ok {
                 match action {
                     ReshardAction::Replicate(_) => applied.replications += 1,
                     ReshardAction::Evict(_) => applied.evictions += 1,
-                    ReshardAction::Migrate(_) => applied.migrations += 1,
                 }
             }
         }
@@ -485,7 +477,7 @@ mod tests {
         let script = vec![
             vec![ReshardAction::Replicate(1)],
             vec![],
-            vec![ReshardAction::Evict(1), ReshardAction::Migrate(0)],
+            vec![ReshardAction::Evict(1), ReshardAction::Replicate(0)],
         ];
         let mut p = runtime(ReshardPolicyKind::Scripted { script }, 2);
         let share = [0.5, 0.5];
@@ -497,7 +489,7 @@ mod tests {
         assert!(p.decide(&share, &replicas).is_empty());
         assert_eq!(
             p.decide(&share, &replicas),
-            vec![ReshardAction::Evict(1), ReshardAction::Migrate(0)]
+            vec![ReshardAction::Evict(1), ReshardAction::Replicate(0)]
         );
         assert!(p.decide(&share, &replicas).is_empty());
     }

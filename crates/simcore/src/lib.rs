@@ -23,7 +23,7 @@ pub mod timeline;
 pub use events::EventQueue;
 pub use json::Json;
 pub use report::{Metric, Report, Section};
-pub use rng::{AliasTable, Rng, Zipf};
+pub use rng::{Rng, Zipf};
 pub use stats::{geomean, Samples};
 pub use table::{format_bytes, format_pct, format_secs, format_speedup, Table};
 pub use time::{SimDuration, SimTime};

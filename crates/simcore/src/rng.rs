@@ -7,9 +7,8 @@
 //! dependency on platform entropy.
 //!
 //! Beyond the raw generator this module provides the distributions the
-//! workload model needs: uniforms, Bernoulli, normal (Box–Muller), Zipf
-//! (rejection-free inversion over a finite support), and O(1) categorical
-//! sampling via Walker's alias method.
+//! workload model needs: uniforms, Bernoulli, normal (Box–Muller), and
+//! Zipf (rejection-free inversion over a finite support).
 
 /// SplitMix64 step, used for seeding and stream derivation.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -240,80 +239,6 @@ impl Zipf {
     }
 }
 
-/// Walker's alias method for O(1) categorical sampling.
-#[derive(Clone, Debug)]
-pub struct AliasTable {
-    prob: Vec<f64>,
-    alias: Vec<usize>,
-}
-
-impl AliasTable {
-    /// Builds a table from unnormalized non-negative weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weights are empty, contain negatives/NaN, or sum to
-    /// zero.
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "AliasTable::new: empty weights");
-        let n = weights.len();
-        let total: f64 = weights
-            .iter()
-            .map(|&w| {
-                assert!(w >= 0.0 && w.is_finite(), "AliasTable::new: bad weight {w}");
-                w
-            })
-            .sum();
-        assert!(total > 0.0, "AliasTable::new: zero total weight");
-
-        let mut prob: Vec<f64> = weights.iter().map(|&w| w * n as f64 / total).collect();
-        let mut alias = vec![0usize; n];
-        let mut small: Vec<usize> = Vec::new();
-        let mut large: Vec<usize> = Vec::new();
-        for (i, &p) in prob.iter().enumerate() {
-            if p < 1.0 {
-                small.push(i);
-            } else {
-                large.push(i);
-            }
-        }
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            alias[s] = l;
-            prob[l] = (prob[l] + prob[s]) - 1.0;
-            if prob[l] < 1.0 {
-                large.pop();
-                small.push(l);
-            }
-        }
-        // Numerical leftovers: everything remaining keeps probability 1.
-        for &i in small.iter().chain(large.iter()) {
-            prob[i] = 1.0;
-        }
-        AliasTable { prob, alias }
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    /// True if the table has no categories (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
-    /// Samples a category index in O(1).
-    pub fn sample(&self, rng: &mut Rng) -> usize {
-        let i = rng.index(self.prob.len());
-        if rng.f64() < self.prob[i] {
-            i
-        } else {
-            self.alias[i]
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,36 +365,6 @@ mod tests {
         let z = Zipf::new(4, 0.0);
         for k in 0..4 {
             assert!((z.pmf(k) - 0.25).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn alias_table_matches_weights() {
-        let weights = [1.0, 2.0, 3.0, 4.0];
-        let table = AliasTable::new(&weights);
-        let mut rng = Rng::new(29);
-        let n = 400_000;
-        let mut counts = [0usize; 4];
-        for _ in 0..n {
-            counts[table.sample(&mut rng)] += 1;
-        }
-        for i in 0..4 {
-            let expected = weights[i] / 10.0;
-            let emp = counts[i] as f64 / n as f64;
-            assert!(
-                (emp - expected).abs() < 0.01,
-                "cat {i}: {emp} vs {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn alias_table_zero_weight_categories_never_sampled() {
-        let table = AliasTable::new(&[0.0, 1.0, 0.0, 1.0]);
-        let mut rng = Rng::new(31);
-        for _ in 0..10_000 {
-            let s = table.sample(&mut rng);
-            assert!(s == 1 || s == 3);
         }
     }
 

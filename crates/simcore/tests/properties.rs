@@ -3,7 +3,7 @@
 //! property-testing framework, so each property sweeps many seeded
 //! cases explicitly).
 
-use lina_simcore::{AliasTable, EventQueue, Rng, Samples, SimDuration, SimTime, Zipf};
+use lina_simcore::{EventQueue, Rng, Samples, SimDuration, SimTime, Zipf};
 
 #[test]
 fn simtime_add_sub_roundtrip() {
@@ -99,34 +99,6 @@ fn zipf_pmf_normalizes() {
         let z = Zipf::new(n, s);
         let total: f64 = (0..n).map(|k| z.pmf(k)).sum();
         assert!((total - 1.0).abs() < 1e-9);
-    }
-}
-
-#[test]
-fn alias_table_samples_only_positive_weights() {
-    let mut meta = Rng::new(0xA71A5);
-    for _ in 0..50 {
-        let n = 2 + meta.index(30);
-        let weights: Vec<f64> = (0..n)
-            .map(|_| {
-                if meta.bernoulli(0.3) {
-                    0.0
-                } else {
-                    meta.uniform(0.0, 10.0)
-                }
-            })
-            .collect();
-        if weights.iter().sum::<f64>() <= 1e-6 {
-            continue;
-        }
-        let table = AliasTable::new(&weights);
-        let mut rng = Rng::new(meta.next_u64());
-        for _ in 0..200 {
-            let i = table.sample(&mut rng);
-            assert!(i < weights.len());
-            // Zero-weight categories are never drawn.
-            assert!(weights[i] > 0.0);
-        }
     }
 }
 
