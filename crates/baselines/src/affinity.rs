@@ -111,7 +111,7 @@ mod tests {
                     cur = succ(cur);
                     sel.push(cur);
                 }
-                std::iter::repeat_n(TokenPath::new(e as usize, 1, sel.into()), 10)
+                std::iter::repeat_n(TokenPath::new(e as usize, 1, &sel), 10)
             })
             .collect();
         let batch = TokenBatch {

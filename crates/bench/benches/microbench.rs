@@ -303,12 +303,15 @@ fn bench_step_simulation() {
 fn bench_workload() {
     let spec = WorkloadSpec::enwik8(16, 12);
     let mut src = TokenSource::new(&spec, 1, 9);
+    // 12 layers at top-1 fit inside each token: one allocation per
+    // iteration, the batch's token `Vec`.
     bench("sample_batch_8k_tokens", move || {
         src.sample_batch(16, 512, Mode::Inference)
     });
     // The serving trace's token stage: each request samples as a
     // one-device batch, and the popular classes rotate every 100
-    // requests.
+    // requests. One allocation per request (its token `Vec`) plus the
+    // source's construction and the outer `Vec`.
     let spec = WorkloadSpec::enwik8(8, 6);
     bench("workload/request_stream", || {
         let mut src = TokenSource::new(&spec, 1, 9);

@@ -492,7 +492,7 @@ mod tests {
     #[should_panic(expected = "overflows a u64 path code")]
     fn overflowing_path_code_panics() {
         let batch = TokenBatch {
-            tokens: vec![TokenPath::new(0, 1, vec![0; 20].into())],
+            tokens: vec![TokenPath::new(0, 1, &[0; 20])],
             devices: 1,
             experts: 1 << 16,
         };
@@ -520,7 +520,7 @@ mod tests {
     fn mismatched_layer_count_panics() {
         let (first, mut other) = two_batches();
         let short = &other.tokens[1];
-        other.tokens[1] = TokenPath::new(short.class, 1, short.selections()[1..].into());
+        other.tokens[1] = TokenPath::new(short.class, 1, &short.selections()[1..]);
         PopularityEstimator::profile(&[first, other], 3);
     }
 
@@ -638,7 +638,7 @@ mod tests {
     fn unseen_path_falls_back_to_marginal() {
         let (est, _) = profiled(3);
         // An implausible path unlikely to be profiled.
-        let tok = TokenPath::new(0, 1, (0..12).map(|i| (i % 16) as u16).collect());
+        let tok = TokenPath::new(0, 1, &(0..12).map(|i| (i % 16) as u16).collect::<Vec<_>>());
         // Must not panic and must return a normalized distribution.
         let d = est.next_layer_distribution(&tok, 6);
         let total: f64 = d.iter().sum();

@@ -216,10 +216,11 @@ impl Replica {
     }
 
     /// The slot-free rule: a primary that left at `at`, bringing the
-    /// replica back under `max_inflight`, opens the slot at `at`.
+    /// replica back under `max_inflight`, opens the slot at `at`, or
+    /// later if a stall charged while it ran still holds dispatch.
     fn primary_left(&mut self, primaries: usize, at: SimTime) {
         if primaries == self.max_inflight - 1 {
-            self.slot_free = at;
+            self.slot_free = self.slot_free.max(at);
         }
     }
 
@@ -585,7 +586,7 @@ mod tests {
     /// cluster's admission does (the fixture replicas time out after
     /// 10 ms).
     fn admit(rep: &mut Replica, ordinal: usize, at: u64, arrival: u64) {
-        let token = TokenPath::new(0, 1, Box::new([0, 1, 2]));
+        let token = TokenPath::new(0, 1, &[0, 1, 2]);
         let req = Request {
             id: 100 + ordinal,
             arrival: ms(arrival),
@@ -663,6 +664,34 @@ mod tests {
         assert_eq!(done[0].completed, first);
         let d = rep.next_dispatch(&batcher).expect("a slot is free");
         assert_eq!(d.at, first);
+    }
+
+    /// A stall charged to a busy replica (a re-shard transfer, or the
+    /// re-placement after a device loss) outlives the primary it ran
+    /// beside: the completion does not reopen the slot before it.
+    #[test]
+    fn a_completion_keeps_a_stall_charged_in_flight() {
+        let f = fixture();
+        let batcher = Batcher::new(crate::BatcherConfig {
+            max_batch_requests: 1,
+            max_wait: SimDuration::from_millis(1),
+        });
+        let ready = SimTime::ZERO + f.pristine + f.pristine;
+        for device_loss in [false, true] {
+            let mut rep = replica(&f, NetworkMode::Solo, 1);
+            rep.submit(0, SimTime::ZERO, &f.plan);
+            if device_loss {
+                assert!(rep.lose_device(8, ready));
+            } else {
+                rep.stall_until(ready);
+            }
+            admit(&mut rep, 0, 0, 0);
+            let done = rep.advance_to(ready);
+            assert_eq!(done.len(), 1);
+            assert!(done[0].completed < ready, "the primary ends first");
+            let d = rep.next_dispatch(&batcher).expect("a slot is free");
+            assert_eq!(d.at, ready, "device loss {device_loss}");
+        }
     }
 
     /// Hedges ride outside the slot budget: a running hedge never

@@ -133,7 +133,7 @@ mod tests {
     use super::*;
 
     fn path(selections: &[u16]) -> TokenPath {
-        TokenPath::new(0, 1, selections.into())
+        TokenPath::new(0, 1, selections)
     }
 
     #[test]

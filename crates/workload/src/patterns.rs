@@ -178,7 +178,7 @@ mod tests {
         };
         assert_eq!(pattern_ratio(&empty, 0, 1), 0.0);
         let single_layer = TokenBatch {
-            tokens: vec![TokenPath::new(0, 1, Box::new([0]))],
+            tokens: vec![TokenPath::new(0, 1, &[0])],
             devices: 1,
             experts: 4,
         };
@@ -191,7 +191,7 @@ mod tests {
         // All tokens pick expert (class % 4) at every layer: groups are
         // pure, so the ratio is 1 at any k.
         let tokens: Vec<TokenPath> = (0..64)
-            .map(|i| TokenPath::new(i, 1, vec![(i % 4) as u16; 3].into()))
+            .map(|i| TokenPath::new(i, 1, &[(i % 4) as u16; 3]))
             .collect();
         let b = TokenBatch {
             tokens,

@@ -5,6 +5,9 @@
 //! class distribution. Batches carry enough structure for both sides of
 //! the evaluation: per-layer [`LayerRouting`] matrices for the execution
 //! engine and per-token sample paths for Lina's popularity estimator.
+//! A token stores its path inside itself up to 12 selections (every
+//! serving shape) and spills longer paths to the heap, so a batch of
+//! serving tokens is one allocation, its token `Vec`.
 
 use lina_simcore::{Rng, Zipf};
 
@@ -14,17 +17,85 @@ use crate::gating::{GatingModel, Mode};
 use crate::spec::WorkloadSpec;
 
 /// One token's trajectory through the model: its class and the gate's
-/// top-k selections at every layer, stored token-major in one
-/// allocation (`[layer][k]`, primary first within a layer).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// top-k selections at every layer, stored token-major (`[layer][k]`,
+/// primary first within a layer) inside the token up to 12 selections
+/// and in one heap allocation beyond.
+#[derive(Clone)]
 pub struct TokenPath {
     /// Latent semantic class (not visible to schedulers; only the
     /// generator and tests may look at it).
     pub class: usize,
-    /// Gate fan-out: selections per layer.
-    top_k: usize,
-    /// `selections[layer * top_k..][..top_k]` = layer `layer`'s top-k.
-    selections: Box<[u16]>,
+    /// The selections and the gate fan-out.
+    selections: Selections,
+}
+
+/// Selections a token holds without a heap allocation: every serving
+/// shape (6 layers at top-1 or top-2, 12 layers at top-1).
+const INLINE: usize = 12;
+
+/// A token's flat `[layer][k]` selections and its fan-out `k`: inline up
+/// to [`INLINE`] selections, spilled to the heap beyond. `k` lives in
+/// each variant, beside the enum tag, so a [`TokenPath`] is 40 bytes on
+/// 64-bit targets.
+#[derive(Clone)]
+enum Selections {
+    Inline {
+        top_k: u16,
+        len: u8,
+        buf: [u16; INLINE],
+    },
+    Spilled {
+        top_k: u16,
+        buf: Box<[u16]>,
+    },
+}
+
+impl Selections {
+    /// `len` zero selections of fan-out `top_k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `top_k` is zero, does not divide `len` or exceeds
+    /// `u16::MAX`.
+    fn zeroed(top_k: usize, len: usize) -> Self {
+        assert!(
+            top_k > 0 && len.is_multiple_of(top_k),
+            "TokenPath: {len} selections are not whole layers of top-{top_k}"
+        );
+        let top_k = u16::try_from(top_k).expect("TokenPath: top-k beyond u16");
+        if len <= INLINE {
+            Selections::Inline {
+                top_k,
+                len: len as u8,
+                buf: [0; INLINE],
+            }
+        } else {
+            Selections::Spilled {
+                top_k,
+                buf: vec![0; len].into_boxed_slice(),
+            }
+        }
+    }
+
+    fn top_k(&self) -> usize {
+        match *self {
+            Selections::Inline { top_k, .. } | Selections::Spilled { top_k, .. } => top_k.into(),
+        }
+    }
+
+    fn as_slice(&self) -> &[u16] {
+        match self {
+            Selections::Inline { len, buf, .. } => &buf[..usize::from(*len)],
+            Selections::Spilled { buf, .. } => buf,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [u16] {
+        match self {
+            Selections::Inline { len, buf, .. } => &mut buf[..usize::from(*len)],
+            Selections::Spilled { buf, .. } => buf,
+        }
+    }
 }
 
 impl TokenPath {
@@ -32,43 +103,41 @@ impl TokenPath {
     ///
     /// # Panics
     ///
-    /// Panics if `top_k` is zero or does not divide the selection count.
-    pub fn new(class: usize, top_k: usize, selections: Box<[u16]>) -> Self {
-        assert!(
-            top_k > 0 && selections.len().is_multiple_of(top_k),
-            "TokenPath: {} selections are not whole layers of top-{top_k}",
-            selections.len()
-        );
-        TokenPath {
+    /// Panics if `top_k` is zero, does not divide the selection count or
+    /// exceeds `u16::MAX`.
+    pub fn new(class: usize, top_k: usize, selections: &[u16]) -> Self {
+        let mut path = TokenPath {
             class,
-            top_k,
-            selections,
-        }
+            selections: Selections::zeroed(top_k, selections.len()),
+        };
+        path.selections.as_mut_slice().copy_from_slice(selections);
+        path
     }
 
     /// Layers the path covers.
     pub fn layers(&self) -> usize {
-        self.selections.len() / self.top_k
+        self.selections().len() / self.top_k()
     }
 
     /// Gate fan-out: selections per layer.
     pub fn top_k(&self) -> usize {
-        self.top_k
+        self.selections.top_k()
     }
 
     /// The gate's top-k experts at a layer, primary first.
     pub fn selection(&self, layer: usize) -> &[u16] {
-        &self.selections[layer * self.top_k..][..self.top_k]
+        let k = self.top_k();
+        &self.selections()[layer * k..][..k]
     }
 
     /// Every selection, `[layer][k]` token-major.
     pub fn selections(&self) -> &[u16] {
-        &self.selections
+        self.selections.as_slice()
     }
 
     /// The primary (top-1) expert at a layer.
     pub fn primary(&self, layer: usize) -> u16 {
-        self.selections[layer * self.top_k]
+        self.selections()[layer * self.top_k()]
     }
 
     /// The estimator's sample-path key: the primary selections of layers
@@ -79,10 +148,11 @@ impl TokenPath {
     /// this code modulo `experts^k`. The caller keeps `experts^len` within
     /// `u64`.
     pub fn path_code(&self, layer: usize, len: usize, experts: usize) -> u64 {
+        let k = self.top_k();
         let start = (layer + 1).saturating_sub(len);
-        self.selections[start * self.top_k..(layer + 1) * self.top_k]
+        self.selections()[start * k..(layer + 1) * k]
             .iter()
-            .step_by(self.top_k)
+            .step_by(k)
             .fold(0, |code, &e| {
                 debug_assert!(
                     usize::from(e) < experts,
@@ -90,6 +160,26 @@ impl TokenPath {
                 );
                 code * experts as u64 + u64::from(e)
             })
+    }
+}
+
+impl PartialEq for TokenPath {
+    fn eq(&self, other: &Self) -> bool {
+        self.class == other.class
+            && self.top_k() == other.top_k()
+            && self.selections() == other.selections()
+    }
+}
+
+impl Eq for TokenPath {}
+
+impl std::fmt::Debug for TokenPath {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TokenPath")
+            .field("class", &self.class)
+            .field("top_k", &self.top_k())
+            .field("selections", &self.selections())
+            .finish()
     }
 }
 
@@ -180,6 +270,9 @@ pub struct TokenSource {
     /// latent classes are currently popular without touching the
     /// trained class-to-expert maps.
     class_rotation: usize,
+    /// The current inference batch's burst topics, kept between calls
+    /// so a batch allocates only its token `Vec`.
+    topics: Vec<usize>,
 }
 
 impl TokenSource {
@@ -195,6 +288,7 @@ impl TokenSource {
             top_k,
             rng: Rng::new(seed),
             class_rotation: 0,
+            topics: Vec::new(),
         }
     }
 
@@ -259,20 +353,18 @@ impl TokenSource {
         let spec = self.gating.spec();
         let (burst_topics, burst_strength, experts) =
             (spec.burst_topics, spec.burst_strength, spec.experts);
-        let topics: Vec<usize> = if mode == Mode::Inference && burst_topics > 0 {
-            (0..burst_topics)
-                .map(|_| {
-                    let rank = self.class_dist.sample(&mut self.rng);
-                    self.rank_to_class(rank)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        self.topics.clear();
+        if mode == Mode::Inference {
+            for _ in 0..burst_topics {
+                let rank = self.class_dist.sample(&mut self.rng);
+                let class = self.rank_to_class(rank);
+                self.topics.push(class);
+            }
+        }
         let tokens = (0..n)
             .map(|_| {
-                if !topics.is_empty() && self.rng.bernoulli(burst_strength) {
-                    let class = topics[self.rng.index(topics.len())];
+                if !self.topics.is_empty() && self.rng.bernoulli(burst_strength) {
+                    let class = self.topics[self.rng.index(self.topics.len())];
                     self.sample_token_of_class(class, mode)
                 } else {
                     self.sample_token(mode)
@@ -286,14 +378,22 @@ impl TokenSource {
         }
     }
 
-    /// Samples a token with a fixed latent class: the token's one
-    /// allocation, filled by one whole-path draw.
+    /// Samples a token with a fixed latent class: one whole-path draw
+    /// straight into the token's selections.
     pub fn sample_token_of_class(&mut self, class: usize, mode: Mode) -> TokenPath {
         let k = self.top_k;
-        let mut selections = vec![0u16; self.gating.spec().layers * k].into_boxed_slice();
-        self.gating
-            .select_path(class, k, mode, &mut self.rng, &mut selections);
-        TokenPath::new(class, k, selections)
+        let mut path = TokenPath {
+            class,
+            selections: Selections::zeroed(k, self.gating.spec().layers * k),
+        };
+        self.gating.select_path(
+            class,
+            k,
+            mode,
+            &mut self.rng,
+            path.selections.as_mut_slice(),
+        );
+        path
     }
 }
 
@@ -361,7 +461,7 @@ mod tests {
 
     #[test]
     fn paths_and_codes() {
-        let tok = TokenPath::new(0, 1, Box::new([3, 7, 1, 4]));
+        let tok = TokenPath::new(0, 1, &[3, 7, 1, 4]);
         assert_eq!(tok.layers(), 4);
         assert_eq!(tok.selection(1), &[7]);
         assert_eq!(tok.primary(2), 1);
@@ -375,7 +475,7 @@ mod tests {
         // A shorter suffix is the low digits of a longer one.
         assert_eq!(tok.path_code(3, 4, 8) % 8u64.pow(3), tok.path_code(3, 3, 8));
         // Top-2: codes read only the primaries, strided past the rest.
-        let two = TokenPath::new(0, 2, Box::new([3, 9, 7, 0, 1, 5, 4, 2]));
+        let two = TokenPath::new(0, 2, &[3, 9, 7, 0, 1, 5, 4, 2]);
         assert_eq!(two.layers(), 4);
         assert_eq!(two.selection(2), &[1, 5]);
         assert_eq!(two.primary(3), 4);
@@ -383,10 +483,47 @@ mod tests {
         assert_eq!(two.path_code(1, 3, 10), 37);
     }
 
+    /// Both storage forms, on either side of the inline capacity, read
+    /// back exactly as a flat `Vec` of the same selections.
+    #[test]
+    fn storage_agrees_with_a_flat_reference() {
+        for k in [1, 2] {
+            for len in [10, 11, 12, 13, 14, 48].into_iter().filter(|l| l % k == 0) {
+                let flat: Vec<u16> = (0..len).map(|i| (i * 7 % 16) as u16).collect();
+                let tok = TokenPath::new(3, k, &flat);
+                let inline = matches!(tok.selections, Selections::Inline { .. });
+                assert_eq!(inline, len <= INLINE, "{len} selections");
+                assert_eq!((tok.layers(), tok.top_k()), (len / k, k));
+                assert_eq!(tok.selections(), flat);
+                for layer in 0..len / k {
+                    assert_eq!(tok.selection(layer), &flat[layer * k..][..k]);
+                    assert_eq!(tok.primary(layer), flat[layer * k]);
+                    for n in 1..=4 {
+                        let start = (layer + 1).saturating_sub(n);
+                        let code = (start..=layer).fold(0, |c, l| c * 16 + u64::from(flat[l * k]));
+                        assert_eq!(tok.path_code(layer, n, 16), code);
+                    }
+                }
+                assert_eq!(tok.clone(), tok);
+                let mut other = flat.clone();
+                other[len - 1] ^= 1;
+                assert_ne!(TokenPath::new(3, k, &other), tok);
+                assert_ne!(TokenPath::new(4, k, &flat), tok);
+            }
+        }
+        assert_ne!(TokenPath::new(0, 1, &[1, 2]), TokenPath::new(0, 2, &[1, 2]));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_token_is_at_most_40_bytes() {
+        assert!(std::mem::size_of::<TokenPath>() <= 40);
+    }
+
     #[test]
     #[should_panic(expected = "not whole layers of top-2")]
     fn ragged_selections_panic() {
-        TokenPath::new(0, 2, Box::new([1, 2, 3]));
+        TokenPath::new(0, 2, &[1, 2, 3]);
     }
 
     #[test]

@@ -135,7 +135,9 @@ fn probes(spec: &WorkloadSpec, layers: usize, experts: usize) -> Vec<TokenPath> 
         TokenPath::new(
             0,
             1,
-            (0..layers).map(|_| rng.index(experts) as u16).collect(),
+            &(0..layers)
+                .map(|_| rng.index(experts) as u16)
+                .collect::<Vec<_>>(),
         )
     }));
     tokens
@@ -216,7 +218,9 @@ fn memo_eviction_matches_the_reference_bit_for_bit() {
         TokenPath::new(
             0,
             1,
-            (0..layers).map(|_| rng.index(experts) as u16).collect(),
+            &(0..layers)
+                .map(|_| rng.index(experts) as u16)
+                .collect::<Vec<_>>(),
         )
     }));
     let mut probe = once.clone();
