@@ -2,9 +2,9 @@
 //! all-to-all dominating (the paper measures 74.9% of the layer).
 
 use lina_baselines::TrainScheme;
-use lina_model::{CommClass, MoeModelConfig, OpKind};
+use lina_model::{CommClass, MoeModelConfig};
 use lina_runner::train::run_train_step;
-use lina_simcore::{format_pct, Report, SimDuration, SimTime, SpanKind};
+use lina_simcore::{format_pct, Report, SimDuration, SimTime};
 
 use crate::ScenarioCtx;
 
@@ -23,28 +23,14 @@ pub fn run(_ctx: &ScenarioCtx) -> Report {
     let mut hi = SimTime::ZERO;
     let mut a2a_time = SimDuration::ZERO;
     for (i, op) in run.graph.ops().iter().enumerate() {
-        if op.layer != Some(layer) || op.backward {
-            continue;
-        }
-        let in_moe = match &op.kind {
-            OpKind::Compute { span, .. } => {
-                matches!(
-                    span,
-                    SpanKind::Gate | SpanKind::ExpertFfn | SpanKind::Combine
-                )
-            }
-            OpKind::Comm { meta, .. } => meta.class == CommClass::AllToAll,
-        };
-        if !in_moe {
+        if op.layer != Some(layer) || op.backward || !op.in_moe_window() {
             continue;
         }
         let (s, e) = run.exec.window(lina_model::OpId(i as u32));
         lo = lo.min(s);
         hi = hi.max(e);
-        if let OpKind::Comm { meta, .. } = &op.kind {
-            if meta.class == CommClass::AllToAll {
-                a2a_time += e - s;
-            }
+        if op.comm_class() == Some(CommClass::AllToAll) {
+            a2a_time += e - s;
         }
     }
     let layer_time = hi - lo;

@@ -3,7 +3,7 @@
 //! concurrent allreduce.
 
 use lina_baselines::TrainScheme;
-use lina_model::{CommClass, MoeModelConfig, OpKind};
+use lina_model::{CommClass, MoeModelConfig};
 use lina_runner::train::run_train_step;
 use lina_simcore::{format_speedup, Report, SimTime};
 
@@ -52,21 +52,17 @@ pub fn run(_ctx: &ScenarioCtx) -> Report {
     // all-to-all (the Figure 5 situation).
     let mut a2a_windows: Vec<(SimTime, SimTime)> = Vec::new();
     for (i, op) in run.graph.ops().iter().enumerate() {
-        if let OpKind::Comm { meta, .. } = &op.kind {
-            if meta.class == CommClass::AllToAll && meta.backward {
-                a2a_windows.push(run.exec.window(lina_model::OpId(i as u32)));
-            }
+        if op.comm_class() == Some(CommClass::AllToAll) && op.backward {
+            a2a_windows.push(run.exec.window(lina_model::OpId(i as u32)));
         }
     }
     let mut window: Option<(SimTime, SimTime)> = None;
     for (i, op) in run.graph.ops().iter().enumerate() {
-        if let OpKind::Comm { meta, .. } = &op.kind {
-            if meta.class == CommClass::Allreduce {
-                let (s, e) = run.exec.window(lina_model::OpId(i as u32));
-                let overlaps = a2a_windows.iter().any(|&(as_, ae)| as_ < e && ae > s);
-                if overlaps && window.is_none_or(|(ws, we)| (e - s) > (we - ws)) {
-                    window = Some((s, e));
-                }
+        if op.comm_class() == Some(CommClass::Allreduce) {
+            let (s, e) = run.exec.window(lina_model::OpId(i as u32));
+            let overlaps = a2a_windows.iter().any(|&(as_, ae)| as_ < e && ae > s);
+            if overlaps && window.is_none_or(|(ws, we)| (e - s) > (we - ws)) {
+                window = Some((s, e));
             }
         }
     }

@@ -3,7 +3,7 @@
 //! partitioned all-to-all pipelines with the expert FFN.
 
 use lina_baselines::TrainScheme;
-use lina_model::{CommClass, MoeModelConfig, OpKind};
+use lina_model::{CommClass, MoeModelConfig};
 use lina_runner::train::run_train_step;
 use lina_simcore::{format_pct, format_secs, Report, SimTime};
 
@@ -46,14 +46,10 @@ pub fn run(_ctx: &ScenarioCtx) -> Report {
     let mut lo = SimTime::MAX;
     let mut hi = SimTime::ZERO;
     for (i, op) in lina.graph.ops().iter().enumerate() {
-        if op.layer == Some(6) && op.backward {
-            if let OpKind::Comm { meta, .. } = &op.kind {
-                if meta.class == CommClass::AllToAll {
-                    let (s, e) = lina.exec.window(lina_model::OpId(i as u32));
-                    lo = lo.min(s);
-                    hi = hi.max(e);
-                }
-            }
+        if op.layer == Some(6) && op.backward && op.comm_class() == Some(CommClass::AllToAll) {
+            let (s, e) = lina.exec.window(lina_model::OpId(i as u32));
+            lo = lo.min(s);
+            hi = hi.max(e);
         }
     }
     let pad = (hi - lo) / 3;

@@ -2,10 +2,10 @@
 //!
 //! A training step compiles to a DAG of *compute ops* (pinned to a
 //! device, with a duration from the cost model) and *communication ops*
-//! (a collective spec plus metadata the scheduler keys on). The runner
-//! executes the DAG over the network simulator; scheduling policies only
-//! decide the admission order of communication ops — exactly the control
-//! a real communication scheduler has over NCCL.
+//! (a collective spec plus the logical operation it is a chunk of). The
+//! runner executes the DAG over the network simulator; scheduling
+//! policies only decide the admission order of communication ops —
+//! exactly the control a real communication scheduler has over NCCL.
 
 use lina_netsim::{CollectiveSpec, DeviceId};
 use lina_simcore::{SimDuration, SpanKind};
@@ -23,26 +23,6 @@ pub enum CommClass {
     Allreduce,
 }
 
-/// Metadata attached to a communication op.
-#[derive(Clone, Copy, Debug)]
-pub struct CommMeta {
-    /// Class of the operation.
-    pub class: CommClass,
-    /// Model layer the op belongs to.
-    pub layer: usize,
-    /// Chunk index when the tensor is partitioned into micro-ops.
-    pub chunk: usize,
-    /// Total chunks of the parent tensor (1 = not partitioned).
-    pub nchunks: usize,
-    /// Payload bytes per participating device (for diagnostics).
-    pub bytes_per_device: f64,
-    /// True for backward-pass communication.
-    pub backward: bool,
-    /// Identifier of the logical operation this micro-op belongs to
-    /// (chunks of one partitioned tensor share it).
-    pub op_index: usize,
-}
-
 /// What an op does.
 #[derive(Clone, Debug)]
 pub enum OpKind {
@@ -55,12 +35,14 @@ pub enum OpKind {
         /// Category for the timeline.
         span: SpanKind,
     },
-    /// A collective communication operation.
+    /// A collective communication operation; its spec's collective is
+    /// its stream ([`Op::comm_class`]).
     Comm {
         /// What to launch on the network.
         spec: CollectiveSpec,
-        /// Scheduling metadata.
-        meta: CommMeta,
+        /// The logical operation this micro-op is a chunk of (chunks of
+        /// one partitioned tensor share it).
+        logical: usize,
     },
 }
 
@@ -75,8 +57,34 @@ pub struct Op {
     pub layer: Option<usize>,
     /// True for backward-pass work.
     pub backward: bool,
-    /// Human-readable label for timelines.
-    pub label: String,
+}
+
+impl Op {
+    /// The stream a comm op runs on, named by its spec's collective;
+    /// `None` for compute.
+    pub fn comm_class(&self) -> Option<CommClass> {
+        match &self.kind {
+            OpKind::Compute { .. } => None,
+            OpKind::Comm { spec, .. } => Some(match spec {
+                CollectiveSpec::AllToAll { .. } => CommClass::AllToAll,
+                CollectiveSpec::AllReduce { .. } => CommClass::Allreduce,
+            }),
+        }
+    }
+
+    /// True for the work of an MoE layer's window, gate through
+    /// combine: gate, expert FFN and combine compute, and all-to-all.
+    pub fn in_moe_window(&self) -> bool {
+        match &self.kind {
+            OpKind::Compute { span, .. } => {
+                matches!(
+                    span,
+                    SpanKind::Gate | SpanKind::ExpertFfn | SpanKind::Combine
+                )
+            }
+            OpKind::Comm { .. } => self.comm_class() == Some(CommClass::AllToAll),
+        }
+    }
 }
 
 /// A dependency graph of ops. Construction is append-only and an op may
@@ -128,21 +136,8 @@ impl OpGraph {
         id
     }
 
-    /// Convenience: adds an untagged compute op.
-    pub fn add_compute(
-        &mut self,
-        device: DeviceId,
-        duration: SimDuration,
-        span: SpanKind,
-        deps: Vec<OpId>,
-        label: impl Into<String>,
-    ) -> OpId {
-        self.add_compute_tagged(device, duration, span, deps, None, false, label)
-    }
-
     /// Adds a compute op tagged with its layer and pass direction.
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_compute_tagged(
+    pub fn add_compute(
         &mut self,
         device: DeviceId,
         duration: SimDuration,
@@ -150,7 +145,6 @@ impl OpGraph {
         deps: Vec<OpId>,
         layer: Option<usize>,
         backward: bool,
-        label: impl Into<String>,
     ) -> OpId {
         self.add(Op {
             deps,
@@ -161,25 +155,24 @@ impl OpGraph {
             },
             layer,
             backward,
-            label: label.into(),
         })
     }
 
-    /// Convenience: adds a communication op (layer/direction tags come
-    /// from the meta).
+    /// Adds a communication op, a chunk of logical operation `logical`
+    /// of `layer`.
     pub fn add_comm(
         &mut self,
         spec: CollectiveSpec,
-        meta: CommMeta,
+        logical: usize,
+        layer: usize,
+        backward: bool,
         deps: Vec<OpId>,
-        label: impl Into<String>,
     ) -> OpId {
         self.add(Op {
             deps,
-            kind: OpKind::Comm { spec, meta },
-            layer: Some(meta.layer),
-            backward: meta.backward,
-            label: label.into(),
+            kind: OpKind::Comm { spec, logical },
+            layer: Some(layer),
+            backward,
         })
     }
 
@@ -188,7 +181,7 @@ impl OpGraph {
         self.ops
             .iter()
             .enumerate()
-            .filter(|(_, op)| matches!(&op.kind, OpKind::Comm { meta, .. } if meta.class == class))
+            .filter(|(_, op)| op.comm_class() == Some(class))
             .map(|(i, _)| OpId(i as u32))
             .collect()
     }
@@ -208,28 +201,14 @@ impl OpGraph {
             .sum()
     }
 
-    /// Validates structural invariants: all dependency edges point
-    /// backwards (acyclicity) and every op has a well-formed payload
-    /// (a comm op's chunk is in range and its class names its spec's
-    /// collective). Returns the number of edges checked.
+    /// Validates that every dependency edge points backwards
+    /// (acyclicity). Returns the number of edges checked.
     pub fn validate(&self) -> usize {
         let mut edges = 0;
         for (i, op) in self.ops.iter().enumerate() {
             for d in &op.deps {
                 assert!((d.0 as usize) < i, "op {i} depends forward on {:?}", d);
                 edges += 1;
-            }
-            if let OpKind::Comm { spec, meta } = &op.kind {
-                assert!(meta.chunk < meta.nchunks, "op {i}: chunk out of range");
-                let agrees = match meta.class {
-                    CommClass::AllToAll => matches!(spec, CollectiveSpec::AllToAll { .. }),
-                    CommClass::Allreduce => matches!(spec, CollectiveSpec::AllReduce { .. }),
-                };
-                assert!(
-                    agrees,
-                    "op {i}: {:?} op carries another collective's spec",
-                    meta.class
-                );
             }
         }
         edges
@@ -241,18 +220,6 @@ mod tests {
     use super::*;
     use lina_netsim::AllToAllAlgo;
 
-    fn comm_meta() -> CommMeta {
-        CommMeta {
-            class: CommClass::AllToAll,
-            layer: 0,
-            chunk: 0,
-            nchunks: 1,
-            bytes_per_device: 1.0,
-            backward: false,
-            op_index: 0,
-        }
-    }
-
     #[test]
     fn build_and_validate() {
         let mut g = OpGraph::new();
@@ -261,7 +228,8 @@ mod tests {
             SimDuration::from_millis(1),
             SpanKind::Attention,
             vec![],
-            "attn",
+            None,
+            false,
         );
         let b = g.add_comm(
             CollectiveSpec::uniform_all_to_all(
@@ -269,47 +237,41 @@ mod tests {
                 10.0,
                 AllToAllAlgo::Flat,
             ),
-            comm_meta(),
+            0,
+            0,
+            false,
             vec![a],
-            "a2a",
         );
-        let _c = g.add_compute(
-            DeviceId(1),
-            SimDuration::from_millis(2),
-            SpanKind::ExpertFfn,
+        let c = g.add_comm(
+            CollectiveSpec::AllReduce {
+                participants: vec![DeviceId(0), DeviceId(1)],
+                bytes: 10.0,
+            },
+            1,
+            0,
+            true,
             vec![b],
-            "ffn",
         );
         assert_eq!(g.len(), 3);
         assert_eq!(g.validate(), 2);
-        assert_eq!(g.comm_ops(CommClass::AllToAll), vec![OpId(1)]);
-        assert!(g.comm_ops(CommClass::Allreduce).is_empty());
+        assert_eq!(g.comm_ops(CommClass::AllToAll), vec![b]);
+        assert_eq!(g.comm_ops(CommClass::Allreduce), vec![c]);
+        assert_eq!(g.op(a).comm_class(), None);
+        assert!(g.op(b).in_moe_window() && !g.op(c).in_moe_window());
+        assert!(!g.op(a).in_moe_window());
     }
 
     #[test]
     fn compute_time_sums_per_device() {
         let mut g = OpGraph::new();
-        g.add_compute(
-            DeviceId(0),
-            SimDuration::from_millis(1),
-            SpanKind::Gate,
-            vec![],
-            "",
-        );
-        g.add_compute(
-            DeviceId(0),
-            SimDuration::from_millis(2),
-            SpanKind::Combine,
-            vec![],
-            "",
-        );
-        g.add_compute(
-            DeviceId(1),
-            SimDuration::from_millis(5),
-            SpanKind::Gate,
-            vec![],
-            "",
-        );
+        for (d, ms, span) in [
+            (0, 1, SpanKind::Gate),
+            (0, 2, SpanKind::Combine),
+            (1, 5, SpanKind::Gate),
+        ] {
+            let dur = SimDuration::from_millis(ms);
+            g.add_compute(DeviceId(d), dur, span, vec![], None, false);
+        }
         assert_eq!(g.compute_time_on(DeviceId(0)), SimDuration::from_millis(3));
         assert_eq!(g.compute_time_on(DeviceId(1)), SimDuration::from_millis(5));
         assert_eq!(g.compute_time_on(DeviceId(2)), SimDuration::ZERO);
@@ -324,23 +286,8 @@ mod tests {
             SimDuration::ZERO,
             SpanKind::Attention,
             vec![OpId(5)],
-            "bad",
+            None,
+            false,
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "carries another collective's spec")]
-    fn validate_rejects_a_class_its_spec_disagrees_with() {
-        let mut g = OpGraph::new();
-        g.add_comm(
-            CollectiveSpec::AllReduce {
-                participants: vec![DeviceId(0), DeviceId(1)],
-                bytes: 10.0,
-            },
-            comm_meta(),
-            vec![],
-            "a2a",
-        );
-        g.validate();
     }
 }

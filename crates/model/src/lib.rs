@@ -16,7 +16,7 @@ pub mod routing;
 
 pub use config::{BatchShape, ModelKind, MoeModelConfig};
 pub use cost::{CostModel, DeviceSpec};
-pub use graph::{CommClass, CommMeta, Op, OpGraph, OpId, OpKind};
+pub use graph::{CommClass, Op, OpGraph, OpId, OpKind};
 pub use passes::{balanced_routing, build_train_step, A2aChunking, GradCommMode, TrainStepOptions};
 pub use routing::{
     assign_replicas, transpose, DispatchPlan, ExpertPlacement, LayerRouting, LayeredPlacement,

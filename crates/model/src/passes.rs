@@ -16,8 +16,8 @@
 //! is built with the flat algorithm.
 
 // Device/layer indices address several parallel structures at once
-// (op tails, dependency lists, `DeviceId`, op labels); zipped iterators
-// would obscure that.
+// (op tails, dependency lists, `DeviceId`); zipped iterators would
+// obscure that.
 #![allow(clippy::needless_range_loop)]
 
 use lina_netsim::{AllToAllAlgo, CollectiveSpec, DeviceId, Topology};
@@ -25,8 +25,12 @@ use lina_simcore::{Rng, SimDuration, SpanKind};
 
 use crate::config::{BatchShape, MoeModelConfig};
 use crate::cost::CostModel;
-use crate::graph::{CommClass, CommMeta, OpGraph, OpId};
+use crate::graph::{OpGraph, OpId};
 use crate::routing::{assign_replicas, transpose, DispatchPlan, ExpertPlacement, LayerRouting};
+
+/// Log-normal sigma applied to every compute duration (models kernel
+/// time variance).
+const JITTER_SIGMA: f64 = 0.03;
 
 /// How non-expert gradients travel through allreduce.
 #[derive(Clone, Copy, Debug)]
@@ -69,10 +73,7 @@ pub struct TrainStepOptions {
     pub pipeline_ffn: bool,
     /// Expert-to-device placement (packing/replication).
     pub placement: ExpertPlacement,
-    /// Log-normal sigma applied to compute durations (models kernel
-    /// time variance; 0 disables).
-    pub jitter_sigma: f64,
-    /// Seed for the jitter stream.
+    /// Seed for the compute-duration jitter stream.
     pub seed: u64,
 }
 
@@ -87,7 +88,6 @@ impl TrainStepOptions {
             a2a_chunking: A2aChunking::Whole,
             pipeline_ffn: false,
             placement: ExpertPlacement::one_per_device(experts, devices),
-            jitter_sigma: 0.03,
             seed: 1,
         }
     }
@@ -100,7 +100,6 @@ impl TrainStepOptions {
             a2a_chunking: A2aChunking::FixedBytes(30e6),
             pipeline_ffn: true,
             placement,
-            jitter_sigma: 0.03,
             seed: 1,
         }
     }
@@ -114,7 +113,8 @@ struct StepBuilder<'a> {
     batch: BatchShape,
     graph: OpGraph,
     rng: Rng,
-    next_op_index: usize,
+    /// The next logical comm operation's id.
+    next_logical: usize,
 }
 
 impl<'a> StepBuilder<'a> {
@@ -127,10 +127,13 @@ impl<'a> StepBuilder<'a> {
     }
 
     fn jittered(&mut self, d: SimDuration) -> SimDuration {
-        if self.opts.jitter_sigma <= 0.0 {
-            return d;
-        }
-        d.mul_f64(self.rng.jitter(self.opts.jitter_sigma))
+        d.mul_f64(self.rng.jitter(JITTER_SIGMA))
+    }
+
+    /// Draws the id of a new logical comm operation.
+    fn new_logical(&mut self) -> usize {
+        self.next_logical += 1;
+        self.next_logical - 1
     }
 
     /// Number of all-to-all micro-ops for a dispatch plan.
@@ -161,7 +164,6 @@ impl<'a> StepBuilder<'a> {
         layer: usize,
         backward: bool,
         deps_per_chunk: &[Vec<OpId>],
-        which: &str,
     ) -> Vec<OpId> {
         let any_remote = sizes
             .iter()
@@ -171,12 +173,7 @@ impl<'a> StepBuilder<'a> {
             return Vec::new();
         }
         let participants: Vec<DeviceId> = self.topo.device_ids().collect();
-        let per_device_bytes = sizes
-            .iter()
-            .map(|row| row.iter().sum::<f64>())
-            .fold(0.0, f64::max);
-        let op_index = self.next_op_index;
-        self.next_op_index += 1;
+        let logical = self.new_logical();
         let mut ids = Vec::with_capacity(nchunks);
         for chunk in 0..nchunks {
             let chunk_sizes: Vec<Vec<f64>> = sizes
@@ -188,27 +185,8 @@ impl<'a> StepBuilder<'a> {
                 sizes: chunk_sizes,
                 algo: AllToAllAlgo::Flat,
             };
-            let meta = CommMeta {
-                class: CommClass::AllToAll,
-                layer,
-                chunk,
-                nchunks,
-                bytes_per_device: per_device_bytes / nchunks as f64,
-                backward,
-                op_index,
-            };
-            let dir = if backward { "bwd" } else { "fwd" };
-            let deps = if deps_per_chunk.len() == 1 {
-                deps_per_chunk[0].clone()
-            } else {
-                deps_per_chunk[chunk.min(deps_per_chunk.len() - 1)].clone()
-            };
-            ids.push(self.graph.add_comm(
-                spec,
-                meta,
-                deps,
-                format!("L{layer} a2a{which} {dir} {}/{}", chunk + 1, nchunks),
-            ));
+            let deps = deps_per_chunk[chunk.min(deps_per_chunk.len() - 1)].clone();
+            ids.push(self.graph.add_comm(spec, logical, layer, backward, deps));
         }
         ids
     }
@@ -253,15 +231,13 @@ impl<'a> StepBuilder<'a> {
                 if let Some(prev) = last {
                     deps.push(prev);
                 }
-                let dir = if backward { "bwd" } else { "fwd" };
-                let id = self.graph.add_compute_tagged(
+                let id = self.graph.add_compute(
                     DeviceId(d as u32),
                     dur,
                     SpanKind::ExpertFfn,
                     deps,
                     Some(layer),
                     backward,
-                    format!("L{layer} ffn {dir} d{d} {}/{}", chunk + 1, nchunks),
                 );
                 last = Some(id);
                 per_chunk[chunk].push(id);
@@ -283,30 +259,28 @@ impl<'a> StepBuilder<'a> {
             for d in 0..self.devices() {
                 let dep: Vec<OpId> = tails[d].into_iter().collect();
                 let attn_dur = self.jittered(self.cost.attention_fwd(tokens));
-                let attn = self.graph.add_compute_tagged(
+                let attn = self.graph.add_compute(
                     DeviceId(d as u32),
                     attn_dur,
                     SpanKind::Attention,
                     dep,
                     Some(layer),
                     false,
-                    format!("L{layer} attn fwd d{d}"),
                 );
                 let gate_dur = self.jittered(self.cost.gate_fwd(tokens));
-                let gate = self.graph.add_compute_tagged(
+                let gate = self.graph.add_compute(
                     DeviceId(d as u32),
                     gate_dur,
                     SpanKind::Gate,
                     vec![attn],
                     Some(layer),
                     false,
-                    format!("L{layer} gate fwd d{d}"),
                 );
                 gate_ids.push(gate);
             }
             // First all-to-all: tokens to experts.
             let bytes = plan.byte_matrix(self.model().token_bytes());
-            let a2a1 = self.emit_a2a(&bytes, nchunks, layer, false, &[gate_ids.clone()], "#1");
+            let a2a1 = self.emit_a2a(&bytes, nchunks, layer, false, &[gate_ids.clone()]);
             // Expert FFN.
             let gate_deps: Vec<Vec<OpId>> =
                 (0..self.devices()).map(|d| vec![gate_ids[d]]).collect();
@@ -321,20 +295,19 @@ impl<'a> StepBuilder<'a> {
             } else {
                 vec![ffn_last.clone()]
             };
-            let a2a2 = self.emit_a2a(&bytes_t, nchunks, layer, false, &a2a2_deps, "#2");
+            let a2a2 = self.emit_a2a(&bytes_t, nchunks, layer, false, &a2a2_deps);
             // Combine per device.
             for d in 0..self.devices() {
                 let mut deps: Vec<OpId> = a2a2.clone();
                 deps.push(ffn_last[d]);
                 let dur = self.jittered(self.cost.combine(tokens));
-                let id = self.graph.add_compute_tagged(
+                let id = self.graph.add_compute(
                     DeviceId(d as u32),
                     dur,
                     SpanKind::Combine,
                     deps,
                     Some(layer),
                     false,
-                    format!("L{layer} combine fwd d{d}"),
                 );
                 tails[d] = Some(id);
             }
@@ -359,7 +332,6 @@ impl<'a> StepBuilder<'a> {
         // order (reverse layers) and flush when the bucket is full.
         let mut bucket_bytes_acc = 0.0;
         let mut bucket_deps: Vec<OpId> = Vec::new();
-        let mut bucket_seq = 0usize;
         for layer in (0..self.model().layers).rev() {
             let plan = assign_replicas(&routing[layer], &self.opts.placement, self.topo);
             let nchunks = self.a2a_chunks(&plan);
@@ -368,14 +340,13 @@ impl<'a> StepBuilder<'a> {
             let mut comb_ids = Vec::with_capacity(self.devices());
             for d in 0..self.devices() {
                 let dur = self.jittered(self.cost.combine(tokens));
-                let id = self.graph.add_compute_tagged(
+                let id = self.graph.add_compute(
                     DeviceId(d as u32),
                     dur,
                     SpanKind::Combine,
                     vec![tails[d]],
                     Some(layer),
                     true,
-                    format!("L{layer} combine bwd d{d}"),
                 );
                 comb_ids.push(id);
             }
@@ -383,7 +354,7 @@ impl<'a> StepBuilder<'a> {
             // direction pattern as forward's transpose... the gradient
             // of the combine flows back along the forward #2 links).
             let bytes_t = transpose(&bytes);
-            let a2a2b = self.emit_a2a(&bytes_t, nchunks, layer, true, &[comb_ids.clone()], "#2");
+            let a2a2b = self.emit_a2a(&bytes_t, nchunks, layer, true, &[comb_ids.clone()]);
             // Expert FFN backward.
             let comb_deps: Vec<Vec<OpId>> =
                 (0..self.devices()).map(|d| vec![comb_ids[d]]).collect();
@@ -395,7 +366,7 @@ impl<'a> StepBuilder<'a> {
             } else {
                 vec![ffn_last.clone()]
             };
-            let a2a1b = self.emit_a2a(&bytes, nchunks, layer, true, &a2a1_deps, "#1");
+            let a2a1b = self.emit_a2a(&bytes, nchunks, layer, true, &a2a1_deps);
             // Gate + attention backward per device; produces this
             // layer's non-expert gradients.
             let mut grad_ready = Vec::with_capacity(self.devices());
@@ -403,24 +374,22 @@ impl<'a> StepBuilder<'a> {
                 let mut deps: Vec<OpId> = a2a1b.clone();
                 deps.push(ffn_last[d]);
                 let gate_dur = self.jittered(self.cost.gate_bwd(tokens));
-                let gate = self.graph.add_compute_tagged(
+                let gate = self.graph.add_compute(
                     DeviceId(d as u32),
                     gate_dur,
                     SpanKind::Gate,
                     deps,
                     Some(layer),
                     true,
-                    format!("L{layer} gate bwd d{d}"),
                 );
                 let attn_dur = self.jittered(self.cost.attention_bwd(tokens));
-                let attn = self.graph.add_compute_tagged(
+                let attn = self.graph.add_compute(
                     DeviceId(d as u32),
                     attn_dur,
                     SpanKind::Attention,
                     vec![gate],
                     Some(layer),
                     true,
-                    format!("L{layer} attn bwd d{d}"),
                 );
                 grad_ready.push(attn);
                 tails[d] = attn;
@@ -433,69 +402,47 @@ impl<'a> StepBuilder<'a> {
                     bucket_deps.extend_from_slice(&grad_ready);
                     let flush = bucket_bytes_acc >= bucket_bytes || layer == 0;
                     if flush {
+                        let logical = self.new_logical();
+                        let deps = std::mem::take(&mut bucket_deps);
                         allreduce_ids.push(self.emit_allreduce(
                             bucket_bytes_acc,
+                            logical,
                             layer,
-                            bucket_seq,
-                            0,
-                            1,
-                            &bucket_deps.clone(),
+                            deps,
                         ));
-                        bucket_seq += 1;
                         bucket_bytes_acc = 0.0;
-                        bucket_deps.clear();
                     }
                 }
                 GradCommMode::Partitioned { chunk_bytes } => {
                     let n = ((grad_bytes / chunk_bytes).ceil() as usize).max(1);
-                    for chunk in 0..n {
+                    let logical = self.new_logical();
+                    for _ in 0..n {
                         allreduce_ids.push(self.emit_allreduce(
                             grad_bytes / n as f64,
+                            logical,
                             layer,
-                            bucket_seq,
-                            chunk,
-                            n,
-                            &grad_ready,
+                            grad_ready.clone(),
                         ));
                     }
-                    bucket_seq += 1;
                 }
             }
         }
         (tails, allreduce_ids)
     }
 
+    /// Emits one backward allreduce micro-op of `bytes` per device.
     fn emit_allreduce(
         &mut self,
         bytes: f64,
+        logical: usize,
         layer: usize,
-        seq: usize,
-        chunk: usize,
-        nchunks: usize,
-        deps: &[OpId],
+        deps: Vec<OpId>,
     ) -> OpId {
-        let participants: Vec<DeviceId> = self.topo.device_ids().collect();
         let spec = CollectiveSpec::AllReduce {
-            participants,
+            participants: self.topo.device_ids().collect(),
             bytes,
         };
-        let meta = CommMeta {
-            class: CommClass::Allreduce,
-            layer,
-            chunk,
-            nchunks,
-            bytes_per_device: bytes,
-            backward: true,
-            // Allreduce logical ids live in their own space; offset far
-            // from the all-to-all op indices.
-            op_index: 1_000_000 + seq * 1_000 + chunk,
-        };
-        self.graph.add_comm(
-            spec,
-            meta,
-            deps.to_vec(),
-            format!("L{layer} allreduce {}/{}", chunk + 1, nchunks),
-        )
+        self.graph.add_comm(spec, logical, layer, true, deps)
     }
 
     fn finish(mut self, routing: &[LayerRouting]) -> OpGraph {
@@ -507,14 +454,13 @@ impl<'a> StepBuilder<'a> {
             let mut deps = allreduce_ids.clone();
             deps.push(bwd_tails[d]);
             let dur = self.jittered(self.cost.optimizer_step());
-            self.graph.add_compute_tagged(
+            self.graph.add_compute(
                 DeviceId(d as u32),
                 dur,
                 SpanKind::Optimizer,
                 deps,
                 None,
                 true,
-                format!("optimizer d{d}"),
             );
         }
         self.graph
@@ -554,7 +500,7 @@ pub fn build_train_step(
         batch,
         graph: OpGraph::new(),
         rng: Rng::new(opts.seed),
-        next_op_index: 0,
+        next_logical: 0,
     };
     builder.finish(routing)
 }
@@ -581,7 +527,19 @@ pub fn balanced_routing(
 mod tests {
     use super::*;
     use crate::cost::DeviceSpec;
+    use crate::graph::{CommClass, OpKind};
     use lina_netsim::ClusterSpec;
+
+    /// Per-device bytes of each allreduce micro-op of `g`.
+    fn allreduce_bytes(g: &OpGraph) -> impl Iterator<Item = f64> + '_ {
+        g.ops().iter().filter_map(|op| match &op.kind {
+            OpKind::Comm {
+                spec: CollectiveSpec::AllReduce { bytes, .. },
+                ..
+            } => Some(*bytes),
+            _ => None,
+        })
+    }
 
     fn setup(experts: usize) -> (CostModel, Topology, BatchShape) {
         let model = MoeModelConfig::transformer_xl(12, experts);
@@ -651,21 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn jitter_zero_is_deterministic_sizes() {
-        let (cost, topo, batch) = setup(4);
-        let routing = balanced_routing(&cost.model, 4, batch);
-        let mut opts = TrainStepOptions::baseline(4, 4);
-        opts.jitter_sigma = 0.0;
-        let g1 = build_train_step(&cost, &topo, batch, &routing, &opts);
-        let g2 = build_train_step(&cost, &topo, batch, &routing, &opts);
-        assert_eq!(g1.len(), g2.len());
-        assert_eq!(
-            g1.compute_time_on(DeviceId(0)),
-            g2.compute_time_on(DeviceId(0))
-        );
-    }
-
-    #[test]
     fn partitioned_chunks_respect_size() {
         let (cost, topo, batch) = setup(4);
         let routing = balanced_routing(&cost.model, 4, batch);
@@ -674,14 +617,11 @@ mod tests {
         let chunk = 5e6;
         opts.grad_comm = GradCommMode::Partitioned { chunk_bytes: chunk };
         let g = build_train_step(&cost, &topo, batch, &routing, &opts);
-        for id in g.comm_ops(CommClass::Allreduce) {
-            if let crate::graph::OpKind::Comm { meta, .. } = &g.op(id).kind {
-                assert!(
-                    meta.bytes_per_device <= chunk * 1.01,
-                    "chunk of {} bytes exceeds partition size",
-                    meta.bytes_per_device
-                );
-            }
+        for bytes in allreduce_bytes(&g) {
+            assert!(
+                bytes <= chunk * 1.01,
+                "chunk of {bytes} bytes exceeds partition size"
+            );
         }
     }
 
@@ -694,14 +634,7 @@ mod tests {
             TrainStepOptions::lina(ExpertPlacement::one_per_device(4, 4)),
         ] {
             let g = build_train_step(&cost, &topo, batch, &routing, &opts);
-            let total: f64 = g
-                .comm_ops(CommClass::Allreduce)
-                .iter()
-                .map(|&id| match &g.op(id).kind {
-                    crate::graph::OpKind::Comm { meta, .. } => meta.bytes_per_device,
-                    _ => 0.0,
-                })
-                .sum();
+            let total: f64 = allreduce_bytes(&g).sum();
             let expected = (cost.model.non_expert_params() * cost.model.grad_dtype_bytes) as f64;
             assert!(
                 (total - expected).abs() / expected < 1e-6,
@@ -726,7 +659,7 @@ mod tests {
             .ops()
             .iter()
             .enumerate()
-            .filter(|(_, op)| matches!(&op.kind, crate::graph::OpKind::Compute { span, .. } if *span == SpanKind::Optimizer))
+            .filter(|(_, op)| matches!(&op.kind, OpKind::Compute { span, .. } if *span == SpanKind::Optimizer))
             .collect();
         assert_eq!(opt_ops.len(), 4);
         for (_, op) in opt_ops {

@@ -5,7 +5,7 @@ use lina_model::{
     assign_replicas, balanced_routing, build_train_step, BatchShape, CostModel, DeviceSpec,
     ExpertPlacement, LayerRouting, MoeModelConfig, OpKind, TrainStepOptions,
 };
-use lina_netsim::{ClusterSpec, DeviceId, Topology};
+use lina_netsim::{ClusterSpec, CollectiveSpec, DeviceId, Topology};
 use lina_simcore::Rng;
 
 fn topo16() -> Topology {
@@ -112,9 +112,10 @@ fn train_graphs_are_well_formed() {
             .ops()
             .iter()
             .filter_map(|op| match &op.kind {
-                OpKind::Comm { meta, .. } if meta.class == lina_model::CommClass::Allreduce => {
-                    Some(meta.bytes_per_device)
-                }
+                OpKind::Comm {
+                    spec: CollectiveSpec::AllReduce { bytes, .. },
+                    ..
+                } => Some(*bytes),
                 _ => None,
             })
             .sum();

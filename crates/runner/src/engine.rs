@@ -113,13 +113,11 @@ impl<'a> EngineState<'a> {
     fn mark_ready(&mut self, id: OpId) {
         debug_assert_eq!(self.status[id.0 as usize], Status::Pending);
         self.status[id.0 as usize] = Status::Ready;
-        match &self.graph.op(id).kind {
-            OpKind::Compute { device, .. } => {
-                self.device_queue[device.0 as usize].push_back(id);
-            }
-            OpKind::Comm { meta, .. } => {
-                self.pending_comm.push((self.now, id, meta.class));
-            }
+        let op = self.graph.op(id);
+        if let Some(class) = op.comm_class() {
+            self.pending_comm.push((self.now, id, class));
+        } else if let OpKind::Compute { device, .. } = op.kind {
+            self.device_queue[device.0 as usize].push_back(id);
         }
     }
 
@@ -140,29 +138,26 @@ impl<'a> EngineState<'a> {
                     *span,
                     started,
                     self.now,
-                    op.label.clone(),
                 );
             }
-            OpKind::Comm { spec, meta } => {
-                let (lane, span) = match meta.class {
-                    CommClass::AllToAll => (Lane::AllToAll, SpanKind::AllToAll),
-                    CommClass::Allreduce => (Lane::Allreduce, SpanKind::Allreduce),
+            OpKind::Comm { spec, .. } => {
+                let a2a = op.comm_class() == Some(CommClass::AllToAll);
+                let (lane, span) = if a2a {
+                    (Lane::AllToAll, SpanKind::AllToAll)
+                } else {
+                    (Lane::Allreduce, SpanKind::Allreduce)
                 };
                 for d in participants(spec) {
-                    self.timeline.record(
-                        StreamId { device: d.0, lane },
-                        span,
-                        started,
-                        self.now,
-                        op.label.clone(),
-                    );
+                    self.timeline
+                        .record(StreamId { device: d.0, lane }, span, started, self.now);
                 }
-                if meta.class == CommClass::AllToAll && meta.backward {
+                if a2a && op.backward {
                     self.backward_a2a_done += 1;
                 }
             }
         }
-        for dep in self.dependents[i].clone() {
+        // Nothing walks a completed op's dependents again.
+        for dep in std::mem::take(&mut self.dependents[i]) {
             let j = dep.0 as usize;
             self.unmet[j] -= 1;
             if self.unmet[j] == 0 {
@@ -210,16 +205,16 @@ impl<'a> EngineState<'a> {
             .iter()
             .position(|&(_, p, _)| p == id)
             .expect("launching a pending op");
-        let OpKind::Comm { spec, meta } = &self.graph.op(id).kind else {
+        let OpKind::Comm { spec, .. } = &self.graph.op(id).kind else {
             unreachable!("pending comm is a comm op");
         };
-        debug_assert!(self.stream_free(meta.class));
-        self.pending_comm.remove(pos);
+        let (_, _, class) = self.pending_comm.remove(pos);
+        debug_assert!(self.stream_free(class));
         let i = id.0 as usize;
         self.status[i] = Status::Running;
         self.op_windows[i] = Some((self.now, SimTime::MAX));
         self.coll.start(spec, id.0 as u64);
-        self.active_comm.push((meta.class, id));
+        self.active_comm.push((class, id));
     }
 
     /// Runs launch rounds (see the module doc) until one launches
@@ -352,8 +347,7 @@ mod tests {
     use super::*;
     use lina_baselines::TrainScheme;
     use lina_model::{
-        balanced_routing, build_train_step, BatchShape, CommMeta, CostModel, DeviceSpec,
-        MoeModelConfig,
+        balanced_routing, build_train_step, BatchShape, CostModel, DeviceSpec, MoeModelConfig,
     };
     use lina_netsim::{AllToAllAlgo, ClusterSpec};
     use lina_simcore::SpanKind;
@@ -376,16 +370,7 @@ mod tests {
                 bytes: 1e6,
             },
         };
-        let meta = CommMeta {
-            class,
-            layer: 0,
-            chunk: 0,
-            nchunks: 1,
-            bytes_per_device: 1e6,
-            backward,
-            op_index: 0,
-        };
-        graph.add_comm(spec, meta, deps, "comm")
+        graph.add_comm(spec, 0, 0, backward, deps)
     }
 
     fn topo4() -> Topology {
@@ -518,7 +503,8 @@ mod tests {
             SimDuration::from_millis(7),
             SpanKind::Attention,
             vec![],
-            "solo",
+            None,
+            false,
         );
         let result = execute(&graph, &topo, &CommPolicy::FairShare);
         assert_eq!(result.makespan, SimDuration::from_millis(7));
@@ -593,7 +579,8 @@ mod tests {
             SimDuration::from_micros(10),
             SpanKind::Attention,
             vec![],
-            "grad",
+            None,
+            false,
         );
         let ar = comm(&mut graph, &topo, CommClass::Allreduce, true, vec![grad]);
         let lina = execute(&graph, &topo, &CommPolicy::Lina);
@@ -616,7 +603,8 @@ mod tests {
             SimDuration::from_micros(10),
             SpanKind::Attention,
             vec![],
-            "grad",
+            None,
+            false,
         );
         let ar = comm(&mut graph, &topo, CommClass::Allreduce, true, vec![grad]);
         let result = execute(&graph, &topo, &CommPolicy::NaivePriority);
@@ -647,7 +635,8 @@ mod tests {
             SimDuration::from_micros(10),
             SpanKind::Attention,
             vec![],
-            "grad",
+            None,
+            false,
         );
         let second = comm(&mut graph, &topo, CommClass::Allreduce, true, vec![grad]);
         let result = execute(&graph, &topo, &CommPolicy::Lina);
@@ -677,7 +666,8 @@ mod tests {
                 SimDuration::from_millis(10),
                 SpanKind::Attention,
                 vec![],
-                "busy",
+                None,
+                false,
             );
             let ar = comm(&mut graph, &topo, CommClass::Allreduce, true, vec![]);
             let result = execute(&graph, &topo, &CommPolicy::Fixed);

@@ -68,7 +68,7 @@ fn observe(run: &crate::train::StepRun) -> PackingObservation {
                 ffn_total += e - s;
                 ffn_n += 1;
             }
-            OpKind::Comm { meta, .. } if meta.class == CommClass::AllToAll && !meta.backward => {
+            _ if op.comm_class() == Some(CommClass::AllToAll) && !op.backward => {
                 a2a_total += e - s;
                 a2a_n += 1;
             }

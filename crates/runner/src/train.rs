@@ -99,19 +99,9 @@ fn extract_metrics(
     let mut fwd_windows: Vec<(SimTime, SimTime)> = vec![(SimTime::MAX, SimTime::ZERO); layers];
     let mut bwd_windows: Vec<(SimTime, SimTime)> = vec![(SimTime::MAX, SimTime::ZERO); layers];
     for (i, op) in graph.ops().iter().enumerate() {
-        let Some(layer) = op.layer else { continue };
-        let in_moe = match &op.kind {
-            OpKind::Compute { span, .. } => {
-                matches!(
-                    span,
-                    SpanKind::Gate | SpanKind::ExpertFfn | SpanKind::Combine
-                )
-            }
-            OpKind::Comm { meta, .. } => meta.class == CommClass::AllToAll,
-        };
-        if !in_moe {
+        let Some(layer) = op.layer.filter(|_| op.in_moe_window()) else {
             continue;
-        }
+        };
         let Some((s, e)) = exec.op_windows[i] else {
             continue;
         };
@@ -139,38 +129,40 @@ fn extract_metrics(
     // Allreduce windows, for the Figure 3 overlap condition.
     let mut ar_windows: Vec<(SimTime, SimTime)> = Vec::new();
     for (i, op) in graph.ops().iter().enumerate() {
-        if let OpKind::Comm { meta, .. } = &op.kind {
-            if meta.class == CommClass::Allreduce {
-                if let Some(w) = exec.op_windows[i] {
-                    ar_windows.push(w);
-                }
+        if op.comm_class() == Some(CommClass::Allreduce) {
+            if let Some(w) = exec.op_windows[i] {
+                ar_windows.push(w);
             }
         }
     }
-    // Logical all-to-all completion times and slowdowns.
-    let mut logical: BTreeMap<(usize, bool, usize), (SimTime, SimTime, f64)> = BTreeMap::new();
+    // Logical backward all-to-all completion times and slowdowns, keyed
+    // by (layer, logical id): layer ascending.
+    let mut logical: BTreeMap<(Option<usize>, usize), (SimTime, SimTime, f64)> = BTreeMap::new();
     let mut a2a_total = SimDuration::ZERO;
     let mut solo_cache: BTreeMap<u64, SimDuration> = BTreeMap::new();
     let mut solo_timer = SoloTimer::new(topo);
     for (i, op) in graph.ops().iter().enumerate() {
-        let OpKind::Comm { spec, meta } = &op.kind else {
+        let OpKind::Comm { spec, logical: id } = &op.kind else {
             continue;
         };
-        if meta.class != CommClass::AllToAll {
+        if op.comm_class() != Some(CommClass::AllToAll) {
             continue;
         }
         let Some((s, e)) = exec.op_windows[i] else {
             continue;
         };
         a2a_total += e - s;
-        let key = (meta.layer, meta.backward, meta.op_index);
-        // Solo time for one chunk, cached by rounded size.
+        // Solo time for one chunk, cached by rounded size; a forward
+        // chunk fills the cache a backward one of that size reads.
         let size_key = spec.total_bytes().round() as u64;
         let solo = *solo_cache
             .entry(size_key)
             .or_insert_with(|| solo_timer.time(spec));
+        if !op.backward {
+            continue;
+        }
         let entry = logical
-            .entry(key)
+            .entry((op.layer, *id))
             .or_insert((SimTime::MAX, SimTime::ZERO, 0.0));
         entry.0 = entry.0.min(s);
         entry.1 = entry.1.max(e);
@@ -179,10 +171,7 @@ fn extract_metrics(
     let mut a2a_bwd_times = Vec::new();
     let mut a2a_bwd_slowdowns = Vec::new();
     let mut a2a_bwd_overlapped = Vec::new();
-    for ((_, backward, _), (s, e, solo_secs)) in &logical {
-        if !*backward {
-            continue;
-        }
+    for (s, e, solo_secs) in logical.values() {
         let actual = *e - *s;
         a2a_bwd_times.push(actual);
         if *solo_secs > 0.0 {
@@ -356,6 +345,30 @@ mod tests {
             packed.pipelining_efficiency,
             nopack.pipelining_efficiency
         );
+    }
+
+    #[test]
+    fn chunks_of_a_logical_all_to_all_fold_into_one_entry() {
+        // 30 MB micro-ops split LinaNoPack's ~67 MB per-device tensor;
+        // Tutel halves every all-to-all.
+        let (cost, topo, _) = setup(16, 4);
+        let layers = cost.model.layers;
+        let batch = BatchShape {
+            seqs_per_device: 64,
+            seq_len: cost.model.seq_len,
+        };
+        // Two logical all-to-alls per layer and pass.
+        for (scheme, chunked) in [
+            (TrainScheme::Baseline, false),
+            (TrainScheme::Tutel, true),
+            (TrainScheme::LinaNoPack, true),
+        ] {
+            let run = run_train_step(&cost, &topo, batch, scheme, 1);
+            let name = scheme.name();
+            let a2a_ops = run.graph.comm_ops(CommClass::AllToAll).len();
+            assert_eq!(a2a_ops > 4 * layers, chunked, "{name}: {a2a_ops} ops");
+            assert_eq!(run.metrics.a2a_bwd_times.len(), 2 * layers, "{name}");
+        }
     }
 
     #[test]

@@ -83,7 +83,8 @@ impl SpanKind {
     }
 }
 
-/// One recorded interval of activity on a stream.
+/// One recorded interval of activity on a stream: `(stream, kind,
+/// start, end)`, no more.
 #[derive(Clone, Debug)]
 pub struct Span {
     /// Stream the activity ran on.
@@ -94,8 +95,6 @@ pub struct Span {
     pub start: SimTime,
     /// End instant (exclusive).
     pub end: SimTime,
-    /// Free-form label, e.g. `"L3 a2a#1 chunk2/5"`.
-    pub label: String,
 }
 
 impl Span {
@@ -129,21 +128,13 @@ impl Timeline {
     /// # Panics
     ///
     /// Panics in debug builds if `end < start`.
-    pub fn record(
-        &mut self,
-        stream: StreamId,
-        kind: SpanKind,
-        start: SimTime,
-        end: SimTime,
-        label: impl Into<String>,
-    ) {
+    pub fn record(&mut self, stream: StreamId, kind: SpanKind, start: SimTime, end: SimTime) {
         debug_assert!(end >= start, "Timeline::record: end before start");
         self.spans.push(Span {
             stream,
             kind,
             start,
             end,
-            label: label.into(),
         });
     }
 
@@ -336,27 +327,9 @@ mod tests {
     #[test]
     fn record_and_totals() {
         let mut t = Timeline::new();
-        t.record(
-            sid(0, Lane::Compute),
-            SpanKind::ExpertFfn,
-            ms(0),
-            ms(5),
-            "ffn",
-        );
-        t.record(
-            sid(0, Lane::AllToAll),
-            SpanKind::AllToAll,
-            ms(5),
-            ms(15),
-            "a2a",
-        );
-        t.record(
-            sid(1, Lane::AllToAll),
-            SpanKind::AllToAll,
-            ms(5),
-            ms(15),
-            "a2a",
-        );
+        t.record(sid(0, Lane::Compute), SpanKind::ExpertFfn, ms(0), ms(5));
+        t.record(sid(0, Lane::AllToAll), SpanKind::AllToAll, ms(5), ms(15));
+        t.record(sid(1, Lane::AllToAll), SpanKind::AllToAll, ms(5), ms(15));
         assert_eq!(
             t.total_by_kind(SpanKind::AllToAll),
             SimDuration::from_millis(20)
@@ -372,15 +345,9 @@ mod tests {
     #[test]
     fn busy_time_merges_overlaps() {
         let mut t = Timeline::new();
-        t.record(
-            sid(0, Lane::Compute),
-            SpanKind::Attention,
-            ms(0),
-            ms(10),
-            "",
-        );
-        t.record(sid(0, Lane::Compute), SpanKind::Gate, ms(5), ms(12), "");
-        t.record(sid(0, Lane::Compute), SpanKind::Combine, ms(20), ms(25), "");
+        t.record(sid(0, Lane::Compute), SpanKind::Attention, ms(0), ms(10));
+        t.record(sid(0, Lane::Compute), SpanKind::Gate, ms(5), ms(12));
+        t.record(sid(0, Lane::Compute), SpanKind::Combine, ms(20), ms(25));
         let busy = t.busy_time_in(ms(0), ms(30), |s| s.stream == sid(0, Lane::Compute));
         assert_eq!(busy, SimDuration::from_millis(17));
     }
@@ -388,13 +355,7 @@ mod tests {
     #[test]
     fn busy_time_respects_window() {
         let mut t = Timeline::new();
-        t.record(
-            sid(0, Lane::Compute),
-            SpanKind::Attention,
-            ms(0),
-            ms(10),
-            "",
-        );
+        t.record(sid(0, Lane::Compute), SpanKind::Attention, ms(0), ms(10));
         let busy = t.busy_time_in(ms(4), ms(6), |_| true);
         assert_eq!(busy, SimDuration::from_millis(2));
     }
@@ -402,7 +363,7 @@ mod tests {
     #[test]
     fn utilization_fraction() {
         let mut t = Timeline::new();
-        t.record(sid(0, Lane::Compute), SpanKind::Attention, ms(0), ms(5), "");
+        t.record(sid(0, Lane::Compute), SpanKind::Attention, ms(0), ms(5));
         let u = t.utilization(sid(0, Lane::Compute), ms(0), ms(10));
         assert!((u - 0.5).abs() < 1e-9);
         assert_eq!(t.utilization(sid(0, Lane::Compute), ms(0), ms(0)), 0.0);
@@ -411,14 +372,8 @@ mod tests {
     #[test]
     fn mean_compute_utilization_across_devices() {
         let mut t = Timeline::new();
-        t.record(
-            sid(0, Lane::Compute),
-            SpanKind::Attention,
-            ms(0),
-            ms(10),
-            "",
-        );
-        t.record(sid(1, Lane::Compute), SpanKind::Attention, ms(0), ms(5), "");
+        t.record(sid(0, Lane::Compute), SpanKind::Attention, ms(0), ms(10));
+        t.record(sid(1, Lane::Compute), SpanKind::Attention, ms(0), ms(5));
         let u = t.mean_compute_utilization(2);
         assert!((u - 0.75).abs() < 1e-9);
     }
@@ -427,22 +382,10 @@ mod tests {
     fn pipelining_efficiency_counts_compute_overlap() {
         let mut t = Timeline::new();
         // 10ms a2a on device 0; compute busy for 4ms of it.
-        t.record(
-            sid(0, Lane::AllToAll),
-            SpanKind::AllToAll,
-            ms(0),
-            ms(10),
-            "",
-        );
-        t.record(sid(0, Lane::Compute), SpanKind::ExpertFfn, ms(2), ms(6), "");
+        t.record(sid(0, Lane::AllToAll), SpanKind::AllToAll, ms(0), ms(10));
+        t.record(sid(0, Lane::Compute), SpanKind::ExpertFfn, ms(2), ms(6));
         // Compute on another device must not count.
-        t.record(
-            sid(1, Lane::Compute),
-            SpanKind::ExpertFfn,
-            ms(0),
-            ms(10),
-            "",
-        );
+        t.record(sid(1, Lane::Compute), SpanKind::ExpertFfn, ms(0), ms(10));
         let eff = t.pipelining_efficiency(SpanKind::AllToAll);
         assert!((eff - 0.4).abs() < 1e-9, "eff {eff}");
     }
@@ -456,14 +399,8 @@ mod tests {
     #[test]
     fn ascii_render_contains_glyphs() {
         let mut t = Timeline::new();
-        t.record(sid(0, Lane::Compute), SpanKind::ExpertFfn, ms(0), ms(5), "");
-        t.record(
-            sid(0, Lane::AllToAll),
-            SpanKind::AllToAll,
-            ms(5),
-            ms(10),
-            "",
-        );
+        t.record(sid(0, Lane::Compute), SpanKind::ExpertFfn, ms(0), ms(5));
+        t.record(sid(0, Lane::AllToAll), SpanKind::AllToAll, ms(5), ms(10));
         let art = t.render_ascii(ms(0), ms(10), 20);
         assert!(art.contains('F'));
         assert!(art.contains('#'));
@@ -477,7 +414,6 @@ mod tests {
             kind: SpanKind::Attention,
             start: ms(5),
             end: ms(10),
-            label: String::new(),
         };
         assert_eq!(s.overlap(ms(0), ms(7)), SimDuration::from_millis(2));
         assert_eq!(s.overlap(ms(12), ms(20)), SimDuration::ZERO);

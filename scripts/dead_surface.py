@@ -20,6 +20,11 @@ deleting anything.
   mentioned only inside its own file is listed too.
 * ``variants``: library enum variants never constructed in live code.
 * ``fields``: library ``pub`` struct fields never read in live code.
+  A read is matched by name alone (``.name``), so an unread field
+  hides behind any namesake's read: dozens of the library's ``pub``
+  field names are declared by more than one struct, and a
+  ``Span.label`` no code read stayed off the listing because
+  ``op.label.clone()`` read an ``Op.label``.
 * ``dups``: ``pub fn`` names defined more than once, fewest calls per
   definition first (one name's calls can hide a dead twin).
 * ``single``: library ``pub`` struct fields whose live struct literals
