@@ -29,7 +29,8 @@ use lina_netsim::{
     max_min_rates, AllToAllAlgo, ClusterSpec, CollectiveSpec, FlowDemand, SoloTimer, Topology,
 };
 use lina_runner::{
-    execute, execute_plan_solo, plan_batch, InferenceConfig, NetworkMode, ReplicaExecutor,
+    execute, execute_plan_solo, plan_batch, run_train_step, InferenceConfig, NetworkMode,
+    ReplicaExecutor,
 };
 use lina_simcore::{SimDuration, SimTime};
 use lina_workload::{Mode, TokenBatch, TokenPath, TokenSource, WorkloadSpec};
@@ -300,6 +301,30 @@ fn bench_step_simulation() {
     }
 }
 
+/// A whole training step at simbench's `train_step` shape (24-layer
+/// Transformer-XL on 16 GPUs, 64 sequences per device, Lina at packing
+/// 4): graph build, execution and metric extraction.
+fn bench_step_metrics() {
+    let model = MoeModelConfig::transformer_xl(24, 16);
+    let topo = Topology::new(ClusterSpec::with_total_gpus(16));
+    let batch = BatchShape {
+        seqs_per_device: 64,
+        seq_len: model.seq_len,
+    };
+    let cost = CostModel::new(DeviceSpec::a100(), model);
+    for scheme in [
+        TrainScheme::Baseline,
+        TrainScheme::Lina {
+            experts_per_device: 4,
+        },
+    ] {
+        bench(
+            &format!("step_metrics/24layer_16dev/{}", scheme.name()),
+            || run_train_step(&cost, &topo, batch, scheme, 1).metrics,
+        );
+    }
+}
+
 fn bench_workload() {
     let spec = WorkloadSpec::enwik8(16, 12);
     let mut src = TokenSource::new(&spec, 1, 9);
@@ -370,6 +395,7 @@ fn main() {
     bench_placement();
     bench_estimator();
     bench_step_simulation();
+    bench_step_metrics();
     bench_workload();
     bench_batch_assembly();
     bench_packed_dispatch();

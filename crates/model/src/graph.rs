@@ -185,34 +185,6 @@ impl OpGraph {
             .map(|(i, _)| OpId(i as u32))
             .collect()
     }
-
-    /// Total compute duration charged to a device (serial sum).
-    pub fn compute_time_on(&self, device: DeviceId) -> SimDuration {
-        self.ops
-            .iter()
-            .filter_map(|op| match &op.kind {
-                OpKind::Compute {
-                    device: d,
-                    duration,
-                    ..
-                } if *d == device => Some(*duration),
-                _ => None,
-            })
-            .sum()
-    }
-
-    /// Validates that every dependency edge points backwards
-    /// (acyclicity). Returns the number of edges checked.
-    pub fn validate(&self) -> usize {
-        let mut edges = 0;
-        for (i, op) in self.ops.iter().enumerate() {
-            for d in &op.deps {
-                assert!((d.0 as usize) < i, "op {i} depends forward on {:?}", d);
-                edges += 1;
-            }
-        }
-        edges
-    }
 }
 
 #[cfg(test)]
@@ -253,28 +225,11 @@ mod tests {
             vec![b],
         );
         assert_eq!(g.len(), 3);
-        assert_eq!(g.validate(), 2);
         assert_eq!(g.comm_ops(CommClass::AllToAll), vec![b]);
         assert_eq!(g.comm_ops(CommClass::Allreduce), vec![c]);
         assert_eq!(g.op(a).comm_class(), None);
         assert!(g.op(b).in_moe_window() && !g.op(c).in_moe_window());
         assert!(!g.op(a).in_moe_window());
-    }
-
-    #[test]
-    fn compute_time_sums_per_device() {
-        let mut g = OpGraph::new();
-        for (d, ms, span) in [
-            (0, 1, SpanKind::Gate),
-            (0, 2, SpanKind::Combine),
-            (1, 5, SpanKind::Gate),
-        ] {
-            let dur = SimDuration::from_millis(ms);
-            g.add_compute(DeviceId(d), dur, span, vec![], None, false);
-        }
-        assert_eq!(g.compute_time_on(DeviceId(0)), SimDuration::from_millis(3));
-        assert_eq!(g.compute_time_on(DeviceId(1)), SimDuration::from_millis(5));
-        assert_eq!(g.compute_time_on(DeviceId(2)), SimDuration::ZERO);
     }
 
     #[test]

@@ -557,7 +557,6 @@ mod tests {
         let routing = balanced_routing(&cost.model, 16, batch);
         let opts = TrainStepOptions::baseline(16, 16);
         let g = build_train_step(&cost, &topo, batch, &routing, &opts);
-        g.validate();
         // 2 a2a per layer per direction = 4 x layers comm ops.
         let a2a = g.comm_ops(CommClass::AllToAll);
         assert_eq!(a2a.len(), 4 * cost.model.layers);
@@ -575,7 +574,6 @@ mod tests {
         let mut opts = TrainStepOptions::lina(placement);
         opts.a2a_chunking = A2aChunking::FixedBytes(1e6);
         let g = build_train_step(&cost, &topo, batch, &routing, &opts);
-        g.validate();
         let baseline_g = build_train_step(
             &cost,
             &topo,
@@ -603,7 +601,6 @@ mod tests {
         let placement = ExpertPlacement::packed(2, &topo, 2);
         let opts = TrainStepOptions::lina(placement);
         let g = build_train_step(&cost, &topo, batch, &routing, &opts);
-        g.validate();
         assert!(g.comm_ops(CommClass::AllToAll).is_empty());
         assert!(!g.comm_ops(CommClass::Allreduce).is_empty());
     }

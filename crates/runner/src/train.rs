@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use lina_baselines::TrainScheme;
 use lina_model::{balanced_routing, build_train_step, BatchShape, CommClass, CostModel, OpKind};
 use lina_netsim::{SoloTimer, Topology};
-use lina_simcore::{Samples, SimDuration, SimTime, SpanKind};
+use lina_simcore::{Samples, SimDuration, SimTime};
 
 use crate::engine::{execute, ExecResult};
 
@@ -188,7 +188,7 @@ fn extract_metrics(
         a2a_bwd_times,
         a2a_bwd_slowdowns,
         a2a_bwd_overlapped,
-        pipelining_efficiency: exec.timeline.pipelining_efficiency(SpanKind::AllToAll),
+        pipelining_efficiency: exec.timeline.pipelining_efficiency(),
         compute_util: exec
             .timeline
             .mean_compute_utilization(topo.devices() as u32),

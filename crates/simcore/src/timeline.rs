@@ -1,11 +1,19 @@
 //! Execution timeline recording and analysis.
 //!
 //! The paper's measurements (Figures 2, 5, 7, 8; Tables 3, 4) come from
-//! PyTorch-Profiler-style timelines of CUDA streams. This module records
-//! `(stream, kind, start, end)` spans during simulation and answers the
-//! queries the evaluation needs: busy time within a window, utilization,
-//! blocking periods, and pipelining efficiency (the fraction of non-idle
-//! compute-stream time during a communication span).
+//! PyTorch-Profiler-style timelines of CUDA streams. Each device has
+//! three streams (compute, all-to-all, allreduce), and each stream runs
+//! one thing at a time: one op per compute stream, and at most one
+//! collective per class (§4.1's NCCL constraint). So the timeline keeps
+//! one list per stream, in start order, and [`Timeline::record`]
+//! refuses a span that overlaps its stream's previous one.
+//!
+//! It answers the three queries the evaluation asks: GPU utilization
+//! ([`Timeline::mean_compute_utilization`], Table 4), pipelining
+//! efficiency ([`Timeline::pipelining_efficiency`], Table 3) and the
+//! ASCII rendering of a window ([`Timeline::render_ascii`], Figs 2, 5
+//! and 8). Serial streams make each a plain sum: no span overlaps
+//! another of its own stream, so nothing needs merging.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -48,8 +56,8 @@ impl Lane {
     }
 }
 
-/// Category of the work a span represents. Used for per-kind aggregation
-/// (e.g. "total all-to-all time in the backward pass").
+/// Category of the work a span represents; it fixes the span's lane
+/// and its glyph.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum SpanKind {
     /// Attention (and other non-MoE) computation.
@@ -81,14 +89,26 @@ impl SpanKind {
             SpanKind::Allreduce => '=',
         }
     }
+
+    /// The lane a span of this kind runs on: the five compute kinds on
+    /// [`Lane::Compute`], each collective on its own lane.
+    pub fn lane(self) -> Lane {
+        match self {
+            SpanKind::Attention
+            | SpanKind::Gate
+            | SpanKind::ExpertFfn
+            | SpanKind::Combine
+            | SpanKind::Optimizer => Lane::Compute,
+            SpanKind::AllToAll => Lane::AllToAll,
+            SpanKind::Allreduce => Lane::Allreduce,
+        }
+    }
 }
 
-/// One recorded interval of activity on a stream: `(stream, kind,
-/// start, end)`, no more.
+/// One recorded interval of activity on a stream: `(kind, start, end)`;
+/// the stream is the list it sits in.
 #[derive(Clone, Debug)]
 pub struct Span {
-    /// Stream the activity ran on.
-    pub stream: StreamId,
     /// Work category.
     pub kind: SpanKind,
     /// Start instant (inclusive).
@@ -111,10 +131,13 @@ impl Span {
     }
 }
 
-/// Records spans and answers timeline queries.
+/// Records serial streams and answers the paper's three timeline
+/// queries.
 #[derive(Clone, Debug, Default)]
 pub struct Timeline {
-    spans: Vec<Span>,
+    /// Each stream's spans in record order, which is start order: a
+    /// stream runs one thing at a time.
+    streams: BTreeMap<StreamId, Vec<Span>>,
 }
 
 impl Timeline {
@@ -123,145 +146,100 @@ impl Timeline {
         Self::default()
     }
 
-    /// Records a completed span.
+    /// Records a completed span of `kind` on `device`, on the lane its
+    /// kind runs on.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `end < start`.
-    pub fn record(&mut self, stream: StreamId, kind: SpanKind, start: SimTime, end: SimTime) {
-        debug_assert!(end >= start, "Timeline::record: end before start");
-        self.spans.push(Span {
-            stream,
-            kind,
-            start,
-            end,
-        });
+    /// Panics if `end < start`, or if the span starts before the
+    /// previous span on its stream ended.
+    pub fn record(&mut self, device: u32, kind: SpanKind, start: SimTime, end: SimTime) {
+        assert!(end >= start, "Timeline::record: end before start");
+        let lane = kind.lane();
+        let spans = self.streams.entry(StreamId { device, lane }).or_default();
+        if let Some(prev) = spans.last() {
+            assert!(
+                start >= prev.end,
+                "Timeline::record: dev{device} {lane:?} span at {start} overlaps one ending at {}",
+                prev.end
+            );
+        }
+        spans.push(Span { kind, start, end });
     }
 
-    /// All recorded spans in insertion order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
-    /// Number of recorded spans.
-    pub fn len(&self) -> usize {
-        self.spans.len()
+    /// Every stream with its spans in start order, streams in
+    /// [`StreamId`] order.
+    pub fn streams(&self) -> impl Iterator<Item = (StreamId, &[Span])> {
+        self.streams
+            .iter()
+            .map(|(&id, spans)| (id, spans.as_slice()))
     }
 
     /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.streams.is_empty()
+    }
+
+    /// The spans of one stream; empty if it recorded none.
+    fn stream(&self, device: u32, lane: Lane) -> &[Span] {
+        self.streams
+            .get(&StreamId { device, lane })
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Latest end instant over all spans; `SimTime::ZERO` when empty.
     pub fn horizon(&self) -> SimTime {
-        self.spans
-            .iter()
+        self.streams
+            .values()
+            .filter_map(|spans| spans.last())
             .map(|s| s.end)
             .max()
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Spans matching a predicate.
-    pub fn filter<'a>(
-        &'a self,
-        pred: impl Fn(&Span) -> bool + 'a,
-    ) -> impl Iterator<Item = &'a Span> + 'a {
-        self.spans.iter().filter(move |s| pred(s))
-    }
-
-    /// Total duration of spans of a given kind (summed even if they
-    /// overlap in time across devices).
-    pub fn total_by_kind(&self, kind: SpanKind) -> SimDuration {
-        self.spans
-            .iter()
-            .filter(|s| s.kind == kind)
-            .map(Span::duration)
-            .sum()
-    }
-
-    /// Union (non-double-counted) busy time of the selected spans within
-    /// the window `[lo, hi)`.
-    pub fn busy_time_in(
-        &self,
-        lo: SimTime,
-        hi: SimTime,
-        pred: impl Fn(&Span) -> bool,
-    ) -> SimDuration {
-        let mut intervals: Vec<(SimTime, SimTime)> = self
-            .spans
-            .iter()
-            .filter(|s| pred(s))
-            .map(|s| (s.start.max(lo), s.end.min(hi)))
-            .filter(|(s, e)| e > s)
-            .collect();
-        intervals.sort();
-        let mut total = SimDuration::ZERO;
-        let mut cur: Option<(SimTime, SimTime)> = None;
-        for (s, e) in intervals {
-            match cur {
-                None => cur = Some((s, e)),
-                Some((cs, ce)) => {
-                    if s <= ce {
-                        cur = Some((cs, ce.max(e)));
-                    } else {
-                        total += ce - cs;
-                        cur = Some((s, e));
-                    }
-                }
-            }
-        }
-        if let Some((cs, ce)) = cur {
-            total += ce - cs;
-        }
-        total
-    }
-
-    /// Busy fraction of a stream within `[lo, hi)`.
-    pub fn utilization(&self, stream: StreamId, lo: SimTime, hi: SimTime) -> f64 {
-        let window = hi.saturating_since(lo);
-        if window == SimDuration::ZERO {
-            return 0.0;
-        }
-        let busy = self.busy_time_in(lo, hi, |s| s.stream == stream);
-        busy.ratio(window)
-    }
-
-    /// Mean busy fraction of all compute lanes over the whole timeline —
-    /// the "average GPU utilization" of Table 4.
+    /// Mean busy fraction of devices `0..devices`' compute streams over
+    /// the whole timeline: the "average GPU utilization" of Table 4.
     pub fn mean_compute_utilization(&self, devices: u32) -> f64 {
         let hi = self.horizon();
         if hi == SimTime::ZERO || devices == 0 {
             return 0.0;
         }
-        let mut total = 0.0;
-        for d in 0..devices {
-            total += self.utilization(
-                StreamId {
-                    device: d,
-                    lane: Lane::Compute,
-                },
-                SimTime::ZERO,
-                hi,
-            );
-        }
+        let total = (0..devices).fold(0.0, |total, d| {
+            let busy: SimDuration = self
+                .stream(d, Lane::Compute)
+                .iter()
+                .map(Span::duration)
+                .sum();
+            total + busy.ratio(hi - SimTime::ZERO)
+        });
         total / devices as f64
     }
 
-    /// Pipelining efficiency (Table 3): the fraction of time within the
-    /// selected communication spans during which the same device's compute
-    /// stream is busy.
-    pub fn pipelining_efficiency(&self, comm_kind: SpanKind) -> f64 {
+    /// Pipelining efficiency (Table 3): the fraction of all-to-all time
+    /// during which the same device's compute stream is busy. One walk
+    /// of each device's all-to-all stream beside its compute stream.
+    pub fn pipelining_efficiency(&self) -> f64 {
         let mut comm_total = SimDuration::ZERO;
         let mut overlap_total = SimDuration::ZERO;
-        for comm in self.spans.iter().filter(|s| s.kind == comm_kind) {
-            comm_total += comm.duration();
-            let compute_stream = StreamId {
-                device: comm.stream.device,
-                lane: Lane::Compute,
-            };
-            overlap_total +=
-                self.busy_time_in(comm.start, comm.end, |s| s.stream == compute_stream);
+        for (id, a2a) in self.streams() {
+            if id.lane != Lane::AllToAll {
+                continue;
+            }
+            let compute = self.stream(id.device, Lane::Compute);
+            // First compute span that may still overlap a later comm
+            // span: both streams are serial, so it only moves forward.
+            let mut next = 0;
+            for comm in a2a {
+                comm_total += comm.duration();
+                while compute.get(next).is_some_and(|c| c.end <= comm.start) {
+                    next += 1;
+                }
+                overlap_total += compute[next..]
+                    .iter()
+                    .take_while(|c| c.start < comm.end)
+                    .map(|c| c.overlap(comm.start, comm.end))
+                    .sum();
+            }
         }
         overlap_total.ratio(comm_total)
     }
@@ -274,12 +252,6 @@ impl Timeline {
         if window == SimDuration::ZERO || width == 0 {
             return String::new();
         }
-        let mut streams: BTreeMap<StreamId, Vec<&Span>> = BTreeMap::new();
-        for s in &self.spans {
-            if s.overlap(lo, hi) > SimDuration::ZERO {
-                streams.entry(s.stream).or_default().push(s);
-            }
-        }
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -288,9 +260,16 @@ impl Timeline {
             hi,
             SimDuration::from_nanos(window.as_nanos() / width as u64)
         );
-        for (stream, spans) in &streams {
+        for (stream, spans) in self.streams() {
+            let mut drawn = spans
+                .iter()
+                .filter(|s| s.overlap(lo, hi) > SimDuration::ZERO)
+                .peekable();
+            if drawn.peek().is_none() {
+                continue;
+            }
             let mut row = vec![' '; width];
-            for s in spans {
+            for s in drawn {
                 let sc = ((s.start.max(lo) - lo).as_nanos() as u128 * width as u128
                     / window.as_nanos() as u128) as usize;
                 let ec = ((s.end.min(hi) - lo).as_nanos() as u128 * width as u128
@@ -316,10 +295,6 @@ impl Timeline {
 mod tests {
     use super::*;
 
-    fn sid(device: u32, lane: Lane) -> StreamId {
-        StreamId { device, lane }
-    }
-
     fn ms(v: u64) -> SimTime {
         SimTime::from_millis(v)
     }
@@ -327,53 +302,66 @@ mod tests {
     #[test]
     fn record_and_totals() {
         let mut t = Timeline::new();
-        t.record(sid(0, Lane::Compute), SpanKind::ExpertFfn, ms(0), ms(5));
-        t.record(sid(0, Lane::AllToAll), SpanKind::AllToAll, ms(5), ms(15));
-        t.record(sid(1, Lane::AllToAll), SpanKind::AllToAll, ms(5), ms(15));
+        t.record(1, SpanKind::AllToAll, ms(5), ms(15));
+        t.record(0, SpanKind::ExpertFfn, ms(0), ms(5));
+        t.record(0, SpanKind::AllToAll, ms(5), ms(15));
+        t.record(0, SpanKind::AllToAll, ms(15), ms(15));
+        let streams: Vec<(StreamId, usize, SimDuration)> = t
+            .streams()
+            .map(|(id, spans)| (id, spans.len(), spans.iter().map(Span::duration).sum()))
+            .collect();
+        let sid = |device, lane| StreamId { device, lane };
         assert_eq!(
-            t.total_by_kind(SpanKind::AllToAll),
-            SimDuration::from_millis(20)
-        );
-        assert_eq!(
-            t.total_by_kind(SpanKind::ExpertFfn),
-            SimDuration::from_millis(5)
+            streams,
+            [
+                (sid(0, Lane::Compute), 1, SimDuration::from_millis(5)),
+                (sid(0, Lane::AllToAll), 2, SimDuration::from_millis(10)),
+                (sid(1, Lane::AllToAll), 1, SimDuration::from_millis(10)),
+            ]
         );
         assert_eq!(t.horizon(), ms(15));
-        assert_eq!(t.len(), 3);
     }
 
     #[test]
-    fn busy_time_merges_overlaps() {
+    fn lane_follows_kind() {
         let mut t = Timeline::new();
-        t.record(sid(0, Lane::Compute), SpanKind::Attention, ms(0), ms(10));
-        t.record(sid(0, Lane::Compute), SpanKind::Gate, ms(5), ms(12));
-        t.record(sid(0, Lane::Compute), SpanKind::Combine, ms(20), ms(25));
-        let busy = t.busy_time_in(ms(0), ms(30), |s| s.stream == sid(0, Lane::Compute));
-        assert_eq!(busy, SimDuration::from_millis(17));
+        t.record(0, SpanKind::Optimizer, ms(0), ms(1));
+        t.record(0, SpanKind::Allreduce, ms(0), ms(1));
+        let lanes: Vec<Lane> = t.streams().map(|(id, _)| id.lane).collect();
+        assert_eq!(lanes, [Lane::Compute, Lane::Allreduce]);
     }
 
     #[test]
-    fn busy_time_respects_window() {
+    #[should_panic(expected = "overlaps")]
+    fn overlap_on_one_stream_panics() {
         let mut t = Timeline::new();
-        t.record(sid(0, Lane::Compute), SpanKind::Attention, ms(0), ms(10));
-        let busy = t.busy_time_in(ms(4), ms(6), |_| true);
-        assert_eq!(busy, SimDuration::from_millis(2));
+        t.record(0, SpanKind::Attention, ms(0), ms(10));
+        t.record(0, SpanKind::Gate, ms(5), ms(12));
     }
 
     #[test]
-    fn utilization_fraction() {
+    #[should_panic(expected = "end before start")]
+    fn end_before_start_panics() {
+        Timeline::new().record(0, SpanKind::Attention, ms(5), ms(4));
+    }
+
+    #[test]
+    fn lanes_of_one_device_may_overlap() {
         let mut t = Timeline::new();
-        t.record(sid(0, Lane::Compute), SpanKind::Attention, ms(0), ms(5));
-        let u = t.utilization(sid(0, Lane::Compute), ms(0), ms(10));
-        assert!((u - 0.5).abs() < 1e-9);
-        assert_eq!(t.utilization(sid(0, Lane::Compute), ms(0), ms(0)), 0.0);
+        t.record(0, SpanKind::AllToAll, ms(0), ms(10));
+        t.record(0, SpanKind::Allreduce, ms(2), ms(8));
+        t.record(0, SpanKind::ExpertFfn, ms(4), ms(6));
+        // A stream of another device is a stream of its own.
+        t.record(1, SpanKind::ExpertFfn, ms(0), ms(10));
+        assert_eq!(t.streams().count(), 4);
+        assert!((t.pipelining_efficiency() - 0.2).abs() < 1e-9);
     }
 
     #[test]
     fn mean_compute_utilization_across_devices() {
         let mut t = Timeline::new();
-        t.record(sid(0, Lane::Compute), SpanKind::Attention, ms(0), ms(10));
-        t.record(sid(1, Lane::Compute), SpanKind::Attention, ms(0), ms(5));
+        t.record(0, SpanKind::Attention, ms(0), ms(10));
+        t.record(1, SpanKind::Attention, ms(0), ms(5));
         let u = t.mean_compute_utilization(2);
         assert!((u - 0.75).abs() < 1e-9);
     }
@@ -382,25 +370,25 @@ mod tests {
     fn pipelining_efficiency_counts_compute_overlap() {
         let mut t = Timeline::new();
         // 10ms a2a on device 0; compute busy for 4ms of it.
-        t.record(sid(0, Lane::AllToAll), SpanKind::AllToAll, ms(0), ms(10));
-        t.record(sid(0, Lane::Compute), SpanKind::ExpertFfn, ms(2), ms(6));
+        t.record(0, SpanKind::AllToAll, ms(0), ms(10));
+        t.record(0, SpanKind::ExpertFfn, ms(2), ms(6));
         // Compute on another device must not count.
-        t.record(sid(1, Lane::Compute), SpanKind::ExpertFfn, ms(0), ms(10));
-        let eff = t.pipelining_efficiency(SpanKind::AllToAll);
+        t.record(1, SpanKind::ExpertFfn, ms(0), ms(10));
+        let eff = t.pipelining_efficiency();
         assert!((eff - 0.4).abs() < 1e-9, "eff {eff}");
     }
 
     #[test]
     fn pipelining_efficiency_empty_is_zero() {
         let t = Timeline::new();
-        assert_eq!(t.pipelining_efficiency(SpanKind::AllToAll), 0.0);
+        assert_eq!(t.pipelining_efficiency(), 0.0);
     }
 
     #[test]
     fn ascii_render_contains_glyphs() {
         let mut t = Timeline::new();
-        t.record(sid(0, Lane::Compute), SpanKind::ExpertFfn, ms(0), ms(5));
-        t.record(sid(0, Lane::AllToAll), SpanKind::AllToAll, ms(5), ms(10));
+        t.record(0, SpanKind::ExpertFfn, ms(0), ms(5));
+        t.record(0, SpanKind::AllToAll, ms(5), ms(10));
         let art = t.render_ascii(ms(0), ms(10), 20);
         assert!(art.contains('F'));
         assert!(art.contains('#'));
@@ -410,7 +398,6 @@ mod tests {
     #[test]
     fn span_overlap() {
         let s = Span {
-            stream: sid(0, Lane::Compute),
             kind: SpanKind::Attention,
             start: ms(5),
             end: ms(10),
