@@ -6,7 +6,10 @@
 //! more than the relative tolerance fails the check, and so does a
 //! scenario or metric of the previous summary that the current one
 //! lacks: a change that drops a metric must refresh the baseline
-//! deliberately. Scenarios and metrics present
+//! deliberately. Each scenario's rendered `notes` and `tables` (the
+//! ASCII timelines of Figs 2, 5 and 8 among them) must match the
+//! previous summary's exactly, at any tolerance. Scenarios and metrics
+//! present
 //! only in the current summary are *additions* — logged for the CI
 //! record, never failed — so landing a new experiment does not require
 //! a baseline refresh first.
@@ -100,29 +103,19 @@ fn metrics(doc: &Json) -> Result<Vec<(MetricKey, f64)>, String> {
     Ok(out)
 }
 
-/// Per-scenario `wall_secs`, in document order. Purely informational:
-/// wall-clock timings vary with the host, so their deltas are printed
-/// but never gated on.
-fn walls(doc: &Json) -> Vec<(String, f64)> {
-    let Some(scenarios) = doc.get("scenarios").and_then(Json::as_arr) else {
-        return Vec::new();
-    };
-    scenarios
-        .iter()
-        .filter_map(|s| {
-            let id = s.get("id").and_then(Json::as_str)?;
-            let secs = s.get("wall_secs").and_then(Json::as_f64)?;
-            Some((id.to_string(), secs))
-        })
+/// Each scenario object with its id, in document order.
+fn scenarios(doc: &Json) -> Vec<(&str, &Json)> {
+    let all = doc.get("scenarios").and_then(Json::as_arr).unwrap_or(&[]);
+    all.iter()
+        .filter_map(|s| Some((s.get("id")?.as_str()?, s)))
         .collect()
 }
 
-type Summary = (Vec<(MetricKey, f64)>, Vec<(String, f64)>);
-
-fn load(path: &str) -> Result<Summary, String> {
+/// A summary's flattened metrics and the document they came from.
+fn load(path: &str) -> Result<(Vec<(MetricKey, f64)>, Json), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    Ok((metrics(&doc)?, walls(&doc)))
+    Ok((metrics(&doc)?, doc))
 }
 
 fn main() -> ExitCode {
@@ -140,7 +133,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    let ((current, cur_walls), (previous, prev_walls)) =
+    let ((current, cur_doc), (previous, prev_doc)) =
         match (load(&args.current), load(&args.previous)) {
             (Ok(c), Ok(p)) => (c, p),
             (c, p) => {
@@ -219,14 +212,25 @@ fn main() -> ExitCode {
             println!("INFO  {id}/{name}: {value:.4} (trend; gated above)");
         }
     }
-    // Wall-clock throughput trend, per scenario: informational only,
-    // so CI logs show when the simulator itself gets faster or slower.
-    let cur_wall: std::collections::BTreeMap<_, _> = cur_walls.into_iter().collect();
-    for (id, prev_secs) in &prev_walls {
-        let Some(&now_secs) = cur_wall.get(id) else {
+    // Per scenario of both summaries: its text must not change, and
+    // its wall-clock delta is printed as a throughput trend only (host
+    // timings vary, so it never gates).
+    let cur_scenarios: std::collections::BTreeMap<_, _> = scenarios(&cur_doc).into_iter().collect();
+    for (id, prev) in scenarios(&prev_doc) {
+        let Some(now) = cur_scenarios.get(id) else {
             continue;
         };
-        let delta = if *prev_secs > 0.0 {
+        for key in ["notes", "tables"] {
+            if now.get(key) != prev.get(key) {
+                println!("FAIL  {id}/{key}: text changed");
+                failures += 1;
+            }
+        }
+        let wall = |s: &Json| s.get("wall_secs").and_then(Json::as_f64);
+        let (Some(prev_secs), Some(now_secs)) = (wall(prev), wall(now)) else {
+            continue;
+        };
+        let delta = if prev_secs > 0.0 {
             (now_secs - prev_secs) / prev_secs * 100.0
         } else {
             0.0

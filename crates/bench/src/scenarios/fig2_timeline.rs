@@ -22,11 +22,10 @@ pub fn run(_ctx: &ScenarioCtx) -> Report {
     let mut lo = SimTime::MAX;
     let mut hi = SimTime::ZERO;
     let mut a2a_time = SimDuration::ZERO;
-    for (i, op) in run.graph.ops().iter().enumerate() {
+    for (op, s, e) in run.exec.executed(&run.graph) {
         if op.layer != Some(layer) || op.backward || !op.in_moe_window() {
             continue;
         }
-        let (s, e) = run.exec.window(lina_model::OpId(i as u32));
         lo = lo.min(s);
         hi = hi.max(e);
         if op.comm_class() == Some(CommClass::AllToAll) {
@@ -40,7 +39,7 @@ pub fn run(_ctx: &ScenarioCtx) -> Report {
         format_pct(share)
     ));
     report.text("paper: all-to-all takes 74.9% of the MoE layer's forward pass\n");
-    report.text(run.exec.timeline.render_ascii(lo, hi, 100));
+    report.text(run.exec.timeline(&run.graph).render_ascii(lo, hi, 100));
     report.text("glyphs: G gate, # all-to-all, F expert FFN, C combine, = allreduce");
     report.metric_unit("fwd_layer_a2a_share", share, "frac");
     report.metric_unit("fwd_layer_time", layer_time.as_secs_f64(), "s");

@@ -50,16 +50,15 @@ pub fn run(_ctx: &ScenarioCtx) -> Report {
 
     // Render the window around an allreduce that overlaps an
     // all-to-all (the Figure 5 situation).
-    let mut a2a_windows: Vec<(SimTime, SimTime)> = Vec::new();
-    for (i, op) in run.graph.ops().iter().enumerate() {
-        if op.comm_class() == Some(CommClass::AllToAll) && op.backward {
-            a2a_windows.push(run.exec.window(lina_model::OpId(i as u32)));
-        }
-    }
+    let a2a_windows: Vec<(SimTime, SimTime)> = run
+        .exec
+        .executed(&run.graph)
+        .filter(|(op, _, _)| op.comm_class() == Some(CommClass::AllToAll) && op.backward)
+        .map(|(_, s, e)| (s, e))
+        .collect();
     let mut window: Option<(SimTime, SimTime)> = None;
-    for (i, op) in run.graph.ops().iter().enumerate() {
+    for (op, s, e) in run.exec.executed(&run.graph) {
         if op.comm_class() == Some(CommClass::Allreduce) {
-            let (s, e) = run.exec.window(lina_model::OpId(i as u32));
             let overlaps = a2a_windows.iter().any(|&(as_, ae)| as_ < e && ae > s);
             if overlaps && window.is_none_or(|(ws, we)| (e - s) > (we - ws)) {
                 window = Some((s, e));
@@ -68,7 +67,8 @@ pub fn run(_ctx: &ScenarioCtx) -> Report {
     }
     let (s, e) = window.expect("an allreduce overlapped an all-to-all");
     let pad = (e - s) / 3;
-    report.text(run.exec.timeline.render_ascii(s - pad, e + pad, 110));
+    let timeline = run.exec.timeline(&run.graph);
+    report.text(timeline.render_ascii(s - pad, e + pad, 110));
     report.text("glyphs: A attention, G gate, # all-to-all, F expert FFN, C combine, = allreduce");
     report.text("paper: the median slowdown over such overlaps is 1.83x (Figure 3).");
     report

@@ -45,16 +45,16 @@ pub fn run(_ctx: &ScenarioCtx) -> Report {
     // show micro-ops interleaving (Figure 8a/8b).
     let mut lo = SimTime::MAX;
     let mut hi = SimTime::ZERO;
-    for (i, op) in lina.graph.ops().iter().enumerate() {
+    for (op, s, e) in lina.exec.executed(&lina.graph) {
         if op.layer == Some(6) && op.backward && op.comm_class() == Some(CommClass::AllToAll) {
-            let (s, e) = lina.exec.window(lina_model::OpId(i as u32));
             lo = lo.min(s);
             hi = hi.max(e);
         }
     }
     let pad = (hi - lo) / 3;
     report.text("\nLina backward pass around layer 6 (micro-ops visible):");
-    report.text(lina.exec.timeline.render_ascii(lo - pad, hi + pad, 110));
+    let timeline = lina.exec.timeline(&lina.graph);
+    report.text(timeline.render_ascii(lo - pad, hi + pad, 110));
     report.text("glyphs: A attention, G gate, # all-to-all, F expert FFN, C combine, = allreduce");
     report.text(
         "\npaper (Figure 8a): with 30 MB partitions, allreduce micro-ops run in\n\

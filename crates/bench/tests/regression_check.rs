@@ -1,11 +1,13 @@
 //! The `regression_check` gate, run as a binary on small summaries: a
-//! drifted metric, a vanished metric and a vanished scenario fail it;
-//! an identical pair and an added metric pass.
+//! drifted metric, a vanished metric, a vanished scenario and a changed
+//! note or table fail it; an identical pair, an added metric and an
+//! added scenario pass.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-/// A summary with one scenario per `(id, metrics)` entry.
+/// A summary with one scenario per `(id, metrics)` entry; each scenario
+/// has one note and one table, both naming its id.
 fn summary(scenarios: &[(&str, &[(&str, f64)])]) -> String {
     let scenarios: Vec<String> = scenarios
         .iter()
@@ -15,7 +17,9 @@ fn summary(scenarios: &[(&str, &[(&str, f64)])]) -> String {
                 .map(|(name, value)| format!(r#"{{"name": "{name}", "value": {value}}}"#))
                 .collect();
             format!(
-                r#"{{"id": "{id}", "wall_secs": 1.0, "metrics": [{}]}}"#,
+                r#"{{"id": "{id}", "wall_secs": 1.0, "metrics": [{}],
+                    "tables": [{{"title": "{id} table", "headers": ["k"], "rows": [["1"]]}}],
+                    "notes": ["{id} timeline\n|##==|"]}}"#,
                 metrics.join(", ")
             )
         })
@@ -66,6 +70,25 @@ fn an_identical_pair_passes() {
     assert!(ok, "{out}");
     assert!(out.contains("3 metric(s) compared"), "{out}");
     assert!(out.contains("0 failure(s)"), "{out}");
+    assert!(!out.contains("text changed"), "{out}");
+}
+
+#[test]
+fn a_changed_note_fails() {
+    let changed = summary(BASE).replace("|##==|", "|#=#=|");
+    let (ok, out) = check("changed_note", &changed, &summary(BASE));
+    assert!(!ok, "{out}");
+    assert!(out.contains("FAIL  serve_a/notes: text changed"), "{out}");
+    assert!(out.contains("FAIL  serve_b/notes: text changed"), "{out}");
+    assert!(out.contains("2 failure(s)"), "{out}");
+}
+
+#[test]
+fn a_changed_table_fails() {
+    let changed = summary(BASE).replace(r#"[["1"]]"#, r#"[["2"]]"#);
+    let (ok, out) = check("changed_table", &changed, &summary(BASE));
+    assert!(!ok, "{out}");
+    assert!(out.contains("FAIL  serve_a/tables: text changed"), "{out}");
 }
 
 #[test]
@@ -112,4 +135,16 @@ fn an_added_metric_passes() {
     let (ok, out) = check("added", &added, &summary(BASE));
     assert!(ok, "{out}");
     assert!(out.contains("NEW   serve_a/p50_ms"), "{out}");
+}
+
+#[test]
+fn an_added_scenario_passes() {
+    let added = summary(&[
+        ("serve_a", &[("p99_ms", 12.5), ("attainment", 0.9)]),
+        ("serve_b", &[("goodput", 100.0)]),
+        ("fig2_timeline", &[("fwd_layer_time", 0.01)]),
+    ]);
+    let (ok, out) = check("added_scenario", &added, &summary(BASE));
+    assert!(ok, "{out}");
+    assert!(out.contains("NEW   fig2_timeline: scenario added"), "{out}");
 }

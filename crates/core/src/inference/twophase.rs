@@ -34,11 +34,12 @@ pub struct TwoPhaseConfig {
     /// Phase-two cost when no fine-tuning is needed (resume broadcast):
     /// ~1.45 ms.
     pub resume_time: SimDuration,
-    /// Relative popularity excess a missed top-2k expert must show
-    /// before phase two re-schedules (near-tie swaps leave the packing
-    /// intact, per §7.3.2's error analysis).
-    pub deviation_tolerance: f64,
 }
+
+/// Relative popularity excess a missed top-2k expert must show before
+/// phase two re-schedules (near-tie swaps leave the packing intact, per
+/// §7.3.2's error analysis).
+const DEVIATION_TOLERANCE: f64 = 0.25;
 
 impl TwoPhaseConfig {
     /// The paper's defaults for a cluster of `devices` devices.
@@ -49,7 +50,6 @@ impl TwoPhaseConfig {
             max_experts_per_device: 4,
             schedule_time: SimDuration::from_micros(6200),
             resume_time: SimDuration::from_micros(1450),
-            deviation_tolerance: 0.25,
         }
     }
 }
@@ -138,7 +138,7 @@ impl TwoPhaseScheduler {
             &phase_one.estimate,
             actual_pop,
             two_k,
-            self.config.deviation_tolerance,
+            DEVIATION_TOLERANCE,
         )
         .is_none()
         {

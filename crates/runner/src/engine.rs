@@ -16,48 +16,79 @@
 //!
 //! Overlapping collectives share links under the network's max-min
 //! model, which is where the baseline's all-to-all slowdown comes from.
+//!
+//! The engine records one thing: each op's `(start, end)` window. The
+//! profiler-style [`Timeline`] the paper's figures read is lowered from
+//! those windows afterwards ([`ExecResult::timeline`]).
 
 use std::collections::VecDeque;
 
 use lina_core::CommPolicy;
-use lina_model::{CommClass, OpGraph, OpId, OpKind};
-use lina_netsim::{CollectiveEngine, CollectiveSpec, DeviceId, Network, Topology};
+use lina_model::{CommClass, Op, OpGraph, OpId, OpKind};
+use lina_netsim::{CollectiveEngine, CollectiveSpec, Network, Topology};
 use lina_simcore::{SimDuration, SimTime, SpanKind, Timeline};
 
 /// Execution outcome of one op graph.
 #[derive(Clone, Debug)]
 pub struct ExecResult {
-    /// Recorded spans for all ops.
-    pub timeline: Timeline,
-    /// Completion time of the last op.
+    /// Completion time of the last op: the engine's final clock.
     pub makespan: SimDuration,
     /// Per-op `(start, end)` windows, indexed by op id.
     pub op_windows: Vec<Option<(SimTime, SimTime)>>,
 }
 
 impl ExecResult {
-    /// The window of op `id`.
+    /// Every executed op of `graph` (the graph that ran) with its
+    /// window, in op-id order.
+    pub fn executed<'g>(
+        &'g self,
+        graph: &'g OpGraph,
+    ) -> impl Iterator<Item = (&'g Op, SimTime, SimTime)> + 'g {
+        graph
+            .ops()
+            .iter()
+            .zip(&self.op_windows)
+            .filter_map(|(op, w)| w.map(|(start, end)| (op, start, end)))
+    }
+
+    /// The step's timeline: a compute op's window on its device's
+    /// compute stream, a collective's on its lane of every participant.
+    /// Spans are recorded in completion order (window end, ties by op
+    /// id), as a profiler would have seen them.
     ///
     /// # Panics
     ///
-    /// Panics if the op never ran (cannot happen after a successful
-    /// execution).
-    pub fn window(&self, id: OpId) -> (SimTime, SimTime) {
-        self.op_windows[id.0 as usize].expect("op executed")
+    /// Panics if two windows overlap on one stream (see
+    /// [`Timeline::record`]).
+    pub fn timeline(&self, graph: &OpGraph) -> Timeline {
+        let mut done: Vec<_> = self.executed(graph).collect();
+        // Stable: ties keep op-id order.
+        done.sort_by_key(|&(_, _, end)| end);
+        let mut timeline = Timeline::new();
+        for (op, start, end) in done {
+            let (devices, kind) = match &op.kind {
+                OpKind::Compute { device, span, .. } => (std::slice::from_ref(device), *span),
+                OpKind::Comm {
+                    spec: CollectiveSpec::AllToAll { participants, .. },
+                    ..
+                } => (participants.as_slice(), SpanKind::AllToAll),
+                OpKind::Comm {
+                    spec: CollectiveSpec::AllReduce { participants, .. },
+                    ..
+                } => (participants.as_slice(), SpanKind::Allreduce),
+            };
+            for d in devices {
+                timeline.record(d.0, kind, start, end);
+            }
+        }
+        timeline
     }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Status {
-    Pending,
-    Ready,
-    Running,
-    Done,
 }
 
 struct EngineState<'a> {
     graph: &'a OpGraph,
-    status: Vec<Status>,
+    /// Unfinished dependencies per op: an op is pending while its
+    /// count is above zero.
     unmet: Vec<usize>,
     dependents: Vec<Vec<OpId>>,
     // Compute side.
@@ -73,7 +104,8 @@ struct EngineState<'a> {
     backward_a2a_done: usize,
     coll: CollectiveEngine,
     now: SimTime,
-    timeline: Timeline,
+    /// Per-op windows, set when an op starts; a running op's end is
+    /// `SimTime::MAX`.
     op_windows: Vec<Option<(SimTime, SimTime)>>,
     done_count: usize,
 }
@@ -93,7 +125,6 @@ impl<'a> EngineState<'a> {
         let a2a_ops = graph.comm_ops(CommClass::AllToAll);
         EngineState {
             graph,
-            status: vec![Status::Pending; n],
             unmet,
             dependents,
             device_queue: vec![VecDeque::new(); devices],
@@ -104,15 +135,12 @@ impl<'a> EngineState<'a> {
             backward_a2a_done: 0,
             coll: CollectiveEngine::new(Network::new(topo.clone())),
             now: SimTime::ZERO,
-            timeline: Timeline::new(),
             op_windows: vec![None; n],
             done_count: 0,
         }
     }
 
     fn mark_ready(&mut self, id: OpId) {
-        debug_assert_eq!(self.status[id.0 as usize], Status::Pending);
-        self.status[id.0 as usize] = Status::Ready;
         let op = self.graph.op(id);
         if let Some(class) = op.comm_class() {
             self.pending_comm.push((self.now, id, class));
@@ -121,31 +149,16 @@ impl<'a> EngineState<'a> {
         }
     }
 
-    fn complete(&mut self, id: OpId, started: SimTime) {
+    fn complete(&mut self, id: OpId) {
         let i = id.0 as usize;
-        debug_assert_eq!(self.status[i], Status::Running);
-        self.status[i] = Status::Done;
         self.done_count += 1;
-        self.op_windows[i] = Some((started, self.now));
+        self.op_windows[i]
+            .as_mut()
+            .expect("a completing op started")
+            .1 = self.now;
         let op = self.graph.op(id);
-        match &op.kind {
-            OpKind::Compute { device, span, .. } => {
-                self.timeline.record(device.0, *span, started, self.now);
-            }
-            OpKind::Comm { spec, .. } => {
-                let a2a = op.comm_class() == Some(CommClass::AllToAll);
-                let kind = if a2a {
-                    SpanKind::AllToAll
-                } else {
-                    SpanKind::Allreduce
-                };
-                for d in participants(spec) {
-                    self.timeline.record(d.0, kind, started, self.now);
-                }
-                if a2a && op.backward {
-                    self.backward_a2a_done += 1;
-                }
-            }
+        if op.backward && op.comm_class() == Some(CommClass::AllToAll) {
+            self.backward_a2a_done += 1;
         }
         // Nothing walks a completed op's dependents again.
         for dep in std::mem::take(&mut self.dependents[i]) {
@@ -164,9 +177,7 @@ impl<'a> EngineState<'a> {
                     let OpKind::Compute { duration, .. } = &self.graph.op(id).kind else {
                         unreachable!("compute queue holds compute ops");
                     };
-                    self.status[id.0 as usize] = Status::Running;
                     self.device_busy[d] = Some((id, self.now + *duration));
-                    // Stash the start for span recording.
                     self.op_windows[id.0 as usize] = Some((self.now, SimTime::MAX));
                 }
             }
@@ -177,15 +188,17 @@ impl<'a> EngineState<'a> {
         !self.active_comm.iter().any(|(c, _)| *c == class)
     }
 
+    /// True if an all-to-all still waits on a dependency although every
+    /// dependency has started.
     fn a2a_imminent(&self) -> bool {
         self.a2a_ops.iter().any(|&id| {
-            self.status[id.0 as usize] == Status::Pending
+            self.unmet[id.0 as usize] > 0
                 && self
                     .graph
                     .op(id)
                     .deps
                     .iter()
-                    .all(|d| matches!(self.status[d.0 as usize], Status::Done | Status::Running))
+                    .all(|d| self.op_windows[d.0 as usize].is_some())
         })
     }
 
@@ -200,10 +213,8 @@ impl<'a> EngineState<'a> {
             unreachable!("pending comm is a comm op");
         };
         let (_, _, class) = self.pending_comm.remove(pos);
-        debug_assert!(self.stream_free(class));
-        let i = id.0 as usize;
-        self.status[i] = Status::Running;
-        self.op_windows[i] = Some((self.now, SimTime::MAX));
+        assert!(self.stream_free(class), "one collective per class stream");
+        self.op_windows[id.0 as usize] = Some((self.now, SimTime::MAX));
         self.coll.start(spec, id.0 as u64);
         self.active_comm.push((class, id));
     }
@@ -256,13 +267,6 @@ impl<'a> EngineState<'a> {
     }
 }
 
-fn participants(spec: &CollectiveSpec) -> &[DeviceId] {
-    match spec {
-        CollectiveSpec::AllToAll { participants, .. }
-        | CollectiveSpec::AllReduce { participants, .. } => participants,
-    }
-}
-
 /// Executes `graph` on `topo` under `policy`.
 ///
 /// # Panics
@@ -310,25 +314,21 @@ pub fn execute(graph: &OpGraph, topo: &Topology, policy: &CommPolicy) -> ExecRes
         for cd in comm_done {
             let id = OpId(cd.tag as u32);
             st.active_comm.retain(|(_, oid)| *oid != id);
-            let started = st.op_windows[id.0 as usize].expect("launched").0;
             st.now = st.now.max(cd.at);
-            st.complete(id, started);
+            st.complete(id);
         }
         // Complete compute ops due by now.
         for d in 0..st.device_busy.len() {
             if let Some((id, end)) = st.device_busy[d] {
                 if end <= st.now {
                     st.device_busy[d] = None;
-                    let started = st.op_windows[id.0 as usize].expect("started").0;
-                    st.complete(id, started);
+                    st.complete(id);
                 }
             }
         }
     }
-    let makespan = st.timeline.horizon() - SimTime::ZERO;
     ExecResult {
-        timeline: st.timeline,
-        makespan,
+        makespan: st.now - SimTime::ZERO,
         op_windows: st.op_windows,
     }
 }
@@ -342,6 +342,13 @@ mod tests {
     };
     use lina_netsim::{AllToAllAlgo, ClusterSpec};
     use lina_simcore::{Lane, Span};
+
+    impl ExecResult {
+        /// The window of op `id`, which ran.
+        fn window(&self, id: OpId) -> (SimTime, SimTime) {
+            self.op_windows[id.0 as usize].expect("op executed")
+        }
+    }
 
     /// A 1 MB collective of `class` over every device of `topo`.
     fn comm(
@@ -434,13 +441,21 @@ mod tests {
         ] {
             let (result, _) = run(scheme, 4, 2);
             assert!(result.makespan > SimDuration::ZERO, "{}", scheme.name());
+            let last = result.op_windows.iter().flatten().map(|w| w.1).max();
+            assert_eq!(
+                Some(SimTime::ZERO + result.makespan),
+                last,
+                "{}",
+                scheme.name()
+            );
         }
     }
 
     #[test]
     fn timeline_has_all_span_kinds() {
-        let (result, _) = run(TrainScheme::Baseline, 4, 2);
-        let spans: Vec<&Span> = result.timeline.streams().flat_map(|(_, s)| s).collect();
+        let (result, graph) = run(TrainScheme::Baseline, 4, 2);
+        let timeline = result.timeline(&graph);
+        let spans: Vec<&Span> = timeline.streams().flat_map(|(_, s)| s).collect();
         for kind in [
             SpanKind::Attention,
             SpanKind::Gate,
@@ -485,7 +500,7 @@ mod tests {
         let graph = OpGraph::new();
         let result = execute(&graph, &topo, &CommPolicy::FairShare);
         assert_eq!(result.makespan, SimDuration::ZERO);
-        assert!(result.timeline.is_empty());
+        assert!(result.op_windows.is_empty());
     }
 
     #[test]
@@ -672,12 +687,36 @@ mod tests {
     }
 
     #[test]
+    fn timeline_records_in_completion_order() {
+        // `after` waits for the all-to-all, so `first`, added later,
+        // runs first on device 0's compute stream.
+        let topo = topo4();
+        let mut graph = OpGraph::new();
+        let a2a = comm(&mut graph, &topo, CommClass::AllToAll, false, vec![]);
+        let compute = |graph: &mut OpGraph, span, deps| {
+            let ms = SimDuration::from_millis(1);
+            graph.add_compute(lina_netsim::DeviceId(0), ms, span, deps, None, false)
+        };
+        let after = compute(&mut graph, SpanKind::ExpertFfn, vec![a2a]);
+        let first = compute(&mut graph, SpanKind::Attention, vec![]);
+        let result = execute(&graph, &topo, &CommPolicy::FairShare);
+        assert!(result.window(first).1 <= result.window(after).0);
+        let timeline = result.timeline(&graph);
+        let (_, spans) = timeline
+            .streams()
+            .find(|(id, _)| id.device == 0 && id.lane == Lane::Compute)
+            .expect("device 0 computed");
+        let kinds: Vec<SpanKind> = spans.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, [SpanKind::Attention, SpanKind::ExpertFfn]);
+    }
+
+    #[test]
     fn compute_stream_is_serial_per_device() {
         // `Timeline::record` already refuses an overlap on one stream;
         // this also pins that every device's compute stream exists.
-        let (result, _) = run(TrainScheme::Baseline, 4, 3);
+        let (result, graph) = run(TrainScheme::Baseline, 4, 3);
         let compute: Vec<u32> = result
-            .timeline
+            .timeline(&graph)
             .streams()
             .filter(|(id, _)| id.lane == Lane::Compute)
             .map(|(id, spans)| {

@@ -59,10 +59,7 @@ fn observe(run: &crate::train::StepRun) -> PackingObservation {
     let mut ffn_n = 0u64;
     let mut a2a_total = SimDuration::ZERO;
     let mut a2a_n = 0u64;
-    for (i, op) in run.graph.ops().iter().enumerate() {
-        let Some((s, e)) = run.exec.op_windows[i] else {
-            continue;
-        };
+    for (op, s, e) in run.exec.executed(&run.graph) {
         match &op.kind {
             OpKind::Compute { span, .. } if *span == SpanKind::ExpertFfn && !op.backward => {
                 ffn_total += e - s;

@@ -45,7 +45,8 @@ pub struct StepMetrics {
 pub struct StepRun {
     /// Extracted metrics.
     pub metrics: StepMetrics,
-    /// Raw execution (timeline, windows).
+    /// Raw execution: each op's window ([`ExecResult::timeline`]
+    /// lowers them to the step's timeline).
     pub exec: ExecResult,
     /// The graph that ran (for further analysis).
     pub graph: lina_model::OpGraph,
@@ -98,11 +99,8 @@ fn extract_metrics(
     // grouped by (layer, direction).
     let mut fwd_windows: Vec<(SimTime, SimTime)> = vec![(SimTime::MAX, SimTime::ZERO); layers];
     let mut bwd_windows: Vec<(SimTime, SimTime)> = vec![(SimTime::MAX, SimTime::ZERO); layers];
-    for (i, op) in graph.ops().iter().enumerate() {
+    for (op, s, e) in exec.executed(graph) {
         let Some(layer) = op.layer.filter(|_| op.in_moe_window()) else {
-            continue;
-        };
-        let Some((s, e)) = exec.op_windows[i] else {
             continue;
         };
         let w = if op.backward {
@@ -127,30 +125,24 @@ fn extract_metrics(
     };
 
     // Allreduce windows, for the Figure 3 overlap condition.
-    let mut ar_windows: Vec<(SimTime, SimTime)> = Vec::new();
-    for (i, op) in graph.ops().iter().enumerate() {
-        if op.comm_class() == Some(CommClass::Allreduce) {
-            if let Some(w) = exec.op_windows[i] {
-                ar_windows.push(w);
-            }
-        }
-    }
+    let ar_windows: Vec<(SimTime, SimTime)> = exec
+        .executed(graph)
+        .filter(|(op, _, _)| op.comm_class() == Some(CommClass::Allreduce))
+        .map(|(_, s, e)| (s, e))
+        .collect();
     // Logical backward all-to-all completion times and slowdowns, keyed
     // by (layer, logical id): layer ascending.
     let mut logical: BTreeMap<(Option<usize>, usize), (SimTime, SimTime, f64)> = BTreeMap::new();
     let mut a2a_total = SimDuration::ZERO;
     let mut solo_cache: BTreeMap<u64, SimDuration> = BTreeMap::new();
     let mut solo_timer = SoloTimer::new(topo);
-    for (i, op) in graph.ops().iter().enumerate() {
+    for (op, s, e) in exec.executed(graph) {
         let OpKind::Comm { spec, logical: id } = &op.kind else {
             continue;
         };
         if op.comm_class() != Some(CommClass::AllToAll) {
             continue;
         }
-        let Some((s, e)) = exec.op_windows[i] else {
-            continue;
-        };
         a2a_total += e - s;
         // Solo time for one chunk, cached by rounded size; a forward
         // chunk fills the cache a backward one of that size reads.
@@ -180,6 +172,7 @@ fn extract_metrics(
         }
     }
 
+    let timeline = exec.timeline(graph);
     StepMetrics {
         step_time: exec.makespan,
         fwd_layer_time: mean_window(&fwd_windows),
@@ -188,10 +181,8 @@ fn extract_metrics(
         a2a_bwd_times,
         a2a_bwd_slowdowns,
         a2a_bwd_overlapped,
-        pipelining_efficiency: exec.timeline.pipelining_efficiency(),
-        compute_util: exec
-            .timeline
-            .mean_compute_utilization(topo.devices() as u32),
+        pipelining_efficiency: timeline.pipelining_efficiency(),
+        compute_util: timeline.mean_compute_utilization(topo.devices() as u32),
     }
 }
 

@@ -6,7 +6,10 @@
 //! one thing at a time: one op per compute stream, and at most one
 //! collective per class (§4.1's NCCL constraint). So the timeline keeps
 //! one list per stream, in start order, and [`Timeline::record`]
-//! refuses a span that overlaps its stream's previous one.
+//! refuses a span that overlaps its stream's previous one. A timeline
+//! is not kept while a step runs: `lina-runner` records only each op's
+//! window and lowers a step's windows to a timeline when a query or a
+//! figure asks for one.
 //!
 //! It answers the three queries the evaluation asks: GPU utilization
 //! ([`Timeline::mean_compute_utilization`], Table 4), pipelining
@@ -173,11 +176,6 @@ impl Timeline {
         self.streams
             .iter()
             .map(|(&id, spans)| (id, spans.as_slice()))
-    }
-
-    /// True if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.streams.is_empty()
     }
 
     /// The spans of one stream; empty if it recorded none.

@@ -4,7 +4,7 @@
 //! answers through the union merge `busy_time_in`, as the timeline did
 //! before it stored one serial list per stream. Built from an executed
 //! step's graph and op windows alone, it must agree with the step's
-//! timeline bit for bit (utilization, pipelining efficiency) and string
+//! lowered timeline (`ExecResult::timeline`) bit for bit (utilization, pipelining efficiency) and string
 //! for string (ASCII renderings), for every training scheme at several
 //! shapes. The hand-computed cases of the flat queries the serial
 //! timeline no longer has are pinned here, on the flat timeline and,
@@ -250,7 +250,7 @@ fn check_shape(model: MoeModelConfig, seqs_per_device: usize) {
         );
         let run = run_train_step(&cost, &topo, batch, scheme, 1);
         let flat = Flat::of(&run);
-        let t = &run.exec.timeline;
+        let t = &run.exec.timeline(&run.graph);
         assert_eq!(streams(t), flat.streams(), "{tag}: streams");
         assert_eq!(t.horizon(), flat.horizon(), "{tag}: horizon");
         let eff = t.pipelining_efficiency();
